@@ -63,7 +63,6 @@ from .engine import (
     multiport_unitary,
     sample_experiment,
     t_coefficients,
-    t_coefficients_alt,
 )
 from .lhv import (
     MAX_ENUMERABLE_DIMENSION,

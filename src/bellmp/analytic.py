@@ -235,8 +235,9 @@ def vertex_candidates(state: PureState) -> VertexExtrema:
     Ties are broken by (table_id, row, lexicographic assignment), so
     witnesses are reproducible.  This enumeration is deliberately
     independent of the branch formulas; it dominates them, strictly on
-    some states (the tests pin a concrete example), and the numeric
-    optimizer confirms the dominating candidates are attainable.
+    some states (the tests pin a concrete example).  It is an outer
+    bound: the extremum the numeric optimizer attains over the angles
+    can lie strictly inside it.
     """
     A = sorted_magnitudes(state).A
     best_max = -math.inf

@@ -55,6 +55,11 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_REPRODUCTION = 2
 
+# Sampling holds one 8-byte draw per shot, so this cap keeps a request
+# to 80 MB per setting and rejects counts that would exhaust memory
+# before anything is built.
+MAX_SHOTS_PER_SETTING = 10**7
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad arguments; the CLI contract
@@ -369,6 +374,11 @@ def cmd_scan(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.shots > MAX_SHOTS_PER_SETTING:
+        raise ValidationError(
+            f"--shots must be at most {MAX_SHOTS_PER_SETTING} per setting, "
+            f"got {args.shots}"
+        )
     state = _parse_state(args.state, args.d)
     if args.angles:
         settings = _load_angles(args.angles, state.dim.d)

@@ -13,7 +13,10 @@ setting pair depends on the outcomes only through u = (m + n) mod d:
 
 with gamma = exp(2 pi i / d).  The 1/d^3 prefactor is the unique
 normalization making each setting's table sum to one under the state
-convention above.  All heavy paths exploit the class structure in u.
+convention above.  All heavy paths exploit the class structure in u:
+for fixed phases the Bell value is the quadratic form I = a^T M a in
+the state coefficients, with one pair matrix M (see pair_matrix), and
+the d = 4 T coefficients are T_kl = 2 M_kl.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ __all__ = [
     "bell_value",
     "bell_value_noisy",
     "t_coefficients",
-    "t_coefficients_alt",
+    "pair_matrix",
     "bell_gradient",
     "value_and_gradient_arrays",
     "sample_experiment",
@@ -55,11 +58,10 @@ _NEGATIVE_CLAMP = -1e-14
 _SLICE_SUM_TOL = 1e-12
 _UNITARY_TOL = 1e-12
 
-# Setting pairs (i, j) in evaluation order, their signs in the Bell
-# combination I = Q11 + Q12 - Q21 + Q22, and the sign of eps(i - j).
+# Setting pairs (i, j) in evaluation order and their signs in the Bell
+# combination I = Q11 + Q12 - Q21 + Q22.
 _SETTING_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
 _PAIR_SIGNS = np.array([1.0, 1.0, -1.0, 1.0])
-_EPS_ROW = (0, 1, 0, 0)  # 0: eps = +1 (i >= j), 1: eps = -1 (i < j)
 
 
 @lru_cache(maxsize=None)
@@ -72,22 +74,6 @@ def _dft(d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _class_weights(d: int, variant: KernelVariant) -> np.ndarray:
-    # W[e, u] = sum of kernel values over the outcome class
-    # {(m, n): (m + n) mod d = u}; e indexes the sign of eps.
-    spin = (d - 1) / 2
-    W = np.zeros((2, d))
-    for m in range(d):
-        for n in range(d):
-            u = (m + n) % d
-            combo = m + n if variant is KernelVariant.PLUS else m - n
-            W[0, u] += spin - (combo % d)
-            W[1, u] += spin - ((-combo) % d)
-    W.flags.writeable = False
-    return W
-
-
-@lru_cache(maxsize=None)
 def _kernel_matrix(d: int, i: int, j: int, variant: KernelVariant) -> np.ndarray:
     eps = -1 if i < j else 1
     m = np.arange(d)[:, None]
@@ -96,6 +82,21 @@ def _kernel_matrix(d: int, i: int, j: int, variant: KernelVariant) -> np.ndarray
     F = (d - 1) / 2 - ((eps * combo) % d)
     F.flags.writeable = False
     return F
+
+
+@lru_cache(maxsize=None)
+def _circulant(d: int, variant: KernelVariant) -> np.ndarray:
+    # C[r, k, l] = sign_r sum_u W_r[u] gamma^{u(k - l)}, where W_r[u] sums
+    # the kernel of setting pair r over the outcome class (m + n) mod d = u.
+    V = _dft(d)
+    classes = ((np.arange(d)[:, None] + np.arange(d)[None, :]) % d).ravel()
+    C = np.empty((4, d, d), dtype=complex)
+    for r, ((i, j), sign) in enumerate(zip(_SETTING_PAIRS, _PAIR_SIGNS)):
+        W = np.bincount(classes, weights=_kernel_matrix(d, i, j, variant).ravel(),
+                        minlength=d)
+        C[r] = sign * (V.T * W) @ V.conj()
+    C.flags.writeable = False
+    return C
 
 
 def _phase_matrix(settings: MeasurementSettings) -> np.ndarray:
@@ -110,6 +111,19 @@ def _phase_matrix(settings: MeasurementSettings) -> np.ndarray:
 def _setting_thetas(phases: np.ndarray) -> np.ndarray:
     # Row r of the result is phi^{A_i} + phi^{B_j} for _SETTING_PAIRS[r].
     return phases[(0, 0, 1, 1), :] + phases[(2, 3, 2, 3), :]
+
+
+def _phased(phases: np.ndarray, d: int, variant: KernelVariant) -> np.ndarray:
+    # P[r] = diag(e^{i theta_r}) C[r] diag(e^{-i theta_r}); each P[r] is
+    # Hermitian and I = a^T Re(sum_r P[r]) a / (S d^3).
+    z = np.exp(1j * _setting_thetas(phases))
+    return z[:, :, None] * _circulant(d, variant) * z.conj()[:, None, :]
+
+
+def _pair_sum(P: np.ndarray, d: int) -> np.ndarray:
+    # Summing before the division keeps the zero-phase d = 4 entries at
+    # exactly 1/6.
+    return np.real(P.sum(axis=0)) / (((d - 1) / 2) * d**3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,7 +255,13 @@ def bell_value_noisy(state: PureState, settings: MeasurementSettings,
     return _bell_from_table(mixed, variant)
 
 
-_CHI_BY_GAP = {1: 1.0, 2: 0.0, 3: -1.0}
+def pair_matrix(phases: np.ndarray, d: int,
+                variant: KernelVariant = KernelVariant.PLUS) -> np.ndarray:
+    """The pair matrix M of the (4, d) phase matrix (rows A1, A2, B1,
+    B2): real, symmetric and with a zero diagonal, such that the Bell
+    value of every state is the quadratic form I = a^T M a.  No
+    validation happens here."""
+    return _pair_sum(_phased(phases, d, variant), d)
 
 
 @dataclass(frozen=True)
@@ -284,63 +304,14 @@ class TCoefficients:
 
 def t_coefficients(settings: MeasurementSettings) -> TCoefficients:
     """Pair coefficients such that bell_value(state, settings) equals
-    TCoefficients.bilinear(state) for every d = 4 state.
-
-    Each pair (k, l) contributes (1/6) a_k a_l (cos D + sigma sin D)
-    to Q_ij, where D is the pair phase phi_kl^{ij} and sigma depends on
-    the index gap (zero for gap 2) and flips sign on the (1, 2)
-    setting; summing with the +, +, -, + signature gives T_kl.
-    """
+    TCoefficients.bilinear(state) for every d = 4 state: the
+    off-diagonal entries T_kl = 2 M_kl of the pair matrix."""
     if settings.dim.d != 4:
         raise ValidationError(
             f"the T decomposition is defined for dimension 4, got {settings.dim.d}"
         )
-    out = []
-    for k, l in PAIR_SLOTS:
-        chi = _CHI_BY_GAP[l - k]
-        d11 = settings.pair_phase(1, 1, k, l)
-        d12 = settings.pair_phase(1, 2, k, l)
-        d21 = settings.pair_phase(2, 1, k, l)
-        d22 = settings.pair_phase(2, 2, k, l)
-        out.append((
-            (math.cos(d11) + chi * math.sin(d11))
-            + (math.cos(d12) - chi * math.sin(d12))
-            - (math.cos(d21) + chi * math.sin(d21))
-            + (math.cos(d22) + chi * math.sin(d22))
-        ) / 6.0)
-    return TCoefficients(*out)
-
-
-def t_coefficients_alt(settings: MeasurementSettings) -> dict[tuple[int, int], float]:
-    """Alternative sign-convention forms of the six coefficients that
-    circulate for this decomposition.  They fail the zero-phase
-    identity (their sum there is -2/3 where the identity needs 2), so
-    they are exposed for diagnostics only; nothing downstream uses
-    them.
-    """
-    if settings.dim.d != 4:
-        raise ValidationError(
-            f"the T decomposition is defined for dimension 4, got {settings.dim.d}"
-        )
-
-    def cs(k: int, l: int) -> tuple[list[float], list[float]]:
-        ds = [settings.pair_phase(i, j, k, l)
-              for (i, j) in ((1, 1), (2, 1), (1, 2), (2, 2))]
-        return [math.cos(x) for x in ds], [math.sin(x) for x in ds]
-
-    c, s = cs(0, 1)
-    t01 = ((c[0] - c[1] - c[2] + c[3]) - (s[0] + s[1] + s[2] + s[3])) / 6.0
-    c, s = cs(0, 2)
-    t02 = -(c[0] - c[1] + c[2] + c[3]) / 6.0
-    c, s = cs(0, 3)
-    t03 = ((c[0] - c[1] - c[2] + c[3]) + (s[0] + s[1] + s[2] + s[3])) / 6.0
-    c, s = cs(1, 2)
-    t12 = ((c[0] - c[1] - c[2] + c[3]) - (s[0] - s[1] + s[2] + s[3])) / 6.0
-    c, s = cs(1, 3)
-    t13 = -(c[0] - c[1] + c[2] + c[3]) / 6.0
-    c, s = cs(2, 3)
-    t23 = ((c[0] - c[1] - c[2] + c[3]) - (s[0] - s[1] + s[2] + s[3])) / 6.0
-    return dict(zip(PAIR_SLOTS, (t01, t02, t03, t12, t13, t23)))
+    M = pair_matrix(_phase_matrix(settings), 4)
+    return TCoefficients(*(2.0 * float(M[k, l]) for k, l in PAIR_SLOTS))
 
 
 def value_and_gradient_arrays(coefficients: np.ndarray, phases: np.ndarray,
@@ -350,30 +321,19 @@ def value_and_gradient_arrays(coefficients: np.ndarray, phases: np.ndarray,
     its gradient with respect to the state coefficients.
 
     No validation happens here; this is the optimizer's hot path.  The
-    phase gradient exploits that the class amplitudes are a DFT of the
-    phased coefficients.
+    value is a^T M a and the state gradient 2 M a; setting pair r
+    contributes -2 a Im(P[r] a) / (S d^3) to the gradient of its summed
+    phases theta_r.
     """
-    V = _dft(d)
-    W = _class_weights(d, variant)[_EPS_ROW, :]
-    spin_scale = 1.0 / (((d - 1) / 2) * d**3)
-    theta = _setting_thetas(phases)
-    phase_factor = np.exp(1j * theta)
-    c = coefficients * phase_factor
-    ahat = c @ V.T
-    q = spin_scale * np.sum(W * np.abs(ahat) ** 2, axis=1)
-    value = float(q @ _PAIR_SIGNS)
-    G = (W * ahat.conj()) @ V
-    dq_dtheta = -2.0 * spin_scale * np.imag(c * G)
-    signed = dq_dtheta * _PAIR_SIGNS[:, None]
+    P = _phased(phases, d, variant)
+    Ma = _pair_sum(P, d) @ coefficients
+    dq_dtheta = (-2.0 / (((d - 1) / 2) * d**3)) * coefficients * np.imag(P @ coefficients)
     grad_phases = np.empty((4, d))
-    grad_phases[0] = signed[0] + signed[1]
-    grad_phases[1] = signed[2] + signed[3]
-    grad_phases[2] = signed[0] + signed[2]
-    grad_phases[3] = signed[1] + signed[3]
-    grad_state = 2.0 * spin_scale * (
-        (_PAIR_SIGNS[:, None] * np.real(phase_factor * G)).sum(axis=0)
-    )
-    return value, grad_phases, grad_state
+    grad_phases[0] = dq_dtheta[0] + dq_dtheta[1]
+    grad_phases[1] = dq_dtheta[2] + dq_dtheta[3]
+    grad_phases[2] = dq_dtheta[0] + dq_dtheta[2]
+    grad_phases[3] = dq_dtheta[1] + dq_dtheta[3]
+    return float(coefficients @ Ma), grad_phases, 2.0 * Ma
 
 
 def bell_gradient(state: PureState, settings: MeasurementSettings,

@@ -166,12 +166,6 @@ class MeasurementSettings:
             raise ValidationError(f"setting index must be 1 or 2, got {j}")
         return self.b1 if j == 1 else self.b2
 
-    def pair_phase(self, i: int, j: int, k: int, l: int) -> float:
-        """phi_k^{A_i} - phi_l^{A_i} + phi_k^{B_j} - phi_l^{B_j}."""
-        a = self.alice(i).phases
-        b = self.bob(j).phases
-        return a[k] - a[l] + b[k] - b[l]
-
 
 def kernel_f(i: int, j: int, m: int, n: int, dim: Dimension, variant: KernelVariant) -> float:
     """Half-integer correlation kernel f_ij(m, n) in [-S, S].

@@ -18,10 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -100,27 +97,6 @@ class OptimizationRun:
     per_restart_values: tuple[float, ...]
     iterations_used: int
     converged: bool
-
-
-def _thread_count(restarts: int) -> int:
-    raw = os.environ.get("BELL_THREADS")
-    if raw is None:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"BELL_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, min(threads, restarts))
-
-
-def _run_restarts(worker: Callable[[int], tuple], restarts: int) -> list[tuple]:
-    # Results are collected in restart order, so the reduction below is
-    # deterministic regardless of the thread count.
-    threads = _thread_count(restarts)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, range(restarts)))
-    return [worker(r) for r in range(restarts)]
 
 
 def _fd_hessian(fun, x: np.ndarray, g0: np.ndarray) -> np.ndarray:
@@ -253,7 +229,7 @@ def optimize_angles(state: PureState, config: OptimizerConfig,
 
     Restart r draws its initial free phases uniformly from [0, 2 pi)
     with an independent PRNG stream derived from (config.seed, r), so
-    results are reproducible and independent of thread count.
+    results are reproducible.
     """
     if config.free_state:
         raise ValidationError("optimize_angles requires config.free_state = False")
@@ -270,7 +246,7 @@ def optimize_angles(state: PureState, config: OptimizerConfig,
         )
         return -sign * f, x, gnorm, iterations, converged
 
-    results = _run_restarts(worker, config.restarts)
+    results = [worker(r) for r in range(config.restarts)]
     values = [res[0] for res in results]
     best = _pick_best(values, config.direction)
     value, x, gnorm, _, converged = results[best]
@@ -423,7 +399,7 @@ def optimize_joint(dim: Dimension, config: OptimizerConfig,
                 converged = conv
         return value, x, a, iterations, converged
 
-    results = _run_restarts(worker, config.restarts)
+    results = [worker(r) for r in range(config.restarts)]
     values = [res[0] for res in results]
     best = _pick_best(values, config.direction)
     value, x, a, _, converged = results[best]
@@ -448,38 +424,32 @@ def optimize_joint(dim: Dimension, config: OptimizerConfig,
     )
 
 
-_CHI_BY_GAP = {1: 1.0, 2: 0.0, 3: -1.0}
-
-
 def max_abs_t_coefficient(pair: tuple[int, int], restarts: int = 8,
                           seed: int = 0) -> tuple[float, MeasurementSettings]:
     """Numerically maximize |T_kl| for one index pair (d = 4).
 
-    The coefficient depends on the phases only through one angle per
-    party and setting, so the search runs over those four reduced
-    variables; the returned settings realize the maximizer with the
-    pair's k-indexed phases carrying the angles.
+    T_kl is the Bell value at the unnormalized state e_k + e_l, and it
+    depends on the phases only through one angle per party and setting,
+    so the search runs over those four angles placed in phase column k;
+    the returned settings carry them there.
     """
     if pair not in PAIR_SLOTS:
         raise ValidationError(f"pair must be one of {PAIR_SLOTS}, got {pair!r}")
     k, l = pair
-    chi = _CHI_BY_GAP[l - k]
+    a = np.zeros(4)
+    a[[k, l]] = 1.0
+
+    def phases_of(q: np.ndarray) -> np.ndarray:
+        phases = np.zeros((4, 4))
+        phases[:, k] = q
+        return phases
 
     def objective(sign: float):
         def fun(q: np.ndarray) -> tuple[float, np.ndarray]:
-            d11, d12, d21, d22 = q[0] + q[2], q[0] + q[3], q[1] + q[2], q[1] + q[3]
-            value = (
-                (math.cos(d11) + chi * math.sin(d11))
-                + (math.cos(d12) - chi * math.sin(d12))
-                - (math.cos(d21) + chi * math.sin(d21))
-                + (math.cos(d22) + chi * math.sin(d22))
-            ) / 6.0
-            g11 = (-math.sin(d11) + chi * math.cos(d11)) / 6.0
-            g12 = (-math.sin(d12) - chi * math.cos(d12)) / 6.0
-            g21 = -(-math.sin(d21) + chi * math.cos(d21)) / 6.0
-            g22 = (-math.sin(d22) + chi * math.cos(d22)) / 6.0
-            grad = np.array([g11 + g12, g21 + g22, g11 + g21, g12 + g22])
-            return -sign * value, -sign * grad
+            value, grad_phases, _ = value_and_gradient_arrays(
+                a, phases_of(q), 4, KernelVariant.PLUS
+            )
+            return -sign * value, -sign * grad_phases[:, k]
 
         return fun
 
@@ -495,11 +465,8 @@ def max_abs_t_coefficient(pair: tuple[int, int], restarts: int = 8,
             magnitude = abs(f)  # f = -sign * T, so |f| = |T|
             if magnitude > best_value:
                 best_value = magnitude
-                vectors = []
-                for angle in (q[0], q[1], q[2], q[3]):
-                    phases = [0.0] * 4
-                    phases[k] = float(angle)
-                    vectors.append(PhaseVector(dim, tuple(phases)))
+                vectors = [PhaseVector(dim, tuple(float(v) for v in row))
+                           for row in phases_of(q)]
                 best_settings = MeasurementSettings(dim, *vectors)
     assert best_settings is not None
     return best_value, best_settings

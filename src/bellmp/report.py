@@ -17,7 +17,6 @@ from .model import (
     KernelVariant,
     make_state,
     maximally_entangled_state,
-    zero_settings,
     ValidationError,
 )
 from .analytic import (
@@ -29,7 +28,7 @@ from .analytic import (
     reference_optimal_angles,
     threshold_noise,
 )
-from .engine import bell_value, t_coefficients_alt
+from .engine import bell_value
 from .lhv import lhv_bounds
 from .optimize import (
     Direction,
@@ -212,13 +211,6 @@ def _diagnostics(opt_value: float) -> tuple[str, ...]:
         "2.89624 there, so the table's phase convention does not match "
         "this probability model and it is recorded for reference only"
     )
-    alt = t_coefficients_alt(zero_settings(_D4))
-    alt_sum = sum(alt.values())
-    notes.append(
-        "non-gating: the alternative sign-convention T forms sum to "
-        f"{alt_sum:.6f} at zero phases where the bilinear identity "
-        "requires 2.0; all computations use the identity-consistent forms"
-    )
     for d in (5, 6):
         report = lhv_bounds(Dimension(d))
         bound = Fraction(-2 * (d + 1), d - 1)
@@ -228,11 +220,12 @@ def _diagnostics(opt_value: float) -> tuple[str, ...]:
             f"and {relation} the -2(d+1)/(d-1) bound {bound}"
         )
     notes.append(
-        "non-gating: the 24x24 vertex enumeration dominates the "
-        "two-branch closed forms; they agree at the tabulated optimal "
-        "states, but some states admit strictly better enumeration "
-        "candidates which the optimizer confirms as attainable "
-        "(see tests/test_analytic.py)"
+        "non-gating: the 24x24 vertex enumeration is an outer bound "
+        "that contains the two-branch closed forms; they agree at the "
+        "tabulated optimal states, but on some states the enumeration "
+        "is strictly wider, and the extremum the optimizer attains can "
+        "lie strictly inside it (see tests/test_analytic.py and "
+        "tests/test_optimize.py)"
     )
     return tuple(notes)
 

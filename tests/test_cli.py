@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from bellmp import cli
 from bellmp.cli import main
 
 ME_MAX = 2.896243218458708
@@ -229,6 +230,16 @@ class TestSample:
                                     "--shots", "0"])
         assert code == 1
         assert err.strip()
+
+    def test_rejects_oversized_shots_before_sampling(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampling must not start")
+
+        monkeypatch.setattr(cli, "sample_experiment", refuse)
+        code, _, err = run(capsys, ["sample", "--state", "1,1,1,1",
+                                    "--shots", "1000000000000000"])
+        assert code == 1
+        assert "--shots" in err
 
 
 class TestReproduce:

@@ -33,11 +33,10 @@ from bellmp import (
     multiport_unitary,
     sample_experiment,
     t_coefficients,
-    t_coefficients_alt,
     zero_settings,
 )
 from bellmp.analytic import PAIR_SLOTS
-from bellmp.engine import TCoefficients, value_and_gradient_arrays
+from bellmp.engine import TCoefficients, pair_matrix, value_and_gradient_arrays
 
 from helpers import (
     SETTING_SIGNS,
@@ -342,18 +341,6 @@ class TestTCoefficients:
         with pytest.raises(ValidationError):
             t_coefficients(zero_settings(Dimension(3)))
 
-    def test_alt_forms_fail_the_zero_phase_identity(self):
-        # Frozen diagnostic: the alternative sign conventions give
-        # T02 = T13 = -1/3 and zeros elsewhere at zero phases, summing
-        # to -2/3 where the identity requires 2.  Nothing downstream
-        # may use them.
-        alt = t_coefficients_alt(zero_settings(D4))
-        assert abs(alt[(0, 2)] + 1.0 / 3.0) < 1e-15
-        assert abs(alt[(1, 3)] + 1.0 / 3.0) < 1e-15
-        for pair in ((0, 1), (0, 3), (1, 2), (2, 3)):
-            assert abs(alt[pair]) < 1e-15
-        assert abs(sum(alt.values()) + 2.0 / 3.0) < 1e-14
-
 
 class TestGradient:
     @pytest.mark.parametrize("d,variant", [(2, PLUS), (3, PLUS), (4, PLUS),
@@ -377,15 +364,19 @@ class TestGradient:
 
     def test_low_level_value_agrees_with_table_route(self):
         rng = np.random.default_rng(12)
-        for d in (2, 3, 4, 5):
+        for d in (2, 3, 4, 5, 6, 8):
             for variant in (PLUS, MINUS):
                 state = random_state(rng, d, signed=True)
                 settings = random_settings(rng, d)
                 phases = np.array(settings_rows(settings))
-                value, _, _ = value_and_gradient_arrays(
-                    np.asarray(state.coefficients), phases, d, variant
-                )
-                assert abs(value - bell_value(state, settings, variant)) < 1e-12
+                a = np.asarray(state.coefficients)
+                value, _, _ = value_and_gradient_arrays(a, phases, d, variant)
+                expected = bell_value(state, settings, variant)
+                assert abs(value - expected) < 1e-12
+                M = pair_matrix(phases, d, variant)
+                assert np.max(np.abs(M - M.T)) < 1e-14
+                assert np.max(np.abs(np.diag(M))) < 1e-14
+                assert abs(a @ M @ a - expected) < 1e-12
 
     def test_state_gradient_matches_differences(self):
         rng = np.random.default_rng(13)

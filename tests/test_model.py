@@ -217,18 +217,6 @@ class TestMeasurementSettings:
         with pytest.raises(DimensionMismatchError):
             MeasurementSettings(d2, good, good, good, bad)
 
-    def test_pair_phase(self):
-        dim = Dimension(4)
-        a1 = PhaseVector(dim, (0.1, 0.2, 0.3, 0.4))
-        a2 = PhaseVector(dim, (0.0, 0.0, 0.0, 0.0))
-        b1 = PhaseVector(dim, (0.5, 0.5, 0.5, 0.5))
-        b2 = PhaseVector(dim, (1.0, 2.0, 3.0, 4.0))
-        settings = MeasurementSettings(dim, a1, a2, b1, b2)
-        # phi_k - phi_l per party, summed across the chosen pair
-        assert abs(settings.pair_phase(1, 2, 0, 3) - (0.1 - 0.4 + 1.0 - 4.0)) < 1e-15
-        assert settings.pair_phase(2, 1, 1, 2) == 0.0
-        assert abs(settings.pair_phase(1, 1, 2, 0) - (0.3 - 0.1)) < 1e-15
-
 
 class TestZeroSettings:
     def test_all_zero(self):

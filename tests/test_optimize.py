@@ -138,21 +138,6 @@ class TestDeterminism:
         assert a.best.value == b.best.value
         assert a.best.settings.a1.phases == b.best.settings.a1.phases
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        me = maximally_entangled_state(D4)
-        config = OptimizerConfig(restarts=6, seed=5)
-        serial = optimize_angles(me, config)
-        monkeypatch.setenv("BELL_THREADS", "3")
-        threaded = optimize_angles(me, config)
-        assert serial.per_restart_values == threaded.per_restart_values
-        assert serial.best.value == threaded.best.value
-
-    def test_invalid_thread_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("BELL_THREADS", "many")
-        me = maximally_entangled_state(D4)
-        with pytest.raises(ValidationError):
-            optimize_angles(me, OptimizerConfig(restarts=2, seed=0))
-
 
 class TestVertexBounds:
     def test_restart_values_inside_enumerated_extrema(self):

@@ -59,6 +59,13 @@ EXIT_REPRODUCTION = 2
 # to 80 MB per setting and rejects counts that would exhaust memory
 # before anything is built.
 MAX_SHOTS_PER_SETTING = 10**7
+# Restarts run one after another: a d = 4 joint restart takes 6-15 ms
+# on a 2-vCPU host, so a capped d = 4 search ends within seconds.
+MAX_RESTARTS = 1000
+# Each optimizer step at dimension d costs O(d^2) per kernel call and
+# the Newton polish makes 4 (d - 1) calls per step; probability tables
+# hold 4 d^2 entries.  The paper works at d = 4.
+MAX_DIMENSION = 64
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,6 +105,16 @@ def _variant(name: str) -> KernelVariant:
     return KernelVariant.PLUS if name == "plus" else KernelVariant.MINUS
 
 
+def _check_dimension(d: int | None, source: str = "--d") -> None:
+    if d is not None and d > MAX_DIMENSION:
+        raise ValidationError(f"{source} must be at most {MAX_DIMENSION}, got {d}")
+
+
+def _check_restarts(restarts: int) -> None:
+    if restarts > MAX_RESTARTS:
+        raise ValidationError(f"--restarts must be at most {MAX_RESTARTS}, got {restarts}")
+
+
 def _parse_state(text: str, d: int | None) -> PureState:
     parts = [p.strip() for p in text.split(",")]
     if any(p == "" for p in parts):
@@ -106,6 +123,7 @@ def _parse_state(text: str, d: int | None) -> PureState:
         values = [float(p) for p in parts]
     except ValueError as exc:
         raise ValidationError(f"malformed state spec {text!r}") from exc
+    _check_dimension(len(values), "the number of state coefficients")
     dim = Dimension(d if d is not None else len(values))
     return make_state(dim, values)
 
@@ -161,6 +179,7 @@ def _table_dict(table: JointProbabilityTable) -> dict:
 
 
 def cmd_eval(args) -> int:
+    _check_dimension(args.d)
     state = _parse_state(args.state, args.d)
     if args.angles:
         settings = _load_angles(args.angles, state.dim.d)
@@ -210,6 +229,8 @@ def cmd_lhv(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    _check_dimension(args.d)
+    _check_restarts(args.restarts)
     variant = _variant(args.variant)
     direction = Direction.MAXIMIZE if args.direction == "max" else Direction.MINIMIZE
     config = OptimizerConfig(
@@ -333,6 +354,7 @@ def _print_report(report: ReproductionReport) -> None:
 
 
 def cmd_reproduce(args) -> int:
+    _check_restarts(args.restarts)
     report = build_reproduction_report(restarts=args.restarts, seed=args.seed)
     if args.json:
         _emit_json({
@@ -379,6 +401,7 @@ def cmd_sample(args) -> int:
             f"--shots must be at most {MAX_SHOTS_PER_SETTING} per setting, "
             f"got {args.shots}"
         )
+    _check_dimension(args.d)
     state = _parse_state(args.state, args.d)
     if args.angles:
         settings = _load_angles(args.angles, state.dim.d)

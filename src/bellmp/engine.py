@@ -51,6 +51,7 @@ __all__ = [
     "pair_matrix",
     "bell_gradient",
     "value_and_gradient_arrays",
+    "extreme_value_and_gradient",
     "sample_experiment",
 ]
 
@@ -314,6 +315,18 @@ def t_coefficients(settings: MeasurementSettings) -> TCoefficients:
     return TCoefficients(*(2.0 * float(M[k, l]) for k, l in PAIR_SLOTS))
 
 
+def _phase_gradient(P: np.ndarray, coefficients: np.ndarray, d: int) -> np.ndarray:
+    # Setting pair r contributes -2 a Im(P[r] a) / (S d^3) to the
+    # gradient of its summed phases theta_r; combine them per party.
+    dq_dtheta = (-2.0 / (((d - 1) / 2) * d**3)) * coefficients * np.imag(P @ coefficients)
+    grad_phases = np.empty((4, d))
+    grad_phases[0] = dq_dtheta[0] + dq_dtheta[1]
+    grad_phases[1] = dq_dtheta[2] + dq_dtheta[3]
+    grad_phases[2] = dq_dtheta[0] + dq_dtheta[2]
+    grad_phases[3] = dq_dtheta[1] + dq_dtheta[3]
+    return grad_phases
+
+
 def value_and_gradient_arrays(coefficients: np.ndarray, phases: np.ndarray,
                               d: int, variant: KernelVariant) -> tuple[float, np.ndarray, np.ndarray]:
     """Low-level evaluation on raw arrays: Bell value, its gradient
@@ -321,19 +334,32 @@ def value_and_gradient_arrays(coefficients: np.ndarray, phases: np.ndarray,
     its gradient with respect to the state coefficients.
 
     No validation happens here; this is the optimizer's hot path.  The
-    value is a^T M a and the state gradient 2 M a; setting pair r
-    contributes -2 a Im(P[r] a) / (S d^3) to the gradient of its summed
-    phases theta_r.
+    value is a^T M a and the state gradient 2 M a.
     """
     P = _phased(phases, d, variant)
     Ma = _pair_sum(P, d) @ coefficients
-    dq_dtheta = (-2.0 / (((d - 1) / 2) * d**3)) * coefficients * np.imag(P @ coefficients)
-    grad_phases = np.empty((4, d))
-    grad_phases[0] = dq_dtheta[0] + dq_dtheta[1]
-    grad_phases[1] = dq_dtheta[2] + dq_dtheta[3]
-    grad_phases[2] = dq_dtheta[0] + dq_dtheta[2]
-    grad_phases[3] = dq_dtheta[1] + dq_dtheta[3]
-    return float(coefficients @ Ma), grad_phases, 2.0 * Ma
+    return float(coefficients @ Ma), _phase_gradient(P, coefficients, d), 2.0 * Ma
+
+
+def extreme_value_and_gradient(phases: np.ndarray, d: int, variant: KernelVariant,
+                               largest: bool) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """The Bell value optimized over states at fixed phases, on raw
+    arrays: d lambda of the pair matrix's largest (or smallest)
+    eigenvalue lambda, its gradient with respect to the (4, d) phase
+    matrix, the unit eigenvector v and the eigengap, the distance from
+    d lambda to the next value of d M's spectrum.
+
+    On the sphere sum a^2 = d, a^T M a is extremal at a = sqrt(d) v.
+    By the Hellmann-Feynman theorem the gradient is the phase gradient
+    of a^T M a at that fixed a; it exists only where the gap is
+    positive.  No validation happens here.
+    """
+    P = _phased(phases, d, variant)
+    w, V = np.linalg.eigh(_pair_sum(P, d))
+    k, n = (-1, -2) if largest else (0, 1)
+    v = V[:, k]
+    gradient = _phase_gradient(P, math.sqrt(d) * v, d)
+    return d * float(w[k]), gradient, v, d * abs(float(w[k] - w[n]))
 
 
 def bell_gradient(state: PureState, settings: MeasurementSettings,

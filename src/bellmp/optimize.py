@@ -1,13 +1,16 @@
 """Multi-start numerical search for extrema of the Bell value.
 
-The search variables are the 4 d measurement phases (with one phase
-per vector pinned to zero, since only differences matter) and, for the
-joint problem, the state coefficients on the sphere sum a^2 = d.  Each
-restart runs Barzilai-Borwein steps with a nonmonotone backtracking
-guard, then polishes with damped Newton on a finite-difference Hessian
-of the analytic gradient; the polish is what reliably drives the
-gradient norm to the 1e-9 default at degenerate optima where
-first-order steps stall.
+The search variables are the 4 d measurement phases, with one phase
+per vector pinned to zero, since only differences matter.  The joint
+problem over states and phases reduces to the phases too: for fixed
+phases the Bell value is a^T M a on the sphere sum a^2 = d, so the best
+state is the extreme eigenvector of the pair matrix M and the value is
+d lambda_ext(M); its phase gradient follows from the Hellmann-Feynman
+theorem.  Each restart runs Barzilai-Borwein steps with a nonmonotone
+backtracking guard, then polishes with damped Newton on a
+finite-difference Hessian of the analytic gradient; the polish is what
+reliably drives the gradient norm to the 1e-9 default at degenerate
+optima where first-order steps stall.
 
 Every closed-form number in the analytic module is cross-checked
 against this machinery, which shares no formulas with it beyond the
@@ -31,7 +34,7 @@ from .model import (
     ValidationError,
     make_state,
 )
-from .engine import value_and_gradient_arrays
+from .engine import _circulant, extreme_value_and_gradient, value_and_gradient_arrays
 from .analytic import PAIR_SLOTS, ExtremalResult
 
 __all__ = [
@@ -49,9 +52,9 @@ _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
 _POLISH_STEPS = 40
 _FD_STEP = 1e-7
-_STATE_STAGE_ITER = 400
-_PHASE_STAGE_ITER = 2000
-_JOINT_ROUNDS = 200
+# An extreme eigenvalue closer than this (relative) to its neighbour
+# counts as degenerate, where lambda_ext has no gradient.
+_GAP_RTOL = 1e-9
 
 
 class Direction(enum.Enum):
@@ -90,7 +93,8 @@ class OptimizationRun:
     per_restart_values lists the converged value of every restart in
     restart order; best is the extremal one (ties keep the lowest
     restart index).  iterations_used sums over restarts.  converged
-    reflects the winning restart's gradient test.
+    reflects the winning restart's gradient test and, for the joint
+    search, a simple extreme eigenvalue.
     """
 
     best: ExtremalResult
@@ -204,14 +208,23 @@ def _phase_objective(coefficients: np.ndarray, d: int, variant: KernelVariant,
     return fun
 
 
-def _settings_from_free(x: np.ndarray, dim: Dimension) -> MeasurementSettings:
-    phases = _phases_from_free(x, dim.d)
+def _settings(phases: np.ndarray, dim: Dimension) -> MeasurementSettings:
     vectors = [PhaseVector(dim, tuple(float(v) for v in row)) for row in phases]
     return MeasurementSettings(dim, *vectors)
 
 
 def _signed(direction: Direction) -> float:
     return 1.0 if direction is Direction.MAXIMIZE else -1.0
+
+
+def _require_nonconstant(d: int, variant: KernelVariant) -> None:
+    # At odd d the minus kernel sums to zero over every outcome class, so
+    # the Bell value is 0 for every state and every angle.
+    if not np.any(_circulant(d, variant)):
+        raise ValidationError(
+            f"the {variant.value} kernel makes the Bell value identically 0 at "
+            f"d = {d}: constant objective, nothing to optimize"
+        )
 
 
 def _pick_best(values: list[float], direction: Direction) -> int:
@@ -223,34 +236,30 @@ def _pick_best(values: list[float], direction: Direction) -> int:
     return best
 
 
-def optimize_angles(state: PureState, config: OptimizerConfig,
-                    variant: KernelVariant = KernelVariant.PLUS) -> OptimizationRun:
-    """Multi-start search over the 4 d phases at a fixed state.
-
-    Restart r draws its initial free phases uniformly from [0, 2 pi)
-    with an independent PRNG stream derived from (config.seed, r), so
-    results are reproducible.
-    """
-    if config.free_state:
-        raise ValidationError("optimize_angles requires config.free_state = False")
-    d = state.dim.d
-    coefficients = np.asarray(state.coefficients)
+def _multistart(fun, d: int, config: OptimizerConfig) -> tuple[list[tuple], int]:
+    """Minimize fun over the 4 (d - 1) free phases from config.restarts
+    starts.  Restart r draws its start uniformly from [0, 2 pi) with an
+    independent PRNG stream derived from (config.seed, r), so results
+    are reproducible.  Returns one (value, x, gradient_norm, iterations,
+    converged) per restart, value in the Bell value's own sign, and the
+    index of the extremal one (ties keep the lowest index)."""
     sign = _signed(config.direction)
-    fun = _phase_objective(coefficients, d, variant, sign)
-
-    def worker(r: int) -> tuple:
+    results = []
+    for r in range(config.restarts):
         rng = np.random.default_rng((config.seed, r))
         x0 = rng.uniform(0.0, 2.0 * math.pi, size=4 * (d - 1))
         x, f, gnorm, iterations, converged = _minimize(
             fun, x0, config.max_iterations, config.gradient_tolerance
         )
-        return -sign * f, x, gnorm, iterations, converged
+        results.append((-sign * f, x, gnorm, iterations, converged))
+    return results, _pick_best([res[0] for res in results], config.direction)
 
-    results = [worker(r) for r in range(config.restarts)]
-    values = [res[0] for res in results]
-    best = _pick_best(values, config.direction)
-    value, x, gnorm, _, converged = results[best]
-    settings = _settings_from_free(x, state.dim)
+
+def _make_run(results: list[tuple], best: int, state: PureState,
+              settings: MeasurementSettings, config: OptimizerConfig,
+              variant: KernelVariant, converged: bool,
+              extra: tuple[str, ...] = ()) -> OptimizationRun:
+    value, _, gnorm, _, _ = results[best]
     result = ExtremalResult(
         value=value,
         state=state,
@@ -260,77 +269,41 @@ def optimize_angles(state: PureState, config: OptimizerConfig,
             f"direction={config.direction.value}",
             f"variant={variant.value}",
             f"best_restart={best}",
+            *extra,
             f"gradient_norm={gnorm:.3e}",
         ),
     )
     return OptimizationRun(
         best=result,
-        per_restart_values=tuple(values),
+        per_restart_values=tuple(res[0] for res in results),
         iterations_used=sum(res[3] for res in results),
         converged=bool(converged),
     )
 
 
-def _state_stage(coefficients: np.ndarray, phases: np.ndarray, d: int,
-                 variant: KernelVariant, sign: float, gradient_tolerance: float
-                 ) -> tuple[np.ndarray, float, float, int]:
-    """Projected gradient ascent of sign * value over the sphere
-    sum a^2 = d with a >= 0.  Returns (a, value, residual_norm, iterations)."""
-
-    def value_grad(a: np.ndarray) -> tuple[float, np.ndarray]:
-        v, _, ga = value_and_gradient_arrays(a, phases, d, variant)
-        return sign * v, sign * ga
-
-    a = coefficients
-    h, g = value_grad(a)
-    step = 0.1
-    iterations = 0
-    residual = math.inf
-    for iterations in range(1, _STATE_STAGE_ITER + 1):
-        tangent = g - (float(g @ a) / d) * a
-        blocked = (a <= 0.0) & (tangent < 0.0)
-        tangent = np.where(blocked, 0.0, tangent)
-        residual = float(np.linalg.norm(tangent))
-        if residual <= gradient_tolerance:
-            break
-        t = step
-        accepted = False
-        for _ in range(_MAX_HALVINGS):
-            candidate = np.clip(a + t * tangent, 0.0, None)
-            norm = float(candidate @ candidate)
-            if norm <= 0.0:
-                t *= 0.5
-                continue
-            candidate *= math.sqrt(d / norm)
-            h_new, g_new = value_grad(candidate)
-            if h_new >= h + _ARMIJO * t * residual * residual:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            break
-        a, h, g = candidate, h_new, g_new
-        step = min(t * 2.0, 10.0)
-    return a, sign * h, residual, iterations
+def optimize_angles(state: PureState, config: OptimizerConfig,
+                    variant: KernelVariant = KernelVariant.PLUS) -> OptimizationRun:
+    """Multi-start search over the 4 d phases at a fixed state."""
+    if config.free_state:
+        raise ValidationError("optimize_angles requires config.free_state = False")
+    d = state.dim.d
+    _require_nonconstant(d, variant)
+    fun = _phase_objective(np.asarray(state.coefficients), d, variant,
+                           _signed(config.direction))
+    results, best = _multistart(fun, d, config)
+    _, x, _, _, converged = results[best]
+    settings = _settings(_phases_from_free(x, d), state.dim)
+    return _make_run(results, best, state, settings, config, variant, converged)
 
 
-def _joint_objective(d: int, variant: KernelVariant, sign: float):
-    # Combined vector: the free phases, then an unnormalized state
-    # direction w with a = sqrt(d) w / |w|.  The sphere constraint
-    # becomes a flat scale direction that the damped solver tolerates.
-    nx = 4 * (d - 1)
-
-    def fun(z: np.ndarray) -> tuple[float, np.ndarray]:
-        x = z[:nx]
-        w = z[nx:]
-        norm = float(np.linalg.norm(w))
-        a = math.sqrt(d) / norm * w
-        value, grad_phases, ga = value_and_gradient_arrays(
-            a, _phases_from_free(x, d), d, variant
+def _eigen_objective(d: int, variant: KernelVariant, sign: float):
+    # -sign d lambda_ext(M(phases)): minus the Bell value at the best
+    # state for these phases.
+    def fun(x: np.ndarray) -> tuple[float, np.ndarray]:
+        value, grad_phases, _, _ = extreme_value_and_gradient(
+            _phases_from_free(x, d), d, variant, sign > 0
         )
-        gw = math.sqrt(d) / norm * (ga - (float(ga @ w) / (norm * norm)) * w)
-        grad = np.concatenate([grad_phases[:, 1:].reshape(-1), gw])
-        return -sign * value, -sign * grad
+        return -sign * value, -sign * grad_phases[:, 1:].reshape(-1)
 
     return fun
 
@@ -339,89 +312,36 @@ def optimize_joint(dim: Dimension, config: OptimizerConfig,
                    variant: KernelVariant = KernelVariant.PLUS) -> OptimizationRun:
     """Joint search over state coefficients and phases.
 
-    Each restart alternates a phase stage (multivariate minimization,
-    warm-started between rounds) with a projected-gradient state stage
-    on the sphere (coefficients kept real and non-negative), then
-    finishes with a joint polish over phases and state together, whose
-    gradient test decides convergence.  Initial draws per restart:
-    free phases first, then coefficients, from the (config.seed,
-    restart) stream; coefficients start positive.
+    For fixed phases the Bell value is the quadratic form a^T M a on the
+    sphere sum a^2 = d, so its extremum over states is d lambda_ext(M),
+    reached at a = sqrt(d) v with v the extreme unit eigenvector of the
+    pair matrix.  The search therefore runs over the phases alone,
+    optimizing d lambda_ext(M(phases)) with the same multi-start solver
+    and restart streams as optimize_angles.
+
+    The reported state is non-negative: v is flipped so that v_0 >= 0,
+    and every other negative v_k becomes |v_k| with pi added to A1[k]
+    and A2[k], which leaves the value unchanged.  converged requires
+    the winning restart's gradient test and a simple extreme eigenvalue
+    (eigengap above 1e-9 (1 + |value|) in Bell-value units), since
+    lambda_ext has no gradient where it is degenerate.
     """
     if not config.free_state:
         raise ValidationError("optimize_joint requires config.free_state = True")
     d = dim.d
-    nx = 4 * (d - 1)
+    _require_nonconstant(d, variant)
     sign = _signed(config.direction)
-
-    def worker(r: int) -> tuple:
-        rng = np.random.default_rng((config.seed, r))
-        x = rng.uniform(0.0, 2.0 * math.pi, size=nx)
-        a = rng.uniform(0.1, 1.0, size=d)
-        a *= math.sqrt(d / float(a @ a))
-        value_prev = math.inf
-        iterations = 0
-        converged = False
-        value = 0.0
-        for _ in range(_JOINT_ROUNDS):
-            budget = min(_PHASE_STAGE_ITER, config.max_iterations - iterations)
-            if budget < 1:
-                break
-            fun = _phase_objective(a, d, variant, sign)
-            x, _, _, used, _ = _minimize(
-                fun, x, budget, config.gradient_tolerance
-            )
-            iterations += used
-            a, value, _, used = _state_stage(
-                a, _phases_from_free(x, d), d, variant, sign,
-                config.gradient_tolerance,
-            )
-            iterations += used
-            if abs(value - value_prev) <= 1e-11 * (1.0 + abs(value)):
-                break
-            value_prev = value
-        budget = config.max_iterations - iterations
-        if budget >= 1:
-            fun = _joint_objective(d, variant, sign)
-            z0 = np.concatenate([x, a])
-            f0 = -sign * value
-            z, f, _, used, conv = _minimize(
-                fun, z0, budget, config.gradient_tolerance
-            )
-            iterations += used
-            w = z[nx:]
-            a_polished = math.sqrt(d) / float(np.linalg.norm(w)) * w
-            # Keep the polish only if it did not degrade the value or
-            # leave the non-negative coefficient region.
-            if f <= f0 + _STALL_RTOL and float(np.min(a_polished)) > -1e-9:
-                x = z[:nx]
-                a = np.maximum(a_polished, 0.0)
-                value = -sign * f
-                converged = conv
-        return value, x, a, iterations, converged
-
-    results = [worker(r) for r in range(config.restarts)]
-    values = [res[0] for res in results]
-    best = _pick_best(values, config.direction)
-    value, x, a, _, converged = results[best]
-    state = make_state(dim, tuple(float(v) for v in a))
-    settings = _settings_from_free(x, dim)
-    result = ExtremalResult(
-        value=value,
-        state=state,
-        settings=settings,
-        branch="numeric",
-        diagnostics=(
-            f"direction={config.direction.value}",
-            f"variant={variant.value}",
-            f"best_restart={best}",
-        ),
-    )
-    return OptimizationRun(
-        best=result,
-        per_restart_values=tuple(values),
-        iterations_used=sum(res[3] for res in results),
-        converged=bool(converged),
-    )
+    results, best = _multistart(_eigen_objective(d, variant, sign), d, config)
+    value, x, _, _, converged = results[best]
+    phases = _phases_from_free(x, d)
+    _, _, v, gap = extreme_value_and_gradient(phases, d, variant, sign > 0)
+    if v[0] < 0.0:
+        v = -v
+    phases[:2, v < 0.0] += math.pi
+    state = make_state(dim, tuple(math.sqrt(d) * float(c) for c in np.abs(v)))
+    converged = converged and gap > _GAP_RTOL * (1.0 + abs(value))
+    return _make_run(results, best, state, _settings(phases, dim), config,
+                     variant, converged, (f"eigengap={gap:.3e}",))
 
 
 def max_abs_t_coefficient(pair: tuple[int, int], restarts: int = 8,

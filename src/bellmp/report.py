@@ -143,7 +143,7 @@ def build_reproduction_report(restarts: int = 50, seed: int = 7) -> Reproduction
         free_state=True))
     rows.append(_row("global max, joint optimizer", 2.9727,
                      run_joint_max.best.value, 1e-3,
-                     f"alternating state/phase search, {restarts} restarts"))
+                     f"eigenvalue-reduced phase search, {restarts} restarts"))
     sorted_found = tuple(sorted(
         (abs(c) for c in run_joint_max.best.state.coefficients), reverse=True))
     deviation = max(abs(found - want) for found, want
@@ -172,7 +172,7 @@ def build_reproduction_report(restarts: int = 50, seed: int = 7) -> Reproduction
         free_state=True))
     rows.append(_row("global min, joint optimizer", -3.46424,
                      run_joint_min.best.value, 1e-3,
-                     f"alternating state/phase search, {restarts} restarts"))
+                     f"eigenvalue-reduced phase search, {restarts} restarts"))
     sorted_found = tuple(sorted(
         (abs(c) for c in run_joint_min.best.state.coefficients), reverse=True))
     deviation = max(abs(found - want) for found, want

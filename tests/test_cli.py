@@ -13,6 +13,7 @@ import sys
 import pytest
 
 from bellmp import cli
+from bellmp import optimize as optimize_module
 from bellmp.cli import main
 
 ME_MAX = 2.896243218458708
@@ -58,6 +59,22 @@ class TestEval:
         code, _, err = run(capsys, argv)
         assert code == 1
         assert err.strip()
+
+
+    @pytest.mark.parametrize("argv,message", [
+        (["eval", "--state", "1,1,1,1", "--d", "65"], "--d"),
+        (["eval", "--state", ",".join(["1"] * 65)], "state coefficients"),
+    ])
+    def test_rejects_oversized_dimension_before_evaluating(self, capsys,
+                                                           monkeypatch, argv,
+                                                           message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluation must not start")
+
+        monkeypatch.setattr(cli, "joint_probabilities", refuse)
+        code, _, err = run(capsys, argv)
+        assert code == 1
+        assert message in err
 
 
 class TestLhv:
@@ -116,6 +133,38 @@ class TestOptimize:
         code, _, err = run(capsys, argv)
         assert code == 1
         assert err.strip()
+
+    def test_constant_objective_is_rejected(self, capsys, monkeypatch):
+        # At odd d the minus kernel makes the Bell value identically 0.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search must not start")
+
+        monkeypatch.setattr(optimize_module, "_minimize", refuse)
+        for extra in ([], ["--free-state"]):
+            code, out, err = run(capsys, ["optimize", "--d", "3", "--variant",
+                                          "minus", "--restarts", "2", *extra])
+            assert code == 1
+            assert out == ""
+            assert "constant objective" in err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["optimize", "--d", "65"], "--d"),
+        (["optimize", "--d", "65", "--free-state"], "--d"),
+        (["optimize", "--d", "4", "--restarts", "1001"], "--restarts"),
+        (["optimize", "--d", "4", "--free-state", "--restarts", "100000"],
+         "--restarts"),
+    ])
+    def test_rejects_oversized_inputs_before_searching(self, capsys, monkeypatch,
+                                                       argv, flag):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search must not start")
+
+        monkeypatch.setattr(cli, "optimize_angles", refuse)
+        monkeypatch.setattr(cli, "optimize_joint", refuse)
+        monkeypatch.setattr(cli, "maximally_entangled_state", refuse)
+        code, _, err = run(capsys, argv)
+        assert code == 1
+        assert flag in err
 
     def test_minimize_flat_state(self, capsys):
         code, out, _ = run(capsys, ["optimize", "--d", "4", "--restarts", "4",
@@ -241,6 +290,17 @@ class TestSample:
         assert code == 1
         assert "--shots" in err
 
+    def test_rejects_oversized_dimension_before_sampling(self, capsys,
+                                                         monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampling must not start")
+
+        monkeypatch.setattr(cli, "sample_experiment", refuse)
+        code, _, err = run(capsys, ["sample", "--state", "1,1,1,1",
+                                    "--d", "1000000000", "--shots", "10"])
+        assert code == 1
+        assert "--d" in err
+
 
 class TestReproduce:
     def test_json_record_passes(self, capsys):
@@ -259,6 +319,17 @@ class TestReproduce:
                                     "--seed", "7"])
         assert code == 0
         assert out.strip().endswith("overall: PASS")
+
+
+    def test_rejects_oversized_restarts_before_running(self, capsys,
+                                                       monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the report must not start")
+
+        monkeypatch.setattr(cli, "build_reproduction_report", refuse)
+        code, _, err = run(capsys, ["reproduce", "--restarts", "100000"])
+        assert code == 1
+        assert "--restarts" in err
 
 
 class TestTopLevel:

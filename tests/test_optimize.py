@@ -14,6 +14,7 @@ import os
 import numpy as np
 import pytest
 
+import bellmp.optimize
 from bellmp import (
     Dimension,
     Direction,
@@ -32,7 +33,9 @@ from bellmp import (
     optimize_joint,
     t_coefficients,
     vertex_candidates,
+    zero_settings,
 )
+from bellmp.engine import extreme_value_and_gradient
 
 from helpers import random_state
 
@@ -221,6 +224,84 @@ class TestJointSearch:
                                           free_state=True))
         assert abs(run.best.value - 2.0 * math.sqrt(2.0)) < 1e-10
         assert run.converged
+
+
+class TestEigenReduction:
+    @pytest.mark.parametrize("d", [3, 4, 6])
+    @pytest.mark.parametrize("largest", [True, False])
+    def test_gradient_matches_central_differences(self, d, largest):
+        rng = np.random.default_rng(100 + d)
+        phases = rng.uniform(0.0, 2.0 * math.pi, (4, d))
+        _, grad, _, gap = extreme_value_and_gradient(
+            phases, d, KernelVariant.PLUS, largest)
+        assert gap > 1e-3  # differentiable here
+        step = 1e-6
+        fd = np.empty((4, d))
+        for r in range(4):
+            for k in range(d):
+                hi = phases.copy()
+                lo = phases.copy()
+                hi[r, k] += step
+                lo[r, k] -= step
+                fd[r, k] = (
+                    extreme_value_and_gradient(hi, d, KernelVariant.PLUS, largest)[0]
+                    - extreme_value_and_gradient(lo, d, KernelVariant.PLUS, largest)[0]
+                ) / (2.0 * step)
+        assert np.max(np.abs(grad - fd)) < 1e-7
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_reported_state_is_non_negative_and_attains_value(self, d, direction):
+        run = optimize_joint(
+            Dimension(d), OptimizerConfig(restarts=3, seed=5, free_state=True,
+                                          direction=direction))
+        assert min(run.best.state.coefficients) >= 0.0
+        assert abs(bell_value(run.best.state, run.best.settings)
+                   - run.best.value) < 1e-9
+        assert any(s.startswith("eigengap=") for s in run.best.diagnostics)
+
+    @pytest.mark.parametrize("d", [3, 5, 6])
+    def test_joint_maximum_dominates_flat_state(self, d):
+        dim = Dimension(d)
+        joint = optimize_joint(
+            dim, OptimizerConfig(restarts=6, seed=1, free_state=True))
+        flat = optimize_angles(maximally_entangled_state(dim),
+                               OptimizerConfig(restarts=6, seed=1))
+        assert joint.best.value >= flat.best.value - 1e-9
+
+    def test_degenerate_extreme_eigenvalue_is_not_converged(self, monkeypatch):
+        # At zero phases M = (J - I) / 6 for d = 4: the top eigenvalue is
+        # simple, the bottom one triple.  A solver that claims a zero
+        # gradient there must not make the minimum count as converged.
+        def stopped(fun, x0, max_iterations, gradient_tolerance):
+            x = np.zeros_like(x0)
+            return x, fun(x)[0], 0.0, 0, True
+
+        monkeypatch.setattr(bellmp.optimize, "_minimize", stopped)
+        top = optimize_joint(D4, OptimizerConfig(restarts=1, free_state=True))
+        assert abs(top.best.value - 2.0) < 1e-12
+        assert top.converged
+        bottom = optimize_joint(D4, OptimizerConfig(
+            restarts=1, free_state=True, direction=Direction.MINIMIZE))
+        assert abs(bottom.best.value + 2.0 / 3.0) < 1e-12
+        gap = next(s for s in bottom.best.diagnostics if s.startswith("eigengap="))
+        assert float(gap.partition("=")[2]) < 1e-12
+        assert not bottom.converged
+
+
+class TestConstantObjective:
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_minus_variant_at_odd_d_is_rejected(self, d):
+        dim = Dimension(d)
+        me = maximally_entangled_state(dim)
+        with pytest.raises(ValidationError, match="constant objective"):
+            optimize_angles(me, OptimizerConfig(restarts=1),
+                            KernelVariant.MINUS)
+        with pytest.raises(ValidationError, match="constant objective"):
+            optimize_joint(dim, OptimizerConfig(restarts=1, free_state=True),
+                           KernelVariant.MINUS)
+        # the value itself stays available, and it is 0 up to round-off
+        assert abs(bell_value(me, zero_settings(dim), KernelVariant.MINUS)) < 1e-15
 
 
 class TestCoefficientSearch:

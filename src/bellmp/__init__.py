@@ -73,6 +73,7 @@ from .lhv import (
 )
 from .optimize import (
     Direction,
+    Evaluations,
     OptimizationRun,
     OptimizerConfig,
     max_abs_t_coefficient,

@@ -59,13 +59,19 @@ EXIT_REPRODUCTION = 2
 # to 80 MB per setting and rejects counts that would exhaust memory
 # before anything is built.
 MAX_SHOTS_PER_SETTING = 10**7
-# Restarts run one after another: a d = 4 joint restart takes 6-15 ms
-# on a 2-vCPU host, so a capped d = 4 search ends within seconds.
+# A d = 4 restart takes 2-5 ms on a 2-vCPU host, so a capped d = 4
+# search ends within seconds.
 MAX_RESTARTS = 1000
-# Each optimizer step at dimension d costs O(d^2) per kernel call and
-# the Newton polish makes 4 (d - 1) calls per step; probability tables
-# hold 4 d^2 entries.  The paper works at d = 4.
+# Probability tables hold 4 d^2 entries.  The paper works at d = 4.
 MAX_DIMENSION = 64
+# A search's work grows with both flags.  Each Newton polish step of a
+# restart evaluates 4 (d - 1) finite-difference rows of O(d^2) entries,
+# so a restart costs about (d - 1) d^2 work units, and on a 2-vCPU host
+# the joint search takes 2-3e-5 s per unit from d = 8 on (2.5-8 s per
+# restart at d = 64).  The budget keeps one search to about a minute:
+# 7 restarts at d = 64, 63 at d = 32; up to d = 12 the restart cap
+# binds first.
+MAX_WORK = 2_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,6 +119,16 @@ def _check_dimension(d: int | None, source: str = "--d") -> None:
 def _check_restarts(restarts: int) -> None:
     if restarts > MAX_RESTARTS:
         raise ValidationError(f"--restarts must be at most {MAX_RESTARTS}, got {restarts}")
+
+
+def _check_work(d: int, restarts: int) -> None:
+    per_restart = (d - 1) * d * d
+    if restarts * per_restart > MAX_WORK:
+        raise ValidationError(
+            f"--restarts {restarts} at --d {d} is {restarts * per_restart} work "
+            f"units, above the budget of {MAX_WORK}; use at most "
+            f"{MAX_WORK // per_restart} restarts at this dimension"
+        )
 
 
 def _parse_state(text: str, d: int | None) -> PureState:
@@ -231,6 +247,14 @@ def cmd_lhv(args) -> int:
 def cmd_optimize(args) -> int:
     _check_dimension(args.d)
     _check_restarts(args.restarts)
+    # Without --d the state spec's length is the dimension; a malformed
+    # spec is reported when it is parsed.
+    d = args.d
+    if d is None and args.state is not None:
+        d = args.state.count(",") + 1
+        _check_dimension(d, "the number of state coefficients")
+    if d is not None:
+        _check_work(d, args.restarts)
     variant = _variant(args.variant)
     direction = Direction.MAXIMIZE if args.direction == "max" else Direction.MINIMIZE
     config = OptimizerConfig(
@@ -265,6 +289,10 @@ def cmd_optimize(args) -> int:
         "converged": run.converged,
         "iterations_used": run.iterations_used,
         "per_restart_values": list(run.per_restart_values),
+        "per_restart_iterations": list(run.per_restart_iterations),
+        "per_restart_converged": list(run.per_restart_converged),
+        "per_restart_gradient_norms": list(run.per_restart_gradient_norms),
+        "evaluations": {"calls": run.evaluations.calls, "rows": run.evaluations.rows},
         "state": list(best.state.coefficients),
         "angles": angles,
     }

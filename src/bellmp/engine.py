@@ -111,20 +111,26 @@ def _phase_matrix(settings: MeasurementSettings) -> np.ndarray:
 
 def _setting_thetas(phases: np.ndarray) -> np.ndarray:
     # Row r of the result is phi^{A_i} + phi^{B_j} for _SETTING_PAIRS[r].
-    return phases[(0, 0, 1, 1), :] + phases[(2, 3, 2, 3), :]
+    thetas = phases[..., :2, None, :] + phases[..., None, 2:, :]
+    return thetas.reshape(phases.shape[:-2] + (4, phases.shape[-1]))
 
 
+# The kernel functions below take phase matrices with any leading batch
+# axes, (..., 4, d); every row of a batch is computed exactly as it
+# would be alone.
 def _phased(phases: np.ndarray, d: int, variant: KernelVariant) -> np.ndarray:
-    # P[r] = diag(e^{i theta_r}) C[r] diag(e^{-i theta_r}); each P[r] is
-    # Hermitian and I = a^T Re(sum_r P[r]) a / (S d^3).
+    # P[..., r, :, :] = diag(e^{i theta_r}) C[r] diag(e^{-i theta_r}); each
+    # is Hermitian and I = a^T Re(sum_r P[..., r, :, :]) a / (S d^3).
     z = np.exp(1j * _setting_thetas(phases))
-    return z[:, :, None] * _circulant(d, variant) * z.conj()[:, None, :]
+    P = z[..., :, None] * _circulant(d, variant)
+    P *= z.conj()[..., None, :]
+    return P
 
 
 def _pair_sum(P: np.ndarray, d: int) -> np.ndarray:
     # Summing before the division keeps the zero-phase d = 4 entries at
     # exactly 1/6.
-    return np.real(P.sum(axis=0)) / (((d - 1) / 2) * d**3)
+    return np.real(P.sum(axis=-3)) / (((d - 1) / 2) * d**3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,31 +324,70 @@ def t_coefficients(settings: MeasurementSettings) -> TCoefficients:
 def _phase_gradient(P: np.ndarray, coefficients: np.ndarray, d: int) -> np.ndarray:
     # Setting pair r contributes -2 a Im(P[r] a) / (S d^3) to the
     # gradient of its summed phases theta_r; combine them per party.
-    dq_dtheta = (-2.0 / (((d - 1) / 2) * d**3)) * coefficients * np.imag(P @ coefficients)
-    grad_phases = np.empty((4, d))
-    grad_phases[0] = dq_dtheta[0] + dq_dtheta[1]
-    grad_phases[1] = dq_dtheta[2] + dq_dtheta[3]
-    grad_phases[2] = dq_dtheta[0] + dq_dtheta[2]
-    grad_phases[3] = dq_dtheta[1] + dq_dtheta[3]
-    return grad_phases
+    a = coefficients[..., None, :]
+    im_pa = np.imag(P @ a[..., None])[..., 0]
+    q = ((-2.0 / (((d - 1) / 2) * d**3)) * a * im_pa).reshape(im_pa.shape[:-2] + (2, 2, d))
+    # q[..., i, j, :] belongs to setting pair (A_i, B_j).
+    return np.concatenate((q[..., 0, :] + q[..., 1, :], q[..., 0, :, :] + q[..., 1, :, :]),
+                          axis=-2)
+
+
+# Batches are evaluated in row blocks whose complex (rows, 4, d, d)
+# tensor stays within this many bytes: 1024 rows at d = 4, 4 at d = 64.
+_BLOCK_BYTES = 1 << 20
+
+
+def _in_blocks(evaluate, rows: int, d: int) -> tuple[np.ndarray, ...]:
+    # evaluate(row slice) -> tuple of arrays with the rows leading.
+    size = max(1, _BLOCK_BYTES // (64 * d * d))
+    if rows <= size:
+        return evaluate(slice(None))
+    parts = [evaluate(slice(start, start + size)) for start in range(0, rows, size)]
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _quadratic_rows(coefficients: np.ndarray, phases: np.ndarray, d: int,
+                    variant: KernelVariant) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    P = _phased(phases, d, variant)
+    Ma = _pair_sum(P, d) @ coefficients[..., None]
+    value = (coefficients[..., None, :] @ Ma)[..., 0, 0]
+    return value, _phase_gradient(P, coefficients, d), 2.0 * Ma[..., 0]
 
 
 def value_and_gradient_arrays(coefficients: np.ndarray, phases: np.ndarray,
-                              d: int, variant: KernelVariant) -> tuple[float, np.ndarray, np.ndarray]:
+                              d: int, variant: KernelVariant):
     """Low-level evaluation on raw arrays: Bell value, its gradient
     with respect to the (4, d) phase matrix (rows A1, A2, B1, B2), and
     its gradient with respect to the state coefficients.
 
-    No validation happens here; this is the optimizer's hot path.  The
-    value is a^T M a and the state gradient 2 M a.
+    A (R, 4, d) stack of phase matrices is evaluated as one batch, with
+    (R, d) coefficients or one (d,) vector for every row, returning
+    (R,), (R, 4, d) and (R, d) arrays; row r equals the call on row r
+    alone, bit for bit.  No validation happens here; this is the
+    optimizer's hot path.  The value is a^T M a and the state gradient
+    2 M a.
     """
+    if phases.ndim == 2:
+        value, grad_phases, grad_state = _quadratic_rows(coefficients, phases, d, variant)
+        return float(value), grad_phases, grad_state
+    coefficients = np.broadcast_to(coefficients, (len(phases), d))
+    return _in_blocks(
+        lambda rows: _quadratic_rows(coefficients[rows], phases[rows], d, variant),
+        len(phases), d)
+
+
+def _extreme_rows(phases: np.ndarray, d: int, variant: KernelVariant,
+                  largest: bool) -> tuple[np.ndarray, ...]:
     P = _phased(phases, d, variant)
-    Ma = _pair_sum(P, d) @ coefficients
-    return float(coefficients @ Ma), _phase_gradient(P, coefficients, d), 2.0 * Ma
+    w, V = np.linalg.eigh(_pair_sum(P, d))
+    k, n = (-1, -2) if largest else (0, 1)
+    v = V[..., k]
+    gradient = _phase_gradient(P, math.sqrt(d) * v, d)
+    return d * w[..., k], gradient, v, d * np.abs(w[..., k] - w[..., n])
 
 
 def extreme_value_and_gradient(phases: np.ndarray, d: int, variant: KernelVariant,
-                               largest: bool) -> tuple[float, np.ndarray, np.ndarray, float]:
+                               largest: bool):
     """The Bell value optimized over states at fixed phases, on raw
     arrays: d lambda of the pair matrix's largest (or smallest)
     eigenvalue lambda, its gradient with respect to the (4, d) phase
@@ -352,14 +397,16 @@ def extreme_value_and_gradient(phases: np.ndarray, d: int, variant: KernelVarian
     On the sphere sum a^2 = d, a^T M a is extremal at a = sqrt(d) v.
     By the Hellmann-Feynman theorem the gradient is the phase gradient
     of a^T M a at that fixed a; it exists only where the gap is
-    positive.  No validation happens here.
+    positive.  A (R, 4, d) stack of phase matrices is evaluated as one
+    batch, returning (R,), (R, 4, d), (R, d) and (R,) arrays; row r
+    equals the call on row r alone, bit for bit.  No validation
+    happens here.
     """
-    P = _phased(phases, d, variant)
-    w, V = np.linalg.eigh(_pair_sum(P, d))
-    k, n = (-1, -2) if largest else (0, 1)
-    v = V[:, k]
-    gradient = _phase_gradient(P, math.sqrt(d) * v, d)
-    return d * float(w[k]), gradient, v, d * abs(float(w[k] - w[n]))
+    if phases.ndim == 2:
+        value, gradient, v, gap = _extreme_rows(phases, d, variant, largest)
+        return float(value), gradient, v, float(gap)
+    return _in_blocks(lambda rows: _extreme_rows(phases[rows], d, variant, largest),
+                      len(phases), d)
 
 
 def bell_gradient(state: PureState, settings: MeasurementSettings,

@@ -12,6 +12,12 @@ finite-difference Hessian of the analytic gradient; the polish is what
 reliably drives the gradient norm to the 1e-9 default at degenerate
 optima where first-order steps stall.
 
+All restarts of a search run as one batch: every objective call
+evaluates the stacked phases of the restarts still running, while each
+restart keeps its own step size, line search, stopping tests and
+Newton damping.  A restart's result is the same, bit for bit, whichever
+restarts share its batch.
+
 Every closed-form number in the analytic module is cross-checked
 against this machinery, which shares no formulas with it beyond the
 probability model itself.
@@ -39,6 +45,7 @@ from .analytic import PAIR_SLOTS, ExtremalResult
 
 __all__ = [
     "Direction",
+    "Evaluations",
     "OptimizerConfig",
     "OptimizationRun",
     "optimize_angles",
@@ -87,111 +94,232 @@ class OptimizerConfig:
 
 
 @dataclass(frozen=True)
+class Evaluations:
+    """Objective evaluations of one search: the batched calls, and the
+    rows they evaluated, one restart's phases per row."""
+
+    calls: int
+    rows: int
+
+
+@dataclass(frozen=True)
 class OptimizationRun:
     """Outcome of one multi-start search.
 
     per_restart_values lists the converged value of every restart in
     restart order; best is the extremal one (ties keep the lowest
-    restart index).  iterations_used sums over restarts.  converged
-    reflects the winning restart's gradient test and, for the joint
-    search, a simple extreme eigenvalue.
+    restart index).  The other per_restart_ fields list each restart's
+    iterations, convergence and final gradient norm; iterations_used
+    is their iteration sum.  A restart counts as converged when it
+    passes the gradient test and, for the joint search, its extreme
+    eigenvalue is simple; converged is the winning restart's flag.
     """
 
     best: ExtremalResult
     per_restart_values: tuple[float, ...]
     iterations_used: int
     converged: bool
+    per_restart_iterations: tuple[int, ...]
+    per_restart_converged: tuple[bool, ...]
+    per_restart_gradient_norms: tuple[float, ...]
+    evaluations: Evaluations
 
 
-def _fd_hessian(fun, x: np.ndarray, g0: np.ndarray) -> np.ndarray:
-    n = x.size
-    H = np.empty((n, n))
-    for t in range(n):
-        xt = x.copy()
-        xt[t] += _FD_STEP
-        _, gt = fun(xt)
-        H[:, t] = (gt - g0) / _FD_STEP
-    return 0.5 * (H + H.T)
+def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # Row-wise dot products through matmul, which takes the same BLAS
+    # dot for every row whatever the batch size.
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
-def _minimize(fun, x0: np.ndarray, max_iterations: int,
-              gradient_tolerance: float) -> tuple[np.ndarray, float, float, int, bool]:
-    """Minimize fun(x) -> (value, gradient).  Returns
-    (x, value, gradient_norm, iterations, converged)."""
-    x = np.asarray(x0, dtype=float).copy()
-    f, g = fun(x)
-    history = [f]
-    x_prev: np.ndarray | None = None
-    g_prev: np.ndarray | None = None
-    fail_streak = 0
-    iterations = 0
+def _norms(g: np.ndarray) -> np.ndarray:
+    return np.sqrt(_dots(g, g))
 
-    while iterations < max_iterations:
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= gradient_tolerance:
-            return x, f, gnorm, iterations, True
-        if fail_streak >= 2:
-            break
-        if len(history) >= _STALL_WINDOW and \
-                history[-_STALL_WINDOW] - history[-1] < _STALL_RTOL * (1.0 + abs(history[-1])):
-            break
-        iterations += 1
-        if x_prev is None:
-            step = 0.1 / max(1.0, gnorm)
-        else:
-            s = x - x_prev
-            y = g - g_prev
-            sy = float(s @ y)
-            step = abs(float(s @ s) / sy) if sy != 0.0 else 1.0
-            step = min(max(step, 1e-12), 1e3)
-        reference = max(history[-5:])
-        t = step
-        accepted = False
-        for _ in range(_MAX_HALVINGS):
-            x_new = x - t * g
-            f_new, g_new = fun(x_new)
-            if f_new <= reference - _ARMIJO * t * gnorm * gnorm:
-                accepted = True
+
+def _bb_steps(s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # Barzilai-Borwein steps |s.s / s.y|, 1 where s.y = 0, clipped to
+    # [1e-12, 1e3].
+    sy = _dots(s, y)
+    ratio = np.divide(_dots(s, s), sy, out=np.ones_like(sy), where=sy != 0.0)
+    return np.minimum(np.maximum(np.abs(ratio), 1e-12), 1e3)
+
+
+def _fd_hessians(fun, x: np.ndarray, g0: np.ndarray) -> np.ndarray:
+    # One objective call on the m n rows x[r] + h e_t; row (r, t) gives
+    # column t of restart r's Hessian.
+    m, n = x.shape
+    shifted = np.repeat(x[:, None, :], n, axis=1)
+    shifted[:, np.arange(n), np.arange(n)] += _FD_STEP
+    _, g = fun(shifted.reshape(m * n, n))
+    H = ((g.reshape(m, n, n) - g0[:, None, :]) / _FD_STEP).transpose(0, 2, 1)
+    return 0.5 * (H + H.transpose(0, 2, 1))
+
+
+def _solve(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Solves every system A[r] s = b[r]; a singular one is marked unsolved
+    # instead of failing the batch.
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0], np.ones(len(A), dtype=bool)
+    except np.linalg.LinAlgError:
+        s = np.zeros_like(b)
+        solved = np.ones(len(A), dtype=bool)
+        for r in range(len(A)):
+            try:
+                s[r] = np.linalg.solve(A[r:r + 1], b[r:r + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                solved[r] = False
+        return s, solved
+
+
+def _backtrack(fun, x: np.ndarray, g: np.ndarray, step: np.ndarray, gnorm: np.ndarray,
+               reference: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Nonmonotone Armijo backtracking along -g from every row of x:
+    each row's step is halved until its trial point passes the test
+    against reference, for at most _MAX_HALVINGS trials, and each
+    halving re-evaluates only the rows still pending.  Returns the
+    accepted mask and the trial points, values and gradients, which
+    hold only where accepted."""
+    x_new = x - step[:, None] * g
+    f_new, g_new = fun(x_new)
+    accepted = f_new <= reference - _ARMIJO * step * gnorm * gnorm
+    if accepted.all():
+        return accepted, x_new, f_new, g_new
+    rows = np.flatnonzero(~accepted)
+    x, g, t, gnorm, reference = x[rows], g[rows], step[rows], gnorm[rows], reference[rows]
+    for _ in range(_MAX_HALVINGS - 1):
+        t = t * 0.5
+        x_try = x - t[:, None] * g
+        f_try, g_try = fun(x_try)
+        ok = f_try <= reference - _ARMIJO * t * gnorm * gnorm
+        if ok.any():
+            hit = rows[ok]
+            x_new[hit], f_new[hit], g_new[hit] = x_try[ok], f_try[ok], g_try[ok]
+            accepted[hit] = True
+            keep = ~ok
+            if not keep.any():
                 break
-            t *= 0.5
-        if accepted:
-            x_prev, g_prev = x, g
-            x, f, g = x_new, f_new, g_new
-            fail_streak = 0
-        else:
-            fail_streak += 1
-        history.append(f)
+            rows, x, g, t, gnorm, reference = (
+                rows[keep], x[keep], g[keep], t[keep], gnorm[keep], reference[keep])
+    return accepted, x_new, f_new, g_new
 
+
+def _first_order(fun, x: np.ndarray, f: np.ndarray, g: np.ndarray,
+                 max_iterations: int, gradient_tolerance: float) -> np.ndarray:
+    """Barzilai-Borwein steps with a nonmonotone Armijo guard for every
+    row of x, updating x, f and g in place; returns the iterations."""
+    R = len(x)
+    iterations = np.zeros(R, dtype=int)
+    # The working set holds the restarts still stepping, compacted.  They
+    # advance together, so they share one iteration count and one array
+    # of values per past iteration.
+    rows = np.arange(R)
+    xs, fs, gs = x.copy(), f.copy(), g.copy()
+    x_prev, g_prev = np.zeros_like(xs), np.zeros_like(gs)
+    has_prev = np.zeros(R, dtype=bool)
+    fail_streak = np.zeros(R, dtype=int)
+    history = [fs]
+    k = 0
+    while True:
+        gnorm = _norms(gs)
+        done = (gnorm <= gradient_tolerance) | (fail_streak >= 2)
+        if len(history) == _STALL_WINDOW:
+            done |= history[0] - fs < _STALL_RTOL * (1.0 + np.abs(fs))
+        if k >= max_iterations:
+            done[:] = True
+        if done.any():
+            out = rows[done]
+            x[out], f[out], g[out] = xs[done], fs[done], gs[done]
+            iterations[out] = k
+            keep = ~done
+            if not keep.any():
+                return iterations
+            rows, xs, fs, gs, gnorm = rows[keep], xs[keep], fs[keep], gs[keep], gnorm[keep]
+            x_prev, g_prev = x_prev[keep], g_prev[keep]
+            has_prev, fail_streak = has_prev[keep], fail_streak[keep]
+            history = [h[keep] for h in history]
+        k += 1
+        if has_prev.all():
+            step = _bb_steps(xs - x_prev, gs - g_prev)
+        else:
+            step = np.where(has_prev, _bb_steps(xs - x_prev, gs - g_prev),
+                            0.1 / np.maximum(1.0, gnorm))
+        accepted, x_new, f_new, g_new = _backtrack(
+            fun, xs, gs, step, gnorm, np.maximum.reduce(history[-5:]))
+        if accepted.all():
+            x_prev, g_prev, xs, fs, gs = xs, gs, x_new, f_new, g_new
+            has_prev[:] = True
+            fail_streak[:] = 0
+        else:
+            column = accepted[:, None]
+            x_prev, g_prev = np.where(column, xs, x_prev), np.where(column, gs, g_prev)
+            xs, gs = np.where(column, x_new, xs), np.where(column, g_new, gs)
+            fs = np.where(accepted, f_new, fs)
+            has_prev |= accepted
+            fail_streak = np.where(accepted, 0, fail_streak + 1)
+        history.append(fs)
+        del history[:-_STALL_WINDOW]
+
+
+def _polish(fun, x: np.ndarray, f: np.ndarray, g: np.ndarray, iterations: np.ndarray,
+            max_iterations: int, gradient_tolerance: float) -> None:
+    """Damped Newton steps on a finite-difference Hessian for every row
+    of x, updating x, f, g and iterations in place."""
+    n = x.shape[1]
+    identity = np.eye(n)
+    rows = np.arange(len(x))
+    xs, fs, gs, its = x.copy(), f.copy(), g.copy(), iterations.copy()
+    mu = np.full(len(x), 1e-6)
+    for step in range(_POLISH_STEPS + 1):
+        gnorm = _norms(gs)
+        done = (gnorm <= gradient_tolerance) | (its >= max_iterations) | (mu > 1e8)
+        if step == _POLISH_STEPS:
+            done[:] = True
+        if done.any():
+            out = rows[done]
+            x[out], f[out], g[out], iterations[out] = xs[done], fs[done], gs[done], its[done]
+            keep = ~done
+            if not keep.any():
+                return
+            rows, xs, fs, gs, its = rows[keep], xs[keep], fs[keep], gs[keep], its[keep]
+            gnorm, mu = gnorm[keep], mu[keep]
+        its += 1
+        H = _fd_hessians(fun, xs, gs)
+        s, solved = _solve(H + mu[:, None, None] * identity, -gs)
+        x_try, f_try, g_try = xs + s, fs.copy(), gs.copy()
+        if solved.any():
+            f_try[solved], g_try[solved] = fun(x_try[solved])
+        better = solved & ((_norms(g_try) < gnorm) | (f_try < fs - 1e-13))
+        column = better[:, None]
+        xs, fs, gs = np.where(column, x_try, xs), np.where(better, f_try, fs), \
+            np.where(column, g_try, gs)
+        mu = np.where(better, np.maximum(mu * 0.3, 1e-10), mu * 10.0)
+
+
+def _minimize(fun, x0: np.ndarray, max_iterations: int, gradient_tolerance: float
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Minimize fun from every row of the (R, n) batch of starts x0.
+
+    fun maps an (m, n) batch of points to their (m,) values and (m, n)
+    gradients, row by row.  Each restart takes Barzilai-Borwein steps
+    until its gradient test passes, two line searches fail in a row or
+    its value stalls, then damped Newton steps; a restart that passed
+    its gradient test takes none.  Returns per restart the point,
+    value, gradient norm, iterations and convergence flag, as (R, n),
+    (R,), (R,), (R,) and (R,) arrays.
+    """
+    x = np.array(x0, dtype=float)
+    f, g = fun(x)
+    iterations = _first_order(fun, x, f, g, max_iterations, gradient_tolerance)
     # Damped Newton polish: first-order steps stall in the flat,
     # nearly quadratic basin around degenerate optima.
-    mu = 1e-6
-    identity = np.eye(x.size)
-    for _ in range(_POLISH_STEPS):
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= gradient_tolerance:
-            return x, f, gnorm, iterations, True
-        if iterations >= max_iterations or mu > 1e8:
-            break
-        iterations += 1
-        H = _fd_hessian(fun, x, g)
-        try:
-            s = np.linalg.solve(H + mu * identity, -g)
-        except np.linalg.LinAlgError:
-            mu *= 10.0
-            continue
-        f_new, g_new = fun(x + s)
-        if float(np.linalg.norm(g_new)) < gnorm or f_new < f - 1e-13:
-            x, f, g = x + s, f_new, g_new
-            mu = max(mu * 0.3, 1e-10)
-        else:
-            mu *= 10.0
-    gnorm = float(np.linalg.norm(g))
+    _polish(fun, x, f, g, iterations, max_iterations, gradient_tolerance)
+    gnorm = _norms(g)
     return x, f, gnorm, iterations, gnorm <= gradient_tolerance
 
 
 def _phases_from_free(x: np.ndarray, d: int) -> np.ndarray:
-    phases = np.zeros((4, d))
-    phases[:, 1:] = x.reshape(4, d - 1)
+    # (..., 4 (d - 1)) free phases -> (..., 4, d) phase matrices.
+    phases = np.zeros(x.shape[:-1] + (4, d))
+    phases[..., 1:] = x.reshape(x.shape[:-1] + (4, d - 1))
     return phases
 
 
@@ -199,11 +327,11 @@ def _phase_objective(coefficients: np.ndarray, d: int, variant: KernelVariant,
                      sign: float):
     # Gauge: entry 0 of every phase vector is pinned to zero, leaving
     # 4 (d - 1) free variables.
-    def fun(x: np.ndarray) -> tuple[float, np.ndarray]:
+    def fun(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         value, grad_phases, _ = value_and_gradient_arrays(
             coefficients, _phases_from_free(x, d), d, variant
         )
-        return -sign * value, -sign * grad_phases[:, 1:].reshape(-1)
+        return -sign * value, -sign * grad_phases[:, :, 1:].reshape(len(x), -1)
 
     return fun
 
@@ -227,41 +355,52 @@ def _require_nonconstant(d: int, variant: KernelVariant) -> None:
         )
 
 
-def _pick_best(values: list[float], direction: Direction) -> int:
-    best = 0
-    for r, v in enumerate(values):
-        if (direction is Direction.MAXIMIZE and v > values[best]) or \
-                (direction is Direction.MINIMIZE and v < values[best]):
-            best = r
-    return best
+@dataclass(frozen=True)
+class _Search:
+    # Per restart: value in the Bell value's own sign, free phases,
+    # gradient norm, iterations and gradient-test flag.
+    values: np.ndarray
+    x: np.ndarray
+    gradient_norms: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    evaluations: Evaluations
+    best: int  # the extremal restart; ties keep the lowest index
 
 
-def _multistart(fun, d: int, config: OptimizerConfig) -> tuple[list[tuple], int]:
+def _multistart(fun, d: int, config: OptimizerConfig) -> _Search:
     """Minimize fun over the 4 (d - 1) free phases from config.restarts
-    starts.  Restart r draws its start uniformly from [0, 2 pi) with an
-    independent PRNG stream derived from (config.seed, r), so results
-    are reproducible.  Returns one (value, x, gradient_norm, iterations,
-    converged) per restart, value in the Bell value's own sign, and the
-    index of the extremal one (ties keep the lowest index)."""
-    sign = _signed(config.direction)
-    results = []
-    for r in range(config.restarts):
-        rng = np.random.default_rng((config.seed, r))
-        x0 = rng.uniform(0.0, 2.0 * math.pi, size=4 * (d - 1))
-        x, f, gnorm, iterations, converged = _minimize(
-            fun, x0, config.max_iterations, config.gradient_tolerance
-        )
-        results.append((-sign * f, x, gnorm, iterations, converged))
-    return results, _pick_best([res[0] for res in results], config.direction)
+    starts, as one batch.  Restart r draws its start uniformly from
+    [0, 2 pi) with an independent PRNG stream derived from
+    (config.seed, r), so results are reproducible."""
+    calls = rows = 0
+
+    def counted(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal calls, rows
+        calls += 1
+        rows += len(x)
+        return fun(x)
+
+    x0 = np.array([
+        np.random.default_rng((config.seed, r)).uniform(0.0, 2.0 * math.pi, size=4 * (d - 1))
+        for r in range(config.restarts)
+    ])
+    x, f, gnorm, iterations, converged = _minimize(
+        counted, x0, config.max_iterations, config.gradient_tolerance
+    )
+    values = -_signed(config.direction) * f
+    best = values.argmax() if config.direction is Direction.MAXIMIZE else values.argmin()
+    return _Search(values, x, gnorm, iterations, converged, Evaluations(calls, rows),
+                   int(best))
 
 
-def _make_run(results: list[tuple], best: int, state: PureState,
-              settings: MeasurementSettings, config: OptimizerConfig,
-              variant: KernelVariant, converged: bool,
-              extra: tuple[str, ...] = ()) -> OptimizationRun:
-    value, _, gnorm, _, _ = results[best]
+def _make_run(search: _Search, state: PureState, settings: MeasurementSettings,
+              config: OptimizerConfig, variant: KernelVariant,
+              converged: np.ndarray, extra: tuple[str, ...] = ()) -> OptimizationRun:
+    values = tuple(search.values.tolist())
+    best = search.best
     result = ExtremalResult(
-        value=value,
+        value=values[best],
         state=state,
         settings=settings,
         branch="numeric",
@@ -270,14 +409,18 @@ def _make_run(results: list[tuple], best: int, state: PureState,
             f"variant={variant.value}",
             f"best_restart={best}",
             *extra,
-            f"gradient_norm={gnorm:.3e}",
+            f"gradient_norm={search.gradient_norms[best]:.3e}",
         ),
     )
     return OptimizationRun(
         best=result,
-        per_restart_values=tuple(res[0] for res in results),
-        iterations_used=sum(res[3] for res in results),
-        converged=bool(converged),
+        per_restart_values=values,
+        iterations_used=int(search.iterations.sum()),
+        converged=bool(converged[best]),
+        per_restart_iterations=tuple(int(i) for i in search.iterations),
+        per_restart_converged=tuple(bool(c) for c in converged),
+        per_restart_gradient_norms=tuple(float(g) for g in search.gradient_norms),
+        evaluations=search.evaluations,
     )
 
 
@@ -290,20 +433,19 @@ def optimize_angles(state: PureState, config: OptimizerConfig,
     _require_nonconstant(d, variant)
     fun = _phase_objective(np.asarray(state.coefficients), d, variant,
                            _signed(config.direction))
-    results, best = _multistart(fun, d, config)
-    _, x, _, _, converged = results[best]
-    settings = _settings(_phases_from_free(x, d), state.dim)
-    return _make_run(results, best, state, settings, config, variant, converged)
+    search = _multistart(fun, d, config)
+    settings = _settings(_phases_from_free(search.x[search.best], d), state.dim)
+    return _make_run(search, state, settings, config, variant, search.converged)
 
 
 def _eigen_objective(d: int, variant: KernelVariant, sign: float):
     # -sign d lambda_ext(M(phases)): minus the Bell value at the best
     # state for these phases.
-    def fun(x: np.ndarray) -> tuple[float, np.ndarray]:
+    def fun(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         value, grad_phases, _, _ = extreme_value_and_gradient(
             _phases_from_free(x, d), d, variant, sign > 0
         )
-        return -sign * value, -sign * grad_phases[:, 1:].reshape(-1)
+        return -sign * value, -sign * grad_phases[:, :, 1:].reshape(len(x), -1)
 
     return fun
 
@@ -321,27 +463,28 @@ def optimize_joint(dim: Dimension, config: OptimizerConfig,
 
     The reported state is non-negative: v is flipped so that v_0 >= 0,
     and every other negative v_k becomes |v_k| with pi added to A1[k]
-    and A2[k], which leaves the value unchanged.  converged requires
-    the winning restart's gradient test and a simple extreme eigenvalue
-    (eigengap above 1e-9 (1 + |value|) in Bell-value units), since
-    lambda_ext has no gradient where it is degenerate.
+    and A2[k], which leaves the value unchanged.  A restart counts as
+    converged if it passes the gradient test and its extreme eigenvalue
+    is simple (eigengap above 1e-9 (1 + |value|) in Bell-value units),
+    since lambda_ext has no gradient where it is degenerate.
     """
     if not config.free_state:
         raise ValidationError("optimize_joint requires config.free_state = True")
     d = dim.d
     _require_nonconstant(d, variant)
     sign = _signed(config.direction)
-    results, best = _multistart(_eigen_objective(d, variant, sign), d, config)
-    value, x, _, _, converged = results[best]
-    phases = _phases_from_free(x, d)
-    _, _, v, gap = extreme_value_and_gradient(phases, d, variant, sign > 0)
+    search = _multistart(_eigen_objective(d, variant, sign), d, config)
+    all_phases = _phases_from_free(search.x, d)
+    _, _, vectors, gaps = extreme_value_and_gradient(all_phases, d, variant, sign > 0)
+    converged = search.converged & (gaps > _GAP_RTOL * (1.0 + np.abs(search.values)))
+    best = search.best
+    phases, v = all_phases[best], vectors[best]
     if v[0] < 0.0:
         v = -v
     phases[:2, v < 0.0] += math.pi
     state = make_state(dim, tuple(math.sqrt(d) * float(c) for c in np.abs(v)))
-    converged = converged and gap > _GAP_RTOL * (1.0 + abs(value))
-    return _make_run(results, best, state, _settings(phases, dim), config,
-                     variant, converged, (f"eigengap={gap:.3e}",))
+    return _make_run(search, state, _settings(phases, dim), config, variant,
+                     converged, (f"eigengap={gaps[best]:.3e}",))
 
 
 def max_abs_t_coefficient(pair: tuple[int, int], restarts: int = 8,
@@ -351,7 +494,8 @@ def max_abs_t_coefficient(pair: tuple[int, int], restarts: int = 8,
     T_kl is the Bell value at the unnormalized state e_k + e_l, and it
     depends on the phases only through one angle per party and setting,
     so the search runs over those four angles placed in phase column k;
-    the returned settings carry them there.
+    the returned settings carry them there.  Maximizing and minimizing
+    T_kl run as two batches of restarts.
     """
     if pair not in PAIR_SLOTS:
         raise ValidationError(f"pair must be one of {PAIR_SLOTS}, got {pair!r}")
@@ -360,16 +504,16 @@ def max_abs_t_coefficient(pair: tuple[int, int], restarts: int = 8,
     a[[k, l]] = 1.0
 
     def phases_of(q: np.ndarray) -> np.ndarray:
-        phases = np.zeros((4, 4))
-        phases[:, k] = q
+        phases = np.zeros(q.shape[:-1] + (4, 4))
+        phases[..., k] = q
         return phases
 
     def objective(sign: float):
-        def fun(q: np.ndarray) -> tuple[float, np.ndarray]:
+        def fun(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             value, grad_phases, _ = value_and_gradient_arrays(
                 a, phases_of(q), 4, KernelVariant.PLUS
             )
-            return -sign * value, -sign * grad_phases[:, k]
+            return -sign * value, -sign * grad_phases[:, :, k]
 
         return fun
 
@@ -377,16 +521,15 @@ def max_abs_t_coefficient(pair: tuple[int, int], restarts: int = 8,
     best_value = -math.inf
     best_settings: MeasurementSettings | None = None
     for sign in (1.0, -1.0):
-        fun = objective(sign)
+        q0 = np.array([
+            np.random.default_rng((seed, int(sign > 0), r)).uniform(0.0, 2.0 * math.pi, size=4)
+            for r in range(restarts)
+        ])
+        q, f, _, _, _ = _minimize(objective(sign), q0, 2000, 1e-11)
         for r in range(restarts):
-            rng = np.random.default_rng((seed, int(sign > 0), r))
-            q0 = rng.uniform(0.0, 2.0 * math.pi, size=4)
-            q, f, _, _, _ = _minimize(fun, q0, 2000, 1e-11)
-            magnitude = abs(f)  # f = -sign * T, so |f| = |T|
+            magnitude = abs(float(f[r]))  # f = -sign * T, so |f| = |T|
             if magnitude > best_value:
                 best_value = magnitude
-                vectors = [PhaseVector(dim, tuple(float(v) for v in row))
-                           for row in phases_of(q)]
-                best_settings = MeasurementSettings(dim, *vectors)
+                best_settings = _settings(phases_of(q[r]), dim)
     assert best_settings is not None
     return best_value, best_settings

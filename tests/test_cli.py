@@ -166,6 +166,44 @@ class TestOptimize:
         assert code == 1
         assert flag in err
 
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--d", "64", "--free-state", "--restarts", "1000"],
+        ["optimize", "--d", "64", "--restarts", "8"],
+        ["optimize", "--d", "32", "--free-state", "--restarts", "64"],
+        ["optimize", "--state", ",".join(["1"] * 64), "--restarts", "8"],
+    ])
+    def test_rejects_oversized_work_before_searching(self, capsys, monkeypatch,
+                                                     argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("nothing may be built")
+
+        for name in ("optimize_angles", "optimize_joint",
+                     "maximally_entangled_state", "make_state"):
+            monkeypatch.setattr(cli, name, refuse)
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "--restarts" in err and "budget" in err
+
+    @pytest.mark.parametrize("d,restarts", [
+        (4, 1000), (8, 50), (12, 1000), (32, 63), (64, 7),
+    ])
+    def test_work_budget_admits_documented_runs(self, d, restarts):
+        cli._check_work(d, restarts)
+
+    def test_per_restart_counters(self, capsys):
+        code, out, _ = run(capsys, ["optimize", "--d", "3", "--free-state",
+                                    "--restarts", "5"])
+        assert code == 0
+        record = json.loads(out)
+        for key in ("per_restart_values", "per_restart_iterations",
+                    "per_restart_converged", "per_restart_gradient_norms"):
+            assert len(record[key]) == 5
+        assert sum(record["per_restart_iterations"]) == record["iterations_used"]
+        assert all(isinstance(c, bool) for c in record["per_restart_converged"])
+        evaluations = record["evaluations"]
+        assert 0 < evaluations["calls"] <= evaluations["rows"]
+
     def test_minimize_flat_state(self, capsys):
         code, out, _ = run(capsys, ["optimize", "--d", "4", "--restarts", "4",
                                     "--direction", "min"])

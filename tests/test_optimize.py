@@ -13,7 +13,9 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import bellmp.engine
 import bellmp.optimize
 from bellmp import (
     Dimension,
@@ -35,7 +37,7 @@ from bellmp import (
     vertex_candidates,
     zero_settings,
 )
-from bellmp.engine import extreme_value_and_gradient
+from bellmp.engine import extreme_value_and_gradient, value_and_gradient_arrays
 
 from helpers import random_state
 
@@ -140,6 +142,144 @@ class TestDeterminism:
         assert a.per_restart_values == b.per_restart_values
         assert a.best.value == b.best.value
         assert a.best.settings.a1.phases == b.best.settings.a1.phases
+
+
+class TestRestartCounters:
+    @pytest.mark.parametrize("free_state", [False, True])
+    def test_counters_cover_every_restart(self, free_state):
+        config = OptimizerConfig(restarts=7, seed=3, free_state=free_state)
+        if free_state:
+            run = optimize_joint(D4, config)
+        else:
+            run = optimize_angles(maximally_entangled_state(D4), config)
+        for counters in (run.per_restart_values, run.per_restart_iterations,
+                         run.per_restart_converged, run.per_restart_gradient_norms):
+            assert len(counters) == 7
+        assert sum(run.per_restart_iterations) == run.iterations_used
+        best = next(int(s.partition("=")[2]) for s in run.best.diagnostics
+                    if s.startswith("best_restart="))
+        assert run.converged == run.per_restart_converged[best]
+        assert f"gradient_norm={run.per_restart_gradient_norms[best]:.3e}" \
+            in run.best.diagnostics
+        for converged, norm in zip(run.per_restart_converged,
+                                   run.per_restart_gradient_norms):
+            assert not converged or norm <= config.gradient_tolerance
+        assert 0 < run.evaluations.calls <= run.evaluations.rows
+
+
+def _objective(search, d, direction):
+    sign = 1.0 if direction is Direction.MAXIMIZE else -1.0
+    if search == "angles":
+        state = random_state(np.random.default_rng(d), d)
+        return bellmp.optimize._phase_objective(
+            np.asarray(state.coefficients), d, KernelVariant.PLUS, sign)
+    return bellmp.optimize._eigen_objective(d, KernelVariant.PLUS, sign)
+
+
+class TestScheduleIndependence:
+    """A restart's result must not depend on which restarts share its
+    batch, nor on how the kernel splits a batch into row blocks."""
+
+    @pytest.mark.parametrize("search", ["angles", "joint"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_batch_equals_one_restart_at_a_time(self, search, d, direction):
+        fun = _objective(search, d, direction)
+        starts = np.random.default_rng(10 + d).uniform(
+            0.0, 2.0 * math.pi, (5, 4 * (d - 1)))
+        batch = bellmp.optimize._minimize(fun, starts, 10_000, 1e-9)
+        for r in range(len(starts)):
+            alone = bellmp.optimize._minimize(fun, starts[r:r + 1], 10_000, 1e-9)
+            # point, value, gradient norm, iterations, converged
+            for batched, single in zip(batch, alone):
+                assert np.array_equal(batched[r], single[0])
+
+    def test_stalled_restart_is_unaffected_by_its_batch(self):
+        # Restart 15 of the seed-7 d = 4 joint minimum stalls near the
+        # degenerate -10/3 after 1455 iterations and fails its Newton
+        # polish; its neighbours converge much earlier.
+        fun = _objective("joint", 4, Direction.MINIMIZE)
+        starts = np.array([np.random.default_rng((7, r)).uniform(0.0, 2.0 * math.pi, 12)
+                           for r in (14, 15, 16)])
+        batch = bellmp.optimize._minimize(fun, starts, 10_000, 1e-9)
+        assert not batch[4].all()
+        for r in range(len(starts)):
+            alone = bellmp.optimize._minimize(fun, starts[r:r + 1], 10_000, 1e-9)
+            for batched, single in zip(batch, alone):
+                assert np.array_equal(batched[r], single[0])
+
+    @pytest.mark.parametrize("free_state", [False, True])
+    def test_fewer_restarts_are_a_prefix(self, free_state):
+        def search(restarts):
+            config = OptimizerConfig(restarts=restarts, seed=4,
+                                     free_state=free_state,
+                                     direction=Direction.MINIMIZE)
+            if free_state:
+                return optimize_joint(Dimension(3), config)
+            return optimize_angles(maximally_entangled_state(Dimension(3)), config)
+
+        few, many = search(3), search(8)
+        assert few.per_restart_values == many.per_restart_values[:3]
+        assert few.per_restart_iterations == many.per_restart_iterations[:3]
+        assert few.per_restart_converged == many.per_restart_converged[:3]
+
+    @pytest.mark.parametrize("search", ["angles", "joint"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_rows_across_blocks_match_single_rows(self, monkeypatch, search, d):
+        # Three rows per block, so eleven rows span four blocks.
+        monkeypatch.setattr(bellmp.engine, "_BLOCK_BYTES", 3 * 64 * d * d)
+        fun = _objective(search, d, Direction.MAXIMIZE)
+        x = np.random.default_rng(d).uniform(0.0, 2.0 * math.pi, (11, 4 * (d - 1)))
+        values, gradients = fun(x)
+        for r in range(len(x)):
+            value, gradient = fun(x[r:r + 1])
+            assert values[r] == value[0]
+            assert np.array_equal(gradients[r], gradient[0])
+
+    def test_default_block_split_matches_single_rows(self):
+        d = 4
+        rows = bellmp.engine._BLOCK_BYTES // (64 * d * d) + 5
+        x = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi, (rows, 4 * (d - 1)))
+        for search in ("angles", "joint"):
+            fun = _objective(search, d, Direction.MINIMIZE)
+            values, gradients = fun(x)
+            for r in (0, rows - 6, rows - 5, rows - 1):
+                value, gradient = fun(x[r:r + 1])
+                assert values[r] == value[0]
+                assert np.array_equal(gradients[r], gradient[0])
+
+
+def test_singular_newton_system_fails_only_its_restart():
+    A = np.stack([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)])
+    s, solved = bellmp.optimize._solve(A, np.ones((3, 2)))
+    assert solved.tolist() == [True, False, True]
+    assert s[0].tolist() == [1.0, 1.0]
+    assert s[2].tolist() == [0.5, 0.5]
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 8), rows=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1), largest=st.booleans(),
+       variant=st.sampled_from(list(KernelVariant)), shared=st.booleans())
+def test_batched_kernel_rows_equal_single_calls(d, rows, seed, largest, variant,
+                                                shared):
+    rng = np.random.default_rng(seed)
+    phases = rng.uniform(-10.0, 10.0, (rows, 4, d))
+    # one coefficient vector for every row, or one per row
+    coefficients = rng.uniform(-2.0, 2.0, d if shared else (rows, d))
+    quadratic = value_and_gradient_arrays(coefficients, phases, d, variant)
+    extreme = extreme_value_and_gradient(phases, d, variant, largest)
+    for r in range(rows):
+        a = coefficients if shared else coefficients[r]
+        single = value_and_gradient_arrays(a, phases[r], d, variant)
+        assert quadratic[0][r] == single[0]
+        assert np.array_equal(quadratic[1][r], single[1])
+        assert np.array_equal(quadratic[2][r], single[2])
+        single = extreme_value_and_gradient(phases[r], d, variant, largest)
+        assert extreme[0][r] == single[0]
+        assert np.array_equal(extreme[1][r], single[1])
+        assert np.array_equal(extreme[2][r], single[2])
+        assert extreme[3][r] == single[3]
 
 
 class TestVertexBounds:
@@ -275,7 +415,8 @@ class TestEigenReduction:
         # gradient there must not make the minimum count as converged.
         def stopped(fun, x0, max_iterations, gradient_tolerance):
             x = np.zeros_like(x0)
-            return x, fun(x)[0], 0.0, 0, True
+            return (x, fun(x)[0], np.zeros(len(x)), np.zeros(len(x), dtype=int),
+                    np.ones(len(x), dtype=bool))
 
         monkeypatch.setattr(bellmp.optimize, "_minimize", stopped)
         top = optimize_joint(D4, OptimizerConfig(restarts=1, free_state=True))

@@ -290,6 +290,18 @@ def optimal_min_state() -> tuple[PureState, float]:
     return make_state(_D4, (kp, kp, km, km)), value
 
 
+def max_entangled_value() -> float:
+    """The d = 4 maximum Gamma_1 + 2 Gamma_2 + 3 Gamma_3 of the flat state."""
+    g = gamma_constants()
+    return g.gamma1 + 2.0 * g.gamma2 + 3.0 * g.gamma3
+
+
+def noise_resistance_gain(bell_value: float, reference_value: float) -> float:
+    """Relative gain (F(I) - F(I_ref)) / F(I_ref) of the threshold F = threshold_noise."""
+    reference = threshold_noise(reference_value)
+    return (threshold_noise(bell_value) - reference) / reference
+
+
 def threshold_noise(bell_value: float) -> float:
     """Largest uniform-noise fraction keeping the value above 2.
 

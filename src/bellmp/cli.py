@@ -12,11 +12,11 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
 
 import numpy as np
 
 from .model import (
+    SETTING_PAIRS,
     BellError,
     Dimension,
     KernelVariant,
@@ -32,13 +32,16 @@ from .analytic import (
     branch_values_max,
     branch_values_min,
     gamma_constants,
+    max_entangled_value,
+    noise_resistance_gain,
     optimal_max_state,
     optimal_min_state,
     sorted_magnitudes,
     threshold_noise,
     vertex_candidates,
 )
-from .engine import JointProbabilityTable, correlation_q, joint_probabilities, sample_experiment
+from .engine import (JointProbabilityTable, bell_value_from_table, correlation_q,
+                     joint_probabilities, mix_uniform_noise, sample_experiment)
 from .lhv import lhv_bounds
 from .optimize import Direction, OptimizerConfig, optimize_angles, optimize_joint
 from .report import (
@@ -201,24 +204,14 @@ def cmd_eval(args) -> int:
         settings = _load_angles(args.angles, state.dim.d)
     else:
         settings = zero_settings(state.dim)
-    noise = float(args.noise)
-    if not 0.0 <= noise <= 1.0:
-        raise ValidationError(f"noise fraction must lie in [0, 1], got {args.noise!r}")
     variant = _variant(args.variant)
-    table = joint_probabilities(state, settings)
-    if noise > 0.0:
-        d = state.dim.d
-        table = JointProbabilityTable(
-            state.dim,
-            (1.0 - noise) * table.probabilities + noise / d**2,
-        )
-    q = {f"Q{i}{j}": correlation_q(table, i, j, variant)
-         for i in (1, 2) for j in (1, 2)}
-    value = q["Q11"] + q["Q12"] - q["Q21"] + q["Q22"]
+    table = mix_uniform_noise(joint_probabilities(state, settings), args.noise)
+    q = {f"Q{i}{j}": correlation_q(table, i, j, variant) for i, j in SETTING_PAIRS}
+    value = bell_value_from_table(table, variant)
     record = {
         "d": state.dim.d,
         "variant": args.variant,
-        "noise": noise,
+        "noise": float(args.noise),
         "state": list(state.coefficients),
         "I": value,
         **q,
@@ -309,27 +302,25 @@ def cmd_analytic(args) -> int:
     if args.state is None:
         max_state, max_value = optimal_max_state()
         min_state, min_value = optimal_min_state()
-        me_value = g.gamma1 + 2.0 * g.gamma2 + 3.0 * g.gamma3
-        threshold_me = threshold_noise(me_value)
-        threshold_opt = threshold_noise(max_value)
+        me_value = max_entangled_value()
         _emit_json({
             "gamma1": g.gamma1,
             "gamma2": g.gamma2,
             "gamma3": g.gamma3,
             "max_entangled": {
                 "value": me_value,
-                "threshold_noise": threshold_me,
+                "threshold_noise": threshold_noise(me_value),
             },
             "optimal_max": {
                 "state": list(max_state.coefficients),
                 "value": max_value,
-                "threshold_noise": threshold_opt,
+                "threshold_noise": threshold_noise(max_value),
             },
             "optimal_min": {
                 "state": list(min_state.coefficients),
                 "value": min_value,
             },
-            "noise_resistance_gain": (threshold_opt - threshold_me) / threshold_me,
+            "noise_resistance_gain": noise_resistance_gain(max_value, me_value),
         })
         return EXIT_OK
     state = _parse_state(args.state, 4)
@@ -409,7 +400,7 @@ def cmd_scan(args) -> int:
     spec = ScanSpec(r_from=args.r_from, r_to=args.r_to, steps=args.steps)
     rows = scan_rows(spec)
     if args.json:
-        _emit_json({"family": spec.family, "rows": rows})
+        _emit_json({"family": "step", "rows": rows})
         return EXIT_OK
     stream = open(args.csv, "w", encoding="utf-8", newline="") if args.csv else sys.stdout
     try:

@@ -28,12 +28,15 @@ from functools import lru_cache
 import numpy as np
 
 from .model import (
+    PAIR_SIGNS,
+    SETTING_PAIRS,
     Dimension,
     KernelVariant,
     MeasurementSettings,
     PureState,
     ValidationError,
     DimensionMismatchError,
+    kernel_table,
 )
 from .analytic import PAIR_SLOTS, gamma_constants
 
@@ -59,11 +62,6 @@ _NEGATIVE_CLAMP = -1e-14
 _SLICE_SUM_TOL = 1e-12
 _UNITARY_TOL = 1e-12
 
-# Setting pairs (i, j) in evaluation order and their signs in the Bell
-# combination I = Q11 + Q12 - Q21 + Q22.
-_SETTING_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
-_PAIR_SIGNS = np.array([1.0, 1.0, -1.0, 1.0])
-
 
 @lru_cache(maxsize=None)
 def _dft(d: int) -> np.ndarray:
@@ -75,27 +73,15 @@ def _dft(d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _kernel_matrix(d: int, i: int, j: int, variant: KernelVariant) -> np.ndarray:
-    eps = -1 if i < j else 1
-    m = np.arange(d)[:, None]
-    n = np.arange(d)[None, :]
-    combo = m + n if variant is KernelVariant.PLUS else m - n
-    F = (d - 1) / 2 - ((eps * combo) % d)
-    F.flags.writeable = False
-    return F
-
-
-@lru_cache(maxsize=None)
 def _circulant(d: int, variant: KernelVariant) -> np.ndarray:
-    # C[r, k, l] = sign_r sum_u W_r[u] gamma^{u(k - l)}, where W_r[u] sums
-    # the kernel of setting pair r over the outcome class (m + n) mod d = u.
+    # C[r, k, l] = sum_u W_r[u] gamma^{u(k - l)}, where W_r[u] sums the
+    # signed, doubled kernel K[r] over the outcome class (m + n) mod d = u.
     V = _dft(d)
     classes = ((np.arange(d)[:, None] + np.arange(d)[None, :]) % d).ravel()
     C = np.empty((4, d, d), dtype=complex)
-    for r, ((i, j), sign) in enumerate(zip(_SETTING_PAIRS, _PAIR_SIGNS)):
-        W = np.bincount(classes, weights=_kernel_matrix(d, i, j, variant).ravel(),
-                        minlength=d)
-        C[r] = sign * (V.T * W) @ V.conj()
+    for r, K in enumerate(kernel_table(d, variant)):
+        W = np.bincount(classes, weights=K.ravel(), minlength=d)
+        C[r] = (V.T * W) @ V.conj()
     C.flags.writeable = False
     return C
 
@@ -110,7 +96,7 @@ def _phase_matrix(settings: MeasurementSettings) -> np.ndarray:
 
 
 def _setting_thetas(phases: np.ndarray) -> np.ndarray:
-    # Row r of the result is phi^{A_i} + phi^{B_j} for _SETTING_PAIRS[r].
+    # Row r of the result is phi^{A_i} + phi^{B_j} for SETTING_PAIRS[r].
     thetas = phases[..., :2, None, :] + phases[..., None, 2:, :]
     return thetas.reshape(phases.shape[:-2] + (4, phases.shape[-1]))
 
@@ -120,7 +106,7 @@ def _setting_thetas(phases: np.ndarray) -> np.ndarray:
 # would be alone.
 def _phased(phases: np.ndarray, d: int, variant: KernelVariant) -> np.ndarray:
     # P[..., r, :, :] = diag(e^{i theta_r}) C[r] diag(e^{-i theta_r}); each
-    # is Hermitian and I = a^T Re(sum_r P[..., r, :, :]) a / (S d^3).
+    # is Hermitian and I = a^T Re(sum_r P[..., r, :, :]) a / ((d - 1) d^3).
     z = np.exp(1j * _setting_thetas(phases))
     P = z[..., :, None] * _circulant(d, variant)
     P *= z.conj()[..., None, :]
@@ -128,9 +114,9 @@ def _phased(phases: np.ndarray, d: int, variant: KernelVariant) -> np.ndarray:
 
 
 def _pair_sum(P: np.ndarray, d: int) -> np.ndarray:
-    # Summing before the division keeps the zero-phase d = 4 entries at
-    # exactly 1/6.
-    return np.real(P.sum(axis=-3)) / (((d - 1) / 2) * d**3)
+    # Summing before the division by (d - 1) d^3 keeps the zero-phase
+    # d = 4 entries at exactly 1/6.
+    return np.real(P.sum(axis=-3)) / ((d - 1) * d**3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,20 +213,32 @@ def joint_probabilities(state: PureState, settings: MeasurementSettings) -> Join
 
 def correlation_q(table: JointProbabilityTable, i: int, j: int, variant: KernelVariant) -> float:
     """Q_ij = (1/S) sum_{m,n} f_ij(m, n) P(m, n), in [-1, 1]."""
+    p = table.setting(i, j)
+    d, r = table.dim.d, 2 * (i - 1) + (j - 1)
+    # The sign comes off on the integers, so a zero Q21 stays +0.0.
+    return float(np.sum(PAIR_SIGNS[r] * kernel_table(d, variant)[r] * p) / (d - 1))
+
+
+def bell_value_from_table(table: JointProbabilityTable, variant: KernelVariant) -> float:
+    """I = sum(K P) / (d - 1) for the signed, doubled kernel table K."""
     d = table.dim.d
-    F = _kernel_matrix(d, i, j, variant)
-    return float(np.sum(F * table.setting(i, j)) / table.dim.spin)
+    P = table.probabilities.reshape(4, d, d)
+    return sum(float(np.sum(k * p) / (d - 1)) for k, p in zip(kernel_table(d, variant), P))
 
 
-def _bell_from_table(table: JointProbabilityTable, variant: KernelVariant) -> float:
-    q = [correlation_q(table, i, j, variant) for i, j in _SETTING_PAIRS]
-    return q[0] + q[1] - q[2] + q[3]
+def mix_uniform_noise(table: JointProbabilityTable, noise_fraction: float) -> JointProbabilityTable:
+    """The table (1 - F) P + F / d^2 of uniform noise at fraction F in [0, 1]."""
+    f = float(noise_fraction)
+    if not 0.0 <= f <= 1.0:
+        raise ValidationError(f"noise fraction must lie in [0, 1], got {noise_fraction!r}")
+    d = table.dim.d
+    return JointProbabilityTable(table.dim, (1.0 - f) * table.probabilities + f / d**2)
 
 
 def bell_value(state: PureState, settings: MeasurementSettings,
                variant: KernelVariant = KernelVariant.PLUS) -> float:
-    """I = Q11 + Q12 - Q21 + Q22 evaluated through the probability table."""
-    return _bell_from_table(joint_probabilities(state, settings), variant)
+    """The Bell value I of the model, evaluated through the probability table."""
+    return bell_value_from_table(joint_probabilities(state, settings), variant)
 
 
 def bell_value_noisy(state: PureState, settings: MeasurementSettings,
@@ -251,15 +249,8 @@ def bell_value_noisy(state: PureState, settings: MeasurementSettings,
     table, so the uniform part contributes nothing and the result
     equals (1 - F) times the noiseless value; it is still evaluated on
     the mixed table rather than by that shortcut."""
-    f = float(noise_fraction)
-    if not 0.0 <= f <= 1.0:
-        raise ValidationError(f"noise fraction must lie in [0, 1], got {noise_fraction!r}")
-    table = joint_probabilities(state, settings)
-    d = state.dim.d
-    mixed = JointProbabilityTable(
-        state.dim, (1.0 - f) * table.probabilities + f / d**2
-    )
-    return _bell_from_table(mixed, variant)
+    mixed = mix_uniform_noise(joint_probabilities(state, settings), noise_fraction)
+    return bell_value_from_table(mixed, variant)
 
 
 def pair_matrix(phases: np.ndarray, d: int,
@@ -322,11 +313,11 @@ def t_coefficients(settings: MeasurementSettings) -> TCoefficients:
 
 
 def _phase_gradient(P: np.ndarray, coefficients: np.ndarray, d: int) -> np.ndarray:
-    # Setting pair r contributes -2 a Im(P[r] a) / (S d^3) to the
+    # Setting pair r contributes -2 a Im(P[r] a) / ((d - 1) d^3) to the
     # gradient of its summed phases theta_r; combine them per party.
     a = coefficients[..., None, :]
     im_pa = np.imag(P @ a[..., None])[..., 0]
-    q = ((-2.0 / (((d - 1) / 2) * d**3)) * a * im_pa).reshape(im_pa.shape[:-2] + (2, 2, d))
+    q = ((-2.0 / ((d - 1) * d**3)) * a * im_pa).reshape(im_pa.shape[:-2] + (2, 2, d))
     # q[..., i, j, :] belongs to setting pair (A_i, B_j).
     return np.concatenate((q[..., 0, :] + q[..., 1, :], q[..., 0, :, :] + q[..., 1, :, :]),
                           axis=-2)
@@ -461,23 +452,21 @@ def sample_experiment(state: PureState, settings: MeasurementSettings,
         raise ValidationError(f"shots_per_setting must be >= 1, got {shots_per_setting!r}")
     table = joint_probabilities(state, settings)
     d = state.dim.d
-    spin = state.dim.spin
     rng = np.random.default_rng(seed)
     counts = np.zeros((2, 2, d, d), dtype=np.int64)
-    for i, j in _SETTING_PAIRS:  # fixed order, one stream
+    for i, j in SETTING_PAIRS:  # fixed order, one stream
         cdf = np.cumsum(table.setting(i, j).reshape(-1))
         cdf[-1] = 1.0  # guard against round-off at the top end
         draws = np.searchsorted(cdf, rng.random(shots), side="right")
         counts[i - 1, j - 1] = np.bincount(draws, minlength=d * d).reshape(d, d)
 
+    # K doubles the kernel, so d - 1 = 2S stands in for the spin.
     value = 0.0
     variance = 0.0
-    for (i, j), sign in zip(_SETTING_PAIRS, _PAIR_SIGNS):
-        F = _kernel_matrix(d, i, j, variant)
-        c = counts[i - 1, j - 1]
-        value += sign * float(np.sum(F * c)) / (spin * shots)
+    for K, c in zip(kernel_table(d, variant), counts.reshape(4, d, d)):
+        value += np.sum(K * c) / ((d - 1) * shots)
         smoothed = (c + 0.5) / (shots + 0.5 * d * d)
-        m1 = float(np.sum(smoothed * F))
-        m2 = float(np.sum(smoothed * F * F))
-        variance += (m2 - m1 * m1) / (spin * spin * shots)
+        m1 = float(np.sum(smoothed * K))
+        m2 = float(np.sum(smoothed * K * K))
+        variance += (m2 - m1 * m1) / ((d - 1) ** 2 * shots)
     return SampleEstimate(shots, counts, value, math.sqrt(variance))

@@ -4,8 +4,9 @@ deterministic strategies.
 A local deterministic strategy fixes one outcome per setting,
 (A1, A2, B1, B2).  The Bell expression is linear in the outcome
 probabilities, so its classical extrema are attained on these d^4
-strategies; enumerating them with rational arithmetic certifies the
-bounds with zero floating-point error.
+strategies.  Each strategy's value is an integer sum over the signed,
+doubled kernel table of the model, divided once by d - 1 as a
+Fraction, so the bounds carry zero floating-point error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Dimension, KernelVariant, ValidationError
+from .model import Dimension, KernelVariant, ValidationError, kernel_table
 
 __all__ = [
     "DeterministicStrategy",
@@ -67,31 +68,19 @@ class LhvBoundsReport:
             )
 
 
-def _kernel_exact(i: int, j: int, m: int, n: int, d: int,
-                  variant: KernelVariant) -> Fraction:
-    eps = -1 if i < j else 1
-    combo = m + n if variant is KernelVariant.PLUS else m - n
-    return Fraction(d - 1, 2) - (eps * combo) % d
-
-
 def lhv_value(strategy: DeterministicStrategy,
               variant: KernelVariant = KernelVariant.PLUS) -> Fraction:
     """Exact Bell value of one deterministic strategy.
 
-    For a deterministic assignment every Q_ij collapses to a single
-    kernel value divided by the spin S, so the result is a rational
-    with denominator dividing 2S (multiples of 1/3 at d = 4).
+    For a deterministic assignment every Q_ij collapses to one kernel
+    value over S = (d - 1) / 2, so the four signed, doubled kernel values
+    are summed as integers and divided once by d - 1 (thirds at d = 4).
     """
     d = strategy.dim.d
-    spin = Fraction(d - 1, 2)
+    K = kernel_table(d, variant)
     a1, a2, b1, b2 = strategy.outcomes
-    total = (
-        _kernel_exact(1, 1, a1, b1, d, variant)
-        + _kernel_exact(1, 2, a1, b2, d, variant)
-        - _kernel_exact(2, 1, a2, b1, d, variant)
-        + _kernel_exact(2, 2, a2, b2, d, variant)
-    )
-    return total / spin
+    total = K[0, a1, b1] + K[1, a1, b2] + K[2, a2, b1] + K[3, a2, b2]
+    return Fraction(int(total), d - 1)
 
 
 def lhv_bounds(dim: Dimension,

@@ -13,6 +13,9 @@ Conventions used throughout the package:
   where M(x, d) is the non-negative residue of x modulo d and
   eps(x) = +1 for x >= 0, -1 otherwise.  Only the setting pair
   (i, j) = (1, 2) picks up the sign flip.
+- The Bell expression is I = Q11 + Q12 - Q21 + Q22 with
+  Q_ij = (1/S) sum_{m,n} f_ij(m, n) P_ij(m, n).  Every route (quantum,
+  sampled, classical) reads it from kernel_table.
 - Pure states carry real coefficients normalized so that the squares
   sum to d; the maximally entangled state has every coefficient 1.
 """
@@ -22,7 +25,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
+
+import numpy as np
 
 __all__ = [
     "BellError",
@@ -42,6 +48,11 @@ __all__ = [
 ]
 
 NORMALIZATION_TOLERANCE = 1e-12
+
+# Setting pairs (i, j) in the order r = 2 (i - 1) + (j - 1) and their
+# signs in the Bell combination I = Q11 + Q12 - Q21 + Q22.
+SETTING_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
+PAIR_SIGNS = (1, 1, -1, 1)
 
 
 class BellError(Exception):
@@ -183,6 +194,23 @@ def kernel_f(i: int, j: int, m: int, n: int, dim: Dimension, variant: KernelVari
     eps = -1 if i < j else 1
     combo = m + n if variant is KernelVariant.PLUS else m - n
     return dim.spin - ((eps * combo) % dim.d)
+
+
+@lru_cache(maxsize=None)
+def kernel_table(d: int, variant: KernelVariant) -> np.ndarray:
+    """Read-only (4, d, d) int64 table K[r, m, n] = sign_r 2 f_ij(m, n)
+    for the setting pairs (i, j) = SETTING_PAIRS[r].
+
+    Doubling makes the half-integer kernel integral, so the Bell value
+    of any outcome table P of shape (4, d, d) is sum(K P) / (d - 1),
+    exactly for rational P.
+    """
+    m, n = np.ogrid[:d, :d]
+    combo = m + n if variant is KernelVariant.PLUS else m - n
+    K = np.array([sign * ((d - 1) - 2 * (((-1 if i < j else 1) * combo) % d))
+                  for (i, j), sign in zip(SETTING_PAIRS, PAIR_SIGNS)], dtype=np.int64)
+    K.flags.writeable = False
+    return K
 
 
 def make_state(dim: Dimension, coeffs: Sequence[float]) -> PureState:

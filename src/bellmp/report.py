@@ -23,6 +23,8 @@ from .analytic import (
     branch_values_max,
     branch_values_min,
     gamma_constants,
+    max_entangled_value,
+    noise_resistance_gain,
     optimal_max_state,
     optimal_min_state,
     reference_optimal_angles,
@@ -112,11 +114,10 @@ def build_reproduction_report(restarts: int = 50, seed: int = 7) -> Reproduction
     me = maximally_entangled_state(_D4)
     run_max_me = optimize_angles(me, OptimizerConfig(
         restarts=restarts, seed=seed, direction=Direction.MAXIMIZE))
-    closed_form = g.gamma1 + 2.0 * g.gamma2 + 3.0 * g.gamma3
     rows.append(_row("max at maximally entangled", 2.89624,
                      run_max_me.best.value, 1e-4,
                      f"multi-start phase search, {restarts} restarts"))
-    rows.append(_row("max at maximally entangled vs closed form", closed_form,
+    rows.append(_row("max at maximally entangled vs closed form", max_entangled_value(),
                      run_max_me.best.value, 1e-10,
                      "optimizer against Gamma1 + 2 Gamma2 + 3 Gamma3"))
     rows.append(_row("noise threshold, maximally entangled", 0.30945,
@@ -150,12 +151,12 @@ def build_reproduction_report(restarts: int = 50, seed: int = 7) -> Reproduction
                     in zip(sorted_found, (ap, ap, am, am)))
     rows.append(_row("joint max state vs radical coefficients", 0.0,
                      deviation, 1e-3, "optimizer state against radicals"))
-    threshold_opt = threshold_noise(run_joint_max.best.value)
-    threshold_me = threshold_noise(run_max_me.best.value)
     rows.append(_row("noise threshold, optimal state", 0.3272,
-                     threshold_opt, 1e-3, "1 - 2/I at the joint optimum"))
+                     threshold_noise(run_joint_max.best.value), 1e-3,
+                     "1 - 2/I at the joint optimum"))
     rows.append(_row("relative noise-resistance gain", 0.057,
-                     (threshold_opt - threshold_me) / threshold_me, 0.01,
+                     noise_resistance_gain(run_joint_max.best.value,
+                                           run_max_me.best.value), 0.01,
                      "thresholds of the two optima"))
 
     kopt_state, kopt_value = optimal_min_state()
@@ -237,21 +238,16 @@ SCAN_COLUMNS = ("r", "B1", "B2", "Imax", "S1", "S2", "Imin", "Fthr")
 class ScanSpec:
     """Grid over the two-parameter state family a = normalize(1, 1, r, r).
 
-    This family contains the maximally entangled state (r = 1) and
-    both closed-form optima.  noise_grid, when non-empty, adds noisy
-    Imax annotations to JSON output; the CSV schema is fixed and
-    ignores it.
+    The grid is evenly stepped from r_from to r_to, endpoints
+    included.  This family contains the maximally entangled state
+    (r = 1) and both closed-form optima.
     """
 
     r_from: float
     r_to: float
     steps: int
-    family: str = "step"
-    noise_grid: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.family != "step":
-            raise ValidationError(f"unknown scan family {self.family!r}")
         if not isinstance(self.steps, int) or self.steps < 2:
             raise ValidationError(f"steps must be an int >= 2, got {self.steps!r}")
         if not (math.isfinite(self.r_from) and math.isfinite(self.r_to)):
@@ -260,9 +256,6 @@ class ScanSpec:
             raise ValidationError(
                 f"r_from must be < r_to, got {self.r_from!r} >= {self.r_to!r}"
             )
-        for f in self.noise_grid:
-            if not 0.0 <= f <= 1.0:
-                raise ValidationError(f"noise fractions must lie in [0, 1], got {f!r}")
 
 
 def scan_rows(spec: ScanSpec) -> list[dict]:
@@ -273,7 +266,7 @@ def scan_rows(spec: ScanSpec) -> list[dict]:
         state = make_state(_D4, (1.0, 1.0, r, r))
         bmax = branch_values_max(state)
         bmin = branch_values_min(state)
-        row = {
+        rows.append({
             "r": r,
             "B1": bmax.b1,
             "B2": bmax.b2,
@@ -282,10 +275,5 @@ def scan_rows(spec: ScanSpec) -> list[dict]:
             "S2": bmin.s2,
             "Imin": bmin.min,
             "Fthr": threshold_noise(bmax.max),
-        }
-        if spec.noise_grid:
-            row["noisy_Imax"] = {
-                f"{f:g}": (1.0 - f) * bmax.max for f in spec.noise_grid
-            }
-        rows.append(row)
+        })
     return rows

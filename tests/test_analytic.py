@@ -33,6 +33,7 @@ from bellmp import (
     vertex_candidates,
     vertex_patterns,
 )
+from bellmp.analytic import max_entangled_value, noise_resistance_gain
 
 from helpers import random_state
 
@@ -291,6 +292,12 @@ class TestThresholdNoise:
         gain = (threshold_noise(IMAX) - threshold_noise(ME_MAX)) \
             / threshold_noise(ME_MAX)
         assert abs(gain - 0.05739306947110157) < 1e-12
+        assert noise_resistance_gain(IMAX, ME_MAX) == gain
+
+    def test_flat_state_maximum(self):
+        g = gamma_constants()
+        assert max_entangled_value() == g.gamma1 + 2.0 * g.gamma2 + 3.0 * g.gamma3
+        assert abs(max_entangled_value() - ME_MAX) < 1e-12
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_rejects_non_positive_input(self, bad):

@@ -40,6 +40,16 @@ class TestEval:
         assert table[0][0] == 0.25
         assert table[1][3] == 0.25
 
+    def test_zero_correlations_print_unsigned(self, capsys):
+        # |1000>: every outcome is equally likely, so every Q is zero;
+        # the subtracted Q21 must not print as -0.0
+        code, out, _ = run(capsys, ["eval", "--state", "1,0,0,0"])
+        assert code == 0
+        assert "-0.0" not in out
+        record = json.loads(out)
+        assert [record[f"Q{i}{j}"] for i in (1, 2) for j in (1, 2)] == [0.0] * 4
+        assert record["I"] == 0.0
+
     def test_noise_scales_value(self, capsys):
         code, out, _ = run(capsys, ["eval", "--state", "1,1,1,1",
                                     "--noise", "0.25"])

@@ -222,6 +222,12 @@ class TestCorrelationAndBellValue:
                 for j in (1, 2):
                     assert abs(correlation_q(table, i, j, PLUS)) <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("i,j", [(0, 1), (3, 1), (1, 3), (2, 0)])
+    def test_correlation_rejects_bad_setting_index(self, i, j):
+        table = joint_probabilities(maximally_entangled_state(D4), zero_settings(D4))
+        with pytest.raises(ValidationError):
+            correlation_q(table, i, j, PLUS)
+
     def test_maximally_entangled_zero_phases_value(self):
         state = maximally_entangled_state(D4)
         settings = zero_settings(D4)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellmp import (
     DeterministicStrategy,
@@ -14,6 +15,7 @@ from bellmp import (
     MAX_ENUMERABLE_DIMENSION,
     ValidationError,
     correlation_q,
+    kernel_f,
     lhv_bounds,
     lhv_value,
 )
@@ -63,6 +65,23 @@ class TestLhvValue:
                     + correlation_q(table, 2, 2, PLUS)
                 )
                 assert abs(through_engine - float(lhv_value(strategy))) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), d=st.integers(2, 16),
+       variant=st.sampled_from(list(KernelVariant)))
+def test_value_equals_rational_kernel_sum(data, d, variant):
+    # lhv_value sums the shared integer table; the reference sums exact
+    # Fractions of the scalar kernel f_ij with the signs + + - +.
+    dim = Dimension(d)
+    outcomes = data.draw(st.tuples(*(st.integers(0, d - 1) for _ in range(4))))
+    a1, a2, b1, b2 = outcomes
+    terms = ((1, 1, a1, b1, 1), (1, 2, a1, b2, 1), (2, 1, a2, b1, -1), (2, 2, a2, b2, 1))
+    reference = sum(sign * Fraction(kernel_f(i, j, m, n, dim, variant))
+                    for i, j, m, n, sign in terms) / Fraction(d - 1, 2)
+    value = lhv_value(DeterministicStrategy(dim, outcomes), variant)
+    assert isinstance(value, Fraction)
+    assert value == reference
 
 
 class TestLhvBounds:

@@ -19,6 +19,7 @@ from bellmp import (
     maximally_entangled_state,
     zero_settings,
 )
+from bellmp.model import PAIR_SIGNS, SETTING_PAIRS, kernel_table
 
 PLUS = KernelVariant.PLUS
 MINUS = KernelVariant.MINUS
@@ -108,6 +109,34 @@ class TestKernel:
             kernel_f(1, 1, 4, 0, Dimension(4), PLUS)
         with pytest.raises(ValidationError):
             kernel_f(1, 1, 0, -1, Dimension(4), PLUS)
+
+
+class TestKernelTable:
+    @pytest.mark.parametrize("d", range(2, 10))
+    @pytest.mark.parametrize("variant", [PLUS, MINUS])
+    def test_matches_scalar_kernel(self, d, variant):
+        # row r = 2 (i - 1) + (j - 1) holds sign_r * 2 f_ij, entry by entry
+        dim = Dimension(d)
+        K = kernel_table(d, variant)
+        assert K.shape == (4, d, d)
+        for r, ((i, j), sign) in enumerate(zip(SETTING_PAIRS, PAIR_SIGNS)):
+            assert r == 2 * (i - 1) + (j - 1)
+            for m in range(d):
+                for n in range(d):
+                    assert K[r, m, n] == sign * 2 * kernel_f(i, j, m, n, dim, variant)
+
+    def test_signs_follow_the_bell_combination(self):
+        assert SETTING_PAIRS == ((1, 1), (1, 2), (2, 1), (2, 2))
+        assert PAIR_SIGNS == (1, 1, -1, 1)
+
+    @pytest.mark.parametrize("variant", [PLUS, MINUS])
+    def test_int64_read_only_and_cached(self, variant):
+        K = kernel_table(4, variant)
+        assert K.dtype == np.int64
+        assert not K.flags.writeable
+        with pytest.raises(ValueError):
+            K[0, 0, 0] = 0
+        assert kernel_table(4, variant) is K
 
 
 class TestPureState:

@@ -57,18 +57,13 @@ class TestReproductionReport:
 
 class TestScanSpec:
     def test_accepts_plain_range(self):
-        spec = ScanSpec(r_from=0.0, r_to=1.0, steps=5)
-        assert spec.family == "step"
-        assert spec.noise_grid == ()
+        ScanSpec(r_from=0.0, r_to=1.0, steps=5)
 
     @pytest.mark.parametrize("kwargs", [
         {"r_from": 0.0, "r_to": 1.0, "steps": 1},
         {"r_from": 1.0, "r_to": 1.0, "steps": 3},
         {"r_from": 1.0, "r_to": 0.0, "steps": 3},
         {"r_from": float("nan"), "r_to": 1.0, "steps": 3},
-        {"r_from": 0.0, "r_to": 1.0, "steps": 3, "family": "geometric"},
-        {"r_from": 0.0, "r_to": 1.0, "steps": 3, "noise_grid": (1.5,)},
-        {"r_from": 0.0, "r_to": 1.0, "steps": 3, "noise_grid": (-0.1,)},
     ])
     def test_rejects_bad_specs(self, kwargs):
         with pytest.raises(ValidationError):
@@ -103,17 +98,3 @@ class TestScanRows:
     def test_optimal_ratio_recovers_global_maximum(self):
         rows = scan_rows(ScanSpec(r_from=AM / AP, r_to=1.0, steps=2))
         assert abs(rows[0]["Imax"] - IMAX) < 1e-12
-
-    def test_noise_grid_scales_linearly(self):
-        rows = scan_rows(ScanSpec(r_from=0.5, r_to=1.0, steps=2,
-                                  noise_grid=(0.0, 0.25, 1.0)))
-        for row in rows:
-            noisy = row["noisy_Imax"]
-            assert set(noisy) == {"0", "0.25", "1"}
-            assert abs(noisy["0"] - row["Imax"]) < 1e-15
-            assert abs(noisy["0.25"] - 0.75 * row["Imax"]) < 1e-12
-            assert abs(noisy["1"]) < 1e-15
-
-    def test_rows_without_noise_grid_have_no_noise_column(self):
-        rows = scan_rows(ScanSpec(r_from=0.0, r_to=1.0, steps=2))
-        assert all("noisy_Imax" not in row for row in rows)

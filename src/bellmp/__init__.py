@@ -31,14 +31,11 @@ from .analytic import (
     SLOT_LABELS,
     BranchMax,
     BranchMin,
-    ExtremalResult,
     GammaConstants,
     SortedMagnitudes,
     VertexExtrema,
     VertexPattern,
     VertexWitness,
-    analytic_max,
-    analytic_min,
     branch_values_max,
     branch_values_min,
     gamma_constants,
@@ -74,6 +71,7 @@ from .lhv import (
 from .optimize import (
     Direction,
     Evaluations,
+    ExtremalResult,
     OptimizationRun,
     OptimizerConfig,
     max_abs_t_coefficient,

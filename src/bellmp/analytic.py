@@ -47,9 +47,6 @@ __all__ = [
     "optimal_min_state",
     "threshold_noise",
     "reference_optimal_angles",
-    "ExtremalResult",
-    "analytic_max",
-    "analytic_min",
     "PAIR_SLOTS",
     "SLOT_LABELS",
 ]
@@ -330,41 +327,4 @@ def reference_optimal_angles() -> MeasurementSettings:
         PhaseVector(_D4, (0.0, -5.0 * pi / 9.0, 5.0 * pi / 9.0, -pi / 3.0)),
         PhaseVector(_D4, (0.0, -pi / 2.0, 13.0 * pi / 18.0, -11.0 * pi / 18.0)),
         PhaseVector(_D4, (0.0, 7.0 * pi / 36.0, -27.0 * pi / 36.0, -7.0 * pi / 18.0)),
-    )
-
-
-@dataclass(frozen=True)
-class ExtremalResult:
-    """An extremum candidate: its value, where it lives, and how it
-    was obtained (branch label B1|B2|S1|S2, or "numeric" for optimizer
-    output)."""
-
-    value: float
-    state: PureState
-    settings: MeasurementSettings | None
-    branch: str
-    diagnostics: tuple[str, ...] = ()
-
-
-def analytic_max(state: PureState) -> ExtremalResult:
-    branches = branch_values_max(state)
-    label = "B1" if branches.b1 >= branches.b2 else "B2"
-    return ExtremalResult(
-        value=branches.max,
-        state=state,
-        settings=None,
-        branch=label,
-        diagnostics=(f"B1={branches.b1!r}", f"B2={branches.b2!r}"),
-    )
-
-
-def analytic_min(state: PureState) -> ExtremalResult:
-    branches = branch_values_min(state)
-    label = "S1" if branches.s1 <= branches.s2 else "S2"
-    return ExtremalResult(
-        value=branches.min,
-        state=state,
-        settings=None,
-        branch=label,
-        diagnostics=(f"S1={branches.s1!r}", f"S2={branches.s2!r}"),
     )

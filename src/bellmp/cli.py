@@ -75,6 +75,10 @@ MAX_DIMENSION = 64
 # 7 restarts at d = 64, 63 at d = 32; up to d = 12 the restart cap
 # binds first.
 MAX_WORK = 2_000_000
+# One scan row holds about 430 B and takes about 21 us to compute on a
+# 2-vCPU host, so a capped scan holds about 43 MB of rows and prints its
+# CSV in about 4 s.
+MAX_SCAN_STEPS = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -271,7 +275,6 @@ def cmd_optimize(args) -> int:
             raise ValidationError("optimize needs --state or --d")
         run = optimize_angles(state, config, variant)
     best = run.best
-    assert best.settings is not None
     angles = _angles_dict(best.settings)
     record = {
         "direction": args.direction,
@@ -397,6 +400,8 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if args.steps > MAX_SCAN_STEPS:
+        raise ValidationError(f"--steps must be at most {MAX_SCAN_STEPS}, got {args.steps}")
     spec = ScanSpec(r_from=args.r_from, r_to=args.r_to, steps=args.steps)
     rows = scan_rows(spec)
     if args.json:

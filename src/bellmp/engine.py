@@ -37,6 +37,7 @@ from .model import (
     ValidationError,
     DimensionMismatchError,
     kernel_table,
+    require_seed,
 )
 from .analytic import PAIR_SLOTS, gamma_constants
 
@@ -338,29 +339,28 @@ def _in_blocks(evaluate, rows: int, d: int) -> tuple[np.ndarray, ...]:
 
 
 def _quadratic_rows(coefficients: np.ndarray, phases: np.ndarray, d: int,
-                    variant: KernelVariant) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    variant: KernelVariant) -> tuple[np.ndarray, np.ndarray]:
     P = _phased(phases, d, variant)
     Ma = _pair_sum(P, d) @ coefficients[..., None]
     value = (coefficients[..., None, :] @ Ma)[..., 0, 0]
-    return value, _phase_gradient(P, coefficients, d), 2.0 * Ma[..., 0]
+    return value, _phase_gradient(P, coefficients, d)
 
 
 def value_and_gradient_arrays(coefficients: np.ndarray, phases: np.ndarray,
                               d: int, variant: KernelVariant):
-    """Low-level evaluation on raw arrays: Bell value, its gradient
-    with respect to the (4, d) phase matrix (rows A1, A2, B1, B2), and
-    its gradient with respect to the state coefficients.
+    """Low-level evaluation on raw arrays: the Bell value a^T M a and
+    its gradient with respect to the (4, d) phase matrix (rows A1, A2,
+    B1, B2).
 
     A (R, 4, d) stack of phase matrices is evaluated as one batch, with
     (R, d) coefficients or one (d,) vector for every row, returning
-    (R,), (R, 4, d) and (R, d) arrays; row r equals the call on row r
-    alone, bit for bit.  No validation happens here; this is the
-    optimizer's hot path.  The value is a^T M a and the state gradient
-    2 M a.
+    (R,) and (R, 4, d) arrays; row r equals the call on row r alone,
+    bit for bit.  No validation happens here; this is the optimizer's
+    hot path.
     """
     if phases.ndim == 2:
-        value, grad_phases, grad_state = _quadratic_rows(coefficients, phases, d, variant)
-        return float(value), grad_phases, grad_state
+        value, grad_phases = _quadratic_rows(coefficients, phases, d, variant)
+        return float(value), grad_phases
     coefficients = np.broadcast_to(coefficients, (len(phases), d))
     return _in_blocks(
         lambda rows: _quadratic_rows(coefficients[rows], phases[rows], d, variant),
@@ -408,7 +408,7 @@ def bell_gradient(state: PureState, settings: MeasurementSettings,
         raise DimensionMismatchError(
             f"state dimension {state.dim.d} != settings dimension {settings.dim.d}"
         )
-    _, grad_phases, _ = value_and_gradient_arrays(
+    _, grad_phases = value_and_gradient_arrays(
         np.asarray(state.coefficients), _phase_matrix(settings), state.dim.d, variant
     )
     return grad_phases.reshape(-1)
@@ -450,6 +450,7 @@ def sample_experiment(state: PureState, settings: MeasurementSettings,
     shots = int(shots_per_setting)
     if shots < 1:
         raise ValidationError(f"shots_per_setting must be >= 1, got {shots_per_setting!r}")
+    require_seed(seed)
     table = joint_probabilities(state, settings)
     d = state.dim.d
     rng = np.random.default_rng(seed)

@@ -71,6 +71,13 @@ class ValidationError(BellError):
     """A value violates a documented constraint (range, finiteness, ...)."""
 
 
+def require_seed(seed: object) -> None:
+    """Reject a PRNG seed that is not an int >= 0, which numpy would
+    refuse only once the draw starts."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise ValidationError(f"seed must be an int >= 0, got {seed!r}")
+
+
 class KernelVariant(enum.Enum):
     """Sign convention inside the correlation kernel: m + n or m - n."""
 

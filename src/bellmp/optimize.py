@@ -39,13 +39,15 @@ from .model import (
     PureState,
     ValidationError,
     make_state,
+    require_seed,
 )
 from .engine import _circulant, extreme_value_and_gradient, value_and_gradient_arrays
-from .analytic import PAIR_SLOTS, ExtremalResult
+from .analytic import PAIR_SLOTS
 
 __all__ = [
     "Direction",
     "Evaluations",
+    "ExtremalResult",
     "OptimizerConfig",
     "OptimizationRun",
     "optimize_angles",
@@ -53,6 +55,8 @@ __all__ = [
     "max_abs_t_coefficient",
 ]
 
+_MAX_ITERATIONS = 10_000
+_GRADIENT_TOLERANCE = 1e-9
 _STALL_WINDOW = 12
 _STALL_RTOL = 1e-13
 _ARMIJO = 1e-4
@@ -72,8 +76,6 @@ class Direction(enum.Enum):
 @dataclass(frozen=True)
 class OptimizerConfig:
     restarts: int = 50
-    max_iterations: int = 10_000
-    gradient_tolerance: float = 1e-9
     seed: int = 0
     direction: Direction = Direction.MAXIMIZE
     free_state: bool = False
@@ -81,14 +83,7 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.restarts, int) or self.restarts < 1:
             raise ValidationError(f"restarts must be an int >= 1, got {self.restarts!r}")
-        if not isinstance(self.max_iterations, int) or self.max_iterations < 1:
-            raise ValidationError(
-                f"max_iterations must be an int >= 1, got {self.max_iterations!r}"
-            )
-        if not (math.isfinite(self.gradient_tolerance) and self.gradient_tolerance > 0):
-            raise ValidationError(
-                f"gradient_tolerance must be positive, got {self.gradient_tolerance!r}"
-            )
+        require_seed(self.seed)
         if not isinstance(self.direction, Direction):
             raise ValidationError(f"direction must be a Direction, got {self.direction!r}")
 
@@ -100,6 +95,17 @@ class Evaluations:
 
     calls: int
     rows: int
+
+
+@dataclass(frozen=True)
+class ExtremalResult:
+    """The best restart of a search: its value, the state and settings
+    that reach it, and how the search found it."""
+
+    value: float
+    state: PureState
+    settings: MeasurementSettings
+    diagnostics: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -316,33 +322,9 @@ def _minimize(fun, x0: np.ndarray, max_iterations: int, gradient_tolerance: floa
     return x, f, gnorm, iterations, gnorm <= gradient_tolerance
 
 
-def _phases_from_free(x: np.ndarray, d: int) -> np.ndarray:
-    # (..., 4 (d - 1)) free phases -> (..., 4, d) phase matrices.
-    phases = np.zeros(x.shape[:-1] + (4, d))
-    phases[..., 1:] = x.reshape(x.shape[:-1] + (4, d - 1))
-    return phases
-
-
-def _phase_objective(coefficients: np.ndarray, d: int, variant: KernelVariant,
-                     sign: float):
-    # Gauge: entry 0 of every phase vector is pinned to zero, leaving
-    # 4 (d - 1) free variables.
-    def fun(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        value, grad_phases, _ = value_and_gradient_arrays(
-            coefficients, _phases_from_free(x, d), d, variant
-        )
-        return -sign * value, -sign * grad_phases[:, :, 1:].reshape(len(x), -1)
-
-    return fun
-
-
 def _settings(phases: np.ndarray, dim: Dimension) -> MeasurementSettings:
     vectors = [PhaseVector(dim, tuple(float(v) for v in row)) for row in phases]
     return MeasurementSettings(dim, *vectors)
-
-
-def _signed(direction: Direction) -> float:
-    return 1.0 if direction is Direction.MAXIMIZE else -1.0
 
 
 def _require_nonconstant(d: int, variant: KernelVariant) -> None:
@@ -355,24 +337,53 @@ def _require_nonconstant(d: int, variant: KernelVariant) -> None:
         )
 
 
+def _place(x: np.ndarray, d: int, free: slice) -> np.ndarray:
+    # (m, n) free variables -> (m, 4, d) phases, zero outside the columns free.
+    phases = np.zeros((len(x), 4, d))
+    phases[:, :, free] = x.reshape(len(x), 4, -1)
+    return phases
+
+
+def _objective(evaluate, d: int, free: slice, sign: float):
+    """The function the solver minimizes: -sign times evaluate's value,
+    and its gradient in the free columns, at the phases that hold the
+    free variables.  evaluate maps (m, 4, d) phases to (m,) values and
+    (m, 4, d) phase gradients."""
+    def fun(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        value, gradient = evaluate(_place(x, d, free))
+        return -sign * value, -sign * gradient[:, :, free].reshape(len(x), -1)
+
+    return fun
+
+
+def _best(values: np.ndarray, direction: Direction) -> int:
+    # The extremal restart; ties keep the lowest index.
+    return int(values.argmax() if direction is Direction.MAXIMIZE else values.argmin())
+
+
 @dataclass(frozen=True)
 class _Search:
-    # Per restart: value in the Bell value's own sign, free phases,
-    # gradient norm, iterations and gradient-test flag.
+    # Per restart: value in the Bell value's own sign, phases, gradient
+    # norm, iterations and gradient-test flag.
     values: np.ndarray
-    x: np.ndarray
+    phases: np.ndarray
     gradient_norms: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
     evaluations: Evaluations
-    best: int  # the extremal restart; ties keep the lowest index
+    best: int
 
 
-def _multistart(fun, d: int, config: OptimizerConfig) -> _Search:
-    """Minimize fun over the 4 (d - 1) free phases from config.restarts
-    starts, as one batch.  Restart r draws its start uniformly from
-    [0, 2 pi) with an independent PRNG stream derived from
-    (config.seed, r), so results are reproducible."""
+def _multistart(evaluate, d: int, free: slice, stream: tuple[int, ...],
+                config: OptimizerConfig, max_iterations: int = _MAX_ITERATIONS,
+                gradient_tolerance: float = _GRADIENT_TOLERANCE) -> _Search:
+    """Search for the config.direction extremum of evaluate over the
+    phase columns free, the other phases held at zero, from
+    config.restarts starts run as one batch.  Restart r draws its start
+    uniformly from [0, 2 pi) with the independent PRNG stream
+    (*stream, r), so results are reproducible."""
+    sign = 1.0 if config.direction is Direction.MAXIMIZE else -1.0
+    fun = _objective(evaluate, d, free, sign)
     calls = rows = 0
 
     def counted(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -381,17 +392,16 @@ def _multistart(fun, d: int, config: OptimizerConfig) -> _Search:
         rows += len(x)
         return fun(x)
 
+    n = 4 * len(range(d)[free])
     x0 = np.array([
-        np.random.default_rng((config.seed, r)).uniform(0.0, 2.0 * math.pi, size=4 * (d - 1))
+        np.random.default_rng((*stream, r)).uniform(0.0, 2.0 * math.pi, size=n)
         for r in range(config.restarts)
     ])
-    x, f, gnorm, iterations, converged = _minimize(
-        counted, x0, config.max_iterations, config.gradient_tolerance
-    )
-    values = -_signed(config.direction) * f
-    best = values.argmax() if config.direction is Direction.MAXIMIZE else values.argmin()
-    return _Search(values, x, gnorm, iterations, converged, Evaluations(calls, rows),
-                   int(best))
+    x, f, gnorm, iterations, converged = _minimize(counted, x0, max_iterations,
+                                                   gradient_tolerance)
+    values = -sign * f
+    return _Search(values, _place(x, d, free), gnorm, iterations, converged,
+                   Evaluations(calls, rows), _best(values, config.direction))
 
 
 def _make_run(search: _Search, state: PureState, settings: MeasurementSettings,
@@ -403,7 +413,6 @@ def _make_run(search: _Search, state: PureState, settings: MeasurementSettings,
         value=values[best],
         state=state,
         settings=settings,
-        branch="numeric",
         diagnostics=(
             f"direction={config.direction.value}",
             f"variant={variant.value}",
@@ -424,6 +433,11 @@ def _make_run(search: _Search, state: PureState, settings: MeasurementSettings,
     )
 
 
+# Gauge: only phase differences matter, so entry 0 of every phase
+# vector stays at zero and the searches run over the other columns.
+_GAUGE = slice(1, None)
+
+
 def optimize_angles(state: PureState, config: OptimizerConfig,
                     variant: KernelVariant = KernelVariant.PLUS) -> OptimizationRun:
     """Multi-start search over the 4 d phases at a fixed state."""
@@ -431,23 +445,11 @@ def optimize_angles(state: PureState, config: OptimizerConfig,
         raise ValidationError("optimize_angles requires config.free_state = False")
     d = state.dim.d
     _require_nonconstant(d, variant)
-    fun = _phase_objective(np.asarray(state.coefficients), d, variant,
-                           _signed(config.direction))
-    search = _multistart(fun, d, config)
-    settings = _settings(_phases_from_free(search.x[search.best], d), state.dim)
-    return _make_run(search, state, settings, config, variant, search.converged)
-
-
-def _eigen_objective(d: int, variant: KernelVariant, sign: float):
-    # -sign d lambda_ext(M(phases)): minus the Bell value at the best
-    # state for these phases.
-    def fun(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        value, grad_phases, _, _ = extreme_value_and_gradient(
-            _phases_from_free(x, d), d, variant, sign > 0
-        )
-        return -sign * value, -sign * grad_phases[:, :, 1:].reshape(len(x), -1)
-
-    return fun
+    a = np.asarray(state.coefficients)
+    search = _multistart(lambda phases: value_and_gradient_arrays(a, phases, d, variant),
+                         d, _GAUGE, (config.seed,), config)
+    return _make_run(search, state, _settings(search.phases[search.best], state.dim),
+                     config, variant, search.converged)
 
 
 def optimize_joint(dim: Dimension, config: OptimizerConfig,
@@ -472,13 +474,14 @@ def optimize_joint(dim: Dimension, config: OptimizerConfig,
         raise ValidationError("optimize_joint requires config.free_state = True")
     d = dim.d
     _require_nonconstant(d, variant)
-    sign = _signed(config.direction)
-    search = _multistart(_eigen_objective(d, variant, sign), d, config)
-    all_phases = _phases_from_free(search.x, d)
-    _, _, vectors, gaps = extreme_value_and_gradient(all_phases, d, variant, sign > 0)
+    largest = config.direction is Direction.MAXIMIZE
+    search = _multistart(
+        lambda phases: extreme_value_and_gradient(phases, d, variant, largest)[:2],
+        d, _GAUGE, (config.seed,), config)
+    _, _, vectors, gaps = extreme_value_and_gradient(search.phases, d, variant, largest)
     converged = search.converged & (gaps > _GAP_RTOL * (1.0 + np.abs(search.values)))
     best = search.best
-    phases, v = all_phases[best], vectors[best]
+    phases, v = search.phases[best].copy(), vectors[best]
     if v[0] < 0.0:
         v = -v
     phases[:2, v < 0.0] += math.pi
@@ -493,9 +496,10 @@ def max_abs_t_coefficient(pair: tuple[int, int], restarts: int = 8,
 
     T_kl is the Bell value at the unnormalized state e_k + e_l, and it
     depends on the phases only through one angle per party and setting,
-    so the search runs over those four angles placed in phase column k;
-    the returned settings carry them there.  Maximizing and minimizing
-    T_kl run as two batches of restarts.
+    so the search runs over those four angles in phase column k; the
+    returned settings carry them there.  Maximizing and minimizing T_kl
+    run as two batches of restarts, and the larger |T_kl| wins (ties
+    keep the maximizing batch, then the lower restart).
     """
     if pair not in PAIR_SLOTS:
         raise ValidationError(f"pair must be one of {PAIR_SLOTS}, got {pair!r}")
@@ -503,33 +507,16 @@ def max_abs_t_coefficient(pair: tuple[int, int], restarts: int = 8,
     a = np.zeros(4)
     a[[k, l]] = 1.0
 
-    def phases_of(q: np.ndarray) -> np.ndarray:
-        phases = np.zeros(q.shape[:-1] + (4, 4))
-        phases[..., k] = q
-        return phases
+    def evaluate(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return value_and_gradient_arrays(a, phases, 4, KernelVariant.PLUS)
 
-    def objective(sign: float):
-        def fun(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            value, grad_phases, _ = value_and_gradient_arrays(
-                a, phases_of(q), 4, KernelVariant.PLUS
-            )
-            return -sign * value, -sign * grad_phases[:, :, k]
-
-        return fun
-
-    dim = Dimension(4)
-    best_value = -math.inf
-    best_settings: MeasurementSettings | None = None
-    for sign in (1.0, -1.0):
-        q0 = np.array([
-            np.random.default_rng((seed, int(sign > 0), r)).uniform(0.0, 2.0 * math.pi, size=4)
-            for r in range(restarts)
-        ])
-        q, f, _, _, _ = _minimize(objective(sign), q0, 2000, 1e-11)
-        for r in range(restarts):
-            magnitude = abs(float(f[r]))  # f = -sign * T, so |f| = |T|
-            if magnitude > best_value:
-                best_value = magnitude
-                best_settings = _settings(phases_of(q[r]), dim)
-    assert best_settings is not None
-    return best_value, best_settings
+    searches = [
+        _multistart(evaluate, 4, slice(k, k + 1), (seed, int(direction is Direction.MAXIMIZE)),
+                    OptimizerConfig(restarts=restarts, seed=seed, direction=direction),
+                    2000, 1e-11)
+        for direction in Direction
+    ]
+    magnitudes = np.abs(np.concatenate([search.values for search in searches]))
+    best = _best(magnitudes, Direction.MAXIMIZE)
+    phases = np.concatenate([search.phases for search in searches])[best]
+    return float(magnitudes[best]), _settings(phases, Dimension(4))

@@ -18,8 +18,6 @@ from bellmp import (
     PAIR_SLOTS,
     SLOT_LABELS,
     ValidationError,
-    analytic_max,
-    analytic_min,
     branch_values_max,
     branch_values_min,
     gamma_constants,
@@ -327,17 +325,3 @@ class TestReferenceAngles:
         assert abs(bell_value(state, settings) - 2.2412301822967566) < 1e-12
         me = maximally_entangled_state(D4)
         assert abs(bell_value(me, settings) - 2.054640277211943) < 1e-12
-
-
-class TestExtremalResultHelpers:
-    def test_labels_on_flat_state(self):
-        me = maximally_entangled_state(D4)
-        result = analytic_max(me)
-        assert result.branch == "B1"
-        assert result.value == branch_values_max(me).max
-        assert result.settings is None
-        assert any(s.startswith("B2=") for s in result.diagnostics)
-
-        result = analytic_min(me)
-        assert result.branch == "S2"
-        assert result.value == branch_values_min(me).min

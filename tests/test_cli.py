@@ -298,6 +298,16 @@ class TestScan:
         assert code == 1
         assert err.strip()
 
+    def test_rejects_oversized_steps_before_scanning(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scan must not start")
+
+        monkeypatch.setattr(cli, "scan_rows", refuse)
+        code, out, err = run(capsys, ["scan", "--steps", "1000000000"])
+        assert code == 1
+        assert out == ""
+        assert "--steps" in err
+
 
 class TestSample:
     def test_flat_state_estimate(self, capsys):
@@ -378,6 +388,19 @@ class TestReproduce:
         code, _, err = run(capsys, ["reproduce", "--restarts", "100000"])
         assert code == 1
         assert "--restarts" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--d", "2", "--restarts", "2", "--seed", "-1"],
+    ["reproduce", "--seed", "-3"],
+    ["sample", "--state", "1,1", "--shots", "10", "--seed", "-1"],
+])
+def test_negative_seed_is_a_validation_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "seed" in err
+    assert "Traceback" not in err
 
 
 class TestTopLevel:

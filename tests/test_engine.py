@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hypothesis_settings, strategies as st
 
 from bellmp import (
     Dimension,
@@ -376,7 +377,7 @@ class TestGradient:
                 settings = random_settings(rng, d)
                 phases = np.array(settings_rows(settings))
                 a = np.asarray(state.coefficients)
-                value, _, _ = value_and_gradient_arrays(a, phases, d, variant)
+                value, _ = value_and_gradient_arrays(a, phases, d, variant)
                 expected = bell_value(state, settings, variant)
                 assert abs(value - expected) < 1e-12
                 M = pair_matrix(phases, d, variant)
@@ -384,27 +385,57 @@ class TestGradient:
                 assert np.max(np.abs(np.diag(M))) < 1e-14
                 assert abs(a @ M @ a - expected) < 1e-12
 
-    def test_state_gradient_matches_differences(self):
-        rng = np.random.default_rng(13)
-        d = 4
-        state = random_state(rng, d)
-        settings = random_settings(rng, d)
-        phases = np.array(settings_rows(settings))
-        a = np.asarray(state.coefficients)
-        _, _, grad_state = value_and_gradient_arrays(a, phases, d, PLUS)
-        step = 1e-6
-        for t in range(d):
-            hi, lo = a.copy(), a.copy()
-            hi[t] += step
-            lo[t] -= step
-            v_hi, _, _ = value_and_gradient_arrays(hi, phases, d, PLUS)
-            v_lo, _, _ = value_and_gradient_arrays(lo, phases, d, PLUS)
-            fd = (v_hi - v_lo) / (2.0 * step)
-            assert abs(grad_state[t] - fd) < 1e-6
-
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             bell_gradient(maximally_entangled_state(D4), zero_settings(Dimension(3)))
+
+
+def _random_case(seed, d):
+    rng = np.random.default_rng(seed)
+    return random_state(rng, d, signed=True), random_settings(rng, d)
+
+
+_PROPERTY = hypothesis_settings(max_examples=40, deadline=None)
+_CASES = {"seed": st.integers(0, 2**32 - 1), "d": st.integers(2, 8),
+          "variant": st.sampled_from([PLUS, MINUS])}
+
+
+@_PROPERTY
+@given(vector=st.integers(0, 3), shift=st.floats(-10.0, 10.0), **_CASES)
+def test_shifting_one_phase_vector_leaves_value_unchanged(seed, d, variant, vector,
+                                                          shift):
+    # Gauge: only phase differences within a vector enter the value.
+    state, settings = _random_case(seed, d)
+    rows = settings_rows(settings)
+    rows[vector] = [phase + shift for phase in rows[vector]]
+    shifted = settings_from_rows(Dimension(d), rows)
+    assert abs(bell_value(state, shifted, variant)
+               - bell_value(state, settings, variant)) < 1e-12
+
+
+@_PROPERTY
+@given(k=st.integers(0, 7), **_CASES)
+def test_sign_flip_is_absorbed_by_pi_on_alice(seed, d, variant, k):
+    # a_k -> -a_k with pi added to A1[k] and A2[k] leaves every setting
+    # pair's amplitude unchanged; the joint search relies on it.
+    state, settings = _random_case(seed, d)
+    k %= d
+    coefficients = list(state.coefficients)
+    coefficients[k] = -coefficients[k]
+    rows = settings_rows(settings)
+    rows[0][k] += math.pi
+    rows[1][k] += math.pi
+    flipped = make_state(Dimension(d), coefficients)
+    assert abs(bell_value(flipped, settings_from_rows(Dimension(d), rows), variant)
+               - bell_value(state, settings, variant)) < 1e-12
+
+
+@_PROPERTY
+@given(noise=st.floats(0.0, 1.0), **_CASES)
+def test_noise_scales_value_linearly(seed, d, variant, noise):
+    state, settings = _random_case(seed, d)
+    assert abs(bell_value_noisy(state, settings, noise, variant)
+               - (1.0 - noise) * bell_value(state, settings, variant)) < 1e-12
 
 
 class TestSampling:

@@ -8,6 +8,7 @@ vertex extrema, the attained optimum sometimes exceeds the branch
 formulas (st2) and sometimes cannot reach them (st4).
 """
 
+import functools
 import math
 import os
 
@@ -55,28 +56,33 @@ ST2 = (0.241576202, 1.966155825, 0.196910366, 0.192609751)
 ST4 = (0.964311069, 1.418108747, 0.808998253, 0.636076702)
 CX = (1.93276361, 0.36456124, 0.36237251, 0.01435635)
 
+T01_SEARCH = functools.partial(max_abs_t_coefficient, (0, 1))
+
 
 class TestConfigValidation:
     def test_defaults(self):
         config = OptimizerConfig()
         assert config.restarts == 50
-        assert config.max_iterations == 10_000
-        assert config.gradient_tolerance == 1e-9
         assert config.seed == 0
         assert config.direction is Direction.MAXIMIZE
         assert config.free_state is False
 
-    @pytest.mark.parametrize("kwargs", [
-        {"restarts": 0},
-        {"restarts": 1.5},
-        {"max_iterations": 0},
-        {"gradient_tolerance": 0.0},
-        {"gradient_tolerance": float("nan")},
-        {"direction": "max"},
+    @pytest.mark.parametrize("build,kwargs", [
+        (OptimizerConfig, {"restarts": 0}),
+        (OptimizerConfig, {"restarts": 1.5}),
+        (OptimizerConfig, {"seed": -1}),
+        (OptimizerConfig, {"seed": 1.5}),
+        (OptimizerConfig, {"seed": True}),
+        (OptimizerConfig, {"direction": "max"}),
+        # the |T_kl| search checks its arguments through OptimizerConfig
+        (T01_SEARCH, {"restarts": 0}),
+        (T01_SEARCH, {"restarts": -1}),
+        (T01_SEARCH, {"restarts": 1.5}),
+        (T01_SEARCH, {"seed": -1}),
     ])
-    def test_rejects_bad_fields(self, kwargs):
+    def test_rejects_bad_fields(self, build, kwargs):
         with pytest.raises(ValidationError):
-            OptimizerConfig(**kwargs)
+            build(**kwargs)
 
     def test_free_state_cross_guards(self):
         me = maximally_entangled_state(D4)
@@ -122,7 +128,6 @@ class TestFixedStateSearch:
         assert len(run.per_restart_values) == 5
         assert run.best.value == max(run.per_restart_values)
         assert run.iterations_used > 0
-        assert run.best.branch == "numeric"
         assert "direction=max" in run.best.diagnostics
         assert any(s.startswith("variant=") for s in run.best.diagnostics)
         assert any(s.startswith("best_restart=") for s in run.best.diagnostics)
@@ -163,17 +168,27 @@ class TestRestartCounters:
             in run.best.diagnostics
         for converged, norm in zip(run.per_restart_converged,
                                    run.per_restart_gradient_norms):
-            assert not converged or norm <= config.gradient_tolerance
+            assert not converged or norm <= bellmp.optimize._GRADIENT_TOLERANCE
         assert 0 < run.evaluations.calls <= run.evaluations.rows
 
 
 def _objective(search, d, direction):
+    # The function the driver hands the solver, over the gauge-free columns.
     sign = 1.0 if direction is Direction.MAXIMIZE else -1.0
     if search == "angles":
-        state = random_state(np.random.default_rng(d), d)
-        return bellmp.optimize._phase_objective(
-            np.asarray(state.coefficients), d, KernelVariant.PLUS, sign)
-    return bellmp.optimize._eigen_objective(d, KernelVariant.PLUS, sign)
+        a = np.asarray(random_state(np.random.default_rng(d), d).coefficients)
+
+        def evaluate(phases):
+            return value_and_gradient_arrays(a, phases, d, KernelVariant.PLUS)
+    else:
+        def evaluate(phases):
+            return extreme_value_and_gradient(phases, d, KernelVariant.PLUS, sign > 0)[:2]
+    return bellmp.optimize._objective(evaluate, d, bellmp.optimize._GAUGE, sign)
+
+
+def _minimize(fun, starts):
+    return bellmp.optimize._minimize(fun, starts, bellmp.optimize._MAX_ITERATIONS,
+                                     bellmp.optimize._GRADIENT_TOLERANCE)
 
 
 class TestScheduleIndependence:
@@ -187,9 +202,9 @@ class TestScheduleIndependence:
         fun = _objective(search, d, direction)
         starts = np.random.default_rng(10 + d).uniform(
             0.0, 2.0 * math.pi, (5, 4 * (d - 1)))
-        batch = bellmp.optimize._minimize(fun, starts, 10_000, 1e-9)
+        batch = _minimize(fun, starts)
         for r in range(len(starts)):
-            alone = bellmp.optimize._minimize(fun, starts[r:r + 1], 10_000, 1e-9)
+            alone = _minimize(fun, starts[r:r + 1])
             # point, value, gradient norm, iterations, converged
             for batched, single in zip(batch, alone):
                 assert np.array_equal(batched[r], single[0])
@@ -201,10 +216,10 @@ class TestScheduleIndependence:
         fun = _objective("joint", 4, Direction.MINIMIZE)
         starts = np.array([np.random.default_rng((7, r)).uniform(0.0, 2.0 * math.pi, 12)
                            for r in (14, 15, 16)])
-        batch = bellmp.optimize._minimize(fun, starts, 10_000, 1e-9)
+        batch = _minimize(fun, starts)
         assert not batch[4].all()
         for r in range(len(starts)):
-            alone = bellmp.optimize._minimize(fun, starts[r:r + 1], 10_000, 1e-9)
+            alone = _minimize(fun, starts[r:r + 1])
             for batched, single in zip(batch, alone):
                 assert np.array_equal(batched[r], single[0])
 
@@ -274,7 +289,6 @@ def test_batched_kernel_rows_equal_single_calls(d, rows, seed, largest, variant,
         single = value_and_gradient_arrays(a, phases[r], d, variant)
         assert quadratic[0][r] == single[0]
         assert np.array_equal(quadratic[1][r], single[1])
-        assert np.array_equal(quadratic[2][r], single[2])
         single = extreme_value_and_gradient(phases[r], d, variant, largest)
         assert extreme[0][r] == single[0]
         assert np.array_equal(extreme[1][r], single[1])

@@ -58,10 +58,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_REPRODUCTION = 2
 
-# Sampling holds one 8-byte draw per shot, so this cap keeps a request
-# to 80 MB per setting and rejects counts that would exhaust memory
-# before anything is built.
-MAX_SHOTS_PER_SETTING = 10**7
 # A d = 4 restart takes 2-5 ms on a 2-vCPU host, so a capped d = 4
 # search ends within seconds.
 MAX_RESTARTS = 1000
@@ -420,11 +416,6 @@ def cmd_scan(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    if args.shots > MAX_SHOTS_PER_SETTING:
-        raise ValidationError(
-            f"--shots must be at most {MAX_SHOTS_PER_SETTING} per setting, "
-            f"got {args.shots}"
-        )
     _check_dimension(args.d)
     state = _parse_state(args.state, args.d)
     if args.angles:

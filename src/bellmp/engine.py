@@ -445,21 +445,24 @@ class SampleEstimate:
 def sample_experiment(state: PureState, settings: MeasurementSettings,
                       shots_per_setting: int, seed: int,
                       variant: KernelVariant = KernelVariant.PLUS) -> SampleEstimate:
-    """Draw shots_per_setting outcomes per setting pair by inverse-CDF
-    sampling with a seeded PRNG; deterministic for a fixed seed."""
+    """Draw the counts of shots_per_setting outcomes per setting pair as
+    one multinomial draw from a seeded PRNG; deterministic for a fixed
+    seed, and O(d^2) per setting whatever the shot count."""
     shots = int(shots_per_setting)
-    if shots < 1:
-        raise ValidationError(f"shots_per_setting must be >= 1, got {shots_per_setting!r}")
+    d = state.dim.d
+    # |K| <= d - 1, so the limit keeps every K . counts sum within int64.
+    limit = (2**63 - 1) // (d - 1)
+    if not 1 <= shots <= limit:
+        raise ValidationError(
+            f"shots_per_setting must be in [1, {limit}] at d = {d}, got {shots_per_setting!r}"
+        )
     require_seed(seed)
     table = joint_probabilities(state, settings)
-    d = state.dim.d
     rng = np.random.default_rng(seed)
     counts = np.zeros((2, 2, d, d), dtype=np.int64)
     for i, j in SETTING_PAIRS:  # fixed order, one stream
-        cdf = np.cumsum(table.setting(i, j).reshape(-1))
-        cdf[-1] = 1.0  # guard against round-off at the top end
-        draws = np.searchsorted(cdf, rng.random(shots), side="right")
-        counts[i - 1, j - 1] = np.bincount(draws, minlength=d * d).reshape(d, d)
+        p = table.setting(i, j).reshape(-1)
+        counts[i - 1, j - 1] = rng.multinomial(shots, p / p.sum()).reshape(d, d)
 
     # K doubles the kernel, so d - 1 = 2S stands in for the spin.
     value = 0.0
@@ -468,6 +471,7 @@ def sample_experiment(state: PureState, settings: MeasurementSettings,
         value += np.sum(K * c) / ((d - 1) * shots)
         smoothed = (c + 0.5) / (shots + 0.5 * d * d)
         m1 = float(np.sum(smoothed * K))
-        m2 = float(np.sum(smoothed * K * K))
-        variance += (m2 - m1 * m1) / ((d - 1) ** 2 * shots)
+        # Centred second moment: no cancellation when the smoothing mass
+        # falls below round-off, as it does at large shot counts.
+        variance += float(np.sum(smoothed * (K - m1) ** 2)) / ((d - 1) ** 2 * shots)
     return SampleEstimate(shots, counts, value, math.sqrt(variance))

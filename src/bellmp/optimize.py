@@ -81,11 +81,14 @@ class OptimizerConfig:
     free_state: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.restarts, int) or self.restarts < 1:
+        if (not isinstance(self.restarts, int) or isinstance(self.restarts, bool)
+                or self.restarts < 1):
             raise ValidationError(f"restarts must be an int >= 1, got {self.restarts!r}")
         require_seed(self.seed)
         if not isinstance(self.direction, Direction):
             raise ValidationError(f"direction must be a Direction, got {self.direction!r}")
+        if not isinstance(self.free_state, bool):
+            raise ValidationError(f"free_state must be a bool, got {self.free_state!r}")
 
 
 @dataclass(frozen=True)
@@ -497,9 +500,11 @@ def max_abs_t_coefficient(pair: tuple[int, int], restarts: int = 8,
     T_kl is the Bell value at the unnormalized state e_k + e_l, and it
     depends on the phases only through one angle per party and setting,
     so the search runs over those four angles in phase column k; the
-    returned settings carry them there.  Maximizing and minimizing T_kl
-    run as two batches of restarts, and the larger |T_kl| wins (ties
-    keep the maximizing batch, then the lower restart).
+    returned settings carry them there.  Only the maximum is searched:
+    adding pi to A1[k] and A2[k] maps T_kl to -T_kl, so the maximum of
+    T_kl is the maximum of |T_kl|.  Callers use at least 3 restarts; a
+    single restart can stop at a saddle (at seed 0, pairs (1, 2) and
+    (2, 3) stop at +-1/3).
     """
     if pair not in PAIR_SLOTS:
         raise ValidationError(f"pair must be one of {PAIR_SLOTS}, got {pair!r}")
@@ -510,13 +515,7 @@ def max_abs_t_coefficient(pair: tuple[int, int], restarts: int = 8,
     def evaluate(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return value_and_gradient_arrays(a, phases, 4, KernelVariant.PLUS)
 
-    searches = [
-        _multistart(evaluate, 4, slice(k, k + 1), (seed, int(direction is Direction.MAXIMIZE)),
-                    OptimizerConfig(restarts=restarts, seed=seed, direction=direction),
-                    2000, 1e-11)
-        for direction in Direction
-    ]
-    magnitudes = np.abs(np.concatenate([search.values for search in searches]))
-    best = _best(magnitudes, Direction.MAXIMIZE)
-    phases = np.concatenate([search.phases for search in searches])[best]
-    return float(magnitudes[best]), _settings(phases, Dimension(4))
+    search = _multistart(evaluate, 4, slice(k, k + 1), (seed, 1),
+                         OptimizerConfig(restarts=restarts, seed=seed), 2000, 1e-11)
+    best = search.best
+    return abs(float(search.values[best])), _settings(search.phases[best], Dimension(4))

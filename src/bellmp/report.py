@@ -80,12 +80,6 @@ def _row(label: str, expected: float, computed: float, tolerance: float,
                            passed, provenance)
 
 
-def _exact_row(label: str, expected: Fraction, computed: Fraction,
-               provenance: str) -> ReproductionRow:
-    return ReproductionRow(label, float(expected), float(computed), 0.0,
-                           computed == expected, provenance)
-
-
 def build_reproduction_report(restarts: int = 50, seed: int = 7) -> ReproductionReport:
     """Recompute the headline numbers and compare at fixed tolerances.
 
@@ -102,12 +96,12 @@ def build_reproduction_report(restarts: int = 50, seed: int = 7) -> Reproduction
 
     for d, expected_min in ((2, Fraction(-2)), (3, Fraction(-4)), (4, Fraction(-10, 3))):
         report = lhv_bounds(Dimension(d))
-        rows.append(_exact_row(
-            f"LHV max d={d}", Fraction(2), report.max_value,
+        rows.append(_row(
+            f"LHV max d={d}", Fraction(2), report.max_value, 0.0,
             f"exhaustive {d ** 4}-strategy enumeration",
         ))
-        rows.append(_exact_row(
-            f"LHV min d={d}", expected_min, report.min_value,
+        rows.append(_row(
+            f"LHV min d={d}", expected_min, report.min_value, 0.0,
             f"exhaustive {d ** 4}-strategy enumeration",
         ))
 

@@ -338,15 +338,29 @@ class TestSample:
         assert code == 1
         assert err.strip()
 
-    def test_rejects_oversized_shots_before_sampling(self, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("sampling must not start")
-
-        monkeypatch.setattr(cli, "sample_experiment", refuse)
-        code, _, err = run(capsys, ["sample", "--state", "1,1,1,1",
-                                    "--shots", "1000000000000000"])
+    def test_rejects_shots_beyond_int64_counts(self, capsys):
+        code, out, err = run(capsys, ["sample", "--state", "1,1,1,1",
+                                      "--shots", "10000000000000000000"])
         assert code == 1
-        assert "--shots" in err
+        assert out == ""
+        assert err.startswith("error:") and "shots" in err
+
+    def test_huge_shot_count_estimates_the_bell_value(self, capsys, tmp_path):
+        state = "1,0.7,0.4,0.9"
+        angles = tmp_path / "angles.json"
+        angles.write_text(json.dumps({
+            "d": 4, "A1": [0.0, 0.3, 1.1, 2.0], "A2": [0.0, 1.7, 0.2, 0.9],
+            "B1": [0.0, 2.5, 0.6, 1.4], "B2": [0.0, 0.8, 2.9, 0.1],
+        }))
+        code, out, _ = run(capsys, ["eval", "--state", state, "--angles", str(angles)])
+        assert code == 0
+        exact = json.loads(out)["I"]
+        code, out, _ = run(capsys, ["sample", "--state", state, "--angles", str(angles),
+                                    "--shots", "1000000000000"])
+        assert code == 0
+        record = json.loads(out)
+        assert record["shots_per_setting"] == 10**12
+        assert abs(record["estimate"] - exact) <= 5.0 * record["std_error"]
 
     def test_rejects_oversized_dimension_before_sampling(self, capsys,
                                                          monkeypatch):

@@ -36,6 +36,7 @@ from bellmp import (
     t_coefficients,
     zero_settings,
 )
+from bellmp import engine
 from bellmp.analytic import PAIR_SLOTS
 from bellmp.engine import TCoefficients, pair_matrix, value_and_gradient_arrays
 
@@ -487,6 +488,45 @@ class TestSampling:
         state = maximally_entangled_state(D4)
         with pytest.raises(ValidationError):
             sample_experiment(state, zero_settings(D4), 0, 0)
+
+    @_PROPERTY
+    @given(data=st.data(), **_CASES)
+    def test_counts_fill_every_slice_up_to_the_shot_limit(self, data, seed, d, variant):
+        limit = (2**63 - 1) // (d - 1)
+        shots = data.draw(st.one_of(st.integers(1, limit), st.just(limit)))
+        state, settings = _random_case(seed, d)
+        estimate = sample_experiment(state, settings, shots, seed, variant)
+        assert estimate.counts.dtype == np.int64
+        assert np.all(estimate.counts.sum(axis=(2, 3)) == shots)
+        assert math.isfinite(estimate.value_estimate)
+        assert estimate.std_error > 0.0
+
+    @_PROPERTY
+    @given(seed=_CASES["seed"], d=_CASES["d"])
+    def test_flat_state_gives_two_at_the_shot_limit(self, seed, d):
+        # The multinomial draw carries the round-off of the probability
+        # table into a few hundred of ~10^18 counts at non-dyadic d, so
+        # the estimate is 2 to round-off there and exactly 2 at d = 2, 4, 8.
+        dim = Dimension(d)
+        limit = (2**63 - 1) // (d - 1)
+        estimate = sample_experiment(maximally_entangled_state(dim), zero_settings(dim),
+                                     limit, seed)
+        assert abs(estimate.value_estimate - 2.0) <= 1e-15
+        assert estimate.std_error > 0.0
+        if d in (2, 4, 8):
+            assert estimate.value_estimate == 2.0
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 64])
+    def test_rejects_one_shot_above_the_limit_before_building_the_table(self, d,
+                                                                         monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the probability table must not be built")
+
+        monkeypatch.setattr(engine, "joint_probabilities", refuse)
+        dim = Dimension(d)
+        with pytest.raises(ValidationError, match="shots_per_setting"):
+            sample_experiment(maximally_entangled_state(dim), zero_settings(dim),
+                              (2**63 - 1) // (d - 1) + 1, 0)
 
     def test_counts_read_only(self):
         estimate = sample_experiment(

@@ -70,6 +70,9 @@ class TestConfigValidation:
     @pytest.mark.parametrize("build,kwargs", [
         (OptimizerConfig, {"restarts": 0}),
         (OptimizerConfig, {"restarts": 1.5}),
+        (OptimizerConfig, {"restarts": True}),
+        (OptimizerConfig, {"free_state": "no"}),
+        (OptimizerConfig, {"free_state": 1}),
         (OptimizerConfig, {"seed": -1}),
         (OptimizerConfig, {"seed": 1.5}),
         (OptimizerConfig, {"seed": True}),
@@ -78,6 +81,7 @@ class TestConfigValidation:
         (T01_SEARCH, {"restarts": 0}),
         (T01_SEARCH, {"restarts": -1}),
         (T01_SEARCH, {"restarts": 1.5}),
+        (T01_SEARCH, {"restarts": True}),
         (T01_SEARCH, {"seed": -1}),
     ])
     def test_rejects_bad_fields(self, build, kwargs):

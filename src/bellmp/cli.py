@@ -58,18 +58,19 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_REPRODUCTION = 2
 
-# A d = 4 restart takes 2-5 ms on a 2-vCPU host, so a capped d = 4
-# search ends within seconds.
+# A d = 4 joint restart takes 0.7-0.9 ms on a 2-vCPU host, so a capped
+# d = 4 search ends in about a second (1.1 s with interpreter start-up).
 MAX_RESTARTS = 1000
 # Probability tables hold 4 d^2 entries.  The paper works at d = 4.
 MAX_DIMENSION = 64
-# A search's work grows with both flags.  Each Newton polish step of a
-# restart evaluates 4 (d - 1) finite-difference rows of O(d^2) entries,
-# so a restart costs about (d - 1) d^2 work units, and on a 2-vCPU host
-# the joint search takes 2-3e-5 s per unit from d = 8 on (2.5-8 s per
-# restart at d = 64).  The budget keeps one search to about a minute:
-# 7 restarts at d = 64, 63 at d = 32; up to d = 12 the restart cap
-# binds first.
+# A search's work grows with both flags.  A restart counts as (d - 1) d^2
+# work units.  Measured on a 2-vCPU host (seeds 0 and 1, both
+# directions), a joint restart takes 27-32 ms at d = 16, 0.25-0.35 s at
+# d = 32 and 1.5-1.8 s at d = 64, 7-11e-6 s per unit; its Newton steps
+# decompose the 4 (d - 1) square Hessian.  The budget keeps one search
+# within about a minute: 7 restarts at d = 64 took 11.5 s and 63 at
+# d = 32 took 14.3 s; up to d = 12 the restart cap binds first (1000
+# restarts at d = 12 took 12.2 s).
 MAX_WORK = 2_000_000
 # One scan row holds about 430 B and takes about 21 us to compute on a
 # 2-vCPU host, so a capped scan holds about 43 MB of rows and prints its

@@ -313,25 +313,53 @@ def t_coefficients(settings: MeasurementSettings) -> TCoefficients:
     return TCoefficients(*(2.0 * float(M[k, l]) for k, l in PAIR_SLOTS))
 
 
-def _phase_gradient(P: np.ndarray, coefficients: np.ndarray, d: int) -> np.ndarray:
-    # Setting pair r contributes -2 a Im(P[r] a) / ((d - 1) d^3) to the
-    # gradient of its summed phases theta_r; combine them per party.
-    a = coefficients[..., None, :]
-    im_pa = np.imag(P @ a[..., None])[..., 0]
-    q = ((-2.0 / ((d - 1) * d**3)) * a * im_pa).reshape(im_pa.shape[:-2] + (2, 2, d))
+def _to_phases(q: np.ndarray, d: int) -> np.ndarray:
+    # theta = L phi with theta_r = phi^{A_i} + phi^{B_j}: maps the rows
+    # (..., 4, d) over the summed phases of the setting pairs to L^T q over
+    # the phase rows A1, A2, B1, B2, so each phase row collects its pairs.
+    q = q.reshape(q.shape[:-2] + (2, 2, d))
     # q[..., i, j, :] belongs to setting pair (A_i, B_j).
     return np.concatenate((q[..., 0, :] + q[..., 1, :], q[..., 0, :, :] + q[..., 1, :, :]),
                           axis=-2)
 
 
+def _phase_gradient(P: np.ndarray, coefficients: np.ndarray,
+                    d: int) -> tuple[np.ndarray, np.ndarray]:
+    # Setting pair r contributes -2 a Im(P[r] a) / ((d - 1) d^3) to the
+    # gradient of its summed phases theta_r.  Also returns P a.
+    a = coefficients[..., None, :]
+    pa = (P @ a[..., None])[..., 0]
+    return _to_phases((-2.0 / ((d - 1) * d**3)) * a * pa.imag, d), pa
+
+
+def _phase_hessian(P: np.ndarray, coefficients: np.ndarray, pa: np.ndarray,
+                   d: int) -> np.ndarray:
+    # Over theta_r, setting pair r contributes the block
+    # 2 (a_m a_n Re P[r, m, n] - delta_mn a_m Re(P[r] a)_m) / ((d - 1) d^3),
+    # and no pair couples two thetas.  L^T H L puts each block into the
+    # four (A_i | B_j) x (A_i | B_j) blocks of the (..., 4, d, 4, d) result.
+    a = coefficients[..., None, :]
+    blocks = a[..., :, None] * a[..., None, :] * P.real
+    diagonal = np.arange(d)
+    blocks[..., diagonal, diagonal] -= a * pa.real
+    blocks *= 2.0 / ((d - 1) * d**3)
+    H = np.zeros(blocks.shape[:-3] + (4, d, 4, d))
+    for r, (i, j) in enumerate(SETTING_PAIRS):
+        for p in (i - 1, j + 1):
+            for q in (i - 1, j + 1):
+                H[..., p, :, q, :] += blocks[..., r, :, :]
+    return H
+
+
 # Batches are evaluated in row blocks whose complex (rows, 4, d, d)
-# tensor stays within this many bytes: 1024 rows at d = 4, 4 at d = 64.
+# tensor and (rows, 4 d, 4 d) Hessian stay within this many bytes, 192 d^2
+# per row: 341 rows at d = 4, 1 at d = 64.
 _BLOCK_BYTES = 1 << 20
 
 
 def _in_blocks(evaluate, rows: int, d: int) -> tuple[np.ndarray, ...]:
     # evaluate(row slice) -> tuple of arrays with the rows leading.
-    size = max(1, _BLOCK_BYTES // (64 * d * d))
+    size = max(1, _BLOCK_BYTES // (192 * d * d))
     if rows <= size:
         return evaluate(slice(None))
     parts = [evaluate(slice(start, start + size)) for start in range(0, rows, size)]
@@ -339,28 +367,29 @@ def _in_blocks(evaluate, rows: int, d: int) -> tuple[np.ndarray, ...]:
 
 
 def _quadratic_rows(coefficients: np.ndarray, phases: np.ndarray, d: int,
-                    variant: KernelVariant) -> tuple[np.ndarray, np.ndarray]:
+                    variant: KernelVariant) -> tuple[np.ndarray, ...]:
     P = _phased(phases, d, variant)
     Ma = _pair_sum(P, d) @ coefficients[..., None]
     value = (coefficients[..., None, :] @ Ma)[..., 0, 0]
-    return value, _phase_gradient(P, coefficients, d)
+    gradient, pa = _phase_gradient(P, coefficients, d)
+    return value, gradient, _phase_hessian(P, coefficients, pa, d)
 
 
 def value_and_gradient_arrays(coefficients: np.ndarray, phases: np.ndarray,
                               d: int, variant: KernelVariant):
-    """Low-level evaluation on raw arrays: the Bell value a^T M a and
-    its gradient with respect to the (4, d) phase matrix (rows A1, A2,
-    B1, B2).
+    """Low-level evaluation on raw arrays: the Bell value a^T M a, its
+    gradient with respect to the (4, d) phase matrix (rows A1, A2, B1,
+    B2) and its Hessian over those phases, of shape (4, d, 4, d).
 
     A (R, 4, d) stack of phase matrices is evaluated as one batch, with
     (R, d) coefficients or one (d,) vector for every row, returning
-    (R,) and (R, 4, d) arrays; row r equals the call on row r alone,
-    bit for bit.  No validation happens here; this is the optimizer's
-    hot path.
+    (R,), (R, 4, d) and (R, 4, d, 4, d) arrays; row r equals the call
+    on row r alone, bit for bit.  No validation happens here; this is
+    the optimizer's hot path.
     """
     if phases.ndim == 2:
-        value, grad_phases = _quadratic_rows(coefficients, phases, d, variant)
-        return float(value), grad_phases
+        value, gradient, hessian = _quadratic_rows(coefficients, phases, d, variant)
+        return float(value), gradient, hessian
     coefficients = np.broadcast_to(coefficients, (len(phases), d))
     return _in_blocks(
         lambda rows: _quadratic_rows(coefficients[rows], phases[rows], d, variant),
@@ -373,29 +402,43 @@ def _extreme_rows(phases: np.ndarray, d: int, variant: KernelVariant,
     w, V = np.linalg.eigh(_pair_sum(P, d))
     k, n = (-1, -2) if largest else (0, 1)
     v = V[..., k]
-    gradient = _phase_gradient(P, math.sqrt(d) * v, d)
-    return d * w[..., k], gradient, v, d * np.abs(w[..., k] - w[..., n])
+    a = math.sqrt(d) * v
+    gradient, pa = _phase_gradient(P, a, d)
+    hessian = _phase_hessian(P, a, pa, d)
+    # Second-order perturbation of a simple eigenvalue: d lambda gains
+    # 2 d sum_{j != ext} J_j J_j^T / (lambda_ext - lambda_j), where J_j
+    # over theta holds v_j^T (dM / d theta) v.  A zero gap has weight 0.
+    im_pv = np.imag(P @ V[..., None, :, :])
+    J = (V[..., None, :, :] * im_pv[..., k, None] + v[..., None, :, None] * im_pv) \
+        * (-1.0 / ((d - 1) * d**3))
+    J = _to_phases(np.moveaxis(J, -1, -3), d).reshape(J.shape[:-3] + (d, 4 * d))
+    gaps = w[..., k, None] - w
+    weights = np.divide(2.0 * d, gaps, out=np.zeros_like(gaps), where=gaps != 0.0)
+    hessian += ((J.swapaxes(-1, -2) * weights[..., None, :]) @ J).reshape(hessian.shape)
+    return d * w[..., k], gradient, hessian, v, d * np.abs(w[..., k] - w[..., n])
 
 
 def extreme_value_and_gradient(phases: np.ndarray, d: int, variant: KernelVariant,
                                largest: bool):
     """The Bell value optimized over states at fixed phases, on raw
     arrays: d lambda of the pair matrix's largest (or smallest)
-    eigenvalue lambda, its gradient with respect to the (4, d) phase
-    matrix, the unit eigenvector v and the eigengap, the distance from
-    d lambda to the next value of d M's spectrum.
+    eigenvalue lambda, its gradient and its Hessian with respect to the
+    (4, d) phase matrix, the unit eigenvector v and the eigengap, the
+    distance from d lambda to the next value of d M's spectrum.
 
     On the sphere sum a^2 = d, a^T M a is extremal at a = sqrt(d) v.
     By the Hellmann-Feynman theorem the gradient is the phase gradient
-    of a^T M a at that fixed a; it exists only where the gap is
-    positive.  A (R, 4, d) stack of phase matrices is evaluated as one
-    batch, returning (R,), (R, 4, d), (R, d) and (R,) arrays; row r
-    equals the call on row r alone, bit for bit.  No validation
+    of a^T M a at that fixed a; the Hessian adds the second-order
+    eigenvalue perturbation term to that of a^T M a (Overton and
+    Womersley 1995).  Both exist only where the gap is positive.  A
+    (R, 4, d) stack of phase matrices is evaluated as one batch,
+    returning (R,), (R, 4, d), (R, 4, d, 4, d), (R, d) and (R,) arrays;
+    row r equals the call on row r alone, bit for bit.  No validation
     happens here.
     """
     if phases.ndim == 2:
-        value, gradient, v, gap = _extreme_rows(phases, d, variant, largest)
-        return float(value), gradient, v, float(gap)
+        value, gradient, hessian, v, gap = _extreme_rows(phases, d, variant, largest)
+        return float(value), gradient, hessian, v, float(gap)
     return _in_blocks(lambda rows: _extreme_rows(phases[rows], d, variant, largest),
                       len(phases), d)
 
@@ -408,10 +451,9 @@ def bell_gradient(state: PureState, settings: MeasurementSettings,
         raise DimensionMismatchError(
             f"state dimension {state.dim.d} != settings dimension {settings.dim.d}"
         )
-    _, grad_phases = value_and_gradient_arrays(
-        np.asarray(state.coefficients), _phase_matrix(settings), state.dim.d, variant
-    )
-    return grad_phases.reshape(-1)
+    d = state.dim.d
+    P = _phased(_phase_matrix(settings), d, variant)
+    return _phase_gradient(P, np.asarray(state.coefficients), d)[0].reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,17 +6,17 @@ problem over states and phases reduces to the phases too: for fixed
 phases the Bell value is a^T M a on the sphere sum a^2 = d, so the best
 state is the extreme eigenvector of the pair matrix M and the value is
 d lambda_ext(M); its phase gradient follows from the Hellmann-Feynman
-theorem.  Each restart runs Barzilai-Borwein steps with a nonmonotone
-backtracking guard, then polishes with damped Newton on a
-finite-difference Hessian of the analytic gradient; the polish is what
-reliably drives the gradient norm to the 1e-9 default at degenerate
-optima where first-order steps stall.
+theorem, and its phase Hessian adds the second-order eigenvalue
+perturbation term to that of a^T M a at the fixed state.  Each restart
+runs one regularized Newton loop on these exact Hessians (in the manner
+of More and Sorensen 1983): the shift mu + max(0, -lambda_min(H)) keeps
+every step a descent direction, and mu shrinks after a kept step and
+grows after a rejected one.
 
 All restarts of a search run as one batch: every objective call
 evaluates the stacked phases of the restarts still running, while each
-restart keeps its own step size, line search, stopping tests and
-Newton damping.  A restart's result is the same, bit for bit, whichever
-restarts share its batch.
+restart keeps its own regularization and stopping tests.  A restart's
+result is the same, bit for bit, whichever restarts share its batch.
 
 Every closed-form number in the analytic module is cross-checked
 against this machinery, which shares no formulas with it beyond the
@@ -57,12 +57,6 @@ __all__ = [
 
 _MAX_ITERATIONS = 10_000
 _GRADIENT_TOLERANCE = 1e-9
-_STALL_WINDOW = 12
-_STALL_RTOL = 1e-13
-_ARMIJO = 1e-4
-_MAX_HALVINGS = 60
-_POLISH_STEPS = 40
-_FD_STEP = 1e-7
 # An extreme eigenvalue closer than this (relative) to its neighbour
 # counts as degenerate, where lambda_ext has no gradient.
 _GAP_RTOL = 1e-9
@@ -134,195 +128,65 @@ class OptimizationRun:
     evaluations: Evaluations
 
 
-def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # Row-wise dot products through matmul, which takes the same BLAS
-    # dot for every row whatever the batch size.
-    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
-
-
 def _norms(g: np.ndarray) -> np.ndarray:
-    return np.sqrt(_dots(g, g))
-
-
-def _bb_steps(s: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # Barzilai-Borwein steps |s.s / s.y|, 1 where s.y = 0, clipped to
-    # [1e-12, 1e3].
-    sy = _dots(s, y)
-    ratio = np.divide(_dots(s, s), sy, out=np.ones_like(sy), where=sy != 0.0)
-    return np.minimum(np.maximum(np.abs(ratio), 1e-12), 1e3)
-
-
-def _fd_hessians(fun, x: np.ndarray, g0: np.ndarray) -> np.ndarray:
-    # One objective call on the m n rows x[r] + h e_t; row (r, t) gives
-    # column t of restart r's Hessian.
-    m, n = x.shape
-    shifted = np.repeat(x[:, None, :], n, axis=1)
-    shifted[:, np.arange(n), np.arange(n)] += _FD_STEP
-    _, g = fun(shifted.reshape(m * n, n))
-    H = ((g.reshape(m, n, n) - g0[:, None, :]) / _FD_STEP).transpose(0, 2, 1)
-    return 0.5 * (H + H.transpose(0, 2, 1))
-
-
-def _solve(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Solves every system A[r] s = b[r]; a singular one is marked unsolved
-    # instead of failing the batch.
-    try:
-        return np.linalg.solve(A, b[..., None])[..., 0], np.ones(len(A), dtype=bool)
-    except np.linalg.LinAlgError:
-        s = np.zeros_like(b)
-        solved = np.ones(len(A), dtype=bool)
-        for r in range(len(A)):
-            try:
-                s[r] = np.linalg.solve(A[r:r + 1], b[r:r + 1, :, None])[0, :, 0]
-            except np.linalg.LinAlgError:
-                solved[r] = False
-        return s, solved
-
-
-def _backtrack(fun, x: np.ndarray, g: np.ndarray, step: np.ndarray, gnorm: np.ndarray,
-               reference: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Nonmonotone Armijo backtracking along -g from every row of x:
-    each row's step is halved until its trial point passes the test
-    against reference, for at most _MAX_HALVINGS trials, and each
-    halving re-evaluates only the rows still pending.  Returns the
-    accepted mask and the trial points, values and gradients, which
-    hold only where accepted."""
-    x_new = x - step[:, None] * g
-    f_new, g_new = fun(x_new)
-    accepted = f_new <= reference - _ARMIJO * step * gnorm * gnorm
-    if accepted.all():
-        return accepted, x_new, f_new, g_new
-    rows = np.flatnonzero(~accepted)
-    x, g, t, gnorm, reference = x[rows], g[rows], step[rows], gnorm[rows], reference[rows]
-    for _ in range(_MAX_HALVINGS - 1):
-        t = t * 0.5
-        x_try = x - t[:, None] * g
-        f_try, g_try = fun(x_try)
-        ok = f_try <= reference - _ARMIJO * t * gnorm * gnorm
-        if ok.any():
-            hit = rows[ok]
-            x_new[hit], f_new[hit], g_new[hit] = x_try[ok], f_try[ok], g_try[ok]
-            accepted[hit] = True
-            keep = ~ok
-            if not keep.any():
-                break
-            rows, x, g, t, gnorm, reference = (
-                rows[keep], x[keep], g[keep], t[keep], gnorm[keep], reference[keep])
-    return accepted, x_new, f_new, g_new
-
-
-def _first_order(fun, x: np.ndarray, f: np.ndarray, g: np.ndarray,
-                 max_iterations: int, gradient_tolerance: float) -> np.ndarray:
-    """Barzilai-Borwein steps with a nonmonotone Armijo guard for every
-    row of x, updating x, f and g in place; returns the iterations."""
-    R = len(x)
-    iterations = np.zeros(R, dtype=int)
-    # The working set holds the restarts still stepping, compacted.  They
-    # advance together, so they share one iteration count and one array
-    # of values per past iteration.
-    rows = np.arange(R)
-    xs, fs, gs = x.copy(), f.copy(), g.copy()
-    x_prev, g_prev = np.zeros_like(xs), np.zeros_like(gs)
-    has_prev = np.zeros(R, dtype=bool)
-    fail_streak = np.zeros(R, dtype=int)
-    history = [fs]
-    k = 0
-    while True:
-        gnorm = _norms(gs)
-        done = (gnorm <= gradient_tolerance) | (fail_streak >= 2)
-        if len(history) == _STALL_WINDOW:
-            done |= history[0] - fs < _STALL_RTOL * (1.0 + np.abs(fs))
-        if k >= max_iterations:
-            done[:] = True
-        if done.any():
-            out = rows[done]
-            x[out], f[out], g[out] = xs[done], fs[done], gs[done]
-            iterations[out] = k
-            keep = ~done
-            if not keep.any():
-                return iterations
-            rows, xs, fs, gs, gnorm = rows[keep], xs[keep], fs[keep], gs[keep], gnorm[keep]
-            x_prev, g_prev = x_prev[keep], g_prev[keep]
-            has_prev, fail_streak = has_prev[keep], fail_streak[keep]
-            history = [h[keep] for h in history]
-        k += 1
-        if has_prev.all():
-            step = _bb_steps(xs - x_prev, gs - g_prev)
-        else:
-            step = np.where(has_prev, _bb_steps(xs - x_prev, gs - g_prev),
-                            0.1 / np.maximum(1.0, gnorm))
-        accepted, x_new, f_new, g_new = _backtrack(
-            fun, xs, gs, step, gnorm, np.maximum.reduce(history[-5:]))
-        if accepted.all():
-            x_prev, g_prev, xs, fs, gs = xs, gs, x_new, f_new, g_new
-            has_prev[:] = True
-            fail_streak[:] = 0
-        else:
-            column = accepted[:, None]
-            x_prev, g_prev = np.where(column, xs, x_prev), np.where(column, gs, g_prev)
-            xs, gs = np.where(column, x_new, xs), np.where(column, g_new, gs)
-            fs = np.where(accepted, f_new, fs)
-            has_prev |= accepted
-            fail_streak = np.where(accepted, 0, fail_streak + 1)
-        history.append(fs)
-        del history[:-_STALL_WINDOW]
-
-
-def _polish(fun, x: np.ndarray, f: np.ndarray, g: np.ndarray, iterations: np.ndarray,
-            max_iterations: int, gradient_tolerance: float) -> None:
-    """Damped Newton steps on a finite-difference Hessian for every row
-    of x, updating x, f, g and iterations in place."""
-    n = x.shape[1]
-    identity = np.eye(n)
-    rows = np.arange(len(x))
-    xs, fs, gs, its = x.copy(), f.copy(), g.copy(), iterations.copy()
-    mu = np.full(len(x), 1e-6)
-    for step in range(_POLISH_STEPS + 1):
-        gnorm = _norms(gs)
-        done = (gnorm <= gradient_tolerance) | (its >= max_iterations) | (mu > 1e8)
-        if step == _POLISH_STEPS:
-            done[:] = True
-        if done.any():
-            out = rows[done]
-            x[out], f[out], g[out], iterations[out] = xs[done], fs[done], gs[done], its[done]
-            keep = ~done
-            if not keep.any():
-                return
-            rows, xs, fs, gs, its = rows[keep], xs[keep], fs[keep], gs[keep], its[keep]
-            gnorm, mu = gnorm[keep], mu[keep]
-        its += 1
-        H = _fd_hessians(fun, xs, gs)
-        s, solved = _solve(H + mu[:, None, None] * identity, -gs)
-        x_try, f_try, g_try = xs + s, fs.copy(), gs.copy()
-        if solved.any():
-            f_try[solved], g_try[solved] = fun(x_try[solved])
-        better = solved & ((_norms(g_try) < gnorm) | (f_try < fs - 1e-13))
-        column = better[:, None]
-        xs, fs, gs = np.where(column, x_try, xs), np.where(better, f_try, fs), \
-            np.where(column, g_try, gs)
-        mu = np.where(better, np.maximum(mu * 0.3, 1e-10), mu * 10.0)
+    # Row norms through matmul, which takes the same BLAS dot for every
+    # row whatever the batch size.
+    return np.sqrt((g[:, None, :] @ g[:, :, None])[:, 0, 0])
 
 
 def _minimize(fun, x0: np.ndarray, max_iterations: int, gradient_tolerance: float
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Minimize fun from every row of the (R, n) batch of starts x0.
 
-    fun maps an (m, n) batch of points to their (m,) values and (m, n)
-    gradients, row by row.  Each restart takes Barzilai-Borwein steps
-    until its gradient test passes, two line searches fail in a row or
-    its value stalls, then damped Newton steps; a restart that passed
-    its gradient test takes none.  Returns per restart the point,
+    fun maps an (m, n) batch of points to their (m,) values, (m, n)
+    gradients and (m, n, n) Hessians, row by row.  Each restart takes
+    regularized Newton steps s = -(H + (mu + max(0, -lambda_min(H))) I)^-1 g,
+    a descent direction even where H is indefinite.  A step is kept
+    when the value falls by more than 1e-13 (1 + |f|), or stays within
+    that margin while the gradient norm falls; mu then shrinks by 4
+    (to at least 1e-10), and grows by 4 after a rejected step.  A
+    restart stops when its gradient test passes, when mu exceeds 1e8
+    or after max_iterations steps.  Returns per restart the point,
     value, gradient norm, iterations and convergence flag, as (R, n),
     (R,), (R,), (R,) and (R,) arrays.
     """
     x = np.array(x0, dtype=float)
-    f, g = fun(x)
-    iterations = _first_order(fun, x, f, g, max_iterations, gradient_tolerance)
-    # Damped Newton polish: first-order steps stall in the flat,
-    # nearly quadratic basin around degenerate optima.
-    _polish(fun, x, f, g, iterations, max_iterations, gradient_tolerance)
+    f, g, H = fun(x)
     gnorm = _norms(g)
-    return x, f, gnorm, iterations, gnorm <= gradient_tolerance
+    iterations = np.zeros(len(x), dtype=int)
+    # The working set holds the restarts still stepping, compacted.  They
+    # advance together, so they share one iteration count.
+    rows = np.arange(len(x))
+    xs, fs, gs, Hs, gnorms = x.copy(), f.copy(), g, H, gnorm.copy()
+    mu = np.ones(len(x))
+    k = 0
+    while True:
+        done = (gnorms <= gradient_tolerance) | (mu > 1e8)
+        if k >= max_iterations:
+            done[:] = True
+        if done.any():
+            out = rows[done]
+            x[out], f[out], gnorm[out], iterations[out] = xs[done], fs[done], gnorms[done], k
+            keep = ~done
+            if not keep.any():
+                return x, f, gnorm, iterations, gnorm <= gradient_tolerance
+            rows, xs, fs, gs, Hs, gnorms, mu = (
+                rows[keep], xs[keep], fs[keep], gs[keep], Hs[keep], gnorms[keep], mu[keep])
+        k += 1
+        w, Q = np.linalg.eigh(Hs)
+        shifted = w + (mu + np.maximum(0.0, -w[:, 0]))[:, None]
+        s = -(Q @ ((gs[:, None, :] @ Q)[:, 0, :] / shifted)[:, :, None])[:, :, 0]
+        x_try = xs + s
+        f_try, g_try, H_try = fun(x_try)
+        gnorm_try = _norms(g_try)
+        margin = 1e-13 * (1.0 + np.abs(fs))
+        kept = (f_try < fs - margin) | ((f_try <= fs + margin) & (gnorm_try < gnorms))
+        column = kept[:, None]
+        xs, fs, gs = np.where(column, x_try, xs), np.where(kept, f_try, fs), \
+            np.where(column, g_try, gs)
+        Hs = np.where(column[:, :, None], H_try, Hs)
+        gnorms = np.where(kept, gnorm_try, gnorms)
+        mu = np.where(kept, np.maximum(mu * 0.25, 1e-10), mu * 4.0)
 
 
 def _settings(phases: np.ndarray, dim: Dimension) -> MeasurementSettings:
@@ -350,11 +214,14 @@ def _place(x: np.ndarray, d: int, free: slice) -> np.ndarray:
 def _objective(evaluate, d: int, free: slice, sign: float):
     """The function the solver minimizes: -sign times evaluate's value,
     and its gradient in the free columns, at the phases that hold the
-    free variables.  evaluate maps (m, 4, d) phases to (m,) values and
-    (m, 4, d) phase gradients."""
-    def fun(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        value, gradient = evaluate(_place(x, d, free))
-        return -sign * value, -sign * gradient[:, :, free].reshape(len(x), -1)
+    free variables, and its Hessian over them.  evaluate maps (m, 4, d)
+    phases to (m,) values, (m, 4, d) phase gradients and (m, 4, d, 4, d)
+    phase Hessians."""
+    def fun(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        value, gradient, hessian = evaluate(_place(x, d, free))
+        m, n = x.shape
+        return (-sign * value, -sign * gradient[:, :, free].reshape(m, n),
+                -sign * hessian[:, :, free, :, free].reshape(m, n, n))
 
     return fun
 
@@ -389,7 +256,7 @@ def _multistart(evaluate, d: int, free: slice, stream: tuple[int, ...],
     fun = _objective(evaluate, d, free, sign)
     calls = rows = 0
 
-    def counted(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def counted(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         nonlocal calls, rows
         calls += 1
         rows += len(x)
@@ -479,9 +346,9 @@ def optimize_joint(dim: Dimension, config: OptimizerConfig,
     _require_nonconstant(d, variant)
     largest = config.direction is Direction.MAXIMIZE
     search = _multistart(
-        lambda phases: extreme_value_and_gradient(phases, d, variant, largest)[:2],
+        lambda phases: extreme_value_and_gradient(phases, d, variant, largest)[:3],
         d, _GAUGE, (config.seed,), config)
-    _, _, vectors, gaps = extreme_value_and_gradient(search.phases, d, variant, largest)
+    *_, vectors, gaps = extreme_value_and_gradient(search.phases, d, variant, largest)
     converged = search.converged & (gaps > _GAP_RTOL * (1.0 + np.abs(search.values)))
     best = search.best
     phases, v = search.phases[best].copy(), vectors[best]
@@ -512,7 +379,7 @@ def max_abs_t_coefficient(pair: tuple[int, int], restarts: int = 8,
     a = np.zeros(4)
     a[[k, l]] = 1.0
 
-    def evaluate(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate(phases: np.ndarray) -> tuple[np.ndarray, ...]:
         return value_and_gradient_arrays(a, phases, 4, KernelVariant.PLUS)
 
     search = _multistart(evaluate, 4, slice(k, k + 1), (seed, 1),

@@ -58,19 +58,20 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_REPRODUCTION = 2
 
-# A d = 4 joint restart takes 0.7-0.9 ms on a 2-vCPU host, so a capped
-# d = 4 search ends in about a second (1.1 s with interpreter start-up).
+# A d = 4 joint restart takes 0.4-0.5 ms on a 2-vCPU host, so a capped
+# d = 4 search ends within a second (0.9 s with interpreter start-up).
 MAX_RESTARTS = 1000
 # Probability tables hold 4 d^2 entries.  The paper works at d = 4.
 MAX_DIMENSION = 64
 # A search's work grows with both flags.  A restart counts as (d - 1) d^2
 # work units.  Measured on a 2-vCPU host (seeds 0 and 1, both
-# directions), a joint restart takes 27-32 ms at d = 16, 0.25-0.35 s at
-# d = 32 and 1.5-1.8 s at d = 64, 7-11e-6 s per unit; its Newton steps
-# decompose the 4 (d - 1) square Hessian.  The budget keeps one search
-# within about a minute: 7 restarts at d = 64 took 11.5 s and 63 at
-# d = 32 took 14.3 s; up to d = 12 the restart cap binds first (1000
-# restarts at d = 12 took 12.2 s).
+# directions), a joint restart takes 15-19 ms at d = 16, 0.14-0.19 s at
+# d = 32 and 0.9-1.3 s at d = 64, 4-6e-6 s per unit; its Newton steps
+# take the eigenvalues of the 4 (d - 1) square Hessian and solve one
+# shifted system with it.  The budget keeps one search within about a
+# minute: 7 restarts at d = 64 took 9.3 s and 63 at d = 32 took 10.0 s;
+# up to d = 12 the restart cap binds first (1000 restarts at d = 12
+# took 8.4 s).
 MAX_WORK = 2_000_000
 # One scan row holds about 430 B and takes about 21 us to compute on a
 # 2-vCPU host, so a capped scan holds about 43 MB of rows and prints its
@@ -285,6 +286,8 @@ def cmd_optimize(args) -> int:
         "per_restart_iterations": list(run.per_restart_iterations),
         "per_restart_converged": list(run.per_restart_converged),
         "per_restart_gradient_norms": list(run.per_restart_gradient_norms),
+        "per_restart_rejected": list(run.per_restart_rejected),
+        "per_restart_mu": list(run.per_restart_mu),
         "evaluations": {"calls": run.evaluations.calls, "rows": run.evaluations.rows},
         "state": list(best.state.coefficients),
         "angles": angles,

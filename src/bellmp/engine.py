@@ -332,6 +332,15 @@ def _phase_gradient(P: np.ndarray, coefficients: np.ndarray,
     return _to_phases((-2.0 / ((d - 1) * d**3)) * a * pa.imag, d), pa
 
 
+# Row 4 p + q of the incidence matrix marks the setting pairs whose
+# summed phases theta_r contain both phase rows p and q (rows A1, A2,
+# B1, B2), so L^T H L is one product with the theta blocks.  Each entry
+# sums at most two nonzero blocks.
+_INCIDENCE = np.array([[float(p in (i - 1, j + 1) and q in (i - 1, j + 1))
+                        for i, j in SETTING_PAIRS] for p in range(4) for q in range(4)])
+_INCIDENCE.flags.writeable = False
+
+
 def _phase_hessian(P: np.ndarray, coefficients: np.ndarray, pa: np.ndarray,
                    d: int) -> np.ndarray:
     # Over theta_r, setting pair r contributes the block
@@ -343,17 +352,14 @@ def _phase_hessian(P: np.ndarray, coefficients: np.ndarray, pa: np.ndarray,
     diagonal = np.arange(d)
     blocks[..., diagonal, diagonal] -= a * pa.real
     blocks *= 2.0 / ((d - 1) * d**3)
-    H = np.zeros(blocks.shape[:-3] + (4, d, 4, d))
-    for r, (i, j) in enumerate(SETTING_PAIRS):
-        for p in (i - 1, j + 1):
-            for q in (i - 1, j + 1):
-                H[..., p, :, q, :] += blocks[..., r, :, :]
-    return H
+    H = _INCIDENCE @ blocks.reshape(blocks.shape[:-2] + (d * d,))
+    return H.reshape(H.shape[:-2] + (4, 4, d, d)).swapaxes(-3, -2)
 
 
 # Batches are evaluated in row blocks whose complex (rows, 4, d, d)
 # tensor and (rows, 4 d, 4 d) Hessian stay within this many bytes, 192 d^2
-# per row: 341 rows at d = 4, 1 at d = 64.
+# per row: 341 rows at d = 4, 1 at d = 64.  The Hessian's assembly
+# product writes straight into its storage and needs no other buffer.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -396,11 +402,18 @@ def value_and_gradient_arrays(coefficients: np.ndarray, phases: np.ndarray,
         len(phases), d)
 
 
+def _extreme_eigh(M: np.ndarray, d: int, largest: bool) -> tuple[np.ndarray, ...]:
+    # The ascending spectrum w and eigenvectors V of the pair matrices M,
+    # the column k of the extreme eigenvalue and the eigengap of d M there.
+    w, V = np.linalg.eigh(M)
+    k, n = (-1, -2) if largest else (0, 1)
+    return w, V, k, d * np.abs(w[..., k] - w[..., n])
+
+
 def _extreme_rows(phases: np.ndarray, d: int, variant: KernelVariant,
                   largest: bool) -> tuple[np.ndarray, ...]:
     P = _phased(phases, d, variant)
-    w, V = np.linalg.eigh(_pair_sum(P, d))
-    k, n = (-1, -2) if largest else (0, 1)
+    w, V, k, gap = _extreme_eigh(_pair_sum(P, d), d, largest)
     v = V[..., k]
     a = math.sqrt(d) * v
     gradient, pa = _phase_gradient(P, a, d)
@@ -415,7 +428,7 @@ def _extreme_rows(phases: np.ndarray, d: int, variant: KernelVariant,
     gaps = w[..., k, None] - w
     weights = np.divide(2.0 * d, gaps, out=np.zeros_like(gaps), where=gaps != 0.0)
     hessian += ((J.swapaxes(-1, -2) * weights[..., None, :]) @ J).reshape(hessian.shape)
-    return d * w[..., k], gradient, hessian, v, d * np.abs(w[..., k] - w[..., n])
+    return d * w[..., k], gradient, hessian, v, gap
 
 
 def extreme_value_and_gradient(phases: np.ndarray, d: int, variant: KernelVariant,

@@ -11,7 +11,9 @@ perturbation term to that of a^T M a at the fixed state.  Each restart
 runs one regularized Newton loop on these exact Hessians (in the manner
 of More and Sorensen 1983): the shift mu + max(0, -lambda_min(H)) keeps
 every step a descent direction, and mu shrinks after a kept step and
-grows after a rejected one.
+grows after a rejected one.  A step needs only the eigenvalues of H,
+for the shift, and one direct solve of the shifted system.  Each
+restart reports its rejected steps and final mu beside its iterations.
 
 All restarts of a search run as one batch: every objective call
 evaluates the stacked phases of the restarts still running, while each
@@ -41,7 +43,8 @@ from .model import (
     make_state,
     require_seed,
 )
-from .engine import _circulant, extreme_value_and_gradient, value_and_gradient_arrays
+from .engine import (_circulant, _extreme_eigh, extreme_value_and_gradient, pair_matrix,
+                     value_and_gradient_arrays)
 from .analytic import PAIR_SLOTS
 
 __all__ = [
@@ -112,10 +115,11 @@ class OptimizationRun:
     per_restart_values lists the converged value of every restart in
     restart order; best is the extremal one (ties keep the lowest
     restart index).  The other per_restart_ fields list each restart's
-    iterations, convergence and final gradient norm; iterations_used
-    is their iteration sum.  A restart counts as converged when it
-    passes the gradient test and, for the joint search, its extreme
-    eigenvalue is simple; converged is the winning restart's flag.
+    iterations, convergence, final gradient norm, rejected Newton steps
+    and final regularization mu; iterations_used is their iteration
+    sum.  A restart counts as converged when it passes the gradient
+    test and, for the joint search, its extreme eigenvalue is simple;
+    converged is the winning restart's flag.
     """
 
     best: ExtremalResult
@@ -125,6 +129,8 @@ class OptimizationRun:
     per_restart_iterations: tuple[int, ...]
     per_restart_converged: tuple[bool, ...]
     per_restart_gradient_norms: tuple[float, ...]
+    per_restart_rejected: tuple[int, ...]
+    per_restart_mu: tuple[float, ...]
     evaluations: Evaluations
 
 
@@ -134,31 +140,44 @@ def _norms(g: np.ndarray) -> np.ndarray:
     return np.sqrt((g[:, None, :] @ g[:, :, None])[:, 0, 0])
 
 
+def _newton_steps(H: np.ndarray, g: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    # Per row, s = -(H + (mu + max(0, -lambda_min(H))) I)^-1 g.  LAPACK
+    # works row by row, so a row's step does not depend on its batch.
+    shift = mu + np.maximum(0.0, -np.linalg.eigvalsh(H)[:, 0])
+    shifted = H + shift[:, None, None] * np.eye(H.shape[-1])
+    return -np.linalg.solve(shifted, g[:, :, None])[:, :, 0]
+
+
 def _minimize(fun, x0: np.ndarray, max_iterations: int, gradient_tolerance: float
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+              ) -> tuple[np.ndarray, ...]:
     """Minimize fun from every row of the (R, n) batch of starts x0.
 
     fun maps an (m, n) batch of points to their (m,) values, (m, n)
     gradients and (m, n, n) Hessians, row by row.  Each restart takes
     regularized Newton steps s = -(H + (mu + max(0, -lambda_min(H))) I)^-1 g,
-    a descent direction even where H is indefinite.  A step is kept
-    when the value falls by more than 1e-13 (1 + |f|), or stays within
-    that margin while the gradient norm falls; mu then shrinks by 4
-    (to at least 1e-10), and grows by 4 after a rejected step.  A
-    restart stops when its gradient test passes, when mu exceeds 1e8
-    or after max_iterations steps.  Returns per restart the point,
-    value, gradient norm, iterations and convergence flag, as (R, n),
-    (R,), (R,), (R,) and (R,) arrays.
+    a descent direction even where H is indefinite: lambda_min comes
+    from the eigenvalues alone, and the shifted, positive definite
+    system is solved directly.  A step is kept when the value falls by
+    more than 1e-13 (1 + |f|), or stays within that margin while the
+    gradient norm falls; mu then shrinks by 4 (to at least 1e-10), and
+    grows by 4 after a rejected step.  A restart stops when its
+    gradient test passes, when mu exceeds 1e8 or after max_iterations
+    steps.  Returns per restart the point, value, gradient norm,
+    iterations, convergence flag, rejected steps and final mu, as
+    (R, n), (R,), (R,), (R,), (R,), (R,) and (R,) arrays.
     """
     x = np.array(x0, dtype=float)
     f, g, H = fun(x)
     gnorm = _norms(g)
     iterations = np.zeros(len(x), dtype=int)
+    rejected = np.zeros(len(x), dtype=int)
+    final_mu = np.ones(len(x))
     # The working set holds the restarts still stepping, compacted.  They
     # advance together, so they share one iteration count.
     rows = np.arange(len(x))
     xs, fs, gs, Hs, gnorms = x.copy(), f.copy(), g, H, gnorm.copy()
     mu = np.ones(len(x))
+    rejects = np.zeros(len(x), dtype=int)
     k = 0
     while True:
         done = (gnorms <= gradient_tolerance) | (mu > 1e8)
@@ -167,16 +186,16 @@ def _minimize(fun, x0: np.ndarray, max_iterations: int, gradient_tolerance: floa
         if done.any():
             out = rows[done]
             x[out], f[out], gnorm[out], iterations[out] = xs[done], fs[done], gnorms[done], k
+            rejected[out], final_mu[out] = rejects[done], mu[done]
             keep = ~done
             if not keep.any():
-                return x, f, gnorm, iterations, gnorm <= gradient_tolerance
-            rows, xs, fs, gs, Hs, gnorms, mu = (
-                rows[keep], xs[keep], fs[keep], gs[keep], Hs[keep], gnorms[keep], mu[keep])
+                return (x, f, gnorm, iterations, gnorm <= gradient_tolerance,
+                        rejected, final_mu)
+            rows, xs, fs, gs, Hs, gnorms, mu, rejects = (
+                rows[keep], xs[keep], fs[keep], gs[keep], Hs[keep], gnorms[keep], mu[keep],
+                rejects[keep])
         k += 1
-        w, Q = np.linalg.eigh(Hs)
-        shifted = w + (mu + np.maximum(0.0, -w[:, 0]))[:, None]
-        s = -(Q @ ((gs[:, None, :] @ Q)[:, 0, :] / shifted)[:, :, None])[:, :, 0]
-        x_try = xs + s
+        x_try = xs + _newton_steps(Hs, gs, mu)
         f_try, g_try, H_try = fun(x_try)
         gnorm_try = _norms(g_try)
         margin = 1e-13 * (1.0 + np.abs(fs))
@@ -187,6 +206,7 @@ def _minimize(fun, x0: np.ndarray, max_iterations: int, gradient_tolerance: floa
         Hs = np.where(column[:, :, None], H_try, Hs)
         gnorms = np.where(kept, gnorm_try, gnorms)
         mu = np.where(kept, np.maximum(mu * 0.25, 1e-10), mu * 4.0)
+        rejects += ~kept
 
 
 def _settings(phases: np.ndarray, dim: Dimension) -> MeasurementSettings:
@@ -234,12 +254,14 @@ def _best(values: np.ndarray, direction: Direction) -> int:
 @dataclass(frozen=True)
 class _Search:
     # Per restart: value in the Bell value's own sign, phases, gradient
-    # norm, iterations and gradient-test flag.
+    # norm, iterations, gradient-test flag, rejected steps and final mu.
     values: np.ndarray
     phases: np.ndarray
     gradient_norms: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
+    rejected: np.ndarray
+    mu: np.ndarray
     evaluations: Evaluations
     best: int
 
@@ -267,10 +289,10 @@ def _multistart(evaluate, d: int, free: slice, stream: tuple[int, ...],
         np.random.default_rng((*stream, r)).uniform(0.0, 2.0 * math.pi, size=n)
         for r in range(config.restarts)
     ])
-    x, f, gnorm, iterations, converged = _minimize(counted, x0, max_iterations,
-                                                   gradient_tolerance)
+    x, f, gnorm, iterations, converged, rejected, mu = _minimize(
+        counted, x0, max_iterations, gradient_tolerance)
     values = -sign * f
-    return _Search(values, _place(x, d, free), gnorm, iterations, converged,
+    return _Search(values, _place(x, d, free), gnorm, iterations, converged, rejected, mu,
                    Evaluations(calls, rows), _best(values, config.direction))
 
 
@@ -299,6 +321,8 @@ def _make_run(search: _Search, state: PureState, settings: MeasurementSettings,
         per_restart_iterations=tuple(int(i) for i in search.iterations),
         per_restart_converged=tuple(bool(c) for c in converged),
         per_restart_gradient_norms=tuple(float(g) for g in search.gradient_norms),
+        per_restart_rejected=tuple(int(r) for r in search.rejected),
+        per_restart_mu=tuple(float(m) for m in search.mu),
         evaluations=search.evaluations,
     )
 
@@ -348,10 +372,10 @@ def optimize_joint(dim: Dimension, config: OptimizerConfig,
     search = _multistart(
         lambda phases: extreme_value_and_gradient(phases, d, variant, largest)[:3],
         d, _GAUGE, (config.seed,), config)
-    *_, vectors, gaps = extreme_value_and_gradient(search.phases, d, variant, largest)
+    _, V, k, gaps = _extreme_eigh(pair_matrix(search.phases, d, variant), d, largest)
     converged = search.converged & (gaps > _GAP_RTOL * (1.0 + np.abs(search.values)))
     best = search.best
-    phases, v = search.phases[best].copy(), vectors[best]
+    phases, v = search.phases[best].copy(), V[best, :, k]
     if v[0] < 0.0:
         v = -v
     phases[:2, v < 0.0] += math.pi

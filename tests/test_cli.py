@@ -207,9 +207,15 @@ class TestOptimize:
         assert code == 0
         record = json.loads(out)
         for key in ("per_restart_values", "per_restart_iterations",
-                    "per_restart_converged", "per_restart_gradient_norms"):
+                    "per_restart_converged", "per_restart_gradient_norms",
+                    "per_restart_rejected", "per_restart_mu"):
             assert len(record[key]) == 5
         assert sum(record["per_restart_iterations"]) == record["iterations_used"]
+        for iterations, rejected, mu in zip(record["per_restart_iterations"],
+                                            record["per_restart_rejected"],
+                                            record["per_restart_mu"]):
+            assert isinstance(rejected, int) and 0 <= rejected <= iterations
+            assert mu >= 1e-10
         assert all(isinstance(c, bool) for c in record["per_restart_converged"])
         evaluations = record["evaluations"]
         assert 0 < evaluations["calls"] <= evaluations["rows"]

@@ -39,6 +39,7 @@ from bellmp import (
 from bellmp import engine
 from bellmp.analytic import PAIR_SLOTS
 from bellmp.engine import TCoefficients, pair_matrix, value_and_gradient_arrays
+from bellmp.model import SETTING_PAIRS
 
 from helpers import (
     SETTING_SIGNS,
@@ -389,6 +390,48 @@ class TestGradient:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             bell_gradient(maximally_entangled_state(D4), zero_settings(Dimension(3)))
+
+
+def _loop_assembled_hessian(P, coefficients, d):
+    # Reference: the theta blocks of the four setting pairs added one by
+    # one into the (A_i | B_j) x (A_i | B_j) blocks of the phase Hessian.
+    a = coefficients[..., None, :]
+    pa = (P @ a[..., None])[..., 0]
+    blocks = a[..., :, None] * a[..., None, :] * P.real
+    diagonal = np.arange(d)
+    blocks[..., diagonal, diagonal] -= a * pa.real
+    blocks *= 2.0 / ((d - 1) * d**3)
+    H = np.zeros(blocks.shape[:-3] + (4, d, 4, d))
+    for r, (i, j) in enumerate(SETTING_PAIRS):
+        for p in (i - 1, j + 1):
+            for q in (i - 1, j + 1):
+                H[..., p, :, q, :] += blocks[..., r, :, :]
+    return H, pa
+
+
+class TestHessianAssembly:
+    """The phase Hessian is assembled as one incidence-matrix product;
+    every entry sums at most two nonzero blocks, so it must equal the
+    block-by-block loop bit for bit."""
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    @pytest.mark.parametrize("variant", [PLUS, MINUS])
+    @pytest.mark.parametrize("batch", [(), (1,), (7,)])
+    def test_product_equals_the_block_loop(self, d, variant, batch):
+        rng = np.random.default_rng(d)
+        phases = rng.uniform(-10.0, 10.0, batch + (4, d))
+        P = engine._phased(phases, d, variant)
+        given = rng.uniform(-2.0, 2.0, batch + (d,))
+        # the angle route's given coefficients, and the eigen route's sqrt(d) v
+        _, V, k, _ = engine._extreme_eigh(pair_matrix(phases, d, variant), d, True)
+        for a in (given, math.sqrt(d) * V[..., k]):
+            reference, pa = _loop_assembled_hessian(P, a, d)
+            H = engine._phase_hessian(P, a, pa, d)
+            assert H.shape == reference.shape
+            assert np.array_equal(H, reference)
+            assert np.array_equal(np.signbit(H), np.signbit(reference))
+        kernel = value_and_gradient_arrays(given, phases, d, variant)[2]
+        assert np.array_equal(kernel, _loop_assembled_hessian(P, given, d)[0])
 
 
 def _random_case(seed, d):

@@ -38,7 +38,8 @@ from bellmp import (
     vertex_candidates,
     zero_settings,
 )
-from bellmp.engine import extreme_value_and_gradient, value_and_gradient_arrays
+from bellmp.engine import (_extreme_eigh, extreme_value_and_gradient, pair_matrix,
+                           value_and_gradient_arrays)
 
 from helpers import random_state
 
@@ -162,7 +163,8 @@ class TestRestartCounters:
         else:
             run = optimize_angles(maximally_entangled_state(D4), config)
         for counters in (run.per_restart_values, run.per_restart_iterations,
-                         run.per_restart_converged, run.per_restart_gradient_norms):
+                         run.per_restart_converged, run.per_restart_gradient_norms,
+                         run.per_restart_rejected, run.per_restart_mu):
             assert len(counters) == 7
         assert sum(run.per_restart_iterations) == run.iterations_used
         best = next(int(s.partition("=")[2]) for s in run.best.diagnostics
@@ -174,6 +176,25 @@ class TestRestartCounters:
                                    run.per_restart_gradient_norms):
             assert not converged or norm <= bellmp.optimize._GRADIENT_TOLERANCE
         assert 0 < run.evaluations.calls <= run.evaluations.rows
+        for iterations, rejected, mu in zip(run.per_restart_iterations,
+                                            run.per_restart_rejected, run.per_restart_mu):
+            assert 0 <= rejected <= iterations
+            # mu starts at 1, grows by 4 per rejected step and shrinks by 4
+            # per kept one, except where the 1e-10 floor holds it up
+            assert max(4.0 ** (2 * rejected - iterations), 1e-10) <= mu <= 4.0 ** rejected
+
+    def test_rejected_steps_and_mu_follow_the_schedule(self):
+        # A lone restart that rejects nothing has mu = 4^-iterations until
+        # the floor; one that gives up on mu stopped after rejections.
+        fun = _objective("joint", 4, Direction.MINIMIZE)
+        starts = np.array([np.random.default_rng((7, r)).uniform(0.0, 2.0 * math.pi, 12)
+                           for r in range(12)])
+        *_, iterations, converged, rejected, mu = _minimize(fun, starts)
+        for r in range(len(starts)):
+            kept = iterations[r] - rejected[r]
+            if rejected[r] == 0:
+                assert mu[r] == max(0.25 ** kept, 1e-10)
+            assert converged[r] or mu[r] > 1e8
 
 
 def _objective(search, d, direction):
@@ -270,6 +291,14 @@ class TestScheduleIndependence:
             for r in (0, rows - 6, rows - 5, rows - 1):
                 for batched, single in zip(batch, fun(x[r:r + 1])):
                     assert np.array_equal(batched[r], single[0])
+        # The joint search's final eigen readout, one eigh over every row,
+        # equals the blocked kernel's eigenvectors and gaps.
+        phases = bellmp.optimize._place(x, d, bellmp.optimize._GAUGE)
+        for largest in (True, False):
+            extreme = extreme_value_and_gradient(phases, d, KernelVariant.PLUS, largest)
+            _, vectors, k, gaps = _extreme_eigh(pair_matrix(phases, d), d, largest)
+            assert np.array_equal(vectors[..., k], extreme[3])
+            assert np.array_equal(gaps, extreme[4])
 
 
 @settings(max_examples=60, deadline=None)
@@ -297,6 +326,26 @@ def test_batched_kernel_rows_equal_single_calls(d, rows, seed, largest, variant,
         for column in (1, 2, 3):
             assert np.array_equal(extreme[column][r], single[column])
         assert extreme[4][r] == single[4]
+    # optimize_joint reads its final eigenvectors and gaps this way
+    _, vectors, k, gaps = _extreme_eigh(pair_matrix(phases, d, variant), d, largest)
+    assert np.array_equal(vectors[..., k], extreme[3])
+    assert np.array_equal(gaps, extreme[4])
+
+
+def _random_objective(rng, d, variant, direction, search):
+    # The solver's objective over the gauge-free columns, for random
+    # coefficients (angles) or the extreme eigenvalue (joint).
+    largest = direction is Direction.MAXIMIZE
+    if search == "angles":
+        a = rng.uniform(-2.0, 2.0, d)
+
+        def evaluate(phases):
+            return value_and_gradient_arrays(a, phases, d, variant)
+    else:
+        def evaluate(phases):
+            return extreme_value_and_gradient(phases, d, variant, largest)[:3]
+    return bellmp.optimize._objective(evaluate, d, bellmp.optimize._GAUGE,
+                                      1.0 if largest else -1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -308,16 +357,7 @@ def test_hessians_match_differences_of_the_gradient(d, seed, direction, variant,
     assume(np.any(bellmp.engine._circulant(d, variant)))  # not the constant kernel
     rng = np.random.default_rng(seed)
     largest = direction is Direction.MAXIMIZE
-    if search == "angles":
-        a = rng.uniform(-2.0, 2.0, d)
-
-        def evaluate(phases):
-            return value_and_gradient_arrays(a, phases, d, variant)
-    else:
-        def evaluate(phases):
-            return extreme_value_and_gradient(phases, d, variant, largest)[:3]
-    fun = bellmp.optimize._objective(evaluate, d, bellmp.optimize._GAUGE,
-                                     1.0 if largest else -1.0)
+    fun = _random_objective(rng, d, variant, direction, search)
     x = rng.uniform(0.0, 2.0 * math.pi, (1, 4 * (d - 1)))
     if search == "joint":
         phases = bellmp.optimize._place(x, d, bellmp.optimize._GAUGE)[0]
@@ -329,6 +369,99 @@ def test_hessians_match_differences_of_the_gradient(d, seed, direction, variant,
     shifts = step * np.eye(x.shape[1])
     fd = (fun(x + shifts)[1] - fun(x - shifts)[1]).T / (2.0 * step)
     assert np.max(np.abs(H - fd)) <= 1e-7 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       direction=st.sampled_from(list(Direction)),
+       variant=st.sampled_from(list(KernelVariant)), search=st.sampled_from(["angles", "joint"]))
+def test_gauge_directions_are_null_for_the_free_hessian(d, seed, direction, variant, search):
+    # Adding c_k to A1[k] and A2[k] and subtracting it from B1[k] and
+    # B2[k] leaves every summed phase theta_r, hence the pair matrix,
+    # unchanged: the column-0 gauge keeps these d - 1 null directions.
+    assume(np.any(bellmp.engine._circulant(d, variant)))  # not the constant kernel
+    rng = np.random.default_rng(seed)
+    fun = _random_objective(rng, d, variant, direction, search)
+    x = rng.uniform(0.0, 2.0 * math.pi, (1, 4 * (d - 1)))
+    _, g, H = (column[0] for column in fun(x))
+    c = rng.uniform(-1.0, 1.0, d - 1)
+    u = np.concatenate((c, c, -c, -c))
+    assert np.max(np.abs(H @ u)) <= 1e-12 * np.max(np.abs(H)) * np.sum(np.abs(u))
+    assert abs(g @ u) <= 1e-12 * np.max(np.abs(g)) * np.sum(np.abs(u))
+
+
+def _eigen_step(H, g, mu):
+    # The step through the full eigendecomposition H = Q diag(w) Q^T, and
+    # the condition number of the shifted matrix.
+    w, Q = np.linalg.eigh(H)
+    shifted = w + mu + max(0.0, -w[0])
+    return -Q @ ((Q.T @ g) / shifted), shifted[-1] / shifted[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 28), seed=st.integers(0, 2**32 - 1),
+       negative=st.integers(0, 28), null=st.integers(0, 28),
+       mu=st.sampled_from([1e-10, 1e-6, 1e-2, 0.25, 1.0, 4.0, 1e3]), rows=st.integers(1, 4))
+def test_newton_step_equals_the_eigendecomposition_step(n, seed, negative, null, mu, rows):
+    # Random symmetric matrices with a chosen number of negative and of
+    # exactly zero eigenvalues, so indefinite and singular ones too.  The
+    # two routes agree to 1e-12 relative while the shifted matrix is well
+    # conditioned; beyond that both carry a forward error of order
+    # eps kappa (at most 9 eps kappa over 14000 random cases).
+    rng = np.random.default_rng(seed)
+    H = np.empty((rows, n, n))
+    for r in range(rows):
+        Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        w = rng.uniform(0.1, 10.0, n)
+        w[:min(negative, n)] *= -1.0
+        w[n - min(null, n):] = 0.0
+        H[r] = (Q * w) @ Q.T
+        H[r] = 0.5 * (H[r] + H[r].T)
+    g = rng.normal(size=(rows, n))
+    steps = bellmp.optimize._newton_steps(H, g, np.full(rows, mu))
+    for r in range(rows):
+        reference, kappa = _eigen_step(H[r], g[r], mu)
+        bound = max(1e-12, 64 * np.finfo(float).eps * kappa)
+        assert np.linalg.norm(steps[r] - reference) <= bound * np.linalg.norm(reference)
+        assert steps[r] @ g[r] < 0.0
+        # one row alone gives the same step, bit for bit
+        alone = bellmp.optimize._newton_steps(H[r:r + 1], g[r:r + 1], np.full(1, mu))
+        assert np.array_equal(alone[0], steps[r])
+
+
+# Per-restart Newton steps of the seed-7 d = 4 searches (50 restarts,
+# as in bellmp reproduce), with the batched calls and rows they made.
+_SEED7_ITERATIONS = {
+    ("angles", Direction.MAXIMIZE): (
+        (8, 15, 12, 15, 15, 10, 13, 9, 15, 10, 10, 18, 13, 11, 15, 19, 9, 15, 19, 15, 10,
+         13, 14, 10, 17, 13, 17, 15, 19, 9, 11, 11, 9, 8, 17, 15, 9, 7, 11, 11, 13, 9, 8,
+         15, 17, 9, 8, 14, 13, 9), 20, 677),
+    ("angles", Direction.MINIMIZE): (
+        (14, 12, 9, 13, 12, 16, 8, 14, 10, 22, 14, 11, 12, 7, 9, 13, 8, 11, 10, 11, 16, 10,
+         9, 12, 10, 14, 16, 10, 9, 11, 11, 13, 12, 13, 11, 15, 9, 8, 10, 10, 14, 11, 14, 15,
+         12, 8, 8, 8, 10, 10), 23, 625),
+    ("joint", Direction.MAXIMIZE): (
+        (10, 13, 11, 18, 7, 10, 10, 9, 9, 7, 11, 9, 9, 27, 17, 9, 13, 11, 11, 12, 8, 8, 11,
+         15, 9, 8, 19, 8, 9, 11, 11, 7, 13, 7, 12, 9, 11, 7, 8, 13, 7, 11, 8, 13, 8, 13, 13,
+         13, 11, 13), 28, 597),
+    ("joint", Direction.MINIMIZE): (
+        (11, 9, 15, 11, 12, 18, 10, 12, 8, 12, 10, 13, 13, 10, 10, 14, 15, 11, 12, 15, 16,
+         9, 16, 11, 8, 13, 8, 12, 9, 11, 16, 8, 11, 8, 21, 10, 10, 10, 12, 13, 17, 11, 15,
+         8, 10, 8, 14, 8, 11, 8), 22, 633),
+}
+
+
+@pytest.mark.parametrize("search,direction", list(_SEED7_ITERATIONS))
+def test_seed7_searches_take_their_pinned_newton_steps(search, direction):
+    config = OptimizerConfig(restarts=50, seed=7, direction=direction,
+                             free_state=search == "joint")
+    if search == "joint":
+        run = optimize_joint(D4, config)
+    else:
+        run = optimize_angles(maximally_entangled_state(D4), config)
+    iterations, calls, rows = _SEED7_ITERATIONS[search, direction]
+    assert run.per_restart_iterations == iterations
+    assert (run.evaluations.calls, run.evaluations.rows) == (calls, rows)
 
 
 class TestVertexBounds:
@@ -465,7 +598,7 @@ class TestEigenReduction:
         def stopped(fun, x0, max_iterations, gradient_tolerance):
             x = np.zeros_like(x0)
             return (x, fun(x)[0], np.zeros(len(x)), np.zeros(len(x), dtype=int),
-                    np.ones(len(x), dtype=bool))
+                    np.ones(len(x), dtype=bool), np.zeros(len(x), dtype=int), np.ones(len(x)))
 
         monkeypatch.setattr(bellmp.optimize, "_minimize", stopped)
         top = optimize_joint(D4, OptimizerConfig(restarts=1, free_state=True))

@@ -29,8 +29,6 @@ from .model import (
     zero_settings,
 )
 from .analytic import (
-    branch_values_max,
-    branch_values_min,
     gamma_constants,
     max_entangled_value,
     noise_resistance_gain,
@@ -40,7 +38,7 @@ from .analytic import (
     threshold_noise,
     vertex_candidates,
 )
-from .engine import (JointProbabilityTable, bell_value_from_table, correlation_q,
+from .engine import (bell_value_from_table, correlation_q,
                      joint_probabilities, mix_uniform_noise, sample_experiment)
 from .lhv import lhv_bounds
 from .optimize import Direction, OptimizerConfig, optimize_angles, optimize_joint
@@ -48,6 +46,7 @@ from .report import (
     SCAN_COLUMNS,
     ReproductionReport,
     ScanSpec,
+    branch_record,
     build_reproduction_report,
     scan_rows,
 )
@@ -149,6 +148,13 @@ def _parse_state(text: str, d: int | None) -> PureState:
     return make_state(dim, values)
 
 
+def _open_output(path: str, mode: str = "w", newline: str | None = None):
+    try:
+        return open(path, mode, encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+
+
 def _load_angles(path: str, d: int | None) -> MeasurementSettings:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -192,20 +198,22 @@ def _angles_dict(settings: MeasurementSettings) -> dict:
     }
 
 
-def _table_dict(table: JointProbabilityTable) -> dict:
-    return {
-        f"{i}{j}": table.setting(i, j).tolist()
-        for i in (1, 2) for j in (1, 2)
-    }
+def _by_setting(tables: np.ndarray) -> dict:
+    # (2, 2, d, d) per-setting tables keyed "11", "12", "21", "22".
+    return {f"{i}{j}": tables[i - 1, j - 1].tolist() for i, j in SETTING_PAIRS}
 
 
-def cmd_eval(args) -> int:
+def _state_and_settings(args) -> tuple[PureState, MeasurementSettings]:
+    # The --state, and the --angles file's settings or zero phases.
     _check_dimension(args.d)
     state = _parse_state(args.state, args.d)
     if args.angles:
-        settings = _load_angles(args.angles, state.dim.d)
-    else:
-        settings = zero_settings(state.dim)
+        return state, _load_angles(args.angles, state.dim.d)
+    return state, zero_settings(state.dim)
+
+
+def cmd_eval(args) -> int:
+    state, settings = _state_and_settings(args)
     variant = _variant(args.variant)
     table = mix_uniform_noise(joint_probabilities(state, settings), args.noise)
     q = {f"Q{i}{j}": correlation_q(table, i, j, variant) for i, j in SETTING_PAIRS}
@@ -217,7 +225,7 @@ def cmd_eval(args) -> int:
         "state": list(state.coefficients),
         "I": value,
         **q,
-        "probabilities": _table_dict(table),
+        "probabilities": _by_setting(table.probabilities),
     }
     if value > 2.0:
         record["threshold_noise"] = threshold_noise(value)
@@ -263,14 +271,18 @@ def cmd_optimize(args) -> int:
             raise ValidationError("--free-state optimizes the state; drop --state")
         if args.d is None:
             raise ValidationError("--free-state requires --d")
+    elif args.state is not None:
+        state = _parse_state(args.state, args.d)
+    elif args.d is not None:
+        state = maximally_entangled_state(Dimension(args.d))
+    else:
+        raise ValidationError("optimize needs --state or --d")
+    if args.export_angles:
+        # Fail before the search, without truncating an existing file.
+        _open_output(args.export_angles, "a").close()
+    if args.free_state:
         run = optimize_joint(Dimension(args.d), config, variant)
     else:
-        if args.state is not None:
-            state = _parse_state(args.state, args.d)
-        elif args.d is not None:
-            state = maximally_entangled_state(Dimension(args.d))
-        else:
-            raise ValidationError("optimize needs --state or --d")
         run = optimize_angles(state, config, variant)
     best = run.best
     angles = _angles_dict(best.settings)
@@ -293,7 +305,7 @@ def cmd_optimize(args) -> int:
         "angles": angles,
     }
     if args.export_angles:
-        with open(args.export_angles, "w", encoding="utf-8") as handle:
+        with _open_output(args.export_angles) as handle:
             json.dump(_round_floats(angles), handle, indent=2, sort_keys=True)
             handle.write("\n")
     _emit_json(record)
@@ -327,19 +339,12 @@ def cmd_analytic(args) -> int:
         })
         return EXIT_OK
     state = _parse_state(args.state, 4)
-    bmax = branch_values_max(state)
-    bmin = branch_values_min(state)
     vertices = vertex_candidates(state)
     witness_max, witness_min = vertices.witnesses
     record = {
         "state": list(state.coefficients),
         "sorted_magnitudes": list(sorted_magnitudes(state).A),
-        "B1": bmax.b1,
-        "B2": bmax.b2,
-        "Imax": bmax.max,
-        "S1": bmin.s1,
-        "S2": bmin.s2,
-        "Imin": bmin.min,
+        **branch_record(state),
         "vertex_max": vertices.max,
         "vertex_min": vertices.min,
         "vertex_max_witness": {
@@ -353,8 +358,6 @@ def cmd_analytic(args) -> int:
             "assignment": list(witness_min.assignment),
         },
     }
-    if bmax.max > 0.0:
-        record["Fthr"] = threshold_noise(bmax.max)
     _emit_json(record)
     return EXIT_OK
 
@@ -403,15 +406,14 @@ def cmd_scan(args) -> int:
     if args.steps > MAX_SCAN_STEPS:
         raise ValidationError(f"--steps must be at most {MAX_SCAN_STEPS}, got {args.steps}")
     spec = ScanSpec(r_from=args.r_from, r_to=args.r_to, steps=args.steps)
-    rows = scan_rows(spec)
     if args.json:
-        _emit_json({"family": "step", "rows": rows})
+        _emit_json({"family": "step", "rows": scan_rows(spec)})
         return EXIT_OK
-    stream = open(args.csv, "w", encoding="utf-8", newline="") if args.csv else sys.stdout
+    stream = _open_output(args.csv, newline="") if args.csv else sys.stdout
     try:
         writer = csv.writer(stream)
         writer.writerow(SCAN_COLUMNS)
-        for row in rows:
+        for row in scan_rows(spec):
             writer.writerow([f"{row[c]:.12g}" for c in SCAN_COLUMNS])
     finally:
         if args.csv:
@@ -420,18 +422,9 @@ def cmd_scan(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    _check_dimension(args.d)
-    state = _parse_state(args.state, args.d)
-    if args.angles:
-        settings = _load_angles(args.angles, state.dim.d)
-    else:
-        settings = zero_settings(state.dim)
+    state, settings = _state_and_settings(args)
     estimate = sample_experiment(state, settings, args.shots, args.seed,
                                  _variant(args.variant))
-    counts = {
-        f"{i}{j}": estimate.counts[i - 1, j - 1].tolist()
-        for i in (1, 2) for j in (1, 2)
-    }
     _emit_json({
         "d": state.dim.d,
         "variant": args.variant,
@@ -439,7 +432,7 @@ def cmd_sample(args) -> int:
         "seed": args.seed,
         "estimate": estimate.value_estimate,
         "std_error": estimate.std_error,
-        "counts": counts,
+        "counts": _by_setting(estimate.counts),
     })
     return EXIT_OK
 

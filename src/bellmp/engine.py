@@ -96,10 +96,13 @@ def _phase_matrix(settings: MeasurementSettings) -> np.ndarray:
     ])
 
 
-def _setting_thetas(phases: np.ndarray) -> np.ndarray:
-    # Row r of the result is phi^{A_i} + phi^{B_j} for SETTING_PAIRS[r].
-    thetas = phases[..., :2, None, :] + phases[..., None, 2:, :]
-    return thetas.reshape(phases.shape[:-2] + (4, phases.shape[-1]))
+# theta = L phi: row r of the incidence L marks the phase rows (A1, A2,
+# B1, B2) whose sum is the summed phase theta_r = phi^{A_i} + phi^{B_j} of
+# SETTING_PAIRS[r].  L^T q collects, on each phase row, the rows q_r of
+# the setting pairs that contain it.  Every entry of either product sums
+# two phases, so it equals the plain addition bit for bit.
+_PAIRS = np.array([[float(p in (i - 1, j + 1)) for p in range(4)] for i, j in SETTING_PAIRS])
+_PAIRS.flags.writeable = False
 
 
 # The kernel functions below take phase matrices with any leading batch
@@ -108,7 +111,7 @@ def _setting_thetas(phases: np.ndarray) -> np.ndarray:
 def _phased(phases: np.ndarray, d: int, variant: KernelVariant) -> np.ndarray:
     # P[..., r, :, :] = diag(e^{i theta_r}) C[r] diag(e^{-i theta_r}); each
     # is Hermitian and I = a^T Re(sum_r P[..., r, :, :]) a / ((d - 1) d^3).
-    z = np.exp(1j * _setting_thetas(phases))
+    z = np.exp(1j * (_PAIRS @ phases))
     P = z[..., :, None] * _circulant(d, variant)
     P *= z.conj()[..., None, :]
     return P
@@ -203,7 +206,7 @@ def joint_probabilities(state: PureState, settings: MeasurementSettings) -> Join
             f"state dimension {state.dim.d} != settings dimension {settings.dim.d}"
         )
     d = state.dim.d
-    theta = _setting_thetas(_phase_matrix(settings))
+    theta = _PAIRS @ _phase_matrix(settings)
     c = np.asarray(state.coefficients) * np.exp(1j * theta)
     ahat = c @ _dft(d).T
     class_p = np.abs(ahat) ** 2 / d**3
@@ -313,31 +316,19 @@ def t_coefficients(settings: MeasurementSettings) -> TCoefficients:
     return TCoefficients(*(2.0 * float(M[k, l]) for k, l in PAIR_SLOTS))
 
 
-def _to_phases(q: np.ndarray, d: int) -> np.ndarray:
-    # theta = L phi with theta_r = phi^{A_i} + phi^{B_j}: maps the rows
-    # (..., 4, d) over the summed phases of the setting pairs to L^T q over
-    # the phase rows A1, A2, B1, B2, so each phase row collects its pairs.
-    q = q.reshape(q.shape[:-2] + (2, 2, d))
-    # q[..., i, j, :] belongs to setting pair (A_i, B_j).
-    return np.concatenate((q[..., 0, :] + q[..., 1, :], q[..., 0, :, :] + q[..., 1, :, :]),
-                          axis=-2)
-
-
 def _phase_gradient(P: np.ndarray, coefficients: np.ndarray,
                     d: int) -> tuple[np.ndarray, np.ndarray]:
     # Setting pair r contributes -2 a Im(P[r] a) / ((d - 1) d^3) to the
     # gradient of its summed phases theta_r.  Also returns P a.
     a = coefficients[..., None, :]
     pa = (P @ a[..., None])[..., 0]
-    return _to_phases((-2.0 / ((d - 1) * d**3)) * a * pa.imag, d), pa
+    return _PAIRS.T @ ((-2.0 / ((d - 1) * d**3)) * a * pa.imag), pa
 
 
-# Row 4 p + q of the incidence matrix marks the setting pairs whose
-# summed phases theta_r contain both phase rows p and q (rows A1, A2,
-# B1, B2), so L^T H L is one product with the theta blocks.  Each entry
-# sums at most two nonzero blocks.
-_INCIDENCE = np.array([[float(p in (i - 1, j + 1) and q in (i - 1, j + 1))
-                        for i, j in SETTING_PAIRS] for p in range(4) for q in range(4)])
+# Row 4 p + q marks the setting pairs whose summed phases theta_r contain
+# both phase rows p and q, so L^T H L is one product with the theta
+# blocks.  Each entry sums at most two nonzero blocks.
+_INCIDENCE = (_PAIRS.T[:, None, :] * _PAIRS.T[None, :, :]).reshape(16, 4)
 _INCIDENCE.flags.writeable = False
 
 
@@ -356,29 +347,11 @@ def _phase_hessian(P: np.ndarray, coefficients: np.ndarray, pa: np.ndarray,
     return H.reshape(H.shape[:-2] + (4, 4, d, d)).swapaxes(-3, -2)
 
 
-# Batches are evaluated in row blocks whose complex (rows, 4, d, d)
-# tensor and (rows, 4 d, 4 d) Hessian stay within this many bytes, 192 d^2
-# per row: 341 rows at d = 4, 1 at d = 64.  The Hessian's assembly
-# product writes straight into its storage and needs no other buffer.
-_BLOCK_BYTES = 1 << 20
-
-
-def _in_blocks(evaluate, rows: int, d: int) -> tuple[np.ndarray, ...]:
-    # evaluate(row slice) -> tuple of arrays with the rows leading.
-    size = max(1, _BLOCK_BYTES // (192 * d * d))
-    if rows <= size:
-        return evaluate(slice(None))
-    parts = [evaluate(slice(start, start + size)) for start in range(0, rows, size)]
-    return tuple(np.concatenate(column) for column in zip(*parts))
-
-
-def _quadratic_rows(coefficients: np.ndarray, phases: np.ndarray, d: int,
-                    variant: KernelVariant) -> tuple[np.ndarray, ...]:
-    P = _phased(phases, d, variant)
-    Ma = _pair_sum(P, d) @ coefficients[..., None]
-    value = (coefficients[..., None, :] @ Ma)[..., 0, 0]
-    gradient, pa = _phase_gradient(P, coefficients, d)
-    return value, gradient, _phase_hessian(P, coefficients, pa, d)
+# The two kernels below evaluate one (4, d) phase matrix, returning a
+# float value, or a (R, 4, d) stack as one batch, returning (R,) values.
+def _kernel_result(phases: np.ndarray, value: np.ndarray, gradient: np.ndarray,
+                   hessian: np.ndarray) -> tuple:
+    return (float(value) if phases.ndim == 2 else value), gradient, hessian
 
 
 def value_and_gradient_arrays(coefficients: np.ndarray, phases: np.ndarray,
@@ -393,13 +366,11 @@ def value_and_gradient_arrays(coefficients: np.ndarray, phases: np.ndarray,
     on row r alone, bit for bit.  No validation happens here; this is
     the optimizer's hot path.
     """
-    if phases.ndim == 2:
-        value, gradient, hessian = _quadratic_rows(coefficients, phases, d, variant)
-        return float(value), gradient, hessian
-    coefficients = np.broadcast_to(coefficients, (len(phases), d))
-    return _in_blocks(
-        lambda rows: _quadratic_rows(coefficients[rows], phases[rows], d, variant),
-        len(phases), d)
+    P = _phased(phases, d, variant)
+    Ma = _pair_sum(P, d) @ coefficients[..., None]
+    value = (coefficients[..., None, :] @ Ma)[..., 0, 0]
+    gradient, pa = _phase_gradient(P, coefficients, d)
+    return _kernel_result(phases, value, gradient, _phase_hessian(P, coefficients, pa, d))
 
 
 def _extreme_eigh(M: np.ndarray, d: int, largest: bool) -> tuple[np.ndarray, ...]:
@@ -410,10 +381,26 @@ def _extreme_eigh(M: np.ndarray, d: int, largest: bool) -> tuple[np.ndarray, ...
     return w, V, k, d * np.abs(w[..., k] - w[..., n])
 
 
-def _extreme_rows(phases: np.ndarray, d: int, variant: KernelVariant,
-                  largest: bool) -> tuple[np.ndarray, ...]:
+def extreme_value_and_gradient(phases: np.ndarray, d: int, variant: KernelVariant,
+                               largest: bool):
+    """The Bell value optimized over states at fixed phases, on raw
+    arrays: d lambda of the pair matrix's largest (or smallest)
+    eigenvalue lambda, and its gradient and Hessian with respect to the
+    (4, d) phase matrix.
+
+    On the sphere sum a^2 = d, a^T M a is extremal at a = sqrt(d) v for
+    the extreme unit eigenvector v.  By the Hellmann-Feynman theorem the
+    gradient is the phase gradient of a^T M a at that fixed a; the
+    Hessian adds the second-order eigenvalue perturbation term to that
+    of a^T M a (Overton and Womersley 1995).  Both exist only where the
+    eigengap is positive; _extreme_eigh of pair_matrix(phases) gives the
+    eigenvector and the gap.  A (R, 4, d) stack of phase matrices is
+    evaluated as one batch, returning (R,), (R, 4, d) and
+    (R, 4, d, 4, d) arrays; row r equals the call on row r alone, bit
+    for bit.  No validation happens here.
+    """
     P = _phased(phases, d, variant)
-    w, V, k, gap = _extreme_eigh(_pair_sum(P, d), d, largest)
+    w, V, k, _ = _extreme_eigh(_pair_sum(P, d), d, largest)
     v = V[..., k]
     a = math.sqrt(d) * v
     gradient, pa = _phase_gradient(P, a, d)
@@ -424,36 +411,11 @@ def _extreme_rows(phases: np.ndarray, d: int, variant: KernelVariant,
     im_pv = np.imag(P @ V[..., None, :, :])
     J = (V[..., None, :, :] * im_pv[..., k, None] + v[..., None, :, None] * im_pv) \
         * (-1.0 / ((d - 1) * d**3))
-    J = _to_phases(np.moveaxis(J, -1, -3), d).reshape(J.shape[:-3] + (d, 4 * d))
+    J = (_PAIRS.T @ np.moveaxis(J, -1, -3)).reshape(J.shape[:-3] + (d, 4 * d))
     gaps = w[..., k, None] - w
     weights = np.divide(2.0 * d, gaps, out=np.zeros_like(gaps), where=gaps != 0.0)
     hessian += ((J.swapaxes(-1, -2) * weights[..., None, :]) @ J).reshape(hessian.shape)
-    return d * w[..., k], gradient, hessian, v, gap
-
-
-def extreme_value_and_gradient(phases: np.ndarray, d: int, variant: KernelVariant,
-                               largest: bool):
-    """The Bell value optimized over states at fixed phases, on raw
-    arrays: d lambda of the pair matrix's largest (or smallest)
-    eigenvalue lambda, its gradient and its Hessian with respect to the
-    (4, d) phase matrix, the unit eigenvector v and the eigengap, the
-    distance from d lambda to the next value of d M's spectrum.
-
-    On the sphere sum a^2 = d, a^T M a is extremal at a = sqrt(d) v.
-    By the Hellmann-Feynman theorem the gradient is the phase gradient
-    of a^T M a at that fixed a; the Hessian adds the second-order
-    eigenvalue perturbation term to that of a^T M a (Overton and
-    Womersley 1995).  Both exist only where the gap is positive.  A
-    (R, 4, d) stack of phase matrices is evaluated as one batch,
-    returning (R,), (R, 4, d), (R, 4, d, 4, d), (R, d) and (R,) arrays;
-    row r equals the call on row r alone, bit for bit.  No validation
-    happens here.
-    """
-    if phases.ndim == 2:
-        value, gradient, hessian, v, gap = _extreme_rows(phases, d, variant, largest)
-        return float(value), gradient, hessian, v, float(gap)
-    return _in_blocks(lambda rows: _extreme_rows(phases[rows], d, variant, largest),
-                      len(phases), d)
+    return _kernel_result(phases, d * w[..., k], gradient, hessian)
 
 
 def bell_gradient(state: PureState, settings: MeasurementSettings,

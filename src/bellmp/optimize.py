@@ -17,8 +17,9 @@ restart reports its rejected steps and final mu beside its iterations.
 
 All restarts of a search run as one batch: every objective call
 evaluates the stacked phases of the restarts still running, while each
-restart keeps its own regularization and stopping tests.  A restart's
-result is the same, bit for bit, whichever restarts share its batch.
+restart keeps its own regularization and stopping tests, the same for
+every search.  A restart's result is the same, bit for bit, whichever
+restarts share its batch.
 
 Every closed-form number in the analytic module is cross-checked
 against this machinery, which shares no formulas with it beyond the
@@ -162,51 +163,37 @@ def _minimize(fun, x0: np.ndarray, max_iterations: int, gradient_tolerance: floa
     gradient norm falls; mu then shrinks by 4 (to at least 1e-10), and
     grows by 4 after a rejected step.  A restart stops when its
     gradient test passes, when mu exceeds 1e8 or after max_iterations
-    steps.  Returns per restart the point, value, gradient norm,
-    iterations, convergence flag, rejected steps and final mu, as
-    (R, n), (R,), (R,), (R,), (R,), (R,) and (R,) arrays.
+    steps.  The loop updates full-size arrays in place, stepping only the
+    restarts still running.  Returns per restart the point, value,
+    gradient norm, iterations, convergence flag, rejected steps and
+    final mu, as (R, n), (R,), (R,), (R,), (R,), (R,) and (R,) arrays.
     """
     x = np.array(x0, dtype=float)
     f, g, H = fun(x)
     gnorm = _norms(g)
+    mu = np.ones(len(x))
     iterations = np.zeros(len(x), dtype=int)
     rejected = np.zeros(len(x), dtype=int)
-    final_mu = np.ones(len(x))
-    # The working set holds the restarts still stepping, compacted.  They
-    # advance together, so they share one iteration count.
-    rows = np.arange(len(x))
-    xs, fs, gs, Hs, gnorms = x.copy(), f.copy(), g, H, gnorm.copy()
-    mu = np.ones(len(x))
-    rejects = np.zeros(len(x), dtype=int)
-    k = 0
+    # The restarts still stepping; the others keep their final entries.
+    active = np.arange(len(x))
     while True:
-        done = (gnorms <= gradient_tolerance) | (mu > 1e8)
-        if k >= max_iterations:
-            done[:] = True
-        if done.any():
-            out = rows[done]
-            x[out], f[out], gnorm[out], iterations[out] = xs[done], fs[done], gnorms[done], k
-            rejected[out], final_mu[out] = rejects[done], mu[done]
-            keep = ~done
-            if not keep.any():
-                return (x, f, gnorm, iterations, gnorm <= gradient_tolerance,
-                        rejected, final_mu)
-            rows, xs, fs, gs, Hs, gnorms, mu, rejects = (
-                rows[keep], xs[keep], fs[keep], gs[keep], Hs[keep], gnorms[keep], mu[keep],
-                rejects[keep])
-        k += 1
-        x_try = xs + _newton_steps(Hs, gs, mu)
+        done = ((gnorm[active] <= gradient_tolerance) | (mu[active] > 1e8)
+                | (iterations[active] >= max_iterations))
+        active = active[~done]
+        if not len(active):
+            return x, f, gnorm, iterations, gnorm <= gradient_tolerance, rejected, mu
+        x_try = x[active] + _newton_steps(H[active], g[active], mu[active])
         f_try, g_try, H_try = fun(x_try)
         gnorm_try = _norms(g_try)
-        margin = 1e-13 * (1.0 + np.abs(fs))
-        kept = (f_try < fs - margin) | ((f_try <= fs + margin) & (gnorm_try < gnorms))
-        column = kept[:, None]
-        xs, fs, gs = np.where(column, x_try, xs), np.where(kept, f_try, fs), \
-            np.where(column, g_try, gs)
-        Hs = np.where(column[:, :, None], H_try, Hs)
-        gnorms = np.where(kept, gnorm_try, gnorms)
-        mu = np.where(kept, np.maximum(mu * 0.25, 1e-10), mu * 4.0)
-        rejects += ~kept
+        f_old = f[active]
+        margin = 1e-13 * (1.0 + np.abs(f_old))
+        kept = (f_try < f_old - margin) | ((f_try <= f_old + margin) & (gnorm_try < gnorm[active]))
+        moved = active[kept]
+        x[moved], f[moved], g[moved], H[moved], gnorm[moved] = \
+            x_try[kept], f_try[kept], g_try[kept], H_try[kept], gnorm_try[kept]
+        mu[active] = np.where(kept, np.maximum(mu[active] * 0.25, 1e-10), mu[active] * 4.0)
+        rejected[active] += ~kept
+        iterations[active] += 1
 
 
 def _settings(phases: np.ndarray, dim: Dimension) -> MeasurementSettings:
@@ -267,8 +254,7 @@ class _Search:
 
 
 def _multistart(evaluate, d: int, free: slice, stream: tuple[int, ...],
-                config: OptimizerConfig, max_iterations: int = _MAX_ITERATIONS,
-                gradient_tolerance: float = _GRADIENT_TOLERANCE) -> _Search:
+                config: OptimizerConfig) -> _Search:
     """Search for the config.direction extremum of evaluate over the
     phase columns free, the other phases held at zero, from
     config.restarts starts run as one batch.  Restart r draws its start
@@ -290,7 +276,7 @@ def _multistart(evaluate, d: int, free: slice, stream: tuple[int, ...],
         for r in range(config.restarts)
     ])
     x, f, gnorm, iterations, converged, rejected, mu = _minimize(
-        counted, x0, max_iterations, gradient_tolerance)
+        counted, x0, _MAX_ITERATIONS, _GRADIENT_TOLERANCE)
     values = -sign * f
     return _Search(values, _place(x, d, free), gnorm, iterations, converged, rejected, mu,
                    Evaluations(calls, rows), _best(values, config.direction))
@@ -370,7 +356,7 @@ def optimize_joint(dim: Dimension, config: OptimizerConfig,
     _require_nonconstant(d, variant)
     largest = config.direction is Direction.MAXIMIZE
     search = _multistart(
-        lambda phases: extreme_value_and_gradient(phases, d, variant, largest)[:3],
+        lambda phases: extreme_value_and_gradient(phases, d, variant, largest),
         d, _GAUGE, (config.seed,), config)
     _, V, k, gaps = _extreme_eigh(pair_matrix(search.phases, d, variant), d, largest)
     converged = search.converged & (gaps > _GAP_RTOL * (1.0 + np.abs(search.values)))
@@ -393,9 +379,11 @@ def max_abs_t_coefficient(pair: tuple[int, int], restarts: int = 8,
     so the search runs over those four angles in phase column k; the
     returned settings carry them there.  Only the maximum is searched:
     adding pi to A1[k] and A2[k] maps T_kl to -T_kl, so the maximum of
-    T_kl is the maximum of |T_kl|.  Callers use at least 3 restarts; a
-    single restart can stop at a saddle (at seed 0, pairs (1, 2) and
-    (2, 3) stop at +-1/3).
+    T_kl is the maximum of |T_kl|.  The search stops as the other
+    searches do.  Callers use at least 3 restarts; a single restart can
+    stop at a saddle: over seeds 0-5 one restart reaches every pair's
+    maximum except pair (0, 3) at seed 2, which stops at Gamma3 =
+    0.360797.
     """
     if pair not in PAIR_SLOTS:
         raise ValidationError(f"pair must be one of {PAIR_SLOTS}, got {pair!r}")
@@ -407,6 +395,6 @@ def max_abs_t_coefficient(pair: tuple[int, int], restarts: int = 8,
         return value_and_gradient_arrays(a, phases, 4, KernelVariant.PLUS)
 
     search = _multistart(evaluate, 4, slice(k, k + 1), (seed, 1),
-                         OptimizerConfig(restarts=restarts, seed=seed), 2000, 1e-11)
+                         OptimizerConfig(restarts=restarts, seed=seed))
     best = search.best
     return abs(float(search.values[best])), _settings(search.phases[best], Dimension(4))

@@ -15,6 +15,7 @@ from fractions import Fraction
 from .model import (
     Dimension,
     KernelVariant,
+    PureState,
     make_state,
     maximally_entangled_state,
     ValidationError,
@@ -46,6 +47,7 @@ __all__ = [
     "build_reproduction_report",
     "ScanSpec",
     "SCAN_COLUMNS",
+    "branch_record",
     "scan_rows",
 ]
 
@@ -252,22 +254,23 @@ class ScanSpec:
             )
 
 
+def branch_record(state: PureState) -> dict:
+    """The closed-form branch values B1, B2, Imax, S1, S2 and Imin of a
+    d = 4 state, and the threshold noise Fthr where Imax is positive."""
+    bmax = branch_values_max(state)
+    bmin = branch_values_min(state)
+    record = {"B1": bmax.b1, "B2": bmax.b2, "Imax": bmax.max,
+              "S1": bmin.s1, "S2": bmin.s2, "Imin": bmin.min}
+    if bmax.max > 0.0:
+        record["Fthr"] = threshold_noise(bmax.max)
+    return record
+
+
 def scan_rows(spec: ScanSpec) -> list[dict]:
-    """One row per grid point with the closed-form branch values."""
+    """One row per grid point with the closed-form branch values.  Imax
+    is positive on the whole family, so every row has Fthr."""
     rows = []
     for index in range(spec.steps):
         r = spec.r_from + (spec.r_to - spec.r_from) * index / (spec.steps - 1)
-        state = make_state(_D4, (1.0, 1.0, r, r))
-        bmax = branch_values_max(state)
-        bmin = branch_values_min(state)
-        rows.append({
-            "r": r,
-            "B1": bmax.b1,
-            "B2": bmax.b2,
-            "Imax": bmax.max,
-            "S1": bmin.s1,
-            "S2": bmin.s2,
-            "Imin": bmin.min,
-            "Fthr": threshold_noise(bmax.max),
-        })
+        rows.append({"r": r, **branch_record(make_state(_D4, (1.0, 1.0, r, r)))})
     return rows

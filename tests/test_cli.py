@@ -220,6 +220,20 @@ class TestOptimize:
         evaluations = record["evaluations"]
         assert 0 < evaluations["calls"] <= evaluations["rows"]
 
+    def test_unwritable_export_path_fails_before_searching(self, capsys, monkeypatch,
+                                                           tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search must not start")
+
+        monkeypatch.setattr(cli, "optimize_angles", refuse)
+        path = tmp_path / "missing" / "angles.json"
+        code, out, err = run(capsys, ["optimize", "--d", "4", "--restarts", "2",
+                                      "--export-angles", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {str(path)!r}")
+        assert "Traceback" not in err
+
     def test_minimize_flat_state(self, capsys):
         code, out, _ = run(capsys, ["optimize", "--d", "4", "--restarts", "4",
                                     "--direction", "min"])
@@ -303,6 +317,19 @@ class TestScan:
         code, _, err = run(capsys, argv)
         assert code == 1
         assert err.strip()
+
+    def test_unwritable_csv_path_fails_before_scanning(self, capsys, monkeypatch,
+                                                       tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scan must not start")
+
+        monkeypatch.setattr(cli, "scan_rows", refuse)
+        path = tmp_path / "missing" / "scan.csv"
+        code, out, err = run(capsys, ["scan", "--csv", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {str(path)!r}")
+        assert "Traceback" not in err
 
     def test_rejects_oversized_steps_before_scanning(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):

@@ -434,6 +434,23 @@ class TestHessianAssembly:
         assert np.array_equal(kernel, _loop_assembled_hessian(P, given, d)[0])
 
 
+    @pytest.mark.parametrize("d", [2, 4, 7])
+    @pytest.mark.parametrize("batch", [(), (5,)])
+    def test_summed_phase_maps_equal_plain_additions(self, d, batch):
+        # theta = L phi and L^T q are products with the 0/1 incidence L;
+        # each entry adds two terms, exactly as the additions do.
+        rng = np.random.default_rng(d)
+        phases = rng.uniform(-10.0, 10.0, batch + (4, d))
+        thetas = np.stack([phases[..., i - 1, :] + phases[..., j + 1, :]
+                           for i, j in SETTING_PAIRS], axis=-2)
+        assert np.array_equal(engine._PAIRS @ phases, thetas)
+        q = rng.uniform(-10.0, 10.0, batch + (4, d))
+        # A_i collects the pairs (i, 1) and (i, 2), B_j the pairs (1, j) and (2, j).
+        collected = np.stack([q[..., 0, :] + q[..., 1, :], q[..., 2, :] + q[..., 3, :],
+                              q[..., 0, :] + q[..., 2, :], q[..., 1, :] + q[..., 3, :]], axis=-2)
+        assert np.array_equal(engine._PAIRS.T @ q, collected)
+
+
 def _random_case(seed, d):
     rng = np.random.default_rng(seed)
     return random_state(rng, d, signed=True), random_settings(rng, d)
@@ -480,6 +497,24 @@ def test_noise_scales_value_linearly(seed, d, variant, noise):
     state, settings = _random_case(seed, d)
     assert abs(bell_value_noisy(state, settings, noise, variant)
                - (1.0 - noise) * bell_value(state, settings, variant)) < 1e-12
+
+
+# Checks the summed-phase map theta = L phi, which the pair matrix and
+# the kernel share, against the table route.
+@_PROPERTY
+@given(**_CASES)
+def test_pair_matrix_and_kernel_agree_with_the_table_route(seed, d, variant):
+    state, settings = _random_case(seed, d)
+    a = np.asarray(state.coefficients)
+    phases = np.array(settings_rows(settings))
+    expected = bell_value(state, settings, variant)
+    tolerance = 1e-12 * max(1.0, abs(expected))
+    assert abs(a @ pair_matrix(phases, d, variant) @ a - expected) <= tolerance
+    value, gradient, _ = value_and_gradient_arrays(a, phases, d, variant)
+    assert abs(value - expected) <= tolerance
+    fd = central_difference_gradient(state, settings, variant)
+    assert np.max(np.abs(gradient.reshape(-1) - fd)) \
+        <= 1e-6 * max(1.0, np.max(np.abs(gradient)))
 
 
 class TestSampling:

@@ -5,9 +5,10 @@ decomposes as I = sum_{k<l} a_k a_l T_kl, where the six T coefficients
 depend only on the phases.  Over all settings each T vector is confined
 to a polyhedron whose vertices carry coordinates from the radical
 constants Gamma_1 > Gamma_2 > Gamma_3 (and the rational pair 2/3, 1/3).
-This module holds those constants, the 24 tabulated vertex patterns,
-the two-branch closed forms for the state-dependent extrema, the
-optimal state families, and noise thresholds.  Everything here is exact
+This module holds those constants, the 24 vertex patterns (each
+table's row 1 under the eight port sign flips), the two-branch closed
+forms for the state-dependent extrema, the optimal state families, and
+noise thresholds.  Everything here is exact
 arithmetic on radicals evaluated in double precision; the numeric
 optimizer lives elsewhere and serves as the independent cross-check.
 """
@@ -19,6 +20,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
+
+import numpy as np
 
 from .model import (
     Dimension,
@@ -100,59 +103,56 @@ class VertexPattern:
         return self.signs[SLOT_LABELS.index(label)]
 
 
-# Vertex coordinates as sign/magnitude tokens, row by row.  G1, G2, G3
-# are the Gamma constants; A, B are the rational magnitudes 2/3, 1/3.
-_TABLE_TOKENS: tuple[tuple[int, tuple[str, ...]], ...] = (
-    (1, (
-        "+G1 +G2 +G3 +G3 +G2 +G3",
-        "-G1 -G2 -G3 +G3 +G2 +G3",
-        "-G1 +G2 +G3 -G3 -G2 +G3",
-        "+G1 -G2 +G3 -G3 +G2 -G3",
-        "+G1 +G2 -G3 +G3 -G2 -G3",
-        "+G1 -G2 -G3 -G3 -G2 +G3",
-        "-G1 +G2 -G3 -G3 +G2 -G3",
-        "-G1 -G2 +G3 +G3 -G2 -G3",
-    )),
-    (2, (
-        "-G1 -G2 -G1 -G1 -G2 +G3",
-        "+G1 +G2 +G1 -G1 -G2 +G3",
-        "+G1 -G2 -G1 +G1 +G2 +G3",
-        "-G1 +G2 -G1 -G1 -G2 -G3",
-        "-G1 -G2 +G1 -G1 +G2 -G3",
-        "-G1 +G2 +G1 +G1 +G2 +G3",
-        "+G1 -G2 +G1 +G1 -G2 -G3",
-        "+G1 +G2 -G1 -G1 +G2 -G3",
-    )),
-    (3, (
-        "-A -B -A -A -B -A",
-        "+A +B +A -A -B -A",
-        "+A -B -A +A +B -A",
-        "-A +B -A +A -B +A",
-        "-A -B +A -A +B +A",
-        "-A +B +A +A +B -A",
-        "+A -B +A +A -B +A",
-        "+A +B -A -A +B +A",
-    )),
+# Row 1 of each vertex table: the magnitude of each PAIR_SLOTS entry
+# (G1, G2, G3 the Gamma constants; A, B the rational 2/3, 1/3) and its
+# sign.
+_FIRST_ROWS: tuple[tuple[str, tuple[int, ...]], ...] = (
+    ("G1 G2 G3 G3 G2 G3", (1, 1, 1, 1, 1, 1)),
+    ("G1 G2 G1 G1 G2 G3", (-1, -1, -1, -1, -1, 1)),
+    ("A B A A B A", (-1, -1, -1, -1, -1, -1)),
+)
+
+# Adding pi to A1[k] and A2[k] negates port k's term in every setting
+# pair's amplitude, as a_k -> -a_k does, so it maps T_kl to -T_kl for
+# each l != k.  Flipping the ports with s_k = -1 therefore maps a vertex
+# T to the vertex s_k s_l T_kl; rows 1-8 of every table are its row 1
+# under these port sign vectors.
+_PORT_SIGNS: tuple[tuple[int, int, int, int], ...] = (
+    (1, 1, 1, 1), (1, -1, -1, -1), (1, -1, 1, 1), (1, 1, -1, 1),
+    (1, 1, 1, -1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1),
 )
 
 
 @lru_cache(maxsize=1)
 def vertex_patterns() -> tuple[VertexPattern, ...]:
-    """All 24 tabulated vertex patterns, in (table_id, row) order."""
+    """All 24 vertex patterns, in (table_id, row) order, derived from
+    each table's row 1 and the eight port sign flips."""
     g = gamma_constants()
     magnitude = {
         "G1": g.gamma1, "G2": g.gamma2, "G3": g.gamma3,
         "A": 2.0 / 3.0, "B": 1.0 / 3.0,
     }
-    patterns = []
-    for table_id, rows in _TABLE_TOKENS:
-        for row_index, row in enumerate(rows, start=1):
-            values = []
-            for token in row.split():
-                sign = 1.0 if token[0] == "+" else -1.0
-                values.append(sign * magnitude[token[1:]])
-            patterns.append(VertexPattern(table_id, row_index, tuple(values)))
-    return tuple(patterns)
+    return tuple(
+        VertexPattern(table_id, row, tuple(
+            s[k] * s[l] * sign * magnitude[key]
+            for (k, l), key, sign in zip(PAIR_SLOTS, keys.split(), signs)
+        ))
+        for table_id, (keys, signs) in enumerate(_FIRST_ROWS, start=1)
+        for row, s in enumerate(_PORT_SIGNS, start=1)
+    )
+
+
+# The 24 assignments of sorted magnitudes to the slot labels (a, b, c, d),
+# in lexicographic order.
+_ASSIGNMENTS = np.array(list(itertools.permutations(range(4))))
+_ASSIGNMENTS.flags.writeable = False
+
+
+@lru_cache(maxsize=1)
+def _pattern_signs() -> np.ndarray:
+    signs = np.array([pattern.signs for pattern in vertex_patterns()])
+    signs.flags.writeable = False
+    return signs
 
 
 @dataclass(frozen=True)
@@ -236,25 +236,19 @@ def vertex_candidates(state: PureState) -> VertexExtrema:
     bound: the extremum the numeric optimizer attains over the angles
     can lie strictly inside it.
     """
-    A = sorted_magnitudes(state).A
-    best_max = -math.inf
-    best_min = math.inf
-    wit_max: VertexWitness | None = None
-    wit_min: VertexWitness | None = None
-    for pattern in vertex_patterns():
-        signs = pattern.signs
-        for assignment in itertools.permutations((0, 1, 2, 3)):
-            value = 0.0
-            for slot, (x, y) in enumerate(PAIR_SLOTS):
-                value += signs[slot] * A[assignment[x]] * A[assignment[y]]
-            if value > best_max:
-                best_max = value
-                wit_max = VertexWitness(pattern, assignment)
-            if value < best_min:
-                best_min = value
-                wit_min = VertexWitness(pattern, assignment)
-    assert wit_max is not None and wit_min is not None
-    return VertexExtrema(best_max, best_min, (wit_max, wit_min))
+    a = np.array(sorted_magnitudes(state).A)[_ASSIGNMENTS]
+    signs = _pattern_signs()
+    # Added slot by slot in PAIR_SLOTS order, as the scalar sum does; one
+    # matrix product could reorder the sums and move ties.
+    values = 0.0
+    for slot, (x, y) in enumerate(PAIR_SLOTS):
+        values = values + signs[:, slot, None] * a[:, x] * a[:, y]
+    n = len(_ASSIGNMENTS)
+    witnesses = tuple(
+        VertexWitness(vertex_patterns()[i // n], tuple(_ASSIGNMENTS[i % n].tolist()))
+        for i in (int(values.argmax()), int(values.argmin()))
+    )
+    return VertexExtrema(float(values.max()), float(values.min()), witnesses)
 
 
 def _radical_pair(sign_7root2: float, coeff_single: float, coeff_double: float) -> tuple[float, float]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -483,8 +484,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--from", dest="r_from", type=float, default=0.0)
     p.add_argument("--to", dest="r_to", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=11)
-    p.add_argument("--csv", metavar="PATH", help="write CSV to a file")
-    p.add_argument("--json", action="store_true")
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--csv", metavar="PATH", help="write CSV to a file")
+    output.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("sample", help="finite-shot simulated experiment")
@@ -511,4 +513,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (as `| head` does); that ends the
+        # output.  Point stdout at devnull so the exit flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    sys.exit(code)

@@ -15,7 +15,9 @@ import pytest
 
 from bellmp import (
     Dimension,
+    MeasurementSettings,
     PAIR_SLOTS,
+    PhaseVector,
     SLOT_LABELS,
     ValidationError,
     branch_values_max,
@@ -27,6 +29,7 @@ from bellmp import (
     optimal_min_state,
     reference_optimal_angles,
     sorted_magnitudes,
+    t_coefficients,
     threshold_noise,
     vertex_candidates,
     vertex_patterns,
@@ -53,6 +56,27 @@ IMIN = -3.4642382533934004
 # formulas (the optimizer confirms the max side is partly attainable,
 # see test_optimize).
 DOMINATED = (1.93276361, 0.36456124, 0.36237251, 0.01435635)
+
+# Phase settings (A1, A2, B1, B2) at which t_coefficients reaches row 1
+# of each vertex table, and row 4 of table 2, within 3e-11.
+ATTAINING_PHASES = {
+    (1, 1): ((0.0, -0.6588643758250123, 0.8031322000204701, 2.797179715664843),
+             (0.0, -3.0150444790207125, -0.7676664063978356, 2.0117897250505035),
+             (0.0, -0.5192418265866601, -1.5885286478528426, 3.093310039159789),
+             (0.0, 1.8369554564611859, -0.017729834247565357, -2.4044828317824987)),
+    (2, 1): ((0.0, 1.8668085661653144, -2.4919993633147177, 0.3196051762137673),
+             (0.0, -0.4893860598824671, -0.9212058042772981, 2.6757976147980838),
+             (0.0, 0.09668730985692697, 0.13580698664803625, -2.283099022399322),
+             (0.0, 2.452880127368595, -1.4349897278463217, 1.6438910041181956)),
+    (2, 4): ((0.0, 2.6322982580581815, 0.39413029259589827, -1.7990431125291406),
+             (0.0, 0.2761048652760074, 1.9649242702432401, 0.5571524305805742),
+             (0.0, -0.6688007695739233, 0.3912729824836072, -0.1644501223788759),
+             (0.0, 1.6873874054394982, -1.1795292270701285, -2.5206486831713453)),
+    (3, 1): ((0.0, 2.649368178517358, -2.8105220215038247, 1.5292636865144242),
+             (0.0, -0.49222452636609226, -2.810522090607785, -1.6123290294982602),
+             (0.0, -1.0785718004288043, -0.33107056298200943, -3.1000599508864317),
+             (0.0, 2.0630208038302724, -0.3310706158154302, 0.04153261761194438)),
+}
 
 
 class TestGammaConstants:
@@ -112,6 +136,28 @@ class TestVertexPatterns:
         first = vertex_patterns()[0]
         assert first.signs == (g.gamma1, g.gamma2, g.gamma3,
                                g.gamma3, g.gamma2, g.gamma3)
+
+    def test_rows_are_the_first_row_under_port_sign_flips(self):
+        # Adding pi to A1[k] and A2[k] maps T_kl to -T_kl for l != k, so
+        # row r of each table carries s_k s_l times its row 1 in slot (k, l).
+        port_signs = ((1, 1, 1, 1), (1, -1, -1, -1), (1, -1, 1, 1), (1, 1, -1, 1),
+                      (1, 1, 1, -1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
+        patterns = vertex_patterns()
+        for pattern in patterns:
+            first = patterns[8 * (pattern.table_id - 1)].signs
+            s = port_signs[pattern.row - 1]
+            expected = tuple(s[k] * s[l] * v for (k, l), v in zip(PAIR_SLOTS, first))
+            assert pattern.signs == expected, (pattern.table_id, pattern.row)
+
+    @pytest.mark.parametrize("table_id,row", sorted(ATTAINING_PHASES))
+    def test_frozen_phases_attain_the_row(self, table_id, row):
+        # Each vertex is a T vector the phases can reach: these settings
+        # were found once by least squares on t_coefficients.
+        settings = MeasurementSettings(
+            D4, *(PhaseVector(D4, phases) for phases in ATTAINING_PHASES[table_id, row]))
+        pattern = vertex_patterns()[8 * (table_id - 1) + row - 1]
+        got = t_coefficients(settings).values()
+        assert max(abs(g - v) for g, v in zip(got, pattern.signs)) < 1e-9
 
     def test_label_accessor(self):
         first = vertex_patterns()[0]

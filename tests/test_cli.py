@@ -331,6 +331,32 @@ class TestScan:
         assert err.startswith(f"error: cannot write {str(path)!r}")
         assert "Traceback" not in err
 
+    def test_json_and_csv_are_exclusive(self, capsys, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scan must not start")
+
+        monkeypatch.setattr(cli, "scan_rows", refuse)
+        path = tmp_path / "scan.csv"
+        code, out, err = run(capsys, ["scan", "--json", "--csv", str(path)])
+        assert code == 1
+        assert out == ""
+        assert "error: argument --csv: not allowed with argument --json" in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_reader_closing_stdout_ends_the_output_quietly(self, flags):
+        # Far more output than a pipe buffer holds, so the writer meets
+        # the closed pipe, as it does under `| head -1`.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bellmp", "scan", "--steps", "20000", *flags],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert err == ""
+
     def test_rejects_oversized_steps_before_scanning(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the scan must not start")

@@ -492,6 +492,22 @@ def test_sign_flip_is_absorbed_by_pi_on_alice(seed, d, variant, k):
 
 
 @_PROPERTY
+@given(seed=_CASES["seed"], k=st.integers(0, 3))
+def test_pi_on_alice_negates_the_t_coefficients_of_that_port(seed, k):
+    # The same shift alone maps T_kl to -T_kl for l != k and keeps the
+    # other pairs; the d = 4 vertex tables are built from this.
+    _, settings = _random_case(seed, 4)
+    rows = settings_rows(settings)
+    rows[0][k] += math.pi
+    rows[1][k] += math.pi
+    before = t_coefficients(settings)
+    after = t_coefficients(settings_from_rows(D4, rows))
+    for pair in PAIR_SLOTS:
+        expected = -before[pair] if k in pair else before[pair]
+        assert abs(after[pair] - expected) < 1e-12
+
+
+@_PROPERTY
 @given(noise=st.floats(0.0, 1.0), **_CASES)
 def test_noise_scales_value_linearly(seed, d, variant, noise):
     state, settings = _random_case(seed, d)

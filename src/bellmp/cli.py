@@ -101,10 +101,6 @@ def _round_floats(obj):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
-    if isinstance(obj, np.floating):
-        return _fmt(float(obj))
-    if isinstance(obj, np.integer):
-        return int(obj)
     return obj
 
 
@@ -162,6 +158,8 @@ def _load_angles(path: str, d: int | None) -> MeasurementSettings:
             raw = json.load(handle)
     except OSError as exc:
         raise ValidationError(f"cannot read angle file {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"angle file {path!r} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"angle file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -185,7 +183,7 @@ def _load_angles(path: str, d: int | None) -> MeasurementSettings:
             raise ValidationError(
                 f"angle file key {key!r} must list {file_d} numbers"
             )
-        vectors.append(PhaseVector(dim, tuple(float(v) for v in entry)))
+        vectors.append(PhaseVector(dim, tuple(entry)))
     return MeasurementSettings(dim, *vectors)
 
 
@@ -293,6 +291,7 @@ def cmd_optimize(args) -> int:
         "restarts": args.restarts,
         "seed": args.seed,
         "value": best.value,
+        "best_restart": run.best_restart,
         "converged": run.converged,
         "iterations_used": run.iterations_used,
         "per_restart_values": list(run.per_restart_values),
@@ -305,6 +304,8 @@ def cmd_optimize(args) -> int:
         "state": list(best.state.coefficients),
         "angles": angles,
     }
+    if args.free_state:
+        record["per_restart_eigengaps"] = list(run.per_restart_eigengaps)
     if args.export_angles:
         with _open_output(args.export_angles) as handle:
             json.dump(_round_floats(angles), handle, indent=2, sort_keys=True)
@@ -516,9 +517,14 @@ def main_entry() -> None:
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout early (as `| head` does); that ends the
-        # output.  Point stdout at devnull so the exit flush cannot fail.
+    except OSError as exc:
+        # The reader closing stdout early (as `| head` does) ends the
+        # output; any other failed write (a full disk) is an error.  Point
+        # stdout at devnull so the exit flush cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = EXIT_OK
+        if isinstance(exc, BrokenPipeError):
+            code = EXIT_OK
+        else:
+            print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+            code = EXIT_VALIDATION
     sys.exit(code)

@@ -347,30 +347,24 @@ def _phase_hessian(P: np.ndarray, coefficients: np.ndarray, pa: np.ndarray,
     return H.reshape(H.shape[:-2] + (4, 4, d, d)).swapaxes(-3, -2)
 
 
-# The two kernels below evaluate one (4, d) phase matrix, returning a
-# float value, or a (R, 4, d) stack as one batch, returning (R,) values.
-def _kernel_result(phases: np.ndarray, value: np.ndarray, gradient: np.ndarray,
-                   hessian: np.ndarray) -> tuple:
-    return (float(value) if phases.ndim == 2 else value), gradient, hessian
-
-
 def value_and_gradient_arrays(coefficients: np.ndarray, phases: np.ndarray,
                               d: int, variant: KernelVariant):
     """Low-level evaluation on raw arrays: the Bell value a^T M a, its
     gradient with respect to the (4, d) phase matrix (rows A1, A2, B1,
     B2) and its Hessian over those phases, of shape (4, d, 4, d).
 
-    A (R, 4, d) stack of phase matrices is evaluated as one batch, with
-    (R, d) coefficients or one (d,) vector for every row, returning
-    (R,), (R, 4, d) and (R, 4, d, 4, d) arrays; row r equals the call
-    on row r alone, bit for bit.  No validation happens here; this is
-    the optimizer's hot path.
+    A (..., 4, d) stack of phase matrices is evaluated as one batch,
+    with (..., d) coefficients or one (d,) vector for every row,
+    returning (...), (..., 4, d) and (..., 4, d, 4, d) arrays, so a lone
+    (4, d) matrix gives a 0-d value; row r equals the call on row r
+    alone, bit for bit.  No validation happens here; this is the
+    optimizer's hot path.
     """
     P = _phased(phases, d, variant)
     Ma = _pair_sum(P, d) @ coefficients[..., None]
     value = (coefficients[..., None, :] @ Ma)[..., 0, 0]
     gradient, pa = _phase_gradient(P, coefficients, d)
-    return _kernel_result(phases, value, gradient, _phase_hessian(P, coefficients, pa, d))
+    return value, gradient, _phase_hessian(P, coefficients, pa, d)
 
 
 def _extreme_eigh(M: np.ndarray, d: int, largest: bool) -> tuple[np.ndarray, ...]:
@@ -394,10 +388,11 @@ def extreme_value_and_gradient(phases: np.ndarray, d: int, variant: KernelVarian
     Hessian adds the second-order eigenvalue perturbation term to that
     of a^T M a (Overton and Womersley 1995).  Both exist only where the
     eigengap is positive; _extreme_eigh of pair_matrix(phases) gives the
-    eigenvector and the gap.  A (R, 4, d) stack of phase matrices is
-    evaluated as one batch, returning (R,), (R, 4, d) and
-    (R, 4, d, 4, d) arrays; row r equals the call on row r alone, bit
-    for bit.  No validation happens here.
+    eigenvector and the gap.  A (..., 4, d) stack of phase matrices is
+    evaluated as one batch, returning (...), (..., 4, d) and
+    (..., 4, d, 4, d) arrays, so a lone (4, d) matrix gives a 0-d
+    value; row r equals the call on row r alone, bit for bit.  No
+    validation happens here.
     """
     P = _phased(phases, d, variant)
     w, V, k, _ = _extreme_eigh(_pair_sum(P, d), d, largest)
@@ -415,7 +410,7 @@ def extreme_value_and_gradient(phases: np.ndarray, d: int, variant: KernelVarian
     gaps = w[..., k, None] - w
     weights = np.divide(2.0 * d, gaps, out=np.zeros_like(gaps), where=gaps != 0.0)
     hessian += ((J.swapaxes(-1, -2) * weights[..., None, :]) @ J).reshape(hessian.shape)
-    return _kernel_result(phases, d * w[..., k], gradient, hessian)
+    return d * w[..., k], gradient, hessian
 
 
 def bell_gradient(state: PureState, settings: MeasurementSettings,

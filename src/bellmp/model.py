@@ -105,11 +105,15 @@ class Dimension:
 
 def _as_float_tuple(values: Iterable[float], what: str) -> tuple[float, ...]:
     out = []
-    for v in values:
-        x = float(v)
-        if not math.isfinite(x):
-            raise ValidationError(f"{what} entries must be finite, got {v!r}")
-        out.append(x)
+    try:
+        for v in values:
+            x = float(v)
+            if not math.isfinite(x):
+                raise ValidationError(f"{what} entries must be finite, got {v!r}")
+            out.append(x)
+    except (OverflowError, TypeError, ValueError) as exc:
+        # The entry itself is not echoed: a huge int has no printable repr.
+        raise ValidationError(f"{what} entries must be real numbers: {exc}") from exc
     return tuple(out)
 
 

@@ -100,13 +100,12 @@ class Evaluations:
 
 @dataclass(frozen=True)
 class ExtremalResult:
-    """The best restart of a search: its value, the state and settings
-    that reach it, and how the search found it."""
+    """The best restart of a search: its value, and the state and
+    settings that reach it."""
 
     value: float
     state: PureState
     settings: MeasurementSettings
-    diagnostics: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -114,16 +113,21 @@ class OptimizationRun:
     """Outcome of one multi-start search.
 
     per_restart_values lists the converged value of every restart in
-    restart order; best is the extremal one (ties keep the lowest
-    restart index).  The other per_restart_ fields list each restart's
-    iterations, convergence, final gradient norm, rejected Newton steps
-    and final regularization mu; iterations_used is their iteration
-    sum.  A restart counts as converged when it passes the gradient
-    test and, for the joint search, its extreme eigenvalue is simple;
-    converged is the winning restart's flag.
+    restart order; best is the extremal one, restart best_restart (ties
+    keep the lowest restart index).  The other per_restart_ fields list
+    each restart's iterations, convergence, final gradient norm,
+    rejected Newton steps and final regularization mu; iterations_used
+    is their iteration sum.  per_restart_eigengaps lists, for the joint
+    search, d |lambda_ext - lambda_next| of the pair matrix at each
+    restart's final phases, and is empty for the angle search.  A
+    restart counts as converged when it passes the gradient test and,
+    for the joint search, its eigengap exceeds 1e-9 (1 + |value|), so
+    that its extreme eigenvalue is simple; converged is the winning
+    restart's flag.
     """
 
     best: ExtremalResult
+    best_restart: int
     per_restart_values: tuple[float, ...]
     iterations_used: int
     converged: bool
@@ -132,6 +136,7 @@ class OptimizationRun:
     per_restart_gradient_norms: tuple[float, ...]
     per_restart_rejected: tuple[int, ...]
     per_restart_mu: tuple[float, ...]
+    per_restart_eigengaps: tuple[float, ...]
     evaluations: Evaluations
 
 
@@ -233,15 +238,11 @@ def _objective(evaluate, d: int, free: slice, sign: float):
     return fun
 
 
-def _best(values: np.ndarray, direction: Direction) -> int:
-    # The extremal restart; ties keep the lowest index.
-    return int(values.argmax() if direction is Direction.MAXIMIZE else values.argmin())
-
-
 @dataclass(frozen=True)
 class _Search:
     # Per restart: value in the Bell value's own sign, phases, gradient
-    # norm, iterations, gradient-test flag, rejected steps and final mu.
+    # norm, iterations, gradient-test flag, rejected steps and final mu;
+    # then the search's evaluations and the index of its extremal restart.
     values: np.ndarray
     phases: np.ndarray
     gradient_norms: np.ndarray
@@ -260,47 +261,32 @@ def _multistart(evaluate, d: int, free: slice, stream: tuple[int, ...],
     config.restarts starts run as one batch.  Restart r draws its start
     uniformly from [0, 2 pi) with the independent PRNG stream
     (*stream, r), so results are reproducible."""
-    sign = 1.0 if config.direction is Direction.MAXIMIZE else -1.0
-    fun = _objective(evaluate, d, free, sign)
-    calls = rows = 0
-
-    def counted(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        nonlocal calls, rows
-        calls += 1
-        rows += len(x)
-        return fun(x)
-
+    maximize = config.direction is Direction.MAXIMIZE
+    sign = 1.0 if maximize else -1.0
     n = 4 * len(range(d)[free])
     x0 = np.array([
         np.random.default_rng((*stream, r)).uniform(0.0, 2.0 * math.pi, size=n)
         for r in range(config.restarts)
     ])
     x, f, gnorm, iterations, converged, rejected, mu = _minimize(
-        counted, x0, _MAX_ITERATIONS, _GRADIENT_TOLERANCE)
+        _objective(evaluate, d, free, sign), x0, _MAX_ITERATIONS, _GRADIENT_TOLERANCE)
     values = -sign * f
+    # _minimize evaluates every start once, then the restarts still
+    # running once per pass, each of which counts the pass as an iteration.
+    evaluations = Evaluations(1 + int(iterations.max()), len(x0) + int(iterations.sum()))
+    # Ties keep the lowest index.
+    best = int(values.argmax() if maximize else values.argmin())
     return _Search(values, _place(x, d, free), gnorm, iterations, converged, rejected, mu,
-                   Evaluations(calls, rows), _best(values, config.direction))
+                   evaluations, best)
 
 
 def _make_run(search: _Search, state: PureState, settings: MeasurementSettings,
-              config: OptimizerConfig, variant: KernelVariant,
-              converged: np.ndarray, extra: tuple[str, ...] = ()) -> OptimizationRun:
+              converged: np.ndarray, eigengaps: tuple[float, ...] = ()) -> OptimizationRun:
     values = tuple(search.values.tolist())
     best = search.best
-    result = ExtremalResult(
-        value=values[best],
-        state=state,
-        settings=settings,
-        diagnostics=(
-            f"direction={config.direction.value}",
-            f"variant={variant.value}",
-            f"best_restart={best}",
-            *extra,
-            f"gradient_norm={search.gradient_norms[best]:.3e}",
-        ),
-    )
     return OptimizationRun(
-        best=result,
+        best=ExtremalResult(values[best], state, settings),
+        best_restart=best,
         per_restart_values=values,
         iterations_used=int(search.iterations.sum()),
         converged=bool(converged[best]),
@@ -309,6 +295,7 @@ def _make_run(search: _Search, state: PureState, settings: MeasurementSettings,
         per_restart_gradient_norms=tuple(float(g) for g in search.gradient_norms),
         per_restart_rejected=tuple(int(r) for r in search.rejected),
         per_restart_mu=tuple(float(m) for m in search.mu),
+        per_restart_eigengaps=eigengaps,
         evaluations=search.evaluations,
     )
 
@@ -329,7 +316,7 @@ def optimize_angles(state: PureState, config: OptimizerConfig,
     search = _multistart(lambda phases: value_and_gradient_arrays(a, phases, d, variant),
                          d, _GAUGE, (config.seed,), config)
     return _make_run(search, state, _settings(search.phases[search.best], state.dim),
-                     config, variant, search.converged)
+                     search.converged)
 
 
 def optimize_joint(dim: Dimension, config: OptimizerConfig,
@@ -347,8 +334,9 @@ def optimize_joint(dim: Dimension, config: OptimizerConfig,
     and every other negative v_k becomes |v_k| with pi added to A1[k]
     and A2[k], which leaves the value unchanged.  A restart counts as
     converged if it passes the gradient test and its extreme eigenvalue
-    is simple (eigengap above 1e-9 (1 + |value|) in Bell-value units),
-    since lambda_ext has no gradient where it is degenerate.
+    is simple (eigengap above 1e-9 (1 + |value|) in Bell-value units,
+    as listed in per_restart_eigengaps), since lambda_ext has no
+    gradient where it is degenerate.
     """
     if not config.free_state:
         raise ValidationError("optimize_joint requires config.free_state = True")
@@ -366,8 +354,7 @@ def optimize_joint(dim: Dimension, config: OptimizerConfig,
         v = -v
     phases[:2, v < 0.0] += math.pi
     state = make_state(dim, tuple(math.sqrt(d) * float(c) for c in np.abs(v)))
-    return _make_run(search, state, _settings(phases, dim), config, variant,
-                     converged, (f"eigengap={gaps[best]:.3e}",))
+    return _make_run(search, state, _settings(phases, dim), converged, tuple(gaps.tolist()))
 
 
 def max_abs_t_coefficient(pair: tuple[int, int], restarts: int = 8,

@@ -7,6 +7,7 @@ parse stdout and check the shapes and a few frozen values.  Exit codes:
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -86,6 +87,24 @@ class TestEval:
         assert code == 1
         assert message in err
 
+    def test_angle_file_that_is_not_utf8_is_a_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, ["eval", "--state", "1,1,1,1", "--angles", str(path)])
+        assert code == 1
+        assert out == ""
+        assert "is not UTF-8 text" in err
+
+    def test_angle_too_large_for_a_float_is_a_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"d": 2, "A1": [10**400, 0], "A2": [0, 0],
+                                    "B1": [0, 0], "B2": [0, 0]}), encoding="utf-8")
+        code, out, err = run(capsys, ["eval", "--state", "1,1", "--angles", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err == "error: phase entries must be real numbers: " \
+            "int too large to convert to float\n"
+
 
 class TestLhv:
     def test_four_outcome_bounds(self, capsys):
@@ -118,6 +137,9 @@ class TestOptimize:
         assert record["state"] == [1.0, 1.0, 1.0, 1.0]
         assert record["angles"]["d"] == 4
         assert record["angles"]["A1"][0] == 0.0
+        assert record["per_restart_values"][record["best_restart"]] == record["value"]
+        # the eigengaps belong to the joint search alone
+        assert "per_restart_eigengaps" not in record
 
     def test_export_angles_round_trip(self, capsys, tmp_path):
         path = tmp_path / "angles.json"
@@ -217,6 +239,12 @@ class TestOptimize:
             assert isinstance(rejected, int) and 0 <= rejected <= iterations
             assert mu >= 1e-10
         assert all(isinstance(c, bool) for c in record["per_restart_converged"])
+        assert record["per_restart_values"][record["best_restart"]] == record["value"]
+        assert len(record["per_restart_eigengaps"]) == 5
+        for converged, value, gap in zip(record["per_restart_converged"],
+                                         record["per_restart_values"],
+                                         record["per_restart_eigengaps"]):
+            assert not converged or gap > 1e-9 * (1.0 + abs(value))
         evaluations = record["evaluations"]
         assert 0 < evaluations["calls"] <= evaluations["rows"]
 
@@ -489,6 +517,18 @@ class TestTopLevel:
         code, out, _ = run(capsys, ["--help"])
         assert code == 0
         assert "eval" in out and "reproduce" in out
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [["eval", "--state", "1,1,1,1"],
+                                      ["scan", "--steps", "3", "--csv", "/dev/full"]])
+    def test_failing_output_is_an_error_without_traceback(self, argv):
+        # stdout itself is full, or the output file is
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "bellmp", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: cannot write output: No space left on device\n"
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -492,6 +492,25 @@ def test_sign_flip_is_absorbed_by_pi_on_alice(seed, d, variant, k):
 
 
 @_PROPERTY
+@given(shift=st.integers(0, 7), **_CASES)
+def test_dihedral_port_relabeling_leaves_value_unchanged(seed, d, variant, shift):
+    # Port k -> k + t (mod d), in the state and in all four phase rows,
+    # multiplies each outcome class u's amplitude by gamma^{t u}; k -> -k
+    # (mod d) with every phase negated conjugates it.  Without the negation
+    # the reflection is no symmetry of the plus kernel.
+    state, settings = _random_case(seed, d)
+    a = np.array(state.coefficients)
+    rows = np.array(settings_rows(settings))
+    expected = bell_value(state, settings, variant)
+    reflect = -np.arange(d) % d
+    for relabeled, phases in ((np.roll(a, shift), np.roll(rows, shift, axis=1)),
+                              (a[reflect], -rows[:, reflect])):
+        value = bell_value(make_state(Dimension(d), tuple(relabeled)),
+                           settings_from_rows(Dimension(d), phases), variant)
+        assert abs(value - expected) < 1e-12
+
+
+@_PROPERTY
 @given(seed=_CASES["seed"], k=st.integers(0, 3))
 def test_pi_on_alice_negates_the_t_coefficients_of_that_port(seed, k):
     # The same shift alone maps T_kl to -T_kl for l != k and keeps the

@@ -192,6 +192,13 @@ class TestMakeState:
         with pytest.raises(ValidationError):
             make_state(Dimension(2), (math.inf, 1.0))
 
+    # what float() raises becomes a validation error; 10**5000 has no repr
+    @pytest.mark.parametrize("bad", [10**400, 10**5000, "x", None, 1j],
+                             ids=["10**400", "10**5000", "str", "None", "complex"])
+    def test_entries_float_cannot_take(self, bad):
+        with pytest.raises(ValidationError, match="must be real numbers"):
+            make_state(Dimension(2), (bad, 1.0))
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_random_inputs_land_on_the_sphere(self, d):
         rng = np.random.default_rng(7 + d)
@@ -220,6 +227,11 @@ class TestPhaseVector:
     def test_non_finite(self):
         with pytest.raises(ValidationError):
             PhaseVector(Dimension(2), (0.0, math.inf))
+
+    @pytest.mark.parametrize("bad", [10**400, "x", None])
+    def test_entries_float_cannot_take(self, bad):
+        with pytest.raises(ValidationError, match="must be real numbers"):
+            PhaseVector(Dimension(2), (bad, 0))
 
 
 class TestMeasurementSettings:

@@ -43,7 +43,7 @@ from bellmp import (
 from bellmp.engine import (_extreme_eigh, extreme_value_and_gradient, pair_matrix,
                            value_and_gradient_arrays)
 
-from helpers import random_state
+from helpers import random_state, settings_rows
 
 D4 = Dimension(4)
 ME_MAX = 2.896243218458708
@@ -135,14 +135,15 @@ class TestFixedStateSearch:
         assert len(run.per_restart_values) == 5
         assert run.best.value == max(run.per_restart_values)
         assert run.iterations_used > 0
-        assert "direction=max" in run.best.diagnostics
-        assert any(s.startswith("variant=") for s in run.best.diagnostics)
-        assert any(s.startswith("best_restart=") for s in run.best.diagnostics)
+        # ties keep the lowest restart index
+        assert run.per_restart_values.index(run.best.value) == run.best_restart
+        assert run.per_restart_eigengaps == ()
 
         run = optimize_angles(
             me, OptimizerConfig(restarts=3, seed=3,
                                 direction=Direction.MINIMIZE))
         assert run.best.value == min(run.per_restart_values)
+        assert run.per_restart_values.index(run.best.value) == run.best_restart
 
 
 class TestDeterminism:
@@ -168,15 +169,17 @@ class TestRestartCounters:
                          run.per_restart_converged, run.per_restart_gradient_norms,
                          run.per_restart_rejected, run.per_restart_mu):
             assert len(counters) == 7
+        assert len(run.per_restart_eigengaps) == (7 if free_state else 0)
         assert sum(run.per_restart_iterations) == run.iterations_used
-        best = next(int(s.partition("=")[2]) for s in run.best.diagnostics
-                    if s.startswith("best_restart="))
+        best = run.best_restart
+        assert run.best.value == run.per_restart_values[best]
         assert run.converged == run.per_restart_converged[best]
-        assert f"gradient_norm={run.per_restart_gradient_norms[best]:.3e}" \
-            in run.best.diagnostics
         for converged, norm in zip(run.per_restart_converged,
                                    run.per_restart_gradient_norms):
             assert not converged or norm <= bellmp.optimize._GRADIENT_TOLERANCE
+        for converged, value, gap in zip(run.per_restart_converged, run.per_restart_values,
+                                         run.per_restart_eigengaps):
+            assert not converged or gap > bellmp.optimize._GAP_RTOL * (1.0 + abs(value))
         assert 0 < run.evaluations.calls <= run.evaluations.rows
         for iterations, rejected, mu in zip(run.per_restart_iterations,
                                             run.per_restart_rejected, run.per_restart_mu):
@@ -184,6 +187,30 @@ class TestRestartCounters:
             # mu starts at 1, grows by 4 per rejected step and shrinks by 4
             # per kept one, except where the 1e-10 floor holds it up
             assert max(4.0 ** (2 * rejected - iterations), 1e-10) <= mu <= 4.0 ** rejected
+
+    @pytest.mark.parametrize("free_state", [False, True])
+    def test_evaluations_count_the_kernel_calls_and_rows(self, monkeypatch, free_state):
+        # The run derives its counts from the iterations; count the batched
+        # kernel calls and their rows directly.
+        rows = []
+        for name in ("value_and_gradient_arrays", "extreme_value_and_gradient"):
+            def counting(*args, kernel=getattr(bellmp.optimize, name)):
+                result = kernel(*args)
+                rows.append(len(result[0]))
+                return result
+
+            monkeypatch.setattr(bellmp.optimize, name, counting)
+        for d in (2, 3, 4):
+            for direction in Direction:
+                rows.clear()
+                config = OptimizerConfig(restarts=7, seed=d, direction=direction,
+                                         free_state=free_state)
+                if free_state:
+                    run = optimize_joint(Dimension(d), config)
+                else:
+                    run = optimize_angles(maximally_entangled_state(Dimension(d)), config)
+                assert rows[0] == 7
+                assert (run.evaluations.calls, run.evaluations.rows) == (len(rows), sum(rows))
 
     def test_rejected_steps_and_mu_follow_the_schedule(self):
         # A lone restart that rejects nothing has mu = 4^-iterations until
@@ -564,7 +591,12 @@ class TestEigenReduction:
         assert min(run.best.state.coefficients) >= 0.0
         assert abs(bell_value(run.best.state, run.best.settings)
                    - run.best.value) < 1e-9
-        assert any(s.startswith("eigengap=") for s in run.best.diagnostics)
+        assert len(run.per_restart_eigengaps) == 3
+        # The pi shifts that make the state non-negative conjugate the pair
+        # matrix by a sign diagonal, which keeps its spectrum.
+        gap = _extreme_eigh(pair_matrix(np.array(settings_rows(run.best.settings)), d), d,
+                            direction is Direction.MAXIMIZE)[3]
+        assert abs(gap - run.per_restart_eigengaps[run.best_restart]) < 1e-9
 
     @pytest.mark.parametrize("d", [3, 5, 6])
     def test_joint_maximum_dominates_flat_state(self, d):
@@ -591,8 +623,8 @@ class TestEigenReduction:
         bottom = optimize_joint(D4, OptimizerConfig(
             restarts=1, free_state=True, direction=Direction.MINIMIZE))
         assert abs(bottom.best.value + 2.0 / 3.0) < 1e-12
-        gap = next(s for s in bottom.best.diagnostics if s.startswith("eigengap="))
-        assert float(gap.partition("=")[2]) < 1e-12
+        assert top.per_restart_eigengaps[0] > 1.0
+        assert bottom.per_restart_eigengaps[0] < 1e-12
         assert not bottom.converged
 
 

@@ -58,20 +58,20 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_REPRODUCTION = 2
 
-# A d = 4 joint restart takes 0.4-0.5 ms on a 2-vCPU host, so a capped
-# d = 4 search ends within a second (0.9 s with interpreter start-up).
+# A d = 4 joint restart takes about 0.3 ms on a 2-vCPU host, so a capped
+# d = 4 search ends within a second (0.7 s with interpreter start-up).
 MAX_RESTARTS = 1000
 # Probability tables hold 4 d^2 entries.  The paper works at d = 4.
 MAX_DIMENSION = 64
 # A search's work grows with both flags.  A restart counts as (d - 1) d^2
 # work units.  Measured on a 2-vCPU host (seeds 0 and 1, both
-# directions), a joint restart takes 15-19 ms at d = 16, 0.14-0.19 s at
-# d = 32 and 0.9-1.3 s at d = 64, 4-6e-6 s per unit; its Newton steps
-# take the eigenvalues of the 4 (d - 1) square Hessian and solve one
-# shifted system with it.  The budget keeps one search within about a
-# minute: 7 restarts at d = 64 took 9.3 s and 63 at d = 32 took 10.0 s;
-# up to d = 12 the restart cap binds first (1000 restarts at d = 12
-# took 8.4 s).
+# directions), a joint restart takes 13-49 ms at d = 16 (19-75 Newton
+# steps), 0.08-0.14 s at d = 32 and 0.6-1.1 s at d = 64, 2-5e-6 s per
+# unit at the larger two; its Newton steps take the eigenvalues of the
+# 3 (d - 1) square reduced Hessian and solve one shifted system with
+# it.  The budget keeps one search well within a minute: 7 restarts at
+# d = 64 took 4.5 s and 63 at d = 32 took 5.4 s; up to d = 12 the
+# restart cap binds first (1000 restarts at d = 12 took 4.9 s).
 MAX_WORK = 2_000_000
 # One scan row holds about 430 B and takes about 21 us to compute on a
 # 2-vCPU host, so a capped scan holds about 43 MB of rows and prints its

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -236,8 +237,14 @@ def make_state(dim: Dimension, coeffs: Sequence[float]) -> PureState:
             f"expected {dim.d} coefficients, got {len(values)}"
         )
     norm_sq = sum(c * c for c in values)
-    if norm_sq == 0.0:
-        raise DegenerateStateError("cannot normalize the all-zero state")
+    if not sys.float_info.min <= norm_sq < math.inf:
+        # The squares overflowed or underflowed: normalize the entries
+        # divided by the largest magnitude instead.
+        largest = max(abs(c) for c in values)
+        if largest == 0.0:
+            raise DegenerateStateError("cannot normalize the all-zero state")
+        values = tuple(c / largest for c in values)
+        norm_sq = sum(c * c for c in values)
     scale = math.sqrt(dim.d / norm_sq)
     return PureState(dim, tuple(c * scale for c in values))
 

@@ -1,19 +1,25 @@
 """Multi-start numerical search for extrema of the Bell value.
 
-The search variables are the 4 d measurement phases, with one phase
-per vector pinned to zero, since only differences matter.  The joint
-problem over states and phases reduces to the phases too: for fixed
-phases the Bell value is a^T M a on the sphere sum a^2 = d, so the best
-state is the extreme eigenvector of the pair matrix M and the value is
-d lambda_ext(M); its phase gradient follows from the Hellmann-Feynman
-theorem, and its phase Hessian adds the second-order eigenvalue
-perturbation term to that of a^T M a at the fixed state.  Each restart
-runs one regularized Newton loop on these exact Hessians (in the manner
-of More and Sorensen 1983): the shift mu + max(0, -lambda_min(H)) keeps
-every step a descent direction, and mu shrinks after a kept step and
-grows after a rejected one.  A step needs only the eigenvalues of H,
-for the shift, and one direct solve of the shifted system.  Each
-restart reports its rejected steps and final mu beside its iterations.
+The Bell value depends on the 4 d measurement phases only through the
+summed phases theta = phi^A + phi^B of the four setting pairs, and only
+through their differences between columns.  So column 0 of every phase
+vector stays at zero, and in each other column the direction that adds
+c to A1 and A2 and subtracts it from B1 and B2 moves no theta.  The
+solver runs over the 3 (d - 1) coordinates of an orthonormal basis of
+the remaining directions, whose Hessian has no such null directions.
+The joint problem over states and phases reduces to the phases too:
+for fixed phases the Bell value is a^T M a on the sphere sum a^2 = d, so
+the best state is the extreme eigenvector of the pair matrix M and the
+value is d lambda_ext(M); its phase gradient follows from the
+Hellmann-Feynman theorem, and its phase Hessian adds the second-order
+eigenvalue perturbation term to that of a^T M a at the fixed state.
+Each restart runs one regularized Newton loop on these exact Hessians
+(in the manner of More and Sorensen 1983): the shift
+mu + max(0, -lambda_min(H)) keeps every step a descent direction, and mu
+shrinks after a kept step and grows after a rejected one.  A step needs
+only the eigenvalues of H, for the shift, and one direct solve of the
+shifted system.  Each restart reports its rejected steps and final mu
+beside its iterations.
 
 All restarts of a search run as one batch: every objective call
 evaluates the stacked phases of the restarts still running, while each
@@ -159,7 +165,8 @@ def _minimize(fun, x0: np.ndarray, max_iterations: int, gradient_tolerance: floa
     """Minimize fun from every row of the (R, n) batch of starts x0.
 
     fun maps an (m, n) batch of points to their (m,) values, (m, n)
-    gradients and (m, n, n) Hessians, row by row.  Each restart takes
+    gradients and (m, n, n) Hessians, row by row; the searches pass the
+    gauge-free coordinates of _objective.  Each restart takes
     regularized Newton steps s = -(H + (mu + max(0, -lambda_min(H))) I)^-1 g,
     a descent direction even where H is indefinite: lambda_min comes
     from the eigenvalues alone, and the shifted, positive definite
@@ -216,24 +223,37 @@ def _require_nonconstant(d: int, variant: KernelVariant) -> None:
         )
 
 
-def _place(x: np.ndarray, d: int, free: slice) -> np.ndarray:
-    # (m, n) free variables -> (m, 4, d) phases, zero outside the columns free.
-    phases = np.zeros((len(x), 4, d))
-    phases[:, :, free] = x.reshape(len(x), 4, -1)
-    return phases
+# Per free phase column, an orthonormal basis (rows A1, A2, B1, B2) of
+# the directions that move the summed phases: with coordinates y,
+# theta = (y0 + y1, y0 + y2, y0 - y2, y0 - y1) for the setting pairs
+# A1B1, A1B2, A2B1 and A2B2.  The fourth direction, (1, 1, -1, -1) / 2,
+# moves no theta: it is the gauge, and the searches leave it out.
+_COLUMN_BASIS = 0.5 * np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0],
+                                [1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
+_COLUMN_BASIS.flags.writeable = False
 
 
-def _objective(evaluate, d: int, free: slice, sign: float):
-    """The function the solver minimizes: -sign times evaluate's value,
-    and its gradient in the free columns, at the phases that hold the
-    free variables, and its Hessian over them.  evaluate maps (m, 4, d)
-    phases to (m,) values, (m, 4, d) phase gradients and (m, 4, d, 4, d)
-    phase Hessians."""
-    def fun(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        value, gradient, hessian = evaluate(_place(x, d, free))
-        m, n = x.shape
-        return (-sign * value, -sign * gradient[:, :, free].reshape(m, n),
-                -sign * hessian[:, :, free, :, free].reshape(m, n, n))
+def _basis(d: int, columns: range | tuple[int, ...]) -> np.ndarray:
+    # The (4 d, 3 c) orthonormal basis over the c phase columns given,
+    # zero in the others.  Row p d + k is phase row p, column k; column
+    # s c + j is coordinate y_s of the j-th column given.
+    return np.kron(_COLUMN_BASIS, np.eye(d)[:, columns])
+
+
+def _objective(evaluate, d: int, basis: np.ndarray, sign: float):
+    """The function the solver minimizes over the coordinates y of the
+    basis: -sign times evaluate's value at the phases basis y, and its
+    gradient basis^T g and Hessian basis^T H basis.  evaluate maps
+    (m, 4, d) phases to (m,) values, (m, 4, d) phase gradients and
+    (m, 4, d, 4, d) phase Hessians.  Each projection is a stack of
+    per-row products, so a row's result does not depend on its batch."""
+    n = 4 * d
+
+    def fun(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        m = len(y)
+        value, gradient, hessian = evaluate((y[:, None, :] @ basis.T).reshape(m, 4, d))
+        return (-sign * value, -sign * (gradient.reshape(m, 1, n) @ basis)[:, 0],
+                -sign * (basis.T @ hessian.reshape(m, n, n) @ basis))
 
     return fun
 
@@ -254,29 +274,36 @@ class _Search:
     best: int
 
 
-def _multistart(evaluate, d: int, free: slice, stream: tuple[int, ...],
-                config: OptimizerConfig) -> _Search:
+def _multistart(evaluate, d: int, columns: range | tuple[int, ...],
+                stream: tuple[int, ...], config: OptimizerConfig) -> _Search:
     """Search for the config.direction extremum of evaluate over the
-    phase columns free, the other phases held at zero, from
-    config.restarts starts run as one batch.  Restart r draws its start
-    uniformly from [0, 2 pi) with the independent PRNG stream
-    (*stream, r), so results are reproducible."""
+    given phase columns, the other phases held at zero, from
+    config.restarts starts run as one batch.  Restart r draws the 4 c
+    phases of its c columns uniformly from [0, 2 pi) with the independent
+    PRNG stream (*stream, r), so results are reproducible.  The solver
+    runs over the 3 c gauge-free coordinates y of _basis, from
+    y0 = basis^T phi0; the search reports phi0 + basis (y - y0), which
+    keeps each start's gauge component."""
     maximize = config.direction is Direction.MAXIMIZE
     sign = 1.0 if maximize else -1.0
-    n = 4 * len(range(d)[free])
-    x0 = np.array([
-        np.random.default_rng((*stream, r)).uniform(0.0, 2.0 * math.pi, size=n)
-        for r in range(config.restarts)
-    ])
-    x, f, gnorm, iterations, converged, rejected, mu = _minimize(
-        _objective(evaluate, d, free, sign), x0, _MAX_ITERATIONS, _GRADIENT_TOLERANCE)
+    restarts, c = config.restarts, len(columns)
+    basis = _basis(d, columns)
+    starts = np.zeros((restarts, 4, d))
+    starts[:, :, columns] = np.array([
+        np.random.default_rng((*stream, r)).uniform(0.0, 2.0 * math.pi, size=4 * c)
+        for r in range(restarts)
+    ]).reshape(restarts, 4, c)
+    y0 = (starts.reshape(restarts, 1, 4 * d) @ basis)[:, 0]
+    y, f, gnorm, iterations, converged, rejected, mu = _minimize(
+        _objective(evaluate, d, basis, sign), y0, _MAX_ITERATIONS, _GRADIENT_TOLERANCE)
+    phases = starts + ((y - y0)[:, None, :] @ basis.T).reshape(starts.shape)
     values = -sign * f
     # _minimize evaluates every start once, then the restarts still
     # running once per pass, each of which counts the pass as an iteration.
-    evaluations = Evaluations(1 + int(iterations.max()), len(x0) + int(iterations.sum()))
+    evaluations = Evaluations(1 + int(iterations.max()), restarts + int(iterations.sum()))
     # Ties keep the lowest index.
     best = int(values.argmax() if maximize else values.argmin())
-    return _Search(values, _place(x, d, free), gnorm, iterations, converged, rejected, mu,
+    return _Search(values, phases, gnorm, iterations, converged, rejected, mu,
                    evaluations, best)
 
 
@@ -300,21 +327,17 @@ def _make_run(search: _Search, state: PureState, settings: MeasurementSettings,
     )
 
 
-# Gauge: only phase differences matter, so entry 0 of every phase
-# vector stays at zero and the searches run over the other columns.
-_GAUGE = slice(1, None)
-
-
 def optimize_angles(state: PureState, config: OptimizerConfig,
                     variant: KernelVariant = KernelVariant.PLUS) -> OptimizationRun:
-    """Multi-start search over the 4 d phases at a fixed state."""
+    """Multi-start search over the phases at a fixed state, run in the
+    3 (d - 1) gauge-free coordinates."""
     if config.free_state:
         raise ValidationError("optimize_angles requires config.free_state = False")
     d = state.dim.d
     _require_nonconstant(d, variant)
     a = np.asarray(state.coefficients)
     search = _multistart(lambda phases: value_and_gradient_arrays(a, phases, d, variant),
-                         d, _GAUGE, (config.seed,), config)
+                         d, range(1, d), (config.seed,), config)
     return _make_run(search, state, _settings(search.phases[search.best], state.dim),
                      search.converged)
 
@@ -345,7 +368,7 @@ def optimize_joint(dim: Dimension, config: OptimizerConfig,
     largest = config.direction is Direction.MAXIMIZE
     search = _multistart(
         lambda phases: extreme_value_and_gradient(phases, d, variant, largest),
-        d, _GAUGE, (config.seed,), config)
+        d, range(1, d), (config.seed,), config)
     _, V, k, gaps = _extreme_eigh(pair_matrix(search.phases, d, variant), d, largest)
     converged = search.converged & (gaps > _GAP_RTOL * (1.0 + np.abs(search.values)))
     best = search.best
@@ -363,8 +386,10 @@ def max_abs_t_coefficient(pair: tuple[int, int], restarts: int = 8,
 
     T_kl is the Bell value at the unnormalized state e_k + e_l, and it
     depends on the phases only through one angle per party and setting,
-    so the search runs over those four angles in phase column k; the
-    returned settings carry them there.  Only the maximum is searched:
+    the four angles of phase column k, and on those only through their
+    summed phases.  So the search runs over the three gauge-free
+    coordinates of that column; the returned settings carry the angles
+    there.  Only the maximum is searched:
     adding pi to A1[k] and A2[k] maps T_kl to -T_kl, so the maximum of
     T_kl is the maximum of |T_kl|.  The search stops as the other
     searches do.  Callers use at least 3 restarts; a single restart can
@@ -381,7 +406,7 @@ def max_abs_t_coefficient(pair: tuple[int, int], restarts: int = 8,
     def evaluate(phases: np.ndarray) -> tuple[np.ndarray, ...]:
         return value_and_gradient_arrays(a, phases, 4, KernelVariant.PLUS)
 
-    search = _multistart(evaluate, 4, slice(k, k + 1), (seed, 1),
+    search = _multistart(evaluate, 4, (k,), (seed, 1),
                          OptimizerConfig(restarts=restarts, seed=seed))
     best = search.best
     return abs(float(search.values[best])), _settings(search.phases[best], Dimension(4))

@@ -86,8 +86,9 @@ def build_reproduction_report(restarts: int = 50, seed: int = 7) -> Reproduction
     """Recompute the headline numbers and compare at fixed tolerances.
 
     restarts/seed feed the optimizer-backed rows; the defaults match
-    the documented engineering defaults and finish in well under a
-    minute per joint search.
+    the documented engineering defaults.  With them each d = 4 joint
+    search takes about 15-17 ms and the whole report about 0.08 s on a
+    2-vCPU host.
     """
     g = gamma_constants()
     rows: list[ReproductionRow] = []

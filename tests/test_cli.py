@@ -72,6 +72,22 @@ class TestEval:
         assert err.strip()
 
 
+    def test_state_whose_squares_overflow_or_underflow(self, capsys):
+        # 1e200^2 overflows and 1e-200^2 underflows; both states normalize
+        # to the one that 1,1,0,0 gives.
+        records = []
+        for state in ("1e200,1e200,1,1", "1e-200,1e-200,0,0", "1,1,0,0"):
+            code, out, err = run(capsys, ["eval", "--state", state])
+            assert (code, err) == (0, "")
+            records.append(json.loads(out))
+        assert records[0]["I"] == records[1]["I"] == records[2]["I"] == 0.666666666667
+        assert records[1] == records[2]
+
+    def test_all_zero_state_is_degenerate(self, capsys):
+        code, out, err = run(capsys, ["eval", "--state", "0,-0,0,0"])
+        assert (code, out) == (1, "")
+        assert err == "error: cannot normalize the all-zero state\n"
+
     @pytest.mark.parametrize("argv,message", [
         (["eval", "--state", "1,1,1,1", "--d", "65"], "--d"),
         (["eval", "--state", ",".join(["1"] * 65)], "state coefficients"),

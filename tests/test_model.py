@@ -184,9 +184,38 @@ class TestMakeState:
         with pytest.raises(DimensionMismatchError):
             make_state(Dimension(4), (1.0, 1.0))
 
-    def test_all_zero(self):
+    @pytest.mark.parametrize("zeros", [(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0)])
+    def test_all_zero(self, zeros):
         with pytest.raises(DegenerateStateError):
-            make_state(Dimension(3), (0.0, 0.0, 0.0))
+            make_state(Dimension(3), zeros)
+
+    def test_squares_that_overflow(self):
+        # (1e200)^2 is inf; the state is (1, 1, 1e-200, 1e-200) rescaled
+        state = make_state(Dimension(4), (1e200, 1e200, 1.0, 1.0))
+        root2 = math.sqrt(2.0)
+        assert state.coefficients == (root2, root2, root2 * 1e-200, root2 * 1e-200)
+        assert state == make_state(Dimension(4), (1.0, 1.0, 1e-200, 1e-200))
+        state = make_state(Dimension(2), (-1e300, 3e300))
+        assert abs(state.coefficients[1] / state.coefficients[0] + 3.0) < 1e-14
+
+    @pytest.mark.parametrize("coefficients,expected", [
+        ((1e-200, 1e-200), (1.0, 1.0)),  # the squares are 0
+        ((1e-160, -1e-160), (1.0, -1.0)),  # the squares are subnormal
+        ((1e-320, 0.0), (math.sqrt(2.0), 0.0)),  # a subnormal entry
+        ((0.0, -5e-324), (0.0, -math.sqrt(2.0))),  # the smallest one
+    ], ids=["zero-squares", "subnormal-squares", "subnormal-entry", "smallest-entry"])
+    def test_squares_that_underflow(self, coefficients, expected):
+        assert make_state(Dimension(2), coefficients).coefficients == expected
+
+    def test_ordinary_inputs_scale_by_the_norm(self):
+        # the fallback leaves every input with normal finite squares alone
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            values = tuple(float(c) for c in rng.uniform(-3.0, 3.0, 4)
+                           * 10.0 ** rng.integers(-150, 150))
+            scale = math.sqrt(4 / sum(c * c for c in values))
+            assert make_state(Dimension(4), values).coefficients == \
+                tuple(c * scale for c in values)
 
     def test_non_finite(self):
         with pytest.raises(ValidationError):

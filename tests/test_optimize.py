@@ -216,8 +216,7 @@ class TestRestartCounters:
         # A lone restart that rejects nothing has mu = 4^-iterations until
         # the floor; one that gives up on mu stopped after rejections.
         fun = _objective("joint", 4, Direction.MINIMIZE)
-        starts = np.array([np.random.default_rng((7, r)).uniform(0.0, 2.0 * math.pi, 12)
-                           for r in range(12)])
+        starts = _starts(4, (7,), range(12))
         *_, iterations, converged, rejected, mu = _minimize(fun, starts)
         for r in range(len(starts)):
             kept = iterations[r] - rejected[r]
@@ -226,18 +225,49 @@ class TestRestartCounters:
             assert converged[r] or mu[r] > 1e8
 
 
-def _objective(search, d, direction):
-    # The function the driver hands the solver, over the gauge-free columns.
-    sign = 1.0 if direction is Direction.MAXIMIZE else -1.0
-    if search == "angles":
-        a = np.asarray(random_state(np.random.default_rng(d), d).coefficients)
+def _basis(d):
+    # The solver's basis over phase columns 1..d-1, as the angle and joint
+    # searches use it.
+    return bellmp.optimize._basis(d, range(1, d))
 
+
+def _start_phases(d, stream, restarts):
+    # The start phases phi0 that _multistart draws for the restarts listed.
+    phases = np.zeros((len(restarts), 4, d))
+    phases[:, :, 1:] = [np.random.default_rng((*stream, r)).uniform(
+        0.0, 2.0 * math.pi, 4 * (d - 1)).reshape(4, d - 1) for r in restarts]
+    return phases
+
+
+def _starts(d, stream, restarts):
+    # The coordinates y0 = basis^T phi0 that _multistart gives the solver.
+    return (_start_phases(d, stream, restarts).reshape(len(restarts), 1, 4 * d)
+            @ _basis(d))[:, 0]
+
+
+def _kernel(search, d, direction, variant, a):
+    # The kernel a search evaluates: the quadratic form at coefficients a
+    # (angles) or the extreme eigenvalue (joint).
+    if search == "angles":
         def evaluate(phases):
-            return value_and_gradient_arrays(a, phases, d, KernelVariant.PLUS)
+            return value_and_gradient_arrays(a, phases, d, variant)
     else:
         def evaluate(phases):
-            return extreme_value_and_gradient(phases, d, KernelVariant.PLUS, sign > 0)
-    return bellmp.optimize._objective(evaluate, d, bellmp.optimize._GAUGE, sign)
+            return extreme_value_and_gradient(phases, d, variant,
+                                              direction is Direction.MAXIMIZE)
+    return evaluate
+
+
+def _sign(direction):
+    return 1.0 if direction is Direction.MAXIMIZE else -1.0
+
+
+def _objective(search, d, direction, variant=KernelVariant.PLUS):
+    # The function the driver hands the solver, over the gauge-free
+    # coordinates.
+    a = np.asarray(random_state(np.random.default_rng(d), d).coefficients)
+    return bellmp.optimize._objective(_kernel(search, d, direction, variant, a), d,
+                                      _basis(d), _sign(direction))
 
 
 def _minimize(fun, starts):
@@ -245,21 +275,26 @@ def _minimize(fun, starts):
                                      bellmp.optimize._GRADIENT_TOLERANCE)
 
 
+# Every (d, variant) whose objective is not constant, for d in 2, 3, 4, 6, 8.
+_NONCONSTANT = [(d, variant) for d in (2, 3, 4, 6, 8) for variant in KernelVariant
+                if d % 2 == 0 or variant is KernelVariant.PLUS]
+
+
 class TestScheduleIndependence:
     """A restart's result must not depend on which restarts share its
     batch."""
 
     @pytest.mark.parametrize("search", ["angles", "joint"])
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d,variant", _NONCONSTANT)
     @pytest.mark.parametrize("direction", list(Direction))
-    def test_batch_equals_one_restart_at_a_time(self, search, d, direction):
-        fun = _objective(search, d, direction)
+    def test_batch_equals_one_restart_at_a_time(self, search, d, variant, direction):
+        fun = _objective(search, d, direction, variant)
         starts = np.random.default_rng(10 + d).uniform(
-            0.0, 2.0 * math.pi, (5, 4 * (d - 1)))
+            0.0, 2.0 * math.pi, (5, 3 * (d - 1)))
         batch = _minimize(fun, starts)
         for r in range(len(starts)):
             alone = _minimize(fun, starts[r:r + 1])
-            # point, value, gradient norm, iterations, converged
+            # point, value, gradient norm, iterations, converged, rejected, mu
             for batched, single in zip(batch, alone):
                 assert np.array_equal(batched[r], single[0])
 
@@ -268,8 +303,7 @@ class TestScheduleIndependence:
         # and 15 Newton steps; a cap of 12 stops two of them unconverged
         # while the third leaves the batch early.
         fun = _objective("joint", 4, Direction.MINIMIZE)
-        starts = np.array([np.random.default_rng((7, r)).uniform(0.0, 2.0 * math.pi, 12)
-                           for r in (14, 15, 16)])
+        starts = _starts(4, (7,), (14, 15, 16))
 
         def capped(x):
             return bellmp.optimize._minimize(fun, x, 12, bellmp.optimize._GRADIENT_TOLERANCE)
@@ -341,64 +375,135 @@ def test_batched_kernel_rows_equal_single_calls(d, rows, seed, largest, variant,
     assert np.array_equal(d * w[..., k], extreme[0])
 
 
-def _random_objective(rng, d, variant, direction, search):
-    # The solver's objective over the gauge-free columns, for random
-    # coefficients (angles) or the extreme eigenvalue (joint).
-    largest = direction is Direction.MAXIMIZE
-    if search == "angles":
-        a = rng.uniform(-2.0, 2.0, d)
+_SEARCHES = dict(d=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+                 direction=st.sampled_from(list(Direction)),
+                 variant=st.sampled_from(list(KernelVariant)),
+                 search=st.sampled_from(["angles", "joint"]))
 
-        def evaluate(phases):
-            return value_and_gradient_arrays(a, phases, d, variant)
-    else:
-        def evaluate(phases):
-            return extreme_value_and_gradient(phases, d, variant, largest)
-    return bellmp.optimize._objective(evaluate, d, bellmp.optimize._GAUGE,
-                                      1.0 if largest else -1.0)
+
+def _random_kernel(rng, d, variant, direction, search):
+    # A search's kernel, for random coefficients in the angle search.
+    assume(np.any(bellmp.engine._circulant(d, variant)))  # not the constant kernel
+    return _kernel(search, d, direction, variant, rng.uniform(-2.0, 2.0, d))
 
 
 @settings(max_examples=60, deadline=None)
-@given(d=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
-       direction=st.sampled_from(list(Direction)),
-       variant=st.sampled_from(list(KernelVariant)), search=st.sampled_from(["angles", "joint"]))
+@given(**_SEARCHES)
 def test_hessians_match_differences_of_the_gradient(d, seed, direction, variant, search):
-    # Through the solver's objective, so the free-column Hessian is checked.
-    assume(np.any(bellmp.engine._circulant(d, variant)))  # not the constant kernel
+    # Through the solver's objective, so the projected Hessian is checked.
     rng = np.random.default_rng(seed)
-    largest = direction is Direction.MAXIMIZE
-    fun = _random_objective(rng, d, variant, direction, search)
-    x = rng.uniform(0.0, 2.0 * math.pi, (1, 4 * (d - 1)))
+    evaluate = _random_kernel(rng, d, variant, direction, search)
+    fun = bellmp.optimize._objective(evaluate, d, _basis(d), _sign(direction))
+    y = rng.uniform(0.0, 2.0 * math.pi, (1, 3 * (d - 1)))
     if search == "joint":
-        phases = bellmp.optimize._place(x, d, bellmp.optimize._GAUGE)[0]
-        assume(_extreme_eigh(pair_matrix(phases, d, variant), d, largest)[3] >= 1e-3)
-    H = fun(x)[2][0]
+        phases = (_basis(d) @ y[0]).reshape(4, d)
+        assume(_extreme_eigh(pair_matrix(phases, d, variant), d,
+                             direction is Direction.MAXIMIZE)[3] >= 1e-3)
+    H = fun(y)[2][0]
     scale = np.max(np.abs(H))
     assert np.max(np.abs(H - H.T)) <= 1e-14 * scale
     # The truncation error of the differences falls as step^2; at 1e-5 it
     # reached 2e-7 of scale at d = 5 (seed 2990, joint maximum).
     step = 1e-6
-    shifts = step * np.eye(x.shape[1])
-    fd = (fun(x + shifts)[1] - fun(x - shifts)[1]).T / (2.0 * step)
+    shifts = step * np.eye(y.shape[1])
+    fd = (fun(y + shifts)[1] - fun(y - shifts)[1]).T / (2.0 * step)
     assert np.max(np.abs(H - fd)) <= 1e-7 * scale
 
 
+def _gauge_directions(d):
+    # Row k: c = e_k on A1 and A2, -e_k on B1 and B2, as one 4 d vector.
+    u = np.zeros((d, 4, d))
+    u[:, :2] = np.eye(d)[:, None, :]
+    u[:, 2:] = -np.eye(d)[:, None, :]
+    return u.reshape(d, 4 * d)
+
+
 @settings(max_examples=60, deadline=None)
-@given(d=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
-       direction=st.sampled_from(list(Direction)),
-       variant=st.sampled_from(list(KernelVariant)), search=st.sampled_from(["angles", "joint"]))
-def test_gauge_directions_are_null_for_the_free_hessian(d, seed, direction, variant, search):
+@given(**_SEARCHES)
+def test_gauge_directions_are_null_for_the_phase_hessian(d, seed, direction, variant, search):
     # Adding c_k to A1[k] and A2[k] and subtracting it from B1[k] and
     # B2[k] leaves every summed phase theta_r, hence the pair matrix,
-    # unchanged: the column-0 gauge keeps these d - 1 null directions.
-    assume(np.any(bellmp.engine._circulant(d, variant)))  # not the constant kernel
+    # unchanged: each such direction is null for the kernels' phase
+    # Hessian and orthogonal to their phase gradient.
     rng = np.random.default_rng(seed)
-    fun = _random_objective(rng, d, variant, direction, search)
-    x = rng.uniform(0.0, 2.0 * math.pi, (1, 4 * (d - 1)))
-    _, g, H = (column[0] for column in fun(x))
-    c = rng.uniform(-1.0, 1.0, d - 1)
-    u = np.concatenate((c, c, -c, -c))
+    evaluate = _random_kernel(rng, d, variant, direction, search)
+    _, g, H = evaluate(rng.uniform(0.0, 2.0 * math.pi, (4, d)))
+    g, H = g.reshape(4 * d), H.reshape(4 * d, 4 * d)
+    u = rng.uniform(-1.0, 1.0, d) @ _gauge_directions(d)
     assert np.max(np.abs(H @ u)) <= 1e-12 * np.max(np.abs(H)) * np.sum(np.abs(u))
     assert abs(g @ u) <= 1e-12 * np.max(np.abs(g)) * np.sum(np.abs(u))
+
+
+@pytest.mark.parametrize("d,columns", [(d, range(1, d)) for d in range(2, 9)]
+                         + [(4, (k,)) for k in range(4)])
+def test_basis_is_orthonormal_and_orthogonal_to_the_gauge(d, columns):
+    basis = bellmp.optimize._basis(d, columns)
+    c = len(columns)
+    assert basis.shape == (4 * d, 3 * c)
+    assert np.array_equal(basis.T @ basis, np.eye(3 * c))
+    assert np.array_equal(_gauge_directions(d) @ basis, np.zeros((d, 3 * c)))
+    # With the gauge directions of its columns it spans those columns, and
+    # its coordinates y give theta = (y0 + y1, y0 + y2, y0 - y2, y0 - y1).
+    spanned = np.concatenate((basis.T, _gauge_directions(d)[list(columns)]))
+    assert np.linalg.matrix_rank(spanned) == 4 * c
+    y = np.random.default_rng(d).uniform(-1.0, 1.0, (3, c))
+    theta = bellmp.engine._PAIRS @ (basis @ y.reshape(-1)).reshape(4, d)
+    expected = np.zeros((4, d))
+    expected[:, list(columns)] = [y[0] + y[1], y[0] + y[2], y[0] - y[2], y[0] - y[1]]
+    assert np.allclose(theta, expected, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("search", ["angles", "joint"])
+@pytest.mark.parametrize("direction", list(Direction))
+def test_searches_report_phases_in_the_gauge_of_their_starts(search, direction):
+    # Each restart's phases differ from its start only in the span of the
+    # basis, so column 0 stays at zero and so does every gauge component
+    # of the difference; the phases attain the restart's value.
+    d, restarts = 4, 6
+    config = OptimizerConfig(restarts=restarts, seed=2, direction=direction)
+    evaluate = _kernel(search, d, direction, KernelVariant.PLUS, np.array([1.2, 0.3, 0.9, 1.4]))
+    result = bellmp.optimize._multistart(evaluate, d, range(1, d), (2,), config)
+    moved = (result.phases - _start_phases(d, (2,), range(restarts))).reshape(restarts, 4 * d)
+    assert np.all(result.phases[:, :, 0] == 0.0)
+    assert np.max(np.abs(moved @ _gauge_directions(d).T)) <= 1e-12 * np.max(np.abs(moved))
+    assert np.max(np.abs(evaluate(result.phases)[0] - result.values)) <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(mu=st.sampled_from([1e-10, 1e-6, 1e-2, 0.25, 1.0, 4.0, 1e3]), **_SEARCHES)
+def test_reduced_step_lifts_to_the_full_coordinate_step(mu, d, seed, direction, variant,
+                                                        search):
+    # The Newton step over all 4 (d - 1) phases of columns 1..d-1,
+    # -(H + sigma I)^-1 g, with sigma = mu + max(0, -lambda_min(basis^T H
+    # basis)), lies in the span of the basis, because g is orthogonal to
+    # the gauge directions that H leaves null: it equals the solver's
+    # reduced step lifted by the basis.  The full Hessian's spectrum is
+    # the reduced one plus d - 1 zeros.
+    rng = np.random.default_rng(seed)
+    evaluate = _random_kernel(rng, d, variant, direction, search)
+    phases = np.zeros((1, 4, d))
+    phases[..., 1:] = rng.uniform(0.0, 2.0 * math.pi, (4, d - 1))
+    sign = _sign(direction)
+    _, g, H = evaluate(phases)
+    n = 4 * (d - 1)
+    g = -sign * g[0, :, 1:].reshape(n)
+    H = -sign * H[0, :, 1:, :, 1:].reshape(n, n)
+    fun = bellmp.optimize._objective(evaluate, d, _basis(d), sign)
+    _, g_y, H_y = fun((phases.reshape(1, 1, 4 * d) @ _basis(d))[:, 0])
+    reduced = np.linalg.eigvalsh(H_y[0])
+    scale = np.max(np.abs(H))
+    assert np.allclose(np.linalg.eigvalsh(H), np.sort(np.concatenate((reduced, np.zeros(d - 1)))),
+                       rtol=0.0, atol=1e-12 * scale)
+    sigma = mu + max(0.0, -reduced[0])
+    reference = -np.linalg.solve(H + sigma * np.eye(n), g)
+    shifted = np.linalg.eigvalsh(H + sigma * np.eye(n))
+    bound = max(1e-12, 64 * np.finfo(float).eps * shifted[-1] / shifted[0])
+    step = bellmp.optimize._newton_steps(H_y, g_y, np.full(1, mu))[0]
+    lifted = (_basis(d) @ step).reshape(4, d)
+    assert np.all(lifted[:, 0] == 0.0)
+    lifted = lifted[:, 1:].reshape(n)
+    assert np.linalg.norm(lifted - reference) <= bound * np.linalg.norm(reference)
+    assert lifted @ g < 0.0
 
 
 def _eigen_step(H, g, mu):

@@ -105,13 +105,13 @@ _PAIRS = np.array([[float(p in (i - 1, j + 1)) for p in range(4)] for i, j in SE
 _PAIRS.flags.writeable = False
 
 
-# The kernel functions below take phase matrices with any leading batch
+# The kernel functions below take summed phases with any leading batch
 # axes, (..., 4, d); every row of a batch is computed exactly as it
 # would be alone.
-def _phased(phases: np.ndarray, d: int, variant: KernelVariant) -> np.ndarray:
+def _phased(theta: np.ndarray, d: int, variant: KernelVariant) -> np.ndarray:
     # P[..., r, :, :] = diag(e^{i theta_r}) C[r] diag(e^{-i theta_r}); each
     # is Hermitian and I = a^T Re(sum_r P[..., r, :, :]) a / ((d - 1) d^3).
-    z = np.exp(1j * (_PAIRS @ phases))
+    z = np.exp(1j * theta)
     P = z[..., :, None] * _circulant(d, variant)
     P *= z.conj()[..., None, :]
     return P
@@ -263,7 +263,7 @@ def pair_matrix(phases: np.ndarray, d: int,
     B2): real, symmetric and with a zero diagonal, such that the Bell
     value of every state is the quadratic form I = a^T M a.  No
     validation happens here."""
-    return _pair_sum(_phased(phases, d, variant), d)
+    return _pair_sum(_phased(_PAIRS @ phases, d, variant), d)
 
 
 @dataclass(frozen=True)
@@ -316,55 +316,50 @@ def t_coefficients(settings: MeasurementSettings) -> TCoefficients:
     return TCoefficients(*(2.0 * float(M[k, l]) for k, l in PAIR_SLOTS))
 
 
-def _phase_gradient(P: np.ndarray, coefficients: np.ndarray,
+def _theta_gradient(P: np.ndarray, coefficients: np.ndarray,
                     d: int) -> tuple[np.ndarray, np.ndarray]:
     # Setting pair r contributes -2 a Im(P[r] a) / ((d - 1) d^3) to the
-    # gradient of its summed phases theta_r.  Also returns P a.
+    # gradient over its summed phases theta_r.  Also returns P a.
     a = coefficients[..., None, :]
     pa = (P @ a[..., None])[..., 0]
-    return _PAIRS.T @ ((-2.0 / ((d - 1) * d**3)) * a * pa.imag), pa
+    return (-2.0 / ((d - 1) * d**3)) * a * pa.imag, pa
 
 
-# Row 4 p + q marks the setting pairs whose summed phases theta_r contain
-# both phase rows p and q, so L^T H L is one product with the theta
-# blocks.  Each entry sums at most two nonzero blocks.
-_INCIDENCE = (_PAIRS.T[:, None, :] * _PAIRS.T[None, :, :]).reshape(16, 4)
-_INCIDENCE.flags.writeable = False
-
-
-def _phase_hessian(P: np.ndarray, coefficients: np.ndarray, pa: np.ndarray,
+def _theta_hessian(P: np.ndarray, coefficients: np.ndarray, pa: np.ndarray,
                    d: int) -> np.ndarray:
-    # Over theta_r, setting pair r contributes the block
-    # 2 (a_m a_n Re P[r, m, n] - delta_mn a_m Re(P[r] a)_m) / ((d - 1) d^3),
-    # and no pair couples two thetas.  L^T H L puts each block into the
-    # four (A_i | B_j) x (A_i | B_j) blocks of the (..., 4, d, 4, d) result.
+    # No setting pair couples two summed phases, so the (..., 4, d, 4, d)
+    # Hessian over theta is block diagonal; pair r contributes the block
+    # 2 (a_m a_n Re P[r, m, n] - delta_mn a_m Re(P[r] a)_m) / ((d - 1) d^3).
     a = coefficients[..., None, :]
     blocks = a[..., :, None] * a[..., None, :] * P.real
     diagonal = np.arange(d)
     blocks[..., diagonal, diagonal] -= a * pa.real
     blocks *= 2.0 / ((d - 1) * d**3)
-    H = _INCIDENCE @ blocks.reshape(blocks.shape[:-2] + (d * d,))
-    return H.reshape(H.shape[:-2] + (4, 4, d, d)).swapaxes(-3, -2)
+    H = np.zeros(blocks.shape[:-3] + (4, d, 4, d))
+    # einsum returns a writeable view of the diagonal blocks.
+    np.einsum("...rmrn->...rmn", H)[...] = blocks
+    return H
 
 
-def value_and_gradient_arrays(coefficients: np.ndarray, phases: np.ndarray,
+def value_and_gradient_arrays(coefficients: np.ndarray, theta: np.ndarray,
                               d: int, variant: KernelVariant):
-    """Low-level evaluation on raw arrays: the Bell value a^T M a, its
-    gradient with respect to the (4, d) phase matrix (rows A1, A2, B1,
-    B2) and its Hessian over those phases, of shape (4, d, 4, d).
+    """Low-level evaluation on raw arrays: the Bell value a^T M a at the
+    (4, d) summed phases theta = phi^{A_i} + phi^{B_j} (rows in
+    SETTING_PAIRS order), its gradient over theta and its Hessian over
+    theta, of shape (4, d, 4, d) and block diagonal across setting pairs.
 
-    A (..., 4, d) stack of phase matrices is evaluated as one batch,
+    A (..., 4, d) stack of summed phases is evaluated as one batch,
     with (..., d) coefficients or one (d,) vector for every row,
     returning (...), (..., 4, d) and (..., 4, d, 4, d) arrays, so a lone
     (4, d) matrix gives a 0-d value; row r equals the call on row r
     alone, bit for bit.  No validation happens here; this is the
     optimizer's hot path.
     """
-    P = _phased(phases, d, variant)
+    P = _phased(theta, d, variant)
     Ma = _pair_sum(P, d) @ coefficients[..., None]
     value = (coefficients[..., None, :] @ Ma)[..., 0, 0]
-    gradient, pa = _phase_gradient(P, coefficients, d)
-    return value, gradient, _phase_hessian(P, coefficients, pa, d)
+    gradient, pa = _theta_gradient(P, coefficients, d)
+    return value, gradient, _theta_hessian(P, coefficients, pa, d)
 
 
 def _extreme_eigh(M: np.ndarray, d: int, largest: bool) -> tuple[np.ndarray, ...]:
@@ -375,38 +370,38 @@ def _extreme_eigh(M: np.ndarray, d: int, largest: bool) -> tuple[np.ndarray, ...
     return w, V, k, d * np.abs(w[..., k] - w[..., n])
 
 
-def extreme_value_and_gradient(phases: np.ndarray, d: int, variant: KernelVariant,
+def extreme_value_and_gradient(theta: np.ndarray, d: int, variant: KernelVariant,
                                largest: bool):
     """The Bell value optimized over states at fixed phases, on raw
     arrays: d lambda of the pair matrix's largest (or smallest)
-    eigenvalue lambda, and its gradient and Hessian with respect to the
-    (4, d) phase matrix.
+    eigenvalue lambda at the (4, d) summed phases theta, and its
+    gradient and Hessian over theta.
 
     On the sphere sum a^2 = d, a^T M a is extremal at a = sqrt(d) v for
     the extreme unit eigenvector v.  By the Hellmann-Feynman theorem the
-    gradient is the phase gradient of a^T M a at that fixed a; the
+    gradient is the theta gradient of a^T M a at that fixed a; the
     Hessian adds the second-order eigenvalue perturbation term to that
-    of a^T M a (Overton and Womersley 1995).  Both exist only where the
-    eigengap is positive; _extreme_eigh of pair_matrix(phases) gives the
-    eigenvector and the gap.  A (..., 4, d) stack of phase matrices is
-    evaluated as one batch, returning (...), (..., 4, d) and
-    (..., 4, d, 4, d) arrays, so a lone (4, d) matrix gives a 0-d
-    value; row r equals the call on row r alone, bit for bit.  No
-    validation happens here.
+    of a^T M a (Overton and Womersley 1995), which couples the setting
+    pairs.  Both exist only where the eigengap is positive;
+    _extreme_eigh of the pair matrix gives the eigenvector and the gap.
+    A (..., 4, d) stack of summed phases is evaluated as one batch,
+    returning (...), (..., 4, d) and (..., 4, d, 4, d) arrays, so a lone
+    (4, d) matrix gives a 0-d value; row r equals the call on row r
+    alone, bit for bit.  No validation happens here.
     """
-    P = _phased(phases, d, variant)
+    P = _phased(theta, d, variant)
     w, V, k, _ = _extreme_eigh(_pair_sum(P, d), d, largest)
     v = V[..., k]
     a = math.sqrt(d) * v
-    gradient, pa = _phase_gradient(P, a, d)
-    hessian = _phase_hessian(P, a, pa, d)
+    gradient, pa = _theta_gradient(P, a, d)
+    hessian = _theta_hessian(P, a, pa, d)
     # Second-order perturbation of a simple eigenvalue: d lambda gains
     # 2 d sum_{j != ext} J_j J_j^T / (lambda_ext - lambda_j), where J_j
     # over theta holds v_j^T (dM / d theta) v.  A zero gap has weight 0.
     im_pv = np.imag(P @ V[..., None, :, :])
     J = (V[..., None, :, :] * im_pv[..., k, None] + v[..., None, :, None] * im_pv) \
         * (-1.0 / ((d - 1) * d**3))
-    J = (_PAIRS.T @ np.moveaxis(J, -1, -3)).reshape(J.shape[:-3] + (d, 4 * d))
+    J = np.moveaxis(J, -1, -3).reshape(J.shape[:-3] + (d, 4 * d))
     gaps = w[..., k, None] - w
     weights = np.divide(2.0 * d, gaps, out=np.zeros_like(gaps), where=gaps != 0.0)
     hessian += ((J.swapaxes(-1, -2) * weights[..., None, :]) @ J).reshape(hessian.shape)
@@ -422,8 +417,8 @@ def bell_gradient(state: PureState, settings: MeasurementSettings,
             f"state dimension {state.dim.d} != settings dimension {settings.dim.d}"
         )
     d = state.dim.d
-    P = _phased(_phase_matrix(settings), d, variant)
-    return _phase_gradient(P, np.asarray(state.coefficients), d)[0].reshape(-1)
+    P = _phased(_PAIRS @ _phase_matrix(settings), d, variant)
+    return (_PAIRS.T @ _theta_gradient(P, np.asarray(state.coefficients), d)[0]).reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,16 +2,18 @@
 
 The Bell value depends on the 4 d measurement phases only through the
 summed phases theta = phi^A + phi^B of the four setting pairs, and only
-through their differences between columns.  So column 0 of every phase
-vector stays at zero, and in each other column the direction that adds
-c to A1 and A2 and subtracts it from B1 and B2 moves no theta.  The
-solver runs over the 3 (d - 1) coordinates of an orthonormal basis of
-the remaining directions, whose Hessian has no such null directions.
+through their differences between columns.  So column 0 of theta stays
+at zero, and every other column of theta has three free coordinates y,
+theta = (y0 + y1, y0 + y2, y0 - y2, y0 - y1) for the setting pairs
+A1B1, A1B2, A2B1 and A2B2: one constant map with entries 0 and +-1.  The
+kernels take theta and differentiate in it, and the solver runs over
+the 3 (d - 1) coordinates y.  Each optimum is reported in the gauge
+B1 = 0, where A1 = theta_11, A2 = theta_21 and B2 = theta_12 - theta_11.
 The joint problem over states and phases reduces to the phases too:
 for fixed phases the Bell value is a^T M a on the sphere sum a^2 = d, so
 the best state is the extreme eigenvector of the pair matrix M and the
-value is d lambda_ext(M); its phase gradient follows from the
-Hellmann-Feynman theorem, and its phase Hessian adds the second-order
+value is d lambda_ext(M); its theta gradient follows from the
+Hellmann-Feynman theorem, and its theta Hessian adds the second-order
 eigenvalue perturbation term to that of a^T M a at the fixed state.
 Each restart runs one regularized Newton loop on these exact Hessians
 (in the manner of More and Sorensen 1983): the shift
@@ -50,8 +52,8 @@ from .model import (
     make_state,
     require_seed,
 )
-from .engine import (_circulant, _extreme_eigh, extreme_value_and_gradient, pair_matrix,
-                     value_and_gradient_arrays)
+from .engine import (_PAIRS, _circulant, _extreme_eigh, extreme_value_and_gradient,
+                     pair_matrix, value_and_gradient_arrays)
 from .analytic import PAIR_SLOTS
 
 __all__ = [
@@ -166,7 +168,7 @@ def _minimize(fun, x0: np.ndarray, max_iterations: int, gradient_tolerance: floa
 
     fun maps an (m, n) batch of points to their (m,) values, (m, n)
     gradients and (m, n, n) Hessians, row by row; the searches pass the
-    gauge-free coordinates of _objective.  Each restart takes
+    coordinates y of _objective.  Each restart takes
     regularized Newton steps s = -(H + (mu + max(0, -lambda_min(H))) I)^-1 g,
     a descent direction even where H is indefinite: lambda_min comes
     from the eigenvalues alone, and the shifted, positive definite
@@ -223,46 +225,44 @@ def _require_nonconstant(d: int, variant: KernelVariant) -> None:
         )
 
 
-# Per free phase column, an orthonormal basis (rows A1, A2, B1, B2) of
-# the directions that move the summed phases: with coordinates y,
-# theta = (y0 + y1, y0 + y2, y0 - y2, y0 - y1) for the setting pairs
-# A1B1, A1B2, A2B1 and A2B2.  The fourth direction, (1, 1, -1, -1) / 2,
-# moves no theta: it is the gauge, and the searches leave it out.
-_COLUMN_BASIS = 0.5 * np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0],
-                                [1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
-_COLUMN_BASIS.flags.writeable = False
+# Per free phase column, the summed phases (rows A1B1, A1B2, A2B1, A2B2)
+# of the coordinates y: theta = (y0 + y1, y0 + y2, y0 - y2, y0 - y1).
+# Theta^T Theta = diag(4, 2, 2).
+_THETA = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 0.0, -1.0], [1.0, -1.0, 0.0]])
+_THETA.flags.writeable = False
 
 
-def _basis(d: int, columns: range | tuple[int, ...]) -> np.ndarray:
-    # The (4 d, 3 c) orthonormal basis over the c phase columns given,
-    # zero in the others.  Row p d + k is phase row p, column k; column
-    # s c + j is coordinate y_s of the j-th column given.
-    return np.kron(_COLUMN_BASIS, np.eye(d)[:, columns])
+def _gauge_phases(theta: np.ndarray) -> np.ndarray:
+    # The (..., 4, d) phases with B1 = 0 whose summed phases are theta:
+    # A1 = theta_11, A2 = theta_21, B2 = theta_12 - theta_11.
+    t11, t12, t21, _ = np.moveaxis(theta, -2, 0)
+    return np.stack((t11, t21, np.zeros_like(t11), t12 - t11), axis=-2)
 
 
-def _objective(evaluate, d: int, basis: np.ndarray, sign: float):
-    """The function the solver minimizes over the coordinates y of the
-    basis: -sign times evaluate's value at the phases basis y, and its
-    gradient basis^T g and Hessian basis^T H basis.  evaluate maps
-    (m, 4, d) phases to (m,) values, (m, 4, d) phase gradients and
-    (m, 4, d, 4, d) phase Hessians.  Each projection is a stack of
-    per-row products, so a row's result does not depend on its batch."""
+def _objective(evaluate, d: int, C: np.ndarray, sign: float):
+    """The function the solver minimizes over the coordinates y, with
+    theta = C y for the (4 d, 3 c) map C = Theta (x) (the c free columns
+    of I_d): -sign times evaluate's value at theta, and its gradient
+    C^T g and Hessian C^T H C.  evaluate maps (m, 4, d) summed phases to
+    (m,) values, (m, 4, d) theta gradients and (m, 4, d, 4, d) theta
+    Hessians.  Each product is a stack of per-row products, so a row's
+    result does not depend on its batch."""
     n = 4 * d
 
     def fun(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         m = len(y)
-        value, gradient, hessian = evaluate((y[:, None, :] @ basis.T).reshape(m, 4, d))
-        return (-sign * value, -sign * (gradient.reshape(m, 1, n) @ basis)[:, 0],
-                -sign * (basis.T @ hessian.reshape(m, n, n) @ basis))
+        value, gradient, hessian = evaluate((y[:, None, :] @ C.T).reshape(m, 4, d))
+        return (-sign * value, -sign * (gradient.reshape(m, 1, n) @ C)[:, 0],
+                -sign * (C.T @ hessian.reshape(m, n, n) @ C))
 
     return fun
 
 
 @dataclass(frozen=True)
 class _Search:
-    # Per restart: value in the Bell value's own sign, phases, gradient
-    # norm, iterations, gradient-test flag, rejected steps and final mu;
-    # then the search's evaluations and the index of its extremal restart.
+    # Per restart: value in the Bell value's own sign, phases (B1 = 0),
+    # gradient norm, iterations, gradient-test flag, rejected steps and
+    # final mu; then the search's evaluations and its extremal restart.
     values: np.ndarray
     phases: np.ndarray
     gradient_norms: np.ndarray
@@ -277,26 +277,26 @@ class _Search:
 def _multistart(evaluate, d: int, columns: range | tuple[int, ...],
                 stream: tuple[int, ...], config: OptimizerConfig) -> _Search:
     """Search for the config.direction extremum of evaluate over the
-    given phase columns, the other phases held at zero, from
+    summed phases of the given columns, the others held at zero, from
     config.restarts starts run as one batch.  Restart r draws the 4 c
-    phases of its c columns uniformly from [0, 2 pi) with the independent
-    PRNG stream (*stream, r), so results are reproducible.  The solver
-    runs over the 3 c gauge-free coordinates y of _basis, from
-    y0 = basis^T phi0; the search reports phi0 + basis (y - y0), which
-    keeps each start's gauge component."""
+    phases phi0 of its c columns uniformly from [0, 2 pi) with the
+    independent PRNG stream (*stream, r), so results are reproducible.
+    The solver runs over the 3 c coordinates y of theta = C y, from
+    y0 = diag(1/4, 1/2, 1/2) Theta^T L phi0 per column, and the search
+    reports each restart's phases in the gauge B1 = 0."""
     maximize = config.direction is Direction.MAXIMIZE
     sign = 1.0 if maximize else -1.0
     restarts, c = config.restarts, len(columns)
-    basis = _basis(d, columns)
+    C = np.kron(_THETA, np.eye(d)[:, columns])
     starts = np.zeros((restarts, 4, d))
     starts[:, :, columns] = np.array([
         np.random.default_rng((*stream, r)).uniform(0.0, 2.0 * math.pi, size=4 * c)
         for r in range(restarts)
     ]).reshape(restarts, 4, c)
-    y0 = (starts.reshape(restarts, 1, 4 * d) @ basis)[:, 0]
+    y0 = ((_PAIRS @ starts).reshape(restarts, 1, 4 * d) @ C)[:, 0] / np.repeat((4.0, 2.0, 2.0), c)
     y, f, gnorm, iterations, converged, rejected, mu = _minimize(
-        _objective(evaluate, d, basis, sign), y0, _MAX_ITERATIONS, _GRADIENT_TOLERANCE)
-    phases = starts + ((y - y0)[:, None, :] @ basis.T).reshape(starts.shape)
+        _objective(evaluate, d, C, sign), y0, _MAX_ITERATIONS, _GRADIENT_TOLERANCE)
+    phases = _gauge_phases((y[:, None, :] @ C.T).reshape(restarts, 4, d))
     values = -sign * f
     # _minimize evaluates every start once, then the restarts still
     # running once per pass, each of which counts the pass as an iteration.
@@ -330,13 +330,14 @@ def _make_run(search: _Search, state: PureState, settings: MeasurementSettings,
 def optimize_angles(state: PureState, config: OptimizerConfig,
                     variant: KernelVariant = KernelVariant.PLUS) -> OptimizationRun:
     """Multi-start search over the phases at a fixed state, run in the
-    3 (d - 1) gauge-free coordinates."""
+    3 (d - 1) coordinates of the summed phases; the best settings have
+    B1 = 0 and column 0 at zero."""
     if config.free_state:
         raise ValidationError("optimize_angles requires config.free_state = False")
     d = state.dim.d
     _require_nonconstant(d, variant)
     a = np.asarray(state.coefficients)
-    search = _multistart(lambda phases: value_and_gradient_arrays(a, phases, d, variant),
+    search = _multistart(lambda theta: value_and_gradient_arrays(a, theta, d, variant),
                          d, range(1, d), (config.seed,), config)
     return _make_run(search, state, _settings(search.phases[search.best], state.dim),
                      search.converged)
@@ -355,7 +356,8 @@ def optimize_joint(dim: Dimension, config: OptimizerConfig,
 
     The reported state is non-negative: v is flipped so that v_0 >= 0,
     and every other negative v_k becomes |v_k| with pi added to A1[k]
-    and A2[k], which leaves the value unchanged.  A restart counts as
+    and A2[k], which leaves the value unchanged and the settings in the
+    gauge B1 = 0 of the search, with column 0 at zero.  A restart counts as
     converged if it passes the gradient test and its extreme eigenvalue
     is simple (eigengap above 1e-9 (1 + |value|) in Bell-value units,
     as listed in per_restart_eigengaps), since lambda_ext has no
@@ -367,7 +369,7 @@ def optimize_joint(dim: Dimension, config: OptimizerConfig,
     _require_nonconstant(d, variant)
     largest = config.direction is Direction.MAXIMIZE
     search = _multistart(
-        lambda phases: extreme_value_and_gradient(phases, d, variant, largest),
+        lambda theta: extreme_value_and_gradient(theta, d, variant, largest),
         d, range(1, d), (config.seed,), config)
     _, V, k, gaps = _extreme_eigh(pair_matrix(search.phases, d, variant), d, largest)
     converged = search.converged & (gaps > _GAP_RTOL * (1.0 + np.abs(search.values)))
@@ -387,9 +389,10 @@ def max_abs_t_coefficient(pair: tuple[int, int], restarts: int = 8,
     T_kl is the Bell value at the unnormalized state e_k + e_l, and it
     depends on the phases only through one angle per party and setting,
     the four angles of phase column k, and on those only through their
-    summed phases.  So the search runs over the three gauge-free
-    coordinates of that column; the returned settings carry the angles
-    there.  Only the maximum is searched:
+    summed phases.  So the search runs over the three coordinates of
+    that column's summed phases; the returned settings carry its angles
+    in the gauge B1 = 0, and every other column is zero.  Only the
+    maximum is searched:
     adding pi to A1[k] and A2[k] maps T_kl to -T_kl, so the maximum of
     T_kl is the maximum of |T_kl|.  The search stops as the other
     searches do.  Callers use at least 3 restarts; a single restart can
@@ -403,8 +406,8 @@ def max_abs_t_coefficient(pair: tuple[int, int], restarts: int = 8,
     a = np.zeros(4)
     a[[k, l]] = 1.0
 
-    def evaluate(phases: np.ndarray) -> tuple[np.ndarray, ...]:
-        return value_and_gradient_arrays(a, phases, 4, KernelVariant.PLUS)
+    def evaluate(theta: np.ndarray) -> tuple[np.ndarray, ...]:
+        return value_and_gradient_arrays(a, theta, 4, KernelVariant.PLUS)
 
     search = _multistart(evaluate, 4, (k,), (seed, 1),
                          OptimizerConfig(restarts=restarts, seed=seed))

@@ -172,6 +172,20 @@ class TestOptimize:
         assert code == 0
         assert abs(json.loads(out)["I"] - value) < 1e-9
 
+    def test_joint_optimum_is_exported_in_the_gauge_b1_zero(self, capsys, tmp_path):
+        # The exported angles, at the printed state, give the printed value.
+        path = tmp_path / "angles.json"
+        code, out, _ = run(capsys, ["optimize", "--d", "4", "--free-state",
+                                    "--export-angles", str(path)])
+        assert code == 0
+        record = json.loads(out)
+        assert record["angles"]["B1"] == [0, 0, 0, 0]
+        assert json.loads(path.read_text(encoding="utf-8"))["B1"] == [0, 0, 0, 0]
+        state = ",".join(repr(c) for c in record["state"])
+        code, out, _ = run(capsys, ["eval", "--state", state, "--angles", str(path)])
+        assert code == 0
+        assert json.loads(out)["I"] == record["value"]
+
     @pytest.mark.parametrize("argv", [
         ["optimize", "--free-state", "--state", "1,1,1,1"],
         ["optimize", "--free-state"],

@@ -379,7 +379,7 @@ class TestGradient:
                 settings = random_settings(rng, d)
                 phases = np.array(settings_rows(settings))
                 a = np.asarray(state.coefficients)
-                value = value_and_gradient_arrays(a, phases, d, variant)[0]
+                value = value_and_gradient_arrays(a, engine._PAIRS @ phases, d, variant)[0]
                 expected = bell_value(state, settings, variant)
                 assert abs(value - expected) < 1e-12
                 M = pair_matrix(phases, d, variant)
@@ -392,47 +392,38 @@ class TestGradient:
             bell_gradient(maximally_entangled_state(D4), zero_settings(Dimension(3)))
 
 
-def _loop_assembled_hessian(P, coefficients, d):
-    # Reference: the theta blocks of the four setting pairs added one by
-    # one into the (A_i | B_j) x (A_i | B_j) blocks of the phase Hessian.
+def _pair_blocks(P, coefficients, d):
+    # Reference: setting pair r's block of the Hessian over its summed
+    # phases theta_r, 2 (a_m a_n Re P[r, m, n] - delta_mn a_m Re(P[r] a)_m)
+    # / ((d - 1) d^3), entry by entry.
     a = coefficients[..., None, :]
     pa = (P @ a[..., None])[..., 0]
     blocks = a[..., :, None] * a[..., None, :] * P.real
-    diagonal = np.arange(d)
-    blocks[..., diagonal, diagonal] -= a * pa.real
-    blocks *= 2.0 / ((d - 1) * d**3)
-    H = np.zeros(blocks.shape[:-3] + (4, d, 4, d))
-    for r, (i, j) in enumerate(SETTING_PAIRS):
-        for p in (i - 1, j + 1):
-            for q in (i - 1, j + 1):
-                H[..., p, :, q, :] += blocks[..., r, :, :]
-    return H, pa
+    for m in range(d):
+        blocks[..., m, m] -= a[..., m] * pa.real[..., m]
+    return blocks * (2.0 / ((d - 1) * d**3))
 
 
-class TestHessianAssembly:
-    """The phase Hessian is assembled as one incidence-matrix product;
-    every entry sums at most two nonzero blocks, so it must equal the
-    block-by-block loop bit for bit."""
+class TestThetaHessian:
+    """No setting pair couples two summed phases: the angle kernel's
+    Hessian over theta holds each pair's block on its diagonal and exact
+    zeros off it."""
 
     @pytest.mark.parametrize("d", range(2, 9))
     @pytest.mark.parametrize("variant", [PLUS, MINUS])
     @pytest.mark.parametrize("batch", [(), (1,), (7,)])
-    def test_product_equals_the_block_loop(self, d, variant, batch):
+    def test_pair_blocks_on_the_diagonal_and_zeros_off_it(self, d, variant, batch):
         rng = np.random.default_rng(d)
-        phases = rng.uniform(-10.0, 10.0, batch + (4, d))
-        P = engine._phased(phases, d, variant)
-        given = rng.uniform(-2.0, 2.0, batch + (d,))
-        # the angle route's given coefficients, and the eigen route's sqrt(d) v
-        _, V, k, _ = engine._extreme_eigh(pair_matrix(phases, d, variant), d, True)
-        for a in (given, math.sqrt(d) * V[..., k]):
-            reference, pa = _loop_assembled_hessian(P, a, d)
-            H = engine._phase_hessian(P, a, pa, d)
-            assert H.shape == reference.shape
-            assert np.array_equal(H, reference)
-            assert np.array_equal(np.signbit(H), np.signbit(reference))
-        kernel = value_and_gradient_arrays(given, phases, d, variant)[2]
-        assert np.array_equal(kernel, _loop_assembled_hessian(P, given, d)[0])
-
+        theta = engine._PAIRS @ rng.uniform(-10.0, 10.0, batch + (4, d))
+        a = rng.uniform(-2.0, 2.0, batch + (d,))
+        H = value_and_gradient_arrays(a, theta, d, variant)[2]
+        assert H.shape == batch + (4, d, 4, d)
+        blocks = _pair_blocks(engine._phased(theta, d, variant), a, d)
+        for r in range(4):
+            for s in range(4):
+                expected = blocks[..., r, :, :] if r == s else np.zeros(batch + (d, d))
+                assert np.array_equal(H[..., r, :, s, :], expected)
+                assert np.array_equal(np.signbit(H[..., r, :, s, :]), np.signbit(expected))
 
     @pytest.mark.parametrize("d", [2, 4, 7])
     @pytest.mark.parametrize("batch", [(), (5,)])
@@ -545,11 +536,12 @@ def test_pair_matrix_and_kernel_agree_with_the_table_route(seed, d, variant):
     expected = bell_value(state, settings, variant)
     tolerance = 1e-12 * max(1.0, abs(expected))
     assert abs(a @ pair_matrix(phases, d, variant) @ a - expected) <= tolerance
-    value, gradient, _ = value_and_gradient_arrays(a, phases, d, variant)
+    value, gradient, _ = value_and_gradient_arrays(a, engine._PAIRS @ phases, d, variant)
     assert abs(value - expected) <= tolerance
+    # L^T carries the theta gradient to the phases.
+    gradient = (engine._PAIRS.T @ gradient).reshape(-1)
     fd = central_difference_gradient(state, settings, variant)
-    assert np.max(np.abs(gradient.reshape(-1) - fd)) \
-        <= 1e-6 * max(1.0, np.max(np.abs(gradient)))
+    assert np.max(np.abs(gradient - fd)) <= 1e-6 * max(1.0, np.max(np.abs(gradient)))
 
 
 class TestSampling:

@@ -225,10 +225,12 @@ class TestRestartCounters:
             assert converged[r] or mu[r] > 1e8
 
 
-def _basis(d):
-    # The solver's basis over phase columns 1..d-1, as the angle and joint
-    # searches use it.
-    return bellmp.optimize._basis(d, range(1, d))
+def _theta_map(d, columns=None):
+    # The map C = Theta (x) (free columns of I_d) from the solver's
+    # coordinates to the summed phases, over phase columns 1..d-1 as the
+    # angle and joint searches use it unless columns are given.
+    columns = range(1, d) if columns is None else columns
+    return np.kron(bellmp.optimize._THETA, np.eye(d)[:, columns])
 
 
 def _start_phases(d, stream, restarts):
@@ -240,20 +242,22 @@ def _start_phases(d, stream, restarts):
 
 
 def _starts(d, stream, restarts):
-    # The coordinates y0 = basis^T phi0 that _multistart gives the solver.
-    return (_start_phases(d, stream, restarts).reshape(len(restarts), 1, 4 * d)
-            @ _basis(d))[:, 0]
+    # The coordinates y0 = diag(1/4, 1/2, 1/2) Theta^T L phi0 that
+    # _multistart gives the solver.
+    theta = bellmp.engine._PAIRS @ _start_phases(d, stream, restarts)
+    return ((theta.reshape(len(restarts), 1, 4 * d) @ _theta_map(d))[:, 0]
+            / np.repeat((4.0, 2.0, 2.0), d - 1))
 
 
 def _kernel(search, d, direction, variant, a):
     # The kernel a search evaluates: the quadratic form at coefficients a
     # (angles) or the extreme eigenvalue (joint).
     if search == "angles":
-        def evaluate(phases):
-            return value_and_gradient_arrays(a, phases, d, variant)
+        def evaluate(theta):
+            return value_and_gradient_arrays(a, theta, d, variant)
     else:
-        def evaluate(phases):
-            return extreme_value_and_gradient(phases, d, variant,
+        def evaluate(theta):
+            return extreme_value_and_gradient(theta, d, variant,
                                               direction is Direction.MAXIMIZE)
     return evaluate
 
@@ -263,11 +267,10 @@ def _sign(direction):
 
 
 def _objective(search, d, direction, variant=KernelVariant.PLUS):
-    # The function the driver hands the solver, over the gauge-free
-    # coordinates.
+    # The function the driver hands the solver, over the coordinates y.
     a = np.asarray(random_state(np.random.default_rng(d), d).coefficients)
     return bellmp.optimize._objective(_kernel(search, d, direction, variant, a), d,
-                                      _basis(d), _sign(direction))
+                                      _theta_map(d), _sign(direction))
 
 
 def _minimize(fun, starts):
@@ -335,14 +338,14 @@ class TestScheduleIndependence:
         # 400 rows at d = 4, one batch for both kernels.
         d = 4
         rng = np.random.default_rng(0)
-        phases = rng.uniform(0.0, 2.0 * math.pi, (400, 4, d))
+        theta = bellmp.engine._PAIRS @ rng.uniform(0.0, 2.0 * math.pi, (400, 4, d))
         a = rng.uniform(-2.0, 2.0, d)
-        for kernel in (lambda p: value_and_gradient_arrays(a, p, d, KernelVariant.PLUS),
-                       lambda p: extreme_value_and_gradient(p, d, KernelVariant.PLUS, False)):
-            batch = kernel(phases)
-            for r in range(len(phases)):
+        for kernel in (lambda t: value_and_gradient_arrays(a, t, d, KernelVariant.PLUS),
+                       lambda t: extreme_value_and_gradient(t, d, KernelVariant.PLUS, False)):
+            batch = kernel(theta)
+            for r in range(len(theta)):
                 # value, gradient, Hessian
-                for batched, single in zip(batch, kernel(phases[r])):
+                for batched, single in zip(batch, kernel(theta[r])):
                     assert np.array_equal(batched[r], single)
 
 
@@ -354,18 +357,19 @@ def test_batched_kernel_rows_equal_single_calls(d, rows, seed, largest, variant,
                                                 shared):
     rng = np.random.default_rng(seed)
     phases = rng.uniform(-10.0, 10.0, (rows, 4, d))
+    theta = bellmp.engine._PAIRS @ phases
     # one coefficient vector for every row, or one per row
     coefficients = rng.uniform(-2.0, 2.0, d if shared else (rows, d))
-    quadratic = value_and_gradient_arrays(coefficients, phases, d, variant)
-    extreme = extreme_value_and_gradient(phases, d, variant, largest)
+    quadratic = value_and_gradient_arrays(coefficients, theta, d, variant)
+    extreme = extreme_value_and_gradient(theta, d, variant, largest)
     for r in range(rows):
         a = coefficients if shared else coefficients[r]
-        single = value_and_gradient_arrays(a, phases[r], d, variant)
+        single = value_and_gradient_arrays(a, theta[r], d, variant)
         # value, gradient, Hessian
         assert quadratic[0][r] == single[0]
         assert np.array_equal(quadratic[1][r], single[1])
         assert np.array_equal(quadratic[2][r], single[2])
-        single = extreme_value_and_gradient(phases[r], d, variant, largest)
+        single = extreme_value_and_gradient(theta[r], d, variant, largest)
         assert extreme[0][r] == single[0]
         assert np.array_equal(extreme[1][r], single[1])
         assert np.array_equal(extreme[2][r], single[2])
@@ -390,13 +394,13 @@ def _random_kernel(rng, d, variant, direction, search):
 @settings(max_examples=60, deadline=None)
 @given(**_SEARCHES)
 def test_hessians_match_differences_of_the_gradient(d, seed, direction, variant, search):
-    # Through the solver's objective, so the projected Hessian is checked.
+    # Through the solver's objective, so the Hessian C^T H C it sees is checked.
     rng = np.random.default_rng(seed)
     evaluate = _random_kernel(rng, d, variant, direction, search)
-    fun = bellmp.optimize._objective(evaluate, d, _basis(d), _sign(direction))
+    fun = bellmp.optimize._objective(evaluate, d, _theta_map(d), _sign(direction))
     y = rng.uniform(0.0, 2.0 * math.pi, (1, 3 * (d - 1)))
     if search == "joint":
-        phases = (_basis(d) @ y[0]).reshape(4, d)
+        phases = bellmp.optimize._gauge_phases((_theta_map(d) @ y[0]).reshape(4, d))
         assume(_extreme_eigh(pair_matrix(phases, d, variant), d,
                              direction is Direction.MAXIMIZE)[3] >= 1e-3)
     H = fun(y)[2][0]
@@ -410,100 +414,68 @@ def test_hessians_match_differences_of_the_gradient(d, seed, direction, variant,
     assert np.max(np.abs(H - fd)) <= 1e-7 * scale
 
 
-def _gauge_directions(d):
-    # Row k: c = e_k on A1 and A2, -e_k on B1 and B2, as one 4 d vector.
-    u = np.zeros((d, 4, d))
-    u[:, :2] = np.eye(d)[:, None, :]
-    u[:, 2:] = -np.eye(d)[:, None, :]
-    return u.reshape(d, 4 * d)
-
-
-@settings(max_examples=60, deadline=None)
-@given(**_SEARCHES)
-def test_gauge_directions_are_null_for_the_phase_hessian(d, seed, direction, variant, search):
-    # Adding c_k to A1[k] and A2[k] and subtracting it from B1[k] and
-    # B2[k] leaves every summed phase theta_r, hence the pair matrix,
-    # unchanged: each such direction is null for the kernels' phase
-    # Hessian and orthogonal to their phase gradient.
-    rng = np.random.default_rng(seed)
-    evaluate = _random_kernel(rng, d, variant, direction, search)
-    _, g, H = evaluate(rng.uniform(0.0, 2.0 * math.pi, (4, d)))
-    g, H = g.reshape(4 * d), H.reshape(4 * d, 4 * d)
-    u = rng.uniform(-1.0, 1.0, d) @ _gauge_directions(d)
-    assert np.max(np.abs(H @ u)) <= 1e-12 * np.max(np.abs(H)) * np.sum(np.abs(u))
-    assert abs(g @ u) <= 1e-12 * np.max(np.abs(g)) * np.sum(np.abs(u))
-
-
 @pytest.mark.parametrize("d,columns", [(d, range(1, d)) for d in range(2, 9)]
                          + [(4, (k,)) for k in range(4)])
-def test_basis_is_orthonormal_and_orthogonal_to_the_gauge(d, columns):
-    basis = bellmp.optimize._basis(d, columns)
+def test_gauge_phases_sum_to_the_summed_phases_of_y(d, columns):
+    # theta = C y is (y0 + y1, y0 + y2, y0 - y2, y0 - y1) per given column
+    # and zero elsewhere; the B1 = 0 phases of theta sum back to it.  With
+    # y on a grid of 2^-40 every sum is exact, so both hold bit for bit.
+    C = _theta_map(d, columns)
     c = len(columns)
-    assert basis.shape == (4 * d, 3 * c)
-    assert np.array_equal(basis.T @ basis, np.eye(3 * c))
-    assert np.array_equal(_gauge_directions(d) @ basis, np.zeros((d, 3 * c)))
-    # With the gauge directions of its columns it spans those columns, and
-    # its coordinates y give theta = (y0 + y1, y0 + y2, y0 - y2, y0 - y1).
-    spanned = np.concatenate((basis.T, _gauge_directions(d)[list(columns)]))
-    assert np.linalg.matrix_rank(spanned) == 4 * c
-    y = np.random.default_rng(d).uniform(-1.0, 1.0, (3, c))
-    theta = bellmp.engine._PAIRS @ (basis @ y.reshape(-1)).reshape(4, d)
+    assert np.array_equal(C.T @ C, np.diag(np.repeat((4.0, 2.0, 2.0), c)))
+    rng = np.random.default_rng(d)
+    y = np.round(rng.uniform(-8.0, 8.0, (3, c)) * 2.0**40) / 2.0**40
+    theta = (C @ y.reshape(-1)).reshape(4, d)
     expected = np.zeros((4, d))
     expected[:, list(columns)] = [y[0] + y[1], y[0] + y[2], y[0] - y[2], y[0] - y[1]]
-    assert np.allclose(theta, expected, rtol=0.0, atol=1e-15)
+    assert np.array_equal(theta, expected)
+    phases = bellmp.optimize._gauge_phases(theta)
+    assert np.array_equal(phases[2], np.zeros(d))
+    assert np.array_equal(bellmp.engine._PAIRS @ phases, theta)
+    # A start phi0 enters as y0 = diag(1/4, 1/2, 1/2) Theta^T L phi0,
+    # whose summed phases are those of phi0.
+    phi0 = np.zeros((4, d))
+    phi0[:, list(columns)] = rng.uniform(0.0, 2.0 * math.pi, (4, c))
+    y0 = (bellmp.engine._PAIRS @ phi0).reshape(-1) @ C / np.repeat((4.0, 2.0, 2.0), c)
+    assert np.allclose(C @ y0, (bellmp.engine._PAIRS @ phi0).reshape(-1), rtol=0.0, atol=1e-14)
 
 
-@pytest.mark.parametrize("search", ["angles", "joint"])
-@pytest.mark.parametrize("direction", list(Direction))
-def test_searches_report_phases_in_the_gauge_of_their_starts(search, direction):
-    # Each restart's phases differ from its start only in the span of the
-    # basis, so column 0 stays at zero and so does every gauge component
-    # of the difference; the phases attain the restart's value.
-    d, restarts = 4, 6
-    config = OptimizerConfig(restarts=restarts, seed=2, direction=direction)
-    evaluate = _kernel(search, d, direction, KernelVariant.PLUS, np.array([1.2, 0.3, 0.9, 1.4]))
-    result = bellmp.optimize._multistart(evaluate, d, range(1, d), (2,), config)
-    moved = (result.phases - _start_phases(d, (2,), range(restarts))).reshape(restarts, 4 * d)
-    assert np.all(result.phases[:, :, 0] == 0.0)
-    assert np.max(np.abs(moved @ _gauge_directions(d).T)) <= 1e-12 * np.max(np.abs(moved))
-    assert np.max(np.abs(evaluate(result.phases)[0] - result.values)) <= 1e-12
+def _gauge_cases():
+    # Every search that reports phases: the angle and joint searches in
+    # both directions, and the |T_kl| search for every pair.
+    cases = [pytest.param("angles", 4, KernelVariant.PLUS, direction,
+                          id=f"angles-{direction.value}") for direction in Direction]
+    cases += [pytest.param("joint", d, variant, direction,
+                           id=f"joint-{d}-{variant.value}-{direction.value}")
+              for d in (2, 4, 6) for variant in KernelVariant for direction in Direction]
+    return cases + [pytest.param("T", 4, KernelVariant.PLUS, pair, id=f"T{pair[0]}{pair[1]}")
+                    for pair in PAIR_SLOTS]
 
 
-@settings(max_examples=80, deadline=None)
-@given(mu=st.sampled_from([1e-10, 1e-6, 1e-2, 0.25, 1.0, 4.0, 1e3]), **_SEARCHES)
-def test_reduced_step_lifts_to_the_full_coordinate_step(mu, d, seed, direction, variant,
-                                                        search):
-    # The Newton step over all 4 (d - 1) phases of columns 1..d-1,
-    # -(H + sigma I)^-1 g, with sigma = mu + max(0, -lambda_min(basis^T H
-    # basis)), lies in the span of the basis, because g is orthogonal to
-    # the gauge directions that H leaves null: it equals the solver's
-    # reduced step lifted by the basis.  The full Hessian's spectrum is
-    # the reduced one plus d - 1 zeros.
-    rng = np.random.default_rng(seed)
-    evaluate = _random_kernel(rng, d, variant, direction, search)
-    phases = np.zeros((1, 4, d))
-    phases[..., 1:] = rng.uniform(0.0, 2.0 * math.pi, (4, d - 1))
-    sign = _sign(direction)
-    _, g, H = evaluate(phases)
-    n = 4 * (d - 1)
-    g = -sign * g[0, :, 1:].reshape(n)
-    H = -sign * H[0, :, 1:, :, 1:].reshape(n, n)
-    fun = bellmp.optimize._objective(evaluate, d, _basis(d), sign)
-    _, g_y, H_y = fun((phases.reshape(1, 1, 4 * d) @ _basis(d))[:, 0])
-    reduced = np.linalg.eigvalsh(H_y[0])
-    scale = np.max(np.abs(H))
-    assert np.allclose(np.linalg.eigvalsh(H), np.sort(np.concatenate((reduced, np.zeros(d - 1)))),
-                       rtol=0.0, atol=1e-12 * scale)
-    sigma = mu + max(0.0, -reduced[0])
-    reference = -np.linalg.solve(H + sigma * np.eye(n), g)
-    shifted = np.linalg.eigvalsh(H + sigma * np.eye(n))
-    bound = max(1e-12, 64 * np.finfo(float).eps * shifted[-1] / shifted[0])
-    step = bellmp.optimize._newton_steps(H_y, g_y, np.full(1, mu))[0]
-    lifted = (_basis(d) @ step).reshape(4, d)
-    assert np.all(lifted[:, 0] == 0.0)
-    lifted = lifted[:, 1:].reshape(n)
-    assert np.linalg.norm(lifted - reference) <= bound * np.linalg.norm(reference)
-    assert lifted @ g < 0.0
+@pytest.mark.parametrize("search,d,variant,how", _gauge_cases())
+def test_searches_report_optima_in_the_gauge_b1_zero(search, d, variant, how):
+    # B1 is exactly zero, and so is column 0 (every column but k for
+    # |T_kl|); the reported settings attain the reported value.
+    dim = Dimension(d)
+    if search == "T":
+        k = how[0]
+        magnitude, settings = max_abs_t_coefficient(how, restarts=3, seed=1)
+        phases = np.array(settings_rows(settings))
+        assert np.array_equal(np.delete(phases, k, axis=1), np.zeros((4, 3)))
+        assert abs(abs(t_coefficients(settings)[how]) - magnitude) <= 1e-12
+    else:
+        config = OptimizerConfig(restarts=4, seed=2, direction=how,
+                                 free_state=search == "joint")
+        if search == "joint":
+            run = optimize_joint(dim, config, variant)
+        else:
+            run = optimize_angles(make_state(dim, (1.2, 0.3, 0.9, 1.4)), config, variant)
+        phases = np.array(settings_rows(run.best.settings))
+        assert np.array_equal(phases[:, 0], np.zeros(4))
+        assert abs(bell_value(run.best.state, run.best.settings, variant)
+                   - run.best.value) <= 1e-12
+    assert np.array_equal(phases[2], np.zeros(d))
+    assert not np.any(np.signbit(phases[phases == 0.0]))
 
 
 def _eigen_step(H, g, mu):
@@ -670,15 +642,16 @@ class TestEigenReduction:
     def test_gradient_matches_central_differences(self, d, largest):
         rng = np.random.default_rng(100 + d)
         phases = rng.uniform(0.0, 2.0 * math.pi, (4, d))
-        _, grad, _ = extreme_value_and_gradient(phases, d, KernelVariant.PLUS, largest)
+        theta = bellmp.engine._PAIRS @ phases
+        _, grad, _ = extreme_value_and_gradient(theta, d, KernelVariant.PLUS, largest)
         gap = _extreme_eigh(pair_matrix(phases, d), d, largest)[3]
         assert gap > 1e-3  # differentiable here
         step = 1e-6
         fd = np.empty((4, d))
         for r in range(4):
             for k in range(d):
-                hi = phases.copy()
-                lo = phases.copy()
+                hi = theta.copy()
+                lo = theta.copy()
                 hi[r, k] += step
                 lo[r, k] -= step
                 fd[r, k] = (

@@ -108,10 +108,6 @@ def _emit_json(obj) -> None:
     print(json.dumps(_round_floats(obj), indent=2, sort_keys=True))
 
 
-def _variant(name: str) -> KernelVariant:
-    return KernelVariant.PLUS if name == "plus" else KernelVariant.MINUS
-
-
 def _check_dimension(d: int | None, source: str = "--d") -> None:
     if d is not None and d > MAX_DIMENSION:
         raise ValidationError(f"{source} must be at most {MAX_DIMENSION}, got {d}")
@@ -213,7 +209,7 @@ def _state_and_settings(args) -> tuple[PureState, MeasurementSettings]:
 
 def cmd_eval(args) -> int:
     state, settings = _state_and_settings(args)
-    variant = _variant(args.variant)
+    variant = KernelVariant(args.variant)
     table = mix_uniform_noise(joint_probabilities(state, settings), args.noise)
     q = {f"Q{i}{j}": correlation_q(table, i, j, variant) for i, j in SETTING_PAIRS}
     value = bell_value_from_table(table, variant)
@@ -233,7 +229,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_lhv(args) -> int:
-    report = lhv_bounds(Dimension(args.d), _variant(args.variant))
+    report = lhv_bounds(Dimension(args.d), KernelVariant(args.variant))
     _emit_json({
         "d": args.d,
         "variant": args.variant,
@@ -257,7 +253,7 @@ def cmd_optimize(args) -> int:
         _check_dimension(d, "the number of state coefficients")
     if d is not None:
         _check_work(d, args.restarts)
-    variant = _variant(args.variant)
+    variant = KernelVariant(args.variant)
     direction = Direction.MAXIMIZE if args.direction == "max" else Direction.MINIMIZE
     config = OptimizerConfig(
         restarts=args.restarts,
@@ -426,7 +422,7 @@ def cmd_scan(args) -> int:
 def cmd_sample(args) -> int:
     state, settings = _state_and_settings(args)
     estimate = sample_experiment(state, settings, args.shots, args.seed,
-                                 _variant(args.variant))
+                                 KernelVariant(args.variant))
     _emit_json({
         "d": state.dim.d,
         "variant": args.variant,

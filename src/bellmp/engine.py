@@ -455,6 +455,9 @@ def sample_experiment(state: PureState, settings: MeasurementSettings,
     """Draw the counts of shots_per_setting outcomes per setting pair as
     one multinomial draw from a seeded PRNG; deterministic for a fixed
     seed, and O(d^2) per setting whatever the shot count."""
+    if (not isinstance(shots_per_setting, (int, np.integer))
+            or isinstance(shots_per_setting, bool)):
+        raise ValidationError(f"shots_per_setting must be an int, got {shots_per_setting!r}")
     shots = int(shots_per_setting)
     d = state.dim.d
     # |K| <= d - 1, so the limit keeps every K . counts sum within int64.

@@ -203,6 +203,8 @@ def kernel_f(i: int, j: int, m: int, n: int, dim: Dimension, variant: KernelVari
         raise ValidationError(
             f"outcomes must lie in 0..{dim.d - 1}, got ({m}, {n})"
         )
+    if not isinstance(variant, KernelVariant):
+        raise ValidationError(f"variant must be a KernelVariant, got {variant!r}")
     eps = -1 if i < j else 1
     combo = m + n if variant is KernelVariant.PLUS else m - n
     return dim.spin - ((eps * combo) % dim.d)
@@ -217,6 +219,8 @@ def kernel_table(d: int, variant: KernelVariant) -> np.ndarray:
     of any outcome table P of shape (4, d, d) is sum(K P) / (d - 1),
     exactly for rational P.
     """
+    if not isinstance(variant, KernelVariant):
+        raise ValidationError(f"variant must be a KernelVariant, got {variant!r}")
     m, n = np.ogrid[:d, :d]
     combo = m + n if variant is KernelVariant.PLUS else m - n
     K = np.array([sign * ((d - 1) - 2 * (((-1 if i < j else 1) * combo) % d))

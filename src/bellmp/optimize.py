@@ -1,14 +1,15 @@
 """Multi-start numerical search for extrema of the Bell value.
 
 The Bell value depends on the 4 d measurement phases only through the
-summed phases theta = phi^A + phi^B of the four setting pairs, and only
-through their differences between columns.  So column 0 of theta stays
-at zero, and every other column of theta has three free coordinates y,
+summed phases theta = phi^A + phi^B of the four setting pairs, only
+through their differences between columns, and not on a column where
+the state is zero.  So theta stays at zero there and on the first column
+the state reaches, and each of the c others has three free coordinates y,
 theta = (y0 + y1, y0 + y2, y0 - y2, y0 - y1) for the setting pairs
 A1B1, A1B2, A2B1 and A2B2: one constant map with entries 0 and +-1.  The
 kernels take theta and differentiate in it, and the solver runs over
-the 3 (d - 1) coordinates y.  Each optimum is reported in the gauge
-B1 = 0, where A1 = theta_11, A2 = theta_21 and B2 = theta_12 - theta_11.
+the 3 c coordinates y.  Each optimum is reported in the gauge B1 = 0,
+where A1 = theta_11, A2 = theta_21 and B2 = theta_12 - theta_11.
 The joint problem over states and phases reduces to the phases too:
 for fixed phases the Bell value is a^T M a on the sphere sum a^2 = d, so
 the best state is the extreme eigenvector of the pair matrix M and the
@@ -274,14 +275,13 @@ class _Search:
     best: int
 
 
-def _multistart(evaluate, d: int, columns: range | tuple[int, ...],
-                stream: tuple[int, ...], config: OptimizerConfig) -> _Search:
+def _multistart(evaluate, d: int, columns: range | np.ndarray, config: OptimizerConfig) -> _Search:
     """Search for the config.direction extremum of evaluate over the
     summed phases of the given columns, the others held at zero, from
     config.restarts starts run as one batch.  Restart r draws the 4 c
-    phases phi0 of its c columns uniformly from [0, 2 pi) with the
-    independent PRNG stream (*stream, r), so results are reproducible.
-    The solver runs over the 3 c coordinates y of theta = C y, from
+    phases phi0 of its c columns uniformly from [0, 2 pi) with the PRNG
+    stream (config.seed, r), so results are reproducible.  The solver
+    runs over the 3 c coordinates y of theta = C y, from
     y0 = diag(1/4, 1/2, 1/2) Theta^T L phi0 per column, and the search
     reports each restart's phases in the gauge B1 = 0."""
     maximize = config.direction is Direction.MAXIMIZE
@@ -290,7 +290,7 @@ def _multistart(evaluate, d: int, columns: range | tuple[int, ...],
     C = np.kron(_THETA, np.eye(d)[:, columns])
     starts = np.zeros((restarts, 4, d))
     starts[:, :, columns] = np.array([
-        np.random.default_rng((*stream, r)).uniform(0.0, 2.0 * math.pi, size=4 * c)
+        np.random.default_rng((config.seed, r)).uniform(0.0, 2.0 * math.pi, size=4 * c)
         for r in range(restarts)
     ]).reshape(restarts, 4, c)
     y0 = ((_PAIRS @ starts).reshape(restarts, 1, 4 * d) @ C)[:, 0] / np.repeat((4.0, 2.0, 2.0), c)
@@ -329,16 +329,16 @@ def _make_run(search: _Search, state: PureState, settings: MeasurementSettings,
 
 def optimize_angles(state: PureState, config: OptimizerConfig,
                     variant: KernelVariant = KernelVariant.PLUS) -> OptimizationRun:
-    """Multi-start search over the phases at a fixed state, run in the
-    3 (d - 1) coordinates of the summed phases; the best settings have
-    B1 = 0 and column 0 at zero."""
+    """Multi-start search over the phases at a fixed state, in the summed
+    phases of the columns k with a_k != 0 but the first; the best
+    settings have B1 = 0 and every other column at zero."""
     if config.free_state:
         raise ValidationError("optimize_angles requires config.free_state = False")
     d = state.dim.d
     _require_nonconstant(d, variant)
     a = np.asarray(state.coefficients)
     search = _multistart(lambda theta: value_and_gradient_arrays(a, theta, d, variant),
-                         d, range(1, d), (config.seed,), config)
+                         d, np.flatnonzero(a)[1:], config)
     return _make_run(search, state, _settings(search.phases[search.best], state.dim),
                      search.converged)
 
@@ -370,7 +370,7 @@ def optimize_joint(dim: Dimension, config: OptimizerConfig,
     largest = config.direction is Direction.MAXIMIZE
     search = _multistart(
         lambda theta: extreme_value_and_gradient(theta, d, variant, largest),
-        d, range(1, d), (config.seed,), config)
+        d, range(1, d), config)
     _, V, k, gaps = _extreme_eigh(pair_matrix(search.phases, d, variant), d, largest)
     converged = search.converged & (gaps > _GAP_RTOL * (1.0 + np.abs(search.values)))
     best = search.best
@@ -386,30 +386,18 @@ def max_abs_t_coefficient(pair: tuple[int, int], restarts: int = 8,
                           seed: int = 0) -> tuple[float, MeasurementSettings]:
     """Numerically maximize |T_kl| for one index pair (d = 4).
 
-    T_kl is the Bell value at the unnormalized state e_k + e_l, and it
-    depends on the phases only through one angle per party and setting,
-    the four angles of phase column k, and on those only through their
-    summed phases.  So the search runs over the three coordinates of
-    that column's summed phases; the returned settings carry its angles
-    in the gauge B1 = 0, and every other column is zero.  Only the
-    maximum is searched:
-    adding pi to A1[k] and A2[k] maps T_kl to -T_kl, so the maximum of
-    T_kl is the maximum of |T_kl|.  The search stops as the other
-    searches do.  Callers use at least 3 restarts; a single restart can
-    stop at a saddle: over seeds 0-5 one restart reaches every pair's
-    maximum except pair (0, 3) at seed 2, which stops at Gamma3 =
-    0.360797.
+    T_kl is the Bell value at the unnormalized state e_k + e_l, so this
+    is optimize_angles at that state, normalized to a_k = a_l = sqrt 2,
+    where the value is 2 T_kl.  The search frees column l alone; the
+    returned settings have B1 = 0 and every column but l at zero.  Only
+    the maximum is searched: adding pi to A1[l] and A2[l] maps T_kl to
+    -T_kl, so the maximum of T_kl is the maximum of |T_kl|.  Callers
+    use at least 3 restarts; a single restart can stop at a saddle:
+    over seeds 0-5 one restart reaches every pair's maximum except
+    pair (0, 3) at seed 2, which stops at Gamma3 = 0.360797.
     """
     if pair not in PAIR_SLOTS:
         raise ValidationError(f"pair must be one of {PAIR_SLOTS}, got {pair!r}")
-    k, l = pair
-    a = np.zeros(4)
-    a[[k, l]] = 1.0
-
-    def evaluate(theta: np.ndarray) -> tuple[np.ndarray, ...]:
-        return value_and_gradient_arrays(a, theta, 4, KernelVariant.PLUS)
-
-    search = _multistart(evaluate, 4, (k,), (seed, 1),
-                         OptimizerConfig(restarts=restarts, seed=seed))
-    best = search.best
-    return abs(float(search.values[best])), _settings(search.phases[best], Dimension(4))
+    state = make_state(Dimension(4), [float(j in pair) for j in range(4)])
+    run = optimize_angles(state, OptimizerConfig(restarts=restarts, seed=seed))
+    return abs(run.best.value) / 2.0, run.best.settings

@@ -181,9 +181,9 @@ def build_reproduction_report(restarts: int = 50, seed: int = 7) -> Reproduction
     t01, _ = max_abs_t_coefficient((0, 1), restarts=max(4, restarts // 8), seed=seed)
     t02, _ = max_abs_t_coefficient((0, 2), restarts=max(4, restarts // 8), seed=seed)
     rows.append(_row("max |T01| vs Gamma1", g.gamma1, t01, 1e-6,
-                     "reduced four-angle search"))
+                     "angle search at the state e_k + e_l"))
     rows.append(_row("max |T02| vs Gamma2", g.gamma2, t02, 1e-6,
-                     "reduced four-angle search"))
+                     "angle search at the state e_k + e_l"))
 
     run_d2 = optimize_joint(Dimension(2), OptimizerConfig(
         restarts=max(4, restarts // 4), seed=seed, direction=Direction.MAXIMIZE,

@@ -201,6 +201,11 @@ class TestJointProbabilityTableValidation:
 
 
 class TestCorrelationAndBellValue:
+    def test_variant_name_is_rejected(self):
+        me, settings = maximally_entangled_state(D4), random_settings(np.random.default_rng(0), 4)
+        with pytest.raises(ValidationError, match="KernelVariant"):
+            bell_value(me, settings, "plus")
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("variant", [PLUS, MINUS])
     def test_correlation_matches_direct_kernel_sum(self, d, variant):
@@ -593,6 +598,22 @@ class TestSampling:
         state = maximally_entangled_state(D4)
         with pytest.raises(ValidationError):
             sample_experiment(state, zero_settings(D4), 0, 0)
+
+    @pytest.mark.parametrize("shots", [2.7, 5.0, "5", True, None])
+    def test_rejects_shots_that_are_not_ints(self, shots):
+        # Neither truncated nor parsed: 2.7 is not 2 shots.
+        with pytest.raises(ValidationError, match="shots_per_setting must be an int"):
+            sample_experiment(maximally_entangled_state(D4), zero_settings(D4), shots, 0)
+
+    def test_accepts_numpy_int_shots(self):
+        state, settings = maximally_entangled_state(D4), zero_settings(D4)
+        estimate = sample_experiment(state, settings, np.int64(100), 3)
+        assert type(estimate.shots_per_setting) is int
+        assert np.array_equal(estimate.counts, sample_experiment(state, settings, 100, 3).counts)
+
+    def test_variant_name_is_rejected(self):
+        with pytest.raises(ValidationError, match="KernelVariant"):
+            sample_experiment(maximally_entangled_state(D4), zero_settings(D4), 10, 0, "plus")
 
     @_PROPERTY
     @given(data=st.data(), **_CASES)

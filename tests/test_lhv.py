@@ -98,6 +98,10 @@ class TestLhvBounds:
         assert report.min_value == expected_min
         assert report.strategies_scanned == d**4
 
+    def test_variant_name_is_rejected(self):
+        with pytest.raises(ValidationError, match="KernelVariant"):
+            lhv_bounds(Dimension(2), "plus")
+
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_minimum_matches_ratio_form(self, d):
         # the enumerated minimum lands exactly on -2(d + 1)/(d - 1)

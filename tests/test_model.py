@@ -110,6 +110,11 @@ class TestKernel:
         with pytest.raises(ValidationError):
             kernel_f(1, 1, 0, -1, Dimension(4), PLUS)
 
+    @pytest.mark.parametrize("variant", ["plus", "minus", None])
+    def test_variant_must_be_a_kernel_variant(self, variant):
+        with pytest.raises(ValidationError, match="KernelVariant"):
+            kernel_f(1, 1, 0, 1, Dimension(4), variant)
+
 
 class TestKernelTable:
     @pytest.mark.parametrize("d", range(2, 10))
@@ -137,6 +142,11 @@ class TestKernelTable:
         with pytest.raises(ValueError):
             K[0, 0, 0] = 0
         assert kernel_table(4, variant) is K
+
+    @pytest.mark.parametrize("variant", ["plus", "minus", None])
+    def test_variant_must_be_a_kernel_variant(self, variant):
+        with pytest.raises(ValidationError, match="KernelVariant"):
+            kernel_table(4, variant)
 
 
 class TestPureState:

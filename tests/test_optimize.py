@@ -91,6 +91,13 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             build(**kwargs)
 
+    def test_variant_name_is_rejected(self):
+        me = maximally_entangled_state(D4)
+        with pytest.raises(ValidationError, match="KernelVariant"):
+            optimize_angles(me, OptimizerConfig(restarts=1), "plus")
+        with pytest.raises(ValidationError, match="KernelVariant"):
+            optimize_joint(D4, OptimizerConfig(restarts=1, free_state=True), "plus")
+
     def test_free_state_cross_guards(self):
         me = maximally_entangled_state(D4)
         with pytest.raises(ValidationError):
@@ -144,6 +151,26 @@ class TestFixedStateSearch:
                                 direction=Direction.MINIMIZE))
         assert run.best.value == min(run.per_restart_values)
         assert run.per_restart_values.index(run.best.value) == run.best_restart
+
+    @pytest.mark.parametrize("coefficients,free,best_max,best_min", [
+        ((1, 0, 1, 0), [2], 0.942809041582, -0.942809041582),
+        ((0, 1, 1, 1), [2, 3], 2.270991863297, -2.951317965279),
+    ], ids=["1010", "0111"])
+    def test_search_frees_only_the_columns_the_state_reaches(
+            self, coefficients, free, best_max, best_min):
+        # A column with a_k = 0 leaves the value unchanged and the first
+        # column of the support is the gauge, so only the support's other
+        # columns are free and every other column stays exactly +0.0.
+        # The optima are those of a search over every column but 0.
+        state = make_state(D4, coefficients)
+        for direction, want in ((Direction.MAXIMIZE, best_max), (Direction.MINIMIZE, best_min)):
+            run = optimize_angles(state, OptimizerConfig(restarts=8, seed=0, direction=direction))
+            assert abs(run.best.value - want) < 1e-12
+            phases = np.array(settings_rows(run.best.settings))
+            fixed = np.delete(phases, free, axis=1)
+            assert np.array_equal(fixed, np.zeros_like(fixed))
+            assert not np.any(np.signbit(fixed))
+            assert abs(bell_value(state, run.best.settings) - run.best.value) <= 1e-12
 
 
 class TestDeterminism:
@@ -454,14 +481,14 @@ def _gauge_cases():
 
 @pytest.mark.parametrize("search,d,variant,how", _gauge_cases())
 def test_searches_report_optima_in_the_gauge_b1_zero(search, d, variant, how):
-    # B1 is exactly zero, and so is column 0 (every column but k for
+    # B1 is exactly zero, and so is column 0 (every column but l for
     # |T_kl|); the reported settings attain the reported value.
     dim = Dimension(d)
     if search == "T":
-        k = how[0]
+        l = how[1]
         magnitude, settings = max_abs_t_coefficient(how, restarts=3, seed=1)
         phases = np.array(settings_rows(settings))
-        assert np.array_equal(np.delete(phases, k, axis=1), np.zeros((4, 3)))
+        assert np.array_equal(np.delete(phases, l, axis=1), np.zeros((4, 3)))
         assert abs(abs(t_coefficients(settings)[how]) - magnitude) <= 1e-12
     else:
         config = OptimizerConfig(restarts=4, seed=2, direction=how,
@@ -735,6 +762,15 @@ class TestCoefficientSearch:
         # full coefficient computation
         coefficients = t_coefficients(settings)
         assert abs(abs(coefficients[pair]) - magnitude) < 1e-9
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_three_restarts_reach_every_peak(self, seed):
+        # Gamma1, Gamma2 and Gamma1 by the gap l - k.
+        g = gamma_constants()
+        peaks = {1: g.gamma1, 2: g.gamma2, 3: g.gamma1}
+        for k, l in PAIR_SLOTS:
+            magnitude, _ = max_abs_t_coefficient((k, l), restarts=3, seed=seed)
+            assert abs(magnitude - peaks[l - k]) < 1e-12
 
     def test_one_restart_stops_at_a_saddle_only_at_seed_2(self):
         # Seeds 0-5, one restart each: every pair reaches its maximum

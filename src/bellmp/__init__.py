@@ -28,11 +28,9 @@ from .model import (
 )
 from .analytic import (
     PAIR_SLOTS,
-    SLOT_LABELS,
     BranchMax,
     BranchMin,
     GammaConstants,
-    SortedMagnitudes,
     VertexExtrema,
     VertexPattern,
     VertexWitness,

@@ -37,7 +37,6 @@ __all__ = [
     "gamma_constants",
     "VertexPattern",
     "vertex_patterns",
-    "SortedMagnitudes",
     "sorted_magnitudes",
     "BranchMax",
     "BranchMin",
@@ -51,15 +50,13 @@ __all__ = [
     "threshold_noise",
     "reference_optimal_angles",
     "PAIR_SLOTS",
-    "SLOT_LABELS",
 ]
 
-# Canonical order of the six index pairs (k, l), k < l, and their
-# slot labels.  Every six-entry tuple in this module follows it.
+# Canonical order of the six index pairs (k, l), k < l.  Every six-entry
+# tuple in this module follows it.
 PAIR_SLOTS: tuple[tuple[int, int], ...] = (
     (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
 )
-SLOT_LABELS: tuple[str, ...] = ("ab", "ac", "ad", "bc", "bd", "cd")
 
 _D4 = Dimension(4)
 
@@ -98,9 +95,6 @@ class VertexPattern:
     table_id: int
     row: int
     signs: tuple[float, ...]
-
-    def sign(self, label: str) -> float:
-        return self.signs[SLOT_LABELS.index(label)]
 
 
 # Row 1 of each vertex table: the magnitude of each PAIR_SLOTS entry
@@ -155,28 +149,11 @@ def _pattern_signs() -> np.ndarray:
     return signs
 
 
-@dataclass(frozen=True)
-class SortedMagnitudes:
-    """Coefficient magnitudes in decreasing order.
-
-    ``perm[i]`` is the sorted slot occupied by original index i; ties
-    keep original index order.
-    """
-
-    A: tuple[float, float, float, float]
-    perm: tuple[int, int, int, int]
-
-
-def sorted_magnitudes(state: PureState) -> SortedMagnitudes:
+def sorted_magnitudes(state: PureState) -> tuple[float, float, float, float]:
+    """The coefficient magnitudes of a d = 4 state in decreasing order."""
     if state.dim.d != 4:
         raise ValidationError(f"expected dimension 4, got {state.dim.d}")
-    mags = [abs(c) for c in state.coefficients]
-    order = sorted(range(4), key=lambda k: (-mags[k], k))
-    perm = [0, 0, 0, 0]
-    for slot, original in enumerate(order):
-        perm[original] = slot
-    a0, a1, a2, a3 = (mags[k] for k in order)
-    return SortedMagnitudes((a0, a1, a2, a3), tuple(perm))
+    return tuple(sorted((abs(c) for c in state.coefficients), reverse=True))
 
 
 class BranchMax(NamedTuple):
@@ -193,7 +170,7 @@ class BranchMin(NamedTuple):
 
 def branch_values_max(state: PureState) -> BranchMax:
     """The two closed-form maximum branches and their larger value."""
-    a0, a1, a2, a3 = sorted_magnitudes(state).A
+    a0, a1, a2, a3 = sorted_magnitudes(state)
     g = gamma_constants()
     b1 = a0 * a1 * g.gamma1 + (a0 * a2 + a1 * a3) * g.gamma2 \
         + (a0 * a3 + a1 * a2 + a2 * a3) * g.gamma3
@@ -204,7 +181,7 @@ def branch_values_max(state: PureState) -> BranchMax:
 
 def branch_values_min(state: PureState) -> BranchMin:
     """The two closed-form minimum branches and their smaller value."""
-    a0, a1, a2, a3 = sorted_magnitudes(state).A
+    a0, a1, a2, a3 = sorted_magnitudes(state)
     g = gamma_constants()
     s1 = -(a0 * a1 + a0 * a3 + a1 * a2) * g.gamma1 \
         - (a0 * a2 + a1 * a3) * g.gamma2 + a2 * a3 * g.gamma3
@@ -236,7 +213,7 @@ def vertex_candidates(state: PureState) -> VertexExtrema:
     bound: the extremum the numeric optimizer attains over the angles
     can lie strictly inside it.
     """
-    a = np.array(sorted_magnitudes(state).A)[_ASSIGNMENTS]
+    a = np.array(sorted_magnitudes(state))[_ASSIGNMENTS]
     signs = _pattern_signs()
     # Added slot by slot in PAIR_SLOTS order, as the scalar sum does; one
     # matrix product could reorder the sums and move ties.

@@ -341,7 +341,7 @@ def cmd_analytic(args) -> int:
     witness_max, witness_min = vertices.witnesses
     record = {
         "state": list(state.coefficients),
-        "sorted_magnitudes": list(sorted_magnitudes(state).A),
+        "sorted_magnitudes": list(sorted_magnitudes(state)),
         **branch_record(state),
         "vertex_max": vertices.max,
         "vertex_min": vertices.min,

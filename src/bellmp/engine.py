@@ -36,6 +36,7 @@ from .model import (
     PureState,
     ValidationError,
     DimensionMismatchError,
+    cached_per_variant,
     kernel_table,
     require_seed,
 )
@@ -73,7 +74,7 @@ def _dft(d: int) -> np.ndarray:
     return V
 
 
-@lru_cache(maxsize=None)
+@cached_per_variant
 def _circulant(d: int, variant: KernelVariant) -> np.ndarray:
     # C[r, k, l] = sum_u W_r[u] gamma^{u(k - l)}, where W_r[u] sums the
     # signed, doubled kernel K[r] over the outcome class (m + n) mod d = u.
@@ -195,9 +196,6 @@ class JointProbabilityTable:
         if i not in (1, 2) or j not in (1, 2):
             raise ValidationError(f"setting indices must be 1 or 2, got ({i}, {j})")
         return self.probabilities[i - 1, j - 1]
-
-    def prob(self, i: int, j: int, m: int, n: int) -> float:
-        return float(self.setting(i, j)[m, n])
 
 
 def joint_probabilities(state: PureState, settings: MeasurementSettings) -> JointProbabilityTable:

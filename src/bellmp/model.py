@@ -23,10 +23,10 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -210,7 +210,22 @@ def kernel_f(i: int, j: int, m: int, n: int, dim: Dimension, variant: KernelVari
     return dim.spin - ((eps * combo) % dim.d)
 
 
-@lru_cache(maxsize=None)
+def cached_per_variant(build):
+    """Cache build(d, variant), rejecting a variant that is not a
+    KernelVariant before the lookup: the cache hashes its key first, so
+    an unhashable variant would otherwise raise TypeError."""
+    cached = functools.lru_cache(maxsize=None)(build)
+
+    @functools.wraps(build)
+    def checked(d: int, variant: KernelVariant) -> np.ndarray:
+        if not isinstance(variant, KernelVariant):
+            raise ValidationError(f"variant must be a KernelVariant, got {variant!r}")
+        return cached(d, variant)
+
+    return checked
+
+
+@cached_per_variant
 def kernel_table(d: int, variant: KernelVariant) -> np.ndarray:
     """Read-only (4, d, d) int64 table K[r, m, n] = sign_r 2 f_ij(m, n)
     for the setting pairs (i, j) = SETTING_PAIRS[r].
@@ -219,8 +234,6 @@ def kernel_table(d: int, variant: KernelVariant) -> np.ndarray:
     of any outcome table P of shape (4, d, d) is sum(K P) / (d - 1),
     exactly for rational P.
     """
-    if not isinstance(variant, KernelVariant):
-        raise ValidationError(f"variant must be a KernelVariant, got {variant!r}")
     m, n = np.ogrid[:d, :d]
     combo = m + n if variant is KernelVariant.PLUS else m - n
     K = np.array([sign * ((d - 1) - 2 * (((-1 if i < j else 1) * combo) % d))

@@ -125,28 +125,42 @@ class OptimizationRun:
     restart order; best is the extremal one, restart best_restart (ties
     keep the lowest restart index).  The other per_restart_ fields list
     each restart's iterations, convergence, final gradient norm,
-    rejected Newton steps and final regularization mu; iterations_used
-    is their iteration sum.  per_restart_eigengaps lists, for the joint
-    search, d |lambda_ext - lambda_next| of the pair matrix at each
-    restart's final phases, and is empty for the angle search.  A
-    restart counts as converged when it passes the gradient test and,
-    for the joint search, its eigengap exceeds 1e-9 (1 + |value|), so
-    that its extreme eigenvalue is simple; converged is the winning
-    restart's flag.
+    rejected Newton steps and final regularization mu.
+    per_restart_eigengaps lists, for the joint search,
+    d |lambda_ext - lambda_next| of the pair matrix at each restart's
+    final phases, and is empty for the angle search.  A restart counts
+    as converged when it passes the gradient test and, for the joint
+    search, its eigengap exceeds 1e-9 (1 + |value|), so that its
+    extreme eigenvalue is simple.
     """
 
     best: ExtremalResult
     best_restart: int
     per_restart_values: tuple[float, ...]
-    iterations_used: int
-    converged: bool
     per_restart_iterations: tuple[int, ...]
     per_restart_converged: tuple[bool, ...]
     per_restart_gradient_norms: tuple[float, ...]
     per_restart_rejected: tuple[int, ...]
     per_restart_mu: tuple[float, ...]
     per_restart_eigengaps: tuple[float, ...]
-    evaluations: Evaluations
+
+    @property
+    def iterations_used(self) -> int:
+        """The iterations of all restarts."""
+        return sum(self.per_restart_iterations)
+
+    @property
+    def converged(self) -> bool:
+        """The winning restart's convergence flag."""
+        return self.per_restart_converged[self.best_restart]
+
+    @property
+    def evaluations(self) -> Evaluations:
+        """The search's objective evaluations: _minimize evaluates every
+        start once, then the restarts still running once per pass, each
+        of which counts the pass as an iteration."""
+        its = self.per_restart_iterations
+        return Evaluations(1 + max(its), len(its) + sum(its))
 
 
 def _norms(g: np.ndarray) -> np.ndarray:
@@ -163,8 +177,7 @@ def _newton_steps(H: np.ndarray, g: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return -np.linalg.solve(shifted, g[:, :, None])[:, :, 0]
 
 
-def _minimize(fun, x0: np.ndarray, max_iterations: int, gradient_tolerance: float
-              ) -> tuple[np.ndarray, ...]:
+def _minimize(fun, x0: np.ndarray) -> tuple[np.ndarray, ...]:
     """Minimize fun from every row of the (R, n) batch of starts x0.
 
     fun maps an (m, n) batch of points to their (m,) values, (m, n)
@@ -177,9 +190,9 @@ def _minimize(fun, x0: np.ndarray, max_iterations: int, gradient_tolerance: floa
     more than 1e-13 (1 + |f|), or stays within that margin while the
     gradient norm falls; mu then shrinks by 4 (to at least 1e-10), and
     grows by 4 after a rejected step.  A restart stops when its
-    gradient test passes, when mu exceeds 1e8 or after max_iterations
-    steps.  The loop updates full-size arrays in place, stepping only the
-    restarts still running.  Returns per restart the point, value,
+    gradient test, |g| <= _GRADIENT_TOLERANCE, passes, when mu exceeds
+    1e8 or after _MAX_ITERATIONS steps.  The loop updates full-size
+    arrays in place, stepping only the restarts still running.  Returns per restart the point, value,
     gradient norm, iterations, convergence flag, rejected steps and
     final mu, as (R, n), (R,), (R,), (R,), (R,), (R,) and (R,) arrays.
     """
@@ -192,11 +205,11 @@ def _minimize(fun, x0: np.ndarray, max_iterations: int, gradient_tolerance: floa
     # The restarts still stepping; the others keep their final entries.
     active = np.arange(len(x))
     while True:
-        done = ((gnorm[active] <= gradient_tolerance) | (mu[active] > 1e8)
-                | (iterations[active] >= max_iterations))
+        done = ((gnorm[active] <= _GRADIENT_TOLERANCE) | (mu[active] > 1e8)
+                | (iterations[active] >= _MAX_ITERATIONS))
         active = active[~done]
         if not len(active):
-            return x, f, gnorm, iterations, gnorm <= gradient_tolerance, rejected, mu
+            return x, f, gnorm, iterations, gnorm <= _GRADIENT_TOLERANCE, rejected, mu
         x_try = x[active] + _newton_steps(H[active], g[active], mu[active])
         f_try, g_try, H_try = fun(x_try)
         gnorm_try = _norms(g_try)
@@ -263,7 +276,7 @@ def _objective(evaluate, d: int, C: np.ndarray, sign: float):
 class _Search:
     # Per restart: value in the Bell value's own sign, phases (B1 = 0),
     # gradient norm, iterations, gradient-test flag, rejected steps and
-    # final mu; then the search's evaluations and its extremal restart.
+    # final mu; then the search's extremal restart.
     values: np.ndarray
     phases: np.ndarray
     gradient_norms: np.ndarray
@@ -271,7 +284,6 @@ class _Search:
     converged: np.ndarray
     rejected: np.ndarray
     mu: np.ndarray
-    evaluations: Evaluations
     best: int
 
 
@@ -295,16 +307,12 @@ def _multistart(evaluate, d: int, columns: range | np.ndarray, config: Optimizer
     ]).reshape(restarts, 4, c)
     y0 = ((_PAIRS @ starts).reshape(restarts, 1, 4 * d) @ C)[:, 0] / np.repeat((4.0, 2.0, 2.0), c)
     y, f, gnorm, iterations, converged, rejected, mu = _minimize(
-        _objective(evaluate, d, C, sign), y0, _MAX_ITERATIONS, _GRADIENT_TOLERANCE)
+        _objective(evaluate, d, C, sign), y0)
     phases = _gauge_phases((y[:, None, :] @ C.T).reshape(restarts, 4, d))
     values = -sign * f
-    # _minimize evaluates every start once, then the restarts still
-    # running once per pass, each of which counts the pass as an iteration.
-    evaluations = Evaluations(1 + int(iterations.max()), restarts + int(iterations.sum()))
     # Ties keep the lowest index.
     best = int(values.argmax() if maximize else values.argmin())
-    return _Search(values, phases, gnorm, iterations, converged, rejected, mu,
-                   evaluations, best)
+    return _Search(values, phases, gnorm, iterations, converged, rejected, mu, best)
 
 
 def _make_run(search: _Search, state: PureState, settings: MeasurementSettings,
@@ -315,15 +323,12 @@ def _make_run(search: _Search, state: PureState, settings: MeasurementSettings,
         best=ExtremalResult(values[best], state, settings),
         best_restart=best,
         per_restart_values=values,
-        iterations_used=int(search.iterations.sum()),
-        converged=bool(converged[best]),
         per_restart_iterations=tuple(int(i) for i in search.iterations),
         per_restart_converged=tuple(bool(c) for c in converged),
         per_restart_gradient_norms=tuple(float(g) for g in search.gradient_norms),
         per_restart_rejected=tuple(int(r) for r in search.rejected),
         per_restart_mu=tuple(float(m) for m in search.mu),
         per_restart_eigengaps=eigengaps,
-        evaluations=search.evaluations,
     )
 
 

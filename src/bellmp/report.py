@@ -67,12 +67,11 @@ class ReproductionRow:
 @dataclass(frozen=True)
 class ReproductionReport:
     rows: tuple[ReproductionRow, ...]
-    overall_pass: bool
     diagnostics: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if self.overall_pass != all(row.passed for row in self.rows):
-            raise ValidationError("overall_pass must be the conjunction of row passes")
+    @property
+    def overall_pass(self) -> bool:
+        return all(row.passed for row in self.rows)
 
 
 def _row(label: str, expected: float, computed: float, tolerance: float,
@@ -192,11 +191,11 @@ def build_reproduction_report(restarts: int = 50, seed: int = 7) -> Reproduction
                      run_d2.best.value, 1e-6,
                      "joint optimizer at d=2"))
 
-    diagnostics = _diagnostics(opt_value)
-    return ReproductionReport(tuple(rows), all(r.passed for r in rows), diagnostics)
+    diagnostics = _diagnostics(run_joint_max.best.value, run_max_me.best.value)
+    return ReproductionReport(tuple(rows), diagnostics)
 
 
-def _diagnostics(opt_value: float) -> tuple[str, ...]:
+def _diagnostics(joint_max: float, me_max: float) -> tuple[str, ...]:
     notes: list[str] = []
     ref = reference_optimal_angles()
     opt_state, _ = optimal_max_state()
@@ -205,9 +204,9 @@ def _diagnostics(opt_value: float) -> tuple[str, ...]:
     notes.append(
         "non-gating: the fixed reference angle table evaluates to "
         f"{v_opt:.6f} at the optimal max state and {v_me:.6f} at the "
-        "maximally entangled state; the optimizer reaches 2.9727 and "
-        "2.89624 there, so the table's phase convention does not match "
-        "this probability model and it is recorded for reference only"
+        f"maximally entangled state; the optimizer reaches {joint_max:.6f} "
+        f"and {me_max:.6f} there, so the table's phase convention does not "
+        "match this probability model and it is recorded for reference only"
     )
     for d in (5, 6):
         report = lhv_bounds(Dimension(d))
@@ -217,14 +216,6 @@ def _diagnostics(opt_value: float) -> tuple[str, ...]:
             f"non-gating: enumerated LHV min at d={d} is {report.min_value} "
             f"and {relation} the -2(d+1)/(d-1) bound {bound}"
         )
-    notes.append(
-        "non-gating: the 24x24 vertex enumeration is an outer bound "
-        "that contains the two-branch closed forms; they agree at the "
-        "tabulated optimal states, but on some states the enumeration "
-        "is strictly wider, and the extremum the optimizer attains can "
-        "lie strictly inside it (see tests/test_analytic.py and "
-        "tests/test_optimize.py)"
-    )
     return tuple(notes)
 
 

@@ -144,7 +144,7 @@ class TestJointProbabilities:
                 for m in range(4):
                     for n in range(4):
                         want = 0.25 if (m + n) % 4 == 0 else 0.0
-                        assert abs(table.prob(i, j, m, n) - want) < 1e-15
+                        assert abs(table.setting(i, j)[m, n] - want) < 1e-15
 
     def test_product_state_is_uniform(self):
         state = make_state(D4, (2.0, 0.0, 0.0, 0.0))
@@ -160,7 +160,6 @@ class TestJointProbabilities:
     def test_setting_accessors(self):
         table = joint_probabilities(maximally_entangled_state(D4), zero_settings(D4))
         assert table.setting(2, 1).shape == (4, 4)
-        assert table.prob(1, 1, 0, 0) == table.setting(1, 1)[0, 0]
         with pytest.raises(ValidationError):
             table.setting(0, 1)
 
@@ -171,7 +170,7 @@ class TestJointProbabilityTableValidation:
         p[0, 0, 0, 0] = -1e-15
         p[0, 0, 0, 1] = 0.5 + 1e-15  # keep the slice sum at one
         table = JointProbabilityTable(Dimension(2), p)
-        assert table.prob(1, 1, 0, 0) == 0.0
+        assert table.setting(1, 1)[0, 0] == 0.0
 
     def test_rejects_larger_negative(self):
         p = np.full((2, 2, 2, 2), 0.25)

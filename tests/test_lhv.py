@@ -168,11 +168,4 @@ class TestReportValidation:
         strategy = DeterministicStrategy(dim, (0, 0, 0, 0))
         with pytest.raises(ValidationError):
             LhvBoundsReport(dim, PLUS, Fraction(-2), Fraction(2),
-                            strategy, strategy, 16)
-
-    def test_rejects_wrong_scan_count(self):
-        dim = Dimension(2)
-        strategy = DeterministicStrategy(dim, (0, 0, 0, 0))
-        with pytest.raises(ValidationError):
-            LhvBoundsReport(dim, PLUS, Fraction(2), Fraction(-2),
-                            strategy, strategy, 15)
+                            strategy, strategy)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import bellmp
 from bellmp import (
     DegenerateStateError,
     Dimension,
@@ -147,6 +148,35 @@ class TestKernelTable:
     def test_variant_must_be_a_kernel_variant(self, variant):
         with pytest.raises(ValidationError, match="KernelVariant"):
             kernel_table(4, variant)
+
+
+_D4 = Dimension(4)
+_ME = maximally_entangled_state(_D4)
+_ZERO = zero_settings(_D4)
+# Every public route that takes a kernel variant, called with `variant`.
+_VARIANT_ROUTES = {
+    "bell_value": lambda variant: bellmp.bell_value(_ME, _ZERO, variant),
+    "bell_value_noisy": lambda variant: bellmp.bell_value_noisy(_ME, _ZERO, 0.1, variant),
+    "bell_gradient": lambda variant: bellmp.bell_gradient(_ME, _ZERO, variant),
+    "correlation_q": lambda variant: bellmp.correlation_q(
+        bellmp.joint_probabilities(_ME, _ZERO), 1, 1, variant),
+    "pair_matrix": lambda variant: bellmp.engine.pair_matrix(np.zeros((4, 4)), 4, variant),
+    "sample_experiment": lambda variant: bellmp.sample_experiment(_ME, _ZERO, 10, 0, variant),
+    "lhv_value": lambda variant: bellmp.lhv_value(
+        bellmp.DeterministicStrategy(_D4, (0, 0, 0, 0)), variant),
+    "lhv_bounds": lambda variant: bellmp.lhv_bounds(_D4, variant),
+    "optimize_angles": lambda variant: bellmp.optimize_angles(
+        _ME, bellmp.OptimizerConfig(restarts=1), variant),
+    "optimize_joint": lambda variant: bellmp.optimize_joint(
+        _D4, bellmp.OptimizerConfig(restarts=1, free_state=True), variant),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_VARIANT_ROUTES))
+def test_unhashable_variant_is_rejected_on_every_route(route):
+    # The per-variant caches must check the variant before they hash it.
+    with pytest.raises(ValidationError, match="KernelVariant"):
+        _VARIANT_ROUTES[route](["plus"])
 
 
 class TestPureState:

@@ -300,9 +300,7 @@ def _objective(search, d, direction, variant=KernelVariant.PLUS):
                                       _theta_map(d), _sign(direction))
 
 
-def _minimize(fun, starts):
-    return bellmp.optimize._minimize(fun, starts, bellmp.optimize._MAX_ITERATIONS,
-                                     bellmp.optimize._GRADIENT_TOLERANCE)
+_minimize = bellmp.optimize._minimize
 
 
 # Every (d, variant) whose objective is not constant, for d in 2, 3, 4, 6, 8.
@@ -328,21 +326,18 @@ class TestScheduleIndependence:
             for batched, single in zip(batch, alone):
                 assert np.array_equal(batched[r], single[0])
 
-    def test_capped_restarts_are_unaffected_by_their_batch(self):
+    def test_capped_restarts_are_unaffected_by_their_batch(self, monkeypatch):
         # Restarts 14-16 of the seed-7 d = 4 joint minimum need 10, 14
         # and 15 Newton steps; a cap of 12 stops two of them unconverged
         # while the third leaves the batch early.
+        monkeypatch.setattr(bellmp.optimize, "_MAX_ITERATIONS", 12)
         fun = _objective("joint", 4, Direction.MINIMIZE)
         starts = _starts(4, (7,), (14, 15, 16))
-
-        def capped(x):
-            return bellmp.optimize._minimize(fun, x, 12, bellmp.optimize._GRADIENT_TOLERANCE)
-
-        batch = capped(starts)
+        batch = _minimize(fun, starts)
         assert batch[4].tolist() == [True, False, False]
         assert batch[3].tolist() == [10, 12, 12]
         for r in range(len(starts)):
-            alone = capped(starts[r:r + 1])
+            alone = _minimize(fun, starts[r:r + 1])
             for batched, single in zip(batch, alone):
                 assert np.array_equal(batched[r], single[0])
 
@@ -716,7 +711,7 @@ class TestEigenReduction:
         # At zero phases M = (J - I) / 6 for d = 4: the top eigenvalue is
         # simple, the bottom one triple.  A solver that claims a zero
         # gradient there must not make the minimum count as converged.
-        def stopped(fun, x0, max_iterations, gradient_tolerance):
+        def stopped(fun, x0):
             x = np.zeros_like(x0)
             return (x, fun(x)[0], np.zeros(len(x)), np.zeros(len(x), dtype=int),
                     np.ones(len(x), dtype=bool), np.zeros(len(x), dtype=int), np.ones(len(x)))

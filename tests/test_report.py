@@ -4,14 +4,17 @@ import math
 
 import pytest
 
-from bellmp import SCAN_COLUMNS, ValidationError, gamma_constants
-from bellmp.report import (
-    ReproductionReport,
-    ReproductionRow,
-    ScanSpec,
-    build_reproduction_report,
-    scan_rows,
+from bellmp import (
+    SCAN_COLUMNS,
+    Dimension,
+    OptimizerConfig,
+    ValidationError,
+    gamma_constants,
+    maximally_entangled_state,
+    optimize_angles,
+    optimize_joint,
 )
+from bellmp.report import ScanSpec, build_reproduction_report, scan_rows
 
 ME_MAX = 2.896243218458708
 IMAX = 2.972698267102243
@@ -47,12 +50,15 @@ class TestReproductionReport:
     def test_diagnostics_mention_reference_angles(self, report):
         assert any("reference angle" in note for note in report.diagnostics)
 
-    def test_overall_flag_validated(self):
-        row = ReproductionRow(label="x", expected=1.0, computed=1.0,
-                              tolerance=0.0, passed=True, provenance="p")
-        with pytest.raises(ValidationError):
-            ReproductionReport(rows=(row,), overall_pass=False,
-                               diagnostics=())
+    def test_reference_note_quotes_the_measured_optima(self, report):
+        # The note quotes the report's own joint and flat-state maxima
+        # (restarts 10, seed 7), not fixed decimals.
+        joint = optimize_joint(Dimension(4), OptimizerConfig(restarts=10, seed=7,
+                                                             free_state=True))
+        flat = optimize_angles(maximally_entangled_state(Dimension(4)),
+                               OptimizerConfig(restarts=10, seed=7))
+        note, = (note for note in report.diagnostics if "reference angle" in note)
+        assert f"the optimizer reaches {joint.best.value:.6f} and {flat.best.value:.6f}" in note
 
 
 class TestScanSpec:

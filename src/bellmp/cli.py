@@ -64,14 +64,13 @@ MAX_RESTARTS = 1000
 # Probability tables hold 4 d^2 entries.  The paper works at d = 4.
 MAX_DIMENSION = 64
 # A search's work grows with both flags.  A restart counts as (d - 1) d^2
-# work units.  Measured on a 2-vCPU host (seeds 0 and 1, both
-# directions), a joint restart takes 13-49 ms at d = 16 (19-75 Newton
-# steps), 0.08-0.14 s at d = 32 and 0.6-1.1 s at d = 64, 2-5e-6 s per
-# unit at the larger two; its Newton steps take the eigenvalues of the
-# 3 (d - 1) square reduced Hessian and solve one shifted system with
-# it.  The budget keeps one search well within a minute: 7 restarts at
-# d = 64 took 4.5 s and 63 at d = 32 took 5.4 s; up to d = 12 the
-# restart cap binds first (1000 restarts at d = 12 took 4.9 s).
+# work units.  Measured on a 2-vCPU host (one-restart searches, seeds 0
+# and 1, both directions), a joint restart takes 8-36 ms at d = 16
+# (19-75 Newton steps), 0.06-0.08 s at d = 32 and 0.35-0.54 s at
+# d = 64, 1.4-2.7e-6 s per unit at the larger two.  The budget keeps one
+# search well within a minute: at seed 0, minimizing, 7 restarts at
+# d = 64 took 3.0 s and 63 at d = 32 took 3.5 s; up to d = 12 the
+# restart cap binds first (1000 restarts at d = 12 took 3.7 s).
 MAX_WORK = 2_000_000
 # One scan row holds about 430 B and takes about 21 us to compute on a
 # 2-vCPU host, so a capped scan holds about 43 MB of rows and prints its
@@ -296,7 +295,8 @@ def cmd_optimize(args) -> int:
         "per_restart_gradient_norms": list(run.per_restart_gradient_norms),
         "per_restart_rejected": list(run.per_restart_rejected),
         "per_restart_mu": list(run.per_restart_mu),
-        "evaluations": {"calls": run.evaluations.calls, "rows": run.evaluations.rows},
+        "evaluations": {"calls": run.evaluations.calls, "rows": run.evaluations.rows,
+                        "hessians": run.evaluations.hessians},
         "state": list(best.state.coefficients),
         "angles": angles,
     }

@@ -343,21 +343,28 @@ def value_and_gradient_arrays(coefficients: np.ndarray, theta: np.ndarray,
                               d: int, variant: KernelVariant):
     """Low-level evaluation on raw arrays: the Bell value a^T M a at the
     (4, d) summed phases theta = phi^{A_i} + phi^{B_j} (rows in
-    SETTING_PAIRS order), its gradient over theta and its Hessian over
-    theta, of shape (4, d, 4, d) and block diagonal across setting pairs.
+    SETTING_PAIRS order), its gradient over theta, and a function that
+    forms the (4, d, 4, d) Hessian over theta, block diagonal across
+    setting pairs, only when called: hessian(rows) for the batch rows
+    given, hessian() for all.
 
     A (..., 4, d) stack of summed phases is evaluated as one batch,
     with (..., d) coefficients or one (d,) vector for every row,
-    returning (...), (..., 4, d) and (..., 4, d, 4, d) arrays, so a lone
-    (4, d) matrix gives a 0-d value; row r equals the call on row r
-    alone, bit for bit.  No validation happens here; this is the
-    optimizer's hot path.
+    returning (...) and (..., 4, d) arrays, so a lone (4, d) matrix
+    gives a 0-d value; row r equals the call on row r alone, bit for
+    bit, and so does its Hessian whichever rows are formed with it.  No
+    validation happens here; this is the optimizer's hot path.
     """
     P = _phased(theta, d, variant)
     Ma = _pair_sum(P, d) @ coefficients[..., None]
     value = (coefficients[..., None, :] @ Ma)[..., 0, 0]
     gradient, pa = _theta_gradient(P, coefficients, d)
-    return value, gradient, _theta_hessian(P, coefficients, pa, d)
+
+    def hessian(rows=...):
+        a = coefficients[rows] if coefficients.ndim > 1 else coefficients
+        return _theta_hessian(P[rows], a, pa[rows], d)
+
+    return value, gradient, hessian
 
 
 def _extreme_eigh(M: np.ndarray, d: int, largest: bool) -> tuple[np.ndarray, ...]:
@@ -372,8 +379,9 @@ def extreme_value_and_gradient(theta: np.ndarray, d: int, variant: KernelVariant
                                largest: bool):
     """The Bell value optimized over states at fixed phases, on raw
     arrays: d lambda of the pair matrix's largest (or smallest)
-    eigenvalue lambda at the (4, d) summed phases theta, and its
-    gradient and Hessian over theta.
+    eigenvalue lambda at the (4, d) summed phases theta, its gradient
+    over theta, and a function that forms its Hessian over theta, as in
+    value_and_gradient_arrays.
 
     On the sphere sum a^2 = d, a^T M a is extremal at a = sqrt(d) v for
     the extreme unit eigenvector v.  By the Hellmann-Feynman theorem the
@@ -382,27 +390,29 @@ def extreme_value_and_gradient(theta: np.ndarray, d: int, variant: KernelVariant
     of a^T M a (Overton and Womersley 1995), which couples the setting
     pairs.  Both exist only where the eigengap is positive;
     _extreme_eigh of the pair matrix gives the eigenvector and the gap.
-    A (..., 4, d) stack of summed phases is evaluated as one batch,
-    returning (...), (..., 4, d) and (..., 4, d, 4, d) arrays, so a lone
-    (4, d) matrix gives a 0-d value; row r equals the call on row r
-    alone, bit for bit.  No validation happens here.
+    Batches behave as in value_and_gradient_arrays.  No validation
+    happens here.
     """
     P = _phased(theta, d, variant)
     w, V, k, _ = _extreme_eigh(_pair_sum(P, d), d, largest)
-    v = V[..., k]
-    a = math.sqrt(d) * v
+    a = math.sqrt(d) * V[..., k]
     gradient, pa = _theta_gradient(P, a, d)
-    hessian = _theta_hessian(P, a, pa, d)
-    # Second-order perturbation of a simple eigenvalue: d lambda gains
-    # 2 d sum_{j != ext} J_j J_j^T / (lambda_ext - lambda_j), where J_j
-    # over theta holds v_j^T (dM / d theta) v.  A zero gap has weight 0.
-    im_pv = np.imag(P @ V[..., None, :, :])
-    J = (V[..., None, :, :] * im_pv[..., k, None] + v[..., None, :, None] * im_pv) \
-        * (-1.0 / ((d - 1) * d**3))
-    J = np.moveaxis(J, -1, -3).reshape(J.shape[:-3] + (d, 4 * d))
-    gaps = w[..., k, None] - w
-    weights = np.divide(2.0 * d, gaps, out=np.zeros_like(gaps), where=gaps != 0.0)
-    hessian += ((J.swapaxes(-1, -2) * weights[..., None, :]) @ J).reshape(hessian.shape)
+
+    def hessian(rows=...):
+        Pr, Vr, wr = P[rows], V[rows], w[rows]
+        H = _theta_hessian(Pr, a[rows], pa[rows], d)
+        # Second-order perturbation of a simple eigenvalue: d lambda gains
+        # 2 d sum_{j != ext} J_j J_j^T / (lambda_ext - lambda_j), where J_j
+        # over theta holds v_j^T (dM / d theta) v.  A zero gap has weight 0.
+        im_pv = np.imag(Pr @ Vr[..., None, :, :])
+        J = (Vr[..., None, :, :] * im_pv[..., k, None] + Vr[..., k][..., None, :, None] * im_pv) \
+            * (-1.0 / ((d - 1) * d**3))
+        J = np.moveaxis(J, -1, -3).reshape(J.shape[:-3] + (d, 4 * d))
+        gaps = wr[..., k, None] - wr
+        weights = np.divide(2.0 * d, gaps, out=np.zeros_like(gaps), where=gaps != 0.0)
+        H += ((J.swapaxes(-1, -2) * weights[..., None, :]) @ J).reshape(H.shape)
+        return H
+
     return d * w[..., k], gradient, hessian
 
 

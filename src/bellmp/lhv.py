@@ -15,6 +15,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .model import Dimension, KernelVariant, ValidationError, kernel_table
 
 __all__ = [
@@ -30,21 +32,27 @@ MAX_ENUMERABLE_DIMENSION = 12
 
 @dataclass(frozen=True)
 class DeterministicStrategy:
-    """Fixed local outcomes (A1, A2, B1, B2), each in 0..d-1."""
+    """Fixed local outcomes (A1, A2, B1, B2), each in 0..d-1, stored as
+    a tuple of ints."""
 
     dim: Dimension
     outcomes: tuple[int, int, int, int]
 
     def __post_init__(self) -> None:
-        if len(self.outcomes) != 4:
-            raise ValidationError(
-                f"a strategy fixes 4 outcomes, got {len(self.outcomes)}"
-            )
-        for value in self.outcomes:
-            if not isinstance(value, int) or not 0 <= value < self.dim.d:
-                raise ValidationError(
-                    f"outcome {value!r} outside 0..{self.dim.d - 1}"
-                )
+        outcomes, d = self.outcomes, self.dim.d
+        if len(outcomes) != 4:
+            raise ValidationError(f"a strategy fixes 4 outcomes, got {len(outcomes)}")
+        plain = type(outcomes) is tuple
+        for value in outcomes:
+            # A numpy integer is an outcome; a bool, an int subclass, is not.
+            if type(value) is not int:
+                if isinstance(value, bool) or not isinstance(value, np.integer):
+                    raise ValidationError(f"outcome {value!r} is not an integer")
+                plain = False
+            if not 0 <= value < d:
+                raise ValidationError(f"outcome {value!r} outside 0..{d - 1}")
+        if not plain:
+            object.__setattr__(self, "outcomes", tuple(int(v) for v in outcomes))
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,12 @@ eigenvalue perturbation term to that of a^T M a at the fixed state.
 Each restart runs one regularized Newton loop on these exact Hessians
 (in the manner of More and Sorensen 1983): the shift
 mu + max(0, -lambda_min(H)) keeps every step a descent direction, and mu
-shrinks after a kept step and grows after a rejected one.  A step needs
-only the eigenvalues of H, for the shift, and one direct solve of the
-shifted system.  Each restart reports its rejected steps and final mu
-beside its iterations.
+shrinks after a kept step and grows after a rejected one.  A trial point
+costs only its value and gradient; H and its eigenvalues, for the shift,
+are formed once per kept point of a restart that steps again, and a
+rejected step's retry reuses them.  Each step solves the shifted system
+directly.  Each restart reports its rejected steps and final mu beside
+its iterations.
 
 All restarts of a search run as one batch: every objective call
 evaluates the stacked phases of the restarts still running, while each
@@ -100,11 +102,13 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class Evaluations:
-    """Objective evaluations of one search: the batched calls, and the
-    rows they evaluated, one restart's phases per row."""
+    """Objective evaluations of one search: the batched calls, the rows
+    they evaluated, one restart's phases per row, and the rows at which
+    a Hessian and its lowest eigenvalue were formed."""
 
     calls: int
     rows: int
+    hessians: int
 
 
 @dataclass(frozen=True)
@@ -131,7 +135,8 @@ class OptimizationRun:
     final phases, and is empty for the angle search.  A restart counts
     as converged when it passes the gradient test and, for the joint
     search, its eigengap exceeds 1e-9 (1 + |value|), so that its
-    extreme eigenvalue is simple.
+    extreme eigenvalue is simple.  hessians counts the rows at which a
+    Hessian and its lowest eigenvalue were formed.
     """
 
     best: ExtremalResult
@@ -143,6 +148,7 @@ class OptimizationRun:
     per_restart_rejected: tuple[int, ...]
     per_restart_mu: tuple[float, ...]
     per_restart_eigengaps: tuple[float, ...]
+    hessians: int
 
     @property
     def iterations_used(self) -> int:
@@ -160,7 +166,7 @@ class OptimizationRun:
         start once, then the restarts still running once per pass, each
         of which counts the pass as an iteration."""
         its = self.per_restart_iterations
-        return Evaluations(1 + max(its), len(its) + sum(its))
+        return Evaluations(1 + max(its), len(its) + sum(its), self.hessians)
 
 
 def _norms(g: np.ndarray) -> np.ndarray:
@@ -169,10 +175,11 @@ def _norms(g: np.ndarray) -> np.ndarray:
     return np.sqrt((g[:, None, :] @ g[:, :, None])[:, 0, 0])
 
 
-def _newton_steps(H: np.ndarray, g: np.ndarray, mu: np.ndarray) -> np.ndarray:
+def _newton_steps(H: np.ndarray, lowest: np.ndarray, g: np.ndarray,
+                  mu: np.ndarray) -> np.ndarray:
     # Per row, s = -(H + (mu + max(0, -lambda_min(H))) I)^-1 g.  LAPACK
     # works row by row, so a row's step does not depend on its batch.
-    shift = mu + np.maximum(0.0, -np.linalg.eigvalsh(H)[:, 0])
+    shift = mu + np.maximum(0.0, -lowest)
     shifted = H + shift[:, None, None] * np.eye(H.shape[-1])
     return -np.linalg.solve(shifted, g[:, :, None])[:, :, 0]
 
@@ -181,47 +188,67 @@ def _minimize(fun, x0: np.ndarray) -> tuple[np.ndarray, ...]:
     """Minimize fun from every row of the (R, n) batch of starts x0.
 
     fun maps an (m, n) batch of points to their (m,) values, (m, n)
-    gradients and (m, n, n) Hessians, row by row; the searches pass the
-    coordinates y of _objective.  Each restart takes
-    regularized Newton steps s = -(H + (mu + max(0, -lambda_min(H))) I)^-1 g,
-    a descent direction even where H is indefinite: lambda_min comes
-    from the eigenvalues alone, and the shifted, positive definite
-    system is solved directly.  A step is kept when the value falls by
-    more than 1e-13 (1 + |f|), or stays within that margin while the
-    gradient norm falls; mu then shrinks by 4 (to at least 1e-10), and
-    grows by 4 after a rejected step.  A restart stops when its
-    gradient test, |g| <= _GRADIENT_TOLERANCE, passes, when mu exceeds
-    1e8 or after _MAX_ITERATIONS steps.  The loop updates full-size
-    arrays in place, stepping only the restarts still running.  Returns per restart the point, value,
-    gradient norm, iterations, convergence flag, rejected steps and
-    final mu, as (R, n), (R,), (R,), (R,), (R,), (R,) and (R,) arrays.
+    gradients and a function that forms the (n, n) Hessians of the rows
+    it is given, row by row; the searches pass _objective.  Each restart
+    takes the regularized Newton steps of the module docstring.  A step
+    is kept when the value falls by more than 1e-13 (1 + |f|), or stays
+    within that margin while the gradient norm falls; mu then shrinks by
+    4 (to at least 1e-10), and grows by 4 after a rejected step.  A
+    restart stops when |g| <= _GRADIENT_TOLERANCE, when mu exceeds 1e8
+    or after _MAX_ITERATIONS steps, and its results are written out
+    then; the loop holds only the restarts still running.  Returns per
+    restart the point, value, gradient norm, iterations, convergence
+    flag, rejected steps, final mu and Hessians formed.
     """
     x = np.array(x0, dtype=float)
-    f, g, H = fun(x)
+    f, g, hessian = fun(x)
     gnorm = _norms(g)
-    mu = np.ones(len(x))
-    iterations = np.zeros(len(x), dtype=int)
-    rejected = np.zeros(len(x), dtype=int)
-    # The restarts still stepping; the others keep their final entries.
-    active = np.arange(len(x))
+    m, n = x.shape
+    mu = np.ones(m)
+    iterations, rejected, hessians = np.zeros((3, m), dtype=int)
+    H, lowest = np.empty((m, n, n)), np.empty(m)
+    # The running restarts' places in x0, and which of them sit at the
+    # point fun last evaluated: every start, then the kept trial points.
+    place, kept = np.arange(m), np.ones(m, dtype=bool)
+    out = [np.empty_like(a) for a in (x, f, gnorm, iterations, rejected, mu, hessians)]
     while True:
-        done = ((gnorm[active] <= _GRADIENT_TOLERANCE) | (mu[active] > 1e8)
-                | (iterations[active] >= _MAX_ITERATIONS))
-        active = active[~done]
-        if not len(active):
-            return x, f, gnorm, iterations, gnorm <= _GRADIENT_TOLERANCE, rejected, mu
-        x_try = x[active] + _newton_steps(H[active], g[active], mu[active])
-        f_try, g_try, H_try = fun(x_try)
+        stop = (gnorm <= _GRADIENT_TOLERANCE) | (mu > 1e8) | (iterations >= _MAX_ITERATIONS)
+        rows = (kept & ~stop).nonzero()[0]
+        every = len(rows) == len(kept)
+        if not every and stop.any():
+            gone, go = place[stop], ~stop
+            for result, final in zip(out, (x, f, gnorm, iterations, rejected, mu, hessians)):
+                result[gone] = final[stop]
+            if len(gone) == len(stop):
+                x, f, gnorm, iterations, rejected, mu, hessians = out
+                return (x, f, gnorm, iterations, gnorm <= _GRADIENT_TOLERANCE, rejected, mu,
+                        hessians)
+            x, f, g, gnorm, mu, iterations, rejected, hessians, H, lowest, place, kept = (
+                a[go] for a in
+                (x, f, g, gnorm, mu, iterations, rejected, hessians, H, lowest, place, kept))
+        # Only the points that moved get a Hessian; LAPACK works row by row.
+        if every:
+            # Every trial point was kept and none stopped, so the rows are
+            # the whole batch: form them without copies.
+            H = hessian(slice(None))
+            lowest = np.linalg.eigvalsh(H)[:, 0]
+        elif len(rows):
+            formed = hessian(rows)
+            H[kept] = formed
+            lowest[kept] = np.linalg.eigvalsh(formed)[:, 0]
+        hessians += kept
+        x_try = x + _newton_steps(H, lowest, g, mu)
+        f_try, g_try, hessian = fun(x_try)
         gnorm_try = _norms(g_try)
-        f_old = f[active]
-        margin = 1e-13 * (1.0 + np.abs(f_old))
-        kept = (f_try < f_old - margin) | ((f_try <= f_old + margin) & (gnorm_try < gnorm[active]))
-        moved = active[kept]
-        x[moved], f[moved], g[moved], H[moved], gnorm[moved] = \
-            x_try[kept], f_try[kept], g_try[kept], H_try[kept], gnorm_try[kept]
-        mu[active] = np.where(kept, np.maximum(mu[active] * 0.25, 1e-10), mu[active] * 4.0)
-        rejected[active] += ~kept
-        iterations[active] += 1
+        margin = 1e-13 * (1.0 + np.abs(f))
+        kept = (f_try < f - margin) | ((f_try <= f + margin) & (gnorm_try < gnorm))
+        np.copyto(x, x_try, where=kept[:, None])
+        np.copyto(g, g_try, where=kept[:, None])
+        np.copyto(f, f_try, where=kept)
+        np.copyto(gnorm, gnorm_try, where=kept)
+        mu = np.where(kept, np.maximum(mu * 0.25, 1e-10), mu * 4.0)
+        rejected += ~kept
+        iterations += 1
 
 
 def _settings(phases: np.ndarray, dim: Dimension) -> MeasurementSettings:
@@ -256,18 +283,20 @@ def _gauge_phases(theta: np.ndarray) -> np.ndarray:
 def _objective(evaluate, d: int, C: np.ndarray, sign: float):
     """The function the solver minimizes over the coordinates y, with
     theta = C y for the (4 d, 3 c) map C = Theta (x) (the c free columns
-    of I_d): -sign times evaluate's value at theta, and its gradient
-    C^T g and Hessian C^T H C.  evaluate maps (m, 4, d) summed phases to
-    (m,) values, (m, 4, d) theta gradients and (m, 4, d, 4, d) theta
-    Hessians.  Each product is a stack of per-row products, so a row's
-    result does not depend on its batch."""
+    of I_d): -sign times evaluate's value at theta, its gradient C^T g,
+    and the function that forms C^T H C for chosen rows.  evaluate is
+    one of the engine kernels.  Each product is a stack of per-row
+    products, so a row's result does not depend on its batch."""
     n = 4 * d
 
-    def fun(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def fun(y: np.ndarray):
         m = len(y)
         value, gradient, hessian = evaluate((y[:, None, :] @ C.T).reshape(m, 4, d))
-        return (-sign * value, -sign * (gradient.reshape(m, 1, n) @ C)[:, 0],
-                -sign * (C.T @ hessian.reshape(m, n, n) @ C))
+
+        def curvature(rows: np.ndarray) -> np.ndarray:
+            return -sign * (C.T @ hessian(rows).reshape(-1, n, n) @ C)
+
+        return -sign * value, -sign * (gradient.reshape(m, 1, n) @ C)[:, 0], curvature
 
     return fun
 
@@ -275,8 +304,8 @@ def _objective(evaluate, d: int, C: np.ndarray, sign: float):
 @dataclass(frozen=True)
 class _Search:
     # Per restart: value in the Bell value's own sign, phases (B1 = 0),
-    # gradient norm, iterations, gradient-test flag, rejected steps and
-    # final mu; then the search's extremal restart.
+    # gradient norm, iterations, gradient-test flag, rejected steps,
+    # final mu and Hessians formed; then the search's extremal restart.
     values: np.ndarray
     phases: np.ndarray
     gradient_norms: np.ndarray
@@ -284,6 +313,7 @@ class _Search:
     converged: np.ndarray
     rejected: np.ndarray
     mu: np.ndarray
+    hessians: np.ndarray
     best: int
 
 
@@ -306,13 +336,13 @@ def _multistart(evaluate, d: int, columns: range | np.ndarray, config: Optimizer
         for r in range(restarts)
     ]).reshape(restarts, 4, c)
     y0 = ((_PAIRS @ starts).reshape(restarts, 1, 4 * d) @ C)[:, 0] / np.repeat((4.0, 2.0, 2.0), c)
-    y, f, gnorm, iterations, converged, rejected, mu = _minimize(
+    y, f, gnorm, iterations, converged, rejected, mu, hessians = _minimize(
         _objective(evaluate, d, C, sign), y0)
     phases = _gauge_phases((y[:, None, :] @ C.T).reshape(restarts, 4, d))
     values = -sign * f
     # Ties keep the lowest index.
     best = int(values.argmax() if maximize else values.argmin())
-    return _Search(values, phases, gnorm, iterations, converged, rejected, mu, best)
+    return _Search(values, phases, gnorm, iterations, converged, rejected, mu, hessians, best)
 
 
 def _make_run(search: _Search, state: PureState, settings: MeasurementSettings,
@@ -329,6 +359,7 @@ def _make_run(search: _Search, state: PureState, settings: MeasurementSettings,
         per_restart_rejected=tuple(int(r) for r in search.rejected),
         per_restart_mu=tuple(float(m) for m in search.mu),
         per_restart_eigengaps=eigengaps,
+        hessians=int(search.hessians.sum()),
     )
 
 

@@ -86,8 +86,8 @@ def build_reproduction_report(restarts: int = 50, seed: int = 7) -> Reproduction
 
     restarts/seed feed the optimizer-backed rows; the defaults match
     the documented engineering defaults.  With them each d = 4 joint
-    search takes about 15-17 ms and the whole report about 0.08 s on a
-    2-vCPU host.
+    search takes about 12-25 ms and the whole report about 0.06-0.10 s
+    on a shared 2-vCPU host, whose speed varied by up to 2x.
     """
     g = gamma_constants()
     rows: list[ReproductionRow] = []

@@ -277,6 +277,8 @@ class TestOptimize:
             assert not converged or gap > 1e-9 * (1.0 + abs(value))
         evaluations = record["evaluations"]
         assert 0 < evaluations["calls"] <= evaluations["rows"]
+        assert evaluations["hessians"] <= (evaluations["rows"]
+                                           - sum(record["per_restart_rejected"]))
 
     def test_unwritable_export_path_fails_before_searching(self, capsys, monkeypatch,
                                                            tmp_path):

@@ -420,7 +420,7 @@ class TestThetaHessian:
         rng = np.random.default_rng(d)
         theta = engine._PAIRS @ rng.uniform(-10.0, 10.0, batch + (4, d))
         a = rng.uniform(-2.0, 2.0, batch + (d,))
-        H = value_and_gradient_arrays(a, theta, d, variant)[2]
+        H = value_and_gradient_arrays(a, theta, d, variant)[2]()
         assert H.shape == batch + (4, d, 4, d)
         blocks = _pair_blocks(engine._phased(theta, d, variant), a, d)
         for r in range(4):

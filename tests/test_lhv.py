@@ -161,6 +161,23 @@ class TestStrategyValidation:
         with pytest.raises(ValidationError):
             DeterministicStrategy(Dimension(3), (0, 1.0, 2, 0))
 
+    def test_bool_outcome_is_rejected(self):
+        # bool is an int subclass; as an index it would act as a mask.
+        with pytest.raises(ValidationError, match="not an integer"):
+            DeterministicStrategy(Dimension(2), (True, 0, 0, 0))
+
+    def test_list_of_outcomes_is_stored_as_a_tuple(self):
+        strategy = DeterministicStrategy(Dimension(3), [0, 1, 2, 0])
+        assert strategy.outcomes == (0, 1, 2, 0)
+        assert hash(strategy) == hash(DeterministicStrategy(Dimension(3), (0, 1, 2, 0)))
+
+    def test_numpy_integer_outcomes_are_accepted(self):
+        dim = Dimension(2)
+        strategy = DeterministicStrategy(dim, (np.int64(1), 0, np.int32(1), 0))
+        assert strategy.outcomes == (1, 0, 1, 0)
+        assert all(type(value) is int for value in strategy.outcomes)
+        assert lhv_value(strategy) == lhv_value(DeterministicStrategy(dim, (1, 0, 1, 0)))
+
 
 class TestReportValidation:
     def test_rejects_inverted_bounds(self):

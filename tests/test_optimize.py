@@ -208,6 +208,7 @@ class TestRestartCounters:
                                          run.per_restart_eigengaps):
             assert not converged or gap > bellmp.optimize._GAP_RTOL * (1.0 + abs(value))
         assert 0 < run.evaluations.calls <= run.evaluations.rows
+        assert run.evaluations.hessians <= run.evaluations.rows - sum(run.per_restart_rejected)
         for iterations, rejected, mu in zip(run.per_restart_iterations,
                                             run.per_restart_rejected, run.per_restart_mu):
             assert 0 <= rejected <= iterations
@@ -218,18 +219,26 @@ class TestRestartCounters:
     @pytest.mark.parametrize("free_state", [False, True])
     def test_evaluations_count_the_kernel_calls_and_rows(self, monkeypatch, free_state):
         # The run derives its counts from the iterations; count the batched
-        # kernel calls and their rows directly.
-        rows = []
+        # kernel calls and their rows, and the rows whose Hessians are
+        # formed, directly.
+        rows, formed = [], []
         for name in ("value_and_gradient_arrays", "extreme_value_and_gradient"):
             def counting(*args, kernel=getattr(bellmp.optimize, name)):
-                result = kernel(*args)
-                rows.append(len(result[0]))
-                return result
+                value, gradient, hessian = kernel(*args)
+                rows.append(len(value))
+
+                def counted(chosen):
+                    H = hessian(chosen)
+                    formed.append(len(H))
+                    return H
+
+                return value, gradient, counted
 
             monkeypatch.setattr(bellmp.optimize, name, counting)
         for d in (2, 3, 4):
             for direction in Direction:
                 rows.clear()
+                formed.clear()
                 config = OptimizerConfig(restarts=7, seed=d, direction=direction,
                                          free_state=free_state)
                 if free_state:
@@ -238,18 +247,25 @@ class TestRestartCounters:
                     run = optimize_angles(maximally_entangled_state(Dimension(d)), config)
                 assert rows[0] == 7
                 assert (run.evaluations.calls, run.evaluations.rows) == (len(rows), sum(rows))
+                # A rejected trial point gets no Hessian, nor does a point
+                # where its restart stops.
+                assert run.evaluations.hessians == sum(formed)
+                assert sum(formed) <= sum(rows) - sum(run.per_restart_rejected)
 
     def test_rejected_steps_and_mu_follow_the_schedule(self):
         # A lone restart that rejects nothing has mu = 4^-iterations until
-        # the floor; one that gives up on mu stopped after rejections.
+        # the floor; one that gives up on mu stopped after rejections.  A
+        # restart forms one Hessian at its start and one per kept step,
+        # but none where it stops (none of these reaches the step cap).
         fun = _objective("joint", 4, Direction.MINIMIZE)
         starts = _starts(4, (7,), range(12))
-        *_, iterations, converged, rejected, mu = _minimize(fun, starts)
+        *_, iterations, converged, rejected, mu, hessians = _minimize(fun, starts)
         for r in range(len(starts)):
             kept = iterations[r] - rejected[r]
             if rejected[r] == 0:
                 assert mu[r] == max(0.25 ** kept, 1e-10)
             assert converged[r] or mu[r] > 1e8
+            assert hessians[r] == kept + (not converged[r])
 
 
 def _theta_map(d, columns=None):
@@ -322,7 +338,8 @@ class TestScheduleIndependence:
         batch = _minimize(fun, starts)
         for r in range(len(starts)):
             alone = _minimize(fun, starts[r:r + 1])
-            # point, value, gradient norm, iterations, converged, rejected, mu
+            # point, value, gradient norm, iterations, converged, rejected,
+            # mu, Hessians formed
             for batched, single in zip(batch, alone):
                 assert np.array_equal(batched[r], single[0])
 
@@ -357,44 +374,56 @@ class TestScheduleIndependence:
         assert few.per_restart_converged == many.per_restart_converged[:3]
 
     def test_large_batch_rows_equal_single_rows(self):
-        # 400 rows at d = 4, one batch for both kernels.
+        # 400 rows at d = 4, one batch for both kernels; the Hessians of
+        # every third row, formed together, equal those of the whole batch.
         d = 4
         rng = np.random.default_rng(0)
         theta = bellmp.engine._PAIRS @ rng.uniform(0.0, 2.0 * math.pi, (400, 4, d))
         a = rng.uniform(-2.0, 2.0, d)
+        subset = np.arange(0, len(theta), 3)
         for kernel in (lambda t: value_and_gradient_arrays(a, t, d, KernelVariant.PLUS),
                        lambda t: extreme_value_and_gradient(t, d, KernelVariant.PLUS, False)):
-            batch = kernel(theta)
+            value, gradient, hessian = kernel(theta)
+            whole = hessian()
+            assert np.array_equal(hessian(subset), whole[subset])
             for r in range(len(theta)):
-                # value, gradient, Hessian
-                for batched, single in zip(batch, kernel(theta[r])):
-                    assert np.array_equal(batched[r], single)
+                single = kernel(theta[r])
+                assert value[r] == single[0]
+                assert np.array_equal(gradient[r], single[1])
+                assert np.array_equal(whole[r], single[2]())
 
 
 @settings(max_examples=60, deadline=None)
 @given(d=st.integers(2, 8), rows=st.integers(1, 6),
        seed=st.integers(0, 2**32 - 1), largest=st.booleans(),
-       variant=st.sampled_from(list(KernelVariant)), shared=st.booleans())
+       variant=st.sampled_from(list(KernelVariant)), shared=st.booleans(),
+       data=st.data())
 def test_batched_kernel_rows_equal_single_calls(d, rows, seed, largest, variant,
-                                                shared):
+                                                shared, data):
     rng = np.random.default_rng(seed)
     phases = rng.uniform(-10.0, 10.0, (rows, 4, d))
     theta = bellmp.engine._PAIRS @ phases
     # one coefficient vector for every row, or one per row
     coefficients = rng.uniform(-2.0, 2.0, d if shared else (rows, d))
+    # the rows whose Hessians the solver would form, in batch order
+    subset = np.array(sorted(data.draw(st.sets(st.integers(0, rows - 1), min_size=1))))
     quadratic = value_and_gradient_arrays(coefficients, theta, d, variant)
     extreme = extreme_value_and_gradient(theta, d, variant, largest)
+    for batch in (quadratic, extreme):
+        whole = batch[2]()
+        assert whole.shape == (rows, 4, d, 4, d)
+        assert np.array_equal(batch[2](subset), whole[subset])
     for r in range(rows):
         a = coefficients if shared else coefficients[r]
         single = value_and_gradient_arrays(a, theta[r], d, variant)
         # value, gradient, Hessian
         assert quadratic[0][r] == single[0]
         assert np.array_equal(quadratic[1][r], single[1])
-        assert np.array_equal(quadratic[2][r], single[2])
+        assert np.array_equal(quadratic[2]([r])[0], single[2]())
         single = extreme_value_and_gradient(theta[r], d, variant, largest)
         assert extreme[0][r] == single[0]
         assert np.array_equal(extreme[1][r], single[1])
-        assert np.array_equal(extreme[2][r], single[2])
+        assert np.array_equal(extreme[2]([r])[0], single[2]())
     # optimize_joint reads its final eigenvectors and gaps from the same
     # decomposition, whose extreme eigenvalue is the kernel's value
     w, _, k, _ = _extreme_eigh(pair_matrix(phases, d, variant), d, largest)
@@ -425,7 +454,7 @@ def test_hessians_match_differences_of_the_gradient(d, seed, direction, variant,
         phases = bellmp.optimize._gauge_phases((_theta_map(d) @ y[0]).reshape(4, d))
         assume(_extreme_eigh(pair_matrix(phases, d, variant), d,
                              direction is Direction.MAXIMIZE)[3] >= 1e-3)
-    H = fun(y)[2][0]
+    H = fun(y)[2]([0])[0]
     scale = np.max(np.abs(H))
     assert np.max(np.abs(H - H.T)) <= 1e-14 * scale
     # The truncation error of the differences falls as step^2; at 1e-5 it
@@ -528,14 +557,16 @@ def test_newton_step_equals_the_eigendecomposition_step(n, seed, negative, null,
         H[r] = (Q * w) @ Q.T
         H[r] = 0.5 * (H[r] + H[r].T)
     g = rng.normal(size=(rows, n))
-    steps = bellmp.optimize._newton_steps(H, g, np.full(rows, mu))
+    lowest = np.linalg.eigvalsh(H)[:, 0]
+    steps = bellmp.optimize._newton_steps(H, lowest, g, np.full(rows, mu))
     for r in range(rows):
         reference, kappa = _eigen_step(H[r], g[r], mu)
         bound = max(1e-12, 64 * np.finfo(float).eps * kappa)
         assert np.linalg.norm(steps[r] - reference) <= bound * np.linalg.norm(reference)
         assert steps[r] @ g[r] < 0.0
         # one row alone gives the same step, bit for bit
-        alone = bellmp.optimize._newton_steps(H[r:r + 1], g[r:r + 1], np.full(1, mu))
+        alone = bellmp.optimize._newton_steps(H[r:r + 1], lowest[r:r + 1], g[r:r + 1],
+                                              np.full(1, mu))
         assert np.array_equal(alone[0], steps[r])
 
 
@@ -572,6 +603,26 @@ def test_seed7_searches_take_their_pinned_newton_steps(search, direction):
     iterations, calls, rows = _SEED7_ITERATIONS[search, direction]
     assert run.per_restart_iterations == iterations
     assert (run.evaluations.calls, run.evaluations.rows) == (calls, rows)
+
+
+# The d = 16 joint minimum, 20 restarts at seed 0, rejects 229 of its 653
+# Newton steps (the seed-7 d = 4 searches reject about 17 %): per restart
+# its steps and rejected steps, and the batched calls and rows it made.
+_D16_MIN_STEPS = (
+    (75, 45, 30, 28, 22, 29, 32, 17, 28, 29, 23, 32, 29, 45, 35, 34, 32, 15, 37, 36),
+    (33, 18, 10, 9, 6, 10, 11, 4, 8, 10, 7, 11, 10, 18, 13, 12, 11, 2, 13, 13),
+    76, 673)
+
+
+def test_d16_joint_minimum_takes_its_pinned_newton_steps():
+    run = optimize_joint(Dimension(16), OptimizerConfig(
+        restarts=20, seed=0, direction=Direction.MINIMIZE, free_state=True))
+    iterations, rejected, calls, rows = _D16_MIN_STEPS
+    assert run.per_restart_iterations == iterations
+    assert run.per_restart_rejected == rejected
+    assert (run.evaluations.calls, run.evaluations.rows) == (calls, rows)
+    # One Hessian per start and per kept step, none where a restart stops.
+    assert run.evaluations.hessians == 424 <= rows - sum(rejected)
 
 
 class TestVertexBounds:
@@ -714,7 +765,8 @@ class TestEigenReduction:
         def stopped(fun, x0):
             x = np.zeros_like(x0)
             return (x, fun(x)[0], np.zeros(len(x)), np.zeros(len(x), dtype=int),
-                    np.ones(len(x), dtype=bool), np.zeros(len(x), dtype=int), np.ones(len(x)))
+                    np.ones(len(x), dtype=bool), np.zeros(len(x), dtype=int), np.ones(len(x)),
+                    np.zeros(len(x), dtype=int))
 
         monkeypatch.setattr(bellmp.optimize, "_minimize", stopped)
         top = optimize_joint(D4, OptimizerConfig(restarts=1, free_state=True))

@@ -214,8 +214,7 @@ def _minimize(fun, x0: np.ndarray) -> tuple[np.ndarray, ...]:
     while True:
         stop = (gnorm <= _GRADIENT_TOLERANCE) | (mu > 1e8) | (iterations >= _MAX_ITERATIONS)
         rows = (kept & ~stop).nonzero()[0]
-        every = len(rows) == len(kept)
-        if not every and stop.any():
+        if stop.any():
             gone, go = place[stop], ~stop
             for result, final in zip(out, (x, f, gnorm, iterations, rejected, mu, hessians)):
                 result[gone] = final[stop]
@@ -227,12 +226,7 @@ def _minimize(fun, x0: np.ndarray) -> tuple[np.ndarray, ...]:
                 a[go] for a in
                 (x, f, g, gnorm, mu, iterations, rejected, hessians, H, lowest, place, kept))
         # Only the points that moved get a Hessian; LAPACK works row by row.
-        if every:
-            # Every trial point was kept and none stopped, so the rows are
-            # the whole batch: form them without copies.
-            H = hessian(slice(None))
-            lowest = np.linalg.eigvalsh(H)[:, 0]
-        elif len(rows):
+        if len(rows):
             formed = hessian(rows)
             H[kept] = formed
             lowest[kept] = np.linalg.eigvalsh(formed)[:, 0]

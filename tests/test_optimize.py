@@ -409,20 +409,22 @@ def test_batched_kernel_rows_equal_single_calls(d, rows, seed, largest, variant,
     subset = np.array(sorted(data.draw(st.sets(st.integers(0, rows - 1), min_size=1))))
     quadratic = value_and_gradient_arrays(coefficients, theta, d, variant)
     extreme = extreme_value_and_gradient(theta, d, variant, largest)
-    for batch in (quadratic, extreme):
-        whole = batch[2]()
+    whole_q, whole_e = quadratic[2](), extreme[2]()
+    for batch, whole in ((quadratic, whole_q), (extreme, whole_e)):
         assert whole.shape == (rows, 4, d, 4, d)
         assert np.array_equal(batch[2](subset), whole[subset])
     for r in range(rows):
         a = coefficients if shared else coefficients[r]
         single = value_and_gradient_arrays(a, theta[r], d, variant)
-        # value, gradient, Hessian
+        # value, gradient, Hessian: of the whole batch and of the row alone
         assert quadratic[0][r] == single[0]
         assert np.array_equal(quadratic[1][r], single[1])
+        assert np.array_equal(whole_q[r], single[2]())
         assert np.array_equal(quadratic[2]([r])[0], single[2]())
         single = extreme_value_and_gradient(theta[r], d, variant, largest)
         assert extreme[0][r] == single[0]
         assert np.array_equal(extreme[1][r], single[1])
+        assert np.array_equal(whole_e[r], single[2]())
         assert np.array_equal(extreme[2]([r])[0], single[2]())
     # optimize_joint reads its final eigenvectors and gaps from the same
     # decomposition, whose extreme eigenvalue is the kernel's value

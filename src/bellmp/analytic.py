@@ -30,6 +30,7 @@ from .model import (
     PureState,
     ValidationError,
     make_state,
+    maximally_entangled_state,
 )
 
 __all__ = [
@@ -241,27 +242,25 @@ def _radical_pair(sign_7root2: float, coeff_single: float, coeff_double: float) 
 
 
 def optimal_max_state() -> tuple[PureState, float]:
-    """The state family member maximizing the d = 4 value, with that value."""
+    """The state family member maximizing the d = 4 value, with that
+    value: the larger branch of branch_values_max there."""
     ap, am = _radical_pair(1.0, -20.0, -58.0)
-    g = gamma_constants()
-    value = ap * ap * g.gamma1 + 2.0 * ap * am * (g.gamma2 + g.gamma3) \
-        + am * am * g.gamma3
-    return make_state(_D4, (ap, ap, am, am)), value
+    state = make_state(_D4, (ap, ap, am, am))
+    return state, branch_values_max(state).max
 
 
 def optimal_min_state() -> tuple[PureState, float]:
-    """The state family member minimizing the d = 4 value, with that value."""
+    """The state family member minimizing the d = 4 value, with that
+    value: the smaller branch of branch_values_min there."""
     kp, km = _radical_pair(-1.0, -80.0, 6.0)
-    g = gamma_constants()
-    value = -kp * kp * g.gamma1 - 2.0 * kp * km * (g.gamma1 + g.gamma2) \
-        + km * km * g.gamma3
-    return make_state(_D4, (kp, kp, km, km)), value
+    state = make_state(_D4, (kp, kp, km, km))
+    return state, branch_values_min(state).min
 
 
 def max_entangled_value() -> float:
-    """The d = 4 maximum Gamma_1 + 2 Gamma_2 + 3 Gamma_3 of the flat state."""
-    g = gamma_constants()
-    return g.gamma1 + 2.0 * g.gamma2 + 3.0 * g.gamma3
+    """The d = 4 maximum Gamma_1 + 2 Gamma_2 + 3 Gamma_3 of the flat
+    state: its branch B1."""
+    return branch_values_max(maximally_entangled_state(_D4)).b1
 
 
 def noise_resistance_gain(bell_value: float, reference_value: float) -> float:

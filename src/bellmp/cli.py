@@ -2,8 +2,9 @@
 
 Subcommands: eval, lhv, optimize, analytic, reproduce, scan, sample.
 All machine output is JSON (or CSV for scan) with floats rounded to 12
-significant digits.  Exit codes: 0 success, 1 validation error,
-2 reproduction failure.
+significant digits.  Every subcommand evaluates the paper's m + n
+kernel.  Exit codes: 0 success, 1 validation error, 2 reproduction
+failure.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .model import (
     SETTING_PAIRS,
     BellError,
     Dimension,
-    KernelVariant,
     MeasurementSettings,
     PhaseVector,
     PureState,
@@ -208,13 +208,11 @@ def _state_and_settings(args) -> tuple[PureState, MeasurementSettings]:
 
 def cmd_eval(args) -> int:
     state, settings = _state_and_settings(args)
-    variant = KernelVariant(args.variant)
     table = mix_uniform_noise(joint_probabilities(state, settings), args.noise)
-    q = {f"Q{i}{j}": correlation_q(table, i, j, variant) for i, j in SETTING_PAIRS}
-    value = bell_value_from_table(table, variant)
+    q = {f"Q{i}{j}": correlation_q(table, i, j) for i, j in SETTING_PAIRS}
+    value = bell_value_from_table(table)
     record = {
         "d": state.dim.d,
-        "variant": args.variant,
         "noise": float(args.noise),
         "state": list(state.coefficients),
         "I": value,
@@ -228,10 +226,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_lhv(args) -> int:
-    report = lhv_bounds(Dimension(args.d), KernelVariant(args.variant))
+    report = lhv_bounds(Dimension(args.d))
     _emit_json({
         "d": args.d,
-        "variant": args.variant,
         "max": str(report.max_value),
         "min": str(report.min_value),
         "argmax": list(report.argmax.outcomes),
@@ -252,7 +249,6 @@ def cmd_optimize(args) -> int:
         _check_dimension(d, "the number of state coefficients")
     if d is not None:
         _check_work(d, args.restarts)
-    variant = KernelVariant(args.variant)
     direction = Direction.MAXIMIZE if args.direction == "max" else Direction.MINIMIZE
     config = OptimizerConfig(
         restarts=args.restarts,
@@ -275,14 +271,13 @@ def cmd_optimize(args) -> int:
         # Fail before the search, without truncating an existing file.
         _open_output(args.export_angles, "a").close()
     if args.free_state:
-        run = optimize_joint(Dimension(args.d), config, variant)
+        run = optimize_joint(Dimension(args.d), config)
     else:
-        run = optimize_angles(state, config, variant)
+        run = optimize_angles(state, config)
     best = run.best
     angles = _angles_dict(best.settings)
     record = {
         "direction": args.direction,
-        "variant": args.variant,
         "restarts": args.restarts,
         "seed": args.seed,
         "value": best.value,
@@ -421,11 +416,9 @@ def cmd_scan(args) -> int:
 
 def cmd_sample(args) -> int:
     state, settings = _state_and_settings(args)
-    estimate = sample_experiment(state, settings, args.shots, args.seed,
-                                 KernelVariant(args.variant))
+    estimate = sample_experiment(state, settings, args.shots, args.seed)
     _emit_json({
         "d": state.dim.d,
-        "variant": args.variant,
         "shots_per_setting": estimate.shots_per_setting,
         "seed": args.seed,
         "estimate": estimate.value_estimate,
@@ -443,7 +436,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--d", type=int, default=None, help="outcome dimension")
         p.add_argument("--state", required=state_required,
                        help="comma-separated coefficients, auto-normalized")
-        p.add_argument("--variant", choices=("plus", "minus"), default="plus")
 
     p = sub.add_parser("eval", help="Bell value of a state at fixed angles")
     add_common(p, state_required=True)
@@ -453,7 +445,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("lhv", help="exact classical bounds by enumeration")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--variant", choices=("plus", "minus"), default="plus")
     p.set_defaults(func=cmd_lhv)
 
     p = sub.add_parser("optimize", help="numerically optimize the Bell value")

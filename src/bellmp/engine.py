@@ -17,6 +17,9 @@ convention above.  All heavy paths exploit the class structure in u:
 for fixed phases the Bell value is the quadratic form I = a^T M a in
 the state coefficients, with one pair matrix M (see pair_matrix), and
 the d = 4 T coefficients are T_kl = 2 M_kl.
+
+Every route here evaluates the paper's m + n kernel, the default of
+model.kernel_table.
 """
 
 from __future__ import annotations
@@ -31,12 +34,10 @@ from .model import (
     PAIR_SIGNS,
     SETTING_PAIRS,
     Dimension,
-    KernelVariant,
     MeasurementSettings,
     PureState,
     ValidationError,
     DimensionMismatchError,
-    cached_per_variant,
     kernel_table,
     require_seed,
 )
@@ -74,14 +75,14 @@ def _dft(d: int) -> np.ndarray:
     return V
 
 
-@cached_per_variant
-def _circulant(d: int, variant: KernelVariant) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _circulant(d: int) -> np.ndarray:
     # C[r, k, l] = sum_u W_r[u] gamma^{u(k - l)}, where W_r[u] sums the
     # signed, doubled kernel K[r] over the outcome class (m + n) mod d = u.
     V = _dft(d)
     classes = ((np.arange(d)[:, None] + np.arange(d)[None, :]) % d).ravel()
     C = np.empty((4, d, d), dtype=complex)
-    for r, K in enumerate(kernel_table(d, variant)):
+    for r, K in enumerate(kernel_table(d)):
         W = np.bincount(classes, weights=K.ravel(), minlength=d)
         C[r] = (V.T * W) @ V.conj()
     C.flags.writeable = False
@@ -109,11 +110,11 @@ _PAIRS.flags.writeable = False
 # The kernel functions below take summed phases with any leading batch
 # axes, (..., 4, d); every row of a batch is computed exactly as it
 # would be alone.
-def _phased(theta: np.ndarray, d: int, variant: KernelVariant) -> np.ndarray:
+def _phased(theta: np.ndarray, d: int) -> np.ndarray:
     # P[..., r, :, :] = diag(e^{i theta_r}) C[r] diag(e^{-i theta_r}); each
     # is Hermitian and I = a^T Re(sum_r P[..., r, :, :]) a / ((d - 1) d^3).
     z = np.exp(1j * theta)
-    P = z[..., :, None] * _circulant(d, variant)
+    P = z[..., :, None] * _circulant(d)
     P *= z.conj()[..., None, :]
     return P
 
@@ -213,19 +214,19 @@ def joint_probabilities(state: PureState, settings: MeasurementSettings) -> Join
     return JointProbabilityTable(state.dim, p)
 
 
-def correlation_q(table: JointProbabilityTable, i: int, j: int, variant: KernelVariant) -> float:
+def correlation_q(table: JointProbabilityTable, i: int, j: int) -> float:
     """Q_ij = (1/S) sum_{m,n} f_ij(m, n) P(m, n), in [-1, 1]."""
     p = table.setting(i, j)
     d, r = table.dim.d, 2 * (i - 1) + (j - 1)
     # The sign comes off on the integers, so a zero Q21 stays +0.0.
-    return float(np.sum(PAIR_SIGNS[r] * kernel_table(d, variant)[r] * p) / (d - 1))
+    return float(np.sum(PAIR_SIGNS[r] * kernel_table(d)[r] * p) / (d - 1))
 
 
-def bell_value_from_table(table: JointProbabilityTable, variant: KernelVariant) -> float:
+def bell_value_from_table(table: JointProbabilityTable) -> float:
     """I = sum(K P) / (d - 1) for the signed, doubled kernel table K."""
     d = table.dim.d
     P = table.probabilities.reshape(4, d, d)
-    return sum(float(np.sum(k * p) / (d - 1)) for k, p in zip(kernel_table(d, variant), P))
+    return sum(float(np.sum(k * p) / (d - 1)) for k, p in zip(kernel_table(d), P))
 
 
 def mix_uniform_noise(table: JointProbabilityTable, noise_fraction: float) -> JointProbabilityTable:
@@ -237,37 +238,35 @@ def mix_uniform_noise(table: JointProbabilityTable, noise_fraction: float) -> Jo
     return JointProbabilityTable(table.dim, (1.0 - f) * table.probabilities + f / d**2)
 
 
-def bell_value(state: PureState, settings: MeasurementSettings,
-               variant: KernelVariant = KernelVariant.PLUS) -> float:
+def bell_value(state: PureState, settings: MeasurementSettings) -> float:
     """The Bell value I of the model, evaluated through the probability table."""
-    return bell_value_from_table(joint_probabilities(state, settings), variant)
+    return bell_value_from_table(joint_probabilities(state, settings))
 
 
 def bell_value_noisy(state: PureState, settings: MeasurementSettings,
-                     noise_fraction: float,
-                     variant: KernelVariant = KernelVariant.PLUS) -> float:
+                     noise_fraction: float) -> float:
     """Bell value of the uniform-noise admixture: the outcome table is
-    (1 - F) P + F / d^2.  The kernel sums to zero over the outcome
-    table, so the uniform part contributes nothing and the result
-    equals (1 - F) times the noiseless value; it is still evaluated on
-    the mixed table rather than by that shortcut."""
+    (1 - F) P + F / d^2.  Every row and every column of the kernel
+    table sums to zero, so the uniform part, like any noise with a
+    uniform marginal, contributes nothing, and the result equals
+    (1 - F) times the noiseless value; it is still evaluated on the
+    mixed table rather than by that shortcut."""
     mixed = mix_uniform_noise(joint_probabilities(state, settings), noise_fraction)
-    return bell_value_from_table(mixed, variant)
+    return bell_value_from_table(mixed)
 
 
-def pair_matrix(phases: np.ndarray, d: int,
-                variant: KernelVariant = KernelVariant.PLUS) -> np.ndarray:
+def pair_matrix(phases: np.ndarray, d: int) -> np.ndarray:
     """The pair matrix M of the (4, d) phase matrix (rows A1, A2, B1,
     B2): real, symmetric and with a zero diagonal, such that the Bell
     value of every state is the quadratic form I = a^T M a.  No
     validation happens here."""
-    return _pair_sum(_phased(_PAIRS @ phases, d, variant), d)
+    return _pair_sum(_phased(_PAIRS @ phases, d), d)
 
 
 @dataclass(frozen=True)
 class TCoefficients:
     """The six pair coefficients of the bilinear decomposition
-    I = sum_{k<l} a_k a_l T_kl (d = 4, plus-variant kernel).
+    I = sum_{k<l} a_k a_l T_kl (d = 4).
 
     Magnitudes are bounded by Gamma_1 for index gaps 1 and 3 and by
     Gamma_2 for gap 2; the constructor enforces the bounds with a
@@ -292,9 +291,6 @@ class TCoefficients:
 
     def values(self) -> tuple[float, ...]:
         return (self.t01, self.t02, self.t03, self.t12, self.t13, self.t23)
-
-    def __getitem__(self, pair: tuple[int, int]) -> float:
-        return self.values()[PAIR_SLOTS.index(pair)]
 
     def bilinear(self, state: PureState) -> float:
         """sum_{k<l} a_k a_l T_kl for the given state."""
@@ -339,8 +335,7 @@ def _theta_hessian(P: np.ndarray, coefficients: np.ndarray, pa: np.ndarray,
     return H
 
 
-def value_and_gradient_arrays(coefficients: np.ndarray, theta: np.ndarray,
-                              d: int, variant: KernelVariant):
+def value_and_gradient_arrays(coefficients: np.ndarray, theta: np.ndarray, d: int):
     """Low-level evaluation on raw arrays: the Bell value a^T M a at the
     (4, d) summed phases theta = phi^{A_i} + phi^{B_j} (rows in
     SETTING_PAIRS order), its gradient over theta, and a function that
@@ -355,7 +350,7 @@ def value_and_gradient_arrays(coefficients: np.ndarray, theta: np.ndarray,
     bit, and so does its Hessian whichever rows are formed with it.  No
     validation happens here; this is the optimizer's hot path.
     """
-    P = _phased(theta, d, variant)
+    P = _phased(theta, d)
     Ma = _pair_sum(P, d) @ coefficients[..., None]
     value = (coefficients[..., None, :] @ Ma)[..., 0, 0]
     gradient, pa = _theta_gradient(P, coefficients, d)
@@ -375,8 +370,7 @@ def _extreme_eigh(M: np.ndarray, d: int, largest: bool) -> tuple[np.ndarray, ...
     return w, V, k, d * np.abs(w[..., k] - w[..., n])
 
 
-def extreme_value_and_gradient(theta: np.ndarray, d: int, variant: KernelVariant,
-                               largest: bool):
+def extreme_value_and_gradient(theta: np.ndarray, d: int, largest: bool):
     """The Bell value optimized over states at fixed phases, on raw
     arrays: d lambda of the pair matrix's largest (or smallest)
     eigenvalue lambda at the (4, d) summed phases theta, its gradient
@@ -393,7 +387,7 @@ def extreme_value_and_gradient(theta: np.ndarray, d: int, variant: KernelVariant
     Batches behave as in value_and_gradient_arrays.  No validation
     happens here.
     """
-    P = _phased(theta, d, variant)
+    P = _phased(theta, d)
     w, V, k, _ = _extreme_eigh(_pair_sum(P, d), d, largest)
     a = math.sqrt(d) * V[..., k]
     gradient, pa = _theta_gradient(P, a, d)
@@ -416,8 +410,7 @@ def extreme_value_and_gradient(theta: np.ndarray, d: int, variant: KernelVariant
     return d * w[..., k], gradient, hessian
 
 
-def bell_gradient(state: PureState, settings: MeasurementSettings,
-                  variant: KernelVariant = KernelVariant.PLUS) -> np.ndarray:
+def bell_gradient(state: PureState, settings: MeasurementSettings) -> np.ndarray:
     """Partial derivatives of bell_value with respect to every phase,
     ordered A1, A2, B1, B2 with d entries each."""
     if state.dim != settings.dim:
@@ -425,7 +418,7 @@ def bell_gradient(state: PureState, settings: MeasurementSettings,
             f"state dimension {state.dim.d} != settings dimension {settings.dim.d}"
         )
     d = state.dim.d
-    P = _phased(_PAIRS @ _phase_matrix(settings), d, variant)
+    P = _phased(_PAIRS @ _phase_matrix(settings), d)
     return (_PAIRS.T @ _theta_gradient(P, np.asarray(state.coefficients), d)[0]).reshape(-1)
 
 
@@ -458,8 +451,7 @@ class SampleEstimate:
 
 
 def sample_experiment(state: PureState, settings: MeasurementSettings,
-                      shots_per_setting: int, seed: int,
-                      variant: KernelVariant = KernelVariant.PLUS) -> SampleEstimate:
+                      shots_per_setting: int, seed: int) -> SampleEstimate:
     """Draw the counts of shots_per_setting outcomes per setting pair as
     one multinomial draw from a seeded PRNG; deterministic for a fixed
     seed, and O(d^2) per setting whatever the shot count."""
@@ -485,7 +477,7 @@ def sample_experiment(state: PureState, settings: MeasurementSettings,
     # K doubles the kernel, so d - 1 = 2S stands in for the spin.
     value = 0.0
     variance = 0.0
-    for K, c in zip(kernel_table(d, variant), counts.reshape(4, d, d)):
+    for K, c in zip(kernel_table(d), counts.reshape(4, d, d)):
         value += np.sum(K * c) / ((d - 1) * shots)
         smoothed = (c + 0.5) / (shots + 0.5 * d * d)
         m1 = float(np.sum(smoothed * K))

@@ -7,12 +7,15 @@ Conventions used throughout the package:
 - The spin parameter is S = (d - 1) / 2.  Correlations are weighted by
   the half-integer kernel
 
-      f_ij(m, n) = S - M(eps(i - j) * (m + n), d)        (plus variant)
-      f_ij(m, n) = S - M(eps(i - j) * (m - n), d)        (minus variant)
+      f_ij(m, n) = S - M(eps(i - j) * (m + n), d)
 
   where M(x, d) is the non-negative residue of x modulo d and
   eps(x) = +1 for x >= 0, -1 otherwise.  Only the setting pair
-  (i, j) = (1, 2) picks up the sign flip.
+  (i, j) = (1, 2) picks up the sign flip.  This is the paper's
+  kernel, KernelVariant.PLUS, and the only one the engine, the
+  optimizer and the CLI evaluate.  kernel_f, kernel_table and the lhv
+  module also take KernelVariant.MINUS, with m - n in place of m + n:
+  the benchmark's exact LHV enumeration still runs both kernels.
 - The Bell expression is I = Q11 + Q12 - Q21 + Q22 with
   Q_ij = (1/S) sum_{m,n} f_ij(m, n) P_ij(m, n).  Every route (quantum,
   sampled, classical) reads it from kernel_table.
@@ -80,7 +83,9 @@ def require_seed(seed: object) -> None:
 
 
 class KernelVariant(enum.Enum):
-    """Sign convention inside the correlation kernel: m + n or m - n."""
+    """Sign convention inside the correlation kernel: m + n (PLUS, the
+    paper's) or m - n (MINUS, taken only by kernel_f, kernel_table and
+    the lhv module)."""
 
     PLUS = "plus"
     MINUS = "minus"
@@ -179,16 +184,6 @@ class MeasurementSettings:
                     f"setting {name} has dimension {vec.dim.d}, expected {self.dim.d}"
                 )
 
-    def alice(self, i: int) -> PhaseVector:
-        if i not in (1, 2):
-            raise ValidationError(f"setting index must be 1 or 2, got {i}")
-        return self.a1 if i == 1 else self.a2
-
-    def bob(self, j: int) -> PhaseVector:
-        if j not in (1, 2):
-            raise ValidationError(f"setting index must be 1 or 2, got {j}")
-        return self.b1 if j == 1 else self.b2
-
 
 def kernel_f(i: int, j: int, m: int, n: int, dim: Dimension, variant: KernelVariant) -> float:
     """Half-integer correlation kernel f_ij(m, n) in [-S, S].
@@ -210,30 +205,25 @@ def kernel_f(i: int, j: int, m: int, n: int, dim: Dimension, variant: KernelVari
     return dim.spin - ((eps * combo) % dim.d)
 
 
-def cached_per_variant(build):
-    """Cache build(d, variant), rejecting a variant that is not a
-    KernelVariant before the lookup: the cache hashes its key first, so
-    an unhashable variant would otherwise raise TypeError."""
-    cached = functools.lru_cache(maxsize=None)(build)
-
-    @functools.wraps(build)
-    def checked(d: int, variant: KernelVariant) -> np.ndarray:
-        if not isinstance(variant, KernelVariant):
-            raise ValidationError(f"variant must be a KernelVariant, got {variant!r}")
-        return cached(d, variant)
-
-    return checked
-
-
-@cached_per_variant
-def kernel_table(d: int, variant: KernelVariant) -> np.ndarray:
+def kernel_table(d: int, variant: KernelVariant = KernelVariant.PLUS) -> np.ndarray:
     """Read-only (4, d, d) int64 table K[r, m, n] = sign_r 2 f_ij(m, n)
-    for the setting pairs (i, j) = SETTING_PAIRS[r].
+    for the setting pairs (i, j) = SETTING_PAIRS[r], cached per (d,
+    variant); the default is the paper's kernel.
 
     Doubling makes the half-integer kernel integral, so the Bell value
     of any outcome table P of shape (4, d, d) is sum(K P) / (d - 1),
-    exactly for rational P.
+    exactly for rational P.  Every row and every column of each K[r]
+    sums to zero.
     """
+    # The cache hashes its key, so an unhashable variant must be
+    # rejected before the lookup, not with a TypeError inside it.
+    if not isinstance(variant, KernelVariant):
+        raise ValidationError(f"variant must be a KernelVariant, got {variant!r}")
+    return _kernel_table(d, variant)
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_table(d: int, variant: KernelVariant) -> np.ndarray:
     m, n = np.ogrid[:d, :d]
     combo = m + n if variant is KernelVariant.PLUS else m - n
     K = np.array([sign * ((d - 1) - 2 * (((-1 if i < j else 1) * combo) % d))

@@ -47,7 +47,6 @@ import numpy as np
 
 from .model import (
     Dimension,
-    KernelVariant,
     MeasurementSettings,
     PhaseVector,
     PureState,
@@ -55,8 +54,8 @@ from .model import (
     make_state,
     require_seed,
 )
-from .engine import (_PAIRS, _circulant, _extreme_eigh, extreme_value_and_gradient,
-                     pair_matrix, value_and_gradient_arrays)
+from .engine import (_PAIRS, _extreme_eigh, extreme_value_and_gradient, pair_matrix,
+                     value_and_gradient_arrays)
 from .analytic import PAIR_SLOTS
 
 __all__ = [
@@ -250,16 +249,6 @@ def _settings(phases: np.ndarray, dim: Dimension) -> MeasurementSettings:
     return MeasurementSettings(dim, *vectors)
 
 
-def _require_nonconstant(d: int, variant: KernelVariant) -> None:
-    # At odd d the minus kernel sums to zero over every outcome class, so
-    # the Bell value is 0 for every state and every angle.
-    if not np.any(_circulant(d, variant)):
-        raise ValidationError(
-            f"the {variant.value} kernel makes the Bell value identically 0 at "
-            f"d = {d}: constant objective, nothing to optimize"
-        )
-
-
 # Per free phase column, the summed phases (rows A1B1, A1B2, A2B1, A2B2)
 # of the coordinates y: theta = (y0 + y1, y0 + y2, y0 - y2, y0 - y1).
 # Theta^T Theta = diag(4, 2, 2).
@@ -357,24 +346,21 @@ def _make_run(search: _Search, state: PureState, settings: MeasurementSettings,
     )
 
 
-def optimize_angles(state: PureState, config: OptimizerConfig,
-                    variant: KernelVariant = KernelVariant.PLUS) -> OptimizationRun:
+def optimize_angles(state: PureState, config: OptimizerConfig) -> OptimizationRun:
     """Multi-start search over the phases at a fixed state, in the summed
     phases of the columns k with a_k != 0 but the first; the best
     settings have B1 = 0 and every other column at zero."""
     if config.free_state:
         raise ValidationError("optimize_angles requires config.free_state = False")
     d = state.dim.d
-    _require_nonconstant(d, variant)
     a = np.asarray(state.coefficients)
-    search = _multistart(lambda theta: value_and_gradient_arrays(a, theta, d, variant),
+    search = _multistart(lambda theta: value_and_gradient_arrays(a, theta, d),
                          d, np.flatnonzero(a)[1:], config)
     return _make_run(search, state, _settings(search.phases[search.best], state.dim),
                      search.converged)
 
 
-def optimize_joint(dim: Dimension, config: OptimizerConfig,
-                   variant: KernelVariant = KernelVariant.PLUS) -> OptimizationRun:
+def optimize_joint(dim: Dimension, config: OptimizerConfig) -> OptimizationRun:
     """Joint search over state coefficients and phases.
 
     For fixed phases the Bell value is the quadratic form a^T M a on the
@@ -396,12 +382,10 @@ def optimize_joint(dim: Dimension, config: OptimizerConfig,
     if not config.free_state:
         raise ValidationError("optimize_joint requires config.free_state = True")
     d = dim.d
-    _require_nonconstant(d, variant)
     largest = config.direction is Direction.MAXIMIZE
-    search = _multistart(
-        lambda theta: extreme_value_and_gradient(theta, d, variant, largest),
-        d, range(1, d), config)
-    _, V, k, gaps = _extreme_eigh(pair_matrix(search.phases, d, variant), d, largest)
+    search = _multistart(lambda theta: extreme_value_and_gradient(theta, d, largest),
+                         d, range(1, d), config)
+    _, V, k, gaps = _extreme_eigh(pair_matrix(search.phases, d), d, largest)
     converged = search.converged & (gaps > _GAP_RTOL * (1.0 + np.abs(search.values)))
     best = search.best
     phases, v = search.phases[best].copy(), V[best, :, k]

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .model import (
     Dimension,
-    KernelVariant,
     PureState,
     make_state,
     maximally_entangled_state,
@@ -29,6 +28,7 @@ from .analytic import (
     optimal_max_state,
     optimal_min_state,
     reference_optimal_angles,
+    sorted_magnitudes,
     threshold_noise,
 )
 from .engine import bell_value
@@ -141,10 +141,8 @@ def build_reproduction_report(restarts: int = 50, seed: int = 7) -> Reproduction
     rows.append(_row("global max, joint optimizer", 2.9727,
                      run_joint_max.best.value, 1e-3,
                      f"eigenvalue-reduced phase search, {restarts} restarts"))
-    sorted_found = tuple(sorted(
-        (abs(c) for c in run_joint_max.best.state.coefficients), reverse=True))
     deviation = max(abs(found - want) for found, want
-                    in zip(sorted_found, (ap, ap, am, am)))
+                    in zip(sorted_magnitudes(run_joint_max.best.state), (ap, ap, am, am)))
     rows.append(_row("joint max state vs radical coefficients", 0.0,
                      deviation, 1e-3, "optimizer state against radicals"))
     rows.append(_row("noise threshold, optimal state", 0.3272,
@@ -170,10 +168,8 @@ def build_reproduction_report(restarts: int = 50, seed: int = 7) -> Reproduction
     rows.append(_row("global min, joint optimizer", -3.46424,
                      run_joint_min.best.value, 1e-3,
                      f"eigenvalue-reduced phase search, {restarts} restarts"))
-    sorted_found = tuple(sorted(
-        (abs(c) for c in run_joint_min.best.state.coefficients), reverse=True))
     deviation = max(abs(found - want) for found, want
-                    in zip(sorted_found, (kp, kp, km, km)))
+                    in zip(sorted_magnitudes(run_joint_min.best.state), (kp, kp, km, km)))
     rows.append(_row("joint min state vs radical coefficients", 0.0,
                      deviation, 1e-3, "optimizer state against radicals"))
 

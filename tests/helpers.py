@@ -12,6 +12,7 @@ import numpy as np
 
 from bellmp import (
     Dimension,
+    KernelVariant,
     MeasurementSettings,
     PhaseVector,
     bell_value,
@@ -67,36 +68,40 @@ def reference_table(state, settings):
     d = state.dim.d
     a = np.asarray(state.coefficients)
     out = np.empty((2, 2, d, d))
-    for i in (1, 2):
-        ua = transfer_matrix(settings.alice(i).phases)
-        for j in (1, 2):
-            ub = transfer_matrix(settings.bob(j).phases)
+    for i, alice in enumerate((settings.a1, settings.a2), start=1):
+        ua = transfer_matrix(alice.phases)
+        for j, bob in enumerate((settings.b1, settings.b2), start=1):
+            ub = transfer_matrix(bob.phases)
             amp = np.einsum("k,mk,nk->mn", a, ua, ub)
             out[i - 1, j - 1] = np.abs(amp) ** 2 / d
     return out
 
 
-def reference_correlation(table_slice, i, j, dim, variant):
+def reference_correlation(table_slice, i, j, dim):
     total = 0.0
     for m in range(dim.d):
         for n in range(dim.d):
-            total += kernel_f(i, j, m, n, dim, variant) * table_slice[m, n]
+            total += kernel_f(i, j, m, n, dim, KernelVariant.PLUS) * table_slice[m, n]
     return total / dim.spin
 
 
-def reference_bell_value(state, settings, variant):
+def reference_bell_value(state, settings):
     """I from the reference table plus direct kernel sums."""
     table = reference_table(state, settings)
     total = 0.0
     for (i, j), sign in SETTING_SIGNS:
         total += sign * reference_correlation(
-            table[i - 1, j - 1], i, j, state.dim, variant
+            table[i - 1, j - 1], i, j, state.dim
         )
     return total
 
 
-def central_difference_gradient(state, settings, variant, step=1e-6):
-    """d I / d phi by central differences, ordered A1, A2, B1, B2."""
+def central_difference_gradient(state, settings, variant=KernelVariant.PLUS, step=1e-6):
+    """d I / d phi by central differences, ordered A1, A2, B1, B2.
+    bell_value evaluates the paper's kernel alone, so variant must be
+    KernelVariant.PLUS."""
+    if variant is not KernelVariant.PLUS:
+        raise ValueError(f"bell_value evaluates KernelVariant.PLUS only, got {variant!r}")
     dim = state.dim
     rows = settings_rows(settings)
     grad = np.empty(4 * dim.d)
@@ -106,7 +111,7 @@ def central_difference_gradient(state, settings, variant, step=1e-6):
             lo = [row[:] for row in rows]
             hi[r][k] += step
             lo[r][k] -= step
-            f_hi = bell_value(state, settings_from_rows(dim, hi), variant)
-            f_lo = bell_value(state, settings_from_rows(dim, lo), variant)
+            f_hi = bell_value(state, settings_from_rows(dim, hi))
+            f_lo = bell_value(state, settings_from_rows(dim, lo))
             grad[r * dim.d + k] = (f_hi - f_lo) / (2.0 * step)
     return grad

@@ -214,12 +214,26 @@ class TestBranchValues:
                 assert gmin.s2 == pytest.approx(rmin.s2, rel=1e-14)
 
     def test_optimal_max_family_value(self):
+        # The larger branch at the radical state, which equals the
+        # expansion a+^2 G1 + 2 a+ a- (G2 + G3) + a-^2 G3 on (a+, a+, a-, a-).
         state, value = optimal_max_state()
-        assert branch_values_max(state).max == pytest.approx(value, abs=1e-12)
+        assert value == branch_values_max(state).max
+        ap, am = state.coefficients[0], state.coefficients[2]
+        g = gamma_constants()
+        expanded = ap * ap * g.gamma1 + 2.0 * ap * am * (g.gamma2 + g.gamma3) \
+            + am * am * g.gamma3
+        assert value == pytest.approx(expanded, abs=1e-14)
 
     def test_optimal_min_family_value(self):
+        # The smaller branch at the radical state, which equals the
+        # expansion -k+^2 G1 - 2 k+ k- (G1 + G2) + k-^2 G3 on (k+, k+, k-, k-).
         state, value = optimal_min_state()
-        assert branch_values_min(state).min == pytest.approx(value, abs=1e-12)
+        assert value == branch_values_min(state).min
+        kp, km = state.coefficients[0], state.coefficients[2]
+        g = gamma_constants()
+        expanded = -kp * kp * g.gamma1 - 2.0 * kp * km * (g.gamma1 + g.gamma2) \
+            + km * km * g.gamma3
+        assert value == pytest.approx(expanded, abs=1e-14)
 
 
 class TestOptimalStates:

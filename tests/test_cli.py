@@ -14,7 +14,6 @@ import sys
 import pytest
 
 from bellmp import cli
-from bellmp import optimize as optimize_module
 from bellmp.cli import main
 
 ME_MAX = 2.896243218458708
@@ -132,7 +131,6 @@ class TestLhv:
         assert record["argmax"] == [0, 0, 0, 0]
         assert record["argmin"] == [0, 1, 3, 1]
         assert record["strategies_scanned"] == 256
-        assert record["variant"] == "plus"
 
     def test_dimension_guard(self, capsys):
         code, _, err = run(capsys, ["lhv", "--d", "13"])
@@ -195,19 +193,6 @@ class TestOptimize:
         code, _, err = run(capsys, argv)
         assert code == 1
         assert err.strip()
-
-    def test_constant_objective_is_rejected(self, capsys, monkeypatch):
-        # At odd d the minus kernel makes the Bell value identically 0.
-        def refuse(*args, **kwargs):
-            raise AssertionError("the search must not start")
-
-        monkeypatch.setattr(optimize_module, "_minimize", refuse)
-        for extra in ([], ["--free-state"]):
-            code, out, err = run(capsys, ["optimize", "--d", "3", "--variant",
-                                          "minus", "--restarts", "2", *extra])
-            assert code == 1
-            assert out == ""
-            assert "constant objective" in err
 
     @pytest.mark.parametrize("argv,flag", [
         (["optimize", "--d", "65"], "--d"),
@@ -549,6 +534,27 @@ class TestTopLevel:
         code, out, _ = run(capsys, ["--help"])
         assert code == 0
         assert "eval" in out and "reproduce" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--state", "1,1,1,1"],
+        ["lhv", "--d", "4"],
+        ["optimize", "--d", "4"],
+        ["sample", "--state", "1,1,1,1", "--shots", "10"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    def test_variant_flag_is_rejected_before_any_work(self, capsys, monkeypatch, argv,
+                                                      variant):
+        # Every subcommand evaluates the paper's kernel; there is no flag
+        # to choose another.
+        def refuse(*args, **kwargs):
+            raise AssertionError("no command may run")
+
+        for name in ("cmd_eval", "cmd_lhv", "cmd_optimize", "cmd_sample"):
+            monkeypatch.setattr(cli, name, refuse)
+        code, out, err = run(capsys, [*argv, "--variant", variant])
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --variant" in err
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("argv", [["eval", "--state", "1,1,1,1"],

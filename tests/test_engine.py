@@ -17,7 +17,6 @@ from bellmp import (
     Dimension,
     DimensionMismatchError,
     JointProbabilityTable,
-    KernelVariant,
     MeasurementSettings,
     MultiportUnitary,
     PhaseVector,
@@ -54,8 +53,6 @@ from helpers import (
     transfer_matrix,
 )
 
-PLUS = KernelVariant.PLUS
-MINUS = KernelVariant.MINUS
 D4 = Dimension(4)
 
 
@@ -200,14 +197,8 @@ class TestJointProbabilityTableValidation:
 
 
 class TestCorrelationAndBellValue:
-    def test_variant_name_is_rejected(self):
-        me, settings = maximally_entangled_state(D4), random_settings(np.random.default_rng(0), 4)
-        with pytest.raises(ValidationError, match="KernelVariant"):
-            bell_value(me, settings, "plus")
-
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    @pytest.mark.parametrize("variant", [PLUS, MINUS])
-    def test_correlation_matches_direct_kernel_sum(self, d, variant):
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_correlation_matches_direct_kernel_sum(self, d):
         rng = np.random.default_rng(300 + d)
         dim = Dimension(d)
         for _ in range(5):
@@ -216,10 +207,8 @@ class TestCorrelationAndBellValue:
             table = joint_probabilities(state, settings)
             for i in (1, 2):
                 for j in (1, 2):
-                    direct = reference_correlation(
-                        table.setting(i, j), i, j, dim, variant
-                    )
-                    assert abs(correlation_q(table, i, j, variant) - direct) < 1e-13
+                    direct = reference_correlation(table.setting(i, j), i, j, dim)
+                    assert abs(correlation_q(table, i, j) - direct) < 1e-13
 
     def test_correlation_bounded_by_one(self):
         rng = np.random.default_rng(42)
@@ -227,13 +216,13 @@ class TestCorrelationAndBellValue:
             table = joint_probabilities(random_state(rng, 4), random_settings(rng, 4))
             for i in (1, 2):
                 for j in (1, 2):
-                    assert abs(correlation_q(table, i, j, PLUS)) <= 1.0 + 1e-12
+                    assert abs(correlation_q(table, i, j)) <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("i,j", [(0, 1), (3, 1), (1, 3), (2, 0)])
     def test_correlation_rejects_bad_setting_index(self, i, j):
         table = joint_probabilities(maximally_entangled_state(D4), zero_settings(D4))
         with pytest.raises(ValidationError):
-            correlation_q(table, i, j, PLUS)
+            correlation_q(table, i, j)
 
     def test_maximally_entangled_zero_phases_value(self):
         state = maximally_entangled_state(D4)
@@ -241,18 +230,17 @@ class TestCorrelationAndBellValue:
         table = joint_probabilities(state, settings)
         for i in (1, 2):
             for j in (1, 2):
-                assert correlation_q(table, i, j, PLUS) == 1.0
+                assert correlation_q(table, i, j) == 1.0
         assert bell_value(state, settings) == 2.0
 
-    @pytest.mark.parametrize("d,variant", [(2, PLUS), (3, PLUS), (4, PLUS),
-                                           (4, MINUS), (5, MINUS)])
-    def test_bell_value_matches_reference(self, d, variant):
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+    def test_bell_value_matches_reference(self, d):
         rng = np.random.default_rng(400 + d)
         for _ in range(8):
             state = random_state(rng, d, signed=True)
             settings = random_settings(rng, d)
-            assert abs(bell_value(state, settings, variant)
-                       - reference_bell_value(state, settings, variant)) < 1e-12
+            assert abs(bell_value(state, settings)
+                       - reference_bell_value(state, settings)) < 1e-12
 
     def test_product_state_value_is_exactly_zero(self):
         # A single occupied port gives a flat table, and the kernel
@@ -345,26 +333,20 @@ class TestTCoefficients:
         with pytest.raises(ValidationError):
             TCoefficients(0.0, 0.5, 0.0, 0.0, 0.0, 0.0)
 
-    def test_item_access_follows_pair_slots(self):
-        coeffs = t_coefficients(zero_settings(D4))
-        for pair in PAIR_SLOTS:
-            assert coeffs[pair] == 1.0 / 3.0
-
     def test_requires_dimension_four(self):
         with pytest.raises(ValidationError):
             t_coefficients(zero_settings(Dimension(3)))
 
 
 class TestGradient:
-    @pytest.mark.parametrize("d,variant", [(2, PLUS), (3, PLUS), (4, PLUS),
-                                           (4, MINUS), (5, PLUS)])
-    def test_matches_central_differences(self, d, variant):
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+    def test_matches_central_differences(self, d):
         rng = np.random.default_rng(600 + d)
         for _ in range(5):
             state = random_state(rng, d, signed=True)
             settings = random_settings(rng, d)
-            grad = bell_gradient(state, settings, variant)
-            fd = central_difference_gradient(state, settings, variant)
+            grad = bell_gradient(state, settings)
+            fd = central_difference_gradient(state, settings)
             assert np.max(np.abs(grad - fd)) < 1e-6 * max(1.0, np.max(np.abs(grad)))
 
     def test_rows_sum_to_zero(self):
@@ -378,18 +360,17 @@ class TestGradient:
     def test_low_level_value_agrees_with_table_route(self):
         rng = np.random.default_rng(12)
         for d in (2, 3, 4, 5, 6, 8):
-            for variant in (PLUS, MINUS):
-                state = random_state(rng, d, signed=True)
-                settings = random_settings(rng, d)
-                phases = np.array(settings_rows(settings))
-                a = np.asarray(state.coefficients)
-                value = value_and_gradient_arrays(a, engine._PAIRS @ phases, d, variant)[0]
-                expected = bell_value(state, settings, variant)
-                assert abs(value - expected) < 1e-12
-                M = pair_matrix(phases, d, variant)
-                assert np.max(np.abs(M - M.T)) < 1e-14
-                assert np.max(np.abs(np.diag(M))) < 1e-14
-                assert abs(a @ M @ a - expected) < 1e-12
+            state = random_state(rng, d, signed=True)
+            settings = random_settings(rng, d)
+            phases = np.array(settings_rows(settings))
+            a = np.asarray(state.coefficients)
+            value = value_and_gradient_arrays(a, engine._PAIRS @ phases, d)[0]
+            expected = bell_value(state, settings)
+            assert abs(value - expected) < 1e-12
+            M = pair_matrix(phases, d)
+            assert np.max(np.abs(M - M.T)) < 1e-14
+            assert np.max(np.abs(np.diag(M))) < 1e-14
+            assert abs(a @ M @ a - expected) < 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -414,15 +395,14 @@ class TestThetaHessian:
     zeros off it."""
 
     @pytest.mark.parametrize("d", range(2, 9))
-    @pytest.mark.parametrize("variant", [PLUS, MINUS])
     @pytest.mark.parametrize("batch", [(), (1,), (7,)])
-    def test_pair_blocks_on_the_diagonal_and_zeros_off_it(self, d, variant, batch):
+    def test_pair_blocks_on_the_diagonal_and_zeros_off_it(self, d, batch):
         rng = np.random.default_rng(d)
         theta = engine._PAIRS @ rng.uniform(-10.0, 10.0, batch + (4, d))
         a = rng.uniform(-2.0, 2.0, batch + (d,))
-        H = value_and_gradient_arrays(a, theta, d, variant)[2]()
+        H = value_and_gradient_arrays(a, theta, d)[2]()
         assert H.shape == batch + (4, d, 4, d)
-        blocks = _pair_blocks(engine._phased(theta, d, variant), a, d)
+        blocks = _pair_blocks(engine._phased(theta, d), a, d)
         for r in range(4):
             for s in range(4):
                 expected = blocks[..., r, :, :] if r == s else np.zeros(batch + (d, d))
@@ -452,26 +432,23 @@ def _random_case(seed, d):
 
 
 _PROPERTY = hypothesis_settings(max_examples=40, deadline=None)
-_CASES = {"seed": st.integers(0, 2**32 - 1), "d": st.integers(2, 8),
-          "variant": st.sampled_from([PLUS, MINUS])}
+_CASES = {"seed": st.integers(0, 2**32 - 1), "d": st.integers(2, 8)}
 
 
 @_PROPERTY
 @given(vector=st.integers(0, 3), shift=st.floats(-10.0, 10.0), **_CASES)
-def test_shifting_one_phase_vector_leaves_value_unchanged(seed, d, variant, vector,
-                                                          shift):
+def test_shifting_one_phase_vector_leaves_value_unchanged(seed, d, vector, shift):
     # Gauge: only phase differences within a vector enter the value.
     state, settings = _random_case(seed, d)
     rows = settings_rows(settings)
     rows[vector] = [phase + shift for phase in rows[vector]]
     shifted = settings_from_rows(Dimension(d), rows)
-    assert abs(bell_value(state, shifted, variant)
-               - bell_value(state, settings, variant)) < 1e-12
+    assert abs(bell_value(state, shifted) - bell_value(state, settings)) < 1e-12
 
 
 @_PROPERTY
 @given(k=st.integers(0, 7), **_CASES)
-def test_sign_flip_is_absorbed_by_pi_on_alice(seed, d, variant, k):
+def test_sign_flip_is_absorbed_by_pi_on_alice(seed, d, k):
     # a_k -> -a_k with pi added to A1[k] and A2[k] leaves every setting
     # pair's amplitude unchanged; the joint search relies on it.
     state, settings = _random_case(seed, d)
@@ -482,13 +459,13 @@ def test_sign_flip_is_absorbed_by_pi_on_alice(seed, d, variant, k):
     rows[0][k] += math.pi
     rows[1][k] += math.pi
     flipped = make_state(Dimension(d), coefficients)
-    assert abs(bell_value(flipped, settings_from_rows(Dimension(d), rows), variant)
-               - bell_value(state, settings, variant)) < 1e-12
+    assert abs(bell_value(flipped, settings_from_rows(Dimension(d), rows))
+               - bell_value(state, settings)) < 1e-12
 
 
 @_PROPERTY
 @given(shift=st.integers(0, 7), **_CASES)
-def test_dihedral_port_relabeling_leaves_value_unchanged(seed, d, variant, shift):
+def test_dihedral_port_relabeling_leaves_value_unchanged(seed, d, shift):
     # Port k -> k + t (mod d), in the state and in all four phase rows,
     # multiplies each outcome class u's amplitude by gamma^{t u}; k -> -k
     # (mod d) with every phase negated conjugates it.  Without the negation
@@ -496,12 +473,12 @@ def test_dihedral_port_relabeling_leaves_value_unchanged(seed, d, variant, shift
     state, settings = _random_case(seed, d)
     a = np.array(state.coefficients)
     rows = np.array(settings_rows(settings))
-    expected = bell_value(state, settings, variant)
+    expected = bell_value(state, settings)
     reflect = -np.arange(d) % d
     for relabeled, phases in ((np.roll(a, shift), np.roll(rows, shift, axis=1)),
                               (a[reflect], -rows[:, reflect])):
         value = bell_value(make_state(Dimension(d), tuple(relabeled)),
-                           settings_from_rows(Dimension(d), phases), variant)
+                           settings_from_rows(Dimension(d), phases))
         assert abs(value - expected) < 1e-12
 
 
@@ -514,37 +491,37 @@ def test_pi_on_alice_negates_the_t_coefficients_of_that_port(seed, k):
     rows = settings_rows(settings)
     rows[0][k] += math.pi
     rows[1][k] += math.pi
-    before = t_coefficients(settings)
-    after = t_coefficients(settings_from_rows(D4, rows))
-    for pair in PAIR_SLOTS:
-        expected = -before[pair] if k in pair else before[pair]
-        assert abs(after[pair] - expected) < 1e-12
+    before = t_coefficients(settings).values()
+    after = t_coefficients(settings_from_rows(D4, rows)).values()
+    for pair, old, new in zip(PAIR_SLOTS, before, after):
+        expected = -old if k in pair else old
+        assert abs(new - expected) < 1e-12
 
 
 @_PROPERTY
 @given(noise=st.floats(0.0, 1.0), **_CASES)
-def test_noise_scales_value_linearly(seed, d, variant, noise):
+def test_noise_scales_value_linearly(seed, d, noise):
     state, settings = _random_case(seed, d)
-    assert abs(bell_value_noisy(state, settings, noise, variant)
-               - (1.0 - noise) * bell_value(state, settings, variant)) < 1e-12
+    assert abs(bell_value_noisy(state, settings, noise)
+               - (1.0 - noise) * bell_value(state, settings)) < 1e-12
 
 
 # Checks the summed-phase map theta = L phi, which the pair matrix and
 # the kernel share, against the table route.
 @_PROPERTY
 @given(**_CASES)
-def test_pair_matrix_and_kernel_agree_with_the_table_route(seed, d, variant):
+def test_pair_matrix_and_kernel_agree_with_the_table_route(seed, d):
     state, settings = _random_case(seed, d)
     a = np.asarray(state.coefficients)
     phases = np.array(settings_rows(settings))
-    expected = bell_value(state, settings, variant)
+    expected = bell_value(state, settings)
     tolerance = 1e-12 * max(1.0, abs(expected))
-    assert abs(a @ pair_matrix(phases, d, variant) @ a - expected) <= tolerance
-    value, gradient, _ = value_and_gradient_arrays(a, engine._PAIRS @ phases, d, variant)
+    assert abs(a @ pair_matrix(phases, d) @ a - expected) <= tolerance
+    value, gradient, _ = value_and_gradient_arrays(a, engine._PAIRS @ phases, d)
     assert abs(value - expected) <= tolerance
     # L^T carries the theta gradient to the phases.
     gradient = (engine._PAIRS.T @ gradient).reshape(-1)
-    fd = central_difference_gradient(state, settings, variant)
+    fd = central_difference_gradient(state, settings)
     assert np.max(np.abs(gradient - fd)) <= 1e-6 * max(1.0, np.max(np.abs(gradient)))
 
 
@@ -610,17 +587,13 @@ class TestSampling:
         assert type(estimate.shots_per_setting) is int
         assert np.array_equal(estimate.counts, sample_experiment(state, settings, 100, 3).counts)
 
-    def test_variant_name_is_rejected(self):
-        with pytest.raises(ValidationError, match="KernelVariant"):
-            sample_experiment(maximally_entangled_state(D4), zero_settings(D4), 10, 0, "plus")
-
     @_PROPERTY
     @given(data=st.data(), **_CASES)
-    def test_counts_fill_every_slice_up_to_the_shot_limit(self, data, seed, d, variant):
+    def test_counts_fill_every_slice_up_to_the_shot_limit(self, data, seed, d):
         limit = (2**63 - 1) // (d - 1)
         shots = data.draw(st.one_of(st.integers(1, limit), st.just(limit)))
         state, settings = _random_case(seed, d)
-        estimate = sample_experiment(state, settings, shots, seed, variant)
+        estimate = sample_experiment(state, settings, shots, seed)
         assert estimate.counts.dtype == np.int64
         assert np.all(estimate.counts.sum(axis=(2, 3)) == shots)
         assert math.isfinite(estimate.value_estimate)

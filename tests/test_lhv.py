@@ -59,10 +59,10 @@ class TestLhvValue:
                 p[1, 1, a2, b2] = 1.0
                 table = JointProbabilityTable(dim, p)
                 through_engine = (
-                    correlation_q(table, 1, 1, PLUS)
-                    + correlation_q(table, 1, 2, PLUS)
-                    - correlation_q(table, 2, 1, PLUS)
-                    + correlation_q(table, 2, 2, PLUS)
+                    correlation_q(table, 1, 1)
+                    + correlation_q(table, 1, 2)
+                    - correlation_q(table, 2, 1)
+                    + correlation_q(table, 2, 2)
                 )
                 assert abs(through_engine - float(lhv_value(strategy))) < 1e-12
 

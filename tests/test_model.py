@@ -135,6 +135,17 @@ class TestKernelTable:
         assert SETTING_PAIRS == ((1, 1), (1, 2), (2, 1), (2, 2))
         assert PAIR_SIGNS == (1, 1, -1, 1)
 
+    @pytest.mark.parametrize("d", range(2, 10))
+    @pytest.mark.parametrize("variant", [PLUS, MINUS])
+    @pytest.mark.parametrize("axis", [pytest.param(2, id="rows"),
+                                      pytest.param(1, id="columns")])
+    def test_every_row_and_column_sums_to_zero(self, d, variant, axis):
+        # So an outcome table whose marginal on either side is uniform,
+        # such as white noise, adds 0 to the Bell value.
+        sums = kernel_table(d, variant).sum(axis=axis)
+        assert sums.shape == (4, d)
+        assert not np.any(sums)
+
     @pytest.mark.parametrize("variant", [PLUS, MINUS])
     def test_int64_read_only_and_cached(self, variant):
         K = kernel_table(4, variant)
@@ -151,30 +162,18 @@ class TestKernelTable:
 
 
 _D4 = Dimension(4)
-_ME = maximally_entangled_state(_D4)
-_ZERO = zero_settings(_D4)
-# Every public route that takes a kernel variant, called with `variant`.
+# The public routes that take a kernel variant besides kernel_f and
+# kernel_table (checked above), called with `variant`.
 _VARIANT_ROUTES = {
-    "bell_value": lambda variant: bellmp.bell_value(_ME, _ZERO, variant),
-    "bell_value_noisy": lambda variant: bellmp.bell_value_noisy(_ME, _ZERO, 0.1, variant),
-    "bell_gradient": lambda variant: bellmp.bell_gradient(_ME, _ZERO, variant),
-    "correlation_q": lambda variant: bellmp.correlation_q(
-        bellmp.joint_probabilities(_ME, _ZERO), 1, 1, variant),
-    "pair_matrix": lambda variant: bellmp.engine.pair_matrix(np.zeros((4, 4)), 4, variant),
-    "sample_experiment": lambda variant: bellmp.sample_experiment(_ME, _ZERO, 10, 0, variant),
     "lhv_value": lambda variant: bellmp.lhv_value(
         bellmp.DeterministicStrategy(_D4, (0, 0, 0, 0)), variant),
     "lhv_bounds": lambda variant: bellmp.lhv_bounds(_D4, variant),
-    "optimize_angles": lambda variant: bellmp.optimize_angles(
-        _ME, bellmp.OptimizerConfig(restarts=1), variant),
-    "optimize_joint": lambda variant: bellmp.optimize_joint(
-        _D4, bellmp.OptimizerConfig(restarts=1, free_state=True), variant),
 }
 
 
 @pytest.mark.parametrize("route", sorted(_VARIANT_ROUTES))
 def test_unhashable_variant_is_rejected_on_every_route(route):
-    # The per-variant caches must check the variant before they hash it.
+    # The kernel table's cache must check the variant before it hashes it.
     with pytest.raises(ValidationError, match="KernelVariant"):
         _VARIANT_ROUTES[route](["plus"])
 
@@ -308,17 +307,10 @@ class TestMeasurementSettings:
         dim = Dimension(2)
         vecs = [PhaseVector(dim, (float(k), 0.0)) for k in range(4)]
         settings = MeasurementSettings(dim, *vecs)
-        assert settings.alice(1) is vecs[0]
-        assert settings.alice(2) is vecs[1]
-        assert settings.bob(1) is vecs[2]
-        assert settings.bob(2) is vecs[3]
-
-    def test_bad_selection_index(self):
-        settings = zero_settings(Dimension(2))
-        with pytest.raises(ValidationError):
-            settings.alice(0)
-        with pytest.raises(ValidationError):
-            settings.bob(3)
+        assert settings.a1 is vecs[0]
+        assert settings.a2 is vecs[1]
+        assert settings.b1 is vecs[2]
+        assert settings.b2 is vecs[3]
 
     def test_mixed_dimensions_rejected(self):
         d2, d3 = Dimension(2), Dimension(3)

@@ -22,7 +22,6 @@ from bellmp import (
     PAIR_SLOTS,
     Dimension,
     Direction,
-    KernelVariant,
     OptimizerConfig,
     ValidationError,
     bell_value,
@@ -38,7 +37,6 @@ from bellmp import (
     optimize_joint,
     t_coefficients,
     vertex_candidates,
-    zero_settings,
 )
 from bellmp.engine import (_extreme_eigh, extreme_value_and_gradient, pair_matrix,
                            value_and_gradient_arrays)
@@ -90,13 +88,6 @@ class TestConfigValidation:
     def test_rejects_bad_fields(self, build, kwargs):
         with pytest.raises(ValidationError):
             build(**kwargs)
-
-    def test_variant_name_is_rejected(self):
-        me = maximally_entangled_state(D4)
-        with pytest.raises(ValidationError, match="KernelVariant"):
-            optimize_angles(me, OptimizerConfig(restarts=1), "plus")
-        with pytest.raises(ValidationError, match="KernelVariant"):
-            optimize_joint(D4, OptimizerConfig(restarts=1, free_state=True), "plus")
 
     def test_free_state_cross_guards(self):
         me = maximally_entangled_state(D4)
@@ -292,16 +283,15 @@ def _starts(d, stream, restarts):
             / np.repeat((4.0, 2.0, 2.0), d - 1))
 
 
-def _kernel(search, d, direction, variant, a):
+def _kernel(search, d, direction, a):
     # The kernel a search evaluates: the quadratic form at coefficients a
     # (angles) or the extreme eigenvalue (joint).
     if search == "angles":
         def evaluate(theta):
-            return value_and_gradient_arrays(a, theta, d, variant)
+            return value_and_gradient_arrays(a, theta, d)
     else:
         def evaluate(theta):
-            return extreme_value_and_gradient(theta, d, variant,
-                                              direction is Direction.MAXIMIZE)
+            return extreme_value_and_gradient(theta, d, direction is Direction.MAXIMIZE)
     return evaluate
 
 
@@ -309,19 +299,14 @@ def _sign(direction):
     return 1.0 if direction is Direction.MAXIMIZE else -1.0
 
 
-def _objective(search, d, direction, variant=KernelVariant.PLUS):
+def _objective(search, d, direction):
     # The function the driver hands the solver, over the coordinates y.
     a = np.asarray(random_state(np.random.default_rng(d), d).coefficients)
-    return bellmp.optimize._objective(_kernel(search, d, direction, variant, a), d,
+    return bellmp.optimize._objective(_kernel(search, d, direction, a), d,
                                       _theta_map(d), _sign(direction))
 
 
 _minimize = bellmp.optimize._minimize
-
-
-# Every (d, variant) whose objective is not constant, for d in 2, 3, 4, 6, 8.
-_NONCONSTANT = [(d, variant) for d in (2, 3, 4, 6, 8) for variant in KernelVariant
-                if d % 2 == 0 or variant is KernelVariant.PLUS]
 
 
 class TestScheduleIndependence:
@@ -329,10 +314,10 @@ class TestScheduleIndependence:
     batch."""
 
     @pytest.mark.parametrize("search", ["angles", "joint"])
-    @pytest.mark.parametrize("d,variant", _NONCONSTANT)
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8])
     @pytest.mark.parametrize("direction", list(Direction))
-    def test_batch_equals_one_restart_at_a_time(self, search, d, variant, direction):
-        fun = _objective(search, d, direction, variant)
+    def test_batch_equals_one_restart_at_a_time(self, search, d, direction):
+        fun = _objective(search, d, direction)
         starts = np.random.default_rng(10 + d).uniform(
             0.0, 2.0 * math.pi, (5, 3 * (d - 1)))
         batch = _minimize(fun, starts)
@@ -381,8 +366,8 @@ class TestScheduleIndependence:
         theta = bellmp.engine._PAIRS @ rng.uniform(0.0, 2.0 * math.pi, (400, 4, d))
         a = rng.uniform(-2.0, 2.0, d)
         subset = np.arange(0, len(theta), 3)
-        for kernel in (lambda t: value_and_gradient_arrays(a, t, d, KernelVariant.PLUS),
-                       lambda t: extreme_value_and_gradient(t, d, KernelVariant.PLUS, False)):
+        for kernel in (lambda t: value_and_gradient_arrays(a, t, d),
+                       lambda t: extreme_value_and_gradient(t, d, False)):
             value, gradient, hessian = kernel(theta)
             whole = hessian()
             assert np.array_equal(hessian(subset), whole[subset])
@@ -395,11 +380,9 @@ class TestScheduleIndependence:
 
 @settings(max_examples=60, deadline=None)
 @given(d=st.integers(2, 8), rows=st.integers(1, 6),
-       seed=st.integers(0, 2**32 - 1), largest=st.booleans(),
-       variant=st.sampled_from(list(KernelVariant)), shared=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), largest=st.booleans(), shared=st.booleans(),
        data=st.data())
-def test_batched_kernel_rows_equal_single_calls(d, rows, seed, largest, variant,
-                                                shared, data):
+def test_batched_kernel_rows_equal_single_calls(d, rows, seed, largest, shared, data):
     rng = np.random.default_rng(seed)
     phases = rng.uniform(-10.0, 10.0, (rows, 4, d))
     theta = bellmp.engine._PAIRS @ phases
@@ -407,54 +390,48 @@ def test_batched_kernel_rows_equal_single_calls(d, rows, seed, largest, variant,
     coefficients = rng.uniform(-2.0, 2.0, d if shared else (rows, d))
     # the rows whose Hessians the solver would form, in batch order
     subset = np.array(sorted(data.draw(st.sets(st.integers(0, rows - 1), min_size=1))))
-    quadratic = value_and_gradient_arrays(coefficients, theta, d, variant)
-    extreme = extreme_value_and_gradient(theta, d, variant, largest)
+    quadratic = value_and_gradient_arrays(coefficients, theta, d)
+    extreme = extreme_value_and_gradient(theta, d, largest)
     whole_q, whole_e = quadratic[2](), extreme[2]()
     for batch, whole in ((quadratic, whole_q), (extreme, whole_e)):
         assert whole.shape == (rows, 4, d, 4, d)
         assert np.array_equal(batch[2](subset), whole[subset])
     for r in range(rows):
         a = coefficients if shared else coefficients[r]
-        single = value_and_gradient_arrays(a, theta[r], d, variant)
+        single = value_and_gradient_arrays(a, theta[r], d)
         # value, gradient, Hessian: of the whole batch and of the row alone
         assert quadratic[0][r] == single[0]
         assert np.array_equal(quadratic[1][r], single[1])
         assert np.array_equal(whole_q[r], single[2]())
         assert np.array_equal(quadratic[2]([r])[0], single[2]())
-        single = extreme_value_and_gradient(theta[r], d, variant, largest)
+        single = extreme_value_and_gradient(theta[r], d, largest)
         assert extreme[0][r] == single[0]
         assert np.array_equal(extreme[1][r], single[1])
         assert np.array_equal(whole_e[r], single[2]())
         assert np.array_equal(extreme[2]([r])[0], single[2]())
     # optimize_joint reads its final eigenvectors and gaps from the same
     # decomposition, whose extreme eigenvalue is the kernel's value
-    w, _, k, _ = _extreme_eigh(pair_matrix(phases, d, variant), d, largest)
+    w, _, k, _ = _extreme_eigh(pair_matrix(phases, d), d, largest)
     assert np.array_equal(d * w[..., k], extreme[0])
 
 
 _SEARCHES = dict(d=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
                  direction=st.sampled_from(list(Direction)),
-                 variant=st.sampled_from(list(KernelVariant)),
                  search=st.sampled_from(["angles", "joint"]))
-
-
-def _random_kernel(rng, d, variant, direction, search):
-    # A search's kernel, for random coefficients in the angle search.
-    assume(np.any(bellmp.engine._circulant(d, variant)))  # not the constant kernel
-    return _kernel(search, d, direction, variant, rng.uniform(-2.0, 2.0, d))
 
 
 @settings(max_examples=60, deadline=None)
 @given(**_SEARCHES)
-def test_hessians_match_differences_of_the_gradient(d, seed, direction, variant, search):
+def test_hessians_match_differences_of_the_gradient(d, seed, direction, search):
     # Through the solver's objective, so the Hessian C^T H C it sees is checked.
     rng = np.random.default_rng(seed)
-    evaluate = _random_kernel(rng, d, variant, direction, search)
+    # A search's kernel, for random coefficients in the angle search.
+    evaluate = _kernel(search, d, direction, rng.uniform(-2.0, 2.0, d))
     fun = bellmp.optimize._objective(evaluate, d, _theta_map(d), _sign(direction))
     y = rng.uniform(0.0, 2.0 * math.pi, (1, 3 * (d - 1)))
     if search == "joint":
         phases = bellmp.optimize._gauge_phases((_theta_map(d) @ y[0]).reshape(4, d))
-        assume(_extreme_eigh(pair_matrix(phases, d, variant), d,
+        assume(_extreme_eigh(pair_matrix(phases, d), d,
                              direction is Direction.MAXIMIZE)[3] >= 1e-3)
     H = fun(y)[2]([0])[0]
     scale = np.max(np.abs(H))
@@ -496,17 +473,16 @@ def test_gauge_phases_sum_to_the_summed_phases_of_y(d, columns):
 def _gauge_cases():
     # Every search that reports phases: the angle and joint searches in
     # both directions, and the |T_kl| search for every pair.
-    cases = [pytest.param("angles", 4, KernelVariant.PLUS, direction,
-                          id=f"angles-{direction.value}") for direction in Direction]
-    cases += [pytest.param("joint", d, variant, direction,
-                           id=f"joint-{d}-{variant.value}-{direction.value}")
-              for d in (2, 4, 6) for variant in KernelVariant for direction in Direction]
-    return cases + [pytest.param("T", 4, KernelVariant.PLUS, pair, id=f"T{pair[0]}{pair[1]}")
+    cases = [pytest.param("angles", 4, direction, id=f"angles-{direction.value}")
+             for direction in Direction]
+    cases += [pytest.param("joint", d, direction, id=f"joint-{d}-{direction.value}")
+              for d in (2, 3, 4, 5, 6) for direction in Direction]
+    return cases + [pytest.param("T", 4, pair, id=f"T{pair[0]}{pair[1]}")
                     for pair in PAIR_SLOTS]
 
 
-@pytest.mark.parametrize("search,d,variant,how", _gauge_cases())
-def test_searches_report_optima_in_the_gauge_b1_zero(search, d, variant, how):
+@pytest.mark.parametrize("search,d,how", _gauge_cases())
+def test_searches_report_optima_in_the_gauge_b1_zero(search, d, how):
     # B1 is exactly zero, and so is column 0 (every column but l for
     # |T_kl|); the reported settings attain the reported value.
     dim = Dimension(d)
@@ -515,17 +491,18 @@ def test_searches_report_optima_in_the_gauge_b1_zero(search, d, variant, how):
         magnitude, settings = max_abs_t_coefficient(how, restarts=3, seed=1)
         phases = np.array(settings_rows(settings))
         assert np.array_equal(np.delete(phases, l, axis=1), np.zeros((4, 3)))
-        assert abs(abs(t_coefficients(settings)[how]) - magnitude) <= 1e-12
+        t = t_coefficients(settings).values()[PAIR_SLOTS.index(how)]
+        assert abs(abs(t) - magnitude) <= 1e-12
     else:
         config = OptimizerConfig(restarts=4, seed=2, direction=how,
                                  free_state=search == "joint")
         if search == "joint":
-            run = optimize_joint(dim, config, variant)
+            run = optimize_joint(dim, config)
         else:
-            run = optimize_angles(make_state(dim, (1.2, 0.3, 0.9, 1.4)), config, variant)
+            run = optimize_angles(make_state(dim, (1.2, 0.3, 0.9, 1.4)), config)
         phases = np.array(settings_rows(run.best.settings))
         assert np.array_equal(phases[:, 0], np.zeros(4))
-        assert abs(bell_value(run.best.state, run.best.settings, variant)
+        assert abs(bell_value(run.best.state, run.best.settings)
                    - run.best.value) <= 1e-12
     assert np.array_equal(phases[2], np.zeros(d))
     assert not np.any(np.signbit(phases[phases == 0.0]))
@@ -718,7 +695,7 @@ class TestEigenReduction:
         rng = np.random.default_rng(100 + d)
         phases = rng.uniform(0.0, 2.0 * math.pi, (4, d))
         theta = bellmp.engine._PAIRS @ phases
-        _, grad, _ = extreme_value_and_gradient(theta, d, KernelVariant.PLUS, largest)
+        _, grad, _ = extreme_value_and_gradient(theta, d, largest)
         gap = _extreme_eigh(pair_matrix(phases, d), d, largest)[3]
         assert gap > 1e-3  # differentiable here
         step = 1e-6
@@ -730,8 +707,8 @@ class TestEigenReduction:
                 hi[r, k] += step
                 lo[r, k] -= step
                 fd[r, k] = (
-                    extreme_value_and_gradient(hi, d, KernelVariant.PLUS, largest)[0]
-                    - extreme_value_and_gradient(lo, d, KernelVariant.PLUS, largest)[0]
+                    extreme_value_and_gradient(hi, d, largest)[0]
+                    - extreme_value_and_gradient(lo, d, largest)[0]
                 ) / (2.0 * step)
         assert np.max(np.abs(grad - fd)) < 1e-7
 
@@ -782,21 +759,6 @@ class TestEigenReduction:
         assert not bottom.converged
 
 
-class TestConstantObjective:
-    @pytest.mark.parametrize("d", [3, 5])
-    def test_minus_variant_at_odd_d_is_rejected(self, d):
-        dim = Dimension(d)
-        me = maximally_entangled_state(dim)
-        with pytest.raises(ValidationError, match="constant objective"):
-            optimize_angles(me, OptimizerConfig(restarts=1),
-                            KernelVariant.MINUS)
-        with pytest.raises(ValidationError, match="constant objective"):
-            optimize_joint(dim, OptimizerConfig(restarts=1, free_state=True),
-                           KernelVariant.MINUS)
-        # the value itself stays available, and it is 0 up to round-off
-        assert abs(bell_value(me, zero_settings(dim), KernelVariant.MINUS)) < 1e-15
-
-
 class TestCoefficientSearch:
     @pytest.mark.parametrize("pair,target", [
         ((0, 1), 0.871041976584251),
@@ -809,8 +771,8 @@ class TestCoefficientSearch:
         assert abs(magnitude - target) < 1e-9
         # returned settings must reproduce the magnitude through the
         # full coefficient computation
-        coefficients = t_coefficients(settings)
-        assert abs(abs(coefficients[pair]) - magnitude) < 1e-9
+        coefficient = t_coefficients(settings).values()[PAIR_SLOTS.index(pair)]
+        assert abs(abs(coefficient) - magnitude) < 1e-9
 
     @pytest.mark.parametrize("seed", range(6))
     def test_three_restarts_reach_every_peak(self, seed):

@@ -264,8 +264,13 @@ def max_entangled_value() -> float:
 
 
 def noise_resistance_gain(bell_value: float, reference_value: float) -> float:
-    """Relative gain (F(I) - F(I_ref)) / F(I_ref) of the threshold F = threshold_noise."""
+    """Relative gain (F(I) - F(I_ref)) / F(I_ref) of the threshold
+    F = threshold_noise, for a reference value I_ref above 2."""
     reference = threshold_noise(reference_value)
+    if reference <= 0.0:
+        raise ValidationError(
+            f"the reference value must exceed 2, got {reference_value!r}"
+        )
     return (threshold_noise(bell_value) - reference) / reference
 
 

@@ -3,8 +3,11 @@
 Subcommands: eval, lhv, optimize, analytic, reproduce, scan, sample.
 All machine output is JSON (or CSV for scan) with floats rounded to 12
 significant digits.  Every subcommand evaluates the paper's m + n
-kernel.  Exit codes: 0 success, 1 validation error, 2 reproduction
-failure.
+kernel.  A --state is a comma list of coefficients, and their number is
+the outcome dimension.  optimize takes exactly one of --state and --d;
+--d searches at the flat state of d outcomes, or over all its states
+with --free-state.  Exit codes: 0 success, 1 validation error,
+2 reproduction failure.
 """
 
 from __future__ import annotations
@@ -107,8 +110,8 @@ def _emit_json(obj) -> None:
     print(json.dumps(_round_floats(obj), indent=2, sort_keys=True))
 
 
-def _check_dimension(d: int | None, source: str = "--d") -> None:
-    if d is not None and d > MAX_DIMENSION:
+def _check_dimension(d: int, source: str) -> None:
+    if d > MAX_DIMENSION:
         raise ValidationError(f"{source} must be at most {MAX_DIMENSION}, got {d}")
 
 
@@ -121,13 +124,13 @@ def _check_work(d: int, restarts: int) -> None:
     per_restart = (d - 1) * d * d
     if restarts * per_restart > MAX_WORK:
         raise ValidationError(
-            f"--restarts {restarts} at --d {d} is {restarts * per_restart} work "
+            f"--restarts {restarts} at dimension {d} is {restarts * per_restart} work "
             f"units, above the budget of {MAX_WORK}; use at most "
             f"{MAX_WORK // per_restart} restarts at this dimension"
         )
 
 
-def _parse_state(text: str, d: int | None) -> PureState:
+def _state_values(text: str) -> list[float]:
     parts = [p.strip() for p in text.split(",")]
     if any(p == "" for p in parts):
         raise ValidationError(f"malformed state spec {text!r}")
@@ -136,8 +139,12 @@ def _parse_state(text: str, d: int | None) -> PureState:
     except ValueError as exc:
         raise ValidationError(f"malformed state spec {text!r}") from exc
     _check_dimension(len(values), "the number of state coefficients")
-    dim = Dimension(d if d is not None else len(values))
-    return make_state(dim, values)
+    return values
+
+
+def _parse_state(text: str) -> PureState:
+    values = _state_values(text)
+    return make_state(Dimension(len(values)), values)
 
 
 def _open_output(path: str, mode: str = "w", newline: str | None = None):
@@ -147,7 +154,7 @@ def _open_output(path: str, mode: str = "w", newline: str | None = None):
         raise ValidationError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
-def _load_angles(path: str, d: int | None) -> MeasurementSettings:
+def _load_angles(path: str, d: int) -> MeasurementSettings:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -165,7 +172,7 @@ def _load_angles(path: str, d: int | None) -> MeasurementSettings:
     file_d = raw["d"]
     if not isinstance(file_d, int) or file_d < 2:
         raise ValidationError(f"angle file {path!r} has invalid d = {file_d!r}")
-    if d is not None and file_d != d:
+    if file_d != d:
         raise ValidationError(
             f"angle file dimension {file_d} does not match expected {d}"
         )
@@ -199,8 +206,7 @@ def _by_setting(tables: np.ndarray) -> dict:
 
 def _state_and_settings(args) -> tuple[PureState, MeasurementSettings]:
     # The --state, and the --angles file's settings or zero phases.
-    _check_dimension(args.d)
-    state = _parse_state(args.state, args.d)
+    state = _parse_state(args.state)
     if args.angles:
         return state, _load_angles(args.angles, state.dim.d)
     return state, zero_settings(state.dim)
@@ -239,41 +245,29 @@ def cmd_lhv(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    _check_dimension(args.d)
-    _check_restarts(args.restarts)
-    # Without --d the state spec's length is the dimension; a malformed
-    # spec is reported when it is parsed.
-    d = args.d
-    if d is None and args.state is not None:
-        d = args.state.count(",") + 1
-        _check_dimension(d, "the number of state coefficients")
-    if d is not None:
-        _check_work(d, args.restarts)
-    direction = Direction.MAXIMIZE if args.direction == "max" else Direction.MINIMIZE
-    config = OptimizerConfig(
-        restarts=args.restarts,
-        seed=args.seed,
-        direction=direction,
-        free_state=args.free_state,
-    )
-    if args.free_state:
-        if args.state is not None:
-            raise ValidationError("--free-state optimizes the state; drop --state")
-        if args.d is None:
-            raise ValidationError("--free-state requires --d")
-    elif args.state is not None:
-        state = _parse_state(args.state, args.d)
-    elif args.d is not None:
-        state = maximally_entangled_state(Dimension(args.d))
+    # argparse requires exactly one of --d and --state.
+    if args.free_state and args.state is not None:
+        raise ValidationError("--free-state optimizes the state; drop --state")
+    if args.state is None:
+        _check_dimension(args.d, "--d")
+        values, d = None, args.d
     else:
-        raise ValidationError("optimize needs --state or --d")
+        values = _state_values(args.state)
+        d = len(values)
+    _check_restarts(args.restarts)
+    _check_work(d, args.restarts)
+    config = OptimizerConfig(restarts=args.restarts, seed=args.seed,
+                             direction=Direction(args.direction))
+    dim = Dimension(d)
     if args.export_angles:
         # Fail before the search, without truncating an existing file.
         _open_output(args.export_angles, "a").close()
     if args.free_state:
-        run = optimize_joint(Dimension(args.d), config)
+        run = optimize_joint(dim, config)
+    elif values is None:
+        run = optimize_angles(maximally_entangled_state(dim), config)
     else:
-        run = optimize_angles(state, config)
+        run = optimize_angles(make_state(dim, values), config)
     best = run.best
     angles = _angles_dict(best.settings)
     record = {
@@ -331,7 +325,7 @@ def cmd_analytic(args) -> int:
             "noise_resistance_gain": noise_resistance_gain(max_value, me_value),
         })
         return EXIT_OK
-    state = _parse_state(args.state, 4)
+    state = _parse_state(args.state)
     vertices = vertex_candidates(state)
     witness_max, witness_min = vertices.witnesses
     record = {
@@ -432,13 +426,13 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="bellmp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, state_required=False):
-        p.add_argument("--d", type=int, default=None, help="outcome dimension")
-        p.add_argument("--state", required=state_required,
-                       help="comma-separated coefficients, auto-normalized")
+    def add_state(p, required=True):
+        p.add_argument("--state", required=required,
+                       help="comma-separated coefficients, auto-normalized; "
+                            "their number is the outcome dimension")
 
     p = sub.add_parser("eval", help="Bell value of a state at fixed angles")
-    add_common(p, state_required=True)
+    add_state(p)
     p.add_argument("--angles", help="angle file (JSON)")
     p.add_argument("--noise", type=float, default=0.0)
     p.set_defaults(func=cmd_eval)
@@ -448,7 +442,11 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_lhv)
 
     p = sub.add_parser("optimize", help="numerically optimize the Bell value")
-    add_common(p)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--d", type=int,
+                        help="outcome dimension: search at the flat state, or "
+                             "over states too with --free-state")
+    add_state(source, required=False)
     p.add_argument("--direction", choices=("max", "min"), default="max")
     p.add_argument("--free-state", action="store_true")
     p.add_argument("--restarts", type=int, default=50)
@@ -478,7 +476,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("sample", help="finite-shot simulated experiment")
-    add_common(p, state_required=True)
+    add_state(p)
     p.add_argument("--angles", help="angle file (JSON)")
     p.add_argument("--shots", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)

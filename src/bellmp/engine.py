@@ -293,7 +293,11 @@ class TCoefficients:
         return (self.t01, self.t02, self.t03, self.t12, self.t13, self.t23)
 
     def bilinear(self, state: PureState) -> float:
-        """sum_{k<l} a_k a_l T_kl for the given state."""
+        """sum_{k<l} a_k a_l T_kl for the given d = 4 state."""
+        if state.dim.d != 4:
+            raise DimensionMismatchError(
+                f"the T decomposition is defined for dimension 4, got {state.dim.d}"
+            )
         a = state.coefficients
         return sum(a[k] * a[l] * t for (k, l), t in zip(PAIR_SLOTS, self.values()))
 

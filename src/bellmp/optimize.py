@@ -86,7 +86,6 @@ class OptimizerConfig:
     restarts: int = 50
     seed: int = 0
     direction: Direction = Direction.MAXIMIZE
-    free_state: bool = False
 
     def __post_init__(self) -> None:
         if (not isinstance(self.restarts, int) or isinstance(self.restarts, bool)
@@ -95,8 +94,6 @@ class OptimizerConfig:
         require_seed(self.seed)
         if not isinstance(self.direction, Direction):
             raise ValidationError(f"direction must be a Direction, got {self.direction!r}")
-        if not isinstance(self.free_state, bool):
-            raise ValidationError(f"free_state must be a bool, got {self.free_state!r}")
 
 
 @dataclass(frozen=True)
@@ -350,8 +347,6 @@ def optimize_angles(state: PureState, config: OptimizerConfig) -> OptimizationRu
     """Multi-start search over the phases at a fixed state, in the summed
     phases of the columns k with a_k != 0 but the first; the best
     settings have B1 = 0 and every other column at zero."""
-    if config.free_state:
-        raise ValidationError("optimize_angles requires config.free_state = False")
     d = state.dim.d
     a = np.asarray(state.coefficients)
     search = _multistart(lambda theta: value_and_gradient_arrays(a, theta, d),
@@ -379,8 +374,6 @@ def optimize_joint(dim: Dimension, config: OptimizerConfig) -> OptimizationRun:
     as listed in per_restart_eigengaps), since lambda_ext has no
     gradient where it is degenerate.
     """
-    if not config.free_state:
-        raise ValidationError("optimize_joint requires config.free_state = True")
     d = dim.d
     largest = config.direction is Direction.MAXIMIZE
     search = _multistart(lambda theta: extreme_value_and_gradient(theta, d, largest),

@@ -136,8 +136,7 @@ def build_reproduction_report(restarts: int = 50, seed: int = 7) -> Reproduction
                      "radical closed form"))
 
     run_joint_max = optimize_joint(_D4, OptimizerConfig(
-        restarts=restarts, seed=seed, direction=Direction.MAXIMIZE,
-        free_state=True))
+        restarts=restarts, seed=seed, direction=Direction.MAXIMIZE))
     rows.append(_row("global max, joint optimizer", 2.9727,
                      run_joint_max.best.value, 1e-3,
                      f"eigenvalue-reduced phase search, {restarts} restarts"))
@@ -163,8 +162,7 @@ def build_reproduction_report(restarts: int = 50, seed: int = 7) -> Reproduction
                      "radical closed form"))
 
     run_joint_min = optimize_joint(_D4, OptimizerConfig(
-        restarts=restarts, seed=seed, direction=Direction.MINIMIZE,
-        free_state=True))
+        restarts=restarts, seed=seed, direction=Direction.MINIMIZE))
     rows.append(_row("global min, joint optimizer", -3.46424,
                      run_joint_min.best.value, 1e-3,
                      f"eigenvalue-reduced phase search, {restarts} restarts"))
@@ -181,8 +179,7 @@ def build_reproduction_report(restarts: int = 50, seed: int = 7) -> Reproduction
                      "angle search at the state e_k + e_l"))
 
     run_d2 = optimize_joint(Dimension(2), OptimizerConfig(
-        restarts=max(4, restarts // 4), seed=seed, direction=Direction.MAXIMIZE,
-        free_state=True))
+        restarts=max(4, restarts // 4), seed=seed, direction=Direction.MAXIMIZE))
     rows.append(_row("d=2 joint max (CHSH reduction)", 2.0 * math.sqrt(2.0),
                      run_d2.best.value, 1e-6,
                      "joint optimizer at d=2"))

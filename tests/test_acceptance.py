@@ -73,7 +73,7 @@ def test_criterion_02_flat_state_maximum_and_threshold():
 
 def test_criterion_03_global_maximum_and_noise_gain():
     run = optimize_joint(
-        D4, OptimizerConfig(restarts=50, seed=7, free_state=True))
+        D4, OptimizerConfig(restarts=50, seed=7))
     assert abs(run.best.value - 2.9727) <= 1e-3
     mags = sorted((abs(c) for c in run.best.state.coefficients), reverse=True)
     assert abs(mags[0] - 1.137145255099279) <= 1e-3
@@ -91,7 +91,7 @@ def test_criterion_03_global_maximum_and_noise_gain():
 
 def test_criterion_04_global_minimum_and_flat_state_floor():
     run = optimize_joint(
-        D4, OptimizerConfig(restarts=50, seed=7, free_state=True,
+        D4, OptimizerConfig(restarts=50, seed=7,
                             direction=Direction.MINIMIZE))
     assert abs(run.best.value + 3.46424) <= 1e-3
     mags = sorted((abs(c) for c in run.best.state.coefficients), reverse=True)
@@ -196,7 +196,7 @@ def test_criterion_07_numerical_hygiene():
 
 def test_criterion_08_two_outcome_and_degenerate_reductions():
     run = optimize_joint(
-        Dimension(2), OptimizerConfig(restarts=8, seed=3, free_state=True))
+        Dimension(2), OptimizerConfig(restarts=8, seed=3))
     assert abs(run.best.value - 2.0 * math.sqrt(2.0)) <= 1e-6
     product = make_state(D4, (2.0, 0.0, 0.0, 0.0))
     rng = np.random.default_rng(8)

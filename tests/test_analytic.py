@@ -351,6 +351,13 @@ class TestThresholdNoise:
         with pytest.raises(ValidationError):
             threshold_noise(bad)
 
+    @pytest.mark.parametrize("reference", [2.0, 1.5])
+    def test_gain_rejects_a_reference_that_does_not_violate(self, reference):
+        # A reference at the classical bound has a zero threshold and one
+        # below it a negative one; neither gives a relative gain.
+        with pytest.raises(ValidationError):
+            noise_resistance_gain(IMAX, reference)
+
 
 class TestReferenceAngles:
     def test_frozen_table(self):

@@ -17,6 +17,7 @@ from bellmp import cli
 from bellmp.cli import main
 
 ME_MAX = 2.896243218458708
+FLAT_ANGLES = {"d": 4, "A1": [0] * 4, "A2": [0] * 4, "B1": [0] * 4, "B2": [0] * 4}
 
 
 def run(capsys, argv):
@@ -62,7 +63,6 @@ class TestEval:
         ["eval", "--state", "1,1,1,1", "--noise", "1.2"],
         ["eval", "--state", "1,,1"],
         ["eval", "--state", "0,0,0,0"],
-        ["eval", "--state", "1,1,1", "--d", "4"],
         ["eval"],
     ])
     def test_validation_failures(self, capsys, argv):
@@ -88,7 +88,6 @@ class TestEval:
         assert err == "error: cannot normalize the all-zero state\n"
 
     @pytest.mark.parametrize("argv,message", [
-        (["eval", "--state", "1,1,1,1", "--d", "65"], "--d"),
         (["eval", "--state", ",".join(["1"] * 65)], "state coefficients"),
     ])
     def test_rejects_oversized_dimension_before_evaluating(self, capsys,
@@ -109,6 +108,32 @@ class TestEval:
         assert code == 1
         assert out == ""
         assert "is not UTF-8 text" in err
+
+    @pytest.mark.parametrize("state,content", [
+        ("1,1,1,1", None),
+        ("1,1,1,1", "{"),
+        ("1,1,1,1", "[]"),
+        ("1,1,1,1", {"d": 4, "A1": [0] * 4, "A2": [0] * 4, "B1": [0] * 4}),
+        ("1,1,1,1", {**FLAT_ANGLES, "d": True}),
+        ("1,1,1,1", {**FLAT_ANGLES, "d": 1}),
+        ("1,1,1,1", {**FLAT_ANGLES, "d": 4.0}),
+        ("1,1,1", FLAT_ANGLES),
+        ("1,1,1,1", {**FLAT_ANGLES, "A1": [0] * 3}),
+        ("1,1,1,1", {**FLAT_ANGLES, "A2": [0, True, 0, 0]}),
+        ("1,1,1,1", {**FLAT_ANGLES, "B1": [0, "1", 0, 0]}),
+        ("1,a,1", FLAT_ANGLES),
+    ], ids=["missing-file", "invalid-json", "json-list", "missing-key", "d-bool",
+            "d-one", "d-float", "d-mismatch", "short-entry", "bool-entry",
+            "string-entry", "non-numeric-state"])
+    def test_rejected_angle_file_or_state_is_one_error_line(self, capsys, tmp_path,
+                                                            state, content):
+        path = tmp_path / "angles.json"
+        if content is not None:
+            path.write_text(content if isinstance(content, str) else json.dumps(content),
+                            encoding="utf-8")
+        code, out, err = run(capsys, ["eval", "--state", state, "--angles", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_angle_too_large_for_a_float_is_a_validation_error(self, capsys, tmp_path):
         path = tmp_path / "big.json"
@@ -183,6 +208,30 @@ class TestOptimize:
         code, out, _ = run(capsys, ["eval", "--state", state, "--angles", str(path)])
         assert code == 0
         assert json.loads(out)["I"] == record["value"]
+
+    def test_search_at_a_given_state(self, capsys, tmp_path):
+        # At this state `analytic --state` prints Imax 2.2127, which the
+        # search does not attain; the exported angles give the printed value.
+        path = tmp_path / "angles.json"
+        code, out, _ = run(capsys, ["optimize", "--state", "1,0.2,0.9,0.1",
+                                    "--restarts", "6", "--export-angles", str(path)])
+        assert code == 0
+        record = json.loads(out)
+        assert record["value"] == 1.59439912361
+        assert record["angles"] == json.loads(path.read_text(encoding="utf-8"))
+        code, out, _ = run(capsys, ["eval", "--state", "1,0.2,0.9,0.1",
+                                    "--angles", str(path)])
+        assert code == 0
+        assert json.loads(out)["I"] == record["value"]
+
+    def test_search_frees_only_the_columns_the_state_reaches(self, capsys):
+        code, out, _ = run(capsys, ["optimize", "--state", "1,0,1,0",
+                                    "--restarts", "4", "--direction", "min"])
+        assert code == 0
+        record = json.loads(out)
+        assert record["value"] == -0.942809041582
+        for key in ("A1", "A2", "B1", "B2"):
+            assert [p for k, p in enumerate(record["angles"][key]) if k != 2] == [0.0] * 3
 
     @pytest.mark.parametrize("argv", [
         ["optimize", "--free-state", "--state", "1,1,1,1"],
@@ -472,10 +521,10 @@ class TestSample:
             raise AssertionError("sampling must not start")
 
         monkeypatch.setattr(cli, "sample_experiment", refuse)
-        code, _, err = run(capsys, ["sample", "--state", "1,1,1,1",
-                                    "--d", "1000000000", "--shots", "10"])
+        code, _, err = run(capsys, ["sample", "--state", ",".join(["1"] * 65),
+                                    "--shots", "10"])
         assert code == 1
-        assert "--d" in err
+        assert "state coefficients" in err
 
 
 class TestReproduce:
@@ -555,6 +604,26 @@ class TestTopLevel:
         assert code == 1
         assert out == ""
         assert "unrecognized arguments: --variant" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["eval", "--state", "1,1,1,1", "--d", "4"], "unrecognized arguments: --d 4"),
+        (["sample", "--state", "1,1,1,1", "--d", "4", "--shots", "10"],
+         "unrecognized arguments: --d 4"),
+        (["optimize", "--d", "4", "--state", "1,1,1,1"],
+         "argument --state: not allowed with argument --d"),
+    ], ids=["eval", "sample", "optimize"])
+    def test_dimension_comes_from_the_state_or_from_d_alone(self, capsys, monkeypatch,
+                                                            argv, message):
+        # A state fixes its own dimension, so --d beside it is refused.
+        def refuse(*args, **kwargs):
+            raise AssertionError("no command may run")
+
+        for name in ("cmd_eval", "cmd_optimize", "cmd_sample"):
+            monkeypatch.setattr(cli, name, refuse)
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert f"error: {message}" in err
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("argv", [["eval", "--state", "1,1,1,1"],

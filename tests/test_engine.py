@@ -337,6 +337,12 @@ class TestTCoefficients:
         with pytest.raises(ValidationError):
             t_coefficients(zero_settings(Dimension(3)))
 
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_bilinear_requires_a_dimension_four_state(self, d):
+        coeffs = t_coefficients(zero_settings(D4))
+        with pytest.raises(DimensionMismatchError):
+            coeffs.bilinear(maximally_entangled_state(Dimension(d)))
+
 
 class TestGradient:
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])

@@ -66,14 +66,11 @@ class TestConfigValidation:
         assert config.restarts == 50
         assert config.seed == 0
         assert config.direction is Direction.MAXIMIZE
-        assert config.free_state is False
 
     @pytest.mark.parametrize("build,kwargs", [
         (OptimizerConfig, {"restarts": 0}),
         (OptimizerConfig, {"restarts": 1.5}),
         (OptimizerConfig, {"restarts": True}),
-        (OptimizerConfig, {"free_state": "no"}),
-        (OptimizerConfig, {"free_state": 1}),
         (OptimizerConfig, {"seed": -1}),
         (OptimizerConfig, {"seed": 1.5}),
         (OptimizerConfig, {"seed": True}),
@@ -88,13 +85,6 @@ class TestConfigValidation:
     def test_rejects_bad_fields(self, build, kwargs):
         with pytest.raises(ValidationError):
             build(**kwargs)
-
-    def test_free_state_cross_guards(self):
-        me = maximally_entangled_state(D4)
-        with pytest.raises(ValidationError):
-            optimize_angles(me, OptimizerConfig(restarts=2, free_state=True))
-        with pytest.raises(ValidationError):
-            optimize_joint(D4, OptimizerConfig(restarts=2, free_state=False))
 
 
 class TestFixedStateSearch:
@@ -178,7 +168,7 @@ class TestDeterminism:
 class TestRestartCounters:
     @pytest.mark.parametrize("free_state", [False, True])
     def test_counters_cover_every_restart(self, free_state):
-        config = OptimizerConfig(restarts=7, seed=3, free_state=free_state)
+        config = OptimizerConfig(restarts=7, seed=3)
         if free_state:
             run = optimize_joint(D4, config)
         else:
@@ -230,8 +220,7 @@ class TestRestartCounters:
             for direction in Direction:
                 rows.clear()
                 formed.clear()
-                config = OptimizerConfig(restarts=7, seed=d, direction=direction,
-                                         free_state=free_state)
+                config = OptimizerConfig(restarts=7, seed=d, direction=direction)
                 if free_state:
                     run = optimize_joint(Dimension(d), config)
                 else:
@@ -347,7 +336,6 @@ class TestScheduleIndependence:
     def test_fewer_restarts_are_a_prefix(self, free_state):
         def search(restarts):
             config = OptimizerConfig(restarts=restarts, seed=4,
-                                     free_state=free_state,
                                      direction=Direction.MINIMIZE)
             if free_state:
                 return optimize_joint(Dimension(3), config)
@@ -494,8 +482,7 @@ def test_searches_report_optima_in_the_gauge_b1_zero(search, d, how):
         t = t_coefficients(settings).values()[PAIR_SLOTS.index(how)]
         assert abs(abs(t) - magnitude) <= 1e-12
     else:
-        config = OptimizerConfig(restarts=4, seed=2, direction=how,
-                                 free_state=search == "joint")
+        config = OptimizerConfig(restarts=4, seed=2, direction=how)
         if search == "joint":
             run = optimize_joint(dim, config)
         else:
@@ -573,8 +560,7 @@ _SEED7_ITERATIONS = {
 
 @pytest.mark.parametrize("search,direction", list(_SEED7_ITERATIONS))
 def test_seed7_searches_take_their_pinned_newton_steps(search, direction):
-    config = OptimizerConfig(restarts=50, seed=7, direction=direction,
-                             free_state=search == "joint")
+    config = OptimizerConfig(restarts=50, seed=7, direction=direction)
     if search == "joint":
         run = optimize_joint(D4, config)
     else:
@@ -595,7 +581,7 @@ _D16_MIN_STEPS = (
 
 def test_d16_joint_minimum_takes_its_pinned_newton_steps():
     run = optimize_joint(Dimension(16), OptimizerConfig(
-        restarts=20, seed=0, direction=Direction.MINIMIZE, free_state=True))
+        restarts=20, seed=0, direction=Direction.MINIMIZE))
     iterations, rejected, calls, rows = _D16_MIN_STEPS
     assert run.per_restart_iterations == iterations
     assert run.per_restart_rejected == rejected
@@ -653,7 +639,7 @@ class TestBranchDisagreements:
 class TestJointSearch:
     def test_global_maximum(self):
         run = optimize_joint(
-            D4, OptimizerConfig(restarts=10, seed=7, free_state=True))
+            D4, OptimizerConfig(restarts=10, seed=7))
         assert abs(run.best.value - IMAX) < 1e-8
         assert run.converged
         mags = sorted((abs(c) for c in run.best.state.coefficients),
@@ -669,7 +655,7 @@ class TestJointSearch:
 
     def test_global_minimum(self):
         run = optimize_joint(
-            D4, OptimizerConfig(restarts=12, seed=7, free_state=True,
+            D4, OptimizerConfig(restarts=12, seed=7,
                                 direction=Direction.MINIMIZE))
         assert abs(run.best.value - IMIN) < 1e-8
         assert run.converged
@@ -682,8 +668,7 @@ class TestJointSearch:
 
     def test_two_outcome_reduction(self):
         run = optimize_joint(
-            Dimension(2), OptimizerConfig(restarts=6, seed=0,
-                                          free_state=True))
+            Dimension(2), OptimizerConfig(restarts=6, seed=0))
         assert abs(run.best.value - 2.0 * math.sqrt(2.0)) < 1e-10
         assert run.converged
 
@@ -716,7 +701,7 @@ class TestEigenReduction:
     @pytest.mark.parametrize("direction", list(Direction))
     def test_reported_state_is_non_negative_and_attains_value(self, d, direction):
         run = optimize_joint(
-            Dimension(d), OptimizerConfig(restarts=3, seed=5, free_state=True,
+            Dimension(d), OptimizerConfig(restarts=3, seed=5,
                                           direction=direction))
         assert min(run.best.state.coefficients) >= 0.0
         assert abs(bell_value(run.best.state, run.best.settings)
@@ -732,7 +717,7 @@ class TestEigenReduction:
     def test_joint_maximum_dominates_flat_state(self, d):
         dim = Dimension(d)
         joint = optimize_joint(
-            dim, OptimizerConfig(restarts=6, seed=1, free_state=True))
+            dim, OptimizerConfig(restarts=6, seed=1))
         flat = optimize_angles(maximally_entangled_state(dim),
                                OptimizerConfig(restarts=6, seed=1))
         assert joint.best.value >= flat.best.value - 1e-9
@@ -748,11 +733,11 @@ class TestEigenReduction:
                     np.zeros(len(x), dtype=int))
 
         monkeypatch.setattr(bellmp.optimize, "_minimize", stopped)
-        top = optimize_joint(D4, OptimizerConfig(restarts=1, free_state=True))
+        top = optimize_joint(D4, OptimizerConfig(restarts=1))
         assert abs(top.best.value - 2.0) < 1e-12
         assert top.converged
         bottom = optimize_joint(D4, OptimizerConfig(
-            restarts=1, free_state=True, direction=Direction.MINIMIZE))
+            restarts=1, direction=Direction.MINIMIZE))
         assert abs(bottom.best.value + 2.0 / 3.0) < 1e-12
         assert top.per_restart_eigengaps[0] > 1.0
         assert bottom.per_restart_eigengaps[0] < 1e-12

@@ -53,8 +53,7 @@ class TestReproductionReport:
     def test_reference_note_quotes_the_measured_optima(self, report):
         # The note quotes the report's own joint and flat-state maxima
         # (restarts 10, seed 7), not fixed decimals.
-        joint = optimize_joint(Dimension(4), OptimizerConfig(restarts=10, seed=7,
-                                                             free_state=True))
+        joint = optimize_joint(Dimension(4), OptimizerConfig(restarts=10, seed=7))
         flat = optimize_angles(maximally_entangled_state(Dimension(4)),
                                OptimizerConfig(restarts=10, seed=7))
         note, = (note for note in report.diagnostics if "reference angle" in note)

@@ -25,6 +25,7 @@ model.kernel_table.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -76,11 +77,19 @@ def _dft(d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _outcome_classes(d: int) -> np.ndarray:
+    # u[m, n] = (m + n) mod d, the outcome class of the pair (m, n).
+    u = (np.arange(d)[:, None] + np.arange(d)[None, :]) % d
+    u.flags.writeable = False
+    return u
+
+
+@lru_cache(maxsize=None)
 def _circulant(d: int) -> np.ndarray:
     # C[r, k, l] = sum_u W_r[u] gamma^{u(k - l)}, where W_r[u] sums the
     # signed, doubled kernel K[r] over the outcome class (m + n) mod d = u.
     V = _dft(d)
-    classes = ((np.arange(d)[:, None] + np.arange(d)[None, :]) % d).ravel()
+    classes = _outcome_classes(d).ravel()
     C = np.empty((4, d, d), dtype=complex)
     for r, K in enumerate(kernel_table(d)):
         W = np.bincount(classes, weights=K.ravel(), minlength=d)
@@ -178,15 +187,20 @@ class JointProbabilityTable:
             raise DimensionMismatchError(
                 f"expected shape (2, 2, {d}, {d}), got {p.shape}"
             )
-        if not np.all(np.isfinite(p)):
+        # Array methods and ufuncs, not the np.all/np.min/np.clip wrappers:
+        # every outcome table of every route passes through here.
+        if not np.isfinite(p).all():
             raise ValidationError("probabilities must be finite")
-        if np.min(p) < _NEGATIVE_CLAMP:
+        lowest = p.min()
+        if lowest < _NEGATIVE_CLAMP:
             raise ValidationError(
-                f"probability {np.min(p)!r} below the -1e-14 round-off allowance"
+                f"probability {lowest!r} below the -1e-14 round-off allowance"
             )
-        p = np.clip(p, 0.0, None)
+        # The clamp, as np.clip(p, 0.0, None) computes it; the new array
+        # leaves the caller's input writeable.
+        p = np.maximum(p, 0.0)
         sums = p.sum(axis=(2, 3))
-        if np.max(np.abs(sums - 1.0)) > _SLICE_SUM_TOL:
+        if abs(sums - 1.0).max() > _SLICE_SUM_TOL:
             raise ValidationError(
                 f"setting slices must sum to 1 within 1e-12, got {sums.tolist()!r}"
             )
@@ -194,9 +208,13 @@ class JointProbabilityTable:
         object.__setattr__(self, "probabilities", p)
 
     def setting(self, i: int, j: int) -> np.ndarray:
-        if i not in (1, 2) or j not in (1, 2):
-            raise ValidationError(f"setting indices must be 1 or 2, got ({i}, {j})")
+        if not (_is_setting_index(i) and _is_setting_index(j)):
+            raise ValidationError(f"setting indices must be the int 1 or 2, got ({i!r}, {j!r})")
         return self.probabilities[i - 1, j - 1]
+
+
+def _is_setting_index(i: object) -> bool:
+    return isinstance(i, (int, np.integer)) and not isinstance(i, bool) and i in (1, 2)
 
 
 def joint_probabilities(state: PureState, settings: MeasurementSettings) -> JointProbabilityTable:
@@ -209,8 +227,7 @@ def joint_probabilities(state: PureState, settings: MeasurementSettings) -> Join
     c = np.asarray(state.coefficients) * np.exp(1j * theta)
     ahat = c @ _dft(d).T
     class_p = np.abs(ahat) ** 2 / d**3
-    idx = (np.arange(d)[:, None] + np.arange(d)[None, :]) % d
-    p = class_p[:, idx].reshape(2, 2, d, d)
+    p = class_p[:, _outcome_classes(d)].reshape(2, 2, d, d)
     return JointProbabilityTable(state.dim, p)
 
 
@@ -223,14 +240,20 @@ def correlation_q(table: JointProbabilityTable, i: int, j: int) -> float:
 
 
 def bell_value_from_table(table: JointProbabilityTable) -> float:
-    """I = sum(K P) / (d - 1) for the signed, doubled kernel table K."""
+    """I = sum(K P) / (d - 1) for the signed, doubled kernel table K:
+    the four settings' sums of K P in one contraction, each divided by
+    d - 1, then added in setting order."""
     d = table.dim.d
-    P = table.probabilities.reshape(4, d, d)
-    return sum(float(np.sum(k * p) / (d - 1)) for k, p in zip(kernel_table(d), P))
+    sums = (kernel_table(d) * table.probabilities.reshape(4, d, d)).reshape(4, d * d).sum(axis=1)
+    return sum((sums / (d - 1)).tolist())
 
 
 def mix_uniform_noise(table: JointProbabilityTable, noise_fraction: float) -> JointProbabilityTable:
-    """The table (1 - F) P + F / d^2 of uniform noise at fraction F in [0, 1]."""
+    """The table (1 - F) P + F / d^2 of uniform noise at fraction F in
+    [0, 1]; F must be a real number (int, float or numpy real), not a
+    bool or a string."""
+    if not isinstance(noise_fraction, numbers.Real) or isinstance(noise_fraction, bool):
+        raise ValidationError(f"noise fraction must be a real number, got {noise_fraction!r}")
     f = float(noise_fraction)
     if not 0.0 <= f <= 1.0:
         raise ValidationError(f"noise fraction must lie in [0, 1], got {noise_fraction!r}")
@@ -269,8 +292,8 @@ class TCoefficients:
     I = sum_{k<l} a_k a_l T_kl (d = 4).
 
     Magnitudes are bounded by Gamma_1 for index gaps 1 and 3 and by
-    Gamma_2 for gap 2; the constructor enforces the bounds with a
-    1e-9 allowance.
+    Gamma_2 for gap 2; the constructor rejects non-finite values and
+    enforces the bounds with a 1e-9 allowance.
     """
 
     t01: float
@@ -284,6 +307,9 @@ class TCoefficients:
         g = gamma_constants()
         bounds = {1: g.gamma1, 2: g.gamma2, 3: g.gamma1}
         for (k, l), value in zip(PAIR_SLOTS, self.values()):
+            # abs(nan) > bound is False, so NaN must be rejected on its own.
+            if not math.isfinite(value):
+                raise ValidationError(f"T{k}{l} must be finite, got {value!r}")
             if abs(value) > bounds[l - k] + 1e-9:
                 raise ValidationError(
                     f"|T{k}{l}| = {abs(value)!r} exceeds its bound {bounds[l - k]!r}"
@@ -430,8 +456,9 @@ def bell_gradient(state: PureState, settings: MeasurementSettings) -> np.ndarray
 class SampleEstimate:
     """Finite-shot estimate of the Bell value.
 
-    counts has shape (2, 2, d, d); each setting slice sums to
-    shots_per_setting.  value_estimate is the plug-in value from raw
+    counts holds non-negative integers in shape (2, 2, d, d); each
+    setting slice sums to shots_per_setting, an int >= 1 (not a bool).
+    value_estimate is the plug-in value from raw
     empirical frequencies.  std_error propagates per-setting
     multinomial variances computed from half-count smoothed
     frequencies, so it stays positive even when all shots land in one
@@ -448,10 +475,19 @@ class SampleEstimate:
         counts = counts.copy()
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
-        if self.shots_per_setting < 1:
+        shots = self.shots_per_setting
+        if not isinstance(shots, (int, np.integer)) or isinstance(shots, bool):
+            raise ValidationError(f"shots_per_setting must be an int, got {shots!r}")
+        if shots < 1:
             raise ValidationError("shots_per_setting must be >= 1")
-        if np.any(counts.sum(axis=(2, 3)) != self.shots_per_setting):
+        if counts.dtype.kind not in "iu":
+            raise ValidationError(f"counts must be integers, got dtype {counts.dtype}")
+        if counts.ndim != 4 or counts.shape[:2] != (2, 2) or counts.shape[2] != counts.shape[3]:
+            raise ValidationError(f"counts must have shape (2, 2, k, k), got {counts.shape}")
+        if (counts.sum(axis=(2, 3)) != shots).any():
             raise ValidationError("each setting slice must sum to shots_per_setting")
+        if counts.min() < 0:
+            raise ValidationError("counts must be non-negative")
 
 
 def sample_experiment(state: PureState, settings: MeasurementSettings,
@@ -478,14 +514,19 @@ def sample_experiment(state: PureState, settings: MeasurementSettings,
         p = table.setting(i, j).reshape(-1)
         counts[i - 1, j - 1] = rng.multinomial(shots, p / p.sum()).reshape(d, d)
 
-    # K doubles the kernel, so d - 1 = 2S stands in for the spin.
+    # All four settings at once, one row each; the per-setting terms are
+    # then added in setting order.  K doubles the kernel, so d - 1 = 2S
+    # stands in for the spin.
+    K = kernel_table(d).reshape(4, d * d)
+    c = counts.reshape(4, d * d)
+    smoothed = (c + 0.5) / (shots + 0.5 * d * d)
+    m1 = (smoothed * K).sum(axis=1)
+    # Centred second moment: no cancellation when the smoothing mass
+    # falls below round-off, as it does at large shot counts.
+    m2 = (smoothed * (K - m1[:, None]) ** 2).sum(axis=1)
     value = 0.0
     variance = 0.0
-    for K, c in zip(kernel_table(d), counts.reshape(4, d, d)):
-        value += np.sum(K * c) / ((d - 1) * shots)
-        smoothed = (c + 0.5) / (shots + 0.5 * d * d)
-        m1 = float(np.sum(smoothed * K))
-        # Centred second moment: no cancellation when the smoothing mass
-        # falls below round-off, as it does at large shot counts.
-        variance += float(np.sum(smoothed * (K - m1) ** 2)) / ((d - 1) ** 2 * shots)
+    for term, spread in zip((K * c).sum(axis=1) / ((d - 1) * shots), m2.tolist()):
+        value += term
+        variance += spread / ((d - 1) ** 2 * shots)
     return SampleEstimate(shots, counts, value, math.sqrt(variance))

@@ -160,6 +160,18 @@ class TestJointProbabilities:
         with pytest.raises(ValidationError):
             table.setting(0, 1)
 
+    @pytest.mark.parametrize("i,j", [(True, 1), (1, True), (np.True_, 2), (1.0, 2),
+                                     (2, 2.0), ("1", 1), (None, 1)])
+    def test_setting_rejects_indices_that_are_not_the_int_1_or_2(self, i, j):
+        # True == 1 and 1.0 == 1, but neither is a setting index.
+        table = joint_probabilities(maximally_entangled_state(D4), zero_settings(D4))
+        with pytest.raises(ValidationError, match="setting indices"):
+            table.setting(i, j)
+
+    def test_setting_accepts_numpy_int_indices(self):
+        table = joint_probabilities(maximally_entangled_state(D4), zero_settings(D4))
+        assert np.array_equal(table.setting(np.int64(1), np.int32(2)), table.setting(1, 2))
+
 
 class TestJointProbabilityTableValidation:
     def test_clamps_tiny_negative(self):
@@ -218,11 +230,20 @@ class TestCorrelationAndBellValue:
                 for j in (1, 2):
                     assert abs(correlation_q(table, i, j)) <= 1.0 + 1e-12
 
-    @pytest.mark.parametrize("i,j", [(0, 1), (3, 1), (1, 3), (2, 0)])
+    # True == 1 and 1.0 == 1, but neither is a setting index; 1.0 used to
+    # reach the array index and fail with a bare IndexError.
+    @pytest.mark.parametrize("i,j", [(0, 1), (3, 1), (1, 3), (2, 0),
+                                     (True, 2), (2, True), (1.0, 2), (1, 2.0)])
     def test_correlation_rejects_bad_setting_index(self, i, j):
         table = joint_probabilities(maximally_entangled_state(D4), zero_settings(D4))
         with pytest.raises(ValidationError):
             correlation_q(table, i, j)
+
+    def test_correlation_accepts_numpy_int_indices(self):
+        rng = np.random.default_rng(301)
+        table = joint_probabilities(random_state(rng, 4), random_settings(rng, 4))
+        for i, j in SETTING_PAIRS:
+            assert correlation_q(table, np.int64(i), np.int64(j)) == correlation_q(table, i, j)
 
     def test_maximally_entangled_zero_phases_value(self):
         state = maximally_entangled_state(D4)
@@ -273,6 +294,19 @@ class TestCorrelationAndBellValue:
         value = bell_value(maximally_entangled_state(D4), zero_settings(D4))
         assert type(value) is float
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
+    def test_table_contraction_equals_the_per_setting_sums_bit_for_bit(self, d):
+        # The four K . P sums run as one contraction; each must still be
+        # the per-slice sum, divided by d - 1 and added in setting order.
+        rng = np.random.default_rng(700 + d)
+        for _ in range(20):
+            table = joint_probabilities(random_state(rng, d, signed=True),
+                                        random_settings(rng, d))
+            P = table.probabilities.reshape(4, d, d)
+            reference = sum(float(np.sum(k * p) / (d - 1))
+                            for k, p in zip(engine.kernel_table(d), P))
+            assert engine.bell_value_from_table(table) == reference
+
 
 class TestNoisyValue:
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -296,10 +330,18 @@ class TestNoisyValue:
         settings = zero_settings(D4)
         assert bell_value_noisy(state, settings, 0.0) == bell_value(state, settings)
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan])
+    # Only real numbers: "0.5" used to give 1.0 and True full noise (0.0);
+    # None and [0.1] raised TypeError and "abc" ValueError.
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan,
+                                     "0.5", True, None, [0.1], "abc", np.True_])
     def test_rejects_out_of_range_noise(self, bad):
         with pytest.raises(ValidationError):
             bell_value_noisy(maximally_entangled_state(D4), zero_settings(D4), bad)
+
+    @pytest.mark.parametrize("noise", [0, 1, np.int64(0), np.float32(0.25), np.float64(0.25)])
+    def test_accepts_int_float_and_numpy_real_noise(self, noise):
+        state, settings = maximally_entangled_state(D4), zero_settings(D4)
+        assert bell_value_noisy(state, settings, noise) == 2.0 * (1.0 - float(noise))
 
 
 class TestTCoefficients:
@@ -332,6 +374,15 @@ class TestTCoefficients:
             TCoefficients(0.9, 0.0, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(ValidationError):
             TCoefficients(0.0, 0.5, 0.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(6))
+    def test_constructor_rejects_non_finite_values(self, bad, slot):
+        # abs(nan) > bound is False, so a bound check alone lets NaN in.
+        values = [0.0] * 6
+        values[slot] = bad
+        with pytest.raises(ValidationError, match="must be finite"):
+            TCoefficients(*values)
 
     def test_requires_dimension_four(self):
         with pytest.raises(ValidationError):
@@ -644,3 +695,59 @@ class TestSampling:
         counts[:, :, 0, 0] = 9  # slices sum to 9, not 10
         with pytest.raises(ValidationError):
             SampleEstimate(10, counts, 0.0, 0.1)
+
+    @staticmethod
+    def _counts(shots=10):
+        counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
+        counts[:, :, 0, 0] = shots
+        return counts
+
+    def test_estimate_accepts_valid_records(self):
+        assert SampleEstimate(10, self._counts(), 0.0, 0.1).shots_per_setting == 10
+        assert SampleEstimate(np.int64(10), self._counts(), 0.0, 0.1).counts.shape == (2, 2, 2, 2)
+
+    @pytest.mark.parametrize("counts", [
+        np.full(4, 10),                             # 1-D: was numpy's AxisError
+        np.full((2, 2, 10), 1),                     # three axes
+        np.full((2, 3, 2, 2), 0),                   # not two settings per party
+        np.zeros((2, 2, 2, 3), dtype=np.int64),     # outcome axes differ
+    ])
+    def test_estimate_rejects_counts_of_the_wrong_shape(self, counts):
+        with pytest.raises(ValidationError, match=r"shape \(2, 2, k, k\)"):
+            SampleEstimate(10, counts, 0.0, 0.1)
+
+    def test_estimate_rejects_counts_that_are_not_integers(self):
+        with pytest.raises(ValidationError, match="counts must be integers"):
+            SampleEstimate(10, self._counts().astype(float), 0.0, 0.1)
+
+    def test_estimate_rejects_negative_counts(self):
+        counts = self._counts()
+        counts[:, :, 0, 1] = -5
+        counts[:, :, 1, 1] = 5  # slices still sum to 10
+        with pytest.raises(ValidationError, match="non-negative"):
+            SampleEstimate(10, counts, 0.0, 0.1)
+
+    @pytest.mark.parametrize("shots", [True, 10.0, "10", None])
+    def test_estimate_rejects_shot_counts_that_are_not_ints(self, shots):
+        counts = self._counts(1 if shots is True else 10)
+        with pytest.raises(ValidationError, match="shots_per_setting must be an int"):
+            SampleEstimate(shots, counts, 0.0, 0.1)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
+    def test_estimate_equals_a_per_setting_loop_over_its_counts_bit_for_bit(self, d):
+        # The four settings' sums run as (4, d^2) arrays; the estimate and
+        # its error must equal the per-setting loop over the same counts.
+        rng = np.random.default_rng(800 + d)
+        limit = (2**63 - 1) // (d - 1)
+        for shots in [1, 37, limit] + rng.integers(2, 10**6, 30).tolist():
+            estimate = sample_experiment(random_state(rng, d, signed=True),
+                                         random_settings(rng, d), shots,
+                                         int(rng.integers(2**32)))
+            value = variance = 0.0
+            for K, c in zip(engine.kernel_table(d), estimate.counts.reshape(4, d, d)):
+                value += np.sum(K * c) / ((d - 1) * shots)
+                smoothed = (c + 0.5) / (shots + 0.5 * d * d)
+                m1 = float(np.sum(smoothed * K))
+                variance += float(np.sum(smoothed * (K - m1) ** 2)) / ((d - 1) ** 2 * shots)
+            assert estimate.value_estimate == value
+            assert estimate.std_error == math.sqrt(variance)

@@ -187,8 +187,6 @@ class JointProbabilityTable:
             raise DimensionMismatchError(
                 f"expected shape (2, 2, {d}, {d}), got {p.shape}"
             )
-        # Array methods and ufuncs, not the np.all/np.min/np.clip wrappers:
-        # every outcome table of every route passes through here.
         if not np.isfinite(p).all():
             raise ValidationError("probabilities must be finite")
         lowest = p.min()
@@ -196,8 +194,7 @@ class JointProbabilityTable:
             raise ValidationError(
                 f"probability {lowest!r} below the -1e-14 round-off allowance"
             )
-        # The clamp, as np.clip(p, 0.0, None) computes it; the new array
-        # leaves the caller's input writeable.
+        # A new array, so the caller's input stays writeable.
         p = np.maximum(p, 0.0)
         sums = p.sum(axis=(2, 3))
         if abs(sums - 1.0).max() > _SLICE_SUM_TOL:
@@ -476,8 +473,7 @@ class SampleEstimate:
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
         shots = self.shots_per_setting
-        if not isinstance(shots, (int, np.integer)) or isinstance(shots, bool):
-            raise ValidationError(f"shots_per_setting must be an int, got {shots!r}")
+        _require_shots(shots)
         if shots < 1:
             raise ValidationError("shots_per_setting must be >= 1")
         if counts.dtype.kind not in "iu":
@@ -490,14 +486,17 @@ class SampleEstimate:
             raise ValidationError("counts must be non-negative")
 
 
+def _require_shots(shots: object) -> None:
+    if not isinstance(shots, (int, np.integer)) or isinstance(shots, bool):
+        raise ValidationError(f"shots_per_setting must be an int, got {shots!r}")
+
+
 def sample_experiment(state: PureState, settings: MeasurementSettings,
                       shots_per_setting: int, seed: int) -> SampleEstimate:
     """Draw the counts of shots_per_setting outcomes per setting pair as
     one multinomial draw from a seeded PRNG; deterministic for a fixed
     seed, and O(d^2) per setting whatever the shot count."""
-    if (not isinstance(shots_per_setting, (int, np.integer))
-            or isinstance(shots_per_setting, bool)):
-        raise ValidationError(f"shots_per_setting must be an int, got {shots_per_setting!r}")
+    _require_shots(shots_per_setting)
     shots = int(shots_per_setting)
     d = state.dim.d
     # |K| <= d - 1, so the limit keeps every K . counts sum within int64.

@@ -42,7 +42,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -298,25 +297,6 @@ class _Search:
     best: int
 
 
-@lru_cache(maxsize=16)
-def _start_draws(seed: int, restarts: int, n: int) -> np.ndarray:
-    # Row r: n phases uniform in [0, 2 pi) from the PRNG stream (seed, r).
-    draws = np.array([
-        np.random.default_rng((seed, r)).uniform(0.0, 2.0 * math.pi, size=n)
-        for r in range(restarts)
-    ])
-    draws.flags.writeable = False
-    return draws
-
-
-@lru_cache(maxsize=16)
-def _coordinate_map(d: int, columns: tuple[int, ...]) -> np.ndarray:
-    # C = Theta (x) (the given columns of I_d), so that theta = C y.
-    C = np.kron(_THETA, np.eye(d)[:, columns])
-    C.flags.writeable = False
-    return C
-
-
 def _multistart(evaluate, d: int, columns: range | np.ndarray, config: OptimizerConfig) -> _Search:
     """Search for the config.direction extremum of evaluate over the
     summed phases of the given columns, the others held at zero, from
@@ -329,9 +309,12 @@ def _multistart(evaluate, d: int, columns: range | np.ndarray, config: Optimizer
     maximize = config.direction is Direction.MAXIMIZE
     sign = 1.0 if maximize else -1.0
     restarts, c = config.restarts, len(columns)
-    C = _coordinate_map(d, tuple(int(k) for k in columns))
+    C = np.kron(_THETA, np.eye(d)[:, columns])
     starts = np.zeros((restarts, 4, d))
-    starts[:, :, columns] = _start_draws(config.seed, restarts, 4 * c).reshape(restarts, 4, c)
+    starts[:, :, columns] = np.array([
+        np.random.default_rng((config.seed, r)).uniform(0.0, 2.0 * math.pi, size=4 * c)
+        for r in range(restarts)
+    ]).reshape(restarts, 4, c)
     y0 = ((_PAIRS @ starts).reshape(restarts, 1, 4 * d) @ C)[:, 0] / np.repeat((4.0, 2.0, 2.0), c)
     y, f, gnorm, iterations, converged, rejected, mu, hessians = _minimize(
         _objective(evaluate, d, C, sign), y0)

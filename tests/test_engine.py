@@ -230,8 +230,7 @@ class TestCorrelationAndBellValue:
                 for j in (1, 2):
                     assert abs(correlation_q(table, i, j)) <= 1.0 + 1e-12
 
-    # True == 1 and 1.0 == 1, but neither is a setting index; 1.0 used to
-    # reach the array index and fail with a bare IndexError.
+    # True == 1 and 1.0 == 1, but neither is a setting index.
     @pytest.mark.parametrize("i,j", [(0, 1), (3, 1), (1, 3), (2, 0),
                                      (True, 2), (2, True), (1.0, 2), (1, 2.0)])
     def test_correlation_rejects_bad_setting_index(self, i, j):
@@ -294,7 +293,9 @@ class TestCorrelationAndBellValue:
         value = bell_value(maximally_entangled_state(D4), zero_settings(D4))
         assert type(value) is float
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
+    # d = 12 and 16 put 144 and 256 products in a setting's sum, past the
+    # 128 elements at which numpy starts to split a sum pairwise.
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 12, 16])
     def test_table_contraction_equals_the_per_setting_sums_bit_for_bit(self, d):
         # The four K . P sums run as one contraction; each must still be
         # the per-slice sum, divided by d - 1 and added in setting order.
@@ -330,8 +331,7 @@ class TestNoisyValue:
         settings = zero_settings(D4)
         assert bell_value_noisy(state, settings, 0.0) == bell_value(state, settings)
 
-    # Only real numbers: "0.5" used to give 1.0 and True full noise (0.0);
-    # None and [0.1] raised TypeError and "abc" ValueError.
+    # Only real numbers: not bools, strings, None or lists.
     @pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan,
                                      "0.5", True, None, [0.1], "abc", np.True_])
     def test_rejects_out_of_range_noise(self, bad):
@@ -707,7 +707,7 @@ class TestSampling:
         assert SampleEstimate(np.int64(10), self._counts(), 0.0, 0.1).counts.shape == (2, 2, 2, 2)
 
     @pytest.mark.parametrize("counts", [
-        np.full(4, 10),                             # 1-D: was numpy's AxisError
+        np.full(4, 10),                             # 1-D
         np.full((2, 2, 10), 1),                     # three axes
         np.full((2, 3, 2, 2), 0),                   # not two settings per party
         np.zeros((2, 2, 2, 3), dtype=np.int64),     # outcome axes differ
@@ -733,7 +733,8 @@ class TestSampling:
         with pytest.raises(ValidationError, match="shots_per_setting must be an int"):
             SampleEstimate(shots, counts, 0.0, 0.1)
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
+    # d = 12 and 16: past numpy's 128-element pairwise split, as above.
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 12, 16])
     def test_estimate_equals_a_per_setting_loop_over_its_counts_bit_for_bit(self, d):
         # The four settings' sums run as (4, d^2) arrays; the estimate and
         # its error must equal the per-setting loop over the same counts.

@@ -164,33 +164,6 @@ class TestDeterminism:
         assert a.best.value == b.best.value
         assert a.best.settings.a1.phases == b.best.settings.a1.phases
 
-    def test_cached_start_draws_and_map_are_read_only_fresh_values(self):
-        draws = bellmp.optimize._start_draws(5, 3, 8)
-        fresh = [np.random.default_rng((5, r)).uniform(0.0, 2.0 * math.pi, size=8)
-                 for r in range(3)]
-        assert np.array_equal(draws, fresh)
-        C = bellmp.optimize._coordinate_map(4, (1, 3))
-        assert np.array_equal(C, np.kron(bellmp.optimize._THETA, np.eye(4)[:, [1, 3]]))
-        for cached in (draws, C):
-            with pytest.raises(ValueError):
-                cached[0, 0] = 1.0
-
-    @pytest.mark.parametrize("free_state", [False, True])
-    def test_cached_and_uncached_searches_agree_bit_for_bit(self, free_state):
-        def search():
-            config = OptimizerConfig(restarts=5, seed=13)
-            if free_state:
-                return optimize_joint(Dimension(3), config)
-            return optimize_angles(make_state(D4, (1.2, 0.0, 1.1, 0.9)), config)
-
-        bellmp.optimize._start_draws.cache_clear()
-        bellmp.optimize._coordinate_map.cache_clear()
-        cold, warm = search(), search()
-        assert bellmp.optimize._start_draws.cache_info().hits >= 1
-        assert cold.per_restart_values == warm.per_restart_values
-        assert cold.per_restart_iterations == warm.per_restart_iterations
-        assert cold.best.settings == warm.best.settings
-
 
 class TestRestartCounters:
     @pytest.mark.parametrize("free_state", [False, True])

@@ -39,6 +39,8 @@ from .model import (
     PureState,
     ValidationError,
     DimensionMismatchError,
+    _is_int,
+    _is_setting_index,
     kernel_table,
     require_seed,
 )
@@ -208,10 +210,6 @@ class JointProbabilityTable:
         if not (_is_setting_index(i) and _is_setting_index(j)):
             raise ValidationError(f"setting indices must be the int 1 or 2, got ({i!r}, {j!r})")
         return self.probabilities[i - 1, j - 1]
-
-
-def _is_setting_index(i: object) -> bool:
-    return isinstance(i, (int, np.integer)) and not isinstance(i, bool) and i in (1, 2)
 
 
 def joint_probabilities(state: PureState, settings: MeasurementSettings) -> JointProbabilityTable:
@@ -487,7 +485,7 @@ class SampleEstimate:
 
 
 def _require_shots(shots: object) -> None:
-    if not isinstance(shots, (int, np.integer)) or isinstance(shots, bool):
+    if not _is_int(shots):
         raise ValidationError(f"shots_per_setting must be an int, got {shots!r}")
 
 

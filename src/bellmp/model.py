@@ -59,6 +59,15 @@ SETTING_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
 PAIR_SIGNS = (1, 1, -1, 1)
 
 
+def _is_int(k: object) -> bool:
+    # An int or numpy int; True == 1, but a bool is not an index.
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+
+
+def _is_setting_index(i: object) -> bool:
+    return _is_int(i) and i in (1, 2)
+
+
 class BellError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -78,7 +87,7 @@ class ValidationError(BellError):
 def require_seed(seed: object) -> None:
     """Reject a PRNG seed that is not an int >= 0, which numpy would
     refuse only once the draw starts."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ValidationError(f"seed must be an int >= 0, got {seed!r}")
 
 
@@ -192,11 +201,11 @@ def kernel_f(i: int, j: int, m: int, n: int, dim: Dimension, variant: KernelVari
     (k = 0..d-1) on exactly d of the d^2 outcome pairs, so it sums
     to zero over the full outcome table.
     """
-    if i not in (1, 2) or j not in (1, 2):
-        raise ValidationError(f"setting indices must be 1 or 2, got ({i}, {j})")
-    if not (0 <= m < dim.d and 0 <= n < dim.d):
+    if not (_is_setting_index(i) and _is_setting_index(j)):
+        raise ValidationError(f"setting indices must be the int 1 or 2, got ({i!r}, {j!r})")
+    if not (_is_int(m) and _is_int(n) and 0 <= m < dim.d and 0 <= n < dim.d):
         raise ValidationError(
-            f"outcomes must lie in 0..{dim.d - 1}, got ({m}, {n})"
+            f"outcomes must be ints in 0..{dim.d - 1}, got ({m!r}, {n!r})"
         )
     if not isinstance(variant, KernelVariant):
         raise ValidationError(f"variant must be a KernelVariant, got {variant!r}")

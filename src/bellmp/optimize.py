@@ -51,6 +51,7 @@ from .model import (
     PhaseVector,
     PureState,
     ValidationError,
+    _is_int,
     make_state,
     require_seed,
 )
@@ -124,27 +125,35 @@ class OptimizationRun:
     per_restart_values lists the converged value of every restart in
     restart order; best is the extremal one, restart best_restart (ties
     keep the lowest restart index).  The other per_restart_ fields list
-    each restart's iterations, convergence, final gradient norm,
-    rejected Newton steps and final regularization mu.
-    per_restart_eigengaps lists, for the joint search,
-    d |lambda_ext - lambda_next| of the pair matrix at each restart's
-    final phases, and is empty for the angle search.  A restart counts
-    as converged when it passes the gradient test and, for the joint
-    search, its eigengap exceeds 1e-9 (1 + |value|), so that its
-    extreme eigenvalue is simple.  hessians counts the rows at which a
-    Hessian and its lowest eigenvalue were formed.
+    each restart's iterations, final gradient norm, rejected Newton
+    steps and final regularization mu.  per_restart_eigengaps lists, for
+    the joint search, d |lambda_ext - lambda_next| of the pair matrix at
+    each restart's final phases, and is empty for the angle search.
+    hessians counts the rows at which a Hessian and its lowest
+    eigenvalue were formed.  The properties derive the rest from these
+    fields.
     """
 
     best: ExtremalResult
     best_restart: int
     per_restart_values: tuple[float, ...]
     per_restart_iterations: tuple[int, ...]
-    per_restart_converged: tuple[bool, ...]
     per_restart_gradient_norms: tuple[float, ...]
     per_restart_rejected: tuple[int, ...]
     per_restart_mu: tuple[float, ...]
     per_restart_eigengaps: tuple[float, ...]
     hessians: int
+
+    @property
+    def per_restart_converged(self) -> tuple[bool, ...]:
+        """Per restart, whether its gradient norm is at most 1e-9 and,
+        where eigengaps are recorded, its eigengap exceeds
+        1e-9 (1 + |value|), so that its extreme eigenvalue is simple:
+        lambda_ext has no gradient where it is degenerate."""
+        values = self.per_restart_values
+        gaps = self.per_restart_eigengaps or (math.inf,) * len(values)
+        return tuple(norm <= _GRADIENT_TOLERANCE and gap > _GAP_RTOL * (1.0 + abs(value))
+                     for norm, gap, value in zip(self.per_restart_gradient_norms, gaps, values))
 
     @property
     def iterations_used(self) -> int:
@@ -281,31 +290,18 @@ def _objective(evaluate, d: int, C: np.ndarray, sign: float):
     return fun
 
 
-@dataclass(frozen=True)
-class _Search:
-    # Per restart: value in the Bell value's own sign, phases (B1 = 0),
-    # gradient norm, iterations, gradient-test flag, rejected steps,
-    # final mu and Hessians formed; then the search's extremal restart.
-    values: np.ndarray
-    phases: np.ndarray
-    gradient_norms: np.ndarray
-    iterations: np.ndarray
-    converged: np.ndarray
-    rejected: np.ndarray
-    mu: np.ndarray
-    hessians: np.ndarray
-    best: int
-
-
-def _multistart(evaluate, d: int, columns: range | np.ndarray, config: OptimizerConfig) -> _Search:
+def _multistart(evaluate, d: int, columns: range | np.ndarray, config: OptimizerConfig,
+                finish) -> OptimizationRun:
     """Search for the config.direction extremum of evaluate over the
     summed phases of the given columns, the others held at zero, from
     config.restarts starts run as one batch.  Restart r draws the 4 c
     phases phi0 of its c columns uniformly from [0, 2 pi) with the PRNG
     stream (config.seed, r), so results are reproducible.  The solver
     runs over the 3 c coordinates y of theta = C y, from
-    y0 = diag(1/4, 1/2, 1/2) Theta^T L phi0 per column, and the search
-    reports each restart's phases in the gauge B1 = 0."""
+    y0 = diag(1/4, 1/2, 1/2) Theta^T L phi0 per column.  finish(phases,
+    best) takes every restart's phases, in the gauge B1 = 0, and the
+    extremal restart, and returns the run's state, its settings and the
+    per-restart eigengaps."""
     maximize = config.direction is Direction.MAXIMIZE
     sign = 1.0 if maximize else -1.0
     restarts, c = config.restarts, len(columns)
@@ -316,30 +312,23 @@ def _multistart(evaluate, d: int, columns: range | np.ndarray, config: Optimizer
         for r in range(restarts)
     ]).reshape(restarts, 4, c)
     y0 = ((_PAIRS @ starts).reshape(restarts, 1, 4 * d) @ C)[:, 0] / np.repeat((4.0, 2.0, 2.0), c)
-    y, f, gnorm, iterations, converged, rejected, mu, hessians = _minimize(
+    y, f, gnorm, iterations, _, rejected, mu, hessians = _minimize(
         _objective(evaluate, d, C, sign), y0)
-    phases = _gauge_phases((y[:, None, :] @ C.T).reshape(restarts, 4, d))
     values = -sign * f
     # Ties keep the lowest index.
     best = int(values.argmax() if maximize else values.argmin())
-    return _Search(values, phases, gnorm, iterations, converged, rejected, mu, hessians, best)
-
-
-def _make_run(search: _Search, state: PureState, settings: MeasurementSettings,
-              converged: np.ndarray, eigengaps: tuple[float, ...] = ()) -> OptimizationRun:
-    values = tuple(search.values.tolist())
-    best = search.best
+    state, settings, eigengaps = finish(
+        _gauge_phases((y[:, None, :] @ C.T).reshape(restarts, 4, d)), best)
     return OptimizationRun(
-        best=ExtremalResult(values[best], state, settings),
+        best=ExtremalResult(float(values[best]), state, settings),
         best_restart=best,
-        per_restart_values=values,
-        per_restart_iterations=tuple(int(i) for i in search.iterations),
-        per_restart_converged=tuple(bool(c) for c in converged),
-        per_restart_gradient_norms=tuple(float(g) for g in search.gradient_norms),
-        per_restart_rejected=tuple(int(r) for r in search.rejected),
-        per_restart_mu=tuple(float(m) for m in search.mu),
+        per_restart_values=tuple(values.tolist()),
+        per_restart_iterations=tuple(iterations.tolist()),
+        per_restart_gradient_norms=tuple(gnorm.tolist()),
+        per_restart_rejected=tuple(rejected.tolist()),
+        per_restart_mu=tuple(mu.tolist()),
         per_restart_eigengaps=eigengaps,
-        hessians=int(search.hessians.sum()),
+        hessians=int(hessians.sum()),
     )
 
 
@@ -349,10 +338,9 @@ def optimize_angles(state: PureState, config: OptimizerConfig) -> OptimizationRu
     settings have B1 = 0 and every other column at zero."""
     d = state.dim.d
     a = np.asarray(state.coefficients)
-    search = _multistart(lambda theta: value_and_gradient_arrays(a, theta, d),
-                         d, np.flatnonzero(a)[1:], config)
-    return _make_run(search, state, _settings(search.phases[search.best], state.dim),
-                     search.converged)
+    return _multistart(lambda theta: value_and_gradient_arrays(a, theta, d),
+                       d, np.flatnonzero(a)[1:], config,
+                       lambda phases, best: (state, _settings(phases[best], state.dim), ()))
 
 
 def optimize_joint(dim: Dimension, config: OptimizerConfig) -> OptimizationRun:
@@ -368,25 +356,23 @@ def optimize_joint(dim: Dimension, config: OptimizerConfig) -> OptimizationRun:
     The reported state is non-negative: v is flipped so that v_0 >= 0,
     and every other negative v_k becomes |v_k| with pi added to A1[k]
     and A2[k], which leaves the value unchanged and the settings in the
-    gauge B1 = 0 of the search, with column 0 at zero.  A restart counts as
-    converged if it passes the gradient test and its extreme eigenvalue
-    is simple (eigengap above 1e-9 (1 + |value|) in Bell-value units,
-    as listed in per_restart_eigengaps), since lambda_ext has no
-    gradient where it is degenerate.
+    gauge B1 = 0 of the search, with column 0 at zero.  The run records
+    each restart's eigengap, which per_restart_converged tests.
     """
     d = dim.d
     largest = config.direction is Direction.MAXIMIZE
-    search = _multistart(lambda theta: extreme_value_and_gradient(theta, d, largest),
-                         d, range(1, d), config)
-    _, V, k, gaps = _extreme_eigh(pair_matrix(search.phases, d), d, largest)
-    converged = search.converged & (gaps > _GAP_RTOL * (1.0 + np.abs(search.values)))
-    best = search.best
-    phases, v = search.phases[best].copy(), V[best, :, k]
-    if v[0] < 0.0:
-        v = -v
-    phases[:2, v < 0.0] += math.pi
-    state = make_state(dim, tuple(math.sqrt(d) * float(c) for c in np.abs(v)))
-    return _make_run(search, state, _settings(phases, dim), converged, tuple(gaps.tolist()))
+
+    def finish(phases: np.ndarray, best: int):
+        _, V, k, gaps = _extreme_eigh(pair_matrix(phases, d), d, largest)
+        phases, v = phases[best].copy(), V[best, :, k]
+        if v[0] < 0.0:
+            v = -v
+        phases[:2, v < 0.0] += math.pi
+        state = make_state(dim, tuple(math.sqrt(d) * float(c) for c in np.abs(v)))
+        return state, _settings(phases, dim), tuple(gaps.tolist())
+
+    return _multistart(lambda theta: extreme_value_and_gradient(theta, d, largest),
+                       d, range(1, d), config, finish)
 
 
 def max_abs_t_coefficient(pair: tuple[int, int], restarts: int = 8,
@@ -403,7 +389,7 @@ def max_abs_t_coefficient(pair: tuple[int, int], restarts: int = 8,
     over seeds 0-5 one restart reaches every pair's maximum except
     pair (0, 3) at seed 2, which stops at Gamma3 = 0.360797.
     """
-    if pair not in PAIR_SLOTS:
+    if not (isinstance(pair, tuple) and all(map(_is_int, pair)) and pair in PAIR_SLOTS):
         raise ValidationError(f"pair must be one of {PAIR_SLOTS}, got {pair!r}")
     state = make_state(Dimension(4), [float(j in pair) for j in range(4)])
     run = optimize_angles(state, OptimizerConfig(restarts=restarts, seed=seed))

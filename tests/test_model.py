@@ -111,6 +111,19 @@ class TestKernel:
         with pytest.raises(ValidationError):
             kernel_f(1, 1, 0, -1, Dimension(4), PLUS)
 
+    @pytest.mark.parametrize("i,j,m,n", [(True, 1, 0, 0), (1.0, 2, 0, 1), (1, 1, 1.5, 0),
+                                         (1, 1, True, 0), (2, 1, 0, np.True_), (1, 2, 0, 2.0)])
+    def test_rejects_inputs_that_are_not_ints(self, i, j, m, n):
+        # True == 1 and 1.0 == 1, but only an int is a setting index or
+        # an outcome.
+        with pytest.raises(ValidationError, match="setting indices|outcomes"):
+            kernel_f(i, j, m, n, Dimension(4), PLUS)
+
+    def test_accepts_numpy_int_inputs(self):
+        dim = Dimension(4)
+        value = kernel_f(np.int64(1), np.int32(2), np.int64(1), np.int8(3), dim, PLUS)
+        assert value == kernel_f(1, 2, 1, 3, dim, PLUS)
+
     @pytest.mark.parametrize("variant", ["plus", "minus", None])
     def test_variant_must_be_a_kernel_variant(self, variant):
         with pytest.raises(ValidationError, match="KernelVariant"):

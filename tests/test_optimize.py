@@ -182,12 +182,15 @@ class TestRestartCounters:
         best = run.best_restart
         assert run.best.value == run.per_restart_values[best]
         assert run.converged == run.per_restart_converged[best]
-        for converged, norm in zip(run.per_restart_converged,
-                                   run.per_restart_gradient_norms):
-            assert not converged or norm <= bellmp.optimize._GRADIENT_TOLERANCE
-        for converged, value, gap in zip(run.per_restart_converged, run.per_restart_values,
-                                         run.per_restart_eigengaps):
-            assert not converged or gap > bellmp.optimize._GAP_RTOL * (1.0 + abs(value))
+        gradient_test = [norm <= bellmp.optimize._GRADIENT_TOLERANCE
+                         for norm in run.per_restart_gradient_norms]
+        if free_state:
+            gap_test = [gap > bellmp.optimize._GAP_RTOL * (1.0 + abs(value))
+                        for value, gap in zip(run.per_restart_values, run.per_restart_eigengaps)]
+        else:
+            gap_test = [True] * 7
+        assert list(run.per_restart_converged) == [
+            passed and simple for passed, simple in zip(gradient_test, gap_test)]
         assert 0 < run.evaluations.calls <= run.evaluations.rows
         assert run.evaluations.hessians <= run.evaluations.rows - sum(run.per_restart_rejected)
         for iterations, rejected, mu in zip(run.per_restart_iterations,
@@ -196,6 +199,19 @@ class TestRestartCounters:
             # mu starts at 1, grows by 4 per rejected step and shrinks by 4
             # per kept one, except where the 1e-10 floor holds it up
             assert max(4.0 ** (2 * rejected - iterations), 1e-10) <= mu <= 4.0 ** rejected
+
+    def test_a_capped_restart_is_not_converged(self, monkeypatch):
+        # Restarts 14-16 of the seed-7 d = 4 joint minimum need 10, 14
+        # and 15 Newton steps; a cap of 12 stops the last two short of
+        # the gradient test, each at a simple eigenvalue.
+        monkeypatch.setattr(bellmp.optimize, "_MAX_ITERATIONS", 12)
+        run = optimize_joint(D4, OptimizerConfig(restarts=17, seed=7,
+                                                 direction=Direction.MINIMIZE))
+        assert run.per_restart_iterations[14:] == (10, 12, 12)
+        assert run.per_restart_converged[14:] == (True, False, False)
+        assert all(gap > 1e-6 for gap in run.per_restart_eigengaps[14:])
+        assert all(norm > bellmp.optimize._GRADIENT_TOLERANCE
+                   for norm in run.per_restart_gradient_norms[15:])
 
     @pytest.mark.parametrize("free_state", [False, True])
     def test_evaluations_count_the_kernel_calls_and_rows(self, monkeypatch, free_state):
@@ -785,3 +801,9 @@ class TestCoefficientSearch:
             max_abs_t_coefficient((1, 0))
         with pytest.raises(ValidationError):
             max_abs_t_coefficient((0, 4))
+
+    @pytest.mark.parametrize("pair", [(0, True), (False, 1), (0, 1.0), np.array([0, 1])])
+    def test_rejects_pairs_that_are_not_tuples_of_ints(self, pair):
+        # (0, True) == (0, 1), but True is not an index.
+        with pytest.raises(ValidationError, match="pair must be one of"):
+            max_abs_t_coefficient(pair, restarts=3)

@@ -1,5 +1,5 @@
-"""Bell-multiport toolkit: a d-outcome CHSH-type expression measured
-with phased Fourier multiports.
+"""Bell-multiport toolkit: CGLMP's d-outcome expression I_d, with Bob's
+outcomes relabelled n -> (-n) mod d, measured with phased Fourier multiports.
 
 The package computes joint outcome probabilities and Bell values for
 real-coefficient entangled states, certifies the exact classical

@@ -18,14 +18,13 @@ for fixed phases the Bell value is the quadratic form I = a^T M a in
 the state coefficients, with one pair matrix M (see pair_matrix), and
 the d = 4 T coefficients are T_kl = 2 M_kl.
 
-Every route here evaluates the paper's m + n kernel, the default of
-model.kernel_table.
+Every route here evaluates the paper's m + n kernel, model.kernel_table.
+The array kernels read d from the last axis of their arrays.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,6 +39,7 @@ from .model import (
     ValidationError,
     DimensionMismatchError,
     _is_int,
+    _is_real,
     _is_setting_index,
     kernel_table,
     require_seed,
@@ -121,18 +121,19 @@ _PAIRS.flags.writeable = False
 # The kernel functions below take summed phases with any leading batch
 # axes, (..., 4, d); every row of a batch is computed exactly as it
 # would be alone.
-def _phased(theta: np.ndarray, d: int) -> np.ndarray:
+def _phased(theta: np.ndarray) -> np.ndarray:
     # P[..., r, :, :] = diag(e^{i theta_r}) C[r] diag(e^{-i theta_r}); each
     # is Hermitian and I = a^T Re(sum_r P[..., r, :, :]) a / ((d - 1) d^3).
     z = np.exp(1j * theta)
-    P = z[..., :, None] * _circulant(d)
+    P = z[..., :, None] * _circulant(theta.shape[-1])
     P *= z.conj()[..., None, :]
     return P
 
 
-def _pair_sum(P: np.ndarray, d: int) -> np.ndarray:
+def _pair_sum(P: np.ndarray) -> np.ndarray:
     # Summing before the division by (d - 1) d^3 keeps the zero-phase
     # d = 4 entries at exactly 1/6.
+    d = P.shape[-1]
     return np.real(P.sum(axis=-3)) / ((d - 1) * d**3)
 
 
@@ -247,7 +248,7 @@ def mix_uniform_noise(table: JointProbabilityTable, noise_fraction: float) -> Jo
     """The table (1 - F) P + F / d^2 of uniform noise at fraction F in
     [0, 1]; F must be a real number (int, float or numpy real), not a
     bool or a string."""
-    if not isinstance(noise_fraction, numbers.Real) or isinstance(noise_fraction, bool):
+    if not _is_real(noise_fraction):
         raise ValidationError(f"noise fraction must be a real number, got {noise_fraction!r}")
     f = float(noise_fraction)
     if not 0.0 <= f <= 1.0:
@@ -273,12 +274,12 @@ def bell_value_noisy(state: PureState, settings: MeasurementSettings,
     return bell_value_from_table(mixed)
 
 
-def pair_matrix(phases: np.ndarray, d: int) -> np.ndarray:
+def pair_matrix(phases: np.ndarray) -> np.ndarray:
     """The pair matrix M of the (4, d) phase matrix (rows A1, A2, B1,
     B2): real, symmetric and with a zero diagonal, such that the Bell
     value of every state is the quadratic form I = a^T M a.  No
     validation happens here."""
-    return _pair_sum(_phased(_PAIRS @ phases, d), d)
+    return _pair_sum(_phased(_PAIRS @ phases))
 
 
 @dataclass(frozen=True)
@@ -331,24 +332,24 @@ def t_coefficients(settings: MeasurementSettings) -> TCoefficients:
         raise ValidationError(
             f"the T decomposition is defined for dimension 4, got {settings.dim.d}"
         )
-    M = pair_matrix(_phase_matrix(settings), 4)
+    M = pair_matrix(_phase_matrix(settings))
     return TCoefficients(*(2.0 * float(M[k, l]) for k, l in PAIR_SLOTS))
 
 
-def _theta_gradient(P: np.ndarray, coefficients: np.ndarray,
-                    d: int) -> tuple[np.ndarray, np.ndarray]:
+def _theta_gradient(P: np.ndarray, coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Setting pair r contributes -2 a Im(P[r] a) / ((d - 1) d^3) to the
     # gradient over its summed phases theta_r.  Also returns P a.
+    d = P.shape[-1]
     a = coefficients[..., None, :]
     pa = (P @ a[..., None])[..., 0]
     return (-2.0 / ((d - 1) * d**3)) * a * pa.imag, pa
 
 
-def _theta_hessian(P: np.ndarray, coefficients: np.ndarray, pa: np.ndarray,
-                   d: int) -> np.ndarray:
+def _theta_hessian(P: np.ndarray, coefficients: np.ndarray, pa: np.ndarray) -> np.ndarray:
     # No setting pair couples two summed phases, so the (..., 4, d, 4, d)
     # Hessian over theta is block diagonal; pair r contributes the block
     # 2 (a_m a_n Re P[r, m, n] - delta_mn a_m Re(P[r] a)_m) / ((d - 1) d^3).
+    d = P.shape[-1]
     a = coefficients[..., None, :]
     blocks = a[..., :, None] * a[..., None, :] * P.real
     diagonal = np.arange(d)
@@ -360,42 +361,40 @@ def _theta_hessian(P: np.ndarray, coefficients: np.ndarray, pa: np.ndarray,
     return H
 
 
-def value_and_gradient_arrays(coefficients: np.ndarray, theta: np.ndarray, d: int):
-    """Low-level evaluation on raw arrays: the Bell value a^T M a at the
-    (4, d) summed phases theta = phi^{A_i} + phi^{B_j} (rows in
-    SETTING_PAIRS order), its gradient over theta, and a function that
-    forms the (4, d, 4, d) Hessian over theta, block diagonal across
-    setting pairs, only when called: hessian(rows) for the batch rows
-    given, hessian() for all.
+def value_and_gradient_arrays(coefficients: np.ndarray, theta: np.ndarray):
+    """Low-level evaluation on raw arrays: the Bell value a^T M a of the
+    (d,) coefficients a at the (4, d) summed phases theta =
+    phi^{A_i} + phi^{B_j} (rows in SETTING_PAIRS order), its gradient
+    over theta, and a function that forms the (4, d, 4, d) Hessian over
+    theta, block diagonal across setting pairs, only when called:
+    hessian(rows) for the batch rows given, hessian() for all.
 
     A (..., 4, d) stack of summed phases is evaluated as one batch,
-    with (..., d) coefficients or one (d,) vector for every row,
-    returning (...) and (..., 4, d) arrays, so a lone (4, d) matrix
-    gives a 0-d value; row r equals the call on row r alone, bit for
-    bit, and so does its Hessian whichever rows are formed with it.  No
+    returning (...) and (..., 4, d) arrays, so a lone (4, d) matrix gives
+    a 0-d value; row r equals the call on row r alone, bit for bit, and
+    so does its Hessian whichever rows are formed with it.  No
     validation happens here; this is the optimizer's hot path.
     """
-    P = _phased(theta, d)
-    Ma = _pair_sum(P, d) @ coefficients[..., None]
+    P = _phased(theta)
+    Ma = _pair_sum(P) @ coefficients[..., None]
     value = (coefficients[..., None, :] @ Ma)[..., 0, 0]
-    gradient, pa = _theta_gradient(P, coefficients, d)
+    gradient, pa = _theta_gradient(P, coefficients)
 
     def hessian(rows=...):
-        a = coefficients[rows] if coefficients.ndim > 1 else coefficients
-        return _theta_hessian(P[rows], a, pa[rows], d)
+        return _theta_hessian(P[rows], coefficients, pa[rows])
 
     return value, gradient, hessian
 
 
-def _extreme_eigh(M: np.ndarray, d: int, largest: bool) -> tuple[np.ndarray, ...]:
+def _extreme_eigh(M: np.ndarray, largest: bool) -> tuple[np.ndarray, ...]:
     # The ascending spectrum w and eigenvectors V of the pair matrices M,
     # the column k of the extreme eigenvalue and the eigengap of d M there.
     w, V = np.linalg.eigh(M)
     k, n = (-1, -2) if largest else (0, 1)
-    return w, V, k, d * np.abs(w[..., k] - w[..., n])
+    return w, V, k, M.shape[-1] * np.abs(w[..., k] - w[..., n])
 
 
-def extreme_value_and_gradient(theta: np.ndarray, d: int, largest: bool):
+def extreme_value_and_gradient(theta: np.ndarray, largest: bool):
     """The Bell value optimized over states at fixed phases, on raw
     arrays: d lambda of the pair matrix's largest (or smallest)
     eigenvalue lambda at the (4, d) summed phases theta, its gradient
@@ -412,14 +411,15 @@ def extreme_value_and_gradient(theta: np.ndarray, d: int, largest: bool):
     Batches behave as in value_and_gradient_arrays.  No validation
     happens here.
     """
-    P = _phased(theta, d)
-    w, V, k, _ = _extreme_eigh(_pair_sum(P, d), d, largest)
+    d = theta.shape[-1]
+    P = _phased(theta)
+    w, V, k, _ = _extreme_eigh(_pair_sum(P), largest)
     a = math.sqrt(d) * V[..., k]
-    gradient, pa = _theta_gradient(P, a, d)
+    gradient, pa = _theta_gradient(P, a)
 
     def hessian(rows=...):
         Pr, Vr, wr = P[rows], V[rows], w[rows]
-        H = _theta_hessian(Pr, a[rows], pa[rows], d)
+        H = _theta_hessian(Pr, a[rows], pa[rows])
         # Second-order perturbation of a simple eigenvalue: d lambda gains
         # 2 d sum_{j != ext} J_j J_j^T / (lambda_ext - lambda_j), where J_j
         # over theta holds v_j^T (dM / d theta) v.  A zero gap has weight 0.
@@ -442,9 +442,8 @@ def bell_gradient(state: PureState, settings: MeasurementSettings) -> np.ndarray
         raise DimensionMismatchError(
             f"state dimension {state.dim.d} != settings dimension {settings.dim.d}"
         )
-    d = state.dim.d
-    P = _phased(_PAIRS @ _phase_matrix(settings), d)
-    return (_PAIRS.T @ _theta_gradient(P, np.asarray(state.coefficients), d)[0]).reshape(-1)
+    P = _phased(_PAIRS @ _phase_matrix(settings))
+    return (_PAIRS.T @ _theta_gradient(P, np.asarray(state.coefficients))[0]).reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -84,9 +84,13 @@ def lhv_value(strategy: DeterministicStrategy,
     value over S = (d - 1) / 2, so the four signed, doubled kernel values
     are summed as integers and divided once by d - 1 (thirds at d = 4).
     """
+    if not isinstance(variant, KernelVariant):
+        raise ValidationError(f"variant must be a KernelVariant, got {variant!r}")
     d = strategy.dim.d
-    K = kernel_table(d, variant)
+    K = kernel_table(d)
     a1, a2, b1, b2 = strategy.outcomes
+    if variant is KernelVariant.MINUS:  # m - n = m + (-n): relabel Bob's outcomes
+        b1, b2 = -b1 % d, -b2 % d
     total = K[0, a1, b1] + K[1, a1, b2] + K[2, a2, b1] + K[3, a2, b2]
     return Fraction(int(total), d - 1)
 

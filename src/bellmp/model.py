@@ -11,14 +11,16 @@ Conventions used throughout the package:
 
   where M(x, d) is the non-negative residue of x modulo d and
   eps(x) = +1 for x >= 0, -1 otherwise.  Only the setting pair
-  (i, j) = (1, 2) picks up the sign flip.  This is the paper's
-  kernel, KernelVariant.PLUS, and the only one the engine, the
-  optimizer and the CLI evaluate.  kernel_f, kernel_table and the lhv
-  module also take KernelVariant.MINUS, with m - n in place of m + n:
-  the benchmark's exact LHV enumeration still runs both kernels.
+  (i, j) = (1, 2) picks up the sign flip.  This is the paper's kernel,
+  KernelVariant.PLUS, the only one kernel_table holds.  kernel_f also
+  takes KernelVariant.MINUS, with m - n in place of m + n, as the
+  scalar reference for the lhv module, which alone still evaluates it
+  (for the benchmark's exact LHV enumeration).
 - The Bell expression is I = Q11 + Q12 - Q21 + Q22 with
   Q_ij = (1/S) sum_{m,n} f_ij(m, n) P_ij(m, n).  Every route (quantum,
-  sampled, classical) reads it from kernel_table.
+  sampled, classical) reads it from kernel_table.  It is CGLMP's I_d
+  (Collins, Gisin, Linden, Massar and Popescu 2002) with Bob's outcomes
+  relabelled n -> (-n) mod d.
 - Pure states carry real coefficients normalized so that the squares
   sum to d; the maximally entangled state has every coefficient 1.
 """
@@ -28,6 +30,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -64,6 +67,11 @@ def _is_int(k: object) -> bool:
     return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
 
 
+def _is_real(x: object) -> bool:
+    # An int, float or numpy real, but not a bool or a string.
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _is_setting_index(i: object) -> bool:
     return _is_int(i) and i in (1, 2)
 
@@ -93,8 +101,8 @@ def require_seed(seed: object) -> None:
 
 class KernelVariant(enum.Enum):
     """Sign convention inside the correlation kernel: m + n (PLUS, the
-    paper's) or m - n (MINUS, taken only by kernel_f, kernel_table and
-    the lhv module)."""
+    paper's) or m - n (MINUS, taken only by kernel_f and the lhv
+    module)."""
 
     PLUS = "plus"
     MINUS = "minus"
@@ -107,8 +115,10 @@ class Dimension:
     d: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or isinstance(self.d, bool):
-            raise ValidationError(f"dimension must be an int, got {self.d!r}")
+        if type(self.d) is not int:
+            if not _is_int(self.d):
+                raise ValidationError(f"dimension must be an int, got {self.d!r}")
+            object.__setattr__(self, "d", int(self.d))
         if self.d < 2:
             raise ValidationError(f"dimension must be >= 2, got {self.d}")
 
@@ -214,28 +224,19 @@ def kernel_f(i: int, j: int, m: int, n: int, dim: Dimension, variant: KernelVari
     return dim.spin - ((eps * combo) % dim.d)
 
 
-def kernel_table(d: int, variant: KernelVariant = KernelVariant.PLUS) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def kernel_table(d: int) -> np.ndarray:
     """Read-only (4, d, d) int64 table K[r, m, n] = sign_r 2 f_ij(m, n)
-    for the setting pairs (i, j) = SETTING_PAIRS[r], cached per (d,
-    variant); the default is the paper's kernel.
+    of the paper's kernel for the setting pairs (i, j) =
+    SETTING_PAIRS[r], cached per d.
 
     Doubling makes the half-integer kernel integral, so the Bell value
     of any outcome table P of shape (4, d, d) is sum(K P) / (d - 1),
     exactly for rational P.  Every row and every column of each K[r]
     sums to zero.
     """
-    # The cache hashes its key, so an unhashable variant must be
-    # rejected before the lookup, not with a TypeError inside it.
-    if not isinstance(variant, KernelVariant):
-        raise ValidationError(f"variant must be a KernelVariant, got {variant!r}")
-    return _kernel_table(d, variant)
-
-
-@functools.lru_cache(maxsize=None)
-def _kernel_table(d: int, variant: KernelVariant) -> np.ndarray:
     m, n = np.ogrid[:d, :d]
-    combo = m + n if variant is KernelVariant.PLUS else m - n
-    K = np.array([sign * ((d - 1) - 2 * (((-1 if i < j else 1) * combo) % d))
+    K = np.array([sign * ((d - 1) - 2 * (((-1 if i < j else 1) * (m + n)) % d))
                   for (i, j), sign in zip(SETTING_PAIRS, PAIR_SIGNS)], dtype=np.int64)
     K.flags.writeable = False
     return K

@@ -89,9 +89,9 @@ class OptimizerConfig:
     direction: Direction = Direction.MAXIMIZE
 
     def __post_init__(self) -> None:
-        if (not isinstance(self.restarts, int) or isinstance(self.restarts, bool)
-                or self.restarts < 1):
+        if not _is_int(self.restarts) or self.restarts < 1:
             raise ValidationError(f"restarts must be an int >= 1, got {self.restarts!r}")
+        object.__setattr__(self, "restarts", int(self.restarts))
         require_seed(self.seed)
         if not isinstance(self.direction, Direction):
             raise ValidationError(f"direction must be a Direction, got {self.direction!r}")
@@ -202,8 +202,8 @@ def _minimize(fun, x0: np.ndarray) -> tuple[np.ndarray, ...]:
     restart stops when |g| <= _GRADIENT_TOLERANCE, when mu exceeds 1e8
     or after _MAX_ITERATIONS steps, and its results are written out
     then; the loop holds only the restarts still running.  Returns per
-    restart the point, value, gradient norm, iterations, convergence
-    flag, rejected steps, final mu and Hessians formed.
+    restart the point, value, gradient norm, iterations, rejected steps,
+    final mu and Hessians formed.
     """
     x = np.array(x0, dtype=float)
     f, g, hessian = fun(x)
@@ -224,9 +224,7 @@ def _minimize(fun, x0: np.ndarray) -> tuple[np.ndarray, ...]:
             for result, final in zip(out, (x, f, gnorm, iterations, rejected, mu, hessians)):
                 result[gone] = final[stop]
             if len(gone) == len(stop):
-                x, f, gnorm, iterations, rejected, mu, hessians = out
-                return (x, f, gnorm, iterations, gnorm <= _GRADIENT_TOLERANCE, rejected, mu,
-                        hessians)
+                return tuple(out)
             x, f, g, gnorm, mu, iterations, rejected, hessians, H, lowest, place, kept = (
                 a[go] for a in
                 (x, f, g, gnorm, mu, iterations, rejected, hessians, H, lowest, place, kept))
@@ -269,18 +267,18 @@ def _gauge_phases(theta: np.ndarray) -> np.ndarray:
     return np.stack((t11, t21, np.zeros_like(t11), t12 - t11), axis=-2)
 
 
-def _objective(evaluate, d: int, C: np.ndarray, sign: float):
+def _objective(evaluate, C: np.ndarray, sign: float):
     """The function the solver minimizes over the coordinates y, with
     theta = C y for the (4 d, 3 c) map C = Theta (x) (the c free columns
     of I_d): -sign times evaluate's value at theta, its gradient C^T g,
     and the function that forms C^T H C for chosen rows.  evaluate is
     one of the engine kernels.  Each product is a stack of per-row
     products, so a row's result does not depend on its batch."""
-    n = 4 * d
+    n = len(C)
 
     def fun(y: np.ndarray):
         m = len(y)
-        value, gradient, hessian = evaluate((y[:, None, :] @ C.T).reshape(m, 4, d))
+        value, gradient, hessian = evaluate((y[:, None, :] @ C.T).reshape(m, 4, n // 4))
 
         def curvature(rows: np.ndarray) -> np.ndarray:
             return -sign * (C.T @ hessian(rows).reshape(-1, n, n) @ C)
@@ -312,8 +310,7 @@ def _multistart(evaluate, d: int, columns: range | np.ndarray, config: Optimizer
         for r in range(restarts)
     ]).reshape(restarts, 4, c)
     y0 = ((_PAIRS @ starts).reshape(restarts, 1, 4 * d) @ C)[:, 0] / np.repeat((4.0, 2.0, 2.0), c)
-    y, f, gnorm, iterations, _, rejected, mu, hessians = _minimize(
-        _objective(evaluate, d, C, sign), y0)
+    y, f, gnorm, iterations, rejected, mu, hessians = _minimize(_objective(evaluate, C, sign), y0)
     values = -sign * f
     # Ties keep the lowest index.
     best = int(values.argmax() if maximize else values.argmin())
@@ -338,7 +335,7 @@ def optimize_angles(state: PureState, config: OptimizerConfig) -> OptimizationRu
     settings have B1 = 0 and every other column at zero."""
     d = state.dim.d
     a = np.asarray(state.coefficients)
-    return _multistart(lambda theta: value_and_gradient_arrays(a, theta, d),
+    return _multistart(lambda theta: value_and_gradient_arrays(a, theta),
                        d, np.flatnonzero(a)[1:], config,
                        lambda phases, best: (state, _settings(phases[best], state.dim), ()))
 
@@ -363,7 +360,7 @@ def optimize_joint(dim: Dimension, config: OptimizerConfig) -> OptimizationRun:
     largest = config.direction is Direction.MAXIMIZE
 
     def finish(phases: np.ndarray, best: int):
-        _, V, k, gaps = _extreme_eigh(pair_matrix(phases, d), d, largest)
+        _, V, k, gaps = _extreme_eigh(pair_matrix(phases), largest)
         phases, v = phases[best].copy(), V[best, :, k]
         if v[0] < 0.0:
             v = -v
@@ -371,7 +368,7 @@ def optimize_joint(dim: Dimension, config: OptimizerConfig) -> OptimizationRun:
         state = make_state(dim, tuple(math.sqrt(d) * float(c) for c in np.abs(v)))
         return state, _settings(phases, dim), tuple(gaps.tolist())
 
-    return _multistart(lambda theta: extreme_value_and_gradient(theta, d, largest),
+    return _multistart(lambda theta: extreme_value_and_gradient(theta, largest),
                        d, range(1, d), config, finish)
 
 

@@ -18,6 +18,9 @@ from .model import (
     make_state,
     maximally_entangled_state,
     ValidationError,
+    _as_float_tuple,
+    _is_int,
+    _is_real,
 )
 from .analytic import (
     branch_values_max,
@@ -96,16 +99,13 @@ def build_reproduction_report(restarts: int = 50, seed: int = 7) -> Reproduction
     rows.append(_row("Gamma2 radical", 0.4714, g.gamma2, 1e-4, "radical constant"))
     rows.append(_row("Gamma3 radical", 0.36080, g.gamma3, 1e-4, "radical constant"))
 
-    for d, expected_min in ((2, Fraction(-2)), (3, Fraction(-4)), (4, Fraction(-10, 3))):
+    for d in range(2, 7):
+        # The maximum is CGLMP's local bound 2 at every d.
+        expected_min = Fraction(-2) if d == 2 else Fraction(-2 * (d + 1), d - 1)
         report = lhv_bounds(Dimension(d))
-        rows.append(_row(
-            f"LHV max d={d}", Fraction(2), report.max_value, 0.0,
-            f"exhaustive {d ** 4}-strategy enumeration",
-        ))
-        rows.append(_row(
-            f"LHV min d={d}", expected_min, report.min_value, 0.0,
-            f"exhaustive {d ** 4}-strategy enumeration",
-        ))
+        source = f"exhaustive {d ** 4}-strategy enumeration"
+        rows.append(_row(f"LHV max d={d}", Fraction(2), report.max_value, 0.0, source))
+        rows.append(_row(f"LHV min d={d}", expected_min, report.min_value, 0.0, source))
 
     me = maximally_entangled_state(_D4)
     run_max_me = optimize_angles(me, OptimizerConfig(
@@ -189,27 +189,17 @@ def build_reproduction_report(restarts: int = 50, seed: int = 7) -> Reproduction
 
 
 def _diagnostics(joint_max: float, me_max: float) -> tuple[str, ...]:
-    notes: list[str] = []
     ref = reference_optimal_angles()
     opt_state, _ = optimal_max_state()
     v_opt = bell_value(opt_state, ref)
     v_me = bell_value(maximally_entangled_state(_D4), ref)
-    notes.append(
+    return (
         "non-gating: the fixed reference angle table evaluates to "
         f"{v_opt:.6f} at the optimal max state and {v_me:.6f} at the "
         f"maximally entangled state; the optimizer reaches {joint_max:.6f} "
         f"and {me_max:.6f} there, so the table's phase convention does not "
-        "match this probability model and it is recorded for reference only"
+        "match this probability model and it is recorded for reference only",
     )
-    for d in (5, 6):
-        report = lhv_bounds(Dimension(d))
-        bound = Fraction(-2 * (d + 1), d - 1)
-        relation = "equals" if report.min_value == bound else "exceeds"
-        notes.append(
-            f"non-gating: enumerated LHV min at d={d} is {report.min_value} "
-            f"and {relation} the -2(d+1)/(d-1) bound {bound}"
-        )
-    return tuple(notes)
 
 
 SCAN_COLUMNS = ("r", "B1", "B2", "Imax", "S1", "S2", "Imin", "Fthr")
@@ -229,10 +219,14 @@ class ScanSpec:
     steps: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.steps, int) or self.steps < 2:
+        if not _is_int(self.steps) or self.steps < 2:
             raise ValidationError(f"steps must be an int >= 2, got {self.steps!r}")
-        if not (math.isfinite(self.r_from) and math.isfinite(self.r_to)):
-            raise ValidationError("scan range must be finite")
+        object.__setattr__(self, "steps", int(self.steps))
+        if not (_is_real(self.r_from) and _is_real(self.r_to)):
+            raise ValidationError(
+                f"scan range must be real numbers, got {self.r_from!r} and {self.r_to!r}")
+        # Finite, and within the float range: 10**400 is real but is no float.
+        _as_float_tuple((self.r_from, self.r_to), "scan range")
         if not self.r_from < self.r_to:
             raise ValidationError(
                 f"r_from must be < r_to, got {self.r_from!r} >= {self.r_to!r}"

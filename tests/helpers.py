@@ -96,6 +96,35 @@ def reference_bell_value(state, settings):
     return total
 
 
+def cglmp_coefficients(d):
+    """(d - 1) c[(i, j)][a, b] as an int (2, 2, d, d) array indexed
+    [i - 1, j - 1, a, b], where c is the coefficient of P(A_i = a, B_j = b)
+    in CGLMP's expression (Collins, Gisin, Linden, Massar and Popescu
+    2002), transcribed term by term:
+
+        I_d = sum_{k=0}^{floor(d/2)-1} (1 - 2k/(d - 1)) [P(A1 = B1 + k)
+              + P(B1 = A2 + k + 1) + P(A2 = B2 + k) + P(B2 = A1 + k)
+              - P(A1 = B1 - k - 1) - P(B1 = A2 - k) - P(A2 = B2 - k - 1)
+              - P(B2 = A1 - k - 1)],
+
+    with outcomes compared mod d.  The weight (d - 1)(1 - 2k/(d - 1)) is
+    the integer d - 1 - 2k."""
+    out = np.zeros((2, 2, d, d), dtype=np.int64)
+    for k in range(d // 2):
+        weight = d - 1 - 2 * k
+        # (i, j, s, sign, alice_first): P(A_i = B_j + s) if alice_first,
+        # else P(B_j = A_i + s).
+        terms = ((1, 1, k, 1, True), (2, 1, k + 1, 1, False),
+                 (2, 2, k, 1, True), (1, 2, k, 1, False),
+                 (1, 1, -k - 1, -1, True), (2, 1, -k, -1, False),
+                 (2, 2, -k - 1, -1, True), (1, 2, -k - 1, -1, False))
+        for i, j, s, sign, alice_first in terms:
+            for a in range(d):
+                b = (a - s) % d if alice_first else (a + s) % d
+                out[i - 1, j - 1, a, b] += sign * weight
+    return out
+
+
 def central_difference_gradient(state, settings, variant=KernelVariant.PLUS, step=1e-6):
     """d I / d phi by central differences, ordered A1, A2, B1, B2.
     bell_value evaluates the paper's kernel alone, so variant must be

@@ -421,10 +421,10 @@ class TestGradient:
             settings = random_settings(rng, d)
             phases = np.array(settings_rows(settings))
             a = np.asarray(state.coefficients)
-            value = value_and_gradient_arrays(a, engine._PAIRS @ phases, d)[0]
+            value = value_and_gradient_arrays(a, engine._PAIRS @ phases)[0]
             expected = bell_value(state, settings)
             assert abs(value - expected) < 1e-12
-            M = pair_matrix(phases, d)
+            M = pair_matrix(phases)
             assert np.max(np.abs(M - M.T)) < 1e-14
             assert np.max(np.abs(np.diag(M))) < 1e-14
             assert abs(a @ M @ a - expected) < 1e-12
@@ -456,10 +456,10 @@ class TestThetaHessian:
     def test_pair_blocks_on_the_diagonal_and_zeros_off_it(self, d, batch):
         rng = np.random.default_rng(d)
         theta = engine._PAIRS @ rng.uniform(-10.0, 10.0, batch + (4, d))
-        a = rng.uniform(-2.0, 2.0, batch + (d,))
-        H = value_and_gradient_arrays(a, theta, d)[2]()
+        a = rng.uniform(-2.0, 2.0, d)
+        H = value_and_gradient_arrays(a, theta)[2]()
         assert H.shape == batch + (4, d, 4, d)
-        blocks = _pair_blocks(engine._phased(theta, d), a, d)
+        blocks = _pair_blocks(engine._phased(theta), a, d)
         for r in range(4):
             for s in range(4):
                 expected = blocks[..., r, :, :] if r == s else np.zeros(batch + (d, d))
@@ -573,8 +573,8 @@ def test_pair_matrix_and_kernel_agree_with_the_table_route(seed, d):
     phases = np.array(settings_rows(settings))
     expected = bell_value(state, settings)
     tolerance = 1e-12 * max(1.0, abs(expected))
-    assert abs(a @ pair_matrix(phases, d) @ a - expected) <= tolerance
-    value, gradient, _ = value_and_gradient_arrays(a, engine._PAIRS @ phases, d)
+    assert abs(a @ pair_matrix(phases) @ a - expected) <= tolerance
+    value, gradient, _ = value_and_gradient_arrays(a, engine._PAIRS @ phases)
     assert abs(value - expected) <= tolerance
     # L^T carries the theta gradient to the phases.
     gradient = (engine._PAIRS.T @ gradient).reshape(-1)

@@ -22,6 +22,8 @@ from bellmp import (
 )
 from bellmp.model import PAIR_SIGNS, SETTING_PAIRS, kernel_table
 
+from helpers import cglmp_coefficients
+
 PLUS = KernelVariant.PLUS
 MINUS = KernelVariant.MINUS
 
@@ -41,10 +43,17 @@ class TestDimension:
         with pytest.raises(ValidationError):
             Dimension(bad)
 
-    @pytest.mark.parametrize("bad", [2.0, "4", True, None])
+    @pytest.mark.parametrize("bad", [2.0, "4", True, None, np.float64(4.0), np.True_])
     def test_not_an_int(self, bad):
         with pytest.raises(ValidationError):
             Dimension(bad)
+
+    @pytest.mark.parametrize("d", [np.int64(4), np.int32(4), np.uint8(4)])
+    def test_numpy_int_is_stored_as_an_int(self, d):
+        # One integer rule, model._is_int, for every integer input.
+        dim = Dimension(d)
+        assert type(dim.d) is int
+        assert dim == Dimension(4)
 
 
 # Hand-computed kernel values: f = S - ((eps * combo) mod d), eps = -1
@@ -132,51 +141,50 @@ class TestKernel:
 
 class TestKernelTable:
     @pytest.mark.parametrize("d", range(2, 10))
-    @pytest.mark.parametrize("variant", [PLUS, MINUS])
-    def test_matches_scalar_kernel(self, d, variant):
+    def test_matches_scalar_kernel(self, d):
         # row r = 2 (i - 1) + (j - 1) holds sign_r * 2 f_ij, entry by entry
         dim = Dimension(d)
-        K = kernel_table(d, variant)
+        K = kernel_table(d)
         assert K.shape == (4, d, d)
         for r, ((i, j), sign) in enumerate(zip(SETTING_PAIRS, PAIR_SIGNS)):
             assert r == 2 * (i - 1) + (j - 1)
             for m in range(d):
                 for n in range(d):
-                    assert K[r, m, n] == sign * 2 * kernel_f(i, j, m, n, dim, variant)
+                    assert K[r, m, n] == sign * 2 * kernel_f(i, j, m, n, dim, PLUS)
 
     def test_signs_follow_the_bell_combination(self):
         assert SETTING_PAIRS == ((1, 1), (1, 2), (2, 1), (2, 2))
         assert PAIR_SIGNS == (1, 1, -1, 1)
 
     @pytest.mark.parametrize("d", range(2, 10))
-    @pytest.mark.parametrize("variant", [PLUS, MINUS])
     @pytest.mark.parametrize("axis", [pytest.param(2, id="rows"),
                                       pytest.param(1, id="columns")])
-    def test_every_row_and_column_sums_to_zero(self, d, variant, axis):
+    def test_every_row_and_column_sums_to_zero(self, d, axis):
         # So an outcome table whose marginal on either side is uniform,
         # such as white noise, adds 0 to the Bell value.
-        sums = kernel_table(d, variant).sum(axis=axis)
+        sums = kernel_table(d).sum(axis=axis)
         assert sums.shape == (4, d)
         assert not np.any(sums)
 
-    @pytest.mark.parametrize("variant", [PLUS, MINUS])
-    def test_int64_read_only_and_cached(self, variant):
-        K = kernel_table(4, variant)
+    def test_int64_read_only_and_cached(self):
+        K = kernel_table(4)
         assert K.dtype == np.int64
         assert not K.flags.writeable
         with pytest.raises(ValueError):
             K[0, 0, 0] = 0
-        assert kernel_table(4, variant) is K
+        assert kernel_table(4) is K
 
-    @pytest.mark.parametrize("variant", ["plus", "minus", None])
-    def test_variant_must_be_a_kernel_variant(self, variant):
-        with pytest.raises(ValidationError, match="KernelVariant"):
-            kernel_table(4, variant)
+    @pytest.mark.parametrize("d", range(2, 33))
+    def test_is_cglmp_with_bobs_outcomes_relabelled(self, d):
+        # K[r, m, n] = (d - 1) c_r(m, (-n) mod d) for the CGLMP
+        # coefficients c_r of the setting pair SETTING_PAIRS[r], exactly.
+        c = cglmp_coefficients(d).reshape(4, d, d)
+        assert np.array_equal(kernel_table(d), c[:, :, (-np.arange(d)) % d])
 
 
 _D4 = Dimension(4)
-# The public routes that take a kernel variant besides kernel_f and
-# kernel_table (checked above), called with `variant`.
+# The public routes that take a kernel variant besides kernel_f (checked
+# above), called with `variant`.
 _VARIANT_ROUTES = {
     "lhv_value": lambda variant: bellmp.lhv_value(
         bellmp.DeterministicStrategy(_D4, (0, 0, 0, 0)), variant),
@@ -186,7 +194,7 @@ _VARIANT_ROUTES = {
 
 @pytest.mark.parametrize("route", sorted(_VARIANT_ROUTES))
 def test_unhashable_variant_is_rejected_on_every_route(route):
-    # The kernel table's cache must check the variant before it hashes it.
+    # lhv_value checks the variant itself before it reads the table.
     with pytest.raises(ValidationError, match="KernelVariant"):
         _VARIANT_ROUTES[route](["plus"])
 

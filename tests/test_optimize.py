@@ -86,6 +86,13 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             build(**kwargs)
 
+    @pytest.mark.parametrize("restarts", [np.int64(5), np.int32(5), np.uint8(5)])
+    def test_numpy_int_restarts_are_stored_as_an_int(self, restarts):
+        # One integer rule, model._is_int, for every integer input.
+        config = OptimizerConfig(restarts=restarts)
+        assert type(config.restarts) is int
+        assert config == OptimizerConfig(restarts=5)
+
 
 class TestFixedStateSearch:
     @pytest.mark.parametrize("seed", [0, 123])
@@ -255,7 +262,8 @@ class TestRestartCounters:
         # but none where it stops (none of these reaches the step cap).
         fun = _objective("joint", 4, Direction.MINIMIZE)
         starts = _starts(4, (7,), range(12))
-        *_, iterations, converged, rejected, mu, hessians = _minimize(fun, starts)
+        _, _, gnorm, iterations, rejected, mu, hessians = _minimize(fun, starts)
+        converged = gnorm <= 1e-9
         for r in range(len(starts)):
             kept = iterations[r] - rejected[r]
             if rejected[r] == 0:
@@ -293,10 +301,10 @@ def _kernel(search, d, direction, a):
     # (angles) or the extreme eigenvalue (joint).
     if search == "angles":
         def evaluate(theta):
-            return value_and_gradient_arrays(a, theta, d)
+            return value_and_gradient_arrays(a, theta)
     else:
         def evaluate(theta):
-            return extreme_value_and_gradient(theta, d, direction is Direction.MAXIMIZE)
+            return extreme_value_and_gradient(theta, direction is Direction.MAXIMIZE)
     return evaluate
 
 
@@ -307,8 +315,8 @@ def _sign(direction):
 def _objective(search, d, direction):
     # The function the driver hands the solver, over the coordinates y.
     a = np.asarray(random_state(np.random.default_rng(d), d).coefficients)
-    return bellmp.optimize._objective(_kernel(search, d, direction, a), d,
-                                      _theta_map(d), _sign(direction))
+    return bellmp.optimize._objective(_kernel(search, d, direction, a), _theta_map(d),
+                                      _sign(direction))
 
 
 _minimize = bellmp.optimize._minimize
@@ -328,8 +336,8 @@ class TestScheduleIndependence:
         batch = _minimize(fun, starts)
         for r in range(len(starts)):
             alone = _minimize(fun, starts[r:r + 1])
-            # point, value, gradient norm, iterations, converged, rejected,
-            # mu, Hessians formed
+            # point, value, gradient norm, iterations, rejected, mu,
+            # Hessians formed
             for batched, single in zip(batch, alone):
                 assert np.array_equal(batched[r], single[0])
 
@@ -341,7 +349,7 @@ class TestScheduleIndependence:
         fun = _objective("joint", 4, Direction.MINIMIZE)
         starts = _starts(4, (7,), (14, 15, 16))
         batch = _minimize(fun, starts)
-        assert batch[4].tolist() == [True, False, False]
+        assert (batch[2] <= 1e-9).tolist() == [True, False, False]
         assert batch[3].tolist() == [10, 12, 12]
         for r in range(len(starts)):
             alone = _minimize(fun, starts[r:r + 1])
@@ -370,8 +378,8 @@ class TestScheduleIndependence:
         theta = bellmp.engine._PAIRS @ rng.uniform(0.0, 2.0 * math.pi, (400, 4, d))
         a = rng.uniform(-2.0, 2.0, d)
         subset = np.arange(0, len(theta), 3)
-        for kernel in (lambda t: value_and_gradient_arrays(a, t, d),
-                       lambda t: extreme_value_and_gradient(t, d, False)):
+        for kernel in (lambda t: value_and_gradient_arrays(a, t),
+                       lambda t: extreme_value_and_gradient(t, False)):
             value, gradient, hessian = kernel(theta)
             whole = hessian()
             assert np.array_equal(hessian(subset), whole[subset])
@@ -384,38 +392,36 @@ class TestScheduleIndependence:
 
 @settings(max_examples=60, deadline=None)
 @given(d=st.integers(2, 8), rows=st.integers(1, 6),
-       seed=st.integers(0, 2**32 - 1), largest=st.booleans(), shared=st.booleans(),
-       data=st.data())
-def test_batched_kernel_rows_equal_single_calls(d, rows, seed, largest, shared, data):
+       seed=st.integers(0, 2**32 - 1), largest=st.booleans(), data=st.data())
+def test_batched_kernel_rows_equal_single_calls(d, rows, seed, largest, data):
     rng = np.random.default_rng(seed)
     phases = rng.uniform(-10.0, 10.0, (rows, 4, d))
     theta = bellmp.engine._PAIRS @ phases
-    # one coefficient vector for every row, or one per row
-    coefficients = rng.uniform(-2.0, 2.0, d if shared else (rows, d))
+    # one coefficient vector for every row, as optimize_angles passes
+    coefficients = rng.uniform(-2.0, 2.0, d)
     # the rows whose Hessians the solver would form, in batch order
     subset = np.array(sorted(data.draw(st.sets(st.integers(0, rows - 1), min_size=1))))
-    quadratic = value_and_gradient_arrays(coefficients, theta, d)
-    extreme = extreme_value_and_gradient(theta, d, largest)
+    quadratic = value_and_gradient_arrays(coefficients, theta)
+    extreme = extreme_value_and_gradient(theta, largest)
     whole_q, whole_e = quadratic[2](), extreme[2]()
     for batch, whole in ((quadratic, whole_q), (extreme, whole_e)):
         assert whole.shape == (rows, 4, d, 4, d)
         assert np.array_equal(batch[2](subset), whole[subset])
     for r in range(rows):
-        a = coefficients if shared else coefficients[r]
-        single = value_and_gradient_arrays(a, theta[r], d)
+        single = value_and_gradient_arrays(coefficients, theta[r])
         # value, gradient, Hessian: of the whole batch and of the row alone
         assert quadratic[0][r] == single[0]
         assert np.array_equal(quadratic[1][r], single[1])
         assert np.array_equal(whole_q[r], single[2]())
         assert np.array_equal(quadratic[2]([r])[0], single[2]())
-        single = extreme_value_and_gradient(theta[r], d, largest)
+        single = extreme_value_and_gradient(theta[r], largest)
         assert extreme[0][r] == single[0]
         assert np.array_equal(extreme[1][r], single[1])
         assert np.array_equal(whole_e[r], single[2]())
         assert np.array_equal(extreme[2]([r])[0], single[2]())
     # optimize_joint reads its final eigenvectors and gaps from the same
     # decomposition, whose extreme eigenvalue is the kernel's value
-    w, _, k, _ = _extreme_eigh(pair_matrix(phases, d), d, largest)
+    w, _, k, _ = _extreme_eigh(pair_matrix(phases), largest)
     assert np.array_equal(d * w[..., k], extreme[0])
 
 
@@ -431,12 +437,11 @@ def test_hessians_match_differences_of_the_gradient(d, seed, direction, search):
     rng = np.random.default_rng(seed)
     # A search's kernel, for random coefficients in the angle search.
     evaluate = _kernel(search, d, direction, rng.uniform(-2.0, 2.0, d))
-    fun = bellmp.optimize._objective(evaluate, d, _theta_map(d), _sign(direction))
+    fun = bellmp.optimize._objective(evaluate, _theta_map(d), _sign(direction))
     y = rng.uniform(0.0, 2.0 * math.pi, (1, 3 * (d - 1)))
     if search == "joint":
         phases = bellmp.optimize._gauge_phases((_theta_map(d) @ y[0]).reshape(4, d))
-        assume(_extreme_eigh(pair_matrix(phases, d), d,
-                             direction is Direction.MAXIMIZE)[3] >= 1e-3)
+        assume(_extreme_eigh(pair_matrix(phases), direction is Direction.MAXIMIZE)[3] >= 1e-3)
     H = fun(y)[2]([0])[0]
     scale = np.max(np.abs(H))
     assert np.max(np.abs(H - H.T)) <= 1e-14 * scale
@@ -574,6 +579,16 @@ _SEED7_ITERATIONS = {
 }
 
 
+# The best values of those searches, bit for bit: a kernel change that
+# moves a last bit shows here even where the step counts hold.
+_SEED7_BEST = {
+    ("angles", Direction.MAXIMIZE): "0x1.72b81908455e4p+1",
+    ("angles", Direction.MINIMIZE): "-0x1.aaaaaaaaaaaabp+1",
+    ("joint", Direction.MAXIMIZE): "0x1.7c8160770a3e0p+1",
+    ("joint", Direction.MINIMIZE): "-0x1.bb6c28b9f03bcp+1",
+}
+
+
 @pytest.mark.parametrize("search,direction", list(_SEED7_ITERATIONS))
 def test_seed7_searches_take_their_pinned_newton_steps(search, direction):
     config = OptimizerConfig(restarts=50, seed=7, direction=direction)
@@ -584,6 +599,7 @@ def test_seed7_searches_take_their_pinned_newton_steps(search, direction):
     iterations, calls, rows = _SEED7_ITERATIONS[search, direction]
     assert run.per_restart_iterations == iterations
     assert (run.evaluations.calls, run.evaluations.rows) == (calls, rows)
+    assert run.best.value.hex() == _SEED7_BEST[search, direction]
 
 
 # The d = 16 joint minimum, 20 restarts at seed 0, rejects 229 of its 653
@@ -696,8 +712,8 @@ class TestEigenReduction:
         rng = np.random.default_rng(100 + d)
         phases = rng.uniform(0.0, 2.0 * math.pi, (4, d))
         theta = bellmp.engine._PAIRS @ phases
-        _, grad, _ = extreme_value_and_gradient(theta, d, largest)
-        gap = _extreme_eigh(pair_matrix(phases, d), d, largest)[3]
+        _, grad, _ = extreme_value_and_gradient(theta, largest)
+        gap = _extreme_eigh(pair_matrix(phases), largest)[3]
         assert gap > 1e-3  # differentiable here
         step = 1e-6
         fd = np.empty((4, d))
@@ -708,8 +724,8 @@ class TestEigenReduction:
                 hi[r, k] += step
                 lo[r, k] -= step
                 fd[r, k] = (
-                    extreme_value_and_gradient(hi, d, largest)[0]
-                    - extreme_value_and_gradient(lo, d, largest)[0]
+                    extreme_value_and_gradient(hi, largest)[0]
+                    - extreme_value_and_gradient(lo, largest)[0]
                 ) / (2.0 * step)
         assert np.max(np.abs(grad - fd)) < 1e-7
 
@@ -725,7 +741,7 @@ class TestEigenReduction:
         assert len(run.per_restart_eigengaps) == 3
         # The pi shifts that make the state non-negative conjugate the pair
         # matrix by a sign diagonal, which keeps its spectrum.
-        gap = _extreme_eigh(pair_matrix(np.array(settings_rows(run.best.settings)), d), d,
+        gap = _extreme_eigh(pair_matrix(np.array(settings_rows(run.best.settings))),
                             direction is Direction.MAXIMIZE)[3]
         assert abs(gap - run.per_restart_eigengaps[run.best_restart]) < 1e-9
 
@@ -745,8 +761,7 @@ class TestEigenReduction:
         def stopped(fun, x0):
             x = np.zeros_like(x0)
             return (x, fun(x)[0], np.zeros(len(x)), np.zeros(len(x), dtype=int),
-                    np.ones(len(x), dtype=bool), np.zeros(len(x), dtype=int), np.ones(len(x)),
-                    np.zeros(len(x), dtype=int))
+                    np.zeros(len(x), dtype=int), np.ones(len(x)), np.zeros(len(x), dtype=int))
 
         monkeypatch.setattr(bellmp.optimize, "_minimize", stopped)
         top = optimize_joint(D4, OptimizerConfig(restarts=1))

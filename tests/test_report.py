@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from bellmp import (
@@ -40,7 +41,7 @@ class TestReproductionReport:
 
     def test_enumerated_rows_are_exact(self, report):
         exact = {row.label: row for row in report.rows if row.tolerance == 0}
-        for d, minimum in ((2, -2.0), (3, -4.0), (4, -10.0 / 3.0)):
+        for d, minimum in ((2, -2.0), (3, -4.0), (4, -10.0 / 3.0), (5, -3.0), (6, -2.8)):
             assert exact[f"LHV max d={d}"].computed == 2.0
             assert abs(exact[f"LHV min d={d}"].computed - minimum) < 1e-15
 
@@ -69,10 +70,21 @@ class TestScanSpec:
         {"r_from": 1.0, "r_to": 1.0, "steps": 3},
         {"r_from": 1.0, "r_to": 0.0, "steps": 3},
         {"r_from": float("nan"), "r_to": 1.0, "steps": 3},
+        {"r_from": "a", "r_to": 1.0, "steps": 3},
+        {"r_from": 0.0, "r_to": None, "steps": 3},
+        {"r_from": 0.0, "r_to": 10**400, "steps": 3},
+        {"r_from": 0.0, "r_to": 1.0, "steps": 3.0},
     ])
     def test_rejects_bad_specs(self, kwargs):
         with pytest.raises(ValidationError):
             ScanSpec(**kwargs)
+
+    @pytest.mark.parametrize("steps", [np.int64(5), np.int32(5), np.uint8(5)])
+    def test_numpy_int_steps_are_stored_as_an_int(self, steps):
+        # One integer rule, model._is_int, for every integer input.
+        spec = ScanSpec(0.0, 1.0, steps)
+        assert type(spec.steps) is int
+        assert spec == ScanSpec(0.0, 1.0, 5)
 
 
 class TestScanRows:

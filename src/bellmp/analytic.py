@@ -144,10 +144,26 @@ _ASSIGNMENTS.flags.writeable = False
 
 
 @lru_cache(maxsize=1)
-def _pattern_signs() -> np.ndarray:
-    signs = np.array([pattern.signs for pattern in vertex_patterns()])
-    signs.flags.writeable = False
-    return signs
+def _term_gather() -> tuple[np.ndarray, np.ndarray]:
+    """The distinct signed pattern entries, and where each term of the
+    enumeration sits in the (entry, x, y) product table built from them.
+
+    Row ``slot`` of the flat index holds, pattern-major, the position of
+    entry * A_x * A_y for every (pattern, assignment) pair, with x, y the
+    sorted-magnitude indices the assignment gives that slot's labels.
+    """
+    signs = [pattern.signs for pattern in vertex_patterns()]
+    # sorted(set()) rather than np.unique, which imports numpy.ma.
+    entries = sorted(set(itertools.chain.from_iterable(signs)))
+    entry = np.array([[entries.index(s) for s in row] for row in signs])
+    x = _ASSIGNMENTS[:, [k for k, _ in PAIR_SLOTS]].T
+    y = _ASSIGNMENTS[:, [l for _, l in PAIR_SLOTS]].T
+    flat = entry.T[:, :, None] * 16 + x[:, None, :] * 4 + y[:, None, :]
+    flat = flat.reshape(len(PAIR_SLOTS), -1)
+    table = np.array(entries)
+    for array in (table, flat):
+        array.flags.writeable = False
+    return table, flat
 
 
 def sorted_magnitudes(state: PureState) -> tuple[float, float, float, float]:
@@ -207,6 +223,12 @@ def vertex_candidates(state: PureState) -> VertexExtrema:
     24 patterns and all 24 assignments of the sorted magnitudes to the
     slot labels (a, b, c, d).
 
+    Each term is read from the table (sign * A_i) * A_j over the distinct
+    signed pattern entries and the sorted magnitudes, so it is the double
+    the scalar sum forms, and the six slots are added in PAIR_SLOTS order
+    from +0.0 as that sum adds them.  A matrix product could reorder the
+    sums; this gather moves no value, signed zero or tie.
+
     Ties are broken by (table_id, row, lexicographic assignment), so
     witnesses are reproducible.  This enumeration is deliberately
     independent of the branch formulas; it dominates them, strictly on
@@ -214,19 +236,17 @@ def vertex_candidates(state: PureState) -> VertexExtrema:
     bound: the extremum the numeric optimizer attains over the angles
     can lie strictly inside it.
     """
-    a = np.array(sorted_magnitudes(state))[_ASSIGNMENTS]
-    signs = _pattern_signs()
-    # Added slot by slot in PAIR_SLOTS order, as the scalar sum does; one
-    # matrix product could reorder the sums and move ties.
-    values = 0.0
-    for slot, (x, y) in enumerate(PAIR_SLOTS):
-        values = values + signs[:, slot, None] * a[:, x] * a[:, y]
+    entries, flat = _term_gather()
+    a = np.array(sorted_magnitudes(state))
+    products = entries[:, None, None] * a[:, None] * a
+    values = np.add.reduce(products.reshape(-1)[flat], axis=0, initial=0.0)
     n = len(_ASSIGNMENTS)
+    imax, imin = int(values.argmax()), int(values.argmin())
     witnesses = tuple(
         VertexWitness(vertex_patterns()[i // n], tuple(_ASSIGNMENTS[i % n].tolist()))
-        for i in (int(values.argmax()), int(values.argmin()))
+        for i in (imax, imin)
     )
-    return VertexExtrema(float(values.max()), float(values.min()), witnesses)
+    return VertexExtrema(float(values[imax]), float(values[imin]), witnesses)
 
 
 def _radical_pair(sign_7root2: float, coeff_single: float, coeff_double: float) -> tuple[float, float]:

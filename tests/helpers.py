@@ -6,6 +6,7 @@ central differences), so tests compare two independent paths instead
 of checking an implementation against itself.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -14,10 +15,15 @@ from bellmp import (
     Dimension,
     KernelVariant,
     MeasurementSettings,
+    PAIR_SLOTS,
     PhaseVector,
+    VertexExtrema,
+    VertexWitness,
     bell_value,
     kernel_f,
     make_state,
+    sorted_magnitudes,
+    vertex_patterns,
 )
 
 SETTING_SIGNS = (((1, 1), 1.0), ((1, 2), 1.0), ((2, 1), -1.0), ((2, 2), 1.0))
@@ -144,3 +150,35 @@ def central_difference_gradient(state, settings, variant=KernelVariant.PLUS, ste
             f_lo = bell_value(state, settings_from_rows(dim, lo))
             grad[r * dim.d + k] = (f_hi - f_lo) / (2.0 * step)
     return grad
+
+
+_VERTEX_ASSIGNMENTS = np.array(list(itertools.permutations(range(4))))
+
+
+def reference_vertex_candidates(state):
+    """vertex_candidates by a loop over the six slots: each slot's
+    sign * A_x * A_y over all patterns and assignments is added to the
+    running total, from 0.0, in PAIR_SLOTS order."""
+    a = np.array(sorted_magnitudes(state))[_VERTEX_ASSIGNMENTS]
+    signs = np.array([pattern.signs for pattern in vertex_patterns()])
+    values = 0.0
+    for slot, (x, y) in enumerate(PAIR_SLOTS):
+        values = values + signs[:, slot, None] * a[:, x] * a[:, y]
+    n = len(_VERTEX_ASSIGNMENTS)
+    witnesses = tuple(
+        VertexWitness(vertex_patterns()[i // n],
+                      tuple(_VERTEX_ASSIGNMENTS[i % n].tolist()))
+        for i in (int(values.argmax()), int(values.argmin()))
+    )
+    return VertexExtrema(float(values.max()), float(values.min()), witnesses)
+
+
+def vertex_slot_sum(state, witness):
+    """sum over slots of (sign * A_x) * A_y for one pattern and assignment,
+    in Python floats from 0.0, with A the sorted magnitudes."""
+    magnitudes = sorted_magnitudes(state)
+    a = [magnitudes[k] for k in witness.assignment]
+    total = 0.0
+    for (x, y), sign in zip(PAIR_SLOTS, witness.pattern.signs):
+        total += sign * a[x] * a[y]
+    return total

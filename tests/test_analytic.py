@@ -8,10 +8,13 @@ the numeric optimizer can reach (checked in test_optimize).
 """
 
 import math
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings as hypothesis_settings, strategies as st
 
 from bellmp import (
     Dimension,
@@ -35,7 +38,7 @@ from bellmp import (
 )
 from bellmp.analytic import max_entangled_value, noise_resistance_gain
 
-from helpers import random_state
+from helpers import random_state, reference_vertex_candidates, vertex_slot_sum
 
 D4 = Dimension(4)
 
@@ -324,6 +327,53 @@ class TestVertexCandidates:
             assert 1 <= witness.pattern.table_id <= 3
             assert 1 <= witness.pattern.row <= 8
             assert sorted(witness.assignment) == [0, 1, 2, 3]
+
+    def test_matches_the_per_slot_loop_on_seeded_states(self):
+        # Equal reprs, so a signed zero or a last-bit difference fails, and
+        # equal witnesses, so the (table, row, assignment) tie rule holds.
+        rng = np.random.default_rng(27)
+        bases = [(1.0, 1.0, 1.0, 1.0), (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 1.0)]
+        for _ in range(650):
+            x, y = rng.uniform(0.0, 1.0, 2)
+            bases.append((x, x, y, y))
+            bases.append(tuple(rng.uniform(0.0, 1.0, 4) * (rng.random(4) < 0.6)))
+            bases.append(tuple(rng.uniform(0.05, 1.0, 4)))
+            bases.append(tuple(rng.uniform(-1.0, 1.0, 4)))
+        checked = 0
+        for base in bases:
+            if not any(base):
+                continue
+            flips = rng.choice((-1.0, 1.0), 4)
+            for coefficients in (base, tuple(flips * base)):
+                state = make_state(D4, coefficients)
+                got = vertex_candidates(state)
+                want = reference_vertex_candidates(state)
+                assert (repr(got.max), repr(got.min)) == (repr(want.max), repr(want.min))
+                assert got.witnesses == want.witnesses
+                checked += 1
+        assert checked >= 5000
+
+    def test_enumeration_does_not_import_numpy_ma(self):
+        # np.unique would import numpy.ma on first use, about 0.9 MB of
+        # resident memory in a fresh process.
+        code = ("import sys\n"
+                "from bellmp import Dimension, make_state, vertex_candidates\n"
+                "vertex_candidates(make_state(Dimension(4), (1.3, 0.2, 0.9, 1.1)))\n"
+                "print('numpy.ma' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    @hypothesis_settings(max_examples=200, deadline=None)
+    @given(coefficients=st.tuples(*[st.floats(-1.0, 1.0)] * 4))
+    def test_each_witness_reproduces_its_extremum_by_the_slot_sum(self, coefficients):
+        assume(any(coefficients))
+        state = make_state(D4, coefficients)
+        extrema = vertex_candidates(state)
+        wit_max, wit_min = extrema.witnesses
+        assert vertex_slot_sum(state, wit_max) == extrema.max
+        assert vertex_slot_sum(state, wit_min) == extrema.min
 
 
 class TestThresholdNoise:

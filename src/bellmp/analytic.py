@@ -29,6 +29,7 @@ from .model import (
     PhaseVector,
     PureState,
     ValidationError,
+    _as_float_tuple,
     make_state,
     maximally_entangled_state,
 )
@@ -297,15 +298,16 @@ def noise_resistance_gain(bell_value: float, reference_value: float) -> float:
 def threshold_noise(bell_value: float) -> float:
     """Largest uniform-noise fraction keeping the value above 2.
 
-    Defined as 1 - 2/I for any positive I.  Results <= 0 mean the
+    Defined as 1 - 2/I for any positive real I.  Results <= 0 mean the
     input does not violate the classical bound; they are returned
     as-is for the caller to interpret.
     """
-    if not bell_value > 0.0:
+    (value,) = _as_float_tuple((bell_value,), "Bell values")
+    if value <= 0.0:
         raise ValidationError(
             f"threshold is defined for positive values only, got {bell_value!r}"
         )
-    return 1.0 - 2.0 / bell_value
+    return 1.0 - 2.0 / value
 
 
 def reference_optimal_angles() -> MeasurementSettings:

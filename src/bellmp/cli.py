@@ -28,6 +28,8 @@ from .model import (
     PhaseVector,
     PureState,
     ValidationError,
+    _is_int,
+    _is_real,
     make_state,
     maximally_entangled_state,
     zero_settings,
@@ -170,7 +172,7 @@ def _load_angles(path: str, d: int) -> MeasurementSettings:
     if missing:
         raise ValidationError(f"angle file {path!r} lacks keys {sorted(missing)}")
     file_d = raw["d"]
-    if not isinstance(file_d, int) or file_d < 2:
+    if not _is_int(file_d) or file_d < 2:
         raise ValidationError(f"angle file {path!r} has invalid d = {file_d!r}")
     if file_d != d:
         raise ValidationError(
@@ -181,7 +183,7 @@ def _load_angles(path: str, d: int) -> MeasurementSettings:
     for key in ("A1", "A2", "B1", "B2"):
         entry = raw[key]
         if not isinstance(entry, list) or len(entry) != file_d or \
-                not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry):
+                not all(map(_is_real, entry)):
             raise ValidationError(
                 f"angle file key {key!r} must list {file_d} numbers"
             )

@@ -38,8 +38,9 @@ from .model import (
     PureState,
     ValidationError,
     DimensionMismatchError,
+    _as_array,
+    _as_float_tuple,
     _is_int,
-    _is_real,
     _is_setting_index,
     kernel_table,
     require_seed,
@@ -147,7 +148,7 @@ class MultiportUnitary:
 
     def __post_init__(self) -> None:
         d = self.dim.d
-        m = np.asarray(self.matrix, dtype=complex)
+        m = _as_array(self.matrix, complex, "matrix entries")
         if m.shape != (d, d):
             raise DimensionMismatchError(f"expected a {d}x{d} matrix, got {m.shape}")
         if not np.all(np.isfinite(m.view(float))):
@@ -185,7 +186,7 @@ class JointProbabilityTable:
 
     def __post_init__(self) -> None:
         d = self.dim.d
-        p = np.asarray(self.probabilities, dtype=float)
+        p = _as_array(self.probabilities, float, "probabilities")
         if p.shape != (2, 2, d, d):
             raise DimensionMismatchError(
                 f"expected shape (2, 2, {d}, {d}), got {p.shape}"
@@ -246,11 +247,8 @@ def bell_value_from_table(table: JointProbabilityTable) -> float:
 
 def mix_uniform_noise(table: JointProbabilityTable, noise_fraction: float) -> JointProbabilityTable:
     """The table (1 - F) P + F / d^2 of uniform noise at fraction F in
-    [0, 1]; F must be a real number (int, float or numpy real), not a
-    bool or a string."""
-    if not _is_real(noise_fraction):
-        raise ValidationError(f"noise fraction must be a real number, got {noise_fraction!r}")
-    f = float(noise_fraction)
+    [0, 1]; F must be a real number (model._as_float_tuple)."""
+    (f,) = _as_float_tuple((noise_fraction,), "noise fractions")
     if not 0.0 <= f <= 1.0:
         raise ValidationError(f"noise fraction must lie in [0, 1], got {noise_fraction!r}")
     d = table.dim.d
@@ -288,8 +286,9 @@ class TCoefficients:
     I = sum_{k<l} a_k a_l T_kl (d = 4).
 
     Magnitudes are bounded by Gamma_1 for index gaps 1 and 3 and by
-    Gamma_2 for gap 2; the constructor rejects non-finite values and
-    enforces the bounds with a 1e-9 allowance.
+    Gamma_2 for gap 2; the constructor takes only real numbers
+    (model._as_float_tuple) and enforces the bounds with a 1e-9
+    allowance.
     """
 
     t01: float
@@ -302,10 +301,8 @@ class TCoefficients:
     def __post_init__(self) -> None:
         g = gamma_constants()
         bounds = {1: g.gamma1, 2: g.gamma2, 3: g.gamma1}
-        for (k, l), value in zip(PAIR_SLOTS, self.values()):
-            # abs(nan) > bound is False, so NaN must be rejected on its own.
-            if not math.isfinite(value):
-                raise ValidationError(f"T{k}{l} must be finite, got {value!r}")
+        values = _as_float_tuple(self.values(), "T coefficients")
+        for (k, l), value in zip(PAIR_SLOTS, values):
             if abs(value) > bounds[l - k] + 1e-9:
                 raise ValidationError(
                     f"|T{k}{l}| = {abs(value)!r} exceeds its bound {bounds[l - k]!r}"
@@ -452,6 +449,8 @@ class SampleEstimate:
 
     counts holds non-negative integers in shape (2, 2, d, d); each
     setting slice sums to shots_per_setting, an int >= 1 (not a bool).
+    value_estimate and std_error are real numbers
+    (model._as_float_tuple), std_error >= 0.
     value_estimate is the plug-in value from raw
     empirical frequencies.  std_error propagates per-setting
     multinomial variances computed from half-count smoothed
@@ -481,6 +480,10 @@ class SampleEstimate:
             raise ValidationError("each setting slice must sum to shots_per_setting")
         if counts.min() < 0:
             raise ValidationError("counts must be non-negative")
+        _, std_error = _as_float_tuple((self.value_estimate, self.std_error),
+                                       "value_estimate and std_error")
+        if std_error < 0.0:
+            raise ValidationError(f"std_error must be >= 0, got {self.std_error!r}")
 
 
 def _require_shots(shots: object) -> None:

@@ -15,9 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .model import Dimension, KernelVariant, ValidationError, kernel_table
+from .model import Dimension, KernelVariant, ValidationError, _is_int, kernel_table
 
 __all__ = [
     "DeterministicStrategy",
@@ -44,9 +42,9 @@ class DeterministicStrategy:
             raise ValidationError(f"a strategy fixes 4 outcomes, got {len(outcomes)}")
         plain = type(outcomes) is tuple
         for value in outcomes:
-            # A numpy integer is an outcome; a bool, an int subclass, is not.
+            # Plain ints skip the one integer rule, model._is_int.
             if type(value) is not int:
-                if isinstance(value, bool) or not isinstance(value, np.integer):
+                if not _is_int(value):
                     raise ValidationError(f"outcome {value!r} is not an integer")
                 plain = False
             if not 0 <= value < d:

@@ -23,6 +23,13 @@ Conventions used throughout the package:
   relabelled n -> (-n) mod d.
 - Pure states carry real coefficients normalized so that the squares
   sum to d; the maximally entangled state has every coefficient 1.
+- Numeric inputs follow one rule per kind, and only this module states
+  them.  An integer is an int or a numpy int, not a bool (_is_int).  A
+  real number is an int, a float or a numpy real, not a bool, a string
+  or a complex, and it must be finite and fit a float (_as_float_tuple,
+  which returns plain floats).  A numeric array is any array numpy can
+  convert except a bool or a text one (_as_array).  Anything else
+  raises ValidationError.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ def _is_int(k: object) -> bool:
 
 
 def _is_real(x: object) -> bool:
-    # An int, float or numpy real, but not a bool or a string.
+    # An int, float or numpy real, but not a bool, a string or a complex.
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
@@ -129,17 +136,30 @@ class Dimension:
 
 
 def _as_float_tuple(values: Iterable[float], what: str) -> tuple[float, ...]:
+    # The real-number rule of the module docstring; ``what`` is the
+    # plural name the messages start with.
     out = []
     try:
         for v in values:
+            if type(v) is not float and not _is_real(v):
+                raise ValidationError(f"{what} must be real numbers, got {v!r}")
             x = float(v)
             if not math.isfinite(x):
-                raise ValidationError(f"{what} entries must be finite, got {v!r}")
+                raise ValidationError(f"{what} must be finite, got {v!r}")
             out.append(x)
     except (OverflowError, TypeError, ValueError) as exc:
         # The entry itself is not echoed: a huge int has no printable repr.
-        raise ValidationError(f"{what} entries must be real numbers: {exc}") from exc
+        raise ValidationError(f"{what} must be real numbers: {exc}") from exc
     return tuple(out)
+
+
+def _as_array(values: object, dtype: type, what: str) -> np.ndarray:
+    """values as a numpy array of dtype, refusing the bool and text
+    arrays that numpy would convert quietly (True to 1, "0.25" to 0.25)."""
+    array = np.asarray(values)
+    if array.dtype.kind in "bUS":
+        raise ValidationError(f"{what} must be numbers, got dtype {array.dtype}")
+    return array.astype(dtype, copy=False)
 
 
 @dataclass(frozen=True)
@@ -155,7 +175,7 @@ class PureState:
     coefficients: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        coeffs = _as_float_tuple(self.coefficients, "state coefficient")
+        coeffs = _as_float_tuple(self.coefficients, "state coefficient entries")
         object.__setattr__(self, "coefficients", coeffs)
         if len(coeffs) != self.dim.d:
             raise DimensionMismatchError(
@@ -177,7 +197,7 @@ class PhaseVector:
     phases: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        phases = _as_float_tuple(self.phases, "phase")
+        phases = _as_float_tuple(self.phases, "phase entries")
         object.__setattr__(self, "phases", phases)
         if len(phases) != self.dim.d:
             raise DimensionMismatchError(
@@ -245,19 +265,15 @@ def kernel_table(d: int) -> np.ndarray:
 def make_state(dim: Dimension, coeffs: Sequence[float]) -> PureState:
     """Normalize real coefficients to sum(a^2) = d and wrap as a state.
 
-    Raises a dimension error on a length mismatch and a
-    degenerate-state error when every coefficient is zero.
+    Raises a degenerate-state error when every coefficient is zero and,
+    through PureState, a dimension error on a length mismatch.
     """
-    values = _as_float_tuple(coeffs, "state coefficient")
-    if len(values) != dim.d:
-        raise DimensionMismatchError(
-            f"expected {dim.d} coefficients, got {len(values)}"
-        )
+    values = _as_float_tuple(coeffs, "state coefficient entries")
     norm_sq = sum(c * c for c in values)
     if not sys.float_info.min <= norm_sq < math.inf:
         # The squares overflowed or underflowed: normalize the entries
         # divided by the largest magnitude instead.
-        largest = max(abs(c) for c in values)
+        largest = max(map(abs, values), default=0.0)
         if largest == 0.0:
             raise DegenerateStateError("cannot normalize the all-zero state")
         values = tuple(c / largest for c in values)

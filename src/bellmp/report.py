@@ -20,7 +20,6 @@ from .model import (
     ValidationError,
     _as_float_tuple,
     _is_int,
-    _is_real,
 )
 from .analytic import (
     branch_values_max,
@@ -210,7 +209,8 @@ class ScanSpec:
     """Grid over the two-parameter state family a = normalize(1, 1, r, r).
 
     The grid is evenly stepped from r_from to r_to, endpoints
-    included.  This family contains the maximally entangled state
+    included; both are real numbers (model._as_float_tuple), stored as
+    plain floats.  This family contains the maximally entangled state
     (r = 1) and both closed-form optima.
     """
 
@@ -222,15 +222,11 @@ class ScanSpec:
         if not _is_int(self.steps) or self.steps < 2:
             raise ValidationError(f"steps must be an int >= 2, got {self.steps!r}")
         object.__setattr__(self, "steps", int(self.steps))
-        if not (_is_real(self.r_from) and _is_real(self.r_to)):
-            raise ValidationError(
-                f"scan range must be real numbers, got {self.r_from!r} and {self.r_to!r}")
-        # Finite, and within the float range: 10**400 is real but is no float.
-        _as_float_tuple((self.r_from, self.r_to), "scan range")
-        if not self.r_from < self.r_to:
-            raise ValidationError(
-                f"r_from must be < r_to, got {self.r_from!r} >= {self.r_to!r}"
-            )
+        r_from, r_to = _as_float_tuple((self.r_from, self.r_to), "scan range ends")
+        object.__setattr__(self, "r_from", r_from)
+        object.__setattr__(self, "r_to", r_to)
+        if not r_from < r_to:
+            raise ValidationError(f"r_from must be < r_to, got {r_from!r} >= {r_to!r}")
 
 
 def branch_record(state: PureState) -> dict:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings as hypothesis_settings, strategies as st
 
 from bellmp import (
+    BellError,
     Dimension,
     DimensionMismatchError,
     JointProbabilityTable,
@@ -108,6 +109,13 @@ class TestMultiportUnitary:
         u = multiport_unitary(Dimension(2), PhaseVector(Dimension(2), (0.0, 0.0)))
         with pytest.raises(ValueError):
             u.matrix[0, 0] = 0.0
+
+    @pytest.mark.parametrize("dtype", [bool, str, bytes])
+    def test_rejects_bool_and_text_matrices(self, dtype):
+        # numpy would parse the text of a valid unitary back into it.
+        u = multiport_unitary(Dimension(2), PhaseVector(Dimension(2), (0.0, 0.0)))
+        with pytest.raises(ValidationError, match="matrix entries must be numbers"):
+            MultiportUnitary(Dimension(2), u.matrix.astype(dtype))
 
 
 class TestJointProbabilities:
@@ -206,6 +214,28 @@ class TestJointProbabilityTableValidation:
         table = JointProbabilityTable(Dimension(2), np.full((2, 2, 2, 2), 0.25))
         with pytest.raises(ValueError):
             table.probabilities[0, 0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("p,message", [
+        (np.full((2, 2, 2), 0.25), r"expected shape \(2, 2, 2, 2\), got \(2, 2, 2\)"),
+        (np.full((2, 2, 2, 2), math.inf), "probabilities must be finite"),
+        (np.full((2, 2, 2, 2), -0.25), "below the -1e-14 round-off allowance"),
+        (np.full((2, 2, 2, 2), 0.3), "setting slices must sum to 1 within 1e-12"),
+    ], ids=["shape", "finite", "negative", "sums"])
+    def test_each_check_keeps_its_message(self, p, message):
+        with pytest.raises(BellError, match=message):
+            JointProbabilityTable(Dimension(2), p)
+
+    def test_rejects_a_bool_table(self):
+        # As floats, True at (0, 0) of each setting is a valid table with I = 2.
+        p = np.zeros((2, 2, 2, 2), dtype=bool)
+        p[:, :, 0, 0] = True
+        with pytest.raises(ValidationError, match="probabilities must be numbers, got dtype bool"):
+            JointProbabilityTable(Dimension(2), p)
+
+    @pytest.mark.parametrize("entry", ["0.25", b"0.25"], ids=["str", "bytes"])
+    def test_rejects_a_text_table(self, entry):
+        with pytest.raises(ValidationError, match="probabilities must be numbers"):
+            JointProbabilityTable(Dimension(2), np.full((2, 2, 2, 2), entry))
 
 
 class TestCorrelationAndBellValue:
@@ -726,6 +756,17 @@ class TestSampling:
         counts[:, :, 1, 1] = 5  # slices still sum to 10
         with pytest.raises(ValidationError, match="non-negative"):
             SampleEstimate(10, counts, 0.0, 0.1)
+
+    @pytest.mark.parametrize("value,error", [
+        ("abc", 0.1), (math.nan, 0.1), (0.0, math.inf), (0.0, "0.1"), (0.0, True),
+    ])
+    def test_estimate_rejects_a_value_or_error_that_is_not_a_real_number(self, value, error):
+        with pytest.raises(ValidationError, match="value_estimate and std_error must be"):
+            SampleEstimate(10, self._counts(), value, error)
+
+    def test_estimate_rejects_a_negative_std_error(self):
+        with pytest.raises(ValidationError, match="std_error must be >= 0"):
+            SampleEstimate(10, self._counts(), 0.0, -1.0)
 
     @pytest.mark.parametrize("shots", [True, 10.0, "10", None])
     def test_estimate_rejects_shot_counts_that_are_not_ints(self, shots):

@@ -20,7 +20,10 @@ from bellmp import (
     maximally_entangled_state,
     zero_settings,
 )
+from bellmp.analytic import noise_resistance_gain, threshold_noise
+from bellmp.engine import SampleEstimate, TCoefficients, bell_value_noisy
 from bellmp.model import PAIR_SIGNS, SETTING_PAIRS, kernel_table
+from bellmp.report import ScanSpec
 
 from helpers import cglmp_coefficients
 
@@ -199,6 +202,53 @@ def test_unhashable_variant_is_rejected_on_every_route(route):
         _VARIANT_ROUTES[route](["plus"])
 
 
+_D2 = Dimension(2)
+_ONE_SHOT = np.zeros((2, 2, 2, 2), dtype=np.int64)
+_ONE_SHOT[:, :, 0, 0] = 1
+# Every public entry point that takes a number, called with `x` in its
+# place: a real number everywhere, an integer for the strategy outcomes.
+_NUMBER_ROUTES = {
+    "PureState": lambda x: PureState(_D2, (x, 1.0)),
+    "PhaseVector": lambda x: PhaseVector(_D2, (x, 0.0)),
+    "make_state": lambda x: make_state(_D2, (x, 1.0)),
+    "ScanSpec.r_from": lambda x: ScanSpec(x, 2.0, 3),
+    "ScanSpec.r_to": lambda x: ScanSpec(0.0, x, 3),
+    "bell_value_noisy": lambda x: bell_value_noisy(
+        maximally_entangled_state(_D2), zero_settings(_D2), x),
+    "TCoefficients": lambda x: TCoefficients(x, 0.0, 0.0, 0.0, 0.0, 0.0),
+    "threshold_noise": threshold_noise,
+    "noise_resistance_gain": lambda x: noise_resistance_gain(x, 2.9),
+    "noise_resistance_gain.reference": lambda x: noise_resistance_gain(2.9, x),
+    "SampleEstimate.value_estimate": lambda x: SampleEstimate(1, _ONE_SHOT, x, 0.1),
+    "SampleEstimate.std_error": lambda x: SampleEstimate(1, _ONE_SHOT, 0.0, x),
+    "DeterministicStrategy": lambda x: bellmp.DeterministicStrategy(_D2, (x, 0, 0, 0)),
+}
+# The entry points that take a sequence of numbers, called with `s` as
+# the whole sequence.
+_SEQUENCE_ROUTES = {
+    "PureState": lambda s: PureState(Dimension(len(s)), s),
+    "PhaseVector": lambda s: PhaseVector(Dimension(len(s)), s),
+    "make_state": lambda s: make_state(Dimension(len(s)), s),
+    "DeterministicStrategy": lambda s: bellmp.DeterministicStrategy(Dimension(5), s),
+}
+_NUMERIC_CASES = [
+    (name, call, bad) for name, call in _NUMBER_ROUTES.items()
+    for bad in ("1", True, np.True_, None, 1j)
+] + [
+    (f"{name}(sequence)", call, bad) for name, call in _SEQUENCE_ROUTES.items()
+    for bad in ("1234", "01")
+]
+
+
+@pytest.mark.parametrize("call,bad", [case[1:] for case in _NUMERIC_CASES],
+                         ids=[f"{name}-{bad!r}" for name, _, bad in _NUMERIC_CASES])
+def test_every_numeric_entry_point_rejects_what_is_not_a_number(call, bad):
+    # One rule per kind, model._as_float_tuple and model._is_int: no
+    # string is parsed, no bool counts as 0 or 1, and no complex passes.
+    with pytest.raises(ValidationError):
+        call(bad)
+
+
 class TestPureState:
     def test_accepts_normalized(self):
         state = PureState(Dimension(4), (1.0, 1.0, 1.0, 1.0))
@@ -243,6 +293,11 @@ class TestMakeState:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             make_state(Dimension(4), (1.0, 1.0))
+
+    def test_empty_input_is_degenerate(self):
+        # PureState checks the length; an empty sequence has no weight.
+        with pytest.raises(DegenerateStateError):
+            make_state(Dimension(2), ())
 
     @pytest.mark.parametrize("zeros", [(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0)])
     def test_all_zero(self, zeros):

@@ -24,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (
+    PAIR_SLOTS,
     Dimension,
     MeasurementSettings,
     PhaseVector,
@@ -53,12 +54,6 @@ __all__ = [
     "reference_optimal_angles",
     "PAIR_SLOTS",
 ]
-
-# Canonical order of the six index pairs (k, l), k < l.  Every six-entry
-# tuple in this module follows it.
-PAIR_SLOTS: tuple[tuple[int, int], ...] = (
-    (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
-)
 
 _D4 = Dimension(4)
 

@@ -25,7 +25,6 @@ from .model import (
     BellError,
     Dimension,
     MeasurementSettings,
-    PhaseVector,
     PureState,
     ValidationError,
     _is_int,
@@ -81,6 +80,8 @@ MAX_WORK = 2_000_000
 # 2-vCPU host, so a capped scan holds about 43 MB of rows and prints its
 # CSV in about 4 s.
 MAX_SCAN_STEPS = 100_000
+# An angle file's phase rows, in MeasurementSettings.phases order.
+_ANGLE_KEYS = ("A1", "A2", "B1", "B2")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -168,7 +169,7 @@ def _load_angles(path: str, d: int) -> MeasurementSettings:
         raise ValidationError(f"angle file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError(f"angle file {path!r} must hold a JSON object")
-    missing = {"d", "A1", "A2", "B1", "B2"} - raw.keys()
+    missing = {"d", *_ANGLE_KEYS} - raw.keys()
     if missing:
         raise ValidationError(f"angle file {path!r} lacks keys {sorted(missing)}")
     file_d = raw["d"]
@@ -178,27 +179,19 @@ def _load_angles(path: str, d: int) -> MeasurementSettings:
         raise ValidationError(
             f"angle file dimension {file_d} does not match expected {d}"
         )
-    dim = Dimension(file_d)
-    vectors = []
-    for key in ("A1", "A2", "B1", "B2"):
+    for key in _ANGLE_KEYS:
         entry = raw[key]
         if not isinstance(entry, list) or len(entry) != file_d or \
                 not all(map(_is_real, entry)):
             raise ValidationError(
                 f"angle file key {key!r} must list {file_d} numbers"
             )
-        vectors.append(PhaseVector(dim, tuple(entry)))
-    return MeasurementSettings(dim, *vectors)
+    return MeasurementSettings.from_phases(Dimension(file_d), (raw[key] for key in _ANGLE_KEYS))
 
 
 def _angles_dict(settings: MeasurementSettings) -> dict:
-    return {
-        "d": settings.dim.d,
-        "A1": list(settings.a1.phases),
-        "A2": list(settings.a2.phases),
-        "B1": list(settings.b1.phases),
-        "B2": list(settings.b2.phases),
-    }
+    return {"d": settings.dim.d,
+            **{key: list(row) for key, row in zip(_ANGLE_KEYS, settings.phases)}}
 
 
 def _by_setting(tables: np.ndarray) -> dict:

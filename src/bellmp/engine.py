@@ -32,6 +32,7 @@ import numpy as np
 
 from .model import (
     PAIR_SIGNS,
+    PAIR_SLOTS,
     SETTING_PAIRS,
     Dimension,
     MeasurementSettings,
@@ -45,7 +46,7 @@ from .model import (
     kernel_table,
     require_seed,
 )
-from .analytic import PAIR_SLOTS, gamma_constants
+from .analytic import gamma_constants
 
 __all__ = [
     "MultiportUnitary",
@@ -89,25 +90,15 @@ def _outcome_classes(d: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _circulant(d: int) -> np.ndarray:
-    # C[r, k, l] = sum_u W_r[u] gamma^{u(k - l)}, where W_r[u] sums the
-    # signed, doubled kernel K[r] over the outcome class (m + n) mod d = u.
+    # C[r, k, l] = sum_u W_r[u] gamma^{u(k - l)}, where W_r[u] = d K[r, 0, u]
+    # sums the signed, doubled kernel K[r] over the d outcome pairs of the
+    # class (m + n) mod d = u, on all of which K[r] takes one value.
     V = _dft(d)
-    classes = _outcome_classes(d).ravel()
     C = np.empty((4, d, d), dtype=complex)
     for r, K in enumerate(kernel_table(d)):
-        W = np.bincount(classes, weights=K.ravel(), minlength=d)
-        C[r] = (V.T * W) @ V.conj()
+        C[r] = (V.T * (d * K[0])) @ V.conj()
     C.flags.writeable = False
     return C
-
-
-def _phase_matrix(settings: MeasurementSettings) -> np.ndarray:
-    return np.array([
-        settings.a1.phases,
-        settings.a2.phases,
-        settings.b1.phases,
-        settings.b2.phases,
-    ])
 
 
 # theta = L phi: row r of the incidence L marks the phase rows (A1, A2,
@@ -220,7 +211,7 @@ def joint_probabilities(state: PureState, settings: MeasurementSettings) -> Join
             f"state dimension {state.dim.d} != settings dimension {settings.dim.d}"
         )
     d = state.dim.d
-    theta = _PAIRS @ _phase_matrix(settings)
+    theta = _PAIRS @ np.array(settings.phases)
     c = np.asarray(state.coefficients) * np.exp(1j * theta)
     ahat = c @ _dft(d).T
     class_p = np.abs(ahat) ** 2 / d**3
@@ -329,7 +320,7 @@ def t_coefficients(settings: MeasurementSettings) -> TCoefficients:
         raise ValidationError(
             f"the T decomposition is defined for dimension 4, got {settings.dim.d}"
         )
-    M = pair_matrix(_phase_matrix(settings))
+    M = pair_matrix(np.array(settings.phases))
     return TCoefficients(*(2.0 * float(M[k, l]) for k, l in PAIR_SLOTS))
 
 
@@ -439,7 +430,7 @@ def bell_gradient(state: PureState, settings: MeasurementSettings) -> np.ndarray
         raise DimensionMismatchError(
             f"state dimension {state.dim.d} != settings dimension {settings.dim.d}"
         )
-    P = _phased(_PAIRS @ _phase_matrix(settings))
+    P = _phased(_PAIRS @ np.array(settings.phases))
     return (_PAIRS.T @ _theta_gradient(P, np.asarray(state.coefficients))[0]).reshape(-1)
 
 

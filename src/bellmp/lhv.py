@@ -38,8 +38,12 @@ class DeterministicStrategy:
 
     def __post_init__(self) -> None:
         outcomes, d = self.outcomes, self.dim.d
-        if len(outcomes) != 4:
-            raise ValidationError(f"a strategy fixes 4 outcomes, got {len(outcomes)}")
+        try:
+            count = len(outcomes)
+        except TypeError:
+            raise ValidationError(f"a strategy fixes 4 outcomes, got {outcomes!r}") from None
+        if count != 4:
+            raise ValidationError(f"a strategy fixes 4 outcomes, got {count}")
         plain = type(outcomes) is tuple
         for value in outcomes:
             # Plain ints skip the one integer rule, model._is_int.
@@ -101,6 +105,8 @@ def lhv_bounds(dim: Dimension,
     keep the first (lexicographically smallest) witness, so the
     reported strategies are reproducible.
     """
+    if not isinstance(dim, Dimension):
+        raise ValidationError(f"dim must be a Dimension, got {dim!r}")
     if dim.d > MAX_ENUMERABLE_DIMENSION:
         raise ValidationError(
             f"exhaustive scan is guarded at d <= {MAX_ENUMERABLE_DIMENSION}, got {dim.d}"

@@ -28,8 +28,13 @@ Conventions used throughout the package:
   real number is an int, a float or a numpy real, not a bool, a string
   or a complex, and it must be finite and fit a float (_as_float_tuple,
   which returns plain floats).  A numeric array is any array numpy can
-  convert except a bool or a text one (_as_array).  Anything else
-  raises ValidationError.
+  convert except a bool, a text or an object one (_as_array), so exact
+  fractions are converted with dtype=float first.  Anything else raises
+  ValidationError.
+- MeasurementSettings holds the phase rows in the order A1, A2, B1, B2.
+  Its phases property lists them in that order and its from_phases
+  classmethod builds settings from four such rows; no other module
+  restates the order.
 """
 
 from __future__ import annotations
@@ -67,6 +72,12 @@ NORMALIZATION_TOLERANCE = 1e-12
 # signs in the Bell combination I = Q11 + Q12 - Q21 + Q22.
 SETTING_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
 PAIR_SIGNS = (1, 1, -1, 1)
+
+# Canonical order of the six index pairs (k, l), k < l, of the d = 4
+# T coefficients and vertex tables.
+PAIR_SLOTS: tuple[tuple[int, int], ...] = (
+    (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+)
 
 
 def _is_int(k: object) -> bool:
@@ -154,10 +165,11 @@ def _as_float_tuple(values: Iterable[float], what: str) -> tuple[float, ...]:
 
 
 def _as_array(values: object, dtype: type, what: str) -> np.ndarray:
-    """values as a numpy array of dtype, refusing the bool and text
-    arrays that numpy would convert quietly (True to 1, "0.25" to 0.25)."""
+    """values as a numpy array of dtype, refusing the bool, text and
+    object arrays that numpy would convert quietly (True to 1, "0.25"
+    to 0.25, each object through float())."""
     array = np.asarray(values)
-    if array.dtype.kind in "bUS":
+    if array.dtype.kind in "bOUS":
         raise ValidationError(f"{what} must be numbers, got dtype {array.dtype}")
     return array.astype(dtype, copy=False)
 
@@ -218,10 +230,30 @@ class MeasurementSettings:
     def __post_init__(self) -> None:
         for name in ("a1", "a2", "b1", "b2"):
             vec: PhaseVector = getattr(self, name)
+            if not isinstance(vec, PhaseVector):
+                raise ValidationError(f"setting {name} must be a PhaseVector, got {vec!r}")
             if vec.dim != self.dim:
                 raise DimensionMismatchError(
                     f"setting {name} has dimension {vec.dim.d}, expected {self.dim.d}"
                 )
+
+    @property
+    def phases(self) -> tuple[tuple[float, ...], ...]:
+        """The phase tuples of A1, A2, B1 and B2: np.array of them is the
+        (4, d) phase matrix that engine.pair_matrix takes."""
+        return (self.a1.phases, self.a2.phases, self.b1.phases, self.b2.phases)
+
+    @classmethod
+    def from_phases(cls, dim: Dimension, phases: Iterable[Iterable[float]]) -> MeasurementSettings:
+        """Settings from four phase rows in the order of phases, as tuples,
+        lists or a (4, d) array; each row becomes a PhaseVector."""
+        try:
+            rows = tuple(phases)
+        except TypeError as exc:
+            raise ValidationError(f"phases must be four rows of numbers: {exc}") from exc
+        if len(rows) != 4:
+            raise DimensionMismatchError(f"expected 4 phase rows, got {len(rows)}")
+        return cls(dim, *(PhaseVector(dim, row) for row in rows))
 
 
 def kernel_f(i: int, j: int, m: int, n: int, dim: Dimension, variant: KernelVariant) -> float:

@@ -46,9 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    PAIR_SLOTS,
     Dimension,
     MeasurementSettings,
-    PhaseVector,
     PureState,
     ValidationError,
     _is_int,
@@ -57,7 +57,6 @@ from .model import (
 )
 from .engine import (_PAIRS, _extreme_eigh, extreme_value_and_gradient, pair_matrix,
                      value_and_gradient_arrays)
-from .analytic import PAIR_SLOTS
 
 __all__ = [
     "Direction",
@@ -248,11 +247,6 @@ def _minimize(fun, x0: np.ndarray) -> tuple[np.ndarray, ...]:
         iterations += 1
 
 
-def _settings(phases: np.ndarray, dim: Dimension) -> MeasurementSettings:
-    vectors = [PhaseVector(dim, tuple(float(v) for v in row)) for row in phases]
-    return MeasurementSettings(dim, *vectors)
-
-
 # Per free phase column, the summed phases (rows A1B1, A1B2, A2B1, A2B2)
 # of the coordinates y: theta = (y0 + y1, y0 + y2, y0 - y2, y0 - y1).
 # Theta^T Theta = diag(4, 2, 2).
@@ -333,11 +327,12 @@ def optimize_angles(state: PureState, config: OptimizerConfig) -> OptimizationRu
     """Multi-start search over the phases at a fixed state, in the summed
     phases of the columns k with a_k != 0 but the first; the best
     settings have B1 = 0 and every other column at zero."""
-    d = state.dim.d
+    dim = state.dim
     a = np.asarray(state.coefficients)
     return _multistart(lambda theta: value_and_gradient_arrays(a, theta),
-                       d, np.flatnonzero(a)[1:], config,
-                       lambda phases, best: (state, _settings(phases[best], state.dim), ()))
+                       dim.d, np.flatnonzero(a)[1:], config,
+                       lambda phases, best:
+                       (state, MeasurementSettings.from_phases(dim, phases[best].tolist()), ()))
 
 
 def optimize_joint(dim: Dimension, config: OptimizerConfig) -> OptimizationRun:
@@ -366,7 +361,7 @@ def optimize_joint(dim: Dimension, config: OptimizerConfig) -> OptimizationRun:
             v = -v
         phases[:2, v < 0.0] += math.pi
         state = make_state(dim, tuple(math.sqrt(d) * float(c) for c in np.abs(v)))
-        return state, _settings(phases, dim), tuple(gaps.tolist())
+        return state, MeasurementSettings.from_phases(dim, phases.tolist()), tuple(gaps.tolist())
 
     return _multistart(lambda theta: extreme_value_and_gradient(theta, largest),
                        d, range(1, d), config, finish)

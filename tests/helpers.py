@@ -48,19 +48,6 @@ def random_state(rng, d, signed=False):
     return make_state(Dimension(d), tuple(values))
 
 
-def settings_from_rows(dim, rows):
-    return MeasurementSettings(dim, *(PhaseVector(dim, tuple(r)) for r in rows))
-
-
-def settings_rows(settings):
-    return [
-        list(settings.a1.phases),
-        list(settings.a2.phases),
-        list(settings.b1.phases),
-        list(settings.b2.phases),
-    ]
-
-
 def transfer_matrix(phases):
     """U[m, k] = gamma^{mk} e^{i phi_k} / sqrt(d), built from scratch."""
     d = len(phases)
@@ -138,7 +125,7 @@ def central_difference_gradient(state, settings, variant=KernelVariant.PLUS, ste
     if variant is not KernelVariant.PLUS:
         raise ValueError(f"bell_value evaluates KernelVariant.PLUS only, got {variant!r}")
     dim = state.dim
-    rows = settings_rows(settings)
+    rows = [list(row) for row in settings.phases]
     grad = np.empty(4 * dim.d)
     for r in range(4):
         for k in range(dim.d):
@@ -146,8 +133,8 @@ def central_difference_gradient(state, settings, variant=KernelVariant.PLUS, ste
             lo = [row[:] for row in rows]
             hi[r][k] += step
             lo[r][k] -= step
-            f_hi = bell_value(state, settings_from_rows(dim, hi))
-            f_lo = bell_value(state, settings_from_rows(dim, lo))
+            f_hi = bell_value(state, MeasurementSettings.from_phases(dim, hi))
+            f_lo = bell_value(state, MeasurementSettings.from_phases(dim, lo))
             grad[r * dim.d + k] = (f_hi - f_lo) / (2.0 * step)
     return grad
 

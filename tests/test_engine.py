@@ -8,6 +8,7 @@ fast class-amplitude path is right.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,8 +50,6 @@ from helpers import (
     reference_bell_value,
     reference_correlation,
     reference_table,
-    settings_from_rows,
-    settings_rows,
     transfer_matrix,
 )
 
@@ -110,7 +109,7 @@ class TestMultiportUnitary:
         with pytest.raises(ValueError):
             u.matrix[0, 0] = 0.0
 
-    @pytest.mark.parametrize("dtype", [bool, str, bytes])
+    @pytest.mark.parametrize("dtype", [bool, str, bytes, object])
     def test_rejects_bool_and_text_matrices(self, dtype):
         # numpy would parse the text of a valid unitary back into it.
         u = multiport_unitary(Dimension(2), PhaseVector(Dimension(2), (0.0, 0.0)))
@@ -232,10 +231,14 @@ class TestJointProbabilityTableValidation:
         with pytest.raises(ValidationError, match="probabilities must be numbers, got dtype bool"):
             JointProbabilityTable(Dimension(2), p)
 
-    @pytest.mark.parametrize("entry", ["0.25", b"0.25"], ids=["str", "bytes"])
-    def test_rejects_a_text_table(self, entry):
+    @pytest.mark.parametrize("entry,dtype", [
+        ("0.25", None), (b"0.25", None), ("0.25", object), (Fraction(1, 4), object),
+    ], ids=["str", "bytes", "object", "fraction"])
+    def test_rejects_a_text_table(self, entry, dtype):
+        # An object array would convert each entry through float(); a
+        # caller with exact fractions converts with dtype=float first.
         with pytest.raises(ValidationError, match="probabilities must be numbers"):
-            JointProbabilityTable(Dimension(2), np.full((2, 2, 2, 2), entry))
+            JointProbabilityTable(Dimension(2), np.full((2, 2, 2, 2), entry, dtype=dtype))
 
 
 class TestCorrelationAndBellValue:
@@ -313,11 +316,11 @@ class TestCorrelationAndBellValue:
         state = random_state(rng, 4)
         settings = random_settings(rng, 4)
         base = bell_value(state, settings)
-        rows = settings_rows(settings)
         for r in range(4):
-            shifted = [row[:] for row in rows]
+            shifted = list(settings.phases)
             shifted[r] = [p + 0.7321 for p in shifted[r]]
-            assert abs(bell_value(state, settings_from_rows(D4, shifted)) - base) < 1e-12
+            shifted_settings = MeasurementSettings.from_phases(D4, shifted)
+            assert abs(bell_value(state, shifted_settings) - base) < 1e-12
 
     def test_returns_plain_float(self):
         value = bell_value(maximally_entangled_state(D4), zero_settings(D4))
@@ -449,7 +452,7 @@ class TestGradient:
         for d in (2, 3, 4, 5, 6, 8):
             state = random_state(rng, d, signed=True)
             settings = random_settings(rng, d)
-            phases = np.array(settings_rows(settings))
+            phases = np.array(settings.phases)
             a = np.asarray(state.coefficients)
             value = value_and_gradient_arrays(a, engine._PAIRS @ phases)[0]
             expected = bell_value(state, settings)
@@ -527,9 +530,9 @@ _CASES = {"seed": st.integers(0, 2**32 - 1), "d": st.integers(2, 8)}
 def test_shifting_one_phase_vector_leaves_value_unchanged(seed, d, vector, shift):
     # Gauge: only phase differences within a vector enter the value.
     state, settings = _random_case(seed, d)
-    rows = settings_rows(settings)
+    rows = list(settings.phases)
     rows[vector] = [phase + shift for phase in rows[vector]]
-    shifted = settings_from_rows(Dimension(d), rows)
+    shifted = MeasurementSettings.from_phases(Dimension(d), rows)
     assert abs(bell_value(state, shifted) - bell_value(state, settings)) < 1e-12
 
 
@@ -542,11 +545,11 @@ def test_sign_flip_is_absorbed_by_pi_on_alice(seed, d, k):
     k %= d
     coefficients = list(state.coefficients)
     coefficients[k] = -coefficients[k]
-    rows = settings_rows(settings)
+    rows = [list(row) for row in settings.phases]
     rows[0][k] += math.pi
     rows[1][k] += math.pi
     flipped = make_state(Dimension(d), coefficients)
-    assert abs(bell_value(flipped, settings_from_rows(Dimension(d), rows))
+    assert abs(bell_value(flipped, MeasurementSettings.from_phases(Dimension(d), rows))
                - bell_value(state, settings)) < 1e-12
 
 
@@ -559,13 +562,13 @@ def test_dihedral_port_relabeling_leaves_value_unchanged(seed, d, shift):
     # the reflection is no symmetry of the plus kernel.
     state, settings = _random_case(seed, d)
     a = np.array(state.coefficients)
-    rows = np.array(settings_rows(settings))
+    rows = np.array(settings.phases)
     expected = bell_value(state, settings)
     reflect = -np.arange(d) % d
     for relabeled, phases in ((np.roll(a, shift), np.roll(rows, shift, axis=1)),
                               (a[reflect], -rows[:, reflect])):
         value = bell_value(make_state(Dimension(d), tuple(relabeled)),
-                           settings_from_rows(Dimension(d), phases))
+                           MeasurementSettings.from_phases(Dimension(d), phases))
         assert abs(value - expected) < 1e-12
 
 
@@ -575,11 +578,11 @@ def test_pi_on_alice_negates_the_t_coefficients_of_that_port(seed, k):
     # The same shift alone maps T_kl to -T_kl for l != k and keeps the
     # other pairs; the d = 4 vertex tables are built from this.
     _, settings = _random_case(seed, 4)
-    rows = settings_rows(settings)
+    rows = [list(row) for row in settings.phases]
     rows[0][k] += math.pi
     rows[1][k] += math.pi
     before = t_coefficients(settings).values()
-    after = t_coefficients(settings_from_rows(D4, rows)).values()
+    after = t_coefficients(MeasurementSettings.from_phases(D4, rows)).values()
     for pair, old, new in zip(PAIR_SLOTS, before, after):
         expected = -old if k in pair else old
         assert abs(new - expected) < 1e-12
@@ -600,7 +603,7 @@ def test_noise_scales_value_linearly(seed, d, noise):
 def test_pair_matrix_and_kernel_agree_with_the_table_route(seed, d):
     state, settings = _random_case(seed, d)
     a = np.asarray(state.coefficients)
-    phases = np.array(settings_rows(settings))
+    phases = np.array(settings.phases)
     expected = bell_value(state, settings)
     tolerance = 1e-12 * max(1.0, abs(expected))
     assert abs(a @ pair_matrix(phases) @ a - expected) <= tolerance
@@ -610,6 +613,20 @@ def test_pair_matrix_and_kernel_agree_with_the_table_route(seed, d):
     gradient = (engine._PAIRS.T @ gradient).reshape(-1)
     fd = central_difference_gradient(state, settings)
     assert np.max(np.abs(gradient - fd)) <= 1e-6 * max(1.0, np.max(np.abs(gradient)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 12, 16, 64])
+def test_circulant_class_weights_match_the_class_sums(d):
+    # The reference sums K[r] over each outcome class (m + n) mod d by
+    # bincount; the engine reads the class weights off K[r, 0].  Bit for
+    # bit, signed zeros included.
+    V = engine._dft(d)
+    classes = ((np.arange(d)[:, None] + np.arange(d)[None, :]) % d).ravel()
+    expected = np.empty((4, d, d), dtype=complex)
+    for r, K in enumerate(engine.kernel_table(d)):
+        W = np.bincount(classes, weights=K.ravel(), minlength=d)
+        expected[r] = (V.T * W) @ V.conj()
+    assert np.array_equal(engine._circulant(d).view(np.uint64), expected.view(np.uint64))
 
 
 class TestSampling:

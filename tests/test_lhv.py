@@ -145,11 +145,21 @@ class TestLhvBounds:
         with pytest.raises(ValidationError):
             lhv_bounds(Dimension(MAX_ENUMERABLE_DIMENSION + 1))
 
+    @pytest.mark.parametrize("dim", [None, 4])
+    def test_dimension_must_be_a_dimension(self, dim):
+        with pytest.raises(ValidationError, match="must be a Dimension"):
+            lhv_bounds(dim)
+
 
 class TestStrategyValidation:
     def test_wrong_length(self):
         with pytest.raises(ValidationError):
             DeterministicStrategy(Dimension(3), (0, 1, 2))
+
+    @pytest.mark.parametrize("outcomes", [None, 5])
+    def test_outcomes_without_a_length(self, outcomes):
+        with pytest.raises(ValidationError, match="fixes 4 outcomes"):
+            DeterministicStrategy(Dimension(2), outcomes)
 
     def test_outcome_out_of_range(self):
         with pytest.raises(ValidationError):

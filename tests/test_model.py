@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hypothesis_settings, strategies as st
 
 import bellmp
 from bellmp import (
@@ -25,7 +26,7 @@ from bellmp.engine import SampleEstimate, TCoefficients, bell_value_noisy
 from bellmp.model import PAIR_SIGNS, SETTING_PAIRS, kernel_table
 from bellmp.report import ScanSpec
 
-from helpers import cglmp_coefficients
+from helpers import cglmp_coefficients, random_settings
 
 PLUS = KernelVariant.PLUS
 MINUS = KernelVariant.MINUS
@@ -394,6 +395,53 @@ class TestMeasurementSettings:
         bad = PhaseVector(d3, (0.0, 0.0, 0.0))
         with pytest.raises(DimensionMismatchError):
             MeasurementSettings(d2, good, good, good, bad)
+
+    @pytest.mark.parametrize("bad", [None, (0.0, 0.0), np.zeros(2)], ids=["None", "tuple", "array"])
+    def test_member_that_is_not_a_phase_vector(self, bad):
+        good = PhaseVector(_D2, (0.0, 0.0))
+        with pytest.raises(ValidationError, match="setting b1 must be a PhaseVector"):
+            MeasurementSettings(_D2, good, good, bad, good)
+
+    def test_phases_stack_a1_a2_b1_b2_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        for d in (2, 3, 4, 7):
+            settings = random_settings(rng, d)
+            members = (settings.a1, settings.a2, settings.b1, settings.b2)
+            expected = np.stack([np.array(vec.phases) for vec in members])
+            phases = np.array(settings.phases)
+            assert phases.dtype == np.float64 and phases.shape == (4, d)
+            assert phases.tobytes() == expected.tobytes()
+
+    @hypothesis_settings(deadline=None)
+    @given(original=st.integers(2, 6).flatmap(lambda d: st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=d, max_size=d),
+        min_size=4, max_size=4).map(lambda rows: MeasurementSettings(
+            Dimension(d), *(PhaseVector(Dimension(d), row) for row in rows)))))
+    def test_from_phases_inverts_phases(self, original):
+        # Tuples, lists and a (4, d) array of the same rows all round-trip.
+        rows = np.array(original.phases)
+        for phases in (original.phases, rows.tolist(), rows):
+            assert MeasurementSettings.from_phases(original.dim, phases) == original
+
+    @pytest.mark.parametrize("count", [0, 3, 5])
+    def test_from_phases_takes_exactly_four_rows(self, count):
+        with pytest.raises(DimensionMismatchError, match=f"expected 4 phase rows, got {count}"):
+            MeasurementSettings.from_phases(_D2, [(0.0, 0.0)] * count)
+
+    def test_from_phases_checks_each_row_as_a_phase_vector(self):
+        rows = [[0.0, 0.0]] * 3
+        with pytest.raises(DimensionMismatchError, match="expected 2 phases, got 3"):
+            MeasurementSettings.from_phases(_D2, rows + [[0.0, 0.0, 0.0]])
+        with pytest.raises(ValidationError, match="must be real numbers"):
+            MeasurementSettings.from_phases(_D2, rows + [["0", 0.0]])
+        with pytest.raises(ValidationError, match="four rows"):
+            MeasurementSettings.from_phases(_D2, None)
+
+
+def test_pair_slots_live_in_model_and_are_re_exported():
+    assert bellmp.PAIR_SLOTS is bellmp.model.PAIR_SLOTS
+    assert bellmp.analytic.PAIR_SLOTS is bellmp.model.PAIR_SLOTS
+    assert bellmp.model.PAIR_SLOTS == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 class TestZeroSettings:

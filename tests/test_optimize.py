@@ -8,7 +8,9 @@ vertex extrema, the attained optimum sometimes exceeds the branch
 formulas (st2) and sometimes cannot reach them (st4).
 """
 
+import ast
 import functools
+import inspect
 import math
 import os
 
@@ -41,7 +43,7 @@ from bellmp import (
 from bellmp.engine import (_extreme_eigh, extreme_value_and_gradient, pair_matrix,
                            value_and_gradient_arrays)
 
-from helpers import random_state, settings_rows
+from helpers import random_state
 
 D4 = Dimension(4)
 ME_MAX = 2.896243218458708
@@ -154,7 +156,7 @@ class TestFixedStateSearch:
         for direction, want in ((Direction.MAXIMIZE, best_max), (Direction.MINIMIZE, best_min)):
             run = optimize_angles(state, OptimizerConfig(restarts=8, seed=0, direction=direction))
             assert abs(run.best.value - want) < 1e-12
-            phases = np.array(settings_rows(run.best.settings))
+            phases = np.array(run.best.settings.phases)
             fixed = np.delete(phases, free, axis=1)
             assert np.array_equal(fixed, np.zeros_like(fixed))
             assert not np.any(np.signbit(fixed))
@@ -498,7 +500,7 @@ def test_searches_report_optima_in_the_gauge_b1_zero(search, d, how):
     if search == "T":
         l = how[1]
         magnitude, settings = max_abs_t_coefficient(how, restarts=3, seed=1)
-        phases = np.array(settings_rows(settings))
+        phases = np.array(settings.phases)
         assert np.array_equal(np.delete(phases, l, axis=1), np.zeros((4, 3)))
         t = t_coefficients(settings).values()[PAIR_SLOTS.index(how)]
         assert abs(abs(t) - magnitude) <= 1e-12
@@ -508,7 +510,7 @@ def test_searches_report_optima_in_the_gauge_b1_zero(search, d, how):
             run = optimize_joint(dim, config)
         else:
             run = optimize_angles(make_state(dim, (1.2, 0.3, 0.9, 1.4)), config)
-        phases = np.array(settings_rows(run.best.settings))
+        phases = np.array(run.best.settings.phases)
         assert np.array_equal(phases[:, 0], np.zeros(4))
         assert abs(bell_value(run.best.state, run.best.settings)
                    - run.best.value) <= 1e-12
@@ -741,7 +743,7 @@ class TestEigenReduction:
         assert len(run.per_restart_eigengaps) == 3
         # The pi shifts that make the state non-negative conjugate the pair
         # matrix by a sign diagonal, which keeps its spectrum.
-        gap = _extreme_eigh(pair_matrix(np.array(settings_rows(run.best.settings))),
+        gap = _extreme_eigh(pair_matrix(np.array(run.best.settings.phases)),
                             direction is Direction.MAXIMIZE)[3]
         assert abs(gap - run.per_restart_eigengaps[run.best_restart]) < 1e-9
 
@@ -822,3 +824,16 @@ class TestCoefficientSearch:
         # (0, True) == (0, 1), but True is not an index.
         with pytest.raises(ValidationError, match="pair must be one of"):
             max_abs_t_coefficient(pair, restarts=3)
+
+
+def test_optimize_imports_nothing_from_analytic():
+    # The searches cross-check the closed forms of the analytic module,
+    # so they share no formulas with it (module docstring).
+    tree = ast.parse(inspect.getsource(bellmp.optimize))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    assert not any("analytic" in name for name in names), sorted(names)

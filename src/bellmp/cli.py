@@ -69,12 +69,12 @@ MAX_RESTARTS = 1000
 MAX_DIMENSION = 64
 # A search's work grows with both flags.  A restart counts as (d - 1) d^2
 # work units.  Measured on a 2-vCPU host (one-restart searches, seeds 0
-# and 1, both directions), a joint restart takes 8-36 ms at d = 16
-# (19-75 Newton steps), 0.06-0.08 s at d = 32 and 0.35-0.54 s at
-# d = 64, 1.4-2.7e-6 s per unit at the larger two.  The budget keeps one
+# and 1, both directions), a joint restart takes 6-33 ms at d = 16
+# (19-75 Newton steps), 0.05-0.09 s at d = 32 and 0.30-0.52 s at
+# d = 64, 1.2-2.9e-6 s per unit at the larger two.  The budget keeps one
 # search well within a minute: at seed 0, minimizing, 7 restarts at
-# d = 64 took 3.0 s and 63 at d = 32 took 3.5 s; up to d = 12 the
-# restart cap binds first (1000 restarts at d = 12 took 3.7 s).
+# d = 64 took 2.6-3.1 s and 63 at d = 32 took 3.2-4.0 s; up to d = 12
+# the restart cap binds first (1000 restarts at d = 12 took 3.0-3.5 s).
 MAX_WORK = 2_000_000
 # One scan row holds about 430 B and takes about 21 us to compute on a
 # 2-vCPU host, so a capped scan holds about 43 MB of rows and prints its

@@ -43,6 +43,7 @@ from .model import (
     _as_float_tuple,
     _is_int,
     _is_setting_index,
+    _require_dimension,
     kernel_table,
     require_seed,
 )
@@ -138,7 +139,7 @@ class MultiportUnitary:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        d = self.dim.d
+        d = _require_dimension(self.dim)
         m = _as_array(self.matrix, complex, "matrix entries")
         if m.shape != (d, d):
             raise DimensionMismatchError(f"expected a {d}x{d} matrix, got {m.shape}")
@@ -154,11 +155,9 @@ class MultiportUnitary:
 
 
 def multiport_unitary(dim: Dimension, phases) -> MultiportUnitary:
+    d = _require_dimension(dim)
     if phases.dim != dim:
-        raise DimensionMismatchError(
-            f"phases have dimension {phases.dim.d}, expected {dim.d}"
-        )
-    d = dim.d
+        raise DimensionMismatchError(f"phases have dimension {phases.dim.d}, expected {d}")
     U = _dft(d) / math.sqrt(d) * np.exp(1j * np.asarray(phases.phases))[None, :]
     return MultiportUnitary(dim, U)
 
@@ -176,7 +175,7 @@ class JointProbabilityTable:
     probabilities: np.ndarray
 
     def __post_init__(self) -> None:
-        d = self.dim.d
+        d = _require_dimension(self.dim)
         p = _as_array(self.probabilities, float, "probabilities")
         if p.shape != (2, 2, d, d):
             raise DimensionMismatchError(
@@ -340,8 +339,8 @@ def _theta_hessian(P: np.ndarray, coefficients: np.ndarray, pa: np.ndarray) -> n
     d = P.shape[-1]
     a = coefficients[..., None, :]
     blocks = a[..., :, None] * a[..., None, :] * P.real
-    diagonal = np.arange(d)
-    blocks[..., diagonal, diagonal] -= a * pa.real
+    # Every (d + 1)-th entry of a block, flattened, is on its diagonal.
+    blocks.reshape(blocks.shape[:-2] + (d * d,))[..., ::d + 1] -= a * pa.real
     blocks *= 2.0 / ((d - 1) * d**3)
     H = np.zeros(blocks.shape[:-3] + (4, d, 4, d))
     # einsum returns a writeable view of the diagonal blocks.
@@ -411,12 +410,17 @@ def extreme_value_and_gradient(theta: np.ndarray, largest: bool):
         # Second-order perturbation of a simple eigenvalue: d lambda gains
         # 2 d sum_{j != ext} J_j J_j^T / (lambda_ext - lambda_j), where J_j
         # over theta holds v_j^T (dM / d theta) v.  A zero gap has weight 0.
-        im_pv = np.imag(Pr @ Vr[..., None, :, :])
-        J = (Vr[..., None, :, :] * im_pv[..., k, None] + Vr[..., k][..., None, :, None] * im_pv) \
-            * (-1.0 / ((d - 1) * d**3))
-        J = np.moveaxis(J, -1, -3).reshape(J.shape[:-3] + (d, 4 * d))
+        # im_pv[..., j, r, m] = Im(P[r] v_j)_m, a view of the product.
+        im_pv = np.moveaxis((Pr @ Vr[..., None, :, :]).imag, -1, -3)
+        # J[..., j, r, m] is formed in the order its rows are read, so the
+        # (d, 4 d) reshape below needs no copy.
+        V_jm = Vr.swapaxes(-1, -2)
+        J = V_jm[..., :, None, :] * im_pv[..., k, None, :, :]
+        J += V_jm[..., k, None, None, :] * im_pv
+        J *= -1.0 / ((d - 1) * d**3)
+        J = J.reshape(J.shape[:-2] + (4 * d,))
         gaps = wr[..., k, None] - wr
-        weights = np.divide(2.0 * d, gaps, out=np.zeros_like(gaps), where=gaps != 0.0)
+        weights = np.divide(2.0 * d, gaps, out=np.zeros(gaps.shape), where=gaps != 0.0)
         H += ((J.swapaxes(-1, -2) * weights[..., None, :]) @ J).reshape(H.shape)
         return H
 

@@ -15,7 +15,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Dimension, KernelVariant, ValidationError, _is_int, kernel_table
+from .model import (Dimension, KernelVariant, ValidationError, _is_int, _require_dimension,
+                    kernel_table)
 
 __all__ = [
     "DeterministicStrategy",
@@ -37,7 +38,10 @@ class DeterministicStrategy:
     outcomes: tuple[int, int, int, int]
 
     def __post_init__(self) -> None:
-        outcomes, d = self.outcomes, self.dim.d
+        # A plain Dimension skips the one dimension rule,
+        # model._require_dimension, as plain ints skip _is_int below.
+        dim, outcomes = self.dim, self.outcomes
+        d = dim.d if type(dim) is Dimension else _require_dimension(dim)
         try:
             count = len(outcomes)
         except TypeError:
@@ -105,9 +109,7 @@ def lhv_bounds(dim: Dimension,
     keep the first (lexicographically smallest) witness, so the
     reported strategies are reproducible.
     """
-    if not isinstance(dim, Dimension):
-        raise ValidationError(f"dim must be a Dimension, got {dim!r}")
-    if dim.d > MAX_ENUMERABLE_DIMENSION:
+    if _require_dimension(dim) > MAX_ENUMERABLE_DIMENSION:
         raise ValidationError(
             f"exhaustive scan is guarded at d <= {MAX_ENUMERABLE_DIMENSION}, got {dim.d}"
         )

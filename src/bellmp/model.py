@@ -29,8 +29,9 @@ Conventions used throughout the package:
   or a complex, and it must be finite and fit a float (_as_float_tuple,
   which returns plain floats).  A numeric array is any array numpy can
   convert except a bool, a text or an object one (_as_array), so exact
-  fractions are converted with dtype=float first.  Anything else raises
-  ValidationError.
+  fractions are converted with dtype=float first.  A dimension is a
+  Dimension, not an int d (_require_dimension, called where dim.d is
+  first read).  Anything else raises ValidationError.
 - MeasurementSettings holds the phase rows in the order A1, A2, B1, B2.
   Its phases property lists them in that order and its from_phases
   classmethod builds settings from four such rows; no other module
@@ -83,6 +84,14 @@ PAIR_SLOTS: tuple[tuple[int, int], ...] = (
 def _is_int(k: object) -> bool:
     # An int or numpy int; True == 1, but a bool is not an index.
     return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+
+
+def _require_dimension(dim: object) -> int:
+    # The one dimension rule: dim.d of a Dimension, and ValidationError
+    # for anything else, an int d included.
+    if not isinstance(dim, Dimension):
+        raise ValidationError(f"dim must be a Dimension, got {dim!r}")
+    return dim.d
 
 
 def _is_real(x: object) -> bool:
@@ -187,17 +196,15 @@ class PureState:
     coefficients: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        d = _require_dimension(self.dim)
         coeffs = _as_float_tuple(self.coefficients, "state coefficient entries")
         object.__setattr__(self, "coefficients", coeffs)
-        if len(coeffs) != self.dim.d:
-            raise DimensionMismatchError(
-                f"expected {self.dim.d} coefficients, got {len(coeffs)}"
-            )
+        if len(coeffs) != d:
+            raise DimensionMismatchError(f"expected {d} coefficients, got {len(coeffs)}")
         norm_sq = sum(c * c for c in coeffs)
-        if abs(norm_sq - self.dim.d) > NORMALIZATION_TOLERANCE * self.dim.d:
+        if abs(norm_sq - d) > NORMALIZATION_TOLERANCE * d:
             raise ValidationError(
-                f"coefficients must satisfy sum(a^2) = d = {self.dim.d}, "
-                f"got {norm_sq!r}"
+                f"coefficients must satisfy sum(a^2) = d = {d}, got {norm_sq!r}"
             )
 
 
@@ -209,12 +216,11 @@ class PhaseVector:
     phases: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        d = _require_dimension(self.dim)
         phases = _as_float_tuple(self.phases, "phase entries")
         object.__setattr__(self, "phases", phases)
-        if len(phases) != self.dim.d:
-            raise DimensionMismatchError(
-                f"expected {self.dim.d} phases, got {len(phases)}"
-            )
+        if len(phases) != d:
+            raise DimensionMismatchError(f"expected {d} phases, got {len(phases)}")
 
 
 @dataclass(frozen=True)
@@ -228,6 +234,7 @@ class MeasurementSettings:
     b2: PhaseVector
 
     def __post_init__(self) -> None:
+        _require_dimension(self.dim)
         for name in ("a1", "a2", "b1", "b2"):
             vec: PhaseVector = getattr(self, name)
             if not isinstance(vec, PhaseVector):
@@ -265,15 +272,14 @@ def kernel_f(i: int, j: int, m: int, n: int, dim: Dimension, variant: KernelVari
     """
     if not (_is_setting_index(i) and _is_setting_index(j)):
         raise ValidationError(f"setting indices must be the int 1 or 2, got ({i!r}, {j!r})")
-    if not (_is_int(m) and _is_int(n) and 0 <= m < dim.d and 0 <= n < dim.d):
-        raise ValidationError(
-            f"outcomes must be ints in 0..{dim.d - 1}, got ({m!r}, {n!r})"
-        )
+    d = _require_dimension(dim)
+    if not (_is_int(m) and _is_int(n) and 0 <= m < d and 0 <= n < d):
+        raise ValidationError(f"outcomes must be ints in 0..{d - 1}, got ({m!r}, {n!r})")
     if not isinstance(variant, KernelVariant):
         raise ValidationError(f"variant must be a KernelVariant, got {variant!r}")
     eps = -1 if i < j else 1
     combo = m + n if variant is KernelVariant.PLUS else m - n
-    return dim.spin - ((eps * combo) % dim.d)
+    return dim.spin - ((eps * combo) % d)
 
 
 @functools.lru_cache(maxsize=None)
@@ -300,6 +306,7 @@ def make_state(dim: Dimension, coeffs: Sequence[float]) -> PureState:
     Raises a degenerate-state error when every coefficient is zero and,
     through PureState, a dimension error on a length mismatch.
     """
+    d = _require_dimension(dim)
     values = _as_float_tuple(coeffs, "state coefficient entries")
     norm_sq = sum(c * c for c in values)
     if not sys.float_info.min <= norm_sq < math.inf:
@@ -310,16 +317,16 @@ def make_state(dim: Dimension, coeffs: Sequence[float]) -> PureState:
             raise DegenerateStateError("cannot normalize the all-zero state")
         values = tuple(c / largest for c in values)
         norm_sq = sum(c * c for c in values)
-    scale = math.sqrt(dim.d / norm_sq)
+    scale = math.sqrt(d / norm_sq)
     return PureState(dim, tuple(c * scale for c in values))
 
 
 def maximally_entangled_state(dim: Dimension) -> PureState:
     """The state with every coefficient equal to 1."""
-    return PureState(dim, (1.0,) * dim.d)
+    return PureState(dim, (1.0,) * _require_dimension(dim))
 
 
 def zero_settings(dim: Dimension) -> MeasurementSettings:
     """All four phase vectors identically zero."""
-    zero = PhaseVector(dim, (0.0,) * dim.d)
+    zero = PhaseVector(dim, (0.0,) * _require_dimension(dim))
     return MeasurementSettings(dim, zero, zero, zero, zero)

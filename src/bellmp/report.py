@@ -88,7 +88,7 @@ def build_reproduction_report(restarts: int = 50, seed: int = 7) -> Reproduction
 
     restarts/seed feed the optimizer-backed rows; the defaults match
     the documented engineering defaults.  With them each d = 4 joint
-    search takes about 12-25 ms and the whole report about 0.06-0.10 s
+    search takes about 12-25 ms and the whole report about 0.07-0.11 s
     on a shared 2-vCPU host, whose speed varied by up to 2x.
     """
     g = gamma_constants()

@@ -25,6 +25,8 @@ from bellmp import (
     sorted_magnitudes,
     vertex_patterns,
 )
+from bellmp.engine import _extreme_eigh, _pair_sum, _phased, _theta_gradient
+from bellmp.optimize import _THETA as THETA
 
 SETTING_SIGNS = (((1, 1), 1.0), ((1, 2), 1.0), ((2, 1), -1.0), ((2, 2), 1.0))
 
@@ -169,3 +171,55 @@ def vertex_slot_sum(state, witness):
     for (x, y), sign in zip(PAIR_SLOTS, witness.pattern.signs):
         total += sign * a[x] * a[y]
     return total
+
+
+# The expressions below are the optimizer's earlier forms, kept so that
+# the faster forms in the package can be checked against them bit for
+# bit, signed zeros included.
+
+def reference_shifted(H, lowest, mu):
+    """H + (mu + max(0, -lambda_min)) I per row, with I from np.eye: the
+    matrix the regularized Newton step solves with."""
+    shift = mu + np.maximum(0.0, -lowest)
+    return H + shift[:, None, None] * np.eye(H.shape[-1])
+
+
+def reference_coordinate_map(d, columns):
+    """C = Theta (x) (the given columns of I_d) through np.kron."""
+    return np.kron(THETA, np.eye(d)[:, columns])
+
+
+def reference_theta_hessian(P, coefficients, pa):
+    """The block-diagonal theta Hessian of a^T M a, with the diagonal
+    taken by fancy indexing and the blocks written through the einsum
+    view of the diagonal blocks."""
+    d = P.shape[-1]
+    a = coefficients[..., None, :]
+    blocks = a[..., :, None] * a[..., None, :] * P.real
+    diagonal = np.arange(d)
+    blocks[..., diagonal, diagonal] -= a * pa.real
+    blocks *= 2.0 / ((d - 1) * d**3)
+    H = np.zeros(blocks.shape[:-3] + (4, d, 4, d))
+    np.einsum("...rmrn->...rmn", H)[...] = blocks
+    return H
+
+
+def reference_extreme_hessian(theta, largest, rows=...):
+    """The theta Hessian of d lambda_ext(M) that
+    engine.extreme_value_and_gradient forms, with J built in the
+    (..., 4, d, d) layout and moved to (..., d, 4 d) by np.moveaxis."""
+    d = theta.shape[-1]
+    P = _phased(theta)
+    w, V, k, _ = _extreme_eigh(_pair_sum(P), largest)
+    a = math.sqrt(d) * V[..., k]
+    _, pa = _theta_gradient(P, a)
+    Pr, Vr, wr = P[rows], V[rows], w[rows]
+    H = reference_theta_hessian(Pr, a[rows], pa[rows])
+    im_pv = np.imag(Pr @ Vr[..., None, :, :])
+    J = (Vr[..., None, :, :] * im_pv[..., k, None] + Vr[..., k][..., None, :, None] * im_pv) \
+        * (-1.0 / ((d - 1) * d**3))
+    J = np.moveaxis(J, -1, -3).reshape(J.shape[:-3] + (d, 4 * d))
+    gaps = wr[..., k, None] - wr
+    weights = np.divide(2.0 * d, gaps, out=np.zeros_like(gaps), where=gaps != 0.0)
+    H += ((J.swapaxes(-1, -2) * weights[..., None, :]) @ J).reshape(H.shape)
+    return H

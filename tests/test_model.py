@@ -250,6 +250,39 @@ def test_every_numeric_entry_point_rejects_what_is_not_a_number(call, bad):
         call(bad)
 
 
+_V2 = PhaseVector(_D2, (0.0, 0.0))
+# Every public entry point that takes a Dimension, called with `dim` in
+# its place.
+_DIMENSION_ROUTES = {
+    "PhaseVector": lambda dim: PhaseVector(dim, (0.0, 0.0)),
+    "PureState": lambda dim: PureState(dim, (1.0, 1.0)),
+    "make_state": lambda dim: make_state(dim, (1.0, 1.0)),
+    "maximally_entangled_state": maximally_entangled_state,
+    "zero_settings": zero_settings,
+    "MeasurementSettings": lambda dim: MeasurementSettings(dim, _V2, _V2, _V2, _V2),
+    "MeasurementSettings.from_phases": lambda dim: MeasurementSettings.from_phases(
+        dim, [(0.0, 0.0)] * 4),
+    "kernel_f": lambda dim: kernel_f(1, 1, 0, 0, dim, PLUS),
+    "multiport_unitary": lambda dim: bellmp.multiport_unitary(dim, _V2),
+    "MultiportUnitary": lambda dim: bellmp.MultiportUnitary(
+        dim, np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)),
+    "JointProbabilityTable": lambda dim: bellmp.JointProbabilityTable(
+        dim, np.full((2, 2, 2, 2), 0.25)),
+    "DeterministicStrategy": lambda dim: bellmp.DeterministicStrategy(dim, (0, 0, 0, 0)),
+    "lhv_bounds": bellmp.lhv_bounds,
+    "optimize_joint": lambda dim: bellmp.optimize_joint(dim, bellmp.OptimizerConfig(restarts=1)),
+}
+
+
+@pytest.mark.parametrize("bad", [None, 2, 2.0, "2", (2,)])
+@pytest.mark.parametrize("route", list(_DIMENSION_ROUTES))
+def test_every_dimension_entry_point_rejects_what_is_not_a_dimension(route, bad):
+    # One rule, model._require_dimension, where dim.d is first read.
+    with pytest.raises(ValidationError, match="must be a Dimension"):
+        _DIMENSION_ROUTES[route](bad)
+    _DIMENSION_ROUTES[route](_D2)
+
+
 class TestPureState:
     def test_accepts_normalized(self):
         state = PureState(Dimension(4), (1.0, 1.0, 1.0, 1.0))

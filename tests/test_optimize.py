@@ -13,6 +13,7 @@ import functools
 import inspect
 import math
 import os
+import random
 
 import numpy as np
 import pytest
@@ -43,7 +44,8 @@ from bellmp import (
 from bellmp.engine import (_extreme_eigh, extreme_value_and_gradient, pair_matrix,
                            value_and_gradient_arrays)
 
-from helpers import random_state
+from helpers import (random_state, reference_coordinate_map, reference_extreme_hessian,
+                     reference_shifted, reference_theta_hessian)
 
 D4 = Dimension(4)
 ME_MAX = 2.896243218458708
@@ -278,8 +280,7 @@ def _theta_map(d, columns=None):
     # The map C = Theta (x) (free columns of I_d) from the solver's
     # coordinates to the summed phases, over phase columns 1..d-1 as the
     # angle and joint searches use it unless columns are given.
-    columns = range(1, d) if columns is None else columns
-    return np.kron(bellmp.optimize._THETA, np.eye(d)[:, columns])
+    return reference_coordinate_map(d, range(1, d) if columns is None else columns)
 
 
 def _start_phases(d, stream, restarts):
@@ -622,6 +623,144 @@ def test_d16_joint_minimum_takes_its_pinned_newton_steps():
     assert (run.evaluations.calls, run.evaluations.rows) == (calls, rows)
     # One Hessian per start and per kept step, none where a restart stops.
     assert run.evaluations.hessians == 424 <= rows - sum(rejected)
+
+
+# The bench's angles_dsweep searches, 8 restarts at seed 0: per (d,
+# state, direction) the per-restart Newton steps and the best value, bit
+# for bit.  State 0 is the flat one, states 1 and 2 the two that one
+# random.Random(0) draws per d, in the order the bench draws them.
+_DSWEEP_PINS = {
+    (2, 0, Direction.MAXIMIZE): ((8, 8, 14, 7, 8, 9, 7, 10), "0x1.6a09e667f3bcep+1"),
+    (2, 0, Direction.MINIMIZE): ((6, 6, 6, 6, 6, 6, 7, 7), "-0x1.6a09e667f3bcfp+1"),
+    (2, 1, Direction.MAXIMIZE): ((8, 8, 11, 7, 8, 9, 7, 10), "0x1.686a8b0ef4e2ap+1"),
+    (2, 1, Direction.MINIMIZE): ((6, 6, 6, 7, 6, 6, 7, 7), "-0x1.686a8b0ef4e2dp+1"),
+    (2, 2, Direction.MAXIMIZE): ((8, 8, 8, 7, 8, 10, 7, 10), "0x1.537ddbb206416p+1"),
+    (2, 2, Direction.MINIMIZE): ((6, 6, 6, 7, 6, 6, 7, 7), "-0x1.537ddbb206416p+1"),
+    (3, 0, Direction.MAXIMIZE): ((9, 9, 9, 9, 11, 9, 13, 7), "0x1.6fbc4d90accbep+1"),
+    (3, 0, Direction.MINIMIZE): ((13, 7, 13, 11, 9, 11, 9, 11), "-0x1.0000000000000p+2"),
+    (3, 1, Direction.MAXIMIZE): ((9, 7, 9, 15, 13, 11, 11, 7), "0x1.632f9ace49a8dp+1"),
+    (3, 1, Direction.MINIMIZE): ((13, 7, 11, 11, 9, 11, 8, 11), "-0x1.d7acd91126823p+1"),
+    (3, 2, Direction.MAXIMIZE): ((9, 14, 9, 9, 10, 7, 13, 11), "0x1.6e3f8fd8cc4b6p+1"),
+    (3, 2, Direction.MINIMIZE): ((9, 7, 12, 9, 9, 11, 9, 11), "-0x1.e14c11aea3ad8p+1"),
+    (4, 0, Direction.MAXIMIZE): ((9, 20, 10, 12, 7, 14, 10, 19), "0x1.72b81908455e4p+1"),
+    (4, 0, Direction.MINIMIZE): ((12, 11, 12, 9, 11, 10, 10, 9), "-0x1.aaaaaaaaaaaabp+1"),
+    (4, 1, Direction.MAXIMIZE): ((15, 15, 10, 11, 8, 13, 11, 9), "0x1.6accb2626c768p+1"),
+    (4, 1, Direction.MINIMIZE): ((10, 9, 16, 10, 11, 12, 12, 14), "-0x1.b12ded8b40d8ep+1"),
+    (4, 2, Direction.MAXIMIZE): ((12, 16, 12, 12, 12, 15, 8, 11), "0x1.6593d20764be3p+1"),
+    (4, 2, Direction.MINIMIZE): ((11, 8, 12, 12, 14, 10, 16, 10), "-0x1.ad1200d5eeaebp+1"),
+    (6, 0, Direction.MAXIMIZE): ((12, 9, 18, 19, 24, 12, 14, 16), "0x1.75c93b5587988p+1"),
+    (6, 0, Direction.MINIMIZE): ((20, 20, 12, 32, 8, 20, 18, 18), "-0x1.a605f0a4c5715p+1"),
+    (6, 1, Direction.MAXIMIZE): ((12, 13, 11, 18, 26, 10, 12, 26), "0x1.6a477811b3f4bp+1"),
+    (6, 1, Direction.MINIMIZE): ((15, 21, 20, 21, 8, 22, 24, 16), "-0x1.8e26ee35d642fp+1"),
+    (6, 2, Direction.MAXIMIZE): ((22, 9, 19, 24, 21, 16, 20, 14), "0x1.70193edc73731p+1"),
+    (6, 2, Direction.MINIMIZE): ((14, 20, 22, 20, 9, 16, 22, 12), "-0x1.7cb52593208cap+1"),
+    (8, 0, Direction.MAXIMIZE): ((18, 11, 37, 24, 22, 24, 21, 30), "0x1.775932b3ee4fep+1"),
+    (8, 0, Direction.MINIMIZE): ((18, 17, 16, 22, 17, 22, 10, 18), "-0x1.8b74142d45754p+1"),
+    (8, 1, Direction.MAXIMIZE): ((22, 20, 24, 20, 13, 18, 15, 17), "0x1.473e5480b2cddp+1"),
+    (8, 1, Direction.MINIMIZE): ((20, 15, 13, 18, 14, 18, 13, 18), "-0x1.5797a3e602f16p+1"),
+    (8, 2, Direction.MAXIMIZE): ((32, 16, 24, 38, 21, 21, 24, 16), "0x1.55faa6dbe97afp+1"),
+    (8, 2, Direction.MINIMIZE): ((14, 27, 24, 17, 22, 15, 11, 19), "-0x1.640d709731c50p+1"),
+}
+
+
+def _dsweep_states():
+    rng = random.Random(0)
+    states = {}
+    for d in (2, 3, 4, 6, 8):
+        dim = Dimension(d)
+        states[d, 0] = maximally_entangled_state(dim)
+        for k in (1, 2):
+            states[d, k] = make_state(dim, [rng.uniform(0.1, 1.0) for _ in range(d)])
+    return states
+
+
+@pytest.mark.parametrize("d,state,direction", list(_DSWEEP_PINS))
+def test_angles_dsweep_searches_take_their_pinned_newton_steps(d, state, direction):
+    run = optimize_angles(_dsweep_states()[d, state],
+                          OptimizerConfig(restarts=8, seed=0, direction=direction))
+    iterations, best = _DSWEEP_PINS[d, state, direction]
+    assert run.per_restart_iterations == iterations
+    assert run.best.value.hex() == best
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _with_zeros(rng, array, zero_rows):
+    # Exact +0.0 and -0.0 entries, and whole rows of zeros.
+    array = array.copy()
+    array[rng.uniform(size=array.shape) < 0.2] = 0.0
+    array[rng.uniform(size=array.shape) < 0.1] = -0.0
+    array[zero_rows] = 0.0
+    return array
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_newton_steps_solve_with_h_plus_shift_times_identity(seed, monkeypatch):
+    # The matrix LAPACK solves with equals the reference H + shift np.eye(n),
+    # -0.0 entries of H turned into 0.0 as there.
+    rng = np.random.default_rng(seed)
+    rows, n = 5, int(rng.integers(1, 12))
+    H = rng.normal(size=(rows, n, n))
+    H = _with_zeros(rng, H + H.swapaxes(-1, -2), [0, 3])
+    lowest = _with_zeros(rng, rng.normal(size=rows), [1])
+    mu = rng.choice([1e-10, 1e-3, 0.25, 1.0, 4.0, 1e8], size=rows)
+    g = _with_zeros(rng, rng.normal(size=(rows, n)), [2])
+    solved = []
+    solve = np.linalg.solve
+
+    def recorded(a, b):
+        solved.append(a.copy())
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    steps = bellmp.optimize._newton_steps(H, lowest, g, mu)
+    (shifted,) = solved
+    assert _same_bits(shifted, reference_shifted(H, lowest, mu))
+    assert _same_bits(steps, -solve(reference_shifted(H, lowest, mu), g[:, :, None])[:, :, 0])
+
+
+@pytest.mark.parametrize("d,columns", [(d, range(1, d)) for d in (2, 3, 4, 8, 16)]
+                         + [(4, np.array([k])) for k in range(4)]
+                         + [(6, np.array([1, 3, 4])), (3, np.array([], dtype=int))])
+def test_coordinate_map_equals_the_kronecker_product(d, columns):
+    assert _same_bits(bellmp.optimize._coordinate_map(d, columns),
+                      reference_coordinate_map(d, columns))
+
+
+def _theta_batch(seed, rows, d):
+    # Summed phases with zero rows and exact-zero entries.
+    rng = np.random.default_rng(seed)
+    theta = bellmp.engine._PAIRS @ rng.uniform(-7.0, 7.0, (rows, 4, d))
+    return rng, _with_zeros(rng, theta, [0, rows - 1])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+@pytest.mark.parametrize("seed", range(3))
+def test_theta_hessian_equals_the_fancy_indexed_reference(d, seed):
+    rng, theta = _theta_batch(seed, 6, d)
+    P = bellmp.engine._phased(theta)
+    for coefficients in (rng.uniform(-2.0, 2.0, d), _with_zeros(rng, rng.uniform(-2.0, 2.0, d), [])):
+        _, pa = bellmp.engine._theta_gradient(P, coefficients)
+        for rows in ([1, 2, 4], slice(None)):
+            assert _same_bits(bellmp.engine._theta_hessian(P[rows], coefficients, pa[rows]),
+                              reference_theta_hessian(P[rows], coefficients, pa[rows]))
+        assert _same_bits(bellmp.engine._theta_hessian(P[3], coefficients, pa[3]),
+                          reference_theta_hessian(P[3], coefficients, pa[3]))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+@pytest.mark.parametrize("largest", [True, False])
+@pytest.mark.parametrize("seed", range(3))
+def test_extreme_hessian_equals_the_reference_closure(d, largest, seed):
+    # Zero rows have a degenerate spectrum, so zero gaps get weight 0 there.
+    _, theta = _theta_batch(seed, 6, d)
+    hessian = extreme_value_and_gradient(theta, largest)[2]
+    for rows in ([1, 2, 4], [0], Ellipsis):
+        assert _same_bits(hessian(rows), reference_extreme_hessian(theta, largest, rows))
+    assert _same_bits(extreme_value_and_gradient(theta[2], largest)[2](),
+                      reference_extreme_hessian(theta[2], largest))
 
 
 class TestVertexBounds:

@@ -38,10 +38,7 @@ class DeterministicStrategy:
     outcomes: tuple[int, int, int, int]
 
     def __post_init__(self) -> None:
-        # A plain Dimension skips the one dimension rule,
-        # model._require_dimension, as plain ints skip _is_int below.
-        dim, outcomes = self.dim, self.outcomes
-        d = dim.d if type(dim) is Dimension else _require_dimension(dim)
+        outcomes, d = self.outcomes, _require_dimension(self.dim)
         try:
             count = len(outcomes)
         except TypeError:

@@ -205,16 +205,16 @@ def _minimize(fun, x0: np.ndarray) -> tuple[np.ndarray, ...]:
 
     fun maps an (m, n) batch of points to their (m,) values, (m, n)
     gradients and a function that forms the (n, n) Hessians of the rows
-    it is given, or of all rows given ..., row by row; the searches pass
-    _objective.  Each restart takes the regularized Newton steps of the
-    module docstring.  A step is kept when the value falls by more than
-    1e-13 (1 + |f|), or stays within that margin while the gradient norm
-    falls; mu then shrinks by 4 (to at least 1e-10), and grows by 4 after
-    a rejected step.  A restart stops when |g| <= _GRADIENT_TOLERANCE,
-    when mu exceeds 1e8 or after _MAX_ITERATIONS steps, and its results
-    are written out then; the loop holds only the restarts still
-    running.  Returns per restart the point, value, gradient norm,
-    iterations, rejected steps, final mu and Hessians formed.
+    it is given, row by row; the searches pass _objective.  Each restart
+    takes the regularized Newton steps of the module docstring.  A step
+    is kept when the value falls by more than 1e-13 (1 + |f|), or stays
+    within that margin while the gradient norm falls; mu then shrinks by
+    4 (to at least 1e-10), and grows by 4 after a rejected step.  A
+    restart stops when |g| <= _GRADIENT_TOLERANCE, when mu exceeds 1e8
+    or after _MAX_ITERATIONS steps, and its results are written out
+    then; the loop holds only the restarts still running.  Returns per
+    restart the point, value, gradient norm, iterations, rejected steps,
+    final mu and Hessians formed.
     """
     x = np.array(x0, dtype=float)
     f, g, hessian = fun(x)
@@ -252,11 +252,7 @@ def _minimize(fun, x0: np.ndarray) -> tuple[np.ndarray, ...]:
             x, f, g, gnorm, mu, steps_kept, H, lowest, place, kept = [
                 a[go] for a in (x, f, g, gnorm, mu, steps_kept, H, lowest, place, kept)]
         # Only the points that moved get a Hessian; LAPACK works row by row.
-        # Where all of fun's rows moved, ... forms them without a gather.
-        if moved.size == stop.size:
-            H = hessian(...)
-            lowest = np.linalg.eigvalsh(H)[:, 0]
-        elif moved.size:
+        if moved.size:
             formed = hessian(moved)
             H[kept] = formed
             lowest[kept] = np.linalg.eigvalsh(formed)[:, 0]
@@ -315,7 +311,7 @@ def _objective(evaluate, C: np.ndarray, sign: float):
         value, gradient, hessian = evaluate((y[:, None, :] @ CT).reshape(m, 4, n // 4))
         gradient = (gradient.reshape(m, 1, n) @ C)[:, 0]
 
-        def curvature(rows) -> np.ndarray:
+        def curvature(rows: np.ndarray) -> np.ndarray:
             H = CT @ hessian(rows).reshape(-1, n, n) @ C
             return np.negative(H, out=H) if negate else H
 

@@ -8,6 +8,7 @@ of checking an implementation against itself.
 
 import itertools
 import math
+import random
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from bellmp import (
     bell_value,
     kernel_f,
     make_state,
+    maximally_entangled_state,
     sorted_magnitudes,
     vertex_patterns,
 )
@@ -48,6 +50,20 @@ def random_state(rng, d, signed=False):
     while float(values @ values) < 1e-4:  # reject near-degenerate draws
         values = rng.uniform(lo, 1.0, d)
     return make_state(Dimension(d), tuple(values))
+
+
+def angles_dsweep_states():
+    """The states of the bench's angles_dsweep workload, keyed by (d, k):
+    k = 0 is the flat state, k = 1 and 2 the two states one
+    random.Random(0) draws per d, in the order the bench draws them."""
+    rng = random.Random(0)
+    states = {}
+    for d in (2, 3, 4, 6, 8):
+        dim = Dimension(d)
+        states[d, 0] = maximally_entangled_state(dim)
+        for k in (1, 2):
+            states[d, k] = make_state(dim, [rng.uniform(0.1, 1.0) for _ in range(d)])
+    return states
 
 
 def transfer_matrix(phases):

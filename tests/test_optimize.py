@@ -13,7 +13,6 @@ import functools
 import inspect
 import math
 import os
-import random
 
 import numpy as np
 import pytest
@@ -44,8 +43,8 @@ from bellmp import (
 from bellmp.engine import (_extreme_eigh, extreme_value_and_gradient, pair_matrix,
                            value_and_gradient_arrays)
 
-from helpers import (random_state, reference_coordinate_map, reference_extreme_hessian,
-                     reference_shifted, reference_theta_hessian)
+from helpers import (angles_dsweep_states, random_state, reference_coordinate_map,
+                     reference_extreme_hessian, reference_shifted, reference_theta_hessian)
 
 D4 = Dimension(4)
 ME_MAX = 2.896243218458708
@@ -627,8 +626,7 @@ def test_d16_joint_minimum_takes_its_pinned_newton_steps():
 
 # The bench's angles_dsweep searches, 8 restarts at seed 0: per (d,
 # state, direction) the per-restart Newton steps and the best value, bit
-# for bit.  State 0 is the flat one, states 1 and 2 the two that one
-# random.Random(0) draws per d, in the order the bench draws them.
+# for bit.  The states are those of helpers.angles_dsweep_states.
 _DSWEEP_PINS = {
     (2, 0, Direction.MAXIMIZE): ((8, 8, 14, 7, 8, 9, 7, 10), "0x1.6a09e667f3bcep+1"),
     (2, 0, Direction.MINIMIZE): ((6, 6, 6, 6, 6, 6, 7, 7), "-0x1.6a09e667f3bcfp+1"),
@@ -663,20 +661,9 @@ _DSWEEP_PINS = {
 }
 
 
-def _dsweep_states():
-    rng = random.Random(0)
-    states = {}
-    for d in (2, 3, 4, 6, 8):
-        dim = Dimension(d)
-        states[d, 0] = maximally_entangled_state(dim)
-        for k in (1, 2):
-            states[d, k] = make_state(dim, [rng.uniform(0.1, 1.0) for _ in range(d)])
-    return states
-
-
 @pytest.mark.parametrize("d,state,direction", list(_DSWEEP_PINS))
 def test_angles_dsweep_searches_take_their_pinned_newton_steps(d, state, direction):
-    run = optimize_angles(_dsweep_states()[d, state],
+    run = optimize_angles(angles_dsweep_states()[d, state],
                           OptimizerConfig(restarts=8, seed=0, direction=direction))
     iterations, best = _DSWEEP_PINS[d, state, direction]
     assert run.per_restart_iterations == iterations

@@ -5,14 +5,20 @@ Run from the repository root:
 
     PYTHONPATH=src python -W error tools/search_fingerprints.py
 
-The suite is the 30 searches of the bench's angles_dsweep workload, the
-seven searches of build_reproduction_report(50, 7), joint searches at
-d = 2..8, 12 and 16 in both directions (10 restarts, seed 1) and the
-d = 16 joint minimum (20 restarts, seed 0).  For each search one line
-gives its label and a SHA-256 digest over the hex of every per-restart
-value, gradient norm, mu and eigengap, the iterations, rejected steps,
-hessians and best_restart, and the best value, state and settings.  Two
-trees give identical lines only if every one of these is identical.
+The suite is the 30 searches of the bench's angles_dsweep workload, at
+the states of tests/helpers.py angles_dsweep_states (8 restarts, seed
+0), the seven searches that build_reproduction_report(50, 7) runs,
+joint searches at d = 2..8, 12 and 16 in both directions (10 restarts,
+seed 1) and the d = 16 joint minimum (20 restarts, seed 0).  The
+report's searches are taken from the report itself: the tool builds it
+with the optimizers it calls wrapped, as the bench's reproduce
+workload does, and fingerprints each run in call order.
+
+For each search one line gives its label and a SHA-256 digest over the
+hex of every per-restart value, gradient norm, mu and eigengap, the
+iterations, rejected steps, hessians and best_restart, and the best
+value, state and settings.  Two trees give identical lines only if
+every one of these is identical.
 
 After the fingerprints come the calls per pass of three searches: the
 Python-level ("call") and C-level ("c_call") events sys.setprofile sees
@@ -25,18 +31,23 @@ first-call caches, and they repeat exactly.
 from __future__ import annotations
 
 import hashlib
-import random
 import sys
+from pathlib import Path
 
+import bellmp.optimize
 from bellmp import (
     Dimension,
     Direction,
     OptimizerConfig,
-    make_state,
+    build_reproduction_report,
     maximally_entangled_state,
     optimize_angles,
     optimize_joint,
 )
+from bellmp import report as report_module
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from helpers import angles_dsweep_states  # noqa: E402
 
 
 def _flat(d):
@@ -54,35 +65,41 @@ def _joint(d, restarts, seed, direction):
 
 
 def angles_dsweep_searches():
-    # As the bench's AnglesDsweep builds them: one random.Random(0) draws
-    # two states per d after the flat one; 8 restarts at seed 0.
-    rng = random.Random(0)
-    for d in (2, 3, 4, 6, 8):
-        dim = Dimension(d)
-        states = [("flat", _flat(d))] + [
-            (f"random{k}", make_state(dim, [rng.uniform(0.1, 1.0) for _ in range(d)]))
-            for k in (1, 2)]
-        for name, state in states:
-            for direction in Direction:
-                yield (f"angles_dsweep d={d} {name} {direction.value}",
-                       _angles(state, 8, 0, direction))
+    for (d, k), state in angles_dsweep_states().items():
+        name = "flat" if k == 0 else f"random{k}"
+        for direction in Direction:
+            yield (f"angles_dsweep d={d} {name} {direction.value}",
+                   _angles(state, 8, 0, direction))
 
 
 def report_searches(restarts=50, seed=7):
-    # The searches of build_reproduction_report(restarts, seed).  For
-    # max_abs_t_coefficient, the optimize_angles call it makes.
-    flat = _flat(4)
-    for direction in Direction:
-        yield (f"report angles d=4 flat {direction.value}",
-               _angles(flat, restarts, seed, direction))
-    for direction in Direction:
-        yield (f"report joint d=4 {direction.value}", _joint(4, restarts, seed, direction))
-    for pair in ((0, 1), (0, 2)):
-        state = make_state(Dimension(4), [float(j in pair) for j in range(4)])
-        yield (f"report T{pair[0]}{pair[1]} d=4 max",
-               _angles(state, max(4, restarts // 8), seed, Direction.MAXIMIZE))
-    yield ("report joint d=2 max",
-           _joint(2, max(4, restarts // 4), seed, Direction.MAXIMIZE))
+    # The runs of build_reproduction_report(restarts, seed), in call
+    # order, captured at the names the report resolves: its own
+    # optimize_angles and optimize_joint, and the optimize_angles that
+    # max_abs_t_coefficient calls in the optimize module.
+    runs = []
+
+    def capture(name, fn):
+        def call(dim_or_state, config):
+            run = fn(dim_or_state, config)
+            d = getattr(dim_or_state, "dim", dim_or_state).d
+            runs.append((f"{name} d={d} {config.direction.value} "
+                         f"restarts={config.restarts}", run))
+            return run
+        return call
+
+    names = ((report_module, "optimize_angles"), (report_module, "optimize_joint"),
+             (bellmp.optimize, "optimize_angles"))
+    saved = [(module, name, getattr(module, name)) for module, name in names]
+    for module, name, fn in saved:
+        setattr(module, name, capture(name, fn))
+    try:
+        build_reproduction_report(restarts, seed)
+    finally:
+        for module, name, fn in saved:
+            setattr(module, name, fn)
+    for i, (label, run) in enumerate(runs, 1):
+        yield f"report({restarts}, {seed}) search {i}: {label}", lambda run=run: run
 
 
 def joint_searches():

@@ -373,12 +373,12 @@ def value_and_gradient_arrays(coefficients: np.ndarray, theta: np.ndarray):
     return value, gradient, hessian
 
 
-def _extreme_eigh(M: np.ndarray, largest: bool) -> tuple[np.ndarray, ...]:
+def _extreme_eigh(M: np.ndarray, largest: bool) -> tuple[np.ndarray, np.ndarray, int]:
     # The ascending spectrum w and eigenvectors V of the pair matrices M,
-    # the column k of the extreme eigenvalue and the eigengap of d M there.
+    # and the column k of the extreme eigenvalue; the adjacent column is
+    # its neighbour, so (w[..., 1:] - w[..., :-1])[..., k] is their gap.
     w, V = np.linalg.eigh(M)
-    k, n = (-1, -2) if largest else (0, 1)
-    return w, V, k, M.shape[-1] * np.abs(w[..., k] - w[..., n])
+    return w, V, -1 if largest else 0
 
 
 def extreme_value_and_gradient(theta: np.ndarray, largest: bool):
@@ -393,14 +393,14 @@ def extreme_value_and_gradient(theta: np.ndarray, largest: bool):
     gradient is the theta gradient of a^T M a at that fixed a; the
     Hessian adds the second-order eigenvalue perturbation term to that
     of a^T M a (Overton and Womersley 1995), which couples the setting
-    pairs.  Both exist only where the eigengap is positive;
-    _extreme_eigh of the pair matrix gives the eigenvector and the gap.
-    Batches behave as in value_and_gradient_arrays.  No validation
-    happens here.
+    pairs.  Both exist only where the eigengap is positive, which
+    optimize_joint tests at each restart's final phases.  Batches
+    behave as in value_and_gradient_arrays.  No validation happens
+    here.
     """
     d = theta.shape[-1]
     P = _phased(theta)
-    w, V, k, _ = _extreme_eigh(_pair_sum(P), largest)
+    w, V, k = _extreme_eigh(_pair_sum(P), largest)
     a = math.sqrt(d) * V[..., k]
     gradient, pa = _theta_gradient(P, a)
 
@@ -502,17 +502,16 @@ def sample_experiment(state: PureState, settings: MeasurementSettings,
         )
     require_seed(seed)
     table = joint_probabilities(state, settings)
-    rng = np.random.default_rng(seed)
-    counts = np.zeros((2, 2, d, d), dtype=np.int64)
-    for i, j in SETTING_PAIRS:  # fixed order, one stream
-        p = table.setting(i, j).reshape(-1)
-        counts[i - 1, j - 1] = rng.multinomial(shots, p / p.sum()).reshape(d, d)
+    # One row per setting, in setting order on one stream.  The table is
+    # not C-contiguous: summed in place, P.sum(axis=1) rounds unlike each
+    # setting's own 1-D sum, which a contiguous copy matches.
+    P = np.ascontiguousarray(table.probabilities.reshape(4, d * d))
+    c = np.random.default_rng(seed).multinomial(shots, P / P.sum(axis=1, keepdims=True))
 
     # All four settings at once, one row each; the per-setting terms are
     # then added in setting order.  K doubles the kernel, so d - 1 = 2S
     # stands in for the spin.
     K = kernel_table(d).reshape(4, d * d)
-    c = counts.reshape(4, d * d)
     smoothed = (c + 0.5) / (shots + 0.5 * d * d)
     m1 = (smoothed * K).sum(axis=1)
     # Centred second moment: no cancellation when the smoothing mass
@@ -523,4 +522,4 @@ def sample_experiment(state: PureState, settings: MeasurementSettings,
     for term, spread in zip((K * c).sum(axis=1) / ((d - 1) * shots), m2.tolist()):
         value += term
         variance += spread / ((d - 1) ** 2 * shots)
-    return SampleEstimate(shots, counts, value, math.sqrt(variance))
+    return SampleEstimate(shots, c.reshape(2, 2, d, d), value, math.sqrt(variance))

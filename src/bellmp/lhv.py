@@ -64,7 +64,6 @@ class LhvBoundsReport:
     covers all strategies_scanned = d^4 strategies."""
 
     dim: Dimension
-    variant: KernelVariant
     max_value: Fraction
     min_value: Fraction
     argmax: DeterministicStrategy
@@ -124,4 +123,4 @@ def lhv_bounds(dim: Dimension,
             argmin = strategy
     assert argmax is not None and argmin is not None
     assert best_max is not None and best_min is not None
-    return LhvBoundsReport(dim, variant, best_max, best_min, argmax, argmin)
+    return LhvBoundsReport(dim, best_max, best_min, argmax, argmin)

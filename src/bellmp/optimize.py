@@ -34,11 +34,11 @@ restarts share its batch.
 
 On a 2-vCPU host a pass of an 8-restart angle search (the search's time
 over its batched objective calls) costs about 165 us at d = 4 and
-265 us at d = 8.  Its eigvalsh and solve calls take about 45 and 130 us
-of that, with their numpy wrappers; they are the one part of a pass
-that no rewrite around them can cheapen while keeping every iterate,
-so they set its floor.  The rest is the kernel and the small array
-operations of the loop.
+265 us at d = 8.  Of that, eigvalsh takes about 45 us and solve 12 us
+on the eight 9 x 9 Hessians at d = 4, and 160 and 40 us on the 21 x 21
+ones at d = 8, numpy wrappers included; no rewrite around them can
+cheapen them while keeping every iterate, so they set its floor.  The
+rest is the kernel and the small array operations of the loop.
 
 Every closed-form number in the analytic module is cross-checked
 against this machinery, which shares no formulas with it beyond the
@@ -295,16 +295,15 @@ def _gauge_phases(theta: np.ndarray) -> np.ndarray:
     return np.stack((t11, t21, np.zeros_like(t11), t12 - t11), axis=-2)
 
 
-def _objective(evaluate, C: np.ndarray, sign: float):
+def _objective(evaluate, C: np.ndarray, negate: bool):
     """The function the solver minimizes over the coordinates y, with
     theta = C y for the (4 d, 3 c) map C = Theta (x) (the c free columns
-    of I_d): -sign times evaluate's value at theta, its gradient C^T g,
-    and the function that forms C^T H C for chosen rows.  evaluate is
-    one of the engine kernels.  Each product is a stack of per-row
-    products, so a row's result does not depend on its batch.  A
-    minimum's -sign is 1.0, by which multiplying changes no bit, so only
-    a maximum's results are negated."""
-    n, CT, negate = len(C), C.T, sign > 0.0
+    of I_d): evaluate's value at theta, its gradient C^T g, and the
+    function that forms C^T H C for chosen rows, all negated if negate
+    is true, as for a maximum.  evaluate is one of the engine kernels.
+    Each product is a stack of per-row products, so a row's result does
+    not depend on its batch."""
+    n, CT = len(C), C.T
 
     def fun(y: np.ndarray):
         m = len(y)
@@ -335,7 +334,6 @@ def _multistart(evaluate, d: int, columns: range | np.ndarray, config: Optimizer
     extremal restart, and returns the run's state, its settings and the
     per-restart eigengaps."""
     maximize = config.direction is Direction.MAXIMIZE
-    sign = 1.0 if maximize else -1.0
     restarts, c = config.restarts, len(columns)
     C = _coordinate_map(d, columns)
     starts = np.zeros((restarts, 4, d))
@@ -344,8 +342,8 @@ def _multistart(evaluate, d: int, columns: range | np.ndarray, config: Optimizer
         for r in range(restarts)
     ]).reshape(restarts, 4, c)
     y0 = ((_PAIRS @ starts).reshape(restarts, 1, 4 * d) @ C)[:, 0] / np.repeat((4.0, 2.0, 2.0), c)
-    y, f, gnorm, iterations, rejected, mu, hessians = _minimize(_objective(evaluate, C, sign), y0)
-    values = -sign * f
+    y, f, gnorm, iterations, rejected, mu, hessians = _minimize(_objective(evaluate, C, maximize), y0)
+    values = -f if maximize else f
     # Ties keep the lowest index.
     best = int(values.argmax() if maximize else values.argmin())
     state, settings, eigengaps = finish(
@@ -395,7 +393,8 @@ def optimize_joint(dim: Dimension, config: OptimizerConfig) -> OptimizationRun:
     largest = config.direction is Direction.MAXIMIZE
 
     def finish(phases: np.ndarray, best: int):
-        _, V, k, gaps = _extreme_eigh(pair_matrix(phases), largest)
+        w, V, k = _extreme_eigh(pair_matrix(phases), largest)
+        gaps = d * (w[:, 1:] - w[:, :-1])[:, k]  # d |lambda_ext - lambda_next|
         phases, v = phases[best].copy(), V[best, :, k]
         if v[0] < 0.0:
             v = -v

@@ -243,9 +243,11 @@ def branch_record(state: PureState) -> dict:
 
 def scan_rows(spec: ScanSpec) -> list[dict]:
     """One row per grid point with the closed-form branch values.  Imax
-    is positive on the whole family, so every row has Fthr."""
+    is positive on the whole family, so every row has Fthr.  Each r,
+    r_from (1 - t) + r_to t kept within the ends, is finite."""
     rows = []
     for index in range(spec.steps):
-        r = spec.r_from + (spec.r_to - spec.r_from) * index / (spec.steps - 1)
+        t = index / (spec.steps - 1)
+        r = min(max(spec.r_from * (1.0 - t) + spec.r_to * t, spec.r_from), spec.r_to)
         rows.append({"r": r, **branch_record(make_state(_D4, (1.0, 1.0, r, r)))})
     return rows

@@ -226,7 +226,7 @@ def reference_extreme_hessian(theta, largest, rows=...):
     (..., 4, d, d) layout and moved to (..., d, 4 d) by np.moveaxis."""
     d = theta.shape[-1]
     P = _phased(theta)
-    w, V, k, _ = _extreme_eigh(_pair_sum(P), largest)
+    w, V, k = _extreme_eigh(_pair_sum(P), largest)
     a = math.sqrt(d) * V[..., k]
     _, pa = _theta_gradient(P, a)
     Pr, Vr, wr = P[rows], V[rows], w[rows]

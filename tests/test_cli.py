@@ -403,6 +403,19 @@ class TestScan:
         assert len(record["rows"]) == 3
         assert record["rows"][0]["r"] == 0.0
 
+    @pytest.mark.parametrize("argv, rows", [
+        (["scan", "--from", "0", "--to", "1e308", "--steps", "3"], 3),
+        (["scan", "--from=-1e308", "--to", "1e308", "--steps", "2"], 2),
+        (["scan", "--json", "--from", "1e300", "--to", "1e308", "--steps", "5"], 5),
+    ])
+    def test_far_apart_finite_ends(self, capsys, argv, rows):
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        if "--json" in argv:
+            assert len(json.loads(out)["rows"]) == rows
+        else:
+            assert len(out.strip().splitlines()) == 1 + rows
+
     @pytest.mark.parametrize("argv", [
         ["scan", "--steps", "1"],
         ["scan", "--from", "1", "--to", "0"],

@@ -730,6 +730,30 @@ class TestSampling:
             sample_experiment(maximally_entangled_state(dim), zero_settings(dim),
                               (2**63 - 1) // (d - 1) + 1, 0)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 12, 16])
+    @pytest.mark.parametrize("shots", [1, 7, 200_000, 10**12, "limit"])
+    def test_counts_equal_per_setting_draws_on_one_stream_bit_for_bit(self, d, shots):
+        # One multinomial draw over the four settings must give the counts
+        # of four draws in setting order on the same seeded stream, each
+        # setting's table divided by its own sum.  Summing the strided
+        # table in place with P.sum(axis=1) changes counts at the int64
+        # shot limit.
+        if shots == "limit":
+            shots = (2**63 - 1) // (d - 1)
+        rng = np.random.default_rng(900 + d)
+        for _ in range(3):
+            state, settings = random_state(rng, d, signed=True), random_settings(rng, d)
+            seed = int(rng.integers(2**32))
+            table = engine.joint_probabilities(state, settings)
+            stream = np.random.default_rng(seed)
+            expected = np.zeros((2, 2, d, d), dtype=np.int64)
+            for i, j in SETTING_PAIRS:
+                p = table.setting(i, j).reshape(-1)
+                expected[i - 1, j - 1] = stream.multinomial(shots, p / p.sum()).reshape(d, d)
+            counts = sample_experiment(state, settings, shots, seed).counts
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts, expected)
+
     def test_counts_read_only(self):
         estimate = sample_experiment(
             maximally_entangled_state(D4), zero_settings(D4), 10, 0

@@ -194,5 +194,5 @@ class TestReportValidation:
         dim = Dimension(2)
         strategy = DeterministicStrategy(dim, (0, 0, 0, 0))
         with pytest.raises(ValidationError):
-            LhvBoundsReport(dim, PLUS, Fraction(-2), Fraction(2),
+            LhvBoundsReport(dim, Fraction(-2), Fraction(2),
                             strategy, strategy)

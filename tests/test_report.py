@@ -1,6 +1,7 @@
 """Reproduction report and parameter scans."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -104,6 +105,28 @@ class TestScanRows:
         assert abs(rows[2]["S1"] + 3.195137571237352) < 1e-12
         assert abs(rows[2]["Imin"] + 10.0 / 3.0) < 1e-12
         assert abs(rows[2]["Fthr"] - (1.0 - 2.0 / ME_MAX)) < 1e-12
+
+    def test_default_grid_is_index_over_ten(self):
+        rows = scan_rows(ScanSpec(r_from=0.0, r_to=1.0, steps=11))
+        assert [row["r"] for row in rows] == [index / 10 for index in range(11)]
+
+    # Ends whose difference r_to - r_from overflows to inf.
+    @pytest.mark.parametrize("r_from, r_to, steps",
+                             [(0.0, 1e308, 3), (-1e308, 1e308, 2), (1e300, 1e308, 5)])
+    def test_far_apart_finite_ends_give_a_finite_grid(self, r_from, r_to, steps):
+        grid = [row["r"] for row in scan_rows(ScanSpec(r_from, r_to, steps))]
+        assert len(grid) == steps
+        assert grid[0] == r_from and grid[-1] == r_to
+        assert all(a < b for a, b in zip(grid, grid[1:]))
+
+    def test_grid_stays_within_its_ends(self):
+        # Unclamped, r_from (1 - t) + r_to t rounds one ulp below r_from
+        # at index 1 of this grid.
+        r_to = sys.float_info.max
+        r_from = math.nextafter(r_to, 0.0)
+        grid = [row["r"] for row in scan_rows(ScanSpec(r_from, r_to, 10))]
+        assert grid[0] == r_from and grid[-1] == r_to
+        assert all(r_from <= r <= r_to for r in grid)
 
     def test_branch_consistency(self):
         for row in scan_rows(ScanSpec(r_from=0.1, r_to=0.9, steps=9)):

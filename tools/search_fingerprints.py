@@ -23,9 +23,12 @@ every one of these is identical.
 After the fingerprints come the calls per pass of three searches: the
 Python-level ("call") and C-level ("c_call") events sys.setprofile sees
 during the search, divided by its batched objective evaluations
-(Evaluations.calls).  An operator such as a + b is not an event.  Each
-search runs once untimed first, so that the counts leave out the
-first-call caches, and they repeat exactly.
+(Evaluations.calls).  An operator such as a + b is not an event, and
+neither is a call of a numpy ufunc such as np.abs or of a dispatched
+numpy function such as np.copyto: the C-level count sees builtin
+functions and methods such as len and np.asarray.  Each search runs
+once untimed first, so that the counts leave out the first-call caches,
+and they repeat exactly.
 """
 
 from __future__ import annotations

@@ -6,11 +6,16 @@ depend only on the phases.  Over all settings each T vector is confined
 to a polyhedron whose vertices carry coordinates from the radical
 constants Gamma_1 > Gamma_2 > Gamma_3 (and the rational pair 2/3, 1/3).
 This module holds those constants, the 24 vertex patterns (each
-table's row 1 under the eight port sign flips), the two-branch closed
-forms for the state-dependent extrema, the optimal state families, and
-noise thresholds.  Everything here is exact
-arithmetic on radicals evaluated in double precision; the numeric
-optimizer lives elsewhere and serves as the independent cross-check.
+table's row 1 under the eight port sign flips), the paper's two-branch
+formulas B1/B2 and S1/S2, the optimal state families, and noise
+thresholds.  The branch formulas are the paper's, for ring-sorted
+states, whose magnitudes decrease around the port ring
+0-1-2-3 up to a rotation or reflection; they read only the sorted
+magnitudes, so for another arrangement they are not the state's
+extrema (README).  vertex_candidates gives an outer bound.  Everything
+here is exact arithmetic on radicals evaluated in double precision;
+the numeric optimizer lives elsewhere and serves as the independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -182,7 +187,7 @@ class BranchMin(NamedTuple):
 
 
 def branch_values_max(state: PureState) -> BranchMax:
-    """The two closed-form maximum branches and their larger value."""
+    """The paper's maximum branches B1, B2 (ring-sorted states) and their larger value."""
     a0, a1, a2, a3 = sorted_magnitudes(state)
     g = gamma_constants()
     b1 = a0 * a1 * g.gamma1 + (a0 * a2 + a1 * a3) * g.gamma2 \
@@ -193,7 +198,7 @@ def branch_values_max(state: PureState) -> BranchMax:
 
 
 def branch_values_min(state: PureState) -> BranchMin:
-    """The two closed-form minimum branches and their smaller value."""
+    """The paper's minimum branches S1, S2 (ring-sorted states) and their smaller value."""
     a0, a1, a2, a3 = sorted_magnitudes(state)
     g = gamma_constants()
     s1 = -(a0 * a1 + a0 * a3 + a1 * a2) * g.gamma1 \

@@ -24,11 +24,10 @@ from .model import (
     SETTING_PAIRS,
     BellError,
     Dimension,
+    DimensionMismatchError,
     MeasurementSettings,
     PureState,
     ValidationError,
-    _is_int,
-    _is_real,
     make_state,
     maximally_entangled_state,
     zero_settings,
@@ -167,26 +166,21 @@ def _load_angles(path: str, d: int) -> MeasurementSettings:
         raise ValidationError(f"angle file {path!r} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"angle file {path!r} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        # An integer literal past Python's int-string digit limit.
+        raise ValidationError(f"angle file {path!r} holds an unreadable number: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError(f"angle file {path!r} must hold a JSON object")
     missing = {"d", *_ANGLE_KEYS} - raw.keys()
     if missing:
         raise ValidationError(f"angle file {path!r} lacks keys {sorted(missing)}")
-    file_d = raw["d"]
-    if not _is_int(file_d) or file_d < 2:
-        raise ValidationError(f"angle file {path!r} has invalid d = {file_d!r}")
-    if file_d != d:
-        raise ValidationError(
-            f"angle file dimension {file_d} does not match expected {d}"
-        )
-    for key in _ANGLE_KEYS:
-        entry = raw[key]
-        if not isinstance(entry, list) or len(entry) != file_d or \
-                not all(map(_is_real, entry)):
-            raise ValidationError(
-                f"angle file key {key!r} must list {file_d} numbers"
-            )
-    return MeasurementSettings.from_phases(Dimension(file_d), (raw[key] for key in _ANGLE_KEYS))
+    try:
+        dim = Dimension(raw["d"])
+        if dim.d != d:
+            raise DimensionMismatchError(f"dimension {dim.d} does not match expected {d}")
+        return MeasurementSettings.from_phases(dim, (raw[key] for key in _ANGLE_KEYS))
+    except BellError as exc:
+        raise ValidationError(f"angle file {path!r}: {exc}") from exc
 
 
 def _angles_dict(settings: MeasurementSettings) -> dict:
@@ -450,7 +444,7 @@ def _build_parser() -> _Parser:
                    help="write the optimizing angles as an angle file")
     p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("analytic", help="closed-form branch values and vertices")
+    p = sub.add_parser("analytic", help="branch formulas (ring-sorted states), vertex outer bound")
     p.add_argument("--state", default=None,
                    help="d=4 coefficients; omit for the global constants")
     p.set_defaults(func=cmd_analytic)

@@ -168,7 +168,8 @@ class JointProbabilityTable:
 
     Entries may carry negative round-off down to -1e-14, which is
     clamped to zero; anything more negative is rejected.  Every
-    setting's slice must sum to one within 1e-12.
+    setting's slice must sum to one within 1e-12.  The stored array is
+    C-contiguous whatever the input's layout, so its reshapes are views.
     """
 
     dim: Dimension
@@ -188,8 +189,8 @@ class JointProbabilityTable:
             raise ValidationError(
                 f"probability {lowest!r} below the -1e-14 round-off allowance"
             )
-        # A new array, so the caller's input stays writeable.
-        p = np.maximum(p, 0.0)
+        # A new C-order array: the caller's input stays writeable.
+        p = np.maximum(p, 0.0, order="C")
         sums = p.sum(axis=(2, 3))
         if abs(sums - 1.0).max() > _SLICE_SUM_TOL:
             raise ValidationError(
@@ -214,7 +215,7 @@ def joint_probabilities(state: PureState, settings: MeasurementSettings) -> Join
     c = np.asarray(state.coefficients) * np.exp(1j * theta)
     ahat = c @ _dft(d).T
     class_p = np.abs(ahat) ** 2 / d**3
-    p = class_p[:, _outcome_classes(d)].reshape(2, 2, d, d)
+    p = np.take(class_p, _outcome_classes(d), axis=1).reshape(2, 2, d, d)
     return JointProbabilityTable(state.dim, p)
 
 
@@ -501,11 +502,8 @@ def sample_experiment(state: PureState, settings: MeasurementSettings,
             f"shots_per_setting must be in [1, {limit}] at d = {d}, got {shots_per_setting!r}"
         )
     require_seed(seed)
-    table = joint_probabilities(state, settings)
-    # One row per setting, in setting order on one stream.  The table is
-    # not C-contiguous: summed in place, P.sum(axis=1) rounds unlike each
-    # setting's own 1-D sum, which a contiguous copy matches.
-    P = np.ascontiguousarray(table.probabilities.reshape(4, d * d))
+    # One row per setting, in setting order on one stream.
+    P = joint_probabilities(state, settings).probabilities.reshape(4, d * d)
     c = np.random.default_rng(seed).multinomial(shots, P / P.sum(axis=1, keepdims=True))
 
     # All four settings at once, one row each; the per-setting terms are

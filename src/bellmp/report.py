@@ -230,8 +230,9 @@ class ScanSpec:
 
 
 def branch_record(state: PureState) -> dict:
-    """The closed-form branch values B1, B2, Imax, S1, S2 and Imin of a
-    d = 4 state, and the threshold noise Fthr where Imax is positive."""
+    """The paper's branch values B1, B2, Imax, S1, S2 and Imin of a d = 4
+    state (formulas for ring-sorted states, as every (1, 1, r, r) is),
+    and the threshold noise Fthr where Imax is positive."""
     bmax = branch_values_max(state)
     bmin = branch_values_min(state)
     record = {"B1": bmax.b1, "B2": bmax.b2, "Imax": bmax.max,

@@ -18,6 +18,9 @@ from bellmp.cli import main
 
 ME_MAX = 2.896243218458708
 FLAT_ANGLES = {"d": 4, "A1": [0] * 4, "A2": [0] * 4, "B1": [0] * 4, "B2": [0] * 4}
+# An integer literal past Python's 4300-digit int-string limit, which
+# neither json.loads nor json.dumps converts.
+HUGE_INT = "1" + "0" * 5000
 
 
 def run(capsys, argv):
@@ -122,9 +125,11 @@ class TestEval:
         ("1,1,1,1", {**FLAT_ANGLES, "A2": [0, True, 0, 0]}),
         ("1,1,1,1", {**FLAT_ANGLES, "B1": [0, "1", 0, 0]}),
         ("1,a,1", FLAT_ANGLES),
+        ("1,1,1,1", json.dumps({**FLAT_ANGLES, "A1": [1, 0, 0, 0]}).replace("[1,", f"[{HUGE_INT},")),
+        ("1,1,1,1", json.dumps({**FLAT_ANGLES, "d": 0}).replace("0", HUGE_INT, 1)),
     ], ids=["missing-file", "invalid-json", "json-list", "missing-key", "d-bool",
             "d-one", "d-float", "d-mismatch", "short-entry", "bool-entry",
-            "string-entry", "non-numeric-state"])
+            "string-entry", "non-numeric-state", "huge-int-entry", "huge-int-d"])
     def test_rejected_angle_file_or_state_is_one_error_line(self, capsys, tmp_path,
                                                             state, content):
         path = tmp_path / "angles.json"
@@ -142,8 +147,24 @@ class TestEval:
         code, out, err = run(capsys, ["eval", "--state", "1,1", "--angles", str(path)])
         assert code == 1
         assert out == ""
-        assert err == "error: phase entries must be real numbers: " \
+        assert err == f"error: angle file {str(path)!r}: phase entries must be real numbers: " \
             "int too large to convert to float\n"
+
+    @pytest.mark.parametrize("state,content,message", [
+        ("1,1,1,1", {**FLAT_ANGLES, "d": 1}, "dimension must be >= 2, got 1"),
+        ("1,1,1,1", {**FLAT_ANGLES, "d": 4.0}, "dimension must be an int, got 4.0"),
+        ("1,1,1", FLAT_ANGLES, "dimension 4 does not match expected 3"),
+        ("1,1,1,1", {**FLAT_ANGLES, "A1": [0] * 3}, "expected 4 phases, got 3"),
+        ("1,1,1,1", {**FLAT_ANGLES, "B1": [0, "1", 0, 0]},
+         "phase entries must be real numbers, got '1'"),
+    ], ids=["d-one", "d-float", "d-mismatch", "short-entry", "string-entry"])
+    def test_model_errors_in_an_angle_file_name_the_file(self, capsys, tmp_path,
+                                                         state, content, message):
+        path = tmp_path / "angles.json"
+        path.write_text(json.dumps(content), encoding="utf-8")
+        code, out, err = run(capsys, ["eval", "--state", state, "--angles", str(path)])
+        assert (code, out) == (1, "")
+        assert err == f"error: angle file {str(path)!r}: {message}\n"
 
 
 class TestLhv:

@@ -179,6 +179,14 @@ class TestJointProbabilities:
         table = joint_probabilities(maximally_entangled_state(D4), zero_settings(D4))
         assert np.array_equal(table.setting(np.int64(1), np.int32(2)), table.setting(1, 2))
 
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_table_is_c_contiguous(self, d):
+        rng = np.random.default_rng(1100 + d)
+        for _ in range(5):
+            table = joint_probabilities(random_state(rng, d, signed=True),
+                                        random_settings(rng, d))
+            assert table.probabilities.flags.c_contiguous
+
 
 class TestJointProbabilityTableValidation:
     def test_clamps_tiny_negative(self):
@@ -213,6 +221,18 @@ class TestJointProbabilityTableValidation:
         table = JointProbabilityTable(Dimension(2), np.full((2, 2, 2, 2), 0.25))
         with pytest.raises(ValueError):
             table.probabilities[0, 0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    @pytest.mark.parametrize("layout", ["outcomes-transposed", "fortran"])
+    def test_stores_a_non_contiguous_input_in_c_order(self, d, layout):
+        rng = np.random.default_rng(1150 + d)
+        p = joint_probabilities(random_state(rng, d, signed=True),
+                                random_settings(rng, d)).probabilities
+        strided = p.swapaxes(2, 3) if layout == "outcomes-transposed" else np.asfortranarray(p)
+        assert not strided.flags.c_contiguous
+        table = JointProbabilityTable(Dimension(d), strided)
+        assert table.probabilities.flags.c_contiguous
+        assert np.array_equal(table.probabilities, strided)
 
     @pytest.mark.parametrize("p,message", [
         (np.full((2, 2, 2), 0.25), r"expected shape \(2, 2, 2, 2\), got \(2, 2, 2\)"),
@@ -328,18 +348,21 @@ class TestCorrelationAndBellValue:
 
     # d = 12 and 16 put 144 and 256 products in a setting's sum, past the
     # 128 elements at which numpy starts to split a sum pairwise.
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 12, 16])
+    @pytest.mark.parametrize("d", range(2, 17))
     def test_table_contraction_equals_the_per_setting_sums_bit_for_bit(self, d):
         # The four K . P sums run as one contraction; each must still be
-        # the per-slice sum, divided by d - 1 and added in setting order.
+        # the per-slice sum, divided by d - 1 and added in setting order,
+        # on a built, a noise-mixed and a handed-in strided table alike.
         rng = np.random.default_rng(700 + d)
         for _ in range(20):
-            table = joint_probabilities(random_state(rng, d, signed=True),
+            clean = joint_probabilities(random_state(rng, d, signed=True),
                                         random_settings(rng, d))
-            P = table.probabilities.reshape(4, d, d)
-            reference = sum(float(np.sum(k * p) / (d - 1))
-                            for k, p in zip(engine.kernel_table(d), P))
-            assert engine.bell_value_from_table(table) == reference
+            for table in (clean, engine.mix_uniform_noise(clean, 0.3),
+                          JointProbabilityTable(clean.dim, clean.probabilities.swapaxes(2, 3))):
+                P = table.probabilities.reshape(4, d, d)
+                reference = sum(float(np.sum(k * p) / (d - 1))
+                                for k, p in zip(engine.kernel_table(d), P))
+                assert engine.bell_value_from_table(table) == reference
 
 
 class TestNoisyValue:

@@ -1,5 +1,6 @@
-"""Fingerprints of the package's multistart searches, for showing that a
-change to the optimizer or its kernels leaves every search bit-identical.
+"""Fingerprints of the package's multistart searches and of its
+outcome-table route, for showing that a change to the optimizer, its
+kernels or the table readers leaves every result bit-identical.
 
 Run from the repository root:
 
@@ -20,6 +21,15 @@ iterations, rejected steps, hessians and best_restart, and the best
 value, state and settings.  Two trees give identical lines only if
 every one of these is identical.
 
+Then one line per dimension d = 2..24, 32, 48 and 64 covers the
+outcome-table route on 29 seeded cases each (754 in all; states from
+tests/helpers.py random_state, signed, and settings from
+random_settings): a SHA-256 digest over the hex of bell_value,
+bell_value_noisy and the four correlation_q values of the table and of
+its noise-mixed table, the bytes of both tables, and the counts,
+value_estimate and std_error of sample_experiment at 1, 7, 200 000 and
+10^12 shots and at the int64 limit (2^63 - 1) // (d - 1).
+
 After the fingerprints come the calls per pass of three searches: the
 Python-level ("call") and C-level ("c_call") events sys.setprofile sees
 during the search, divided by its batched objective evaluations
@@ -37,20 +47,32 @@ import hashlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import bellmp.optimize
 from bellmp import (
     Dimension,
     Direction,
     OptimizerConfig,
+    bell_value,
+    bell_value_noisy,
     build_reproduction_report,
+    correlation_q,
+    joint_probabilities,
     maximally_entangled_state,
     optimize_angles,
     optimize_joint,
+    sample_experiment,
 )
 from bellmp import report as report_module
+from bellmp.engine import mix_uniform_noise
+from bellmp.model import SETTING_PAIRS
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from helpers import angles_dsweep_states  # noqa: E402
+from helpers import angles_dsweep_states, random_settings, random_state  # noqa: E402
+
+TABLE_DIMENSIONS = (*range(2, 25), 32, 48, 64)
+TABLE_CASES = 29
 
 
 def _flat(d):
@@ -113,10 +135,11 @@ def joint_searches():
     yield "joint d=16 min restarts=20 seed=0", _joint(16, 20, 0, Direction.MINIMIZE)
 
 
-def fingerprint(run) -> str:
-    def hexes(values):
-        return [float(v).hex() for v in values]
+def hexes(values):
+    return [float(v).hex() for v in values]
 
+
+def fingerprint(run) -> str:
     best = run.best
     fields = [
         hexes(run.per_restart_values),
@@ -131,6 +154,29 @@ def fingerprint(run) -> str:
         [hexes(row) for row in best.settings.phases],
     ]
     return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+def table_route_fingerprint(d: int) -> str:
+    # TABLE_CASES seeded (state, settings, noise fraction, sample seed)
+    # cases at dimension d, through every reader of the outcome table.
+    rng = np.random.default_rng(d)
+    shot_counts = (1, 7, 200_000, 10**12, (2**63 - 1) // (d - 1))
+    digest = hashlib.sha256()
+    for _ in range(TABLE_CASES):
+        state, settings = random_state(rng, d, signed=True), random_settings(rng, d)
+        noise, seed = float(rng.uniform()), int(rng.integers(2**32))
+        table = joint_probabilities(state, settings)
+        mixed = mix_uniform_noise(table, noise)
+        values = [bell_value(state, settings), bell_value_noisy(state, settings, noise)]
+        values += [correlation_q(t, i, j) for t in (table, mixed) for i, j in SETTING_PAIRS]
+        digest.update(repr(hexes(values)).encode())
+        digest.update(table.probabilities.tobytes())
+        digest.update(mixed.probabilities.tobytes())
+        for shots in shot_counts:
+            sample = sample_experiment(state, settings, shots, seed)
+            digest.update(sample.counts.tobytes())
+            digest.update(repr(hexes([sample.value_estimate, sample.std_error])).encode())
+    return digest.hexdigest()
 
 
 def calls_per_pass(search) -> tuple[float, float]:
@@ -154,6 +200,8 @@ def main() -> None:
     for searches in (angles_dsweep_searches(), report_searches(), joint_searches()):
         for label, search in searches:
             print(f"{label}  {fingerprint(search())}")
+    for d in TABLE_DIMENSIONS:
+        print(f"table route d={d} cases={TABLE_CASES}  {table_route_fingerprint(d)}")
     counted = (
         ("angle d=4 flat max restarts=8 seed=0", _angles(_flat(4), 8, 0, Direction.MAXIMIZE)),
         ("angle d=8 flat max restarts=8 seed=0", _angles(_flat(8), 8, 0, Direction.MAXIMIZE)),

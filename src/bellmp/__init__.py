@@ -13,9 +13,7 @@ sampling, and a reproduction report.
 from .model import (
     NORMALIZATION_TOLERANCE,
     BellError,
-    DegenerateStateError,
     Dimension,
-    DimensionMismatchError,
     KernelVariant,
     MeasurementSettings,
     PhaseVector,

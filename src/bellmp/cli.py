@@ -21,10 +21,10 @@ import sys
 import numpy as np
 
 from .model import (
+    SETTING_NAMES,
     SETTING_PAIRS,
     BellError,
     Dimension,
-    DimensionMismatchError,
     MeasurementSettings,
     PureState,
     ValidationError,
@@ -79,8 +79,6 @@ MAX_WORK = 2_000_000
 # 2-vCPU host, so a capped scan holds about 43 MB of rows and prints its
 # CSV in about 4 s.
 MAX_SCAN_STEPS = 100_000
-# An angle file's phase rows, in MeasurementSettings.phases order.
-_ANGLE_KEYS = ("A1", "A2", "B1", "B2")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,8 +95,6 @@ def _fmt(value: float) -> float:
 
 
 def _round_floats(obj):
-    if isinstance(obj, bool):
-        return obj
     if isinstance(obj, float):
         return _fmt(obj)
     if isinstance(obj, dict):
@@ -171,21 +167,21 @@ def _load_angles(path: str, d: int) -> MeasurementSettings:
         raise ValidationError(f"angle file {path!r} holds an unreadable number: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError(f"angle file {path!r} must hold a JSON object")
-    missing = {"d", *_ANGLE_KEYS} - raw.keys()
+    missing = {"d", *SETTING_NAMES} - raw.keys()
     if missing:
         raise ValidationError(f"angle file {path!r} lacks keys {sorted(missing)}")
     try:
         dim = Dimension(raw["d"])
         if dim.d != d:
-            raise DimensionMismatchError(f"dimension {dim.d} does not match expected {d}")
-        return MeasurementSettings.from_phases(dim, (raw[key] for key in _ANGLE_KEYS))
+            raise ValidationError(f"dimension {dim.d} does not match expected {d}")
+        return MeasurementSettings.from_phases(dim, (raw[key] for key in SETTING_NAMES))
     except BellError as exc:
         raise ValidationError(f"angle file {path!r}: {exc}") from exc
 
 
 def _angles_dict(settings: MeasurementSettings) -> dict:
     return {"d": settings.dim.d,
-            **{key: list(row) for key, row in zip(_ANGLE_KEYS, settings.phases)}}
+            **{key: list(row) for key, row in zip(SETTING_NAMES, settings.phases)}}
 
 
 def _by_setting(tables: np.ndarray) -> dict:

@@ -38,7 +38,6 @@ from .model import (
     MeasurementSettings,
     PureState,
     ValidationError,
-    DimensionMismatchError,
     _as_array,
     _as_float_tuple,
     _is_int,
@@ -142,7 +141,7 @@ class MultiportUnitary:
         d = _require_dimension(self.dim)
         m = _as_array(self.matrix, complex, "matrix entries")
         if m.shape != (d, d):
-            raise DimensionMismatchError(f"expected a {d}x{d} matrix, got {m.shape}")
+            raise ValidationError(f"expected a {d}x{d} matrix, got {m.shape}")
         if not np.all(np.isfinite(m.view(float))):
             raise ValidationError("matrix entries must be finite")
         if np.max(np.abs(m.conj().T @ m - np.eye(d))) > _UNITARY_TOL:
@@ -157,7 +156,7 @@ class MultiportUnitary:
 def multiport_unitary(dim: Dimension, phases) -> MultiportUnitary:
     d = _require_dimension(dim)
     if phases.dim != dim:
-        raise DimensionMismatchError(f"phases have dimension {phases.dim.d}, expected {d}")
+        raise ValidationError(f"phases have dimension {phases.dim.d}, expected {d}")
     U = _dft(d) / math.sqrt(d) * np.exp(1j * np.asarray(phases.phases))[None, :]
     return MultiportUnitary(dim, U)
 
@@ -179,9 +178,7 @@ class JointProbabilityTable:
         d = _require_dimension(self.dim)
         p = _as_array(self.probabilities, float, "probabilities")
         if p.shape != (2, 2, d, d):
-            raise DimensionMismatchError(
-                f"expected shape (2, 2, {d}, {d}), got {p.shape}"
-            )
+            raise ValidationError(f"expected shape (2, 2, {d}, {d}), got {p.shape}")
         if not np.isfinite(p).all():
             raise ValidationError("probabilities must be finite")
         lowest = p.min()
@@ -207,7 +204,7 @@ class JointProbabilityTable:
 
 def joint_probabilities(state: PureState, settings: MeasurementSettings) -> JointProbabilityTable:
     if state.dim != settings.dim:
-        raise DimensionMismatchError(
+        raise ValidationError(
             f"state dimension {state.dim.d} != settings dimension {settings.dim.d}"
         )
     d = state.dim.d
@@ -305,7 +302,7 @@ class TCoefficients:
     def bilinear(self, state: PureState) -> float:
         """sum_{k<l} a_k a_l T_kl for the given d = 4 state."""
         if state.dim.d != 4:
-            raise DimensionMismatchError(
+            raise ValidationError(
                 f"the T decomposition is defined for dimension 4, got {state.dim.d}"
             )
         a = state.coefficients
@@ -432,7 +429,7 @@ def bell_gradient(state: PureState, settings: MeasurementSettings) -> np.ndarray
     """Partial derivatives of bell_value with respect to every phase,
     ordered A1, A2, B1, B2 with d entries each."""
     if state.dim != settings.dim:
-        raise DimensionMismatchError(
+        raise ValidationError(
             f"state dimension {state.dim.d} != settings dimension {settings.dim.d}"
         )
     P = _phased(_PAIRS @ np.array(settings.phases))
@@ -476,10 +473,12 @@ class SampleEstimate:
             raise ValidationError("each setting slice must sum to shots_per_setting")
         if counts.min() < 0:
             raise ValidationError("counts must be non-negative")
-        _, std_error = _as_float_tuple((self.value_estimate, self.std_error),
-                                       "value_estimate and std_error")
+        value, std_error = _as_float_tuple((self.value_estimate, self.std_error),
+                                           "value_estimate and std_error")
         if std_error < 0.0:
             raise ValidationError(f"std_error must be >= 0, got {self.std_error!r}")
+        object.__setattr__(self, "value_estimate", value)
+        object.__setattr__(self, "std_error", std_error)
 
 
 def _require_shots(shots: object) -> None:

@@ -31,11 +31,13 @@ Conventions used throughout the package:
   convert except a bool, a text or an object one (_as_array), so exact
   fractions are converted with dtype=float first.  A dimension is a
   Dimension, not an int d (_require_dimension, called where dim.d is
-  first read).  Anything else raises ValidationError.
-- MeasurementSettings holds the phase rows in the order A1, A2, B1, B2.
-  Its phases property lists them in that order and its from_phases
-  classmethod builds settings from four such rows; no other module
-  restates the order.
+  first read).  Anything else raises ValidationError, and so do inputs
+  that disagree about d and the all-zero state: it is the one error for
+  bad input, and BellError, its base, is what the command line catches.
+- MeasurementSettings holds the phase rows in the order A1, A2, B1, B2
+  (SETTING_NAMES).  Its phases property lists them in that order and
+  its from_phases classmethod builds settings from four such rows,
+  naming the row an error is about; no other module restates the order.
 """
 
 from __future__ import annotations
@@ -52,8 +54,6 @@ import numpy as np
 
 __all__ = [
     "BellError",
-    "DimensionMismatchError",
-    "DegenerateStateError",
     "ValidationError",
     "KernelVariant",
     "Dimension",
@@ -73,6 +73,10 @@ NORMALIZATION_TOLERANCE = 1e-12
 # signs in the Bell combination I = Q11 + Q12 - Q21 + Q22.
 SETTING_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
 PAIR_SIGNS = (1, 1, -1, 1)
+
+# The phase rows A1, A2, B1, B2 in MeasurementSettings order; the
+# fields are the same names in lower case.
+SETTING_NAMES = ("A1", "A2", "B1", "B2")
 
 # Canonical order of the six index pairs (k, l), k < l, of the d = 4
 # T coefficients and vertex tables.
@@ -107,16 +111,9 @@ class BellError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DimensionMismatchError(BellError):
-    """Inputs disagree about the outcome dimension d."""
-
-
-class DegenerateStateError(BellError):
-    """A state vector with no usable weight (all coefficients zero)."""
-
-
 class ValidationError(BellError):
-    """A value violates a documented constraint (range, finiteness, ...)."""
+    """A value violates a documented constraint: its kind, its range,
+    finiteness, agreement about d, or a state's non-zero weight."""
 
 
 def require_seed(seed: object) -> None:
@@ -142,10 +139,9 @@ class Dimension:
     d: int
 
     def __post_init__(self) -> None:
-        if type(self.d) is not int:
-            if not _is_int(self.d):
-                raise ValidationError(f"dimension must be an int, got {self.d!r}")
-            object.__setattr__(self, "d", int(self.d))
+        if not _is_int(self.d):
+            raise ValidationError(f"dimension must be an int, got {self.d!r}")
+        object.__setattr__(self, "d", int(self.d))
         if self.d < 2:
             raise ValidationError(f"dimension must be >= 2, got {self.d}")
 
@@ -200,7 +196,7 @@ class PureState:
         coeffs = _as_float_tuple(self.coefficients, "state coefficient entries")
         object.__setattr__(self, "coefficients", coeffs)
         if len(coeffs) != d:
-            raise DimensionMismatchError(f"expected {d} coefficients, got {len(coeffs)}")
+            raise ValidationError(f"expected {d} coefficients, got {len(coeffs)}")
         norm_sq = sum(c * c for c in coeffs)
         if abs(norm_sq - d) > NORMALIZATION_TOLERANCE * d:
             raise ValidationError(
@@ -220,7 +216,7 @@ class PhaseVector:
         phases = _as_float_tuple(self.phases, "phase entries")
         object.__setattr__(self, "phases", phases)
         if len(phases) != d:
-            raise DimensionMismatchError(f"expected {d} phases, got {len(phases)}")
+            raise ValidationError(f"expected {d} phases, got {len(phases)}")
 
 
 @dataclass(frozen=True)
@@ -240,7 +236,7 @@ class MeasurementSettings:
             if not isinstance(vec, PhaseVector):
                 raise ValidationError(f"setting {name} must be a PhaseVector, got {vec!r}")
             if vec.dim != self.dim:
-                raise DimensionMismatchError(
+                raise ValidationError(
                     f"setting {name} has dimension {vec.dim.d}, expected {self.dim.d}"
                 )
 
@@ -253,14 +249,22 @@ class MeasurementSettings:
     @classmethod
     def from_phases(cls, dim: Dimension, phases: Iterable[Iterable[float]]) -> MeasurementSettings:
         """Settings from four phase rows in the order of phases, as tuples,
-        lists or a (4, d) array; each row becomes a PhaseVector."""
+        lists or a (4, d) array; each row becomes a PhaseVector, and its
+        errors start with the row's name (A1: ...)."""
+        _require_dimension(dim)
         try:
             rows = tuple(phases)
         except TypeError as exc:
             raise ValidationError(f"phases must be four rows of numbers: {exc}") from exc
         if len(rows) != 4:
-            raise DimensionMismatchError(f"expected 4 phase rows, got {len(rows)}")
-        return cls(dim, *(PhaseVector(dim, row) for row in rows))
+            raise ValidationError(f"expected 4 phase rows, got {len(rows)}")
+        vectors = []
+        for name, row in zip(SETTING_NAMES, rows):
+            try:
+                vectors.append(PhaseVector(dim, row))
+            except ValidationError as exc:
+                raise ValidationError(f"{name}: {exc}") from exc
+        return cls(dim, *vectors)
 
 
 def kernel_f(i: int, j: int, m: int, n: int, dim: Dimension, variant: KernelVariant) -> float:
@@ -303,8 +307,8 @@ def kernel_table(d: int) -> np.ndarray:
 def make_state(dim: Dimension, coeffs: Sequence[float]) -> PureState:
     """Normalize real coefficients to sum(a^2) = d and wrap as a state.
 
-    Raises a degenerate-state error when every coefficient is zero and,
-    through PureState, a dimension error on a length mismatch.
+    Raises ValidationError when every coefficient is zero and, through
+    PureState, on a length mismatch.
     """
     d = _require_dimension(dim)
     values = _as_float_tuple(coeffs, "state coefficient entries")
@@ -314,7 +318,7 @@ def make_state(dim: Dimension, coeffs: Sequence[float]) -> PureState:
         # divided by the largest magnitude instead.
         largest = max(map(abs, values), default=0.0)
         if largest == 0.0:
-            raise DegenerateStateError("cannot normalize the all-zero state")
+            raise ValidationError("cannot normalize the all-zero state")
         values = tuple(c / largest for c in values)
         norm_sq = sum(c * c for c in values)
     scale = math.sqrt(d / norm_sq)

@@ -147,17 +147,21 @@ class TestEval:
         code, out, err = run(capsys, ["eval", "--state", "1,1", "--angles", str(path)])
         assert code == 1
         assert out == ""
-        assert err == f"error: angle file {str(path)!r}: phase entries must be real numbers: " \
-            "int too large to convert to float\n"
+        assert err == f"error: angle file {str(path)!r}: A1: phase entries must be real " \
+            "numbers: int too large to convert to float\n"
 
     @pytest.mark.parametrize("state,content,message", [
         ("1,1,1,1", {**FLAT_ANGLES, "d": 1}, "dimension must be >= 2, got 1"),
         ("1,1,1,1", {**FLAT_ANGLES, "d": 4.0}, "dimension must be an int, got 4.0"),
         ("1,1,1", FLAT_ANGLES, "dimension 4 does not match expected 3"),
-        ("1,1,1,1", {**FLAT_ANGLES, "A1": [0] * 3}, "expected 4 phases, got 3"),
+        ("1,1,1,1", {**FLAT_ANGLES, "A1": [0] * 3}, "A1: expected 4 phases, got 3"),
+        ("1,1,1,1", {**FLAT_ANGLES, "A2": [0, True, 0, 0]},
+         "A2: phase entries must be real numbers, got True"),
         ("1,1,1,1", {**FLAT_ANGLES, "B1": [0, "1", 0, 0]},
-         "phase entries must be real numbers, got '1'"),
-    ], ids=["d-one", "d-float", "d-mismatch", "short-entry", "string-entry"])
+         "B1: phase entries must be real numbers, got '1'"),
+        ("1,1,1,1", {**FLAT_ANGLES, "B2": [0, 0, 0, 0, 0]}, "B2: expected 4 phases, got 5"),
+    ], ids=["d-one", "d-float", "d-mismatch", "short-entry", "bool-entry", "string-entry",
+            "long-entry"])
     def test_model_errors_in_an_angle_file_name_the_file(self, capsys, tmp_path,
                                                          state, content, message):
         path = tmp_path / "angles.json"

@@ -17,7 +17,6 @@ from hypothesis import given, settings as hypothesis_settings, strategies as st
 from bellmp import (
     BellError,
     Dimension,
-    DimensionMismatchError,
     JointProbabilityTable,
     MeasurementSettings,
     MultiportUnitary,
@@ -97,11 +96,11 @@ class TestMultiportUnitary:
             MultiportUnitary(Dimension(2), np.eye(2, dtype=complex))
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError, match=r"expected a 3x3 matrix, got \(2, 2\)"):
             MultiportUnitary(Dimension(3), np.eye(2, dtype=complex))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError, match="phases have dimension 2, expected 3"):
             multiport_unitary(Dimension(3), PhaseVector(Dimension(2), (0.0, 0.0)))
 
     def test_matrix_is_read_only(self):
@@ -156,7 +155,7 @@ class TestJointProbabilities:
         assert np.all(table.probabilities == 1.0 / 16.0)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError, match="state dimension 4 != settings dimension 3"):
             joint_probabilities(
                 maximally_entangled_state(D4), zero_settings(Dimension(3))
             )
@@ -208,7 +207,8 @@ class TestJointProbabilityTableValidation:
             JointProbabilityTable(Dimension(2), np.full((2, 2, 2, 2), 0.3))
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError,
+                           match=r"expected shape \(2, 2, 3, 3\), got \(2, 2, 2, 2\)"):
             JointProbabilityTable(Dimension(3), np.full((2, 2, 2, 2), 0.25))
 
     def test_rejects_non_finite(self):
@@ -447,7 +447,7 @@ class TestTCoefficients:
     @pytest.mark.parametrize("d", [3, 5])
     def test_bilinear_requires_a_dimension_four_state(self, d):
         coeffs = t_coefficients(zero_settings(D4))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError, match=f"defined for dimension 4, got {d}$"):
             coeffs.bilinear(maximally_entangled_state(Dimension(d)))
 
 
@@ -486,7 +486,7 @@ class TestGradient:
             assert abs(a @ M @ a - expected) < 1e-12
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError, match="state dimension 4 != settings dimension 3"):
             bell_gradient(maximally_entangled_state(D4), zero_settings(Dimension(3)))
 
 
@@ -799,6 +799,18 @@ class TestSampling:
     def test_estimate_accepts_valid_records(self):
         assert SampleEstimate(10, self._counts(), 0.0, 0.1).shots_per_setting == 10
         assert SampleEstimate(np.int64(10), self._counts(), 0.0, 0.1).counts.shape == (2, 2, 2, 2)
+
+    def test_value_and_error_are_plain_floats(self):
+        # Like every record, the estimate keeps plain floats, from
+        # sample_experiment and from numpy scalars alike.
+        rng = np.random.default_rng(5)
+        for d in (2, 4, 7):
+            estimate = sample_experiment(random_state(rng, d), random_settings(rng, d), 1000, d)
+            assert (type(estimate.value_estimate), type(estimate.std_error)) == (float, float)
+        for value, error in ((np.float64(0.5), np.float32(0.25)), (np.int64(2), np.uint8(0))):
+            record = SampleEstimate(10, self._counts(), value, error)
+            assert (type(record.value_estimate), type(record.std_error)) == (float, float)
+            assert (record.value_estimate, record.std_error) == (float(value), float(error))
 
     @pytest.mark.parametrize("counts", [
         np.full(4, 10),                             # 1-D

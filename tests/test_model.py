@@ -8,9 +8,7 @@ from hypothesis import given, settings as hypothesis_settings, strategies as st
 
 import bellmp
 from bellmp import (
-    DegenerateStateError,
     Dimension,
-    DimensionMismatchError,
     KernelVariant,
     MeasurementSettings,
     PhaseVector,
@@ -283,6 +281,55 @@ def test_every_dimension_entry_point_rejects_what_is_not_a_dimension(route, bad)
     _DIMENSION_ROUTES[route](_D2)
 
 
+_D3 = Dimension(3)
+_FLAT2 = maximally_entangled_state(_D2)
+_ZERO3 = zero_settings(_D3)
+# Every route on which inputs disagree about d, or a state has no
+# weight, with the message it raises.
+_MISMATCH_ROUTES = {
+    "PureState": (lambda: PureState(_D2, (1.0, 1.0, 0.0)), "expected 2 coefficients, got 3"),
+    "PhaseVector": (lambda: PhaseVector(_D2, (0.0,)), "expected 2 phases, got 1"),
+    "MeasurementSettings": (lambda: MeasurementSettings(_D2, _V2, _ZERO3.a2, _V2, _V2),
+                            "setting a2 has dimension 3, expected 2"),
+    "MeasurementSettings.from_phases": (
+        lambda: MeasurementSettings.from_phases(_D2, [(0.0, 0.0)] * 3),
+        "expected 4 phase rows, got 3"),
+    "MultiportUnitary": (lambda: bellmp.MultiportUnitary(_D2, np.eye(3)),
+                         "expected a 2x2 matrix, got (3, 3)"),
+    "multiport_unitary": (lambda: bellmp.multiport_unitary(_D2, _ZERO3.a1),
+                          "phases have dimension 3, expected 2"),
+    "JointProbabilityTable": (
+        lambda: bellmp.JointProbabilityTable(_D2, np.full((2, 2, 3, 3), 1 / 9)),
+        "expected shape (2, 2, 2, 2), got (2, 2, 3, 3)"),
+    "joint_probabilities": (lambda: bellmp.joint_probabilities(_FLAT2, _ZERO3),
+                            "state dimension 2 != settings dimension 3"),
+    "bell_value": (lambda: bellmp.bell_value(_FLAT2, _ZERO3),
+                   "state dimension 2 != settings dimension 3"),
+    "bell_value_noisy": (lambda: bell_value_noisy(_FLAT2, _ZERO3, 0.1),
+                         "state dimension 2 != settings dimension 3"),
+    "bell_gradient": (lambda: bellmp.bell_gradient(_FLAT2, _ZERO3),
+                      "state dimension 2 != settings dimension 3"),
+    "sample_experiment": (lambda: bellmp.sample_experiment(_FLAT2, _ZERO3, 10, 0),
+                          "state dimension 2 != settings dimension 3"),
+    "TCoefficients.bilinear": (
+        lambda: TCoefficients(0.0, 0.0, 0.0, 0.0, 0.0, 0.0).bilinear(
+            maximally_entangled_state(_D3)),
+        "the T decomposition is defined for dimension 4, got 3"),
+    "make_state": (lambda: make_state(_D3, (0.0, -0.0, 0.0)),
+                   "cannot normalize the all-zero state"),
+}
+
+
+@pytest.mark.parametrize("route", list(_MISMATCH_ROUTES))
+def test_every_mismatch_and_degenerate_route_raises_validation_error(route):
+    # ValidationError is the one error class for bad input.
+    call, message = _MISMATCH_ROUTES[route]
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert type(info.value) is ValidationError
+    assert str(info.value) == message
+
+
 class TestPureState:
     def test_accepts_normalized(self):
         state = PureState(Dimension(4), (1.0, 1.0, 1.0, 1.0))
@@ -293,7 +340,7 @@ class TestPureState:
             PureState(Dimension(4), (1.0, 1.0, 1.0, 1.1))
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError, match="expected 4 coefficients, got 2"):
             PureState(Dimension(4), (2.0, 0.0))
 
     def test_rejects_non_finite(self):
@@ -325,17 +372,17 @@ class TestMakeState:
         assert state.coefficients[2] < 0
 
     def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError, match="expected 4 coefficients, got 2"):
             make_state(Dimension(4), (1.0, 1.0))
 
     def test_empty_input_is_degenerate(self):
         # PureState checks the length; an empty sequence has no weight.
-        with pytest.raises(DegenerateStateError):
+        with pytest.raises(ValidationError, match="cannot normalize the all-zero state"):
             make_state(Dimension(2), ())
 
     @pytest.mark.parametrize("zeros", [(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0)])
     def test_all_zero(self, zeros):
-        with pytest.raises(DegenerateStateError):
+        with pytest.raises(ValidationError, match="cannot normalize the all-zero state"):
             make_state(Dimension(3), zeros)
 
     def test_squares_that_overflow(self):
@@ -399,7 +446,7 @@ class TestPhaseVector:
         assert vec.phases == (0.0, 1.0, -2.5)
 
     def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError, match="expected 3 phases, got 2"):
             PhaseVector(Dimension(3), (0.0, 1.0))
 
     def test_non_finite(self):
@@ -426,7 +473,7 @@ class TestMeasurementSettings:
         d2, d3 = Dimension(2), Dimension(3)
         good = PhaseVector(d2, (0.0, 0.0))
         bad = PhaseVector(d3, (0.0, 0.0, 0.0))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError, match="setting b2 has dimension 3, expected 2"):
             MeasurementSettings(d2, good, good, good, bad)
 
     @pytest.mark.parametrize("bad", [None, (0.0, 0.0), np.zeros(2)], ids=["None", "tuple", "array"])
@@ -458,15 +505,21 @@ class TestMeasurementSettings:
 
     @pytest.mark.parametrize("count", [0, 3, 5])
     def test_from_phases_takes_exactly_four_rows(self, count):
-        with pytest.raises(DimensionMismatchError, match=f"expected 4 phase rows, got {count}"):
+        with pytest.raises(ValidationError, match=f"expected 4 phase rows, got {count}"):
             MeasurementSettings.from_phases(_D2, [(0.0, 0.0)] * count)
 
-    def test_from_phases_checks_each_row_as_a_phase_vector(self):
-        rows = [[0.0, 0.0]] * 3
-        with pytest.raises(DimensionMismatchError, match="expected 2 phases, got 3"):
-            MeasurementSettings.from_phases(_D2, rows + [[0.0, 0.0, 0.0]])
-        with pytest.raises(ValidationError, match="must be real numbers"):
-            MeasurementSettings.from_phases(_D2, rows + [["0", 0.0]])
+    @pytest.mark.parametrize("row,name", enumerate(("A1", "A2", "B1", "B2")))
+    def test_from_phases_checks_each_row_as_a_phase_vector(self, row, name):
+        # PhaseVector's message, after the name of the row it is about.
+        for bad, message in (([0.0] * 3, "expected 2 phases, got 3"),
+                             ([0.0, "1"], "phase entries must be real numbers, got '1'"),
+                             ([True, 0.0], "phase entries must be real numbers, got True"),
+                             ([0.0, math.inf], "phase entries must be finite, got inf")):
+            rows = [[0.0, 0.0]] * 4
+            rows[row] = bad
+            with pytest.raises(ValidationError) as info:
+                MeasurementSettings.from_phases(_D2, rows)
+            assert str(info.value) == f"{name}: {message}"
         with pytest.raises(ValidationError, match="four rows"):
             MeasurementSettings.from_phases(_D2, None)
 

@@ -1,6 +1,7 @@
-"""Fingerprints of the package's multistart searches and of its
-outcome-table route, for showing that a change to the optimizer, its
-kernels or the table readers leaves every result bit-identical.
+"""Fingerprints of the package's multistart searches, of its
+outcome-table route and of its command line, for showing that a change
+to the optimizer, its kernels, the table readers or the CLI leaves
+every result bit-identical.
 
 Run from the repository root:
 
@@ -30,6 +31,15 @@ its noise-mixed table, the bytes of both tables, and the counts,
 value_estimate and std_error of sample_experiment at 1, 7, 200 000 and
 10^12 shots and at the int64 limit (2^63 - 1) // (d - 1).
 
+Then one line per command of CLI_COMMANDS, run in-process through
+bellmp.cli.main: its exit code and a SHA-256 digest over the exit
+code, stdout and stderr.  The commands cover every subcommand and
+the error cases of a short angle-file row, an angle file of the wrong
+d, an all-zero state and a dimension above the enumeration limit.  They
+run in a temporary working directory that holds the angle files of
+ANGLE_FILES under fixed relative names, so no message depends on where
+the checkout lies.
+
 After the fingerprints come the calls per pass of three searches: the
 Python-level ("call") and C-level ("c_call") events sys.setprofile sees
 during the search, divided by its batched objective evaluations
@@ -43,8 +53,13 @@ and they repeat exactly.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +80,7 @@ from bellmp import (
     sample_experiment,
 )
 from bellmp import report as report_module
+from bellmp.cli import main as cli_main
 from bellmp.engine import mix_uniform_noise
 from bellmp.model import SETTING_PAIRS
 
@@ -73,6 +89,28 @@ from helpers import angles_dsweep_states, random_settings, random_state  # noqa:
 
 TABLE_DIMENSIONS = (*range(2, 25), 32, 48, 64)
 TABLE_CASES = 29
+
+_ANGLES4 = {"d": 4, "A1": [0, 0.5, 1, 1.5], "A2": [0.25, 0, 0, 0],
+            "B1": [0, 0, 0, 0], "B2": [-0.25, 0, 0.75, 0]}
+ANGLE_FILES = {"angles4.json": _ANGLES4, "short_a1.json": {**_ANGLES4, "A1": [0, 0.5, 1]}}
+CLI_COMMANDS = (
+    "reproduce",
+    "reproduce --json",
+    "analytic",
+    "analytic --state 1,0.2,0.9,0.1",
+    "eval --state 1,0.9,0.2,0.1 --noise 0.1",
+    "eval --state 1,0.9,0.2,0.1 --angles angles4.json",
+    "sample --state 1,1,1,1 --shots 5000 --seed 3",
+    "sample --state 1,0.9,0.2,0.1 --angles angles4.json --shots 200000",
+    "scan --from 0 --to 1 --steps 11",
+    "lhv --d 4",
+    "optimize --state 1,0.9,0.2,0.1 --restarts 10",
+    "optimize --d 4 --free-state --restarts 10",
+    "eval --state 1,1,1,1 --angles short_a1.json",
+    "eval --state 1,1,1 --angles angles4.json",
+    "eval --state 0,0,0,0",
+    "lhv --d 13",
+)
 
 
 def _flat(d):
@@ -179,6 +217,25 @@ def table_route_fingerprint(d: int) -> str:
     return digest.hexdigest()
 
 
+def cli_fingerprints():
+    # (command, exit code, digest) for each of CLI_COMMANDS, run in a
+    # temporary directory holding ANGLE_FILES.
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            for name, content in ANGLE_FILES.items():
+                Path(name).write_text(json.dumps(content), encoding="utf-8")
+            for command in CLI_COMMANDS:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli_main(command.split())
+                text = repr((code, out.getvalue(), err.getvalue()))
+                yield command, code, hashlib.sha256(text.encode()).hexdigest()
+        finally:
+            os.chdir(home)
+
+
 def calls_per_pass(search) -> tuple[float, float]:
     search()
     counts = {"call": 0, "c_call": 0}
@@ -202,6 +259,8 @@ def main() -> None:
             print(f"{label}  {fingerprint(search())}")
     for d in TABLE_DIMENSIONS:
         print(f"table route d={d} cases={TABLE_CASES}  {table_route_fingerprint(d)}")
+    for command, code, digest in cli_fingerprints():
+        print(f"cli {command}  exit={code}  {digest}")
     counted = (
         ("angle d=4 flat max restarts=8 seed=0", _angles(_flat(4), 8, 0, Direction.MAXIMIZE)),
         ("angle d=8 flat max restarts=8 seed=0", _angles(_flat(8), 8, 0, Direction.MAXIMIZE)),

@@ -40,11 +40,9 @@ from .model import (
     ValidationError,
     _as_array,
     _as_float_tuple,
-    _is_int,
-    _is_setting_index,
+    _as_int,
     _require_dimension,
     kernel_table,
-    require_seed,
 )
 from .analytic import gamma_constants
 
@@ -197,8 +195,7 @@ class JointProbabilityTable:
         object.__setattr__(self, "probabilities", p)
 
     def setting(self, i: int, j: int) -> np.ndarray:
-        if not (_is_setting_index(i) and _is_setting_index(j)):
-            raise ValidationError(f"setting indices must be the int 1 or 2, got ({i!r}, {j!r})")
+        i, j = _as_int(i, "setting index i", 1, 2), _as_int(j, "setting index j", 1, 2)
         return self.probabilities[i - 1, j - 1]
 
 
@@ -275,8 +272,8 @@ class TCoefficients:
 
     Magnitudes are bounded by Gamma_1 for index gaps 1 and 3 and by
     Gamma_2 for gap 2; the constructor takes only real numbers
-    (model._as_float_tuple) and enforces the bounds with a 1e-9
-    allowance.
+    (model._as_float_tuple), stores them as plain floats and enforces
+    the bounds with a 1e-9 allowance.
     """
 
     t01: float
@@ -291,6 +288,7 @@ class TCoefficients:
         bounds = {1: g.gamma1, 2: g.gamma2, 3: g.gamma1}
         values = _as_float_tuple(self.values(), "T coefficients")
         for (k, l), value in zip(PAIR_SLOTS, values):
+            object.__setattr__(self, f"t{k}{l}", value)
             if abs(value) > bounds[l - k] + 1e-9:
                 raise ValidationError(
                     f"|T{k}{l}| = {abs(value)!r} exceeds its bound {bounds[l - k]!r}"
@@ -461,10 +459,8 @@ class SampleEstimate:
         counts = counts.copy()
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
-        shots = self.shots_per_setting
-        _require_shots(shots)
-        if shots < 1:
-            raise ValidationError("shots_per_setting must be >= 1")
+        shots = _as_int(self.shots_per_setting, "shots_per_setting", 1)
+        object.__setattr__(self, "shots_per_setting", shots)
         if counts.dtype.kind not in "iu":
             raise ValidationError(f"counts must be integers, got dtype {counts.dtype}")
         if counts.ndim != 4 or counts.shape[:2] != (2, 2) or counts.shape[2] != counts.shape[3]:
@@ -481,26 +477,15 @@ class SampleEstimate:
         object.__setattr__(self, "std_error", std_error)
 
 
-def _require_shots(shots: object) -> None:
-    if not _is_int(shots):
-        raise ValidationError(f"shots_per_setting must be an int, got {shots!r}")
-
-
 def sample_experiment(state: PureState, settings: MeasurementSettings,
                       shots_per_setting: int, seed: int) -> SampleEstimate:
     """Draw the counts of shots_per_setting outcomes per setting pair as
     one multinomial draw from a seeded PRNG; deterministic for a fixed
     seed, and O(d^2) per setting whatever the shot count."""
-    _require_shots(shots_per_setting)
-    shots = int(shots_per_setting)
     d = state.dim.d
-    # |K| <= d - 1, so the limit keeps every K . counts sum within int64.
-    limit = (2**63 - 1) // (d - 1)
-    if not 1 <= shots <= limit:
-        raise ValidationError(
-            f"shots_per_setting must be in [1, {limit}] at d = {d}, got {shots_per_setting!r}"
-        )
-    require_seed(seed)
+    # |K| <= d - 1, so the upper bound keeps every K . counts sum within int64.
+    shots = _as_int(shots_per_setting, f"shots_per_setting at d = {d}", 1, (2**63 - 1) // (d - 1))
+    seed = _as_int(seed, "seed", 0)
     # One row per setting, in setting order on one stream.
     P = joint_probabilities(state, settings).probabilities.reshape(4, d * d)
     c = np.random.default_rng(seed).multinomial(shots, P / P.sum(axis=1, keepdims=True))

@@ -15,8 +15,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import (Dimension, KernelVariant, ValidationError, _is_int, _require_dimension,
-                    kernel_table)
+from .model import (SETTING_NAMES, Dimension, KernelVariant, ValidationError, _as_int,
+                    _require_dimension, kernel_table)
 
 __all__ = [
     "DeterministicStrategy",
@@ -47,15 +47,13 @@ class DeterministicStrategy:
             raise ValidationError(f"a strategy fixes 4 outcomes, got {count}")
         plain = type(outcomes) is tuple
         for value in outcomes:
-            # Plain ints skip the one integer rule, model._is_int.
-            if type(value) is not int:
-                if not _is_int(value):
-                    raise ValidationError(f"outcome {value!r} is not an integer")
+            # Plain ints in range skip the one integer rule, model._as_int.
+            if type(value) is not int or not 0 <= value < d:
                 plain = False
-            if not 0 <= value < d:
-                raise ValidationError(f"outcome {value!r} outside 0..{d - 1}")
         if not plain:
-            object.__setattr__(self, "outcomes", tuple(int(v) for v in outcomes))
+            object.__setattr__(self, "outcomes", tuple(
+                _as_int(value, f"outcome {name}", 0, d - 1)
+                for name, value in zip(SETTING_NAMES, outcomes)))
 
 
 @dataclass(frozen=True)

@@ -24,16 +24,18 @@ Conventions used throughout the package:
 - Pure states carry real coefficients normalized so that the squares
   sum to d; the maximally entangled state has every coefficient 1.
 - Numeric inputs follow one rule per kind, and only this module states
-  them.  An integer is an int or a numpy int, not a bool (_is_int).  A
-  real number is an int, a float or a numpy real, not a bool, a string
-  or a complex, and it must be finite and fit a float (_as_float_tuple,
-  which returns plain floats).  A numeric array is any array numpy can
-  convert except a bool, a text or an object one (_as_array), so exact
-  fractions are converted with dtype=float first.  A dimension is a
-  Dimension, not an int d (_require_dimension, called where dim.d is
-  first read).  Anything else raises ValidationError, and so do inputs
-  that disagree about d and the all-zero state: it is the one error for
-  bad input, and BellError, its base, is what the command line catches.
+  them.  An integer is an int or a numpy int, not a bool, in its range
+  (_as_int, which returns the plain int, and whose message names the
+  input and its range).  A real number is an int, a float or a numpy
+  real, not a bool, a string or a complex, and it must be finite and
+  fit a float (_as_float_tuple, which returns plain floats).  A
+  numeric array is any array numpy can convert except a bool, a text
+  or an object one (_as_array), so exact fractions are converted with
+  dtype=float first.  A dimension is a Dimension, not an int d
+  (_require_dimension, called where dim.d is first read).  Anything
+  else raises ValidationError, and so do inputs that disagree about d
+  and the all-zero state: it is the one error for bad input, and
+  BellError, its base, is what the command line catches.
 - MeasurementSettings holds the phase rows in the order A1, A2, B1, B2
   (SETTING_NAMES).  Its phases property lists them in that order and
   its from_phases classmethod builds settings from four such rows,
@@ -103,10 +105,6 @@ def _is_real(x: object) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
-def _is_setting_index(i: object) -> bool:
-    return _is_int(i) and i in (1, 2)
-
-
 class BellError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -116,11 +114,15 @@ class ValidationError(BellError):
     finiteness, agreement about d, or a state's non-zero weight."""
 
 
-def require_seed(seed: object) -> None:
-    """Reject a PRNG seed that is not an int >= 0, which numpy would
-    refuse only once the draw starts."""
-    if not _is_int(seed) or seed < 0:
-        raise ValidationError(f"seed must be an int >= 0, got {seed!r}")
+def _as_int(value: object, what: str, low: int, high: int | None = None) -> int:
+    # The integer rule of the module docstring: value as a plain int in
+    # [low, high], or in [low, inf) when high is None.
+    if _is_int(value):
+        n = int(value)
+        if low <= n and (high is None or n <= high):
+            return n
+    bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+    raise ValidationError(f"{what} must be an int {bound}, got {value!r}")
 
 
 class KernelVariant(enum.Enum):
@@ -139,11 +141,7 @@ class Dimension:
     d: int
 
     def __post_init__(self) -> None:
-        if not _is_int(self.d):
-            raise ValidationError(f"dimension must be an int, got {self.d!r}")
-        object.__setattr__(self, "d", int(self.d))
-        if self.d < 2:
-            raise ValidationError(f"dimension must be >= 2, got {self.d}")
+        object.__setattr__(self, "d", _as_int(self.d, "dimension", 2))
 
     @property
     def spin(self) -> float:
@@ -274,11 +272,9 @@ def kernel_f(i: int, j: int, m: int, n: int, dim: Dimension, variant: KernelVari
     (k = 0..d-1) on exactly d of the d^2 outcome pairs, so it sums
     to zero over the full outcome table.
     """
-    if not (_is_setting_index(i) and _is_setting_index(j)):
-        raise ValidationError(f"setting indices must be the int 1 or 2, got ({i!r}, {j!r})")
+    i, j = _as_int(i, "setting index i", 1, 2), _as_int(j, "setting index j", 1, 2)
     d = _require_dimension(dim)
-    if not (_is_int(m) and _is_int(n) and 0 <= m < d and 0 <= n < d):
-        raise ValidationError(f"outcomes must be ints in 0..{d - 1}, got ({m!r}, {n!r})")
+    m, n = _as_int(m, "outcome m", 0, d - 1), _as_int(n, "outcome n", 0, d - 1)
     if not isinstance(variant, KernelVariant):
         raise ValidationError(f"variant must be a KernelVariant, got {variant!r}")
     eps = -1 if i < j else 1

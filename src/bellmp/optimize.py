@@ -59,10 +59,10 @@ from .model import (
     MeasurementSettings,
     PureState,
     ValidationError,
+    _as_int,
     _is_int,
     _require_dimension,
     make_state,
-    require_seed,
 )
 from .engine import (_PAIRS, _extreme_eigh, extreme_value_and_gradient, pair_matrix,
                      value_and_gradient_arrays)
@@ -97,10 +97,8 @@ class OptimizerConfig:
     direction: Direction = Direction.MAXIMIZE
 
     def __post_init__(self) -> None:
-        if not _is_int(self.restarts) or self.restarts < 1:
-            raise ValidationError(f"restarts must be an int >= 1, got {self.restarts!r}")
-        object.__setattr__(self, "restarts", int(self.restarts))
-        require_seed(self.seed)
+        object.__setattr__(self, "restarts", _as_int(self.restarts, "restarts", 1))
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed", 0))
         if not isinstance(self.direction, Direction):
             raise ValidationError(f"direction must be a Direction, got {self.direction!r}")
 

@@ -19,7 +19,7 @@ from .model import (
     maximally_entangled_state,
     ValidationError,
     _as_float_tuple,
-    _is_int,
+    _as_int,
 )
 from .analytic import (
     branch_values_max,
@@ -219,9 +219,7 @@ class ScanSpec:
     steps: int
 
     def __post_init__(self) -> None:
-        if not _is_int(self.steps) or self.steps < 2:
-            raise ValidationError(f"steps must be an int >= 2, got {self.steps!r}")
-        object.__setattr__(self, "steps", int(self.steps))
+        object.__setattr__(self, "steps", _as_int(self.steps, "steps", 2))
         r_from, r_to = _as_float_tuple((self.r_from, self.r_to), "scan range ends")
         object.__setattr__(self, "r_from", r_from)
         object.__setattr__(self, "r_to", r_to)

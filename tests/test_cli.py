@@ -151,8 +151,8 @@ class TestEval:
             "numbers: int too large to convert to float\n"
 
     @pytest.mark.parametrize("state,content,message", [
-        ("1,1,1,1", {**FLAT_ANGLES, "d": 1}, "dimension must be >= 2, got 1"),
-        ("1,1,1,1", {**FLAT_ANGLES, "d": 4.0}, "dimension must be an int, got 4.0"),
+        ("1,1,1,1", {**FLAT_ANGLES, "d": 1}, "dimension must be an int >= 2, got 1"),
+        ("1,1,1,1", {**FLAT_ANGLES, "d": 4.0}, "dimension must be an int >= 2, got 4.0"),
         ("1,1,1", FLAT_ANGLES, "dimension 4 does not match expected 3"),
         ("1,1,1,1", {**FLAT_ANGLES, "A1": [0] * 3}, "A1: expected 4 phases, got 3"),
         ("1,1,1,1", {**FLAT_ANGLES, "A2": [0, True, 0, 0]},

@@ -171,7 +171,8 @@ class TestJointProbabilities:
     def test_setting_rejects_indices_that_are_not_the_int_1_or_2(self, i, j):
         # True == 1 and 1.0 == 1, but neither is a setting index.
         table = joint_probabilities(maximally_entangled_state(D4), zero_settings(D4))
-        with pytest.raises(ValidationError, match="setting indices"):
+        with pytest.raises(ValidationError,
+                           match=r"^setting index [ij] must be an int in \[1, 2\], got "):
             table.setting(i, j)
 
     def test_setting_accepts_numpy_int_indices(self):
@@ -430,6 +431,13 @@ class TestTCoefficients:
             TCoefficients(0.9, 0.0, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(ValidationError):
             TCoefficients(0.0, 0.5, 0.0, 0.0, 0.0, 0.0)
+
+    def test_values_are_stored_as_plain_floats(self):
+        # Like every record, the coefficients keep plain floats, from
+        # numpy scalars and ints alike.
+        coeffs = TCoefficients(np.float64(0.5), 0, np.float32(0.25), np.int64(0), 0.0, -0.125)
+        assert coeffs.values() == (0.5, 0.0, 0.25, 0.0, 0.0, -0.125)
+        assert all(type(value) is float for value in coeffs.values())
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("slot", range(6))
@@ -705,7 +713,9 @@ class TestSampling:
     @pytest.mark.parametrize("shots", [2.7, 5.0, "5", True, None])
     def test_rejects_shots_that_are_not_ints(self, shots):
         # Neither truncated nor parsed: 2.7 is not 2 shots.
-        with pytest.raises(ValidationError, match="shots_per_setting must be an int"):
+        limit = (2**63 - 1) // 3
+        with pytest.raises(ValidationError, match=rf"^shots_per_setting at d = 4 must be an int "
+                                                  rf"in \[1, {limit}\], got "):
             sample_experiment(maximally_entangled_state(D4), zero_settings(D4), shots, 0)
 
     def test_accepts_numpy_int_shots(self):
@@ -799,6 +809,10 @@ class TestSampling:
     def test_estimate_accepts_valid_records(self):
         assert SampleEstimate(10, self._counts(), 0.0, 0.1).shots_per_setting == 10
         assert SampleEstimate(np.int64(10), self._counts(), 0.0, 0.1).counts.shape == (2, 2, 2, 2)
+        # One integer rule, model._as_int: a numpy shot count is stored as an int.
+        for shots in (np.int64(10), np.int32(10), np.uint16(10)):
+            record = SampleEstimate(shots, self._counts(), 0.0, 0.1)
+            assert (type(record.shots_per_setting), record.shots_per_setting) == (int, 10)
 
     def test_value_and_error_are_plain_floats(self):
         # Like every record, the estimate keeps plain floats, from

@@ -173,7 +173,8 @@ class TestStrategyValidation:
 
     def test_bool_outcome_is_rejected(self):
         # bool is an int subclass; as an index it would act as a mask.
-        with pytest.raises(ValidationError, match="not an integer"):
+        with pytest.raises(ValidationError,
+                           match=r"^outcome A1 must be an int in \[0, 1\], got True$"):
             DeterministicStrategy(Dimension(2), (True, 0, 0, 0))
 
     def test_list_of_outcomes_is_stored_as_a_tuple(self):
@@ -187,6 +188,11 @@ class TestStrategyValidation:
         assert strategy.outcomes == (1, 0, 1, 0)
         assert all(type(value) is int for value in strategy.outcomes)
         assert lhv_value(strategy) == lhv_value(DeterministicStrategy(dim, (1, 0, 1, 0)))
+        # One integer rule, model._as_int: numpy outcomes are stored as ints.
+        for outcomes in (np.array([1, 0, 1, 0]), (np.uint8(1), np.int16(0), 1, np.int64(0))):
+            strategy = DeterministicStrategy(dim, outcomes)
+            assert strategy.outcomes == (1, 0, 1, 0)
+            assert all(type(value) is int for value in strategy.outcomes)
 
 
 class TestReportValidation:

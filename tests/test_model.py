@@ -52,7 +52,7 @@ class TestDimension:
 
     @pytest.mark.parametrize("d", [np.int64(4), np.int32(4), np.uint8(4)])
     def test_numpy_int_is_stored_as_an_int(self, d):
-        # One integer rule, model._is_int, for every integer input.
+        # One integer rule, model._as_int, for every integer input.
         dim = Dimension(d)
         assert type(dim.d) is int
         assert dim == Dimension(4)
@@ -127,7 +127,9 @@ class TestKernel:
     def test_rejects_inputs_that_are_not_ints(self, i, j, m, n):
         # True == 1 and 1.0 == 1, but only an int is a setting index or
         # an outcome.
-        with pytest.raises(ValidationError, match="setting indices|outcomes"):
+        with pytest.raises(ValidationError, match=r"^(setting index [ij] must be an int in "
+                                                  r"\[1, 2\]|outcome [mn] must be an int in "
+                                                  r"\[0, 3\]), got "):
             kernel_f(i, j, m, n, Dimension(4), PLUS)
 
     def test_accepts_numpy_int_inputs(self):
@@ -242,7 +244,7 @@ _NUMERIC_CASES = [
 @pytest.mark.parametrize("call,bad", [case[1:] for case in _NUMERIC_CASES],
                          ids=[f"{name}-{bad!r}" for name, _, bad in _NUMERIC_CASES])
 def test_every_numeric_entry_point_rejects_what_is_not_a_number(call, bad):
-    # One rule per kind, model._as_float_tuple and model._is_int: no
+    # One rule per kind, model._as_float_tuple and model._as_int: no
     # string is parsed, no bool counts as 0 or 1, and no complex passes.
     with pytest.raises(ValidationError):
         call(bad)
@@ -328,6 +330,64 @@ def test_every_mismatch_and_degenerate_route_raises_validation_error(route):
         call()
     assert type(info.value) is ValidationError
     assert str(info.value) == message
+
+
+_D4_SHOT_LIMIT = (2**63 - 1) // 3
+_FLAT4 = maximally_entangled_state(_D4)
+_TABLE4 = bellmp.joint_probabilities(_FLAT4, zero_settings(_D4))
+# Every integer input, called with `k` in its place: the message the one
+# integer rule, model._as_int, raises up to ", got <repr(k)>", and the
+# values it is checked with: a bool, a float, a value below the range
+# and, where the range has an upper end, one above it.
+_INTEGER_ROUTES = {
+    "Dimension": (Dimension, "dimension must be an int >= 2", (True, 4.0, 1)),
+    "OptimizerConfig.restarts": (lambda k: bellmp.OptimizerConfig(restarts=k),
+                                 "restarts must be an int >= 1", (True, 5.0, 0)),
+    "OptimizerConfig.seed": (lambda k: bellmp.OptimizerConfig(seed=k),
+                             "seed must be an int >= 0", (True, 3.0, -1)),
+    "ScanSpec.steps": (lambda k: ScanSpec(0.0, 1.0, k),
+                       "steps must be an int >= 2", (True, 5.0, 1)),
+    "SampleEstimate.shots_per_setting": (lambda k: SampleEstimate(k, _ONE_SHOT, 0.0, 0.1),
+                                         "shots_per_setting must be an int >= 1",
+                                         (True, 1.0, 0)),
+    "sample_experiment.shots_per_setting": (
+        lambda k: bellmp.sample_experiment(_FLAT4, zero_settings(_D4), k, 0),
+        f"shots_per_setting at d = 4 must be an int in [1, {_D4_SHOT_LIMIT}]",
+        (True, 10.0, 0, _D4_SHOT_LIMIT + 1)),
+    "sample_experiment.seed": (
+        lambda k: bellmp.sample_experiment(_FLAT4, zero_settings(_D4), 10, k),
+        "seed must be an int >= 0", (True, 3.0, -1)),
+    "kernel_f.i": (lambda k: kernel_f(k, 1, 0, 0, _D4, PLUS),
+                   "setting index i must be an int in [1, 2]", (True, 1.0, 0, 3)),
+    "kernel_f.j": (lambda k: kernel_f(1, k, 0, 0, _D4, PLUS),
+                   "setting index j must be an int in [1, 2]", (True, 2.0, 0, 3)),
+    "kernel_f.m": (lambda k: kernel_f(1, 1, k, 0, _D4, PLUS),
+                   "outcome m must be an int in [0, 3]", (True, 1.0, -1, 4)),
+    "kernel_f.n": (lambda k: kernel_f(1, 1, 0, k, _D4, PLUS),
+                   "outcome n must be an int in [0, 3]", (True, 1.0, -1, 4)),
+    "JointProbabilityTable.setting.i": (lambda k: _TABLE4.setting(k, 1),
+                                        "setting index i must be an int in [1, 2]",
+                                        (True, 1.0, 0, 3)),
+    "JointProbabilityTable.setting.j": (lambda k: _TABLE4.setting(2, k),
+                                        "setting index j must be an int in [1, 2]",
+                                        (True, 2.0, 0, 3)),
+    "DeterministicStrategy.A1": (lambda k: bellmp.DeterministicStrategy(_D3, (k, 0, 0, 0)),
+                                 "outcome A1 must be an int in [0, 2]", (True, 1.0, -1, 3)),
+    "DeterministicStrategy.B2": (lambda k: bellmp.DeterministicStrategy(_D3, [0, 0, 0, k]),
+                                 "outcome B2 must be an int in [0, 2]", (True, 2.0, -1, 3)),
+}
+_INTEGER_CASES = [(route, bad) for route, (_, _, values) in _INTEGER_ROUTES.items()
+                  for bad in values]
+
+
+@pytest.mark.parametrize("route,bad", _INTEGER_CASES,
+                         ids=[f"{route}-{bad!r}" for route, bad in _INTEGER_CASES])
+def test_every_integer_input_raises_the_one_integer_message(route, bad):
+    call, message, _ = _INTEGER_ROUTES[route]
+    with pytest.raises(ValidationError) as info:
+        call(bad)
+    assert type(info.value) is ValidationError
+    assert str(info.value) == f"{message}, got {bad!r}"
 
 
 class TestPureState:

@@ -91,10 +91,11 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("restarts", [np.int64(5), np.int32(5), np.uint8(5)])
     def test_numpy_int_restarts_are_stored_as_an_int(self, restarts):
-        # One integer rule, model._is_int, for every integer input.
-        config = OptimizerConfig(restarts=restarts)
-        assert type(config.restarts) is int
-        assert config == OptimizerConfig(restarts=5)
+        # One integer rule, model._as_int, for every integer input: the
+        # seed as well.
+        config = OptimizerConfig(restarts=restarts, seed=restarts)
+        assert (type(config.restarts), type(config.seed)) == (int, int)
+        assert config == OptimizerConfig(restarts=5, seed=5)
 
 
 class TestFixedStateSearch:

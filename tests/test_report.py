@@ -82,7 +82,7 @@ class TestScanSpec:
 
     @pytest.mark.parametrize("steps", [np.int64(5), np.int32(5), np.uint8(5)])
     def test_numpy_int_steps_are_stored_as_an_int(self, steps):
-        # One integer rule, model._is_int, for every integer input.
+        # One integer rule, model._as_int, for every integer input.
         spec = ScanSpec(0.0, 1.0, steps)
         assert type(spec.steps) is int
         assert spec == ScanSpec(0.0, 1.0, 5)

@@ -35,7 +35,10 @@ Then one line per command of CLI_COMMANDS, run in-process through
 bellmp.cli.main: its exit code and a SHA-256 digest over the exit
 code, stdout and stderr.  The commands cover every subcommand and
 the error cases of a short angle-file row, an angle file of the wrong
-d, an all-zero state and a dimension above the enumeration limit.  They
+d, an all-zero state and a dimension above the enumeration limit, and
+one out-of-range value of each integer the model checks from the
+command line (the integer rule, model._as_int): a dimension, restarts,
+a seed, shots, scan steps and an angle file's float d.  They
 run in a temporary working directory that holds the angle files of
 ANGLE_FILES under fixed relative names, so no message depends on where
 the checkout lies.
@@ -92,7 +95,8 @@ TABLE_CASES = 29
 
 _ANGLES4 = {"d": 4, "A1": [0, 0.5, 1, 1.5], "A2": [0.25, 0, 0, 0],
             "B1": [0, 0, 0, 0], "B2": [-0.25, 0, 0.75, 0]}
-ANGLE_FILES = {"angles4.json": _ANGLES4, "short_a1.json": {**_ANGLES4, "A1": [0, 0.5, 1]}}
+ANGLE_FILES = {"angles4.json": _ANGLES4, "short_a1.json": {**_ANGLES4, "A1": [0, 0.5, 1]},
+               "float_d.json": {**_ANGLES4, "d": 4.0}}
 CLI_COMMANDS = (
     "reproduce",
     "reproduce --json",
@@ -110,6 +114,12 @@ CLI_COMMANDS = (
     "eval --state 1,1,1 --angles angles4.json",
     "eval --state 0,0,0,0",
     "lhv --d 13",
+    "lhv --d 1",
+    "optimize --d 4 --restarts 0",
+    "reproduce --seed -1",
+    "sample --state 1,1 --shots 0",
+    "scan --steps 1",
+    "eval --state 1,1,1,1 --angles float_d.json",
 )
 
 

@@ -6,7 +6,9 @@ A local deterministic strategy fixes one outcome per setting,
 probabilities, so its classical extrema are attained on these d^4
 strategies.  Each strategy's value is an integer sum over the signed,
 doubled kernel table of the model, divided once by d - 1 as a
-Fraction, so the bounds carry zero floating-point error.
+Fraction, so the bounds carry zero floating-point error.  lhv_value and
+lhv_bounds share that one valuation rule; the scan values plain outcome
+tuples and builds a DeterministicStrategy only for its two witnesses.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (SETTING_NAMES, Dimension, KernelVariant, ValidationError, _as_int,
-                    _require_dimension, kernel_table)
+                    _require_dimension, _require_variant, kernel_table)
 
 __all__ = [
     "DeterministicStrategy",
@@ -45,15 +47,9 @@ class DeterministicStrategy:
             raise ValidationError(f"a strategy fixes 4 outcomes, got {outcomes!r}") from None
         if count != 4:
             raise ValidationError(f"a strategy fixes 4 outcomes, got {count}")
-        plain = type(outcomes) is tuple
-        for value in outcomes:
-            # Plain ints in range skip the one integer rule, model._as_int.
-            if type(value) is not int or not 0 <= value < d:
-                plain = False
-        if not plain:
-            object.__setattr__(self, "outcomes", tuple(
-                _as_int(value, f"outcome {name}", 0, d - 1)
-                for name, value in zip(SETTING_NAMES, outcomes)))
+        object.__setattr__(self, "outcomes", tuple(
+            _as_int(value, f"outcome {name}", 0, d - 1)
+            for name, value in zip(SETTING_NAMES, outcomes)))
 
 
 @dataclass(frozen=True)
@@ -76,6 +72,16 @@ class LhvBoundsReport:
         return self.dim.d ** 4
 
 
+def _value(K: list, d: int, outcomes: tuple[int, int, int, int],
+           variant: KernelVariant) -> Fraction:
+    # The one valuation rule: K is kernel_table(d).tolist(), so the four
+    # entries are Python ints, summed exactly and divided once by d - 1.
+    a1, a2, b1, b2 = outcomes
+    if variant is KernelVariant.MINUS:  # m - n = m + (-n): relabel Bob's outcomes
+        b1, b2 = -b1 % d, -b2 % d
+    return Fraction(K[0][a1][b1] + K[1][a1][b2] + K[2][a2][b1] + K[3][a2][b2], d - 1)
+
+
 def lhv_value(strategy: DeterministicStrategy,
               variant: KernelVariant = KernelVariant.PLUS) -> Fraction:
     """Exact Bell value of one deterministic strategy.
@@ -84,41 +90,38 @@ def lhv_value(strategy: DeterministicStrategy,
     value over S = (d - 1) / 2, so the four signed, doubled kernel values
     are summed as integers and divided once by d - 1 (thirds at d = 4).
     """
-    if not isinstance(variant, KernelVariant):
-        raise ValidationError(f"variant must be a KernelVariant, got {variant!r}")
+    if not isinstance(strategy, DeterministicStrategy):
+        raise ValidationError(f"strategy must be a DeterministicStrategy, got {strategy!r}")
+    _require_variant(variant)
     d = strategy.dim.d
-    K = kernel_table(d)
-    a1, a2, b1, b2 = strategy.outcomes
-    if variant is KernelVariant.MINUS:  # m - n = m + (-n): relabel Bob's outcomes
-        b1, b2 = -b1 % d, -b2 % d
-    total = K[0, a1, b1] + K[1, a1, b2] + K[2, a2, b1] + K[3, a2, b2]
-    return Fraction(int(total), d - 1)
+    return _value(kernel_table(d).tolist(), d, strategy.outcomes, variant)
 
 
 def lhv_bounds(dim: Dimension,
                variant: KernelVariant = KernelVariant.PLUS) -> LhvBoundsReport:
     """Scan all d^4 strategies and report the exact extrema.
 
-    The scan runs in row-major order over (A1, A2, B1, B2), and ties
-    keep the first (lexicographically smallest) witness, so the
-    reported strategies are reproducible.
+    Every outcome tuple is valued by the rule lhv_value applies, on one
+    kernel_table(d).tolist() read per scan; a DeterministicStrategy is
+    built only for the two witnesses.  The scan runs in row-major order
+    over (A1, A2, B1, B2), and ties keep the first (lexicographically
+    smallest) witness, so the reported strategies are reproducible.
     """
-    if _require_dimension(dim) > MAX_ENUMERABLE_DIMENSION:
+    d = _require_dimension(dim)
+    if d > MAX_ENUMERABLE_DIMENSION:
         raise ValidationError(
-            f"exhaustive scan is guarded at d <= {MAX_ENUMERABLE_DIMENSION}, got {dim.d}"
+            f"exhaustive scan is guarded at d <= {MAX_ENUMERABLE_DIMENSION}, got {d}"
         )
-    best_max: Fraction | None = None
-    best_min: Fraction | None = None
-    argmax = argmin = None
-    for outcomes in itertools.product(range(dim.d), repeat=4):
-        strategy = DeterministicStrategy(dim, outcomes)
-        value = lhv_value(strategy, variant)
-        if best_max is None or value > best_max:
-            best_max = value
-            argmax = strategy
-        if best_min is None or value < best_min:
-            best_min = value
-            argmin = strategy
-    assert argmax is not None and argmin is not None
-    assert best_max is not None and best_min is not None
-    return LhvBoundsReport(dim, best_max, best_min, argmax, argmin)
+    _require_variant(variant)
+    K = kernel_table(d).tolist()
+    outcomes = itertools.product(range(d), repeat=4)
+    argmax = argmin = next(outcomes)
+    best_max = best_min = _value(K, d, argmax, variant)
+    for candidate in outcomes:
+        value = _value(K, d, candidate, variant)
+        if value > best_max:
+            best_max, argmax = value, candidate
+        elif value < best_min:
+            best_min, argmin = value, candidate
+    return LhvBoundsReport(dim, best_max, best_min,
+                           DeterministicStrategy(dim, argmax), DeterministicStrategy(dim, argmin))

@@ -100,6 +100,12 @@ def _require_dimension(dim: object) -> int:
     return dim.d
 
 
+def _require_variant(variant: object) -> None:
+    # The one variant rule of kernel_f and the lhv module.
+    if not isinstance(variant, KernelVariant):
+        raise ValidationError(f"variant must be a KernelVariant, got {variant!r}")
+
+
 def _is_real(x: object) -> bool:
     # An int, float or numpy real, but not a bool, a string or a complex.
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
@@ -275,8 +281,7 @@ def kernel_f(i: int, j: int, m: int, n: int, dim: Dimension, variant: KernelVari
     i, j = _as_int(i, "setting index i", 1, 2), _as_int(j, "setting index j", 1, 2)
     d = _require_dimension(dim)
     m, n = _as_int(m, "outcome m", 0, d - 1), _as_int(n, "outcome n", 0, d - 1)
-    if not isinstance(variant, KernelVariant):
-        raise ValidationError(f"variant must be a KernelVariant, got {variant!r}")
+    _require_variant(variant)
     eps = -1 if i < j else 1
     combo = m + n if variant is KernelVariant.PLUS else m - n
     return dim.spin - ((eps * combo) % d)

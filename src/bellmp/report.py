@@ -88,9 +88,13 @@ def build_reproduction_report(restarts: int = 50, seed: int = 7) -> Reproduction
 
     restarts/seed feed the optimizer-backed rows; the defaults match
     the documented engineering defaults.  With them each d = 4 joint
-    search takes about 12-25 ms and the whole report about 0.07-0.11 s
-    on a shared 2-vCPU host, whose speed varied by up to 2x.
+    search takes about 11 ms and the whole report about 0.04-0.05 s
+    (best of 7 calls in-process, shared 2-vCPU host, Python 3.11,
+    numpy 2.4.6).  Both are checked before any row is computed.
     """
+    # Built first, so a bad restarts or seed is rejected before any work.
+    maximize = OptimizerConfig(restarts=restarts, seed=seed, direction=Direction.MAXIMIZE)
+    minimize = OptimizerConfig(restarts=restarts, seed=seed, direction=Direction.MINIMIZE)
     g = gamma_constants()
     rows: list[ReproductionRow] = []
 
@@ -107,8 +111,7 @@ def build_reproduction_report(restarts: int = 50, seed: int = 7) -> Reproduction
         rows.append(_row(f"LHV min d={d}", expected_min, report.min_value, 0.0, source))
 
     me = maximally_entangled_state(_D4)
-    run_max_me = optimize_angles(me, OptimizerConfig(
-        restarts=restarts, seed=seed, direction=Direction.MAXIMIZE))
+    run_max_me = optimize_angles(me, maximize)
     rows.append(_row("max at maximally entangled", 2.89624,
                      run_max_me.best.value, 1e-4,
                      f"multi-start phase search, {restarts} restarts"))
@@ -119,8 +122,7 @@ def build_reproduction_report(restarts: int = 50, seed: int = 7) -> Reproduction
                      threshold_noise(run_max_me.best.value), 1e-4,
                      "1 - 2/I at the optimized value"))
 
-    run_min_me = optimize_angles(me, OptimizerConfig(
-        restarts=restarts, seed=seed, direction=Direction.MINIMIZE))
+    run_min_me = optimize_angles(me, minimize)
     rows.append(_row("min at maximally entangled", -10.0 / 3.0,
                      run_min_me.best.value, 1e-6,
                      f"multi-start phase search, {restarts} restarts"))
@@ -134,8 +136,7 @@ def build_reproduction_report(restarts: int = 50, seed: int = 7) -> Reproduction
     rows.append(_row("global max, closed form", 2.9727, opt_value, 1e-4,
                      "radical closed form"))
 
-    run_joint_max = optimize_joint(_D4, OptimizerConfig(
-        restarts=restarts, seed=seed, direction=Direction.MAXIMIZE))
+    run_joint_max = optimize_joint(_D4, maximize)
     rows.append(_row("global max, joint optimizer", 2.9727,
                      run_joint_max.best.value, 1e-3,
                      f"eigenvalue-reduced phase search, {restarts} restarts"))
@@ -160,8 +161,7 @@ def build_reproduction_report(restarts: int = 50, seed: int = 7) -> Reproduction
     rows.append(_row("global min, closed form", -3.46424, kopt_value, 1e-4,
                      "radical closed form"))
 
-    run_joint_min = optimize_joint(_D4, OptimizerConfig(
-        restarts=restarts, seed=seed, direction=Direction.MINIMIZE))
+    run_joint_min = optimize_joint(_D4, minimize)
     rows.append(_row("global min, joint optimizer", -3.46424,
                      run_joint_min.best.value, 1e-3,
                      f"eigenvalue-reduced phase search, {restarts} restarts"))

@@ -1,5 +1,6 @@
 """Exact classical bounds: enumeration, witnesses, rational arithmetic."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +67,13 @@ class TestLhvValue:
                 )
                 assert abs(through_engine - float(lhv_value(strategy))) < 1e-12
 
+    @pytest.mark.parametrize("strategy", [None, (0, 0, 0, 0), "x"])
+    def test_rejects_a_non_strategy(self, strategy):
+        with pytest.raises(ValidationError, match=(
+                r"^strategy must be a DeterministicStrategy, got "
+                + re.escape(repr(strategy)) + "$")):
+            lhv_value(strategy)
+
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), d=st.integers(2, 16),
@@ -112,13 +120,14 @@ class TestLhvBounds:
         assert report.argmax.outcomes == (0, 0, 0, 0)
         assert report.argmin.outcomes == (0, 1, 3, 1)
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_witnesses_are_lexicographically_first(self, d):
+    @pytest.mark.parametrize("variant", [PLUS, MINUS])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_witnesses_are_lexicographically_first(self, d, variant):
         import itertools
 
-        report = lhv_bounds(Dimension(d))
+        report = lhv_bounds(Dimension(d), variant)
         values = {
-            outcomes: lhv_value(DeterministicStrategy(Dimension(d), outcomes))
+            outcomes: lhv_value(DeterministicStrategy(Dimension(d), outcomes), variant)
             for outcomes in itertools.product(range(d), repeat=4)
         }
         maximizers = [o for o, v in values.items() if v == report.max_value]

@@ -16,6 +16,7 @@ from bellmp import (
     optimize_angles,
     optimize_joint,
 )
+from bellmp import report as report_module
 from bellmp.report import ScanSpec, build_reproduction_report, scan_rows
 
 ME_MAX = 2.896243218458708
@@ -60,6 +61,20 @@ class TestReproductionReport:
                                OptimizerConfig(restarts=10, seed=7))
         note, = (note for note in report.diagnostics if "reference angle" in note)
         assert f"the optimizer reaches {joint.best.value:.6f} and {flat.best.value:.6f}" in note
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"restarts": 0}, "restarts must be an int >= 1, got 0"),
+        ({"seed": -1}, "seed must be an int >= 0, got -1"),
+    ])
+    def test_bad_optimizer_input_is_rejected_before_any_row(self, monkeypatch, kwargs,
+                                                            message):
+        def no_work(*_, **__):
+            raise AssertionError("the report started its rows")
+
+        monkeypatch.setattr(report_module, "gamma_constants", no_work)
+        monkeypatch.setattr(report_module, "lhv_bounds", no_work)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            build_reproduction_report(**kwargs)
 
 
 class TestScanSpec:

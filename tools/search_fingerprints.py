@@ -1,7 +1,8 @@
 """Fingerprints of the package's multistart searches, of its
-outcome-table route and of its command line, for showing that a change
-to the optimizer, its kernels, the table readers or the CLI leaves
-every result bit-identical.
+outcome-table route, of its command line and of its exact classical
+bounds, for showing that a change to the optimizer, its kernels, the
+table readers, the CLI or the LHV enumeration leaves every result
+bit-identical.
 
 Run from the repository root:
 
@@ -43,6 +44,10 @@ run in a temporary working directory that holds the angle files of
 ANGLE_FILES under fixed relative names, so no message depends on where
 the checkout lies.
 
+Then one line per dimension d = 2..12 and kernel variant: a SHA-256
+digest over lhv_bounds' exact max_value and min_value and the outcomes
+of its argmax and argmin witnesses.
+
 After the fingerprints come the calls per pass of three searches: the
 Python-level ("call") and C-level ("c_call") events sys.setprofile sees
 during the search, divided by its batched objective evaluations
@@ -71,12 +76,14 @@ import bellmp.optimize
 from bellmp import (
     Dimension,
     Direction,
+    KernelVariant,
     OptimizerConfig,
     bell_value,
     bell_value_noisy,
     build_reproduction_report,
     correlation_q,
     joint_probabilities,
+    lhv_bounds,
     maximally_entangled_state,
     optimize_angles,
     optimize_joint,
@@ -92,6 +99,7 @@ from helpers import angles_dsweep_states, random_settings, random_state  # noqa:
 
 TABLE_DIMENSIONS = (*range(2, 25), 32, 48, 64)
 TABLE_CASES = 29
+LHV_DIMENSIONS = range(2, 13)
 
 _ANGLES4 = {"d": 4, "A1": [0, 0.5, 1, 1.5], "A2": [0.25, 0, 0, 0],
             "B1": [0, 0, 0, 0], "B2": [-0.25, 0, 0.75, 0]}
@@ -246,6 +254,13 @@ def cli_fingerprints():
             os.chdir(home)
 
 
+def lhv_fingerprint(d: int, variant: KernelVariant) -> str:
+    report = lhv_bounds(Dimension(d), variant)
+    fields = (report.max_value, report.min_value,
+              report.argmax.outcomes, report.argmin.outcomes)
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
 def calls_per_pass(search) -> tuple[float, float]:
     search()
     counts = {"call": 0, "c_call": 0}
@@ -271,6 +286,9 @@ def main() -> None:
         print(f"table route d={d} cases={TABLE_CASES}  {table_route_fingerprint(d)}")
     for command, code, digest in cli_fingerprints():
         print(f"cli {command}  exit={code}  {digest}")
+    for d in LHV_DIMENSIONS:
+        for variant in KernelVariant:
+            print(f"lhv d={d} {variant.value}  {lhv_fingerprint(d, variant)}")
     counted = (
         ("angle d=4 flat max restarts=8 seed=0", _angles(_flat(4), 8, 0, Direction.MAXIMIZE)),
         ("angle d=8 flat max restarts=8 seed=0", _angles(_flat(8), 8, 0, Direction.MAXIMIZE)),

@@ -1,14 +1,13 @@
-"""Exact classical bounds by exhaustive enumeration of local
-deterministic strategies.
+"""Exact classical bounds by exhaustive enumeration of local deterministic
+strategies.
 
-A local deterministic strategy fixes one outcome per setting,
-(A1, A2, B1, B2).  The Bell expression is linear in the outcome
-probabilities, so its classical extrema are attained on these d^4
-strategies.  Each strategy's value is an integer sum over the signed,
-doubled kernel table of the model, divided once by d - 1 as a
-Fraction, so the bounds carry zero floating-point error.  lhv_value and
-lhv_bounds share that one valuation rule; the scan values plain outcome
-tuples and builds a DeterministicStrategy only for its two witnesses.
+A local deterministic strategy fixes one outcome per setting, (A1, A2, B1,
+B2).  The Bell expression is linear in the outcome probabilities, so its
+classical extrema are attained on these d^4 strategies.  One exact scan
+values them on any integer (4, d, d) table: the four entries a strategy
+picks, summed as ints and divided once as a Fraction, so the bounds carry
+zero floating-point error.  The kernel variant is data: MINUS is the
+kernel table with Bob's outcomes relabelled, read by the same rule.
 """
 
 from __future__ import annotations
@@ -20,21 +19,15 @@ from fractions import Fraction
 from .model import (SETTING_NAMES, Dimension, KernelVariant, ValidationError, _as_int,
                     _require_dimension, _require_variant, kernel_table)
 
-__all__ = [
-    "DeterministicStrategy",
-    "LhvBoundsReport",
-    "lhv_value",
-    "lhv_bounds",
-    "MAX_ENUMERABLE_DIMENSION",
-]
+__all__ = ["DeterministicStrategy", "LhvBoundsReport", "lhv_value", "lhv_bounds",
+           "MAX_ENUMERABLE_DIMENSION"]
 
 MAX_ENUMERABLE_DIMENSION = 12
 
 
 @dataclass(frozen=True)
 class DeterministicStrategy:
-    """Fixed local outcomes (A1, A2, B1, B2), each in 0..d-1, stored as
-    a tuple of ints."""
+    """Fixed local outcomes (A1, A2, B1, B2), a tuple of ints in 0..d-1."""
 
     dim: Dimension
     outcomes: tuple[int, int, int, int]
@@ -72,14 +65,33 @@ class LhvBoundsReport:
         return self.dim.d ** 4
 
 
-def _value(K: list, d: int, outcomes: tuple[int, int, int, int],
-           variant: KernelVariant) -> Fraction:
-    # The one valuation rule: K is kernel_table(d).tolist(), so the four
-    # entries are Python ints, summed exactly and divided once by d - 1.
+def _table(d: int, variant: KernelVariant):
+    # The variant as data: MINUS relabels Bob's outcomes n -> (-n) mod d, as m - n = m + (-n).
+    _require_variant(variant)
+    K = kernel_table(d)
+    return K if variant is KernelVariant.PLUS else K[:, :, [-n % d for n in range(d)]]
+
+
+def _value(T, outcomes: tuple[int, int, int, int], denominator: int) -> Fraction:
+    # The one valuation rule: the four entries of the integer table T
+    # that the outcomes pick, summed as a plain int, over denominator.
     a1, a2, b1, b2 = outcomes
-    if variant is KernelVariant.MINUS:  # m - n = m + (-n): relabel Bob's outcomes
-        b1, b2 = -b1 % d, -b2 % d
-    return Fraction(K[0][a1][b1] + K[1][a1][b2] + K[2][a2][b1] + K[3][a2][b2], d - 1)
+    return Fraction(int(T[0][a1][b1] + T[1][a1][b2] + T[2][a2][b1] + T[3][a2][b2]), denominator)
+
+
+def _bounds(T: list, denominator: int) -> tuple[Fraction, Fraction, tuple, tuple]:
+    # (max, min, argmax, argmin) of _value over the outcome tuples of the nested-list
+    # (4, d, d) table T in row-major order; strict comparisons keep the first witnesses.
+    outcomes = itertools.product(range(len(T[0])), repeat=4)
+    argmax = argmin = next(outcomes)
+    high = low = _value(T, argmax, denominator)
+    for candidate in outcomes:
+        value = _value(T, candidate, denominator)
+        if value > high:
+            high, argmax = value, candidate
+        elif value < low:
+            low, argmin = value, candidate
+    return high, low, argmax, argmin
 
 
 def lhv_value(strategy: DeterministicStrategy,
@@ -87,41 +99,29 @@ def lhv_value(strategy: DeterministicStrategy,
     """Exact Bell value of one deterministic strategy.
 
     For a deterministic assignment every Q_ij collapses to one kernel
-    value over S = (d - 1) / 2, so the four signed, doubled kernel values
-    are summed as integers and divided once by d - 1 (thirds at d = 4).
+    value over S = (d - 1) / 2, so the four signed, doubled entries of
+    the variant's kernel table that the outcomes pick are summed as
+    integers and divided once by d - 1 (thirds at d = 4).
     """
     if not isinstance(strategy, DeterministicStrategy):
         raise ValidationError(f"strategy must be a DeterministicStrategy, got {strategy!r}")
-    _require_variant(variant)
     d = strategy.dim.d
-    return _value(kernel_table(d).tolist(), d, strategy.outcomes, variant)
+    return _value(_table(d, variant), strategy.outcomes, d - 1)
 
 
 def lhv_bounds(dim: Dimension,
                variant: KernelVariant = KernelVariant.PLUS) -> LhvBoundsReport:
     """Scan all d^4 strategies and report the exact extrema.
 
-    Every outcome tuple is valued by the rule lhv_value applies, on one
-    kernel_table(d).tolist() read per scan; a DeterministicStrategy is
-    built only for the two witnesses.  The scan runs in row-major order
-    over (A1, A2, B1, B2), and ties keep the first (lexicographically
-    smallest) witness, so the reported strategies are reproducible.
+    The one exact scan runs on the variant's kernel table over d - 1,
+    by lhv_value's rule, in row-major order over (A1, A2, B1, B2); ties
+    keep the first (lexicographically smallest) witness, and only the
+    two witnesses become DeterministicStrategy objects.
     """
     d = _require_dimension(dim)
     if d > MAX_ENUMERABLE_DIMENSION:
-        raise ValidationError(
-            f"exhaustive scan is guarded at d <= {MAX_ENUMERABLE_DIMENSION}, got {d}"
-        )
-    _require_variant(variant)
-    K = kernel_table(d).tolist()
-    outcomes = itertools.product(range(d), repeat=4)
-    argmax = argmin = next(outcomes)
-    best_max = best_min = _value(K, d, argmax, variant)
-    for candidate in outcomes:
-        value = _value(K, d, candidate, variant)
-        if value > best_max:
-            best_max, argmax = value, candidate
-        elif value < best_min:
-            best_min, argmin = value, candidate
-    return LhvBoundsReport(dim, best_max, best_min,
+        raise ValidationError(f"exhaustive scan is guarded at d <= {MAX_ENUMERABLE_DIMENSION}, "
+                              f"got {d}")
+    high, low, argmax, argmin = _bounds(_table(d, variant).tolist(), d - 1)
+    return LhvBoundsReport(dim, high, low,
                            DeterministicStrategy(dim, argmax), DeterministicStrategy(dim, argmin))

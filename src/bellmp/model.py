@@ -15,7 +15,9 @@ Conventions used throughout the package:
   KernelVariant.PLUS, the only one kernel_table holds.  kernel_f also
   takes KernelVariant.MINUS, with m - n in place of m + n, as the
   scalar reference for the lhv module, which alone still evaluates it
-  (for the benchmark's exact LHV enumeration).
+  (for the benchmark's exact LHV enumeration) as data: kernel_table
+  with Bob's outcomes relabelled n -> (-n) mod d, since
+  m - n = m + (-n).
 - The Bell expression is I = Q11 + Q12 - Q21 + Q22 with
   Q_ij = (1/S) sum_{m,n} f_ij(m, n) P_ij(m, n).  Every route (quantum,
   sampled, classical) reads it from kernel_table.  It is CGLMP's I_d
@@ -134,7 +136,8 @@ def _as_int(value: object, what: str, low: int, high: int | None = None) -> int:
 class KernelVariant(enum.Enum):
     """Sign convention inside the correlation kernel: m + n (PLUS, the
     paper's) or m - n (MINUS, taken only by kernel_f and the lhv
-    module)."""
+    module, whose MINUS table is the PLUS one with Bob's outcomes
+    relabelled)."""
 
     PLUS = "plus"
     MINUS = "minus"

@@ -1,6 +1,8 @@
 """Exact classical bounds: enumeration, witnesses, rational arithmetic."""
 
+import itertools
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +22,8 @@ from bellmp import (
     lhv_bounds,
     lhv_value,
 )
+from bellmp.lhv import _bounds
+from bellmp.model import SETTING_PAIRS
 
 PLUS = KernelVariant.PLUS
 MINUS = KernelVariant.MINUS
@@ -66,6 +70,21 @@ class TestLhvValue:
                     + correlation_q(table, 2, 2)
                 )
                 assert abs(through_engine - float(lhv_value(strategy))) < 1e-12
+
+    def test_reads_four_plain_int_entries(self):
+        # A call reads four entries of the cached table, not a copy of
+        # its 4 d^2 entries, and returns a Fraction of plain ints.
+        strategy = DeterministicStrategy(Dimension(200), (3, 141, 59, 26))
+        lhv_value(strategy)
+        tracemalloc.start()
+        try:
+            plus = lhv_value(strategy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        for value in (plus, lhv_value(strategy, MINUS)):
+            assert type(value.numerator) is int and type(value.denominator) is int
 
     @pytest.mark.parametrize("strategy", [None, (0, 0, 0, 0), "x"])
     def test_rejects_a_non_strategy(self, strategy):
@@ -158,6 +177,24 @@ class TestLhvBounds:
     def test_dimension_must_be_a_dimension(self, dim):
         with pytest.raises(ValidationError, match="must be a Dimension"):
             lhv_bounds(dim)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_scan_matches_brute_force_on_integer_tables(d):
+    # The one scan on any integer (4, d, d) table: exact extrema and the
+    # first witnesses in row-major order, against a brute force that
+    # reads setting pair (i, j) as the outcomes (A_i, B_j).
+    rng = np.random.default_rng(d)
+    tuples = list(itertools.product(range(d), repeat=4))
+    for _ in range(10):
+        T = rng.integers(-5, 6, size=(4, d, d)).tolist()
+        for denominator in (1, d - 1):
+            values = [Fraction(sum(T[r][o[i - 1]][o[j + 1]]
+                                   for r, (i, j) in enumerate(SETTING_PAIRS)), denominator)
+                      for o in tuples]
+            high, low = max(values), min(values)
+            assert _bounds(T, denominator) == (
+                high, low, tuples[values.index(high)], tuples[values.index(low)])
 
 
 class TestStrategyValidation:

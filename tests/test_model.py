@@ -21,6 +21,7 @@ from bellmp import (
 )
 from bellmp.analytic import noise_resistance_gain, threshold_noise
 from bellmp.engine import SampleEstimate, TCoefficients, bell_value_noisy
+from bellmp.lhv import _table
 from bellmp.model import PAIR_SIGNS, SETTING_PAIRS, kernel_table
 from bellmp.report import ScanSpec
 
@@ -143,18 +144,27 @@ class TestKernel:
             kernel_f(1, 1, 0, 1, Dimension(4), variant)
 
 
+def _assert_is_scalar_kernel(T, d, variant):
+    # row r = 2 (i - 1) + (j - 1) holds sign_r * 2 f_ij, entry by entry
+    dim = Dimension(d)
+    assert T.shape == (4, d, d)
+    for r, ((i, j), sign) in enumerate(zip(SETTING_PAIRS, PAIR_SIGNS)):
+        assert r == 2 * (i - 1) + (j - 1)
+        for m in range(d):
+            for n in range(d):
+                assert T[r, m, n] == sign * 2 * kernel_f(i, j, m, n, dim, variant)
+
+
 class TestKernelTable:
     @pytest.mark.parametrize("d", range(2, 10))
     def test_matches_scalar_kernel(self, d):
-        # row r = 2 (i - 1) + (j - 1) holds sign_r * 2 f_ij, entry by entry
-        dim = Dimension(d)
-        K = kernel_table(d)
-        assert K.shape == (4, d, d)
-        for r, ((i, j), sign) in enumerate(zip(SETTING_PAIRS, PAIR_SIGNS)):
-            assert r == 2 * (i - 1) + (j - 1)
-            for m in range(d):
-                for n in range(d):
-                    assert K[r, m, n] == sign * 2 * kernel_f(i, j, m, n, dim, PLUS)
+        _assert_is_scalar_kernel(kernel_table(d), d, PLUS)
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_minus_table_matches_scalar_kernel(self, d):
+        # The lhv module's MINUS table: kernel_table with Bob's outcomes
+        # relabelled holds the m - n kernel.
+        _assert_is_scalar_kernel(_table(d, MINUS), d, MINUS)
 
     def test_signs_follow_the_bell_combination(self):
         assert SETTING_PAIRS == ((1, 1), (1, 2), (2, 1), (2, 2))

@@ -1,8 +1,8 @@
 """Fingerprints of the package's multistart searches, of its
 outcome-table route, of its command line and of its exact classical
-bounds, for showing that a change to the optimizer, its kernels, the
-table readers, the CLI or the LHV enumeration leaves every result
-bit-identical.
+bounds and strategy values, for showing that a change to the optimizer,
+its kernels, the table readers, the CLI or the LHV scan and valuation
+leaves every result bit-identical.
 
 Run from the repository root:
 
@@ -46,7 +46,10 @@ the checkout lies.
 
 Then one line per dimension d = 2..12 and kernel variant: a SHA-256
 digest over lhv_bounds' exact max_value and min_value and the outcomes
-of its argmax and argmin witnesses.
+of its argmax and argmin witnesses.  Then one line per dimension
+d = 2..6 and kernel variant: a SHA-256 digest over repr(lhv_value(...))
+of every deterministic strategy, in row-major order over (A1, A2, B1,
+B2), so the exact value of each of the d^4 strategies is covered.
 
 After the fingerprints come the calls per pass of three searches: the
 Python-level ("call") and C-level ("c_call") events sys.setprofile sees
@@ -64,6 +67,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -74,6 +78,7 @@ import numpy as np
 
 import bellmp.optimize
 from bellmp import (
+    DeterministicStrategy,
     Dimension,
     Direction,
     KernelVariant,
@@ -84,6 +89,7 @@ from bellmp import (
     correlation_q,
     joint_probabilities,
     lhv_bounds,
+    lhv_value,
     maximally_entangled_state,
     optimize_angles,
     optimize_joint,
@@ -100,6 +106,7 @@ from helpers import angles_dsweep_states, random_settings, random_state  # noqa:
 TABLE_DIMENSIONS = (*range(2, 25), 32, 48, 64)
 TABLE_CASES = 29
 LHV_DIMENSIONS = range(2, 13)
+LHV_VALUE_DIMENSIONS = range(2, 7)
 
 _ANGLES4 = {"d": 4, "A1": [0, 0.5, 1, 1.5], "A2": [0.25, 0, 0, 0],
             "B1": [0, 0, 0, 0], "B2": [-0.25, 0, 0.75, 0]}
@@ -261,6 +268,15 @@ def lhv_fingerprint(d: int, variant: KernelVariant) -> str:
     return hashlib.sha256(repr(fields).encode()).hexdigest()
 
 
+def lhv_value_fingerprint(d: int, variant: KernelVariant) -> str:
+    # The exact value of every strategy at d, in row-major order.
+    digest = hashlib.sha256()
+    for outcomes in itertools.product(range(d), repeat=4):
+        strategy = DeterministicStrategy(Dimension(d), outcomes)
+        digest.update(repr(lhv_value(strategy, variant)).encode())
+    return digest.hexdigest()
+
+
 def calls_per_pass(search) -> tuple[float, float]:
     search()
     counts = {"call": 0, "c_call": 0}
@@ -289,6 +305,9 @@ def main() -> None:
     for d in LHV_DIMENSIONS:
         for variant in KernelVariant:
             print(f"lhv d={d} {variant.value}  {lhv_fingerprint(d, variant)}")
+    for d in LHV_VALUE_DIMENSIONS:
+        for variant in KernelVariant:
+            print(f"lhv_value d={d} {variant.value}  {lhv_value_fingerprint(d, variant)}")
     counted = (
         ("angle d=4 flat max restarts=8 seed=0", _angles(_flat(4), 8, 0, Direction.MAXIMIZE)),
         ("angle d=8 flat max restarts=8 seed=0", _angles(_flat(8), 8, 0, Direction.MAXIMIZE)),

@@ -12,6 +12,7 @@ sampling, and a reproduction report.
 
 from .model import (
     NORMALIZATION_TOLERANCE,
+    PAIR_SLOTS,
     BellError,
     Dimension,
     KernelVariant,
@@ -25,7 +26,6 @@ from .model import (
     zero_settings,
 )
 from .analytic import (
-    PAIR_SLOTS,
     BranchMax,
     BranchMin,
     GammaConstants,

@@ -57,7 +57,6 @@ __all__ = [
     "optimal_min_state",
     "threshold_noise",
     "reference_optimal_angles",
-    "PAIR_SLOTS",
 ]
 
 _D4 = Dimension(4)

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: eval, lhv, optimize, analytic, reproduce, scan, sample.
-All machine output is JSON (or CSV for scan) with floats rounded to 12
-significant digits.  Every subcommand evaluates the paper's m + n
+All machine output goes to stdout, as JSON (or CSV for scan) with
+floats rounded to 12 significant digits; optimize --export-angles also
+writes an angle file.  Every subcommand evaluates the paper's m + n
 kernel.  A --state is a comma list of coefficients, and their number is
 the outcome dimension.  optimize takes exactly one of --state and --d;
 --d searches at the flat state of d outcomes, or over all its states
@@ -145,9 +146,9 @@ def _parse_state(text: str) -> PureState:
     return make_state(Dimension(len(values)), values)
 
 
-def _open_output(path: str, mode: str = "w", newline: str | None = None):
+def _open_output(path: str, mode: str = "w"):
     try:
-        return open(path, mode, encoding="utf-8", newline=newline)
+        return open(path, mode, encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
@@ -381,15 +382,10 @@ def cmd_scan(args) -> int:
     if args.json:
         _emit_json({"family": "step", "rows": scan_rows(spec)})
         return EXIT_OK
-    stream = _open_output(args.csv, newline="") if args.csv else sys.stdout
-    try:
-        writer = csv.writer(stream)
-        writer.writerow(SCAN_COLUMNS)
-        for row in scan_rows(spec):
-            writer.writerow([f"{row[c]:.12g}" for c in SCAN_COLUMNS])
-    finally:
-        if args.csv:
-            stream.close()
+    writer = csv.writer(sys.stdout)
+    writer.writerow(SCAN_COLUMNS)
+    for row in scan_rows(spec):
+        writer.writerow([f"{row[c]:.12g}" for c in SCAN_COLUMNS])
     return EXIT_OK
 
 
@@ -455,9 +451,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--from", dest="r_from", type=float, default=0.0)
     p.add_argument("--to", dest="r_to", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=11)
-    output = p.add_mutually_exclusive_group()
-    output.add_argument("--csv", metavar="PATH", help="write CSV to a file")
-    output.add_argument("--json", action="store_true")
+    p.add_argument("--json", action="store_true", help="JSON instead of CSV")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("sample", help="finite-shot simulated experiment")

@@ -369,14 +369,6 @@ def value_and_gradient_arrays(coefficients: np.ndarray, theta: np.ndarray):
     return value, gradient, hessian
 
 
-def _extreme_eigh(M: np.ndarray, largest: bool) -> tuple[np.ndarray, np.ndarray, int]:
-    # The ascending spectrum w and eigenvectors V of the pair matrices M,
-    # and the column k of the extreme eigenvalue; the adjacent column is
-    # its neighbour, so (w[..., 1:] - w[..., :-1])[..., k] is their gap.
-    w, V = np.linalg.eigh(M)
-    return w, V, -1 if largest else 0
-
-
 def extreme_value_and_gradient(theta: np.ndarray, largest: bool):
     """The Bell value optimized over states at fixed phases, on raw
     arrays: d lambda of the pair matrix's largest (or smallest)
@@ -396,7 +388,9 @@ def extreme_value_and_gradient(theta: np.ndarray, largest: bool):
     """
     d = theta.shape[-1]
     P = _phased(theta)
-    w, V, k = _extreme_eigh(_pair_sum(P), largest)
+    # eigh sorts the spectrum w ascending: the extreme column k is the last or the first.
+    w, V = np.linalg.eigh(_pair_sum(P))
+    k = -1 if largest else 0
     a = math.sqrt(d) * V[..., k]
     gradient, pa = _theta_gradient(P, a)
 

@@ -65,11 +65,16 @@ class LhvBoundsReport:
         return self.dim.d ** 4
 
 
+def _bob(n: int, d: int, variant: KernelVariant) -> int:
+    # The variant as data: MINUS reads the kernel table at Bob's outcome
+    # relabelled n -> (-n) mod d, as m - n = m + (-n).
+    return n if variant is KernelVariant.PLUS else -n % d
+
+
 def _table(d: int, variant: KernelVariant):
-    # The variant as data: MINUS relabels Bob's outcomes n -> (-n) mod d, as m - n = m + (-n).
+    # The variant's (4, d, d) table: the kernel table's columns at Bob's relabelled outcomes.
     _require_variant(variant)
-    K = kernel_table(d)
-    return K if variant is KernelVariant.PLUS else K[:, :, [-n % d for n in range(d)]]
+    return kernel_table(d)[:, :, [_bob(n, d, variant) for n in range(d)]]
 
 
 def _value(T, outcomes: tuple[int, int, int, int], denominator: int) -> Fraction:
@@ -99,14 +104,17 @@ def lhv_value(strategy: DeterministicStrategy,
     """Exact Bell value of one deterministic strategy.
 
     For a deterministic assignment every Q_ij collapses to one kernel
-    value over S = (d - 1) / 2, so the four signed, doubled entries of
-    the variant's kernel table that the outcomes pick are summed as
-    integers and divided once by d - 1 (thirds at d = 4).
+    value over S = (d - 1) / 2, so the four signed, doubled entries that
+    the outcomes pick, read off the cached kernel table at Bob's
+    relabelled outcomes without a copy, are summed as integers and
+    divided once by d - 1 (thirds at d = 4).
     """
     if not isinstance(strategy, DeterministicStrategy):
         raise ValidationError(f"strategy must be a DeterministicStrategy, got {strategy!r}")
+    _require_variant(variant)
     d = strategy.dim.d
-    return _value(_table(d, variant), strategy.outcomes, d - 1)
+    a1, a2, b1, b2 = strategy.outcomes
+    return _value(kernel_table(d), (a1, a2, _bob(b1, d, variant), _bob(b2, d, variant)), d - 1)
 
 
 def lhv_bounds(dim: Dimension,

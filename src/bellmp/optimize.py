@@ -64,8 +64,7 @@ from .model import (
     _require_dimension,
     make_state,
 )
-from .engine import (_PAIRS, _extreme_eigh, extreme_value_and_gradient, pair_matrix,
-                     value_and_gradient_arrays)
+from .engine import _PAIRS, extreme_value_and_gradient, pair_matrix, value_and_gradient_arrays
 
 __all__ = [
     "Direction",
@@ -342,8 +341,8 @@ def _multistart(evaluate, d: int, columns: range | np.ndarray, config: Optimizer
     y0 = ((_PAIRS @ starts).reshape(restarts, 1, 4 * d) @ C)[:, 0] / np.repeat((4.0, 2.0, 2.0), c)
     y, f, gnorm, iterations, rejected, mu, hessians = _minimize(_objective(evaluate, C, maximize), y0)
     values = -f if maximize else f
-    # Ties keep the lowest index.
-    best = int(values.argmax() if maximize else values.argmin())
+    # f is the minimized objective in either direction; ties keep the lowest index.
+    best = int(f.argmin())
     state, settings, eigengaps = finish(
         _gauge_phases((y[:, None, :] @ C.T).reshape(restarts, 4, d)), best)
     return OptimizationRun(
@@ -391,7 +390,9 @@ def optimize_joint(dim: Dimension, config: OptimizerConfig) -> OptimizationRun:
     largest = config.direction is Direction.MAXIMIZE
 
     def finish(phases: np.ndarray, best: int):
-        w, V, k = _extreme_eigh(pair_matrix(phases), largest)
+        # eigh sorts ascending: the extreme is column k, its neighbour the adjacent one.
+        w, V = np.linalg.eigh(pair_matrix(phases))
+        k = -1 if largest else 0
         gaps = d * (w[:, 1:] - w[:, :-1])[:, k]  # d |lambda_ext - lambda_next|
         phases, v = phases[best].copy(), V[best, :, k]
         if v[0] < 0.0:

@@ -27,7 +27,7 @@ from bellmp import (
     sorted_magnitudes,
     vertex_patterns,
 )
-from bellmp.engine import _extreme_eigh, _pair_sum, _phased, _theta_gradient
+from bellmp.engine import _pair_sum, _phased, _theta_gradient
 from bellmp.optimize import _THETA as THETA
 
 SETTING_SIGNS = (((1, 1), 1.0), ((1, 2), 1.0), ((2, 1), -1.0), ((2, 2), 1.0))
@@ -226,7 +226,8 @@ def reference_extreme_hessian(theta, largest, rows=...):
     (..., 4, d, d) layout and moved to (..., d, 4 d) by np.moveaxis."""
     d = theta.shape[-1]
     P = _phased(theta)
-    w, V, k = _extreme_eigh(_pair_sum(P), largest)
+    w, V = np.linalg.eigh(_pair_sum(P))
+    k = -1 if largest else 0
     a = math.sqrt(d) * V[..., k]
     _, pa = _theta_gradient(P, a)
     Pr, Vr, wr = P[rows], V[rows], w[rows]

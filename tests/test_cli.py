@@ -408,17 +408,13 @@ class TestScan:
         assert last[0] == "1"
         assert last[3] == "2.89624321846"
 
-    def test_csv_file_matches_stdout(self, capsys, tmp_path):
+    def test_csv_goes_to_stdout_only(self, capsys, tmp_path):
         path = tmp_path / "scan.csv"
-        code, out, _ = run(capsys, ["scan", "--steps", "3",
-                                    "--csv", str(path)])
-        assert code == 0
+        code, out, err = run(capsys, ["scan", "--csv", str(path)])
+        assert code == 1
         assert out == ""
-        code, stdout_only, _ = run(capsys, ["scan", "--steps", "3"])
-        assert code == 0
-        # the file uses CSV-standard \r\n endings, stdout plain \n
-        assert path.read_text(encoding="utf-8").splitlines() \
-            == stdout_only.splitlines()
+        assert f"error: unrecognized arguments: --csv {path}" in err
+        assert not path.exists()
 
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, ["scan", "--steps", "3", "--json"])
@@ -449,31 +445,6 @@ class TestScan:
         code, _, err = run(capsys, argv)
         assert code == 1
         assert err.strip()
-
-    def test_unwritable_csv_path_fails_before_scanning(self, capsys, monkeypatch,
-                                                       tmp_path):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the scan must not start")
-
-        monkeypatch.setattr(cli, "scan_rows", refuse)
-        path = tmp_path / "missing" / "scan.csv"
-        code, out, err = run(capsys, ["scan", "--csv", str(path)])
-        assert code == 1
-        assert out == ""
-        assert err.startswith(f"error: cannot write {str(path)!r}")
-        assert "Traceback" not in err
-
-    def test_json_and_csv_are_exclusive(self, capsys, monkeypatch, tmp_path):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the scan must not start")
-
-        monkeypatch.setattr(cli, "scan_rows", refuse)
-        path = tmp_path / "scan.csv"
-        code, out, err = run(capsys, ["scan", "--json", "--csv", str(path)])
-        assert code == 1
-        assert out == ""
-        assert "error: argument --csv: not allowed with argument --json" in err
-        assert not path.exists()
 
     @pytest.mark.parametrize("flags", [[], ["--json"]])
     def test_reader_closing_stdout_ends_the_output_quietly(self, flags):
@@ -665,9 +636,9 @@ class TestTopLevel:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("argv", [["eval", "--state", "1,1,1,1"],
-                                      ["scan", "--steps", "3", "--csv", "/dev/full"]])
+                                      ["scan", "--steps", "3"]])
     def test_failing_output_is_an_error_without_traceback(self, argv):
-        # stdout itself is full, or the output file is
+        # stdout is full: a JSON and a CSV command
         with open("/dev/full", "w") as full:
             proc = subprocess.run(
                 [sys.executable, "-m", "bellmp", *argv],

@@ -37,7 +37,7 @@ from bellmp import (
     zero_settings,
 )
 from bellmp import engine
-from bellmp.analytic import PAIR_SLOTS
+from bellmp.model import PAIR_SLOTS
 from bellmp.engine import TCoefficients, pair_matrix, value_and_gradient_arrays
 from bellmp.model import SETTING_PAIRS
 

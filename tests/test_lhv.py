@@ -86,6 +86,21 @@ class TestLhvValue:
         for value in (plus, lhv_value(strategy, MINUS)):
             assert type(value.numerator) is int and type(value.denominator) is int
 
+    def test_minus_reads_four_entries_at_bobs_relabelled_outcomes(self):
+        # MINUS reads four entries of the cached kernel table at Bob's
+        # outcomes n -> (-n) mod d; a relabelled copy would take 1.28 MB here.
+        strategy = DeterministicStrategy(Dimension(200), (3, 141, 59, 26))
+        lhv_value(strategy, MINUS)
+        tracemalloc.start()
+        try:
+            minus = lhv_value(strategy, MINUS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert type(minus.numerator) is int and type(minus.denominator) is int
+        assert minus == lhv_value(DeterministicStrategy(Dimension(200), (3, 141, 141, 174)))
+
     @pytest.mark.parametrize("strategy", [None, (0, 0, 0, 0), "x"])
     def test_rejects_a_non_strategy(self, strategy):
         with pytest.raises(ValidationError, match=(

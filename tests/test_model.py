@@ -595,8 +595,9 @@ class TestMeasurementSettings:
 
 
 def test_pair_slots_live_in_model_and_are_re_exported():
+    # The package exports the model's tuple; analytic only imports it.
     assert bellmp.PAIR_SLOTS is bellmp.model.PAIR_SLOTS
-    assert bellmp.analytic.PAIR_SLOTS is bellmp.model.PAIR_SLOTS
+    assert "PAIR_SLOTS" not in bellmp.analytic.__all__
     assert bellmp.model.PAIR_SLOTS == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 

@@ -408,6 +408,13 @@ class TestScan:
         assert last[0] == "1"
         assert last[3] == "2.89624321846"
 
+    def test_csv_lines_end_with_crlf(self, capsys):
+        # csv.writer's default terminator, on stdout as in a file.
+        code, out, _ = run(capsys, ["scan", "--steps", "3"])
+        assert code == 0
+        assert out.endswith("\r\n")
+        assert out.count("\r\n") == out.count("\n") == 4
+
     def test_csv_goes_to_stdout_only(self, capsys, tmp_path):
         path = tmp_path / "scan.csv"
         code, out, err = run(capsys, ["scan", "--csv", str(path)])

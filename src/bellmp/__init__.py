@@ -15,7 +15,6 @@ from .model import (
     PAIR_SLOTS,
     BellError,
     Dimension,
-    KernelVariant,
     MeasurementSettings,
     PhaseVector,
     PureState,
@@ -60,6 +59,7 @@ from .engine import (
 from .lhv import (
     MAX_ENUMERABLE_DIMENSION,
     DeterministicStrategy,
+    KernelVariant,
     LhvBoundsReport,
     lhv_bounds,
     lhv_value,

@@ -6,23 +6,51 @@ B2).  The Bell expression is linear in the outcome probabilities, so its
 classical extrema are attained on these d^4 strategies.  One exact scan
 values them on any integer (4, d, d) table: the four entries a strategy
 picks, summed as ints and divided once as a Fraction, so the bounds carry
-zero floating-point error.  The kernel variant is data: MINUS is the
-kernel table with Bob's outcomes relabelled, read by the same rule.
+zero floating-point error.
+
+The m - n kernel lives in this module alone.  KernelVariant.MINUS puts
+m - n in place of the paper's m + n; it reproduces no number of the
+paper, and lhv_value and lhv_bounds take it only so that the benchmark
+can enumerate the classical bounds of both kernels.  It is data, not a
+branch: the kernel table with Bob's outcomes relabelled n -> (-n) mod d,
+since m - n = m + (-n), valued by the same rule and the same scan.
+
+Both tables are invariant under one outcome shift: a strategy
+(A1, A2, B1, B2) has the value of (A1 + t, A2 + t, B1 - t, B2 - t) under
+PLUS and of (A1 + t, A2 + t, B1 + t, B2 + t) under MINUS, all mod d, as
+m + n and m - n are unchanged.  So the A1 = 0 block of d^3 tuples holds
+both extrema and both first witnesses; the scan still values all d^4.
 """
 
 from __future__ import annotations
 
+import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import (SETTING_NAMES, Dimension, KernelVariant, ValidationError, _as_int,
-                    _require_dimension, _require_variant, kernel_table)
+from .model import (SETTING_NAMES, Dimension, ValidationError, _as_int, _require_dimension,
+                    kernel_table)
 
-__all__ = ["DeterministicStrategy", "LhvBoundsReport", "lhv_value", "lhv_bounds",
-           "MAX_ENUMERABLE_DIMENSION"]
+__all__ = ["KernelVariant", "DeterministicStrategy", "LhvBoundsReport", "lhv_value",
+           "lhv_bounds", "MAX_ENUMERABLE_DIMENSION"]
 
 MAX_ENUMERABLE_DIMENSION = 12
+
+
+class KernelVariant(enum.Enum):
+    """Sign convention inside the correlation kernel: m + n (PLUS, the
+    paper's, kernel_table) or m - n (MINUS, kernel_table with Bob's
+    outcomes relabelled)."""
+
+    PLUS = "plus"
+    MINUS = "minus"
+
+
+def _require_variant(variant: object) -> None:
+    # The one variant rule of lhv_value and lhv_bounds.
+    if not isinstance(variant, KernelVariant):
+        raise ValidationError(f"variant must be a KernelVariant, got {variant!r}")
 
 
 @dataclass(frozen=True)

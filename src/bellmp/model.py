@@ -11,13 +11,8 @@ Conventions used throughout the package:
 
   where M(x, d) is the non-negative residue of x modulo d and
   eps(x) = +1 for x >= 0, -1 otherwise.  Only the setting pair
-  (i, j) = (1, 2) picks up the sign flip.  This is the paper's kernel,
-  KernelVariant.PLUS, the only one kernel_table holds.  kernel_f also
-  takes KernelVariant.MINUS, with m - n in place of m + n, as the
-  scalar reference for the lhv module, which alone still evaluates it
-  (for the benchmark's exact LHV enumeration) as data: kernel_table
-  with Bob's outcomes relabelled n -> (-n) mod d, since
-  m - n = m + (-n).
+  (i, j) = (1, 2) picks up the sign flip.  This is the paper's kernel;
+  kernel_f states it entry by entry and kernel_table holds it.
 - The Bell expression is I = Q11 + Q12 - Q21 + Q22 with
   Q_ij = (1/S) sum_{m,n} f_ij(m, n) P_ij(m, n).  Every route (quantum,
   sampled, classical) reads it from kernel_table.  It is CGLMP's I_d
@@ -46,7 +41,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 import numbers
@@ -59,7 +53,6 @@ import numpy as np
 __all__ = [
     "BellError",
     "ValidationError",
-    "KernelVariant",
     "Dimension",
     "PureState",
     "PhaseVector",
@@ -102,12 +95,6 @@ def _require_dimension(dim: object) -> int:
     return dim.d
 
 
-def _require_variant(variant: object) -> None:
-    # The one variant rule of kernel_f and the lhv module.
-    if not isinstance(variant, KernelVariant):
-        raise ValidationError(f"variant must be a KernelVariant, got {variant!r}")
-
-
 def _is_real(x: object) -> bool:
     # An int, float or numpy real, but not a bool, a string or a complex.
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
@@ -131,16 +118,6 @@ def _as_int(value: object, what: str, low: int, high: int | None = None) -> int:
             return n
     bound = f">= {low}" if high is None else f"in [{low}, {high}]"
     raise ValidationError(f"{what} must be an int {bound}, got {value!r}")
-
-
-class KernelVariant(enum.Enum):
-    """Sign convention inside the correlation kernel: m + n (PLUS, the
-    paper's) or m - n (MINUS, taken only by kernel_f and the lhv
-    module, whose MINUS table is the PLUS one with Bob's outcomes
-    relabelled)."""
-
-    PLUS = "plus"
-    MINUS = "minus"
 
 
 @dataclass(frozen=True)
@@ -274,8 +251,9 @@ class MeasurementSettings:
         return cls(dim, *vectors)
 
 
-def kernel_f(i: int, j: int, m: int, n: int, dim: Dimension, variant: KernelVariant) -> float:
-    """Half-integer correlation kernel f_ij(m, n) in [-S, S].
+def kernel_f(i: int, j: int, m: int, n: int, dim: Dimension) -> float:
+    """Half-integer correlation kernel f_ij(m, n) in [-S, S], the
+    scalar reference for kernel_table.
 
     For every setting pair the kernel takes each value S - k
     (k = 0..d-1) on exactly d of the d^2 outcome pairs, so it sums
@@ -284,10 +262,8 @@ def kernel_f(i: int, j: int, m: int, n: int, dim: Dimension, variant: KernelVari
     i, j = _as_int(i, "setting index i", 1, 2), _as_int(j, "setting index j", 1, 2)
     d = _require_dimension(dim)
     m, n = _as_int(m, "outcome m", 0, d - 1), _as_int(n, "outcome n", 0, d - 1)
-    _require_variant(variant)
     eps = -1 if i < j else 1
-    combo = m + n if variant is KernelVariant.PLUS else m - n
-    return dim.spin - ((eps * combo) % d)
+    return dim.spin - ((eps * (m + n)) % d)
 
 
 @functools.lru_cache(maxsize=None)

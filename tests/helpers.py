@@ -92,7 +92,7 @@ def reference_correlation(table_slice, i, j, dim):
     total = 0.0
     for m in range(dim.d):
         for n in range(dim.d):
-            total += kernel_f(i, j, m, n, dim, KernelVariant.PLUS) * table_slice[m, n]
+            total += kernel_f(i, j, m, n, dim) * table_slice[m, n]
     return total / dim.spin
 
 

@@ -22,11 +22,62 @@ from bellmp import (
     lhv_bounds,
     lhv_value,
 )
-from bellmp.lhv import _bounds
-from bellmp.model import SETTING_PAIRS
+from bellmp.lhv import _bounds, _table, _value
+from bellmp.model import PAIR_SIGNS, SETTING_PAIRS
 
 PLUS = KernelVariant.PLUS
 MINUS = KernelVariant.MINUS
+
+
+def minus_f(i, j, m, n, d):
+    # The m - n kernel S - M(eps(i - j) * (m - n), d), the scalar
+    # reference for the MINUS table; kernel_f states the m + n kernel alone.
+    return (d - 1) / 2 - (((-1 if i < j else 1) * (m - n)) % d)
+
+
+def scalar_f(i, j, m, n, dim, variant):
+    return kernel_f(i, j, m, n, dim) if variant is PLUS else minus_f(i, j, m, n, dim.d)
+
+
+# Hand-computed values of the m - n kernel: f = S - ((eps * (m - n)) mod d),
+# eps = -1 only for the setting pair (1, 2).
+MINUS_CASES = [
+    (2, 2, 2, 1, 0, -0.5),
+    (3, 1, 2, 2, 0, 0.0),
+    (4, 1, 1, 1, 2, -1.5),
+    (4, 2, 2, 2, 3, -1.5),
+    (4, 1, 2, 1, 2, 0.5),
+    (4, 2, 1, 3, 1, -0.5),
+]
+
+
+class TestMinusTable:
+    # The MINUS table, kernel_table with Bob's outcomes relabelled, holds
+    # the m - n kernel: row r = 2 (i - 1) + (j - 1) is sign_r * 2 f_ij.
+    @pytest.mark.parametrize("d,i,j,m,n,expected", MINUS_CASES)
+    def test_hand_computed_values(self, d, i, j, m, n, expected):
+        assert minus_f(i, j, m, n, d) == expected
+        r = SETTING_PAIRS.index((i, j))
+        assert _table(d, MINUS)[r, m, n] == PAIR_SIGNS[r] * 2 * expected
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_matches_scalar_kernel(self, d):
+        T = _table(d, MINUS)
+        assert T.shape == (4, d, d)
+        for r, ((i, j), sign) in enumerate(zip(SETTING_PAIRS, PAIR_SIGNS)):
+            for m in range(d):
+                for n in range(d):
+                    assert T[r, m, n] == sign * 2 * minus_f(i, j, m, n, d)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_each_level_appears_d_times(self, d):
+        # For each setting pair the m - n kernel takes value S - k on
+        # exactly d of the d^2 outcome pairs, hence sums to zero exactly.
+        for r, sign in enumerate(PAIR_SIGNS):
+            values = (sign * _table(d, MINUS)[r]).ravel().tolist()
+            for k in range(d):
+                assert values.count(d - 1 - 2 * k) == d
+            assert sum(values) == 0
 
 
 class TestLhvValue:
@@ -119,7 +170,7 @@ def test_value_equals_rational_kernel_sum(data, d, variant):
     outcomes = data.draw(st.tuples(*(st.integers(0, d - 1) for _ in range(4))))
     a1, a2, b1, b2 = outcomes
     terms = ((1, 1, a1, b1, 1), (1, 2, a1, b2, 1), (2, 1, a2, b1, -1), (2, 2, a2, b2, 1))
-    reference = sum(sign * Fraction(kernel_f(i, j, m, n, dim, variant))
+    reference = sum(sign * Fraction(scalar_f(i, j, m, n, dim, variant))
                     for i, j, m, n, sign in terms) / Fraction(d - 1, 2)
     value = lhv_value(DeterministicStrategy(dim, outcomes), variant)
     assert isinstance(value, Fraction)
@@ -143,6 +194,15 @@ class TestLhvBounds:
     def test_variant_name_is_rejected(self):
         with pytest.raises(ValidationError, match="KernelVariant"):
             lhv_bounds(Dimension(2), "plus")
+
+    @pytest.mark.parametrize("variant", [PLUS, MINUS])
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_witnesses_lie_in_the_a1_zero_block(self, d, variant):
+        # The outcome shift moves every tuple to A1 = 0 at the same value,
+        # so the first witnesses in row-major order start there.
+        report = lhv_bounds(Dimension(d), variant)
+        assert report.argmax.outcomes[0] == 0
+        assert report.argmin.outcomes[0] == 0
 
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_minimum_matches_ratio_form(self, d):
@@ -192,6 +252,35 @@ class TestLhvBounds:
     def test_dimension_must_be_a_dimension(self, dim):
         with pytest.raises(ValidationError, match="must be a Dimension"):
             lhv_bounds(dim)
+
+
+_D4 = Dimension(4)
+# The public routes that take a kernel variant, called with `variant`.
+_VARIANT_ROUTES = {
+    "lhv_value": lambda variant: lhv_value(DeterministicStrategy(_D4, (0, 0, 0, 0)), variant),
+    "lhv_bounds": lambda variant: lhv_bounds(_D4, variant),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_VARIANT_ROUTES))
+def test_unhashable_variant_is_rejected_on_every_route(route):
+    # lhv_value checks the variant itself before it reads the table.
+    with pytest.raises(ValidationError, match="KernelVariant"):
+        _VARIANT_ROUTES[route](["plus"])
+
+
+@pytest.mark.parametrize("variant", [PLUS, MINUS])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_value_is_invariant_under_the_outcome_shift(d, variant):
+    # (A1 + t, A2 + t, B1 + s t, B2 + s t) mod d has the value of
+    # (A1, A2, B1, B2) for every tuple and every t: s = -1 keeps m + n,
+    # s = +1 keeps m - n.
+    T, s = _table(d, variant).tolist(), -1 if variant is PLUS else 1
+    for a1, a2, b1, b2 in itertools.product(range(d), repeat=4):
+        value = _value(T, (a1, a2, b1, b2), d - 1)
+        for t in range(1, d):
+            shifted = ((a1 + t) % d, (a2 + t) % d, (b1 + s * t) % d, (b2 + s * t) % d)
+            assert _value(T, shifted, d - 1) == value
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

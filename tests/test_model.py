@@ -9,7 +9,6 @@ from hypothesis import given, settings as hypothesis_settings, strategies as st
 import bellmp
 from bellmp import (
     Dimension,
-    KernelVariant,
     MeasurementSettings,
     PhaseVector,
     PureState,
@@ -21,15 +20,10 @@ from bellmp import (
 )
 from bellmp.analytic import noise_resistance_gain, threshold_noise
 from bellmp.engine import SampleEstimate, TCoefficients, bell_value_noisy
-from bellmp.lhv import _table
 from bellmp.model import PAIR_SIGNS, SETTING_PAIRS, kernel_table
 from bellmp.report import ScanSpec
 
 from helpers import cglmp_coefficients, random_settings
-
-PLUS = KernelVariant.PLUS
-MINUS = KernelVariant.MINUS
-
 
 class TestDimension:
     def test_valid(self):
@@ -59,44 +53,37 @@ class TestDimension:
         assert dim == Dimension(4)
 
 
-# Hand-computed kernel values: f = S - ((eps * combo) mod d), eps = -1
+# Hand-computed kernel values: f = S - ((eps * (m + n)) mod d), eps = -1
 # only for the setting pair (1, 2).
 KERNEL_CASES = [
-    (2, PLUS, 1, 1, 0, 0, 0.5),
-    (2, PLUS, 1, 1, 0, 1, -0.5),
-    (2, PLUS, 1, 2, 1, 1, 0.5),
-    (2, MINUS, 2, 2, 1, 0, -0.5),
-    (3, PLUS, 1, 1, 2, 2, 0.0),
-    (3, PLUS, 2, 1, 0, 2, -1.0),
-    (3, MINUS, 1, 2, 2, 0, 0.0),
-    (4, PLUS, 1, 1, 0, 0, 1.5),
-    (4, PLUS, 1, 1, 1, 2, -1.5),
-    (4, PLUS, 2, 2, 3, 2, 0.5),
-    (4, PLUS, 1, 2, 1, 2, 0.5),
-    (4, PLUS, 1, 2, 0, 1, -1.5),
-    (4, PLUS, 2, 1, 3, 3, -0.5),
-    (4, MINUS, 1, 1, 1, 2, -1.5),
-    (4, MINUS, 2, 2, 2, 3, -1.5),
-    (4, MINUS, 1, 2, 1, 2, 0.5),
-    (4, MINUS, 2, 1, 3, 1, -0.5),
+    (2, 1, 1, 0, 0, 0.5),
+    (2, 1, 1, 0, 1, -0.5),
+    (2, 1, 2, 1, 1, 0.5),
+    (3, 1, 1, 2, 2, 0.0),
+    (3, 2, 1, 0, 2, -1.0),
+    (4, 1, 1, 0, 0, 1.5),
+    (4, 1, 1, 1, 2, -1.5),
+    (4, 2, 2, 3, 2, 0.5),
+    (4, 1, 2, 1, 2, 0.5),
+    (4, 1, 2, 0, 1, -1.5),
+    (4, 2, 1, 3, 3, -0.5),
 ]
 
 
 class TestKernel:
-    @pytest.mark.parametrize("d,variant,i,j,m,n,expected", KERNEL_CASES)
-    def test_hand_computed_values(self, d, variant, i, j, m, n, expected):
-        assert kernel_f(i, j, m, n, Dimension(d), variant) == expected
+    @pytest.mark.parametrize("d,i,j,m,n,expected", KERNEL_CASES)
+    def test_hand_computed_values(self, d, i, j, m, n, expected):
+        assert kernel_f(i, j, m, n, Dimension(d)) == expected
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("variant", [PLUS, MINUS])
-    def test_each_level_appears_d_times(self, d, variant):
+    def test_each_level_appears_d_times(self, d):
         # For fixed (i, j) the kernel takes value S - k on exactly d of
         # the d^2 outcome pairs, hence sums to zero exactly.
         dim = Dimension(d)
         for i in (1, 2):
             for j in (1, 2):
                 values = [
-                    kernel_f(i, j, m, n, dim, variant)
+                    kernel_f(i, j, m, n, dim)
                     for m in range(d)
                     for n in range(d)
                 ]
@@ -108,20 +95,20 @@ class TestKernel:
         dim = Dimension(5)
         for m in range(5):
             for n in range(5):
-                v = kernel_f(1, 2, m, n, dim, PLUS)
+                v = kernel_f(1, 2, m, n, dim)
                 assert -dim.spin <= v <= dim.spin
 
     def test_bad_setting_index(self):
         with pytest.raises(ValidationError):
-            kernel_f(0, 1, 0, 0, Dimension(4), PLUS)
+            kernel_f(0, 1, 0, 0, Dimension(4))
         with pytest.raises(ValidationError):
-            kernel_f(1, 3, 0, 0, Dimension(4), PLUS)
+            kernel_f(1, 3, 0, 0, Dimension(4))
 
     def test_bad_outcome(self):
         with pytest.raises(ValidationError):
-            kernel_f(1, 1, 4, 0, Dimension(4), PLUS)
+            kernel_f(1, 1, 4, 0, Dimension(4))
         with pytest.raises(ValidationError):
-            kernel_f(1, 1, 0, -1, Dimension(4), PLUS)
+            kernel_f(1, 1, 0, -1, Dimension(4))
 
     @pytest.mark.parametrize("i,j,m,n", [(True, 1, 0, 0), (1.0, 2, 0, 1), (1, 1, 1.5, 0),
                                          (1, 1, True, 0), (2, 1, 0, np.True_), (1, 2, 0, 2.0)])
@@ -131,40 +118,25 @@ class TestKernel:
         with pytest.raises(ValidationError, match=r"^(setting index [ij] must be an int in "
                                                   r"\[1, 2\]|outcome [mn] must be an int in "
                                                   r"\[0, 3\]), got "):
-            kernel_f(i, j, m, n, Dimension(4), PLUS)
+            kernel_f(i, j, m, n, Dimension(4))
 
     def test_accepts_numpy_int_inputs(self):
         dim = Dimension(4)
-        value = kernel_f(np.int64(1), np.int32(2), np.int64(1), np.int8(3), dim, PLUS)
-        assert value == kernel_f(1, 2, 1, 3, dim, PLUS)
-
-    @pytest.mark.parametrize("variant", ["plus", "minus", None])
-    def test_variant_must_be_a_kernel_variant(self, variant):
-        with pytest.raises(ValidationError, match="KernelVariant"):
-            kernel_f(1, 1, 0, 1, Dimension(4), variant)
-
-
-def _assert_is_scalar_kernel(T, d, variant):
-    # row r = 2 (i - 1) + (j - 1) holds sign_r * 2 f_ij, entry by entry
-    dim = Dimension(d)
-    assert T.shape == (4, d, d)
-    for r, ((i, j), sign) in enumerate(zip(SETTING_PAIRS, PAIR_SIGNS)):
-        assert r == 2 * (i - 1) + (j - 1)
-        for m in range(d):
-            for n in range(d):
-                assert T[r, m, n] == sign * 2 * kernel_f(i, j, m, n, dim, variant)
+        value = kernel_f(np.int64(1), np.int32(2), np.int64(1), np.int8(3), dim)
+        assert value == kernel_f(1, 2, 1, 3, dim)
 
 
 class TestKernelTable:
     @pytest.mark.parametrize("d", range(2, 10))
     def test_matches_scalar_kernel(self, d):
-        _assert_is_scalar_kernel(kernel_table(d), d, PLUS)
-
-    @pytest.mark.parametrize("d", range(2, 10))
-    def test_minus_table_matches_scalar_kernel(self, d):
-        # The lhv module's MINUS table: kernel_table with Bob's outcomes
-        # relabelled holds the m - n kernel.
-        _assert_is_scalar_kernel(_table(d, MINUS), d, MINUS)
+        # row r = 2 (i - 1) + (j - 1) holds sign_r * 2 f_ij, entry by entry
+        dim, T = Dimension(d), kernel_table(d)
+        assert T.shape == (4, d, d)
+        for r, ((i, j), sign) in enumerate(zip(SETTING_PAIRS, PAIR_SIGNS)):
+            assert r == 2 * (i - 1) + (j - 1)
+            for m in range(d):
+                for n in range(d):
+                    assert T[r, m, n] == sign * 2 * kernel_f(i, j, m, n, dim)
 
     def test_signs_follow_the_bell_combination(self):
         assert SETTING_PAIRS == ((1, 1), (1, 2), (2, 1), (2, 2))
@@ -197,22 +169,6 @@ class TestKernelTable:
 
 
 _D4 = Dimension(4)
-# The public routes that take a kernel variant besides kernel_f (checked
-# above), called with `variant`.
-_VARIANT_ROUTES = {
-    "lhv_value": lambda variant: bellmp.lhv_value(
-        bellmp.DeterministicStrategy(_D4, (0, 0, 0, 0)), variant),
-    "lhv_bounds": lambda variant: bellmp.lhv_bounds(_D4, variant),
-}
-
-
-@pytest.mark.parametrize("route", sorted(_VARIANT_ROUTES))
-def test_unhashable_variant_is_rejected_on_every_route(route):
-    # lhv_value checks the variant itself before it reads the table.
-    with pytest.raises(ValidationError, match="KernelVariant"):
-        _VARIANT_ROUTES[route](["plus"])
-
-
 _D2 = Dimension(2)
 _ONE_SHOT = np.zeros((2, 2, 2, 2), dtype=np.int64)
 _ONE_SHOT[:, :, 0, 0] = 1
@@ -272,7 +228,7 @@ _DIMENSION_ROUTES = {
     "MeasurementSettings": lambda dim: MeasurementSettings(dim, _V2, _V2, _V2, _V2),
     "MeasurementSettings.from_phases": lambda dim: MeasurementSettings.from_phases(
         dim, [(0.0, 0.0)] * 4),
-    "kernel_f": lambda dim: kernel_f(1, 1, 0, 0, dim, PLUS),
+    "kernel_f": lambda dim: kernel_f(1, 1, 0, 0, dim),
     "multiport_unitary": lambda dim: bellmp.multiport_unitary(dim, _V2),
     "MultiportUnitary": lambda dim: bellmp.MultiportUnitary(
         dim, np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)),
@@ -367,13 +323,13 @@ _INTEGER_ROUTES = {
     "sample_experiment.seed": (
         lambda k: bellmp.sample_experiment(_FLAT4, zero_settings(_D4), 10, k),
         "seed must be an int >= 0", (True, 3.0, -1)),
-    "kernel_f.i": (lambda k: kernel_f(k, 1, 0, 0, _D4, PLUS),
+    "kernel_f.i": (lambda k: kernel_f(k, 1, 0, 0, _D4),
                    "setting index i must be an int in [1, 2]", (True, 1.0, 0, 3)),
-    "kernel_f.j": (lambda k: kernel_f(1, k, 0, 0, _D4, PLUS),
+    "kernel_f.j": (lambda k: kernel_f(1, k, 0, 0, _D4),
                    "setting index j must be an int in [1, 2]", (True, 2.0, 0, 3)),
-    "kernel_f.m": (lambda k: kernel_f(1, 1, k, 0, _D4, PLUS),
+    "kernel_f.m": (lambda k: kernel_f(1, 1, k, 0, _D4),
                    "outcome m must be an int in [0, 3]", (True, 1.0, -1, 4)),
-    "kernel_f.n": (lambda k: kernel_f(1, 1, 0, k, _D4, PLUS),
+    "kernel_f.n": (lambda k: kernel_f(1, 1, 0, k, _D4),
                    "outcome n must be an int in [0, 3]", (True, 1.0, -1, 4)),
     "JointProbabilityTable.setting.i": (lambda k: _TABLE4.setting(k, 1),
                                         "setting index i must be an int in [1, 2]",

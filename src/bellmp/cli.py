@@ -352,8 +352,7 @@ def _print_report(report: ReproductionReport) -> None:
 
 
 def cmd_reproduce(args) -> int:
-    _check_restarts(args.restarts)
-    report = build_reproduction_report(restarts=args.restarts, seed=args.seed)
+    report = build_reproduction_report()
     if args.json:
         _emit_json({
             "rows": [
@@ -442,8 +441,6 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_analytic)
 
     p = sub.add_parser("reproduce", help="recompute and check the headline numbers")
-    p.add_argument("--restarts", type=int, default=50)
-    p.add_argument("--seed", type=int, default=7)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_reproduce)
 

@@ -259,9 +259,9 @@ def bell_value_noisy(state: PureState, settings: MeasurementSettings,
 
 def pair_matrix(phases: np.ndarray) -> np.ndarray:
     """The pair matrix M of the (4, d) phase matrix (rows A1, A2, B1,
-    B2): real, symmetric and with a zero diagonal, such that the Bell
-    value of every state is the quadratic form I = a^T M a.  No
-    validation happens here."""
+    B2): real, and symmetric with a zero diagonal to round-off (about
+    1e-16), such that the Bell value of every state is the quadratic
+    form I = a^T M a.  No validation happens here."""
     return _pair_sum(_phased(_PAIRS @ phases))
 
 

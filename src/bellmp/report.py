@@ -2,8 +2,10 @@
 
 The reproduction report recomputes every headline quantity through an
 independent path (radical closed forms, exact enumeration, or the
-numeric optimizer) and compares each against its expected decimal at a
-stated tolerance.  Exact rational rows carry tolerance zero.
+numeric optimizer) and compares each against its expected value.  A
+row's tolerance follows from what it compares: zero for an exact
+rational, half a unit of the last digit for a decimal the paper prints,
+1e-12 for a value from another route and 1e-7 for an optimized state.
 """
 
 from __future__ import annotations
@@ -76,21 +78,68 @@ class ReproductionReport:
         return all(row.passed for row in self.rows)
 
 
-def _row(label: str, expected: float, computed: float, tolerance: float,
+# Two of the program's routes agree to round-off: the searches stop at a
+# gradient of 1e-9, which moves a value at second order.  A state moves
+# at first order, by 1e-9 over the smallest search-coordinate Hessian
+# eigenvalue, which is at least 0.03 at the measured optima.
+_VALUE_TOLERANCE = 1e-12
+_STATE_TOLERANCE = 1e-7
+
+
+def _row(label: str, expected: Fraction | str | float, computed: Fraction | float,
          provenance: str) -> ReproductionRow:
+    """A row whose tolerance follows from what it compares: an exact
+    Fraction (tolerance 0), a decimal the paper prints, given as its text
+    (half a unit of its last digit), or a value from another route."""
+    if isinstance(expected, Fraction):
+        tolerance, rule = 0.0, "exact"
+    elif isinstance(expected, str):
+        digits = len(expected.partition(".")[2])
+        tolerance = 5 / 10 ** (digits + 1)
+        rule = f"paper prints {expected}, half a unit of its last digit"
+        expected = float(expected)
+    else:
+        tolerance, rule = _VALUE_TOLERANCE, "value, second order in the gradient test"
     passed = abs(computed - expected) <= tolerance
     return ReproductionRow(label, float(expected), float(computed), tolerance,
-                           passed, provenance)
+                           passed, f"{provenance}; {rule}")
+
+
+def _side(name: str, config: OptimizerConfig, closed_form: tuple[PureState, float],
+          printed: tuple[str, str, str]) -> tuple[list[ReproductionRow], float]:
+    """The rows of one global extremum: its radical coefficients and
+    value against the paper's decimals, and the d = 4 joint search
+    against both.  Also returns the searched value."""
+    state, value = closed_form
+    high, low = state.coefficients[0], state.coefficients[2]
+    found = optimize_joint(_D4, config).best
+    search = f"eigenvalue-reduced phase search, {config.restarts} restarts"
+    deviation = max(abs(got - want) for got, want
+                    in zip(sorted_magnitudes(found.state), (high, high, low, low)))
+    rows = [
+        _row(f"optimal {name} coefficient, high", printed[0], high, "closed-form radical"),
+        _row(f"optimal {name} coefficient, low", printed[1], low, "closed-form radical"),
+        _row(f"global {name}, closed form", printed[2], value, "radical closed form"),
+        _row(f"global {name}, joint optimizer", printed[2], found.value, search),
+        _row(f"global {name}, joint optimizer vs closed form", value, found.value,
+             "joint optimizer against the radical closed form"),
+        ReproductionRow(f"joint {name} state vs radical coefficients", 0.0, deviation,
+                        _STATE_TOLERANCE, deviation <= _STATE_TOLERANCE,
+                        "optimizer state against radicals; "
+                        "state, first order in the gradient test"),
+    ]
+    return rows, found.value
 
 
 def build_reproduction_report(restarts: int = 50, seed: int = 7) -> ReproductionReport:
-    """Recompute the headline numbers and compare at fixed tolerances.
+    """Recompute the headline numbers and compare each at the tolerance
+    its kind of comparison gives (see _row).
 
-    restarts/seed feed the optimizer-backed rows; the defaults match
-    the documented engineering defaults.  With them each d = 4 joint
-    search takes about 11 ms and the whole report about 0.04-0.05 s
-    (best of 7 calls in-process, shared 2-vCPU host, Python 3.11,
-    numpy 2.4.6).  Both are checked before any row is computed.
+    restarts/seed feed the optimizer-backed rows; bellmp reproduce runs
+    the defaults.  With them each d = 4 joint search takes about 11 ms
+    and the whole report about 0.04-0.05 s (best of 7 calls in-process,
+    shared 2-vCPU host, Python 3.11, numpy 2.4.6).  Both are checked
+    before any row is computed.
     """
     # Built first, so a bad restarts or seed is rejected before any work.
     maximize = OptimizerConfig(restarts=restarts, seed=seed, direction=Direction.MAXIMIZE)
@@ -98,92 +147,57 @@ def build_reproduction_report(restarts: int = 50, seed: int = 7) -> Reproduction
     g = gamma_constants()
     rows: list[ReproductionRow] = []
 
-    rows.append(_row("Gamma1 radical", 0.87104, g.gamma1, 1e-5, "radical constant"))
-    rows.append(_row("Gamma2 radical", 0.4714, g.gamma2, 1e-4, "radical constant"))
-    rows.append(_row("Gamma3 radical", 0.36080, g.gamma3, 1e-4, "radical constant"))
+    rows.append(_row("Gamma1 radical", "0.87104", g.gamma1, "radical constant"))
+    rows.append(_row("Gamma2 radical", "0.4714", g.gamma2, "radical constant"))
+    rows.append(_row("Gamma3 radical", "0.36080", g.gamma3, "radical constant"))
 
     for d in range(2, 7):
         # The maximum is CGLMP's local bound 2 at every d.
         expected_min = Fraction(-2) if d == 2 else Fraction(-2 * (d + 1), d - 1)
         report = lhv_bounds(Dimension(d))
         source = f"exhaustive {d ** 4}-strategy enumeration"
-        rows.append(_row(f"LHV max d={d}", Fraction(2), report.max_value, 0.0, source))
-        rows.append(_row(f"LHV min d={d}", expected_min, report.min_value, 0.0, source))
+        rows.append(_row(f"LHV max d={d}", Fraction(2), report.max_value, source))
+        rows.append(_row(f"LHV min d={d}", expected_min, report.min_value, source))
 
     me = maximally_entangled_state(_D4)
-    run_max_me = optimize_angles(me, maximize)
-    rows.append(_row("max at maximally entangled", 2.89624,
-                     run_max_me.best.value, 1e-4,
+    me_max = optimize_angles(me, maximize).best.value
+    rows.append(_row("max at maximally entangled", "2.89624", me_max,
                      f"multi-start phase search, {restarts} restarts"))
     rows.append(_row("max at maximally entangled vs closed form", max_entangled_value(),
-                     run_max_me.best.value, 1e-10,
-                     "optimizer against Gamma1 + 2 Gamma2 + 3 Gamma3"))
-    rows.append(_row("noise threshold, maximally entangled", 0.30945,
-                     threshold_noise(run_max_me.best.value), 1e-4,
-                     "1 - 2/I at the optimized value"))
+                     me_max, "optimizer against Gamma1 + 2 Gamma2 + 3 Gamma3"))
+    rows.append(_row("noise threshold, maximally entangled", "0.30945",
+                     threshold_noise(me_max), "1 - 2/I at the optimized value"))
 
-    run_min_me = optimize_angles(me, minimize)
     rows.append(_row("min at maximally entangled", -10.0 / 3.0,
-                     run_min_me.best.value, 1e-6,
+                     optimize_angles(me, minimize).best.value,
                      f"multi-start phase search, {restarts} restarts"))
 
-    opt_state, opt_value = optimal_max_state()
-    ap, am = opt_state.coefficients[0], opt_state.coefficients[2]
-    rows.append(_row("optimal max coefficient, high", 1.13715, ap, 1e-5,
-                     "closed-form radical"))
-    rows.append(_row("optimal max coefficient, low", 0.84077, am, 1e-5,
-                     "closed-form radical"))
-    rows.append(_row("global max, closed form", 2.9727, opt_value, 1e-4,
-                     "radical closed form"))
-
-    run_joint_max = optimize_joint(_D4, maximize)
-    rows.append(_row("global max, joint optimizer", 2.9727,
-                     run_joint_max.best.value, 1e-3,
-                     f"eigenvalue-reduced phase search, {restarts} restarts"))
-    deviation = max(abs(found - want) for found, want
-                    in zip(sorted_magnitudes(run_joint_max.best.state), (ap, ap, am, am)))
-    rows.append(_row("joint max state vs radical coefficients", 0.0,
-                     deviation, 1e-3, "optimizer state against radicals"))
-    rows.append(_row("noise threshold, optimal state", 0.3272,
-                     threshold_noise(run_joint_max.best.value), 1e-3,
-                     "1 - 2/I at the joint optimum"))
-    rows.append(_row("relative noise-resistance gain", 0.057,
-                     noise_resistance_gain(run_joint_max.best.value,
-                                           run_max_me.best.value), 0.01,
+    max_rows, joint_max = _side("max", maximize, optimal_max_state(),
+                                ("1.13715", "0.84077", "2.9727"))
+    rows.extend(max_rows)
+    rows.append(_row("noise threshold, optimal state", "0.3272",
+                     threshold_noise(joint_max), "1 - 2/I at the joint optimum"))
+    rows.append(_row("relative noise-resistance gain", "0.057",
+                     noise_resistance_gain(joint_max, me_max),
                      "thresholds of the two optima"))
 
-    kopt_state, kopt_value = optimal_min_state()
-    kp, km = kopt_state.coefficients[0], kopt_state.coefficients[2]
-    rows.append(_row("optimal min coefficient, high", 1.19038, kp, 1e-5,
-                     "closed-form radical"))
-    rows.append(_row("optimal min coefficient, low", 0.76354, km, 1e-5,
-                     "closed-form radical"))
-    rows.append(_row("global min, closed form", -3.46424, kopt_value, 1e-4,
-                     "radical closed form"))
-
-    run_joint_min = optimize_joint(_D4, minimize)
-    rows.append(_row("global min, joint optimizer", -3.46424,
-                     run_joint_min.best.value, 1e-3,
-                     f"eigenvalue-reduced phase search, {restarts} restarts"))
-    deviation = max(abs(found - want) for found, want
-                    in zip(sorted_magnitudes(run_joint_min.best.state), (kp, kp, km, km)))
-    rows.append(_row("joint min state vs radical coefficients", 0.0,
-                     deviation, 1e-3, "optimizer state against radicals"))
+    min_rows, _ = _side("min", minimize, optimal_min_state(),
+                        ("1.19038", "0.76354", "-3.46424"))
+    rows.extend(min_rows)
 
     t01, _ = max_abs_t_coefficient((0, 1), restarts=max(4, restarts // 8), seed=seed)
     t02, _ = max_abs_t_coefficient((0, 2), restarts=max(4, restarts // 8), seed=seed)
-    rows.append(_row("max |T01| vs Gamma1", g.gamma1, t01, 1e-6,
+    rows.append(_row("max |T01| vs Gamma1", g.gamma1, t01,
                      "angle search at the state e_k + e_l"))
-    rows.append(_row("max |T02| vs Gamma2", g.gamma2, t02, 1e-6,
+    rows.append(_row("max |T02| vs Gamma2", g.gamma2, t02,
                      "angle search at the state e_k + e_l"))
 
     run_d2 = optimize_joint(Dimension(2), OptimizerConfig(
         restarts=max(4, restarts // 4), seed=seed, direction=Direction.MAXIMIZE))
     rows.append(_row("d=2 joint max (CHSH reduction)", 2.0 * math.sqrt(2.0),
-                     run_d2.best.value, 1e-6,
-                     "joint optimizer at d=2"))
+                     run_d2.best.value, "joint optimizer at d=2"))
 
-    diagnostics = _diagnostics(run_joint_max.best.value, run_max_me.best.value)
+    diagnostics = _diagnostics(joint_max, me_max)
     return ReproductionReport(tuple(rows), diagnostics)
 
 

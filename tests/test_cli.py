@@ -545,37 +545,36 @@ class TestSample:
 
 class TestReproduce:
     def test_json_record_passes(self, capsys):
-        code, out, _ = run(capsys, ["reproduce", "--restarts", "10",
-                                    "--seed", "7", "--json"])
+        code, out, _ = run(capsys, ["reproduce", "--json"])
         assert code == 0
         record = json.loads(out)
         assert record["overall_pass"] is True
-        assert len(record["rows"]) >= 20
+        assert len(record["rows"]) == 34
         labels = [row["label"] for row in record["rows"]]
         assert len(labels) == len(set(labels))
         assert any("reference angle" in note for note in record["diagnostics"])
 
     def test_text_mode_reports_pass(self, capsys):
-        code, out, _ = run(capsys, ["reproduce", "--restarts", "10",
-                                    "--seed", "7"])
+        code, out, _ = run(capsys, ["reproduce"])
         assert code == 0
         assert out.strip().endswith("overall: PASS")
 
-
-    def test_rejects_oversized_restarts_before_running(self, capsys,
-                                                       monkeypatch):
+    # The report is one fixed computation; its search options are the
+    # defaults of build_reproduction_report.
+    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--restarts", "10"]])
+    def test_search_options_are_unrecognized(self, capsys, monkeypatch, flag):
         def refuse(*args, **kwargs):
             raise AssertionError("the report must not start")
 
         monkeypatch.setattr(cli, "build_reproduction_report", refuse)
-        code, _, err = run(capsys, ["reproduce", "--restarts", "100000"])
+        code, out, err = run(capsys, ["reproduce", *flag])
         assert code == 1
-        assert "--restarts" in err
+        assert out == ""
+        assert f"error: unrecognized arguments: {' '.join(flag)}" in err
 
 
 @pytest.mark.parametrize("argv", [
     ["optimize", "--d", "2", "--restarts", "2", "--seed", "-1"],
-    ["reproduce", "--seed", "-3"],
     ["sample", "--state", "1,1", "--shots", "10", "--seed", "-1"],
 ])
 def test_negative_seed_is_a_validation_error(capsys, argv):

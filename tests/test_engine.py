@@ -646,6 +646,18 @@ def test_pair_matrix_and_kernel_agree_with_the_table_route(seed, d):
     assert np.max(np.abs(gradient - fd)) <= 1e-6 * max(1.0, np.max(np.abs(gradient)))
 
 
+@pytest.mark.parametrize("d", range(2, 17))
+def test_pair_matrix_is_symmetric_with_a_zero_diagonal_to_round_off(d):
+    # Not exactly: |M_kk| reaches 2.1e-17 (d = 3) and |M - M^T| 1.1e-16
+    # (d = 2) over seeds 0-2, so a value at a product state can print as
+    # -3.5e-32 where bell_value gives 0.0.
+    for seed in range(3):
+        M = pair_matrix(np.array(random_settings(np.random.default_rng(100 * seed + d),
+                                                 d).phases))
+        assert np.max(np.abs(np.diag(M))) <= 1e-15
+        assert np.max(np.abs(M - M.T)) <= 1e-15
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 12, 16, 64])
 def test_circulant_class_weights_match_the_class_sums(d):
     # The reference sums K[r] over each outcome class (m + n) mod d by

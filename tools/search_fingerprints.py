@@ -38,8 +38,10 @@ code, stdout and stderr.  The commands cover every subcommand and
 the error cases of a short angle-file row, an angle file of the wrong
 d, an all-zero state and a dimension above the enumeration limit, and
 one out-of-range value of each integer the model checks from the
-command line (the integer rule, model._as_int): a dimension, restarts,
-a seed, shots, scan steps and an angle file's float d.  They
+command line (the integer rule, model._as_int): a dimension, restarts
+(optimize), a seed and shots (sample), scan steps and an angle file's
+float d.  reproduce takes no integer: it runs build_reproduction_report
+at its defaults, text and --json.  They
 run in a temporary working directory that holds the angle files of
 ANGLE_FILES under fixed relative names, so no message depends on where
 the checkout lies.
@@ -131,7 +133,7 @@ CLI_COMMANDS = (
     "lhv --d 13",
     "lhv --d 1",
     "optimize --d 4 --restarts 0",
-    "reproduce --seed -1",
+    "sample --state 1,1 --shots 10 --seed -1",
     "sample --state 1,1 --shots 0",
     "scan --steps 1",
     "eval --state 1,1,1,1 --angles float_d.json",

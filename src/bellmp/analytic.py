@@ -173,6 +173,15 @@ def sorted_magnitudes(state: PureState) -> tuple[float, float, float, float]:
     return tuple(sorted((abs(c) for c in state.coefficients), reverse=True))
 
 
+def _ring_sorted(state: PureState) -> bool:
+    """Whether the magnitudes of a d = 4 state decrease around the port
+    ring 0-1-2-3 up to a rotation or reflection, ties counting as
+    sorted: the states the branch formulas are for."""
+    m = [abs(c) for c in state.coefficients]
+    return any(all(m[(s * k + t) % 4] >= m[(s * (k + 1) + t) % 4] for k in range(3))
+               for s in (1, -1) for t in range(4))
+
+
 class BranchMax(NamedTuple):
     b1: float
     b2: float

@@ -34,6 +34,7 @@ from .model import (
     zero_settings,
 )
 from .analytic import (
+    _ring_sorted,
     gamma_constants,
     max_entangled_value,
     noise_resistance_gain,
@@ -317,6 +318,7 @@ def cmd_analytic(args) -> int:
     record = {
         "state": list(state.coefficients),
         "sorted_magnitudes": list(sorted_magnitudes(state)),
+        "ring_sorted": _ring_sorted(state),
         **branch_record(state),
         "vertex_max": vertices.max,
         "vertex_min": vertices.min,

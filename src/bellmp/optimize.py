@@ -406,13 +406,13 @@ def optimize_joint(dim: Dimension, config: OptimizerConfig) -> OptimizationRun:
 
 
 def max_abs_t_coefficient(pair: tuple[int, int], restarts: int = 8,
-                          seed: int = 0) -> tuple[float, MeasurementSettings]:
-    """Numerically maximize |T_kl| for one index pair (d = 4).
+                          seed: int = 0) -> tuple[float, OptimizationRun]:
+    """Numerically maximize |T_kl| for one index pair (d = 4): the magnitude and its run.
 
     T_kl is the Bell value at the unnormalized state e_k + e_l, so this
     is optimize_angles at that state, normalized to a_k = a_l = sqrt 2,
     where the value is 2 T_kl.  The search frees column l alone; the
-    returned settings have B1 = 0 and every column but l at zero.  Only
+    run's best settings have B1 = 0 and every column but l at zero.  Only
     the maximum is searched: adding pi to A1[l] and A2[l] maps T_kl to
     -T_kl, so the maximum of T_kl is the maximum of |T_kl|.  Callers
     use at least 3 restarts; a single restart can stop at a saddle:
@@ -423,4 +423,4 @@ def max_abs_t_coefficient(pair: tuple[int, int], restarts: int = 8,
         raise ValidationError(f"pair must be one of {PAIR_SLOTS}, got {pair!r}")
     state = make_state(Dimension(4), [float(j in pair) for j in range(4)])
     run = optimize_angles(state, OptimizerConfig(restarts=restarts, seed=seed))
-    return abs(run.best.value) / 2.0, run.best.settings
+    return abs(run.best.value) / 2.0, run

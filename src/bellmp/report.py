@@ -6,6 +6,8 @@ numeric optimizer) and compares each against its expected value.  A
 row's tolerance follows from what it compares: zero for an exact
 rational, half a unit of the last digit for a decimal the paper prints,
 1e-12 for a value from another route and 1e-7 for an optimized state.
+The report keeps the run of each of its seven searches beside the row
+that run backs.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .engine import bell_value
 from .lhv import lhv_bounds
 from .optimize import (
     Direction,
+    OptimizationRun,
     OptimizerConfig,
     max_abs_t_coefficient,
     optimize_angles,
@@ -70,8 +73,12 @@ class ReproductionRow:
 
 @dataclass(frozen=True)
 class ReproductionReport:
+    """The rows, the non-gating diagnostics, and the (row label, run)
+    pairs of the searches behind the optimizer rows, in call order."""
+
     rows: tuple[ReproductionRow, ...]
     diagnostics: tuple[str, ...]
+    runs: tuple[tuple[str, OptimizationRun], ...]
 
     @property
     def overall_pass(self) -> bool:
@@ -106,13 +113,14 @@ def _row(label: str, expected: Fraction | str | float, computed: Fraction | floa
 
 
 def _side(name: str, config: OptimizerConfig, closed_form: tuple[PureState, float],
-          printed: tuple[str, str, str]) -> tuple[list[ReproductionRow], float]:
+          printed: tuple[str, str, str]) -> tuple[list[ReproductionRow], OptimizationRun]:
     """The rows of one global extremum: its radical coefficients and
     value against the paper's decimals, and the d = 4 joint search
-    against both.  Also returns the searched value."""
+    against both.  Also returns the search's run."""
     state, value = closed_form
     high, low = state.coefficients[0], state.coefficients[2]
-    found = optimize_joint(_D4, config).best
+    run = optimize_joint(_D4, config)
+    found = run.best
     search = f"eigenvalue-reduced phase search, {config.restarts} restarts"
     deviation = max(abs(got - want) for got, want
                     in zip(sorted_magnitudes(found.state), (high, high, low, low)))
@@ -128,7 +136,7 @@ def _side(name: str, config: OptimizerConfig, closed_form: tuple[PureState, floa
                         "optimizer state against radicals; "
                         "state, first order in the gradient test"),
     ]
-    return rows, found.value
+    return rows, run
 
 
 def build_reproduction_report(restarts: int = 50, seed: int = 7) -> ReproductionReport:
@@ -160,7 +168,8 @@ def build_reproduction_report(restarts: int = 50, seed: int = 7) -> Reproduction
         rows.append(_row(f"LHV min d={d}", expected_min, report.min_value, source))
 
     me = maximally_entangled_state(_D4)
-    me_max = optimize_angles(me, maximize).best.value
+    flat_max = optimize_angles(me, maximize)
+    me_max = flat_max.best.value
     rows.append(_row("max at maximally entangled", "2.89624", me_max,
                      f"multi-start phase search, {restarts} restarts"))
     rows.append(_row("max at maximally entangled vs closed form", max_entangled_value(),
@@ -168,12 +177,13 @@ def build_reproduction_report(restarts: int = 50, seed: int = 7) -> Reproduction
     rows.append(_row("noise threshold, maximally entangled", "0.30945",
                      threshold_noise(me_max), "1 - 2/I at the optimized value"))
 
-    rows.append(_row("min at maximally entangled", -10.0 / 3.0,
-                     optimize_angles(me, minimize).best.value,
+    flat_min = optimize_angles(me, minimize)
+    rows.append(_row("min at maximally entangled", -10.0 / 3.0, flat_min.best.value,
                      f"multi-start phase search, {restarts} restarts"))
 
-    max_rows, joint_max = _side("max", maximize, optimal_max_state(),
-                                ("1.13715", "0.84077", "2.9727"))
+    max_rows, joint_max_run = _side("max", maximize, optimal_max_state(),
+                                    ("1.13715", "0.84077", "2.9727"))
+    joint_max = joint_max_run.best.value
     rows.extend(max_rows)
     rows.append(_row("noise threshold, optimal state", "0.3272",
                      threshold_noise(joint_max), "1 - 2/I at the joint optimum"))
@@ -181,12 +191,12 @@ def build_reproduction_report(restarts: int = 50, seed: int = 7) -> Reproduction
                      noise_resistance_gain(joint_max, me_max),
                      "thresholds of the two optima"))
 
-    min_rows, _ = _side("min", minimize, optimal_min_state(),
-                        ("1.19038", "0.76354", "-3.46424"))
+    min_rows, joint_min_run = _side("min", minimize, optimal_min_state(),
+                                    ("1.19038", "0.76354", "-3.46424"))
     rows.extend(min_rows)
 
-    t01, _ = max_abs_t_coefficient((0, 1), restarts=max(4, restarts // 8), seed=seed)
-    t02, _ = max_abs_t_coefficient((0, 2), restarts=max(4, restarts // 8), seed=seed)
+    t01, t01_run = max_abs_t_coefficient((0, 1), restarts=max(4, restarts // 8), seed=seed)
+    t02, t02_run = max_abs_t_coefficient((0, 2), restarts=max(4, restarts // 8), seed=seed)
     rows.append(_row("max |T01| vs Gamma1", g.gamma1, t01,
                      "angle search at the state e_k + e_l"))
     rows.append(_row("max |T02| vs Gamma2", g.gamma2, t02,
@@ -197,8 +207,12 @@ def build_reproduction_report(restarts: int = 50, seed: int = 7) -> Reproduction
     rows.append(_row("d=2 joint max (CHSH reduction)", 2.0 * math.sqrt(2.0),
                      run_d2.best.value, "joint optimizer at d=2"))
 
-    diagnostics = _diagnostics(joint_max, me_max)
-    return ReproductionReport(tuple(rows), diagnostics)
+    runs = (("max at maximally entangled", flat_max), ("min at maximally entangled", flat_min),
+            ("global max, joint optimizer", joint_max_run),
+            ("global min, joint optimizer", joint_min_run),
+            ("max |T01| vs Gamma1", t01_run), ("max |T02| vs Gamma2", t02_run),
+            ("d=2 joint max (CHSH reduction)", run_d2))
+    return ReproductionReport(tuple(rows), _diagnostics(joint_max, me_max), runs)
 
 
 def _diagnostics(joint_max: float, me_max: float) -> tuple[str, ...]:

@@ -388,6 +388,19 @@ class TestAnalytic:
         assert abs(record["Fthr"] - 0.309450260512) < 1e-12
         assert record["sorted_magnitudes"] == [1.0, 1.0, 1.0, 1.0]
 
+    @pytest.mark.parametrize("state,ring_sorted", [
+        ("1,0.2,0.9,0.1", False),  # Imax 2.21265 exceeds the classical bound 2
+        ("1,0.9,0.2,0.1", True),
+        ("1,0.8,0.6,0.4", True),
+        ("0.6,0.4,1,0.8", True),  # a rotation
+        ("0.4,0.6,0.8,1", True),  # a reflection
+        ("1,1,0.5,1", True),  # ties count as sorted
+    ])
+    def test_state_says_whether_it_is_ring_sorted(self, capsys, state, ring_sorted):
+        code, out, _ = run(capsys, ["analytic", "--state", state])
+        assert code == 0
+        assert json.loads(out)["ring_sorted"] is ring_sorted
+
     def test_rejects_bad_state(self, capsys):
         code, _, err = run(capsys, ["analytic", "--state", "1,1,1"])
         assert code == 1

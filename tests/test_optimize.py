@@ -501,10 +501,10 @@ def test_searches_report_optima_in_the_gauge_b1_zero(search, d, how):
     dim = Dimension(d)
     if search == "T":
         l = how[1]
-        magnitude, settings = max_abs_t_coefficient(how, restarts=3, seed=1)
-        phases = np.array(settings.phases)
+        magnitude, run = max_abs_t_coefficient(how, restarts=3, seed=1)
+        phases = np.array(run.best.settings.phases)
         assert np.array_equal(np.delete(phases, l, axis=1), np.zeros((4, 3)))
-        t = t_coefficients(settings).values()[PAIR_SLOTS.index(how)]
+        t = t_coefficients(run.best.settings).values()[PAIR_SLOTS.index(how)]
         assert abs(abs(t) - magnitude) <= 1e-12
     else:
         config = OptimizerConfig(restarts=4, seed=2, direction=how)
@@ -912,11 +912,11 @@ class TestCoefficientSearch:
         ((1, 3), 0.47140452079103173),
     ])
     def test_peak_magnitudes(self, pair, target):
-        magnitude, settings = max_abs_t_coefficient(pair, restarts=3, seed=0)
+        magnitude, run = max_abs_t_coefficient(pair, restarts=3, seed=0)
         assert abs(magnitude - target) < 1e-9
-        # returned settings must reproduce the magnitude through the
-        # full coefficient computation
-        coefficient = t_coefficients(settings).values()[PAIR_SLOTS.index(pair)]
+        # the run's best settings must reproduce the magnitude through
+        # the full coefficient computation
+        coefficient = t_coefficients(run.best.settings).values()[PAIR_SLOTS.index(pair)]
         assert abs(abs(coefficient) - magnitude) < 1e-9
 
     @pytest.mark.parametrize("seed", range(6))

@@ -75,6 +75,19 @@ class TestReproductionReport:
             assert against.expected == rows[f"global {side}, closed form"].computed
             assert against.computed == rows[labels[found]].computed
 
+    def test_runs_back_their_rows_bit_for_bit(self, report):
+        # The seven searches in call order, which is the order of the
+        # rows they back; a |T| row holds |value| / 2 of its run.
+        assert [len(run.per_restart_values) for _, run in report.runs] == [50] * 4 + [6, 6, 12]
+        labels = [row.label for row in report.rows]
+        order = [labels.index(label) for label, _ in report.runs]
+        assert order == sorted(order)
+        rows = {row.label: row for row in report.rows}
+        for label, run in report.runs:
+            value = run.best.value
+            want = abs(value) / 2.0 if "|T" in label else value
+            assert rows[label].computed.hex() == want.hex(), label
+
     @pytest.mark.parametrize("seed", range(10))
     def test_default_restarts_pass_at_every_seed(self, seed):
         assert build_reproduction_report(50, seed).overall_pass

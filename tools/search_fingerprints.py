@@ -13,9 +13,8 @@ the states of tests/helpers.py angles_dsweep_states (8 restarts, seed
 0), the seven searches that build_reproduction_report(50, 7) runs,
 joint searches at d = 2..8, 12 and 16 in both directions (10 restarts,
 seed 1) and the d = 16 joint minimum (20 restarts, seed 0).  The
-report's searches are taken from the report itself: the tool builds it
-with the optimizers it calls wrapped, as the bench's reproduce
-workload does, and fingerprints each run in call order.
+report's searches are the runs it records in report.runs, each labelled
+with the row it backs, in call order.
 
 For each search one line gives its label and a SHA-256 digest over the
 hex of every per-restart value, gradient norm, mu and eigengap, the
@@ -78,7 +77,6 @@ from pathlib import Path
 
 import numpy as np
 
-import bellmp.optimize
 from bellmp import (
     DeterministicStrategy,
     Dimension,
@@ -97,7 +95,6 @@ from bellmp import (
     optimize_joint,
     sample_experiment,
 )
-from bellmp import report as report_module
 from bellmp.cli import main as cli_main
 from bellmp.engine import mix_uniform_noise
 from bellmp.model import SETTING_PAIRS
@@ -163,32 +160,7 @@ def angles_dsweep_searches():
 
 
 def report_searches(restarts=50, seed=7):
-    # The runs of build_reproduction_report(restarts, seed), in call
-    # order, captured at the names the report resolves: its own
-    # optimize_angles and optimize_joint, and the optimize_angles that
-    # max_abs_t_coefficient calls in the optimize module.
-    runs = []
-
-    def capture(name, fn):
-        def call(dim_or_state, config):
-            run = fn(dim_or_state, config)
-            d = getattr(dim_or_state, "dim", dim_or_state).d
-            runs.append((f"{name} d={d} {config.direction.value} "
-                         f"restarts={config.restarts}", run))
-            return run
-        return call
-
-    names = ((report_module, "optimize_angles"), (report_module, "optimize_joint"),
-             (bellmp.optimize, "optimize_angles"))
-    saved = [(module, name, getattr(module, name)) for module, name in names]
-    for module, name, fn in saved:
-        setattr(module, name, capture(name, fn))
-    try:
-        build_reproduction_report(restarts, seed)
-    finally:
-        for module, name, fn in saved:
-            setattr(module, name, fn)
-    for i, (label, run) in enumerate(runs, 1):
+    for i, (label, run) in enumerate(build_reproduction_report(restarts, seed).runs, 1):
         yield f"report({restarts}, {seed}) search {i}: {label}", lambda run=run: run
 
 

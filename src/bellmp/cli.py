@@ -1,14 +1,15 @@
 """Command-line front end.
 
 Subcommands: eval, lhv, optimize, analytic, reproduce, scan, sample.
-All machine output goes to stdout, as JSON (or CSV for scan) with
-floats rounded to 12 significant digits; optimize --export-angles also
-writes an angle file.  Every subcommand evaluates the paper's m + n
-kernel.  A --state is a comma list of coefficients, and their number is
-the outcome dimension.  optimize takes exactly one of --state and --d;
---d searches at the flat state of d outcomes, or over all its states
-with --free-state.  Exit codes: 0 success, 1 validation error,
-2 reproduction failure.
+All output goes to stdout, as JSON (or CSV for scan) with floats
+rounded to 12 significant digits.  Every subcommand evaluates the
+paper's m + n kernel.  A --state is a comma list of coefficients, and
+their number is the outcome dimension.  optimize takes exactly one of
+--state S, which searches the angles at S, and --free-state D, which
+searches states and angles jointly at dimension D; its record holds
+the angle file's keys, so its saved stdout is an angle file for eval
+and sample.  Flags are spelled in full.  Exit codes: 0 success,
+1 validation error, 2 reproduction failure.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .model import (
     PureState,
     ValidationError,
     make_state,
-    maximally_entangled_state,
     zero_settings,
 )
 from .analytic import (
@@ -84,6 +84,10 @@ MAX_SCAN_STEPS = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
+    # Every parser, the subcommands' too, takes flags spelled in full.
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     # argparse exits with code 2 on bad arguments; the CLI contract
     # reserves 2 for reproduction failures, so remap to 1.
     def error(self, message: str) -> None:  # type: ignore[override]
@@ -130,7 +134,7 @@ def _check_work(d: int, restarts: int) -> None:
         )
 
 
-def _state_values(text: str) -> list[float]:
+def _parse_state(text: str) -> PureState:
     parts = [p.strip() for p in text.split(",")]
     if any(p == "" for p in parts):
         raise ValidationError(f"malformed state spec {text!r}")
@@ -139,19 +143,7 @@ def _state_values(text: str) -> list[float]:
     except ValueError as exc:
         raise ValidationError(f"malformed state spec {text!r}") from exc
     _check_dimension(len(values), "the number of state coefficients")
-    return values
-
-
-def _parse_state(text: str) -> PureState:
-    values = _state_values(text)
     return make_state(Dimension(len(values)), values)
-
-
-def _open_output(path: str, mode: str = "w"):
-    try:
-        return open(path, mode, encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def _load_angles(path: str, d: int) -> MeasurementSettings:
@@ -232,31 +224,22 @@ def cmd_lhv(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    # argparse requires exactly one of --d and --state.
-    if args.free_state and args.state is not None:
-        raise ValidationError("--free-state optimizes the state; drop --state")
+    # argparse requires exactly one of --state and --free-state.
     if args.state is None:
-        _check_dimension(args.d, "--d")
-        values, d = None, args.d
+        _check_dimension(args.free_state, "--free-state")
+        state, dim = None, Dimension(args.free_state)
     else:
-        values = _state_values(args.state)
-        d = len(values)
+        state = _parse_state(args.state)
+        dim = state.dim
     _check_restarts(args.restarts)
-    _check_work(d, args.restarts)
+    _check_work(dim.d, args.restarts)
     config = OptimizerConfig(restarts=args.restarts, seed=args.seed,
                              direction=Direction(args.direction))
-    dim = Dimension(d)
-    if args.export_angles:
-        # Fail before the search, without truncating an existing file.
-        _open_output(args.export_angles, "a").close()
-    if args.free_state:
+    if state is None:
         run = optimize_joint(dim, config)
-    elif values is None:
-        run = optimize_angles(maximally_entangled_state(dim), config)
     else:
-        run = optimize_angles(make_state(dim, values), config)
+        run = optimize_angles(state, config)
     best = run.best
-    angles = _angles_dict(best.settings)
     record = {
         "direction": args.direction,
         "restarts": args.restarts,
@@ -274,14 +257,10 @@ def cmd_optimize(args) -> int:
         "evaluations": {"calls": run.evaluations.calls, "rows": run.evaluations.rows,
                         "hessians": run.evaluations.hessians},
         "state": list(best.state.coefficients),
-        "angles": angles,
+        **_angles_dict(best.settings),
     }
-    if args.free_state:
+    if state is None:
         record["per_restart_eigengaps"] = list(run.per_restart_eigengaps)
-    if args.export_angles:
-        with _open_output(args.export_angles) as handle:
-            json.dump(_round_floats(angles), handle, indent=2, sort_keys=True)
-            handle.write("\n")
     _emit_json(record)
     return EXIT_OK
 
@@ -381,7 +360,7 @@ def cmd_scan(args) -> int:
         raise ValidationError(f"--steps must be at most {MAX_SCAN_STEPS}, got {args.steps}")
     spec = ScanSpec(r_from=args.r_from, r_to=args.r_to, steps=args.steps)
     if args.json:
-        _emit_json({"family": "step", "rows": scan_rows(spec)})
+        _emit_json({"rows": scan_rows(spec)})
         return EXIT_OK
     writer = csv.writer(sys.stdout)
     writer.writerow(SCAN_COLUMNS)
@@ -425,16 +404,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("optimize", help="numerically optimize the Bell value")
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--d", type=int,
-                        help="outcome dimension: search at the flat state, or "
-                             "over states too with --free-state")
     add_state(source, required=False)
+    source.add_argument("--free-state", type=int, metavar="D",
+                        help="search states and angles jointly at outcome dimension D")
     p.add_argument("--direction", choices=("max", "min"), default="max")
-    p.add_argument("--free-state", action="store_true")
     p.add_argument("--restarts", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--export-angles", metavar="PATH",
-                   help="write the optimizing angles as an angle file")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("analytic", help="branch formulas (ring-sorted states), vertex outer bound")

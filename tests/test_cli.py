@@ -190,7 +190,7 @@ class TestLhv:
 
 class TestOptimize:
     def test_flat_state_search(self, capsys):
-        code, out, _ = run(capsys, ["optimize", "--d", "4",
+        code, out, _ = run(capsys, ["optimize", "--state", "1,1,1,1",
                                     "--restarts", "4"])
         assert code == 0
         record = json.loads(out)
@@ -199,36 +199,36 @@ class TestOptimize:
         assert record["direction"] == "max"
         assert len(record["per_restart_values"]) == 4
         assert record["state"] == [1.0, 1.0, 1.0, 1.0]
-        assert record["angles"]["d"] == 4
-        assert record["angles"]["A1"][0] == 0.0
+        assert record["d"] == 4
+        assert record["A1"][0] == 0.0
         assert record["per_restart_values"][record["best_restart"]] == record["value"]
         # the eigengaps belong to the joint search alone
         assert "per_restart_eigengaps" not in record
 
     def test_export_angles_round_trip(self, capsys, tmp_path):
+        # The saved record is an angle file: eval reads its d and phase rows.
         path = tmp_path / "angles.json"
-        code, out, _ = run(capsys, ["optimize", "--d", "4", "--restarts", "4",
-                                    "--export-angles", str(path)])
+        code, out, _ = run(capsys, ["optimize", "--state", "1,1,1,1", "--restarts", "4"])
         assert code == 0
-        value = json.loads(out)["value"]
-        exported = json.loads(path.read_text(encoding="utf-8"))
-        assert set(exported) == {"A1", "A2", "B1", "B2", "d"}
-        assert exported["d"] == 4
+        path.write_text(out, encoding="utf-8")
+        record = json.loads(out)
+        assert {"A1", "A2", "B1", "B2", "d"} <= set(record)
+        assert "angles" not in record
+        assert record["d"] == 4
 
         code, out, _ = run(capsys, ["eval", "--state", "1,1,1,1",
                                     "--angles", str(path)])
         assert code == 0
-        assert abs(json.loads(out)["I"] - value) < 1e-9
+        assert abs(json.loads(out)["I"] - record["value"]) < 1e-9
 
     def test_joint_optimum_is_exported_in_the_gauge_b1_zero(self, capsys, tmp_path):
-        # The exported angles, at the printed state, give the printed value.
+        # The printed angles, at the printed state, give the printed value.
         path = tmp_path / "angles.json"
-        code, out, _ = run(capsys, ["optimize", "--d", "4", "--free-state",
-                                    "--export-angles", str(path)])
+        code, out, _ = run(capsys, ["optimize", "--free-state", "4"])
         assert code == 0
+        path.write_text(out, encoding="utf-8")
         record = json.loads(out)
-        assert record["angles"]["B1"] == [0, 0, 0, 0]
-        assert json.loads(path.read_text(encoding="utf-8"))["B1"] == [0, 0, 0, 0]
+        assert record["B1"] == [0, 0, 0, 0]
         state = ",".join(repr(c) for c in record["state"])
         code, out, _ = run(capsys, ["eval", "--state", state, "--angles", str(path)])
         assert code == 0
@@ -236,14 +236,14 @@ class TestOptimize:
 
     def test_search_at_a_given_state(self, capsys, tmp_path):
         # At this state `analytic --state` prints Imax 2.2127, which the
-        # search does not attain; the exported angles give the printed value.
+        # search does not attain; the printed angles give the printed value.
         path = tmp_path / "angles.json"
         code, out, _ = run(capsys, ["optimize", "--state", "1,0.2,0.9,0.1",
-                                    "--restarts", "6", "--export-angles", str(path)])
+                                    "--restarts", "6"])
         assert code == 0
+        path.write_text(out, encoding="utf-8")
         record = json.loads(out)
         assert record["value"] == 1.59439912361
-        assert record["angles"] == json.loads(path.read_text(encoding="utf-8"))
         code, out, _ = run(capsys, ["eval", "--state", "1,0.2,0.9,0.1",
                                     "--angles", str(path)])
         assert code == 0
@@ -256,10 +256,10 @@ class TestOptimize:
         record = json.loads(out)
         assert record["value"] == -0.942809041582
         for key in ("A1", "A2", "B1", "B2"):
-            assert [p for k, p in enumerate(record["angles"][key]) if k != 2] == [0.0] * 3
+            assert [p for k, p in enumerate(record[key]) if k != 2] == [0.0] * 3
 
     @pytest.mark.parametrize("argv", [
-        ["optimize", "--free-state", "--state", "1,1,1,1"],
+        ["optimize", "--free-state", "4", "--state", "1,1,1,1"],
         ["optimize", "--free-state"],
         ["optimize"],
     ])
@@ -269,11 +269,10 @@ class TestOptimize:
         assert err.strip()
 
     @pytest.mark.parametrize("argv,flag", [
-        (["optimize", "--d", "65"], "--d"),
-        (["optimize", "--d", "65", "--free-state"], "--d"),
-        (["optimize", "--d", "4", "--restarts", "1001"], "--restarts"),
-        (["optimize", "--d", "4", "--free-state", "--restarts", "100000"],
-         "--restarts"),
+        (["optimize", "--state", ",".join(["1"] * 65)], "state coefficients"),
+        (["optimize", "--free-state", "65"], "--free-state"),
+        (["optimize", "--state", "1,1,1,1", "--restarts", "1001"], "--restarts"),
+        (["optimize", "--free-state", "4", "--restarts", "100000"], "--restarts"),
     ])
     def test_rejects_oversized_inputs_before_searching(self, capsys, monkeypatch,
                                                        argv, flag):
@@ -282,24 +281,21 @@ class TestOptimize:
 
         monkeypatch.setattr(cli, "optimize_angles", refuse)
         monkeypatch.setattr(cli, "optimize_joint", refuse)
-        monkeypatch.setattr(cli, "maximally_entangled_state", refuse)
         code, _, err = run(capsys, argv)
         assert code == 1
         assert flag in err
 
     @pytest.mark.parametrize("argv", [
-        ["optimize", "--d", "64", "--free-state", "--restarts", "1000"],
-        ["optimize", "--d", "64", "--restarts", "8"],
-        ["optimize", "--d", "32", "--free-state", "--restarts", "64"],
+        ["optimize", "--free-state", "64", "--restarts", "1000"],
+        ["optimize", "--free-state", "32", "--restarts", "64"],
         ["optimize", "--state", ",".join(["1"] * 64), "--restarts", "8"],
     ])
     def test_rejects_oversized_work_before_searching(self, capsys, monkeypatch,
                                                      argv):
         def refuse(*args, **kwargs):
-            raise AssertionError("nothing may be built")
+            raise AssertionError("the search must not start")
 
-        for name in ("optimize_angles", "optimize_joint",
-                     "maximally_entangled_state", "make_state"):
+        for name in ("optimize_angles", "optimize_joint"):
             monkeypatch.setattr(cli, name, refuse)
         code, out, err = run(capsys, argv)
         assert code == 1
@@ -313,8 +309,7 @@ class TestOptimize:
         cli._check_work(d, restarts)
 
     def test_per_restart_counters(self, capsys):
-        code, out, _ = run(capsys, ["optimize", "--d", "3", "--free-state",
-                                    "--restarts", "5"])
+        code, out, _ = run(capsys, ["optimize", "--free-state", "3", "--restarts", "5"])
         assert code == 0
         record = json.loads(out)
         for key in ("per_restart_values", "per_restart_iterations",
@@ -339,22 +334,8 @@ class TestOptimize:
         assert evaluations["hessians"] <= (evaluations["rows"]
                                            - sum(record["per_restart_rejected"]))
 
-    def test_unwritable_export_path_fails_before_searching(self, capsys, monkeypatch,
-                                                           tmp_path):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the search must not start")
-
-        monkeypatch.setattr(cli, "optimize_angles", refuse)
-        path = tmp_path / "missing" / "angles.json"
-        code, out, err = run(capsys, ["optimize", "--d", "4", "--restarts", "2",
-                                      "--export-angles", str(path)])
-        assert code == 1
-        assert out == ""
-        assert err.startswith(f"error: cannot write {str(path)!r}")
-        assert "Traceback" not in err
-
     def test_minimize_flat_state(self, capsys):
-        code, out, _ = run(capsys, ["optimize", "--d", "4", "--restarts", "4",
+        code, out, _ = run(capsys, ["optimize", "--state", "1,1,1,1", "--restarts", "4",
                                     "--direction", "min"])
         assert code == 0
         record = json.loads(out)
@@ -440,7 +421,7 @@ class TestScan:
         code, out, _ = run(capsys, ["scan", "--steps", "3", "--json"])
         assert code == 0
         record = json.loads(out)
-        assert record["family"] == "step"
+        assert set(record) == {"rows"}
         assert len(record["rows"]) == 3
         assert record["rows"][0]["r"] == 0.0
 
@@ -587,7 +568,7 @@ class TestReproduce:
 
 
 @pytest.mark.parametrize("argv", [
-    ["optimize", "--d", "2", "--restarts", "2", "--seed", "-1"],
+    ["optimize", "--state", "1,1", "--restarts", "2", "--seed", "-1"],
     ["sample", "--state", "1,1", "--shots", "10", "--seed", "-1"],
 ])
 def test_negative_seed_is_a_validation_error(capsys, argv):
@@ -615,7 +596,7 @@ class TestTopLevel:
     @pytest.mark.parametrize("argv", [
         ["eval", "--state", "1,1,1,1"],
         ["lhv", "--d", "4"],
-        ["optimize", "--d", "4"],
+        ["optimize", "--state", "1,1,1,1"],
         ["sample", "--state", "1,1,1,1", "--shots", "10"],
     ], ids=lambda argv: argv[0])
     @pytest.mark.parametrize("variant", ["plus", "minus"])
@@ -637,8 +618,7 @@ class TestTopLevel:
         (["eval", "--state", "1,1,1,1", "--d", "4"], "unrecognized arguments: --d 4"),
         (["sample", "--state", "1,1,1,1", "--d", "4", "--shots", "10"],
          "unrecognized arguments: --d 4"),
-        (["optimize", "--d", "4", "--state", "1,1,1,1"],
-         "argument --state: not allowed with argument --d"),
+        (["optimize", "--state", "1,1,1,1", "--d", "4"], "unrecognized arguments: --d 4"),
     ], ids=["eval", "sample", "optimize"])
     def test_dimension_comes_from_the_state_or_from_d_alone(self, capsys, monkeypatch,
                                                             argv, message):
@@ -652,6 +632,30 @@ class TestTopLevel:
         assert code == 1
         assert out == ""
         assert f"error: {message}" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["optimize", "--state", "1,1,1,1", "--rest", "2"], "unrecognized arguments: --rest 2"),
+        (["optimize", "--free", "4"], "one of the arguments --state --free-state is required"),
+        (["sample", "--state", "1,1,1,1", "--sh", "10"],
+         "the following arguments are required: --shots"),
+        (["optimize", "--state", "1,1,1,1", "--d", "min"], "unrecognized arguments: --d min"),
+        (["optimize", "--state", "1,1,1,1", "--export-angles", "f.json"],
+         "unrecognized arguments: --export-angles f.json"),
+    ], ids=["rest", "free", "sh", "d-min", "export-angles"])
+    def test_flags_are_spelled_in_full_and_removed_ones_are_refused(
+            self, capsys, monkeypatch, tmp_path, argv, message):
+        # No prefix of a flag stands for it, and optimize writes no file.
+        def refuse(*args, **kwargs):
+            raise AssertionError("no search may start")
+
+        for name in ("optimize_angles", "optimize_joint", "sample_experiment"):
+            monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert f"error: {message}" in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("argv", [["eval", "--state", "1,1,1,1"],

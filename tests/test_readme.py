@@ -1,8 +1,9 @@
 """The README's examples run as written.
 
 Every line of the "Command line" block goes through cli.main in a
-fresh directory and must exit 0; the line that reads f.json first runs
-the line that writes it.  The "Library sketch" Python example is
+fresh directory and must exit 0.  A line ending in "> FILE" writes its
+stdout to FILE, and the line that reads f.json first runs the line
+that writes it.  The "Library sketch" Python example is
 executed, and the values its comments quote are checked.
 """
 
@@ -24,7 +25,18 @@ def _block(heading: str, fence: str) -> str:
 
 COMMANDS = [shlex.split(line.split("#", 1)[0])
             for line in _block("Command line", "```").splitlines() if line.strip()]
-EXPORT = next(argv for argv in COMMANDS if "--export-angles" in argv)
+EXPORT = next(argv for argv in COMMANDS if argv[-2:] == [">", "f.json"])
+
+
+def _run_line(argv, capsys):
+    # The line's exit code and stdout; a trailing "> FILE" also writes
+    # the stdout to FILE, as the shell would.
+    redirect = argv[-2] == ">"
+    code = main(argv[1:-2] if redirect else argv[1:])
+    captured = capsys.readouterr()
+    if redirect:
+        Path(argv[-1]).write_text(captured.out, encoding="utf-8")
+    return code, captured
 
 
 def test_command_block_is_found():
@@ -36,10 +48,9 @@ def test_command_block_is_found():
 def test_command_line_example_exits_zero(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     if "f.json" in argv and argv is not EXPORT:
-        assert main(EXPORT[1:]) == 0
-        capsys.readouterr()
-    assert main(argv[1:]) == 0
-    captured = capsys.readouterr()
+        assert _run_line(EXPORT, capsys)[0] == 0
+    code, captured = _run_line(argv, capsys)
+    assert code == 0
     assert captured.out
     assert captured.err == ""
 

@@ -39,11 +39,12 @@ d, an all-zero state and a dimension above the enumeration limit, and
 one out-of-range value of each integer the model checks from the
 command line (the integer rule, model._as_int): a dimension, restarts
 (optimize), a seed and shots (sample), scan steps and an angle file's
-float d.  reproduce takes no integer: it runs build_reproduction_report
-at its defaults, text and --json.  They
-run in a temporary working directory that holds the angle files of
-ANGLE_FILES under fixed relative names, so no message depends on where
-the checkout lies.
+float d, and three flags optimize refuses: --d beside --state,
+--export-angles and the abbreviation --rest.  reproduce takes no
+integer: it runs build_reproduction_report at its defaults, text and
+--json.  They run in a temporary working directory that holds the
+angle files of ANGLE_FILES under fixed relative names, so no message
+depends on where the checkout lies.
 
 Then one line per dimension d = 2..12 and kernel variant: a SHA-256
 digest over lhv_bounds' exact max_value and min_value and the outcomes
@@ -123,17 +124,20 @@ CLI_COMMANDS = (
     "scan --from 0 --to 1 --steps 11",
     "lhv --d 4",
     "optimize --state 1,0.9,0.2,0.1 --restarts 10",
-    "optimize --d 4 --free-state --restarts 10",
+    "optimize --free-state 4 --restarts 10",
     "eval --state 1,1,1,1 --angles short_a1.json",
     "eval --state 1,1,1 --angles angles4.json",
     "eval --state 0,0,0,0",
     "lhv --d 13",
     "lhv --d 1",
-    "optimize --d 4 --restarts 0",
+    "optimize --state 1,1,1,1 --restarts 0",
     "sample --state 1,1 --shots 10 --seed -1",
     "sample --state 1,1 --shots 0",
     "scan --steps 1",
     "eval --state 1,1,1,1 --angles float_d.json",
+    "optimize --state 1,1,1,1 --d 4",
+    "optimize --state 1,1,1,1 --export-angles f.json",
+    "optimize --state 1,1,1,1 --rest 2",
 )
 
 

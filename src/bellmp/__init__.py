@@ -75,10 +75,8 @@ from .optimize import (
     optimize_joint,
 )
 from .report import (
-    SCAN_COLUMNS,
     ReproductionReport,
     ReproductionRow,
-    ScanSpec,
     build_reproduction_report,
     scan_rows,
 )

@@ -306,16 +306,20 @@ def noise_resistance_gain(bell_value: float, reference_value: float) -> float:
 def threshold_noise(bell_value: float) -> float:
     """Largest uniform-noise fraction keeping the value above 2.
 
-    Defined as 1 - 2/I for any positive real I.  Results <= 0 mean the
-    input does not violate the classical bound; they are returned
-    as-is for the caller to interpret.
+    Defined as 1 - 2/I for any positive real I whose 2/I fits a float
+    (I above about 1.1e-308).  Results <= 0 mean the input does not
+    violate the classical bound; they are returned as-is for the caller
+    to interpret.
     """
     (value,) = _as_float_tuple((bell_value,), "Bell values")
     if value <= 0.0:
         raise ValidationError(
             f"threshold is defined for positive values only, got {bell_value!r}"
         )
-    return 1.0 - 2.0 / value
+    threshold = 1.0 - 2.0 / value
+    if not math.isfinite(threshold):
+        raise ValidationError(f"threshold 1 - 2/I overflows a float at {bell_value!r}")
+    return threshold
 
 
 def reference_optimal_angles() -> MeasurementSettings:

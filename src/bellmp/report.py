@@ -13,6 +13,7 @@ that run backs.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,8 +53,6 @@ __all__ = [
     "ReproductionRow",
     "ReproductionReport",
     "build_reproduction_report",
-    "ScanSpec",
-    "SCAN_COLUMNS",
     "branch_record",
     "scan_rows",
 ]
@@ -229,52 +228,35 @@ def _diagnostics(joint_max: float, me_max: float) -> tuple[str, ...]:
     )
 
 
-SCAN_COLUMNS = ("r", "B1", "B2", "Imax", "S1", "S2", "Imin", "Fthr")
-
-
-@dataclass(frozen=True)
-class ScanSpec:
-    """Grid over the two-parameter state family a = normalize(1, 1, r, r).
-
-    The grid is evenly stepped from r_from to r_to, endpoints
-    included; both are real numbers (model._as_float_tuple), stored as
-    plain floats.  This family contains the maximally entangled state
-    (r = 1) and both closed-form optima.
-    """
-
-    r_from: float
-    r_to: float
-    steps: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", _as_int(self.steps, "steps", 2))
-        r_from, r_to = _as_float_tuple((self.r_from, self.r_to), "scan range ends")
-        object.__setattr__(self, "r_from", r_from)
-        object.__setattr__(self, "r_to", r_to)
-        if not r_from < r_to:
-            raise ValidationError(f"r_from must be < r_to, got {r_from!r} >= {r_to!r}")
-
-
 def branch_record(state: PureState) -> dict:
     """The paper's branch values B1, B2, Imax, S1, S2 and Imin of a d = 4
     state (formulas for ring-sorted states, as every (1, 1, r, r) is),
-    and the threshold noise Fthr where Imax is positive."""
+    and the threshold noise Fthr where threshold_noise defines it: Imax
+    positive and not so small that 2/Imax overflows."""
     bmax = branch_values_max(state)
     bmin = branch_values_min(state)
     record = {"B1": bmax.b1, "B2": bmax.b2, "Imax": bmax.max,
               "S1": bmin.s1, "S2": bmin.s2, "Imin": bmin.min}
-    if bmax.max > 0.0:
+    with suppress(ValidationError):
         record["Fthr"] = threshold_noise(bmax.max)
     return record
 
 
-def scan_rows(spec: ScanSpec) -> list[dict]:
-    """One row per grid point with the closed-form branch values.  Imax
-    is positive on the whole family, so every row has Fthr.  Each r,
-    r_from (1 - t) + r_to t kept within the ends, is finite."""
+def scan_rows(r_from: float, r_to: float, steps: int) -> list[dict]:
+    """One row, r and then branch_record's keys, per point of the even
+    grid from r_from to r_to (ends included) over the state family
+    a = normalize(1, 1, r, r), which holds the maximally entangled state
+    (r = 1) and both closed-form optima.  Imax is positive on the whole
+    family, so every row has Fthr.  steps is an int >= 2 and the ends
+    are real numbers with r_from < r_to; each r, r_from (1 - t) + r_to t
+    kept within the ends, is finite."""
+    steps = _as_int(steps, "steps", 2)
+    r_from, r_to = _as_float_tuple((r_from, r_to), "scan range ends")
+    if not r_from < r_to:
+        raise ValidationError(f"r_from must be < r_to, got {r_from!r} >= {r_to!r}")
     rows = []
-    for index in range(spec.steps):
-        t = index / (spec.steps - 1)
-        r = min(max(spec.r_from * (1.0 - t) + spec.r_to * t, spec.r_from), spec.r_to)
+    for index in range(steps):
+        t = index / (steps - 1)
+        r = min(max(r_from * (1.0 - t) + r_to * t, r_from), r_to)
         rows.append({"r": r, **branch_record(make_state(_D4, (1.0, 1.0, r, r)))})
     return rows

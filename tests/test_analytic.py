@@ -401,6 +401,11 @@ class TestThresholdNoise:
         with pytest.raises(ValidationError):
             threshold_noise(bad)
 
+    def test_rejects_a_value_whose_threshold_overflows(self):
+        # 2/I is inf, so 1 - 2/I would be -inf, not a real number.
+        with pytest.raises(ValidationError, match="^threshold 1 - 2/I overflows a float at 1e-320$"):
+            threshold_noise(1e-320)
+
     @pytest.mark.parametrize("reference", [2.0, 1.5])
     def test_gain_rejects_a_reference_that_does_not_violate(self, reference):
         # A reference at the classical bound has a zero threshold and one

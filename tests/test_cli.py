@@ -23,6 +23,15 @@ FLAT_ANGLES = {"d": 4, "A1": [0] * 4, "A2": [0] * 4, "B1": [0] * 4, "B2": [0] * 
 HUGE_INT = "1" + "0" * 5000
 
 
+def strict_json(text):
+    # json.loads, refusing the NaN, Infinity and -Infinity that strict
+    # JSON does not have.
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -387,6 +396,14 @@ class TestAnalytic:
         assert code == 1
         assert err.strip()
 
+    def test_tiny_imax_leaves_out_fthr(self, capsys):
+        # Imax is 3.484e-320, so 1 - 2/Imax would be -inf.
+        code, out, err = run(capsys, ["analytic", "--state", "1,1e-320,0,0"])
+        assert (code, err) == (0, "")
+        record = strict_json(out)
+        assert record["Imax"] == 3.484e-320
+        assert "Fthr" not in record
+
 
 class TestScan:
     def test_csv_output(self, capsys):
@@ -417,26 +434,24 @@ class TestScan:
         assert f"error: unrecognized arguments: --csv {path}" in err
         assert not path.exists()
 
-    def test_json_output(self, capsys):
-        code, out, _ = run(capsys, ["scan", "--steps", "3", "--json"])
-        assert code == 0
-        record = json.loads(out)
-        assert set(record) == {"rows"}
-        assert len(record["rows"]) == 3
-        assert record["rows"][0]["r"] == 0.0
+    def test_json_flag_is_refused(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scan must not start")
+
+        monkeypatch.setattr(cli, "scan_rows", refuse)
+        code, out, err = run(capsys, ["scan", "--steps", "3", "--json"])
+        assert code == 1
+        assert out == ""
+        assert "error: unrecognized arguments: --json" in err
 
     @pytest.mark.parametrize("argv, rows", [
         (["scan", "--from", "0", "--to", "1e308", "--steps", "3"], 3),
         (["scan", "--from=-1e308", "--to", "1e308", "--steps", "2"], 2),
-        (["scan", "--json", "--from", "1e300", "--to", "1e308", "--steps", "5"], 5),
     ])
     def test_far_apart_finite_ends(self, capsys, argv, rows):
         code, out, err = run(capsys, argv)
         assert (code, err) == (0, "")
-        if "--json" in argv:
-            assert len(json.loads(out)["rows"]) == rows
-        else:
-            assert len(out.strip().splitlines()) == 1 + rows
+        assert len(out.strip().splitlines()) == 1 + rows
 
     @pytest.mark.parametrize("argv", [
         ["scan", "--steps", "1"],
@@ -447,18 +462,18 @@ class TestScan:
         assert code == 1
         assert err.strip()
 
-    @pytest.mark.parametrize("flags", [[], ["--json"]])
-    def test_reader_closing_stdout_ends_the_output_quietly(self, flags):
+    def test_reader_closing_stdout_ends_the_output_quietly(self):
         # Far more output than a pipe buffer holds, so the writer meets
-        # the closed pipe, as it does under `| head -1`.
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "bellmp", "scan", "--steps", "20000", *flags],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        assert proc.stdout.readline()
-        proc.stdout.close()
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert proc.wait(timeout=120) == 0
+        # the closed pipe, as it does under `| head -1`.  Leaving the with
+        # block closes the pipes and waits for the process, also when an
+        # assert fails.
+        with subprocess.Popen(
+                [sys.executable, "-m", "bellmp", "scan", "--steps", "20000"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 0
         assert err == ""
 
     def test_rejects_oversized_steps_before_scanning(self, capsys, monkeypatch):
@@ -592,6 +607,31 @@ class TestTopLevel:
         code, out, _ = run(capsys, ["--help"])
         assert code == 0
         assert "eval" in out and "reproduce" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--state", "1,1"],
+        ["lhv", "--d", "2"],
+        ["optimize", "--state", "1,1"],
+        ["analytic"],
+        ["reproduce"],
+        ["scan"],
+        ["sample", "--state", "1,1", "--shots", "10"],
+    ], ids=lambda argv: argv[0])
+    def test_unknown_flag_prints_its_subcommands_usage(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no command may run")
+
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", refuse)
+        code, out, err = run(capsys, [*argv, "--bogus"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"usage: bellmp {argv[0]} ")
+        assert err.endswith("error: unrecognized arguments: --bogus\n")
+
+    def test_json_output_refuses_nan_and_infinity(self):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                cli._emit_json({"x": value})
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--state", "1,1,1,1"],

@@ -21,7 +21,7 @@ from bellmp import (
 from bellmp.analytic import noise_resistance_gain, threshold_noise
 from bellmp.engine import SampleEstimate, TCoefficients, bell_value_noisy
 from bellmp.model import PAIR_SIGNS, SETTING_PAIRS, kernel_table
-from bellmp.report import ScanSpec
+from bellmp.report import scan_rows
 
 from helpers import cglmp_coefficients, random_settings
 
@@ -178,8 +178,8 @@ _NUMBER_ROUTES = {
     "PureState": lambda x: PureState(_D2, (x, 1.0)),
     "PhaseVector": lambda x: PhaseVector(_D2, (x, 0.0)),
     "make_state": lambda x: make_state(_D2, (x, 1.0)),
-    "ScanSpec.r_from": lambda x: ScanSpec(x, 2.0, 3),
-    "ScanSpec.r_to": lambda x: ScanSpec(0.0, x, 3),
+    "scan_rows.r_from": lambda x: scan_rows(x, 2.0, 3),
+    "scan_rows.r_to": lambda x: scan_rows(0.0, x, 3),
     "bell_value_noisy": lambda x: bell_value_noisy(
         maximally_entangled_state(_D2), zero_settings(_D2), x),
     "TCoefficients": lambda x: TCoefficients(x, 0.0, 0.0, 0.0, 0.0, 0.0),
@@ -311,8 +311,8 @@ _INTEGER_ROUTES = {
                                  "restarts must be an int >= 1", (True, 5.0, 0)),
     "OptimizerConfig.seed": (lambda k: bellmp.OptimizerConfig(seed=k),
                              "seed must be an int >= 0", (True, 3.0, -1)),
-    "ScanSpec.steps": (lambda k: ScanSpec(0.0, 1.0, k),
-                       "steps must be an int >= 2", (True, 5.0, 1)),
+    "scan_rows.steps": (lambda k: scan_rows(0.0, 1.0, k),
+                        "steps must be an int >= 2", (True, 5.0, 1)),
     "SampleEstimate.shots_per_setting": (lambda k: SampleEstimate(k, _ONE_SHOT, 0.0, 0.1),
                                          "shots_per_setting must be an int >= 1",
                                          (True, 1.0, 0)),

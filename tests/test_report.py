@@ -9,17 +9,17 @@ import numpy as np
 import pytest
 
 from bellmp import (
-    SCAN_COLUMNS,
     Dimension,
     OptimizerConfig,
     ValidationError,
     gamma_constants,
+    make_state,
     maximally_entangled_state,
     optimize_angles,
     optimize_joint,
 )
 from bellmp import report as report_module
-from bellmp.report import ScanSpec, build_reproduction_report, scan_rows
+from bellmp.report import branch_record, build_reproduction_report, scan_rows
 
 ME_MAX = 2.896243218458708
 IMAX = 2.972698267102243
@@ -128,9 +128,9 @@ class TestReproductionReport:
             build_reproduction_report(**kwargs)
 
 
-class TestScanSpec:
+class TestScanRowsInputs:
     def test_accepts_plain_range(self):
-        ScanSpec(r_from=0.0, r_to=1.0, steps=5)
+        assert len(scan_rows(r_from=0.0, r_to=1.0, steps=5)) == 5
 
     @pytest.mark.parametrize("kwargs", [
         {"r_from": 0.0, "r_to": 1.0, "steps": 1},
@@ -142,27 +142,36 @@ class TestScanSpec:
         {"r_from": 0.0, "r_to": 10**400, "steps": 3},
         {"r_from": 0.0, "r_to": 1.0, "steps": 3.0},
     ])
-    def test_rejects_bad_specs(self, kwargs):
+    def test_rejects_bad_inputs(self, kwargs):
         with pytest.raises(ValidationError):
-            ScanSpec(**kwargs)
+            scan_rows(**kwargs)
 
     @pytest.mark.parametrize("steps", [np.int64(5), np.int32(5), np.uint8(5)])
-    def test_numpy_int_steps_are_stored_as_an_int(self, steps):
+    def test_numpy_int_steps_give_the_int_grid(self, steps):
         # One integer rule, model._as_int, for every integer input.
-        spec = ScanSpec(0.0, 1.0, steps)
-        assert type(spec.steps) is int
-        assert spec == ScanSpec(0.0, 1.0, 5)
+        assert scan_rows(0.0, 1.0, steps) == scan_rows(0.0, 1.0, 5)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"r_from": 1.0, "r_to": 0.0, "steps": 1.0}, "steps must be an int >= 2, got 1.0"),
+        ({"r_from": 1.0, "r_to": float("nan"), "steps": 3},
+         "scan range ends must be finite, got nan"),
+        ({"r_from": 1.0, "r_to": 1.0, "steps": 3}, "r_from must be < r_to, got 1.0 >= 1.0"),
+    ], ids=["steps", "ends", "order"])
+    def test_checks_steps_then_ends_then_order(self, kwargs, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            scan_rows(**kwargs)
 
 
 class TestScanRows:
     def test_grid_and_columns(self):
-        rows = scan_rows(ScanSpec(r_from=0.0, r_to=1.0, steps=3))
+        rows = scan_rows(r_from=0.0, r_to=1.0, steps=3)
         assert [row["r"] for row in rows] == [0.0, 0.5, 1.0]
         for row in rows:
-            assert tuple(row.keys()) == SCAN_COLUMNS
+            state = make_state(Dimension(4), (1.0, 1.0, row["r"], row["r"]))
+            assert list(row) == ["r", *branch_record(state)]
 
     def test_endpoints(self):
-        rows = scan_rows(ScanSpec(r_from=0.0, r_to=1.0, steps=3))
+        rows = scan_rows(r_from=0.0, r_to=1.0, steps=3)
         g = gamma_constants()
         # r=0 collapses the state onto two equal coefficients, where
         # the first branch degenerates to 2 Gamma1
@@ -173,14 +182,14 @@ class TestScanRows:
         assert abs(rows[2]["Fthr"] - (1.0 - 2.0 / ME_MAX)) < 1e-12
 
     def test_default_grid_is_index_over_ten(self):
-        rows = scan_rows(ScanSpec(r_from=0.0, r_to=1.0, steps=11))
+        rows = scan_rows(r_from=0.0, r_to=1.0, steps=11)
         assert [row["r"] for row in rows] == [index / 10 for index in range(11)]
 
     # Ends whose difference r_to - r_from overflows to inf.
     @pytest.mark.parametrize("r_from, r_to, steps",
                              [(0.0, 1e308, 3), (-1e308, 1e308, 2), (1e300, 1e308, 5)])
     def test_far_apart_finite_ends_give_a_finite_grid(self, r_from, r_to, steps):
-        grid = [row["r"] for row in scan_rows(ScanSpec(r_from, r_to, steps))]
+        grid = [row["r"] for row in scan_rows(r_from, r_to, steps)]
         assert len(grid) == steps
         assert grid[0] == r_from and grid[-1] == r_to
         assert all(a < b for a, b in zip(grid, grid[1:]))
@@ -190,17 +199,17 @@ class TestScanRows:
         # at index 1 of this grid.
         r_to = sys.float_info.max
         r_from = math.nextafter(r_to, 0.0)
-        grid = [row["r"] for row in scan_rows(ScanSpec(r_from, r_to, 10))]
+        grid = [row["r"] for row in scan_rows(r_from, r_to, 10)]
         assert grid[0] == r_from and grid[-1] == r_to
         assert all(r_from <= r <= r_to for r in grid)
 
     def test_branch_consistency(self):
-        for row in scan_rows(ScanSpec(r_from=0.1, r_to=0.9, steps=9)):
+        for row in scan_rows(r_from=0.1, r_to=0.9, steps=9):
             assert row["Imax"] == max(row["B1"], row["B2"])
             assert row["Imax"] >= row["B2"]
             assert row["Imin"] <= row["S1"] + 1e-15
             assert row["Imin"] <= row["S2"] + 1e-15
 
     def test_optimal_ratio_recovers_global_maximum(self):
-        rows = scan_rows(ScanSpec(r_from=AM / AP, r_to=1.0, steps=2))
+        rows = scan_rows(r_from=AM / AP, r_to=1.0, steps=2)
         assert abs(rows[0]["Imax"] - IMAX) < 1e-12

@@ -39,8 +39,10 @@ d, an all-zero state and a dimension above the enumeration limit, and
 one out-of-range value of each integer the model checks from the
 command line (the integer rule, model._as_int): a dimension, restarts
 (optimize), a seed and shots (sample), scan steps and an angle file's
-float d, and three flags optimize refuses: --d beside --state,
---export-angles and the abbreviation --rest.  reproduce takes no
+float d, three flags optimize refuses (--d beside --state,
+--export-angles and the abbreviation --rest), scan's removed --json,
+an unknown flag after eval, and an analytic state whose Imax is so
+small that its threshold noise would overflow.  reproduce takes no
 integer: it runs build_reproduction_report at its defaults, text and
 --json.  They run in a temporary working directory that holds the
 angle files of ANGLE_FILES under fixed relative names, so no message
@@ -138,6 +140,9 @@ CLI_COMMANDS = (
     "optimize --state 1,1,1,1 --d 4",
     "optimize --state 1,1,1,1 --export-angles f.json",
     "optimize --state 1,1,1,1 --rest 2",
+    "scan --steps 3 --json",
+    "analytic --state 1,1e-320,0,0",
+    "eval --state 1,1 --bogus",
 )
 
 

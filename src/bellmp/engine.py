@@ -400,8 +400,9 @@ def extreme_value_and_gradient(theta: np.ndarray, largest: bool):
         # Second-order perturbation of a simple eigenvalue: d lambda gains
         # 2 d sum_{j != ext} J_j J_j^T / (lambda_ext - lambda_j), where J_j
         # over theta holds v_j^T (dM / d theta) v.  A zero gap has weight 0.
-        # im_pv[..., j, r, m] = Im(P[r] v_j)_m, a view of the product.
-        im_pv = np.moveaxis((Pr @ Vr[..., None, :, :]).imag, -1, -3)
+        # im_pv[..., j, r, m] = Im(P[r] v_j)_m = (Im P[r] v_j)_m, as V is
+        # real: a view of one real product.
+        im_pv = np.moveaxis(Pr.imag @ Vr[..., None, :, :], -1, -3)
         # J[..., j, r, m] is formed in the order its rows are read, so the
         # (d, 4 d) reshape below needs no copy.
         V_jm = Vr.swapaxes(-1, -2)

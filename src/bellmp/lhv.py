@@ -8,17 +8,9 @@ values them on any integer (4, d, d) table: the four entries a strategy
 picks, summed as ints and divided once as a Fraction, so the bounds carry
 zero floating-point error.
 
-The m - n kernel lives in this module alone.  KernelVariant.MINUS puts
-m - n in place of the paper's m + n; it reproduces no number of the
-paper, and lhv_value and lhv_bounds take it only so that the benchmark
-can enumerate the classical bounds of both kernels.  It is data, not a
-branch: the kernel table with Bob's outcomes relabelled n -> (-n) mod d,
-since m - n = m + (-n), valued by the same rule and the same scan.
-
-Both tables are invariant under one outcome shift: a strategy
-(A1, A2, B1, B2) has the value of (A1 + t, A2 + t, B1 - t, B2 - t) under
-PLUS and of (A1 + t, A2 + t, B1 + t, B2 + t) under MINUS, all mod d, as
-m + n and m - n are unchanged.  So the A1 = 0 block of d^3 tuples holds
+The kernel table is invariant under one outcome shift: a strategy
+(A1, A2, B1, B2) has the value of (A1 + t, A2 + t, B1 - t, B2 - t), all
+mod d, as m + n is unchanged.  So the A1 = 0 block of d^3 tuples holds
 both extrema and both first witnesses; the scan still values all d^4.
 """
 
@@ -39,12 +31,9 @@ MAX_ENUMERABLE_DIMENSION = 12
 
 
 class KernelVariant(enum.Enum):
-    """Sign convention inside the correlation kernel: m + n (PLUS, the
-    paper's, kernel_table) or m - n (MINUS, kernel_table with Bob's
-    outcomes relabelled)."""
+    """The correlation kernel: m + n (PLUS, the paper's, kernel_table)."""
 
     PLUS = "plus"
-    MINUS = "minus"
 
 
 def _require_variant(variant: object) -> None:
@@ -93,18 +82,6 @@ class LhvBoundsReport:
         return self.dim.d ** 4
 
 
-def _bob(n: int, d: int, variant: KernelVariant) -> int:
-    # The variant as data: MINUS reads the kernel table at Bob's outcome
-    # relabelled n -> (-n) mod d, as m - n = m + (-n).
-    return n if variant is KernelVariant.PLUS else -n % d
-
-
-def _table(d: int, variant: KernelVariant):
-    # The variant's (4, d, d) table: the kernel table's columns at Bob's relabelled outcomes.
-    _require_variant(variant)
-    return kernel_table(d)[:, :, [_bob(n, d, variant) for n in range(d)]]
-
-
 def _value(T, outcomes: tuple[int, int, int, int], denominator: int) -> Fraction:
     # The one valuation rule: the four entries of the integer table T
     # that the outcomes pick, summed as a plain int, over denominator.
@@ -133,24 +110,22 @@ def lhv_value(strategy: DeterministicStrategy,
 
     For a deterministic assignment every Q_ij collapses to one kernel
     value over S = (d - 1) / 2, so the four signed, doubled entries that
-    the outcomes pick, read off the cached kernel table at Bob's
-    relabelled outcomes without a copy, are summed as integers and
-    divided once by d - 1 (thirds at d = 4).
+    the outcomes pick, read off the cached kernel table without a copy,
+    are summed as integers and divided once by d - 1 (thirds at d = 4).
     """
     if not isinstance(strategy, DeterministicStrategy):
         raise ValidationError(f"strategy must be a DeterministicStrategy, got {strategy!r}")
     _require_variant(variant)
     d = strategy.dim.d
-    a1, a2, b1, b2 = strategy.outcomes
-    return _value(kernel_table(d), (a1, a2, _bob(b1, d, variant), _bob(b2, d, variant)), d - 1)
+    return _value(kernel_table(d), strategy.outcomes, d - 1)
 
 
 def lhv_bounds(dim: Dimension,
                variant: KernelVariant = KernelVariant.PLUS) -> LhvBoundsReport:
     """Scan all d^4 strategies and report the exact extrema.
 
-    The one exact scan runs on the variant's kernel table over d - 1,
-    by lhv_value's rule, in row-major order over (A1, A2, B1, B2); ties
+    The one exact scan runs on the kernel table over d - 1, by
+    lhv_value's rule, in row-major order over (A1, A2, B1, B2); ties
     keep the first (lexicographically smallest) witness, and only the
     two witnesses become DeterministicStrategy objects.
     """
@@ -158,6 +133,7 @@ def lhv_bounds(dim: Dimension,
     if d > MAX_ENUMERABLE_DIMENSION:
         raise ValidationError(f"exhaustive scan is guarded at d <= {MAX_ENUMERABLE_DIMENSION}, "
                               f"got {d}")
-    high, low, argmax, argmin = _bounds(_table(d, variant).tolist(), d - 1)
+    _require_variant(variant)
+    high, low, argmax, argmin = _bounds(kernel_table(d).tolist(), d - 1)
     return LhvBoundsReport(dim, high, low,
                            DeterministicStrategy(dim, argmax), DeterministicStrategy(dim, argmin))

@@ -22,65 +22,28 @@ from bellmp import (
     lhv_bounds,
     lhv_value,
 )
-from bellmp.lhv import _bounds, _table, _value
-from bellmp.model import PAIR_SIGNS, SETTING_PAIRS
+from bellmp.lhv import _bounds, _value
+from bellmp.model import SETTING_PAIRS, kernel_table
+from helpers import cglmp_coefficients
 
-PLUS = KernelVariant.PLUS
-MINUS = KernelVariant.MINUS
-
-
-def minus_f(i, j, m, n, d):
-    # The m - n kernel S - M(eps(i - j) * (m - n), d), the scalar
-    # reference for the MINUS table; kernel_f states the m + n kernel alone.
-    return (d - 1) / 2 - (((-1 if i < j else 1) * (m - n)) % d)
-
-
-def scalar_f(i, j, m, n, dim, variant):
-    return kernel_f(i, j, m, n, dim) if variant is PLUS else minus_f(i, j, m, n, dim.d)
-
-
-# Hand-computed values of the m - n kernel: f = S - ((eps * (m - n)) mod d),
-# eps = -1 only for the setting pair (1, 2).
-MINUS_CASES = [
-    (2, 2, 2, 1, 0, -0.5),
-    (3, 1, 2, 2, 0, 0.0),
-    (4, 1, 1, 1, 2, -1.5),
-    (4, 2, 2, 2, 3, -1.5),
-    (4, 1, 2, 1, 2, 0.5),
-    (4, 2, 1, 3, 1, -0.5),
+# Hand-computed values: the four kernel terms f_11(A1, B1), f_12(A1, B2),
+# -f_21(A2, B1), f_22(A2, B2), with f_ij = S - ((eps (m + n)) mod d) and
+# eps = -1 only for (1, 2), summed and divided by the spin S = (d - 1)/2.
+LHV_CASES = [
+    (2, (0, 0, 0, 1), Fraction(-2)),       # 1/2 - 1/2 - 1/2 - 1/2 over 1/2
+    (3, (1, 2, 0, 1), Fraction(2)),        # 0 + 0 + 1 + 1 over 1
+    (3, (0, 2, 2, 1), Fraction(-1)),       # -1 - 1 + 0 + 1 over 1
+    (5, (2, 4, 1, 3), Fraction(-1, 2)),    # -1 + 2 - 2 + 0 over 2
+    (6, (5, 0, 3, 2), Fraction(-2, 5)),    # 1/2 - 5/2 + 1/2 + 1/2 over 5/2
+    (7, (0, 1, 6, 1), Fraction(-8, 3)),    # -3 - 3 - 3 + 1 over 3
 ]
 
 
-class TestMinusTable:
-    # The MINUS table, kernel_table with Bob's outcomes relabelled, holds
-    # the m - n kernel: row r = 2 (i - 1) + (j - 1) is sign_r * 2 f_ij.
-    @pytest.mark.parametrize("d,i,j,m,n,expected", MINUS_CASES)
-    def test_hand_computed_values(self, d, i, j, m, n, expected):
-        assert minus_f(i, j, m, n, d) == expected
-        r = SETTING_PAIRS.index((i, j))
-        assert _table(d, MINUS)[r, m, n] == PAIR_SIGNS[r] * 2 * expected
-
-    @pytest.mark.parametrize("d", range(2, 10))
-    def test_matches_scalar_kernel(self, d):
-        T = _table(d, MINUS)
-        assert T.shape == (4, d, d)
-        for r, ((i, j), sign) in enumerate(zip(SETTING_PAIRS, PAIR_SIGNS)):
-            for m in range(d):
-                for n in range(d):
-                    assert T[r, m, n] == sign * 2 * minus_f(i, j, m, n, d)
-
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-    def test_each_level_appears_d_times(self, d):
-        # For each setting pair the m - n kernel takes value S - k on
-        # exactly d of the d^2 outcome pairs, hence sums to zero exactly.
-        for r, sign in enumerate(PAIR_SIGNS):
-            values = (sign * _table(d, MINUS)[r]).ravel().tolist()
-            for k in range(d):
-                assert values.count(d - 1 - 2 * k) == d
-            assert sum(values) == 0
-
-
 class TestLhvValue:
+    @pytest.mark.parametrize("d,outcomes,expected", LHV_CASES)
+    def test_hand_computed_values(self, d, outcomes, expected):
+        assert lhv_value(DeterministicStrategy(Dimension(d), outcomes)) == expected
+
     def test_aligned_outcomes_reach_two(self):
         for d in (2, 3, 4, 6):
             strategy = DeterministicStrategy(Dimension(d), (0, 0, 0, 0))
@@ -129,28 +92,12 @@ class TestLhvValue:
         lhv_value(strategy)
         tracemalloc.start()
         try:
-            plus = lhv_value(strategy)
+            value = lhv_value(strategy)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 100_000
-        for value in (plus, lhv_value(strategy, MINUS)):
-            assert type(value.numerator) is int and type(value.denominator) is int
-
-    def test_minus_reads_four_entries_at_bobs_relabelled_outcomes(self):
-        # MINUS reads four entries of the cached kernel table at Bob's
-        # outcomes n -> (-n) mod d; a relabelled copy would take 1.28 MB here.
-        strategy = DeterministicStrategy(Dimension(200), (3, 141, 59, 26))
-        lhv_value(strategy, MINUS)
-        tracemalloc.start()
-        try:
-            minus = lhv_value(strategy, MINUS)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100_000
-        assert type(minus.numerator) is int and type(minus.denominator) is int
-        assert minus == lhv_value(DeterministicStrategy(Dimension(200), (3, 141, 141, 174)))
+        assert type(value.numerator) is int and type(value.denominator) is int
 
     @pytest.mark.parametrize("strategy", [None, (0, 0, 0, 0), "x"])
     def test_rejects_a_non_strategy(self, strategy):
@@ -161,18 +108,17 @@ class TestLhvValue:
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), d=st.integers(2, 16),
-       variant=st.sampled_from(list(KernelVariant)))
-def test_value_equals_rational_kernel_sum(data, d, variant):
+@given(data=st.data(), d=st.integers(2, 16))
+def test_value_equals_rational_kernel_sum(data, d):
     # lhv_value sums the shared integer table; the reference sums exact
     # Fractions of the scalar kernel f_ij with the signs + + - +.
     dim = Dimension(d)
     outcomes = data.draw(st.tuples(*(st.integers(0, d - 1) for _ in range(4))))
     a1, a2, b1, b2 = outcomes
     terms = ((1, 1, a1, b1, 1), (1, 2, a1, b2, 1), (2, 1, a2, b1, -1), (2, 2, a2, b2, 1))
-    reference = sum(sign * Fraction(scalar_f(i, j, m, n, dim, variant))
+    reference = sum(sign * Fraction(kernel_f(i, j, m, n, dim))
                     for i, j, m, n, sign in terms) / Fraction(d - 1, 2)
-    value = lhv_value(DeterministicStrategy(dim, outcomes), variant)
+    value = lhv_value(DeterministicStrategy(dim, outcomes))
     assert isinstance(value, Fraction)
     assert value == reference
 
@@ -195,16 +141,15 @@ class TestLhvBounds:
         with pytest.raises(ValidationError, match="KernelVariant"):
             lhv_bounds(Dimension(2), "plus")
 
-    @pytest.mark.parametrize("variant", [PLUS, MINUS])
     @pytest.mark.parametrize("d", range(2, 9))
-    def test_witnesses_lie_in_the_a1_zero_block(self, d, variant):
+    def test_witnesses_lie_in_the_a1_zero_block(self, d):
         # The outcome shift moves every tuple to A1 = 0 at the same value,
         # so the first witnesses in row-major order start there.
-        report = lhv_bounds(Dimension(d), variant)
+        report = lhv_bounds(Dimension(d))
         assert report.argmax.outcomes[0] == 0
         assert report.argmin.outcomes[0] == 0
 
-    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    @pytest.mark.parametrize("d", range(3, MAX_ENUMERABLE_DIMENSION + 1))
     def test_minimum_matches_ratio_form(self, d):
         # the enumerated minimum lands exactly on -2(d + 1)/(d - 1)
         assert lhv_bounds(Dimension(d)).min_value == Fraction(-2 * (d + 1), d - 1)
@@ -214,29 +159,42 @@ class TestLhvBounds:
         assert report.argmax.outcomes == (0, 0, 0, 0)
         assert report.argmin.outcomes == (0, 1, 3, 1)
 
-    @pytest.mark.parametrize("variant", [PLUS, MINUS])
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-    def test_witnesses_are_lexicographically_first(self, d, variant):
-        import itertools
+    @pytest.mark.parametrize("d", range(3, MAX_ENUMERABLE_DIMENSION + 1))
+    def test_first_witnesses_at_every_enumerable_dimension(self, d):
+        # For d >= 3 the first maximizer is the aligned tuple and the
+        # first minimizer is (0, 1, d - 1, 1); d = 2 has (0, 0, 0, 1).
+        report = lhv_bounds(Dimension(d))
+        assert report.max_value == Fraction(2)
+        assert report.argmax.outcomes == (0, 0, 0, 0)
+        assert report.argmin.outcomes == (0, 1, d - 1, 1)
 
-        report = lhv_bounds(Dimension(d), variant)
+    @pytest.mark.parametrize("d", range(2, MAX_ENUMERABLE_DIMENSION + 1))
+    def test_bounds_are_cglmps_classical_bounds(self, d):
+        # The kernel is CGLMP's I_d with Bob's outcomes relabelled
+        # n -> (-n) mod d, which permutes the strategies, so the scan of
+        # CGLMP's own coefficients gives the same extrema, and the
+        # relabelled witnesses attain them there.
+        report = lhv_bounds(Dimension(d))
+        c = cglmp_coefficients(d).reshape(4, d, d).tolist()
+        high, low, _, _ = _bounds(c, d - 1)
+        assert (high, low) == (report.max_value, report.min_value)
+        for witness, value in ((report.argmax, high), (report.argmin, low)):
+            a1, a2, b1, b2 = witness.outcomes
+            relabelled = (a1, a2, -b1 % d, -b2 % d)
+            assert Fraction(sum(c[r][relabelled[i - 1]][relabelled[j + 1]]
+                                for r, (i, j) in enumerate(SETTING_PAIRS)), d - 1) == value
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_witnesses_are_lexicographically_first(self, d):
+        report = lhv_bounds(Dimension(d))
         values = {
-            outcomes: lhv_value(DeterministicStrategy(Dimension(d), outcomes), variant)
+            outcomes: lhv_value(DeterministicStrategy(Dimension(d), outcomes))
             for outcomes in itertools.product(range(d), repeat=4)
         }
         maximizers = [o for o, v in values.items() if v == report.max_value]
         minimizers = [o for o, v in values.items() if v == report.min_value]
         assert report.argmax.outcomes == min(maximizers)
         assert report.argmin.outcomes == min(minimizers)
-
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_variants_share_the_same_bounds(self, d):
-        # relabeling n -> -n mod d maps one kernel onto the other, so
-        # the strategy value sets coincide
-        plus = lhv_bounds(Dimension(d), PLUS)
-        minus = lhv_bounds(Dimension(d), MINUS)
-        assert plus.max_value == minus.max_value
-        assert plus.min_value == minus.min_value
 
     def test_witness_values_match_reported_bounds(self):
         for d in (2, 3, 4):
@@ -269,18 +227,40 @@ def test_unhashable_variant_is_rejected_on_every_route(route):
         _VARIANT_ROUTES[route](["plus"])
 
 
-@pytest.mark.parametrize("variant", [PLUS, MINUS])
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-def test_value_is_invariant_under_the_outcome_shift(d, variant):
-    # (A1 + t, A2 + t, B1 + s t, B2 + s t) mod d has the value of
-    # (A1, A2, B1, B2) for every tuple and every t: s = -1 keeps m + n,
-    # s = +1 keeps m - n.
-    T, s = _table(d, variant).tolist(), -1 if variant is PLUS else 1
+def test_plus_is_the_one_variant_and_the_default(d):
+    # The surface the benchmark uses: it loops over KernelVariant and
+    # passes the member positionally to both routes.
+    plus = KernelVariant.PLUS
+    assert list(KernelVariant) == [plus]
+    dim = Dimension(d)
+    assert lhv_bounds(dim, plus) == lhv_bounds(dim)
+    for outcomes in itertools.product(range(d), repeat=4):
+        strategy = DeterministicStrategy(dim, outcomes)
+        assert lhv_value(strategy, plus) == lhv_value(strategy)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_value_is_invariant_under_the_outcome_shift(d):
+    # (A1 + t, A2 + t, B1 - t, B2 - t) mod d has the value of
+    # (A1, A2, B1, B2) for every tuple and every t, as m + n is unchanged.
+    T = kernel_table(d).tolist()
     for a1, a2, b1, b2 in itertools.product(range(d), repeat=4):
         value = _value(T, (a1, a2, b1, b2), d - 1)
         for t in range(1, d):
-            shifted = ((a1 + t) % d, (a2 + t) % d, (b1 + s * t) % d, (b2 + s * t) % d)
+            shifted = ((a1 + t) % d, (a2 + t) % d, (b1 - t) % d, (b2 - t) % d)
             assert _value(T, shifted, d - 1) == value
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_values_over_all_strategies_sum_to_zero(d):
+    # Every row and column of each kernel table sums to zero, so each
+    # setting pair's term sums to zero over the d^4 strategies and the
+    # exact classical values average to 0.
+    dim = Dimension(d)
+    total = sum(lhv_value(DeterministicStrategy(dim, outcomes))
+                for outcomes in itertools.product(range(d), repeat=4))
+    assert total == 0 and isinstance(total, Fraction)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

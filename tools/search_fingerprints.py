@@ -48,12 +48,13 @@ integer: it runs build_reproduction_report at its defaults, text and
 angle files of ANGLE_FILES under fixed relative names, so no message
 depends on where the checkout lies.
 
-Then one line per dimension d = 2..12 and kernel variant: a SHA-256
-digest over lhv_bounds' exact max_value and min_value and the outcomes
-of its argmax and argmin witnesses.  Then one line per dimension
-d = 2..6 and kernel variant: a SHA-256 digest over repr(lhv_value(...))
-of every deterministic strategy, in row-major order over (A1, A2, B1,
-B2), so the exact value of each of the d^4 strategies is covered.
+Then one line per dimension d = 2..12, labelled with KernelVariant's
+one member (plus): a SHA-256 digest over lhv_bounds' exact max_value
+and min_value and the outcomes of its argmax and argmin witnesses.
+Then one line per dimension d = 2..6, labelled the same way: a SHA-256
+digest over repr(lhv_value(...)) of every deterministic strategy, in
+row-major order over (A1, A2, B1, B2), so the exact value of each of
+the d^4 strategies is covered.
 
 After the fingerprints come the calls per pass of three searches: the
 Python-level ("call") and C-level ("c_call") events sys.setprofile sees
